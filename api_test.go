@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"seer"
+	"seer/internal/mem"
 )
 
 // TestThreadAccessors covers the Thread handle's surface.
@@ -151,6 +152,62 @@ func TestLivelockGuardSurfaced(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
 		t.Fatalf("livelock not surfaced: %v", err)
 	}
+}
+
+// TestLivelockMidTransactionLeavesSystemReusable: when MaxCycles trips
+// while a hardware transaction is in flight, the abandoned attempt must
+// take its reader bits and writerships out of the conflict registry with
+// it, so a second Run on the same System starts from a clean slate and
+// commits.
+func TestLivelockMidTransactionLeavesSystemReusable(t *testing.T) {
+	cfg := seer.DefaultConfig()
+	cfg.Policy = seer.PolicyRTM
+	cfg.Threads = 1
+	cfg.MemWords = 1 << 10
+	cfg.MaxCycles = 2000
+	sys, err := seer.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := sys.AllocLines(1), sys.AllocLines(1), sys.AllocLines(1)
+	_, err = sys.Run([]seer.Worker{func(th *seer.Thread) {
+		th.Atomic(0, func(tx seer.Access) {
+			tx.Load(a)
+			tx.Store(b, 1)
+			tx.Work(1 << 20) // far past MaxCycles, inside the transaction
+		})
+	}})
+	if err == nil || !strings.Contains(err.Error(), "MaxCycles") {
+		t.Fatalf("livelock not surfaced: %v", err)
+	}
+	m := sys.Memory()
+	clean := func(when string) {
+		t.Helper()
+		for _, addr := range []seer.Addr{a, b, c} {
+			ln := mem.LineOf(addr)
+			if r := m.LineReaders(ln); !r.Empty() {
+				t.Errorf("%s: line %d still has readers %v", when, ln, r)
+			}
+			if w := m.LineWriter(ln); w != -1 {
+				t.Errorf("%s: line %d still has writer %d", when, ln, w)
+			}
+		}
+	}
+	clean("after the abandoned run")
+	if got := sys.Peek(b); got != 0 {
+		t.Errorf("abandoned transaction published its store: %d", got)
+	}
+	rep, err := sys.Run([]seer.Worker{func(th *seer.Thread) {
+		th.Atomic(0, func(tx seer.Access) { tx.Store(c, tx.Load(c)+5) })
+	}})
+	if err != nil {
+		t.Fatalf("second Run on the same System: %v", err)
+	}
+	if rep.Commits() != 1 || rep.Modes[seer.ModeHTM] != 1 || sys.Peek(c) != 5 {
+		t.Errorf("second Run: commits=%d htm=%d c=%d, want one hardware commit writing 5",
+			rep.Commits(), rep.Modes[seer.ModeHTM], sys.Peek(c))
+	}
+	clean("after the second run")
 }
 
 // TestMemoryHelpers: allocation helpers and bounds.

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	seerbench -experiment fig3|table3|fig4|fig5|lockfrac|ext|attempts|contended|scaling|inference|adversarial|phased|fullsuite|all [flags]
-//	seerbench -compare old.json new.json [-compare-threshold f]
 //
 // The contended experiment is a stress view of the SGL park/wake path
 // (HLE at 8 threads), the scaling experiment sweeps machine shapes from
@@ -19,9 +18,9 @@
 // Figure 3 over the opt-in bayes/labyrinth workloads; none is part of
 // "all", which regenerates only the paper's exhibits.
 //
-// The second form compares two -bench-json snapshots (per-experiment
-// cells/sec ratio and geomean) and exits nonzero when the geomean falls
-// below -compare-threshold — the CI bench regression gate.
+// seerbench prints exhibits; it does not measure the simulator's own speed.
+// That is the job of the performance ledger (go run ./benchmark, see
+// benchmark/README.md).
 //
 // Flags:
 //
@@ -40,7 +39,6 @@
 //	             by machine shape; results identical at any count)
 //	-quantum k   speculative-quantum depth per cell (0 = library default,
 //	             -1 = off; results identical at any setting)
-//	-bench-json f write executor timing/throughput stats to f as JSON
 //	-cpuprofile f write a pprof CPU profile of the run to f
 //	-memprofile f write a pprof heap profile (taken at exit, after a GC) to f
 //	-v           stream per-cell progress to stderr
@@ -54,10 +52,8 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"seer"
-	"seer/internal/bench"
 	"seer/internal/harness"
 )
 
@@ -84,34 +80,13 @@ func main() {
 		interval   = flag.Uint64("metrics-interval", 0, "timeline: snapshot period in cycles (0 = default)")
 		parallel   = flag.Int("parallel", 0, "concurrent grid cells (0/1 = sequential, -1 = one per CPU)")
 		topoSpec   = flag.String("topology", "", "machine shape for every cell, e.g. 2s8c2t (default: the paper's 1s4c2t testbed)")
-		benchJSON  = flag.String("bench-json", "", "write executor timing stats to this JSON file")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		fullSuite  = flag.Bool("full-suite", false, "widen the default workload set with bayes and labyrinth")
 		regShards  = flag.Int("registry-shards", 0, "conflict-registry shard count per cell (0 = auto by machine shape; results identical at any count)")
 		quantum    = flag.Int("quantum", 0, "speculative-quantum budget per cell (0 = library default, -1 = off, K > 0 = up to K pure ticks; results identical at any setting)")
-		compareOld = flag.String("compare", "", "compare this old -bench-json snapshot against the new one given as a positional argument, then exit (nonzero on regression)")
-		compareTh  = flag.Float64("compare-threshold", 0.9, "compare: fail when the cells/sec geomean ratio new/old falls below this")
 	)
 	flag.Parse()
-
-	if *compareOld != "" {
-		// seerbench -compare old.json new.json: pure file comparison, no
-		// simulation. Exit 1 on regression so CI can gate on it.
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "seerbench: -compare OLD.json needs exactly one positional argument (NEW.json)")
-			os.Exit(2)
-		}
-		ok, err := bench.Compare(*compareOld, flag.Arg(0), *compareTh, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seerbench: %v\n", err)
-			os.Exit(2)
-		}
-		if !ok {
-			os.Exit(1)
-		}
-		return
-	}
 
 	// fail stops an in-flight CPU profile (StopCPUProfile is a no-op when
 	// none is running) so partial profiles are flushed, then exits.
@@ -288,25 +263,8 @@ func main() {
 	if *experiment == "all" {
 		names = []string{"fig3", "table3", "fig4", "fig5", "lockfrac", "ext", "attempts", "timeline"}
 	}
-	report := bench.Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Parallel:   *parallel,
-		Scale:      *scale,
-		Runs:       *runs,
-		Seed:       *seed,
-	}
 	for _, name := range names {
-		stats := &harness.BenchStats{}
-		opt.Stats = stats
-		start := time.Now()
 		if err := run(name); err != nil {
-			fail(err)
-		}
-		report.Add(name, float64(time.Since(start).Nanoseconds())/1e6, stats)
-	}
-	if *benchJSON != "" {
-		if err := report.WriteFile(*benchJSON); err != nil {
 			fail(err)
 		}
 	}

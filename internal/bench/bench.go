@@ -1,59 +1,9 @@
-// Package bench holds the executor-level measurement plumbing shared by
-// the benchmark driver (cmd/seerbench) and the harness: throughput
-// counters, summary statistics (warmup trimming, trimmed means, geometric
-// means), machine-readable report snapshots with a regression-comparison
-// gate, and ratio-table rendering. It sits below the harness in the
-// import graph (no simulator dependencies), so every layer can record
-// into the same counters.
+// Package bench holds the summary statistics and table rendering shared
+// by the harness exhibits and the performance ledger (benchmark/): grid
+// cell enumeration, warmup trimming, trimmed and geometric means, and
+// ratio-table rendering. It sits below the harness in the import graph
+// (no simulator dependencies).
 package bench
-
-import "sync/atomic"
-
-// Counters accumulates executor-level totals across experiments, for the
-// machine-readable benchmark output of seerbench -bench-json. All fields
-// are updated atomically; a nil *Counters discards everything, so
-// recording sites need no guards.
-type Counters struct {
-	cells     atomic.Int64
-	runs      atomic.Int64
-	simCycles atomic.Uint64
-}
-
-// RecordCell folds one completed measurement cell into the totals: the
-// number of repetitions it ran and the virtual cycles they simulated.
-func (s *Counters) RecordCell(runs int, simCycles uint64) {
-	if s == nil {
-		return
-	}
-	s.cells.Add(1)
-	s.runs.Add(int64(runs))
-	s.simCycles.Add(simCycles)
-}
-
-// Cells returns the number of measurement cells executed so far.
-func (s *Counters) Cells() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.cells.Load()
-}
-
-// Runs returns the number of simulated runs executed so far (cells ×
-// repetitions).
-func (s *Counters) Runs() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.runs.Load()
-}
-
-// SimCycles returns the total virtual cycles simulated so far.
-func (s *Counters) SimCycles() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.simCycles.Load()
-}
 
 // Cross enumerates the cross product of dimension sizes in row-major
 // order: Cross(2, 3) yields [0 0], [0 1], [0 2], [1 0], ... — the

@@ -2,24 +2,9 @@ package bench
 
 import (
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-func TestCounters(t *testing.T) {
-	var c Counters
-	c.RecordCell(3, 100)
-	c.RecordCell(2, 50)
-	if c.Cells() != 2 || c.Runs() != 5 || c.SimCycles() != 150 {
-		t.Fatalf("counters = %d/%d/%d", c.Cells(), c.Runs(), c.SimCycles())
-	}
-	var nilC *Counters
-	nilC.RecordCell(1, 1) // must not panic
-	if nilC.Cells() != 0 || nilC.Runs() != 0 || nilC.SimCycles() != 0 {
-		t.Fatal("nil counters not inert")
-	}
-}
 
 func TestCross(t *testing.T) {
 	got := Cross(2, 3)
@@ -67,52 +52,6 @@ func TestStats(t *testing.T) {
 	}
 	if got := DropWarmup([]float64{1}, 5); len(got) != 0 {
 		t.Fatalf("DropWarmup past end = %v", got)
-	}
-}
-
-func TestReportRoundTripAndCompare(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-
-	var c Counters
-	c.RecordCell(10, 1000)
-	oldRep := Report{GoVersion: "go-test", Runs: 3}
-	oldRep.Add("fig3", 100, &c)
-	if err := oldRep.WriteFile(oldPath); err != nil {
-		t.Fatal(err)
-	}
-	newRep := Report{GoVersion: "go-test", Runs: 3}
-	newRep.Add("fig3", 105, &c)
-	newRep.Add("adversarial", 50, &c) // new experiment: listed, not gated
-	if err := newRep.WriteFile(newPath); err != nil {
-		t.Fatal(err)
-	}
-
-	loaded, err := Load(oldPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Experiments) != 1 || loaded.Experiments[0].Name != "fig3" {
-		t.Fatalf("round trip lost experiments: %+v", loaded)
-	}
-
-	var out strings.Builder
-	ok, err := Compare(oldPath, newPath, 0.9, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatalf("compare failed:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "new experiment, not compared") {
-		t.Fatalf("new experiment not annotated:\n%s", out.String())
-	}
-
-	out.Reset()
-	ok, err = Compare(oldPath, newPath, 2.0, &out)
-	if err != nil || ok {
-		t.Fatalf("regression not detected (ok=%v err=%v):\n%s", ok, err, out.String())
 	}
 }
 

@@ -22,10 +22,6 @@ type Options struct {
 	// workers, negative uses one worker per available CPU. Results and
 	// rendered output are bit-identical at any width (see RunGrid).
 	Parallel int
-	// Stats, when non-nil, accumulates executor-level counters (cells,
-	// runs, simulated cycles) across experiments; seerbench -bench-json
-	// reads them back.
-	Stats *BenchStats
 	// Topology, when non-zero, replaces the default 8-thread testbed for
 	// every grid cell that does not pin its own shape (the seerbench
 	// -topology flag). Cells whose thread count exceeds the shape fail

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"seer"
-	"seer/internal/bench"
 )
 
 // The experiment grids are embarrassingly parallel: every Spec builds its
@@ -15,20 +14,6 @@ import (
 // fan-out point all exhibits go through, so a single -parallel flag
 // accelerates every experiment while keeping output bit-identical to a
 // sequential sweep.
-
-// BenchStats is the executor counter set of seerbench -bench-json; the
-// implementation lives in internal/bench so layers below the harness can
-// record into the same counters.
-type BenchStats = bench.Counters
-
-// record folds one completed cell into the totals (nil-safe).
-func record(s *BenchStats, res Result) {
-	var cycles uint64
-	for _, rep := range res.Reports {
-		cycles += rep.MakespanCycles
-	}
-	s.RecordCell(len(res.Reports), cycles)
-}
 
 // Workers resolves the executor width: 0 and 1 mean sequential, negative
 // means one worker per available CPU, and anything larger is clamped to
@@ -84,7 +69,6 @@ func RunGrid(opt Options, specs []Spec, progress func(i int, res Result)) ([]Res
 			if err != nil {
 				return results, err
 			}
-			record(opt.Stats, res)
 			results[i] = res
 			if progress != nil {
 				progress(i, res)
@@ -117,9 +101,6 @@ func RunGrid(opt Options, specs []Spec, progress func(i int, res Result)) ([]Res
 				}
 				res, err := runOneWith(specs[i], rec)
 				results[i], errs[i] = res, err
-				if err == nil {
-					record(opt.Stats, res)
-				}
 				mu.Lock()
 				done[i] = true
 				for emitted < len(specs) && done[emitted] {

@@ -56,30 +56,6 @@ func TestRunGridParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunGridStats: the executor counters must add up the same way at any
-// width.
-func TestRunGridStats(t *testing.T) {
-	specs := gridSpecs()
-	count := func(parallel int) (int64, int64, uint64) {
-		stats := &BenchStats{}
-		if _, err := RunGrid(Options{Parallel: parallel, Stats: stats}, specs, nil); err != nil {
-			t.Fatal(err)
-		}
-		return stats.Cells(), stats.Runs(), stats.SimCycles()
-	}
-	c1, r1, s1 := count(1)
-	c4, r4, s4 := count(4)
-	if c1 != int64(len(specs)) || r1 != int64(len(specs)) {
-		t.Fatalf("sequential stats: cells=%d runs=%d, want %d each", c1, r1, len(specs))
-	}
-	if s1 == 0 {
-		t.Fatalf("no simulated cycles recorded")
-	}
-	if c1 != c4 || r1 != r4 || s1 != s4 {
-		t.Fatalf("stats differ by width: (%d,%d,%d) vs (%d,%d,%d)", c1, r1, s1, c4, r4, s4)
-	}
-}
-
 // TestRunGridRecycledReplicasMatchFresh: RunGrid builds each cell on its
 // worker's recycled simulator replica; RunOne builds a fresh system every
 // time. On a wide multi-socket shape — where the auto heuristic shards

@@ -148,7 +148,13 @@ type txnState struct {
 	active     bool
 	doomed     bool
 	doomStatus Status
-	doomedBy   int16 // hw thread whose access doomed this txn (-1 unknown)
+	// lastConflictor records who doomed this thread's latest conflict abort
+	// (simulator-only oracle; see Unit.LastConflictor).
+	lastConflictor int16
+	// core is the thread's global physical core, precomputed so the
+	// per-access capacity checks don't re-derive it from the machine
+	// configuration. int32 holds any core id the topology ceiling admits.
+	core int32
 	// ctx is the machine context of the thread this state belongs to,
 	// captured at transaction begin. The doom path uses it to notify the
 	// engine's speculative-quantum machinery (machine.Ctx.Interfere) so a
@@ -164,6 +170,9 @@ type txnState struct {
 	// &sig, so unwinding a transaction never allocates (panicking with an
 	// abortSignal value would box it into the interface on every abort).
 	sig abortSignal
+	// cnt holds the thread's event counters, one bank per execution mode so
+	// reports can distinguish the two commit protocols.
+	cnt [numBanks]Counters
 }
 
 // reset clears the per-attempt state while keeping every reusable buffer's
@@ -178,34 +187,43 @@ func (t *txnState) reset() {
 	t.lines = t.lines[:0]
 }
 
+// modeParams is one execution mode of the attempt runner: everything that
+// distinguishes a hardware (HTM) attempt from a software (STM) attempt. The
+// runner, the access path and the abort bookkeeping are shared; a mode is
+// this plain value, built once per Unit from the machine's cost model and
+// the HTM configuration.
+type modeParams struct {
+	begin, commit uint64  // cycles to start / to publish an attempt
+	load, store   uint64  // cycles per transactional access
+	spurious      float64 // per-step probability of a transient abort
+	// capacity turns on the L1 capacity model: the attempt occupies its
+	// physical core's speculative L1 state (coreActive), shrinking its
+	// siblings' line budget, and aborts when its own footprint outgrows its
+	// share. A software attempt's footprint is bounded only by memory.
+	capacity bool
+	bank     int // counter bank the attempt books into
+}
+
+// Counter banks, one per execution mode.
+const (
+	bankHW = iota
+	bankSW
+	numBanks
+)
+
 // Unit is the machine's transactional-memory facility: one per simulated
 // machine, tracking the in-flight transaction of every hardware thread.
 type Unit struct {
-	mem  *mem.Memory
-	mach machine.Config
-	cfg  Config
-	txns []txnState
-	cnt  []Counters // per hardware thread, hardware (HTM) attempts
-	// swCnt mirrors cnt for software-mode (STM) attempts run through
-	// RunSW; kept separate so reports can distinguish the two commit
-	// protocols. Nil until the first RunSW-capable unit is built — it is
-	// always allocated alongside cnt, so indexing is safe whenever cnt is.
-	swCnt []Counters
+	mem    *mem.Memory
+	cfg    Config
+	hw, sw modeParams // the two execution modes (Run, RunSW)
+	txns   []txnState
 	// coreActive[core] counts the hardware threads of one physical core
-	// currently inside a transaction, maintained at transaction begin/end
-	// so the capacity model reads it in O(1) instead of scanning the
-	// core's siblings on every set growth. Indexed by the topology's
-	// global core id.
+	// currently inside a capacity-modelled transaction, maintained at
+	// transaction begin/end so the capacity model reads it in O(1) instead
+	// of scanning the core's siblings on every set growth. Indexed by the
+	// topology's global core id.
 	coreActive []int16
-	// coreOf[hw] is the global physical core of each hardware thread,
-	// precomputed so the per-access capacity checks don't re-derive it
-	// from the machine configuration. int32 holds any core id the
-	// topology ceiling admits (the old int8 silently wrapped past 127
-	// cores).
-	coreOf []int32
-	// lastConflictor[hw] records who doomed hw's latest conflict abort
-	// (simulator-only oracle; see LastConflictor).
-	lastConflictor []int16
 	// doomHook, when set, observes every effective doom with its ground
 	// truth: victim, aborter (-1 for non-conflict dooms) and the contended
 	// cache line. It is the attribution subsystem's tap (internal/txtrace);
@@ -221,36 +239,20 @@ func New(m *mem.Memory, mach machine.Config, cfg Config) *Unit {
 	return NewRecycled(m, mach, cfg, nil)
 }
 
-// Counters returns the summed event counters across hardware threads.
-func (u *Unit) Counters() Counters {
-	var total Counters
-	for i := range u.cnt {
-		total.Add(u.cnt[i])
-	}
-	return total
-}
+// Counters returns the summed hardware-mode event counters across hardware
+// threads.
+func (u *Unit) Counters() Counters { return u.bankTotal(bankHW) }
 
 // SWCounters returns the summed software-mode (STM) event counters
 // across hardware threads. All zero unless RunSW executed.
-func (u *Unit) SWCounters() Counters {
+func (u *Unit) SWCounters() Counters { return u.bankTotal(bankSW) }
+
+func (u *Unit) bankTotal(bank int) Counters {
 	var total Counters
-	for i := range u.swCnt {
-		total.Add(u.swCnt[i])
+	for i := range u.txns {
+		total.Add(u.txns[i].cnt[bank])
 	}
 	return total
-}
-
-// ThreadCounters returns the event counters of one hardware thread.
-func (u *Unit) ThreadCounters(hw int) Counters { return u.cnt[hw] }
-
-// ResetCounters zeroes all event counters.
-func (u *Unit) ResetCounters() {
-	for i := range u.cnt {
-		u.cnt[i] = Counters{}
-	}
-	for i := range u.swCnt {
-		u.swCnt[i] = Counters{}
-	}
 }
 
 // Active reports whether hardware thread hw is inside a transaction
@@ -296,7 +298,7 @@ func (u *Unit) DoomWriter(writer, self int, ln mem.Line) {
 // conflicting transaction (that restriction is the whole premise of the
 // paper). It exists so the Oracle policy can quantify what precise
 // feedback would be worth; Seer never touches it.
-func (u *Unit) LastConflictor(hw int) int { return int(u.lastConflictor[hw]) }
+func (u *Unit) LastConflictor(hw int) int { return int(u.txns[hw].lastConflictor) }
 
 // doom marks hw's transaction as aborted and removes its registry entries
 // immediately so the conflict state stays consistent; the victim observes
@@ -310,8 +312,7 @@ func (u *Unit) doom(hw int, status Status, by int, ln mem.Line) {
 	}
 	t.doomed = true
 	t.doomStatus |= status
-	t.doomedBy = int16(by)
-	u.lastConflictor[hw] = int16(by)
+	t.lastConflictor = int16(by)
 	u.mem.Unregister(hw, t.lines)
 	t.lines = t.lines[:0]
 	t.nReadLines = 0
@@ -331,9 +332,9 @@ func (u *Unit) doom(hw int, status Status, by int, ln mem.Line) {
 // Go analogue of the setjmp/longjmp behaviour of xbegin.
 type abortSignal struct{ status Status }
 
-// Tx is a running hardware transaction bound to one hardware thread. It
+// Tx is a running transaction attempt bound to one hardware thread. It
 // implements the same Load/Store accessor shape as mem.Direct, so workload
-// code is oblivious to which path (HTM or fall-back) executes it. The
+// code is oblivious to which path (HTM, STM or fall-back) executes it. The
 // struct lives inside its thread's txnState and is reused across attempts.
 type Tx struct {
 	u    *Unit
@@ -341,32 +342,21 @@ type Tx struct {
 	cost *machine.CostModel
 	st   *txnState // the owning thread's state, cached for the access path
 	hw   int
-	// Per-attempt execution-mode parameters, set by Run (hardware values)
-	// or RunSW (software values) so the shared access path needs no mode
-	// branches: loads/stores charge loadCost/storeCost, step draws
-	// spurious aborts with probability spurious, and sw disables the L1
-	// capacity model (a software transaction's footprint is bounded only
-	// by memory).
-	sw        bool
-	loadCost  uint64
-	storeCost uint64
-	spurious  float64
+	// p is the attempt's execution mode, set by run, so the shared access
+	// path needs no mode branches beyond the capacity flag.
+	p *modeParams
 }
 
-// activeOnCore counts hardware threads of hw's physical core currently
-// running a transaction (including hw itself); the L1 line budget is
-// divided by it. The count is maintained incrementally at transaction
-// begin/end (see Run), so this is an array read.
-func (u *Unit) activeOnCore(hw int) int {
-	n := int(u.coreActive[u.coreOf[hw]])
-	if n == 0 {
-		n = 1
-	}
-	return n
+// activeOnCore counts hardware threads of st's physical core currently
+// running a capacity-modelled transaction (including st's own); the L1
+// line budget is divided by it. The count is maintained incrementally at
+// transaction begin/end (see run), so this is an array read.
+func (u *Unit) activeOnCore(st *txnState) int {
+	return max(1, int(u.coreActive[st.core]))
 }
 
-func (u *Unit) readCap(hw int) int  { return max(1, u.cfg.ReadSetLines/u.activeOnCore(hw)) }
-func (u *Unit) writeCap(hw int) int { return max(1, u.cfg.WriteSetLines/u.activeOnCore(hw)) }
+func (u *Unit) readCap(st *txnState) int  { return max(1, u.cfg.ReadSetLines/u.activeOnCore(st)) }
+func (u *Unit) writeCap(st *txnState) int { return max(1, u.cfg.WriteSetLines/u.activeOnCore(st)) }
 
 // step advances virtual time by cost and delivers any pending asynchronous
 // abort.
@@ -377,8 +367,8 @@ func (t *Tx) step(cost uint64) {
 		st.sig.status = st.doomStatus
 		panic(&st.sig)
 	}
-	if t.spurious > 0 && t.ctx.Rand().Bool(t.spurious) {
-		t.u.lastConflictor[t.hw] = -1
+	if t.p.spurious > 0 && t.ctx.Rand().Bool(t.p.spurious) {
+		st.lastConflictor = -1
 		st.sig.status = BitSpurious | BitRetry
 		panic(&st.sig)
 	}
@@ -399,9 +389,9 @@ func (t *Tx) stepPure(cost uint64) {
 		st.sig.status = st.doomStatus
 		panic(&st.sig)
 	}
-	if t.spurious > 0 && t.ctx.Rand().Bool(t.spurious) {
+	if t.p.spurious > 0 && t.ctx.Rand().Bool(t.p.spurious) {
 		t.ctx.EndQuantum()
-		t.u.lastConflictor[t.hw] = -1
+		st.lastConflictor = -1
 		st.sig.status = BitSpurious | BitRetry
 		panic(&st.sig)
 	}
@@ -412,7 +402,7 @@ func (t *Tx) stepPure(cost uint64) {
 // so the only per-access bookkeeping is a counter bump and a slice append.
 // Cross-socket lines may carry an extra cost (see mem.SetAccessCost).
 func (t *Tx) Load(a mem.Addr) uint64 {
-	t.step(t.loadCost + t.u.mem.AccessCost(t.hw, a))
+	t.step(t.p.load + t.u.mem.AccessCost(t.hw, a))
 	st := t.st
 	if v, ok := st.wb.get(a); ok {
 		return v
@@ -420,7 +410,7 @@ func (t *Tx) Load(a mem.Addr) uint64 {
 	if grew, ownWrite := t.u.mem.RegisterRead(t.hw, a); grew && !ownWrite {
 		st.nReadLines++
 		st.lines = append(st.lines, mem.LineOf(a))
-		if !t.sw && st.nReadLines > t.u.readCap(t.hw) {
+		if t.p.capacity && st.nReadLines > t.u.readCap(st) {
 			st.sig.status = BitCapacity
 			panic(&st.sig)
 		}
@@ -430,14 +420,14 @@ func (t *Tx) Load(a mem.Addr) uint64 {
 
 // Store performs a transactional (buffered) store.
 func (t *Tx) Store(a mem.Addr, v uint64) {
-	t.step(t.storeCost + t.u.mem.AccessCost(t.hw, a))
+	t.step(t.p.store + t.u.mem.AccessCost(t.hw, a))
 	st := t.st
 	if grew, wasReader := t.u.mem.RegisterWrite(t.hw, a); grew {
 		st.nWriteLines++
 		if !wasReader {
 			st.lines = append(st.lines, mem.LineOf(a))
 		}
-		if !t.sw && st.nWriteLines > t.u.writeCap(t.hw) {
+		if t.p.capacity && st.nWriteLines > t.u.writeCap(st) {
 			st.sig.status = BitCapacity
 			panic(&st.sig)
 		}
@@ -479,213 +469,165 @@ func (t *Tx) WriteSetWords() int { return t.st.wb.count() }
 // It returns status 0 if the transaction committed, and the abort status
 // otherwise (body side effects are discarded on abort, as the write buffer
 // is never applied). Nesting is not supported and panics.
-func (u *Unit) Run(ctx *machine.Ctx, body func(*Tx)) (status Status) {
-	hw := ctx.ID()
-	st := &u.txns[hw]
-	if st.active {
-		panic("htm: nested hardware transactions are not supported")
-	}
-	if st.ctx != ctx {
-		// First attempt on this (thread, engine) pair: capture the context
-		// for doom-time interference delivery and register the rollback
-		// unwinder — it rethrows the pre-boxed abort signal, so a
-		// speculative rollback aborts through the standard recover path
-		// below without allocating. One closure per thread lifetime.
-		st.ctx = ctx
-		ctx.SetUnwinder(func() any {
-			st.sig.status = st.doomStatus
-			return &st.sig
-		})
-	}
-	cost := ctx.Cost()
-	ctx.Tick(cost.XBegin)
-	st.active = true
-	u.coreActive[u.coreOf[hw]]++
-	st.doomed = false
-	st.doomStatus = 0
-	st.nReadLines = 0
-	st.nWriteLines = 0
-	st.lines = st.lines[:0]
-	st.wb.begin()
-
-	tx := &st.tx
-	tx.u, tx.ctx, tx.cost, tx.st, tx.hw = u, ctx, cost, st, hw
-	tx.sw, tx.loadCost, tx.storeCost, tx.spurious = false, cost.TxLoad, cost.TxStore, u.cfg.SpuriousProb
-	defer func() {
-		if r := recover(); r != nil {
-			// An explicit Tx.Abort can fire with a quantum still open (its
-			// panic is not a scheduling point); the unwind below touches
-			// shared state (coreActive, the conflict registry), so close the
-			// quantum first. If the replay discovers a doom that predates
-			// the explicit abort, the rollback signal supersedes it — the
-			// per-tick engine would have delivered that doom at the
-			// journaled tick's boundary check, before control ever reached
-			// Abort. All other abort sources — step, stepPure, a speculative
-			// rollback — arrive here with the quantum closed (no-op).
-			if rb := endQuantumRecover(ctx); rb != nil {
-				r = rb
-			}
-			u.coreActive[u.coreOf[hw]]--
-			sig, ok := r.(*abortSignal)
-			if !ok {
-				st.reset()
-				panic(r) // programming error in the body: propagate
-			}
-			status = sig.status
-			if status == 0 {
-				// Defensive: an abort must carry a cause.
-				status = BitRetry
-			}
-			u.mem.Unregister(hw, st.lines)
-			st.reset()
-			u.recordAbort(hw, status)
-			ctx.Tick(cost.AbortHandle)
-		}
-	}()
-
-	body(tx)
-
-	// Commit: one scheduling point, then the write buffer becomes
-	// globally visible atomically (single-threaded step).
-	tx.step(cost.XEnd)
-	st.wb.apply(u.mem)
-	u.mem.Unregister(hw, st.lines)
-	st.reset()
-	u.coreActive[u.coreOf[hw]]--
-	u.cnt[hw].Commits++
-	return 0
-}
+func (u *Unit) Run(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, &u.hw, body) }
 
 // RunSW executes body as one software (STM) transaction attempt on ctx's
-// thread — the SW execution mode of the phased-TM runtime. The protocol
-// reuses the hardware path's machinery wholesale: per-line ownership is
-// acquired through the same conflict registry (so software transactions
-// conflict-detect eagerly against hardware transactions, other software
-// transactions and direct accesses alike, requester-wins), stores are
-// buffered in the same epoch-stamped write buffer and published on commit,
-// and aborts unwind through the same pre-boxed panic signal — zero
-// steady-state allocations, exactly like Run. The differences are the
-// mode parameters: no L1 capacity model (a software footprint is bounded
-// only by memory), no spurious aborts, instrumented per-access costs
-// (CostModel.STMLoad/STMStore) and a multi-line commit publish cost
-// (STMCommit) instead of XEnd. Software attempts do not occupy the
-// physical core's speculative L1 state, so they never shrink the capacity
-// budget of hardware transactions on sibling hyperthreads.
-func (u *Unit) RunSW(ctx *machine.Ctx, body func(*Tx)) (status Status) {
+// thread — the SW execution mode of the phased-TM runtime. It is Run under
+// the software modeParams: no L1 capacity model, no spurious aborts,
+// instrumented per-access costs and a multi-line commit publish cost, with
+// events booked into the software counter bank (SWCounters).
+func (u *Unit) RunSW(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, &u.sw, body) }
+
+// run is the attempt runner: begin, execute body, then commit or unwind
+// with a coarse status, under execution mode p. Both modes acquire per-line
+// ownership through the same conflict registry (so hardware transactions,
+// software transactions and direct accesses all conflict-detect eagerly
+// against one another, requester-wins), buffer stores in the same
+// epoch-stamped write buffer and abort through the same pre-boxed panic
+// signal — zero steady-state allocations either way.
+func (u *Unit) run(ctx *machine.Ctx, p *modeParams, body func(*Tx)) (status Status) {
 	hw := ctx.ID()
 	st := &u.txns[hw]
 	if st.active {
 		panic("htm: nested transactions are not supported")
 	}
+	tx := &st.tx
 	if st.ctx != ctx {
+		// First attempt on this (thread, engine) pair: bind the reusable Tx
+		// handle, capture the context for doom-time interference delivery
+		// and register the rollback unwinder — it rethrows the pre-boxed
+		// abort signal, so a speculative rollback aborts through the
+		// standard recover path below without allocating. One closure per
+		// thread lifetime.
 		st.ctx = ctx
+		tx.u, tx.ctx, tx.cost, tx.st, tx.hw = u, ctx, ctx.Cost(), st, hw
 		ctx.SetUnwinder(func() any {
 			st.sig.status = st.doomStatus
 			return &st.sig
 		})
 	}
-	cost := ctx.Cost()
-	ctx.Tick(cost.STMBegin)
+	tx.p = p
+	ctx.Tick(p.begin)
 	st.active = true
-	st.doomed = false
-	st.doomStatus = 0
-	st.nReadLines = 0
-	st.nWriteLines = 0
-	st.lines = st.lines[:0]
+	if p.capacity {
+		u.coreActive[st.core]++
+	}
 	st.wb.begin()
 
-	tx := &st.tx
-	tx.u, tx.ctx, tx.cost, tx.st, tx.hw = u, ctx, cost, st, hw
-	tx.sw, tx.loadCost, tx.storeCost, tx.spurious = true, cost.STMLoad, cost.STMStore, 0
 	defer func() {
-		if r := recover(); r != nil {
-			// Same unwind discipline as Run: close any open speculative
-			// quantum before touching shared state, then classify.
-			if rb := endQuantumRecover(ctx); rb != nil {
-				r = rb
-			}
-			sig, ok := r.(*abortSignal)
-			if !ok {
-				st.reset()
-				panic(r) // programming error in the body: propagate
-			}
-			status = sig.status
-			if status == 0 {
-				status = BitRetry
-			}
-			u.mem.Unregister(hw, st.lines)
-			st.reset()
-			u.recordAbortSW(hw, status)
-			ctx.Tick(cost.AbortHandle)
+		r := recover()
+		if r == nil {
+			return
 		}
+		// An explicit Tx.Abort can fire with a quantum still open (its
+		// panic is not a scheduling point); the unwind below touches
+		// shared state (coreActive, the conflict registry), so close the
+		// quantum first. If the replay discovers a doom that predates
+		// the explicit abort, the rollback signal supersedes it — the
+		// per-tick engine would have delivered that doom at the
+		// journaled tick's boundary check, before control ever reached
+		// Abort. All other abort sources — step, stepPure, a speculative
+		// rollback — arrive here with the quantum closed (no-op).
+		if rb := endQuantumRecover(ctx); rb != nil {
+			r = rb
+		}
+		// Every unwind — an abort, a programming error in the body, the
+		// engine abandoning the run — leaves the unit as a commit would:
+		// nothing registered, nothing active.
+		u.end(st, hw, p)
+		sig, ok := r.(*abortSignal)
+		if !ok {
+			panic(r) // not an abort: propagate
+		}
+		status = sig.status
+		if status == 0 {
+			// Defensive: an abort must carry a cause.
+			status = BitRetry
+		}
+		st.cnt[p.bank].recordAbort(status)
+		ctx.Tick(tx.cost.AbortHandle)
 	}()
 
 	body(tx)
 
-	// Software commit: one scheduling point for the publish, then the
-	// write buffer becomes globally visible. The transaction still owns
-	// every written line in the registry at this point (a conflicting
-	// access would have doomed it), which is what makes the single-step
-	// publish atomic with respect to all other execution modes.
-	tx.step(cost.STMCommit)
+	// Commit: one scheduling point, then the write buffer becomes globally
+	// visible atomically (single-threaded step). The transaction still owns
+	// every written line in the registry at this point (a conflicting access
+	// would have doomed it), which is what makes the single-step publish
+	// atomic with respect to all other execution modes.
+	tx.step(p.commit)
 	st.wb.apply(u.mem)
-	u.mem.Unregister(hw, st.lines)
-	st.reset()
-	u.swCnt[hw].Commits++
+	u.end(st, hw, p)
+	st.cnt[p.bank].Commits++
 	return 0
 }
 
-// recordAbortSW is recordAbort for software-mode attempts.
-func (u *Unit) recordAbortSW(hw int, s Status) {
-	c := &u.swCnt[hw]
-	c.Aborts++
-	switch {
-	case s&BitConflict != 0:
-		c.ConflictAborts++
-	case s&BitCapacity != 0:
-		c.CapacityAborts++
-	case s&BitExplicit != 0:
-		c.ExplicitAborts++
-	case s&BitSpurious != 0:
-		c.SpuriousAborts++
+// end closes hw's attempt, committed or not: its remaining lines leave the
+// conflict registry, its core's L1 share is returned and the per-attempt
+// state is cleared.
+func (u *Unit) end(st *txnState, hw int, p *modeParams) {
+	u.mem.Unregister(hw, st.lines)
+	st.reset()
+	if p.capacity {
+		u.coreActive[st.core]--
 	}
 }
 
-// endQuantumRecover closes an open speculative quantum from inside Run's
-// recover block, where the deferred recover has already fired: a rollback
-// raised during the replay (machine.Ctx.checkUnwind) must be caught here
-// or it would escape Run entirely. It returns the rollback's abort signal,
-// nil if the replay completed cleanly, and re-panics anything that is not
-// an abort signal (engine teardown's abandon-run sentinel).
-func endQuantumRecover(ctx *machine.Ctx) (sig *abortSignal) {
-	defer func() {
-		if r := recover(); r != nil {
-			s, ok := r.(*abortSignal)
-			if !ok {
-				panic(r)
-			}
-			sig = s
-		}
-	}()
+// endQuantumRecover closes an open speculative quantum from inside run's
+// recover block, where the deferred recover has already fired: whatever the
+// replay raises (a speculative rollback's signal at the resume, or the engine's
+// abandon-run sentinel) must be caught here or it would escape run past its
+// cleanup. It returns that payload, nil if the replay completed cleanly.
+func endQuantumRecover(ctx *machine.Ctx) (r any) {
+	defer func() { r = recover() }()
 	ctx.EndQuantum()
 	return nil
 }
 
-func (u *Unit) recordAbort(hw int, s Status) {
-	c := &u.cnt[hw]
-	c.Aborts++
+// Cause is the priority classification of an abort status: the one cause an
+// abort is booked under by the HTM's own counters and by every consumer of
+// them (telemetry and attribution index their breakdowns by it).
+type Cause uint8
+
+// Abort causes, in classification priority order.
+const (
+	CauseConflict Cause = iota
+	CauseCapacity
+	CauseExplicit
+	CauseSpurious
+	CauseOther
+)
+
+// Cause classifies an abort status.
+func (s Status) Cause() Cause {
 	switch {
 	case s&BitConflict != 0:
-		c.ConflictAborts++
+		return CauseConflict
 	case s&BitCapacity != 0:
-		c.CapacityAborts++
+		return CauseCapacity
 	case s&BitExplicit != 0:
-		c.ExplicitAborts++
+		return CauseExplicit
 	case s&BitSpurious != 0:
+		return CauseSpurious
+	default:
+		return CauseOther
+	}
+}
+
+func (c *Counters) recordAbort(s Status) {
+	c.Aborts++
+	switch s.Cause() {
+	case CauseConflict:
+		c.ConflictAborts++
+	case CauseCapacity:
+		c.CapacityAborts++
+	case CauseExplicit:
+		c.ExplicitAborts++
+	case CauseSpurious:
 		c.SpuriousAborts++
 	}
 }
 
-// Compile-time check: a hardware transaction satisfies the uniform
-// accessor interface, so bodies run unchanged on HTM and fall-back paths.
+// Compile-time check: a transaction satisfies the uniform accessor
+// interface, so bodies run unchanged on HTM, STM and fall-back paths.
 var _ mem.Access = (*Tx)(nil)

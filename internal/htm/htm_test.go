@@ -25,51 +25,81 @@ func env(t *testing.T, hwThreads, physCores int) (*machine.Engine, *mem.Memory, 
 	return eng, m, u
 }
 
-func TestCommitAppliesWrites(t *testing.T) {
-	eng, m, u := env(t, 1, 1)
-	a := m.AllocLines(1)
-	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
-		status := u.Run(c, func(tx *Tx) {
-			tx.Store(a, 7)
-			if tx.Load(a) != 7 {
-				t.Errorf("transaction does not see its own write")
-			}
-		})
-		if status != 0 {
-			t.Errorf("status = %v, want commit", status)
-		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Peek(a) != 7 {
-		t.Fatalf("committed value not applied: %d", m.Peek(a))
-	}
-	if c := u.Counters(); c.Commits != 1 || c.Aborts != 0 {
-		t.Fatalf("counters = %+v", c)
+// mode is one exported entry point of the attempt runner with the counter
+// bank it books into; the mode-independent tests run once per mode.
+type mode struct {
+	name     string
+	run      func(*Unit, *machine.Ctx, func(*Tx)) Status
+	counters func(*Unit) Counters
+	other    func(*Unit) Counters // the bank this mode must leave untouched
+}
+
+var modes = []mode{
+	{"HW", (*Unit).Run, (*Unit).Counters, (*Unit).SWCounters},
+	{"SW", (*Unit).RunSW, (*Unit).SWCounters, (*Unit).Counters},
+}
+
+func forEachMode(t *testing.T, f func(t *testing.T, md mode)) {
+	for _, md := range modes {
+		t.Run(md.name, func(t *testing.T) { f(t, md) })
 	}
 }
 
-func TestExplicitAbortDiscardsWrites(t *testing.T) {
-	eng, m, u := env(t, 1, 1)
-	a := m.AllocLines(1)
-	m.Poke(a, 1)
-	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
-		status := u.Run(c, func(tx *Tx) {
-			tx.Store(a, 99)
-			tx.Abort(0x42)
-		})
-		if !status.Explicit() || status.ExplicitCode() != 0x42 {
-			t.Errorf("status = %v, want explicit(0x42)", status)
+func TestCommitAppliesWrites(t *testing.T) {
+	forEachMode(t, func(t *testing.T, md mode) {
+		eng, m, u := env(t, 1, 1)
+		a := m.AllocLines(1)
+		if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+			status := md.run(u, c, func(tx *Tx) {
+				tx.Store(a, 7)
+				if tx.Load(a) != 7 {
+					t.Errorf("transaction does not see its own write")
+				}
+			})
+			if status != 0 {
+				t.Errorf("status = %v, want commit", status)
+			}
+		}}); err != nil {
+			t.Fatal(err)
 		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if m.Peek(a) != 1 {
-		t.Fatalf("aborted write leaked: %d", m.Peek(a))
-	}
-	if c := u.Counters(); c.ExplicitAborts != 1 {
-		t.Fatalf("counters = %+v", c)
-	}
+		if m.Peek(a) != 7 {
+			t.Fatalf("committed value not applied: %d", m.Peek(a))
+		}
+		if c := md.counters(u); c.Commits != 1 || c.Aborts != 0 {
+			t.Fatalf("counters = %+v", c)
+		}
+		if c := md.other(u); c != (Counters{}) {
+			t.Fatalf("other mode's bank touched: %+v", c)
+		}
+	})
+}
+
+func TestExplicitAbortDiscardsWrites(t *testing.T) {
+	forEachMode(t, func(t *testing.T, md mode) {
+		eng, m, u := env(t, 1, 1)
+		a := m.AllocLines(1)
+		m.Poke(a, 1)
+		if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+			status := md.run(u, c, func(tx *Tx) {
+				tx.Store(a, 99)
+				tx.Abort(0x42)
+			})
+			if !status.Explicit() || status.ExplicitCode() != 0x42 {
+				t.Errorf("status = %v, want explicit(0x42)", status)
+			}
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		if m.Peek(a) != 1 {
+			t.Fatalf("aborted write leaked: %d", m.Peek(a))
+		}
+		if c := md.counters(u); c.ExplicitAborts != 1 || c.Aborts != 1 {
+			t.Fatalf("counters = %+v", c)
+		}
+		if c := md.other(u); c != (Counters{}) {
+			t.Fatalf("other mode's bank touched: %+v", c)
+		}
+	})
 }
 
 func TestWriteCapacityAbort(t *testing.T) {
@@ -153,37 +183,46 @@ func TestSiblingHalvesCapacity(t *testing.T) {
 }
 
 // TestConflictRequesterWins: a second writer dooms the first; the doomed
-// transaction aborts with a conflict status at its next step.
+// transaction aborts with a conflict status at its next step. The victim
+// and the requester each run in either mode: conflicts are detected in the
+// shared registry, so every pairing behaves alike.
 func TestConflictRequesterWins(t *testing.T) {
-	eng, m, u := env(t, 2, 2)
-	a := m.AllocLines(1)
-	var status0, status1 Status
-	bodies := []func(*machine.Ctx){
-		func(c *machine.Ctx) {
-			status0 = u.Run(c, func(tx *Tx) {
-				tx.Store(a, 1) // registers first (thread 0 starts first)
-				tx.Work(500)   // long vulnerable window
-			})
-		},
-		func(c *machine.Ctx) {
-			c.Tick(100) // start later
-			status1 = u.Run(c, func(tx *Tx) {
-				tx.Store(a, 2) // dooms thread 0 (requester wins)
-			})
-		},
-	}
-	if _, err := eng.Run(bodies); err != nil {
-		t.Fatal(err)
-	}
-	if !status0.Conflict() {
-		t.Fatalf("status0 = %v, want conflict", status0)
-	}
-	if status1 != 0 {
-		t.Fatalf("status1 = %v, want commit", status1)
-	}
-	if m.Peek(a) != 2 {
-		t.Fatalf("memory = %d, want the winner's value 2", m.Peek(a))
-	}
+	forEachMode(t, func(t *testing.T, victim mode) {
+		forEachMode(t, func(t *testing.T, requester mode) {
+			eng, m, u := env(t, 2, 2)
+			a := m.AllocLines(1)
+			var status0, status1 Status
+			bodies := []func(*machine.Ctx){
+				func(c *machine.Ctx) {
+					status0 = victim.run(u, c, func(tx *Tx) {
+						tx.Store(a, 1) // registers first (thread 0 starts first)
+						tx.Work(500)   // long vulnerable window
+					})
+				},
+				func(c *machine.Ctx) {
+					c.Tick(100) // start later
+					status1 = requester.run(u, c, func(tx *Tx) {
+						tx.Store(a, 2) // dooms thread 0 (requester wins)
+					})
+				},
+			}
+			if _, err := eng.Run(bodies); err != nil {
+				t.Fatal(err)
+			}
+			if !status0.Conflict() {
+				t.Fatalf("status0 = %v, want conflict", status0)
+			}
+			if status1 != 0 {
+				t.Fatalf("status1 = %v, want commit", status1)
+			}
+			if m.Peek(a) != 2 {
+				t.Fatalf("memory = %d, want the winner's value 2", m.Peek(a))
+			}
+			if got := u.LastConflictor(0); got != 1 {
+				t.Fatalf("LastConflictor(0) = %d, want 1", got)
+			}
+		})
+	})
 }
 
 // TestReadersDoNotConflict: concurrent readers of one line all commit.
@@ -215,25 +254,107 @@ func TestReadersDoNotConflict(t *testing.T) {
 }
 
 func TestNestedTransactionPanics(t *testing.T) {
-	eng, _, u := env(t, 1, 1)
-	_, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
-		u.Run(c, func(tx *Tx) {
-			u.Run(c, func(tx2 *Tx) {})
+	forEachMode(t, func(t *testing.T, outer mode) {
+		forEachMode(t, func(t *testing.T, inner mode) {
+			eng, _, u := env(t, 1, 1)
+			_, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+				outer.run(u, c, func(tx *Tx) {
+					inner.run(u, c, func(tx2 *Tx) {})
+				})
+			}})
+			if err == nil {
+				t.Fatalf("nested transaction did not panic")
+			}
 		})
-	}})
-	if err == nil {
-		t.Fatalf("nested transaction did not panic")
-	}
+	})
 }
 
 func TestBodyPanicPropagates(t *testing.T) {
-	eng, _, u := env(t, 1, 1)
-	_, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
-		u.Run(c, func(tx *Tx) { panic("application bug") })
-	}})
-	if err == nil {
-		t.Fatalf("application panic swallowed by the HTM")
+	forEachMode(t, func(t *testing.T, md mode) {
+		eng, _, u := env(t, 1, 1)
+		_, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+			md.run(u, c, func(tx *Tx) { panic("application bug") })
+		}})
+		if err == nil {
+			t.Fatalf("application panic swallowed by the HTM")
+		}
+	})
+}
+
+// TestUnwindLeavesRegistryClean: an attempt that ends by anything other
+// than commit or abort — a programming error in the body, or the engine
+// abandoning the run (MaxCycles) while the thread is suspended mid-body —
+// must still leave the unit as a commit would: no reader bit, no
+// writership, not active, the core's L1 share returned, and a following
+// attempt on a fresh engine commits.
+func TestUnwindLeavesRegistryClean(t *testing.T) {
+	unwinds := []struct {
+		name      string
+		maxCycles uint64
+		tail      func(tx *Tx) // runs after the load and the store
+	}{
+		{"body-panic", 0, func(*Tx) { panic("application bug") }},
+		{"max-cycles", 500, func(tx *Tx) { tx.Work(10_000) }},
 	}
+	forEachMode(t, func(t *testing.T, md mode) {
+		for _, uw := range unwinds {
+			t.Run(uw.name, func(t *testing.T) {
+				cfg := machine.Config{
+					Topo:      topology.MustFromFlat(2, 1),
+					Seed:      42,
+					Cost:      machine.DefaultCostModel(),
+					MaxCycles: uw.maxCycles,
+				}
+				eng, err := machine.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := mem.New(1 << 12)
+				u := New(m, cfg, Config{ReadSetLines: 64, WriteSetLines: 16})
+				a, b := m.AllocLines(1), m.AllocLines(1)
+				_, err = eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+					md.run(u, c, func(tx *Tx) {
+						tx.Load(a)
+						tx.Store(b, 1)
+						uw.tail(tx)
+					})
+				}})
+				if err == nil {
+					t.Fatalf("run succeeded, want the unwind's error")
+				}
+				if r := m.LineReaders(mem.LineOf(a)); !r.Empty() {
+					t.Errorf("LineReaders(a) = %v after unwind, want empty", r)
+				}
+				if w := m.LineWriter(mem.LineOf(b)); w != -1 {
+					t.Errorf("LineWriter(b) = %d after unwind, want -1", w)
+				}
+				if u.Active(0) {
+					t.Errorf("Active(0) after unwind")
+				}
+				if n := u.coreActive[u.txns[0].core]; n != 0 {
+					t.Errorf("coreActive = %d after unwind, want 0", n)
+				}
+				if m.Peek(b) != 0 {
+					t.Errorf("unwound store published: %d", m.Peek(b))
+				}
+				// The unit is reusable: the same thread commits next time.
+				eng2, err := machine.New(machine.Config{Topo: cfg.Topo, Seed: 42, Cost: cfg.Cost})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := eng2.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+					if st := md.run(u, c, func(tx *Tx) { tx.Store(b, tx.Load(a)+2) }); st != 0 {
+						t.Errorf("attempt after unwind: %v, want commit", st)
+					}
+				}}); err != nil {
+					t.Fatal(err)
+				}
+				if m.Peek(b) != 2 {
+					t.Errorf("commit after unwind wrote %d, want 2", m.Peek(b))
+				}
+			})
+		}
+	})
 }
 
 func TestSpuriousAborts(t *testing.T) {
@@ -304,24 +425,30 @@ func TestAbortRollsBackEverything(t *testing.T) {
 
 // TestActiveTracking: Unit.Active reflects in-flight transactions.
 func TestActiveTracking(t *testing.T) {
-	eng, m, u := env(t, 1, 1)
-	a := m.AllocLines(1)
-	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
-		if u.Active(0) {
-			t.Errorf("active before begin")
-		}
-		u.Run(c, func(tx *Tx) {
-			tx.Load(a)
-			if !u.Active(0) {
-				t.Errorf("not active inside transaction")
+	forEachMode(t, func(t *testing.T, md mode) {
+		eng, m, u := env(t, 1, 1)
+		a := m.AllocLines(1)
+		if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+			if u.Active(0) {
+				t.Errorf("active before begin")
 			}
-		})
-		if u.Active(0) {
-			t.Errorf("still active after commit")
+			md.run(u, c, func(tx *Tx) {
+				tx.Load(a)
+				if !u.Active(0) {
+					t.Errorf("not active inside transaction")
+				}
+			})
+			if u.Active(0) {
+				t.Errorf("still active after commit")
+			}
+			md.run(u, c, func(tx *Tx) { tx.Abort(1) })
+			if u.Active(0) {
+				t.Errorf("still active after abort")
+			}
+		}}); err != nil {
+			t.Fatal(err)
 		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestFalseSharing: two threads writing different words of the SAME cache
@@ -413,12 +540,13 @@ func TestCoreOfWideMachine(t *testing.T) {
 		cfg := machine.Config{Topo: topo, Seed: 1, Cost: machine.DefaultCostModel()}
 		u := New(mem.New(1<<8), cfg, Config{ReadSetLines: 64, WriteSetLines: 16})
 		for hw := 0; hw < topo.Threads(); hw++ {
-			if got, want := u.coreOf[hw], int32(topo.CoreOf(hw)); got != want {
-				t.Fatalf("%v: coreOf[%d] = %d, want %d", topo, hw, got, want)
+			core := u.txns[hw].core
+			if want := int32(topo.CoreOf(hw)); core != want {
+				t.Fatalf("%v: core of %d = %d, want %d", topo, hw, core, want)
 			}
-			if u.coreOf[hw] < 0 || int(u.coreOf[hw]) >= len(u.coreActive) {
-				t.Fatalf("%v: coreOf[%d] = %d outside coreActive[0:%d]",
-					topo, hw, u.coreOf[hw], len(u.coreActive))
+			if core < 0 || int(core) >= len(u.coreActive) {
+				t.Fatalf("%v: core of %d = %d outside coreActive[0:%d]",
+					topo, hw, core, len(u.coreActive))
 			}
 		}
 	}

@@ -7,18 +7,14 @@ import (
 
 // Buffers holds a Unit's per-thread state between replica lifetimes: the
 // transaction contexts (whose registered-line lists and epoch-stamped
-// write buffers are the unit's only growing allocations), the event
-// counters and the topology tables. Paired with mem.Buffers it lets the
-// harness build one simulator replica per grid worker instead of one per
-// cell (see seer.Recycler). The zero value is ready: the first
-// NewRecycled allocates.
+// write buffers are the unit's only growing allocations, and which carry
+// the event counters and topology placement) and the per-core occupancy
+// table. Paired with mem.Buffers it lets the harness build one simulator
+// replica per grid worker instead of one per cell (see seer.Recycler).
+// The zero value is ready: the first NewRecycled allocates.
 type Buffers struct {
-	txns           []txnState
-	cnt            []Counters
-	swCnt          []Counters
-	coreActive     []int16
-	coreOf         []int32
-	lastConflictor []int16
+	txns       []txnState
+	coreActive []int16
 }
 
 // NewRecycled creates an HTM unit like New, drawing per-thread state
@@ -31,36 +27,34 @@ type Buffers struct {
 func NewRecycled(m *mem.Memory, mach machine.Config, cfg Config, buf *Buffers) *Unit {
 	hw := mach.HWThreads()
 	cores := mach.PhysCores()
-	u := &Unit{mem: m, mach: mach, cfg: cfg}
-	if buf != nil && cap(buf.txns) >= hw && cap(buf.cnt) >= hw &&
-		cap(buf.swCnt) >= hw &&
-		cap(buf.coreActive) >= cores && cap(buf.coreOf) >= hw &&
-		cap(buf.lastConflictor) >= hw {
+	cost := &mach.Cost
+	u := &Unit{
+		mem: m,
+		cfg: cfg,
+		hw: modeParams{
+			begin: cost.XBegin, commit: cost.XEnd, load: cost.TxLoad, store: cost.TxStore,
+			spurious: cfg.SpuriousProb, capacity: true, bank: bankHW,
+		},
+		sw: modeParams{
+			begin: cost.STMBegin, commit: cost.STMCommit, load: cost.STMLoad, store: cost.STMStore,
+			bank: bankSW,
+		},
+	}
+	if buf != nil && cap(buf.txns) >= hw && cap(buf.coreActive) >= cores {
 		u.txns = buf.txns[:hw]
-		u.cnt = buf.cnt[:hw]
-		u.swCnt = buf.swCnt[:hw]
 		u.coreActive = buf.coreActive[:cores]
-		u.coreOf = buf.coreOf[:hw]
-		u.lastConflictor = buf.lastConflictor[:hw]
-		buf.txns, buf.cnt, buf.swCnt = nil, nil, nil
-		buf.coreActive, buf.coreOf, buf.lastConflictor = nil, nil, nil
+		buf.txns, buf.coreActive = nil, nil
 		for i := range u.txns {
 			u.txns[i].recycle()
-			u.cnt[i] = Counters{}
-			u.swCnt[i] = Counters{}
 		}
 		clear(u.coreActive)
 	} else {
 		u.txns = make([]txnState, hw)
-		u.cnt = make([]Counters, hw)
-		u.swCnt = make([]Counters, hw)
 		u.coreActive = make([]int16, cores)
-		u.coreOf = make([]int32, hw)
-		u.lastConflictor = make([]int16, hw)
 	}
-	for i := 0; i < hw; i++ {
-		u.coreOf[i] = int32(mach.PhysCore(i))
-		u.lastConflictor[i] = -1
+	for i := range u.txns {
+		u.txns[i].core = int32(mach.PhysCore(i))
+		u.txns[i].lastConflictor = -1
 	}
 	m.SetDoomer(u)
 	return u
@@ -70,7 +64,7 @@ func NewRecycled(m *mem.Memory, mach machine.Config, cfg Config, buf *Buffers) *
 // its reusable backing arrays: the registered-line list is truncated in
 // place and the write buffer's table survives with its epoch counter
 // (begin() invalidates all previous entries in O(1)). Everything else —
-// flags, counters, the per-attempt Tx handle and the pre-boxed abort
+// flags, event counters, the per-attempt Tx handle and the pre-boxed abort
 // signal — is cleared, including the stale simulator pointers of the
 // previous replica.
 func (t *txnState) recycle() {
@@ -84,13 +78,7 @@ func (t *txnState) recycle() {
 // replica built on it. The Unit must not be used afterwards.
 func (u *Unit) Release(buf *Buffers) {
 	if cap(u.txns) > cap(buf.txns) {
-		buf.txns = u.txns
-		buf.cnt = u.cnt
-		buf.swCnt = u.swCnt
-		buf.coreActive = u.coreActive
-		buf.coreOf = u.coreOf
-		buf.lastConflictor = u.lastConflictor
+		buf.txns, buf.coreActive = u.txns, u.coreActive
 	}
-	u.txns, u.cnt, u.swCnt = nil, nil, nil
-	u.coreActive, u.coreOf, u.lastConflictor = nil, nil, nil
+	u.txns, u.coreActive = nil, nil
 }

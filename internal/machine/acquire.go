@@ -30,9 +30,9 @@ package machine
 
 // acquireStep status codes.
 const (
-	acqDone   = iota // winning store executed; resume the coroutine
-	acqQueued        // next protocol tick crossed the horizon; deliver nextCycle
-	acqParked        // poll observed the word busy; thread parked on it
+	acqDone   = iota // winning store executed; the acquire is complete
+	acqQueued        // next protocol tick crosses the horizon; deliver it at nextCycle
+	acqBusy          // poll observed the word busy; the thread must park on it
 )
 
 // SetLockWordOps installs the committed-memory operations the event loop
@@ -65,104 +65,74 @@ func (c *Ctx) AcquireWord(key, owner uint64) bool {
 	// A suspended delegation leaves the schedule like a park does: any
 	// open speculative quantum must replay first.
 	c.flushSpec()
-	cost := &e.cfg.Cost
-	for {
-		nc := c.clock + cost.DirectLoad
-		if nc >= c.batchLimit {
-			c.suspendAcquire(key, owner, nc, false)
-			return true
-		}
-		c.clock = nc
-		if hook := e.tickHook; hook != nil {
-			hook(nc)
-		}
-		if e.lockLoad(c.id, key) != 0 {
-			// Busy: park on the word. The engine evaluates wake-time
-			// polls and continues the protocol itself; this resume is the
-			// return from a completed acquire.
-			c.acq, c.acqCAS, c.acqKey, c.acqOwner = true, false, key, owner
-			c.parkEval = true
-			c.parkOn(key, cost.SpinQuantum+cost.DirectLoad, cost.DirectLoad, 0)
-			return true
-		}
-		nc = c.clock + cost.LockOp
-		if nc >= c.batchLimit {
-			c.suspendAcquire(key, owner, nc, true)
-			return true
-		}
-		c.clock = nc
-		if hook := e.tickHook; hook != nil {
-			hook(nc)
-		}
-		if e.lockLoad(c.id, key) == 0 {
-			e.lockStore(c.id, key, owner)
-			return true
-		}
+	c.acqCAS, c.acqKey, c.acqOwner = false, key, owner
+	nc, status := e.acquireStep(c, c.batchLimit, false)
+	if status == acqDone {
+		return true
 	}
+	// Hand the rest of the protocol to the event loop; the coroutine stays
+	// suspended until the acquire completes, so this resume is the return
+	// from a completed acquire.
+	c.acq = true
+	if status == acqBusy {
+		c.armAcquirePark()
+	} else {
+		// The pending tick becomes the thread's queued event, exactly as
+		// the per-tick yield would have queued it.
+		c.clock = nc
+		c.specOn = false
+	}
+	c.suspend()
+	return true
 }
 
-// suspendAcquire hands the rest of the protocol to the event loop: the
-// pending tick (the poll tick, or with cas the CAS tick) becomes the
-// thread's queued event, exactly as the per-tick yield would have queued
-// it, and the coroutine stays suspended until the acquire completes.
-func (c *Ctx) suspendAcquire(key, owner, nc uint64, cas bool) {
-	c.acq, c.acqCAS, c.acqKey, c.acqOwner = true, cas, key, owner
-	c.clock = nc
-	c.specOn = false
-	if !c.yield(nc) {
-		panic(errAbandonRun)
-	}
-	c.checkUnwind()
+// armAcquirePark parks the thread on the lock word its delegated acquire
+// just polled busy, with the spin-lock poll period. The park is
+// evaluator-armed, so the engine evaluates wake-time polls and continues
+// the protocol itself.
+func (c *Ctx) armAcquirePark() {
+	cost := &c.eng.cfg.Cost
+	c.parkEval = true
+	c.armPark(c.acqKey, cost.SpinQuantum+cost.DirectLoad, cost.DirectLoad, 0)
 }
 
-// acquireStep continues thread t's delegated acquire at its popped event:
-// the tick at cycle now has already fired its hook (and passed the
-// MaxCycles check), so the entry executes that tick's action — the poll
-// load, or with t.acqCAS the CAS — and then runs further protocol steps
-// inline while their ticks stay below the horizon, firing each tick's
-// hook exactly as the coroutine's fast path would. It returns acqDone
-// after the winning store (t.acq cleared, coroutine must resume),
-// acqQueued with the next tick's cycle when a step crosses the horizon,
-// or acqParked after a busy poll parked the thread on the word.
-func (e *Engine) acquireStep(t *Ctx, now uint64) (nextCycle uint64, status int) {
+// acquireStep is the test-and-test-and-set protocol, the one copy both the
+// coroutine (AcquireWord, horizon = its cached batch limit) and the event
+// loop (Engine.Run, horizon = horizonFor at the popped event) run. The
+// protocol's position is t.acqCAS — whether the current tick is the CAS
+// tick or the poll tick — and fired: true when that tick has already been
+// delivered (the engine popped it: hook fired, MaxCycles checked, t.clock
+// set) so only its action is due, false when it is yet to be issued. Ticks
+// are issued inline while they stay below horizon, firing each tick's hook
+// exactly as Ctx.Tick's fast path would. It returns acqDone after the
+// winning store, acqQueued with the tick's cycle when a tick crosses the
+// horizon, or acqBusy when a poll observed the word held.
+func (e *Engine) acquireStep(t *Ctx, horizon uint64, fired bool) (nextCycle uint64, status int) {
 	cost := &e.cfg.Cost
-	t.clock = now
-	cas := t.acqCAS
-	for {
-		if cas {
-			if e.lockLoad(t.id, t.acqKey) == 0 {
-				e.lockStore(t.id, t.acqKey, t.acqOwner)
-				t.acq = false
-				return 0, acqDone
+	for ; ; fired = false {
+		if !fired {
+			nc := t.clock + cost.DirectLoad
+			if t.acqCAS {
+				nc = t.clock + cost.LockOp
 			}
-			// Lost the race to another acquirer: back to polling.
-			cas = false
-		} else {
-			if e.lockLoad(t.id, t.acqKey) != 0 {
-				t.acqCAS = false
-				t.parkKey = t.acqKey
-				t.parkPeriod = cost.SpinQuantum + cost.DirectLoad
-				t.parkPollCost = cost.DirectLoad
-				t.parkPolls = 0
-				t.parkEval = true
-				t.parked = true
-				e.nParked++
-				return 0, acqParked
+			if nc >= horizon {
+				return nc, acqQueued
 			}
-			cas = true
+			t.clock = nc
+			if e.tickHook != nil {
+				e.tickHook(nc)
+			}
 		}
-		step := cost.DirectLoad
-		if cas {
-			step = cost.LockOp
+		free := e.lockLoad(t.id, t.acqKey) == 0
+		if t.acqCAS && free {
+			e.lockStore(t.id, t.acqKey, t.acqOwner)
+			return 0, acqDone
 		}
-		nc := t.clock + step
-		if nc >= e.horizonFor(int32(t.id)) {
-			t.acqCAS = cas
-			return nc, acqQueued
+		if !t.acqCAS && !free {
+			return 0, acqBusy
 		}
-		t.clock = nc
-		if e.tickHook != nil {
-			e.tickHook(nc)
-		}
+		// A poll that saw the word free moves on to the CAS tick; a CAS that
+		// lost the race to another acquirer goes back to polling.
+		t.acqCAS = !t.acqCAS
 	}
 }

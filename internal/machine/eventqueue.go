@@ -195,12 +195,15 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
-// replaceMin swaps ev in for the minimum event and returns that minimum.
-// The scheduler loop uses it for the common yield: the resumed thread's
-// new wakeup goes in as the old minimum comes out. It must not be called
-// on an empty queue, and ev must not precede the current minimum (the
-// loop handles that case without touching the queue at all).
+// replaceMin files ev — the next event of the thread whose event the
+// scheduler loop just processed — and returns the event to process next:
+// ev itself, with no queue traffic at all, when it precedes every queued
+// event; otherwise the queue minimum, with ev swapped in for it in one
+// restructuring pass instead of a push plus a pop.
 func (q *eventQueue) replaceMin(ev event) event {
+	if q.n == 0 || ev.before(q.min) {
+		return ev
+	}
 	top := q.min
 	q.remove(top.id)
 	q.insert(ev)

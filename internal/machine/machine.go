@@ -219,13 +219,15 @@ type Ctx struct {
 	// Config.SpecQuantum; specOn is true while the running thread is
 	// deferring pure ticks into the journal; replaying is true while the
 	// engine re-delivers journaled ticks as events; specUnwind arms the
-	// next resume to panic with the unwinder's payload after a rollback.
-	specCap    int
-	specOn     bool
-	replaying  bool
-	specUnwind bool
-	spec       specJournal
-	unwinder   func() any
+	// next resume to panic with unwindPayload, the unwinder's payload,
+	// after a rollback.
+	specCap       int
+	specOn        bool
+	replaying     bool
+	specUnwind    bool
+	spec          specJournal
+	unwinder      func() any
+	unwindPayload any
 
 	panicked any
 }
@@ -281,10 +283,26 @@ func (c *Ctx) Tick(cost uint64) {
 		return
 	}
 	c.specOn = false // an impure tick past the horizon closes any quantum
+	c.suspend()
+}
+
+// suspend hands control back to the event loop at the thread's current
+// clock and returns when the engine next resumes the thread. If the engine
+// has abandoned the run instead (yield reports false) the body unwinds via
+// the errAbandonRun sentinel; a speculative rollback that struck while the
+// thread was suspended (Interfere) is delivered at the resume, by
+// panicking with the payload the rollback prepared. Callers close any open
+// quantum (specOn) first. Kept small enough to inline: every frame between
+// a body and its yield costs a mispredicted return after the coroutine
+// switch.
+func (c *Ctx) suspend() {
 	if !c.yield(c.clock) {
 		panic(errAbandonRun)
 	}
-	c.checkUnwind()
+	if c.specUnwind {
+		c.specUnwind = false
+		panic(c.unwindPayload)
+	}
 }
 
 // Advance adds cost cycles without yielding. Use only for accounting that
@@ -345,6 +363,14 @@ func (c *Ctx) parkOn(key, period, pollCost uint64, maxPolls int) {
 	// journal must be replayed first: parking and replay must never
 	// coexist (the wake path assumes the thread has no queued event).
 	c.flushSpec()
+	c.armPark(key, period, pollCost, maxPolls)
+	c.suspend() // the journal is flushed, so no rollback can be pending here
+}
+
+// armPark marks the thread parked on key from its current clock. The
+// caller takes it off the schedule: the coroutine by suspending (Run then
+// counts it parked), the event loop by not re-queueing it.
+func (c *Ctx) armPark(key, period, pollCost uint64, maxPolls int) {
 	c.parkKey = key
 	c.parkPeriod = period
 	c.parkPollCost = pollCost
@@ -353,9 +379,6 @@ func (c *Ctx) parkOn(key, period, pollCost uint64, maxPolls int) {
 		c.parkDeadline = c.clock + period*uint64(maxPolls)
 	}
 	c.parked = true
-	if !c.yield(c.clock) {
-		panic(errAbandonRun)
-	}
 }
 
 // WakeKey wakes every thread parked on key, scheduling each at its first
@@ -683,22 +706,21 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				e.nParked--
 			}
 			if runAcq {
-				nc, status := e.acquireStep(t, ev.cycle)
-				if status == acqParked {
+				t.clock = ev.cycle
+				nc, status := e.acquireStep(t, e.horizonFor(ev.id), true)
+				if status == acqBusy {
+					t.armAcquirePark()
+					e.nParked++
 					break
 				}
 				if status == acqQueued {
-					nev := event{cycle: nc, id: ev.id}
-					if e.queue.empty() || nev.before(e.queue.min) {
-						ev = nev
-						continue
-					}
-					ev = e.queue.replaceMin(nev)
+					ev = e.queue.replaceMin(event{cycle: nc, id: ev.id})
 					continue
 				}
 				// acqDone: the winning store executed at the thread's
 				// current clock; fall through to the ordinary resume so
 				// AcquireWord returns with the lock held.
+				t.acq = false
 			}
 			if t.replaying {
 				if t.spec.next < t.spec.n {
@@ -712,19 +734,14 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 					if t.spec.next < t.spec.n {
 						nc = t.spec.cycles[t.spec.next]
 					}
-					nev := event{cycle: nc, id: ev.id}
-					if e.queue.empty() || nev.before(e.queue.min) {
-						ev = nev
-						continue
-					}
-					ev = e.queue.replaceMin(nev)
+					ev = e.queue.replaceMin(event{cycle: nc, id: ev.id})
 					continue
 				}
 				// Final resume event (or a rollback truncated the journal
 				// to this very event): leave replay mode and fall through
 				// to the ordinary resume below. If the thread was rolled
 				// back, its clock and PRNG already sit at the rewound
-				// tick and the resume will unwind (Ctx.checkUnwind).
+				// tick and the resume will unwind (Ctx.suspend).
 				t.replaying = false
 				t.spec.n, t.spec.next = 0, 0
 			}
@@ -762,27 +779,10 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				// a plain runnable yield.
 				t.replaying = true
 				t.spec.next = 0
-				nev := event{cycle: t.spec.cycles[0], id: ev.id}
-				if e.queue.empty() || nev.before(e.queue.min) {
-					ev = nev
-					continue
-				}
-				ev = e.queue.replaceMin(nev)
+				ev = e.queue.replaceMin(event{cycle: t.spec.cycles[0], id: ev.id})
 				continue
 			}
-			nev := event{cycle: clock, id: ev.id}
-			if e.queue.empty() || nev.before(e.queue.min) {
-				// The yielded thread is still the earliest runnable one:
-				// resume it directly, no heap traffic. (With MaxCycles
-				// unset the thread-side Tick fast path already covers
-				// this; the heap check above is what delivers livelock
-				// verdicts when it is set.)
-				ev = nev
-				continue
-			}
-			// Common yield: the new wakeup goes in as the old minimum
-			// comes out, one sift instead of push + pop.
-			ev = e.queue.replaceMin(nev)
+			ev = e.queue.replaceMin(event{cycle: clock, id: ev.id})
 		}
 	}
 

@@ -79,10 +79,7 @@ func (c *Ctx) TickPure(cost uint64) {
 		return
 	}
 	c.specOn = false
-	if !c.yield(c.clock) {
-		panic(errAbandonRun)
-	}
-	c.checkUnwind()
+	c.suspend()
 }
 
 // EndQuantum closes an open speculative quantum, if any: the thread yields
@@ -107,10 +104,7 @@ func (c *Ctx) EndQuantum() {
 		j.n--
 		c.eng.specTicks--
 	}
-	if !c.yield(c.clock) {
-		panic(errAbandonRun)
-	}
-	c.checkUnwind()
+	c.suspend()
 }
 
 // Interfere notifies the thread that an earlier-virtual-time action (a
@@ -133,6 +127,10 @@ func (c *Ctx) Interfere() {
 	c.rng = c.spec.rngs[j]
 	c.clock = c.spec.cycles[j]
 	c.spec.n = j // truncate: the undelivered ticks never happened
+	if c.unwinder == nil {
+		panic("machine: speculative rollback with no unwinder registered")
+	}
+	c.unwindPayload = c.unwinder()
 	c.specUnwind = true
 }
 
@@ -140,23 +138,10 @@ func (c *Ctx) Interfere() {
 // thread's body after a speculative rollback. The HTM registers a
 // constructor returning its pre-boxed abort signal, so a rolled-back
 // thread aborts through the standard recover path without allocating.
-// The constructor runs on the thread's own coroutine, at the tick the
-// rollback rewound to.
+// The constructor runs at the rollback (Interfere), with the thread's
+// clock and PRNG already rewound; the thread panics with its result at its
+// next resume (suspend).
 func (c *Ctx) SetUnwinder(fn func() any) { c.unwinder = fn }
-
-// checkUnwind delivers a pending speculative rollback at the resume point
-// of a yield: the registered unwinder builds the panic payload that
-// unwinds the thread's body (for the HTM, into its abort recover).
-func (c *Ctx) checkUnwind() {
-	if !c.specUnwind {
-		return
-	}
-	c.specUnwind = false
-	if c.unwinder == nil {
-		panic("machine: speculative rollback with no unwinder registered")
-	}
-	panic(c.unwinder())
-}
 
 // flushSpec replays any deferred ticks before a control-flow point the
 // journal must not cross (parking, body return). After it returns the

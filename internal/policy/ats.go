@@ -74,7 +74,7 @@ func (p *ATS) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
 		}
-		if attempt(t, p.SGL, body) == 0 {
+		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			p.observe(hw, false)
 			if serialized {
 				t.commit(ModeHTMAux)

@@ -130,7 +130,7 @@ func (p *Backoff) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
 		}
-		if attempt(t, p.SGL, body) == 0 {
+		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			p.shrink(hw)
 			t.commit(ModeHTM)
 			return

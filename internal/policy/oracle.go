@@ -38,7 +38,7 @@ func (p *Oracle) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
 		}
-		status := attempt(t, p.SGL, body)
+		status := attempt(t, p.SGL, PhaseHW, body)
 		if status == 0 {
 			t.commit(ModeHTM)
 			return

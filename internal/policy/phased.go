@@ -3,11 +3,9 @@ package policy
 import (
 	"fmt"
 
-	"seer/internal/htm"
 	"seer/internal/mem"
 	"seer/internal/spinlock"
 	"seer/internal/trace"
-	"seer/internal/txtrace"
 )
 
 // PhaseMode is the global execution mode of the phased-TM runtime, in the
@@ -87,9 +85,6 @@ type Phased struct {
 	deferrals   uint64
 	undeferrals uint64
 	transitions uint64
-	swAttempts  uint64
-	swCommits   uint64
-	swAborts    uint64
 	occupancy   [PhaseCount]uint64
 	lastSwitch  uint64
 }
@@ -116,9 +111,6 @@ type PhasedStats struct {
 	Deferrals   uint64 // capacity aborts routed to SW mode
 	Undeferrals uint64 // deferrals drained (budget exhausted)
 	Transitions uint64 // global mode-word changes
-	SWAttempts  uint64 // software attempts issued
-	SWCommits   uint64 // software commits
-	SWAborts    uint64 // software aborts (conflict or SGL subscription)
 	// Occupancy is the virtual-cycle split across phases, with the
 	// still-open phase segment credited up to the given makespan.
 	Occupancy [PhaseCount]uint64
@@ -131,9 +123,6 @@ func (p *Phased) Stats(makespan uint64) PhasedStats {
 		Deferrals:   p.deferrals,
 		Undeferrals: p.undeferrals,
 		Transitions: p.transitions,
-		SWAttempts:  p.swAttempts,
-		SWCommits:   p.swCommits,
-		SWAborts:    p.swAborts,
 		Occupancy:   occ,
 	}
 }
@@ -194,7 +183,7 @@ func (p *Phased) runHW(t *Thread, body func(mem.Access)) bool {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
 		}
-		status := attempt(t, p.SGL, body)
+		status := attempt(t, p.SGL, PhaseHW, body)
 		if status == 0 {
 			t.commit(ModeHTM)
 			return true
@@ -217,7 +206,7 @@ func (p *Phased) runSW(t *Thread, body func(mem.Access)) bool {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
 		}
-		status := p.swAttempt(t, body)
+		status := attempt(t, p.SGL, PhaseSW, body)
 		if status == 0 {
 			t.commit(ModeSTM)
 			p.swDone(t, hw)
@@ -283,34 +272,4 @@ func (p *Phased) runGlock(t *Thread, body func(mem.Access)) {
 			p.setMode(t, PhaseHW)
 		}
 	}
-}
-
-// swAttempt runs body once on the software commit path, subscribed to the
-// single-global lock exactly like a hardware attempt (a software
-// transaction must not commit while an SGL holder is mid-critical-
-// section; loading the lock word registers it, so the holder's release
-// store dooms the subscriber — the same strong-isolation argument as the
-// hardware path).
-func (p *Phased) swAttempt(t *Thread, body func(mem.Access)) htm.Status {
-	p.swAttempts++
-	t.Tel.IncAttempt()
-	t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvBegin, t.curTx, 0)
-	t.Spans.AttemptBegin(t.Ctx.ID(), t.Ctx.Clock())
-	status := t.HTM.RunSW(t.Ctx, func(tx *htm.Tx) {
-		if p.SGL.LockedTx(tx) {
-			tx.Abort(spinlock.CodeSGLHeld)
-		}
-		body(tx)
-	})
-	if status == 0 {
-		p.swCommits++
-		t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvCommit, t.curTx, 0)
-		t.Spans.AttemptCommit(t.Ctx.ID(), t.Ctx.Clock())
-	} else {
-		p.swAborts++
-		t.Tel.IncAbort(abortCause(status))
-		t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvAbort, t.curTx, uint32(status))
-		t.Spans.AttemptAbort(t.Ctx.ID(), t.Ctx.Clock(), uint32(status), txtrace.Cause(abortCause(status)))
-	}
-	return status
 }

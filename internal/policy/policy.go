@@ -128,23 +128,6 @@ func (t *Thread) commit(m Mode) {
 	t.Tel.IncMode(int(m))
 }
 
-// abortCause maps an HTM status to telemetry's cause breakdown, with the
-// same priority order as htm's own counters.
-func abortCause(s htm.Status) telemetry.Cause {
-	switch {
-	case s.Conflict():
-		return telemetry.CauseConflict
-	case s.Capacity():
-		return telemetry.CauseCapacity
-	case s.Explicit():
-		return telemetry.CauseExplicit
-	case s&htm.BitSpurious != 0:
-		return telemetry.CauseSpurious
-	default:
-		return telemetry.CauseOther
-	}
-}
-
 // NewThread builds the runtime state for ctx's hardware thread.
 func NewThread(ctx *machine.Ctx, m *mem.Memory, u *htm.Unit) *Thread {
 	cost := ctx.Machine().Cost
@@ -173,27 +156,40 @@ type Policy interface {
 	Run(t *Thread, txID int, obj uint64, body func(mem.Access))
 }
 
-// attempt runs body once as a hardware transaction that first subscribes
-// to the single-global lock (aborting explicitly if it is held, to stay
-// correct with respect to the fall-back path).
-func attempt(t *Thread, sgl spinlock.Lock, body func(mem.Access)) htm.Status {
-	t.Attempts++
+// attempt runs body once as a transaction in the given execution phase —
+// PhaseHW on the hardware path, PhaseSW on the software commit path — that
+// first subscribes to the single-global lock, aborting explicitly if it is
+// held, to stay correct with respect to the fall-back path: a transaction
+// must not commit while an SGL holder is mid-critical-section, and loading
+// the lock word registers it, so the holder's acquire store dooms the
+// subscriber (strong isolation) in either mode.
+func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
 	t.Tel.IncAttempt()
 	t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvBegin, t.curTx, 0)
 	t.Spans.AttemptBegin(t.Ctx.ID(), t.Ctx.Clock())
-	status := t.HTM.Run(t.Ctx, func(tx *htm.Tx) {
+	subscribed := func(tx *htm.Tx) {
 		if sgl.LockedTx(tx) {
 			tx.Abort(spinlock.CodeSGLHeld)
 		}
 		body(tx)
-	})
+	}
+	var status htm.Status
+	if phase == PhaseSW {
+		status = t.HTM.RunSW(t.Ctx, subscribed)
+	} else {
+		t.Attempts++
+		status = t.HTM.Run(t.Ctx, subscribed)
+	}
 	if status == 0 {
 		t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvCommit, t.curTx, 0)
 		t.Spans.AttemptCommit(t.Ctx.ID(), t.Ctx.Clock())
 	} else {
-		t.Tel.IncAbort(abortCause(status))
+		// telemetry.Cause and txtrace.Cause mirror htm.Cause slot for slot
+		// (asserted by tests), so the one classification feeds all three.
+		cause := status.Cause()
+		t.Tel.IncAbort(telemetry.Cause(cause))
 		t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvAbort, t.curTx, uint32(status))
-		t.Spans.AttemptAbort(t.Ctx.ID(), t.Ctx.Clock(), uint32(status), txtrace.Cause(abortCause(status)))
+		t.Spans.AttemptAbort(t.Ctx.ID(), t.Ctx.Clock(), uint32(status), txtrace.Cause(cause))
 	}
 	return status
 }
@@ -246,7 +242,7 @@ func (p *HLE) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	if p.SGL.LockedFast(t.Mem) {
 		spinSGL(t, p.SGL)
 	}
-	if attempt(t, p.SGL, body) == 0 {
+	if attempt(t, p.SGL, PhaseHW, body) == 0 {
 		t.commit(ModeHTM)
 		return
 	}
@@ -275,7 +271,7 @@ func (p *RTM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
 		}
-		if attempt(t, p.SGL, body) == 0 {
+		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			t.commit(ModeHTM)
 			return
 		}
@@ -312,7 +308,7 @@ func (p *SCM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
 		}
-		if attempt(t, p.SGL, body) == 0 {
+		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			if holdingAux {
 				p.Aux.ReleaseOwned(t.Ctx, t.Mem)
 				holdingAux = false
@@ -359,7 +355,7 @@ func (p *Seer) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		waitStart, waitSkipped := t.lockWaitBegin()
 		p.Sched.WaitLocks(ts, txID, p.SGL)
 		t.lockWaitEnd(waitStart, waitSkipped)
-		status := attempt(t, p.SGL, body)
+		status := attempt(t, p.SGL, PhaseHW, body)
 		if status == 0 {
 			p.Sched.RegisterCommit(ts, txID)
 			t.commit(seerMode(ts))

@@ -10,6 +10,7 @@ import (
 	"seer/internal/spinlock"
 	"seer/internal/telemetry"
 	"seer/internal/topology"
+	"seer/internal/txtrace"
 )
 
 // rig bundles a machine with all runtime pieces for policy tests.
@@ -391,6 +392,38 @@ func TestTelemetryModeAlignment(t *testing.T) {
 	}
 	if int(NumModes) > telemetry.MaxModes {
 		t.Fatalf("NumModes %d exceeds telemetry.MaxModes %d", NumModes, telemetry.MaxModes)
+	}
+}
+
+// TestCauseAlignment: attempt casts the HTM's one abort classification
+// (htm.Status.Cause) straight into telemetry's and txtrace's cause slots,
+// so the three enums must stay in lockstep — and each status must land in
+// the slot its name says.
+func TestCauseAlignment(t *testing.T) {
+	cases := []struct {
+		status htm.Status
+		tel    telemetry.Cause
+		span   txtrace.Cause
+	}{
+		{htm.BitConflict | htm.BitRetry, telemetry.CauseConflict, txtrace.CauseConflict},
+		{htm.BitCapacity, telemetry.CauseCapacity, txtrace.CauseCapacity},
+		{htm.BitExplicit | htm.BitRetry, telemetry.CauseExplicit, txtrace.CauseExplicit},
+		{htm.BitSpurious | htm.BitRetry, telemetry.CauseSpurious, txtrace.CauseSpurious},
+		{htm.BitRetry, telemetry.CauseOther, txtrace.CauseOther},
+		// Priority order: conflict beats capacity beats explicit.
+		{htm.BitConflict | htm.BitCapacity | htm.BitExplicit, telemetry.CauseConflict, txtrace.CauseConflict},
+		{htm.BitCapacity | htm.BitExplicit, telemetry.CauseCapacity, txtrace.CauseCapacity},
+	}
+	for _, c := range cases {
+		cause := c.status.Cause()
+		if telemetry.Cause(cause) != c.tel || txtrace.Cause(cause) != c.span {
+			t.Errorf("%v: cause %d, want telemetry %d / txtrace %d", c.status, cause, c.tel, c.span)
+		}
+	}
+	for _, n := range []int{int(telemetry.NumCauses), int(txtrace.NumCauses)} {
+		if n != int(htm.CauseOther)+1 {
+			t.Fatalf("cause count drift: htm has %d causes, a consumer %d", int(htm.CauseOther)+1, n)
+		}
 	}
 }
 

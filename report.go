@@ -96,9 +96,12 @@ type PhasedReport struct {
 	Deferrals   uint64
 	Undeferrals uint64
 	Transitions uint64
-	SWAttempts  uint64
-	SWCommits   uint64
-	SWAborts    uint64
+	// SWAttempts, SWCommits and SWAborts are the attempt volume of the
+	// software commit path, read off STM (every software attempt ends as
+	// exactly one commit or one abort there).
+	SWAttempts uint64
+	SWCommits  uint64
+	SWAborts   uint64
 	// ModeCycles is the virtual-cycle occupancy per phase, indexed
 	// HW=0, SW=1, GLOCK=2 (policy.PhaseHW/PhaseSW/PhaseGLOCK).
 	ModeCycles [3]uint64
@@ -311,15 +314,16 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 	}
 	if pp, ok := s.pol.(*policy.Phased); ok {
 		st := pp.Stats(makespan)
+		stm := s.htm.SWCounters()
 		r.Phased = &PhasedReport{
 			Deferrals:   st.Deferrals,
 			Undeferrals: st.Undeferrals,
 			Transitions: st.Transitions,
-			SWAttempts:  st.SWAttempts,
-			SWCommits:   st.SWCommits,
-			SWAborts:    st.SWAborts,
+			SWAttempts:  stm.Commits + stm.Aborts,
+			SWCommits:   stm.Commits,
+			SWAborts:    stm.Aborts,
 			ModeCycles:  st.Occupancy,
-			STM:         s.htm.SWCounters(),
+			STM:         stm,
 		}
 	}
 	if s.cfg.SpeculativeQuantum > 0 {
