@@ -22,15 +22,18 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"seer"
+	"seer/internal/core"
 	"seer/internal/harness"
 	"seer/internal/plot"
 	"seer/internal/stamp"
-	"seer/internal/trace"
+	"seer/internal/telemetry"
 )
 
 // renderEngineCounters appends the engine-efficiency lines to a rendered
@@ -38,7 +41,7 @@ import (
 // waiters, and scheme updates that reused all row capacity. These quantify
 // simulator-side savings (host time, allocations), not modeled behavior,
 // so they live here rather than in the shared exhibit renderer.
-func renderEngineCounters(snaps []seer.Snapshot) {
+func renderEngineCounters(w io.Writer, snaps []seer.Snapshot) {
 	if len(snaps) == 0 {
 		return
 	}
@@ -46,15 +49,11 @@ func renderEngineCounters(snaps []seer.Snapshot) {
 	parked := make([]float64, len(snaps))
 	var totalParked, totalWait, totalReuse uint64
 	var totalGrants, totalQTicks, totalRollbacks, totalRbTicks uint64
-	anyReuse := false
 	for i, s := range snaps {
 		parked[i] = float64(s.ParkSkipped)
 		totalParked += s.ParkSkipped
 		totalWait += s.LockWait
 		totalReuse += s.SchemeReuse
-		if s.SchemeReuse != 0 {
-			anyReuse = true
-		}
 		totalGrants += s.QuantumGrants
 		totalQTicks += s.QuantumTicks
 		totalRollbacks += s.QuantumRollbacks
@@ -64,13 +63,13 @@ func renderEngineCounters(snaps []seer.Snapshot) {
 	if totalWait > 0 {
 		frac = 100 * float64(totalParked) / float64(totalWait)
 	}
-	fmt.Printf("  park skip   %s  [%d cycles, %.1f%% of lock wait]\n",
+	fmt.Fprintf(w, "  park skip   %s  [%d cycles, %.1f%% of lock wait]\n",
 		plot.Sparkline(parked, width), totalParked, frac)
-	if anyReuse {
-		fmt.Printf("  scheme reuse: %d updates reused all row capacity\n", totalReuse)
+	if totalReuse > 0 {
+		fmt.Fprintf(w, "  scheme reuse: %d updates reused all row capacity\n", totalReuse)
 	}
 	if totalGrants > 0 {
-		fmt.Printf("  quantum: %d grants deferred %d ticks (%.1f/grant), %d rollbacks discarded %d\n",
+		fmt.Fprintf(w, "  quantum: %d grants deferred %d ticks (%.1f/grant), %d rollbacks discarded %d\n",
 			totalGrants, totalQTicks, float64(totalQTicks)/float64(totalGrants),
 			totalRollbacks, totalRbTicks)
 	}
@@ -81,7 +80,7 @@ func renderEngineCounters(snaps []seer.Snapshot) {
 // spent in the HW, SW and GLOCK phases — plus the mode-word transition
 // count. Intervals without phase data (every non-phased policy) render
 // nothing.
-func renderModeTimeline(snaps []seer.Snapshot) {
+func renderModeTimeline(w io.Writer, snaps []seer.Snapshot) {
 	const width = 64
 	var transitions uint64
 	hw := make([]float64, len(snaps))
@@ -102,11 +101,11 @@ func renderModeTimeline(snaps []seer.Snapshot) {
 	if !any {
 		return
 	}
-	fmt.Printf("\nPhased mode timeline (%% of interval cycles per phase):\n")
-	fmt.Printf("  HW          %s\n", plot.Sparkline(hw, width))
-	fmt.Printf("  SW          %s\n", plot.Sparkline(sw, width))
-	fmt.Printf("  GLOCK       %s\n", plot.Sparkline(gl, width))
-	fmt.Printf("  transitions %d\n", transitions)
+	fmt.Fprintf(w, "\nPhased mode timeline (%% of interval cycles per phase):\n")
+	fmt.Fprintf(w, "  HW          %s\n", plot.Sparkline(hw, width))
+	fmt.Fprintf(w, "  SW          %s\n", plot.Sparkline(sw, width))
+	fmt.Fprintf(w, "  GLOCK       %s\n", plot.Sparkline(gl, width))
+	fmt.Fprintf(w, "  transitions %d\n", transitions)
 }
 
 // jsonOut is the machine-readable shape of a seerstat run.
@@ -132,8 +131,8 @@ type seerJSON struct {
 	ConjProbs     [][]float64 `json:"conj_abort_probs"`
 }
 
-// emitJSON writes the run's state to stdout as one JSON document.
-func emitJSON(sys *seer.System, rep seer.Report) {
+// emitJSON writes the run's state to w as one JSON document.
+func emitJSON(w io.Writer, sys *seer.System, rep seer.Report) error {
 	out := jsonOut{
 		Policy:         rep.Policy,
 		Threads:        rep.Threads,
@@ -172,59 +171,64 @@ func emitJSON(sys *seer.System, rep seer.Report) {
 		out.Seer = sj
 	}
 	out.Timeline = rep.Timeline
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "seerstat: %v\n", err)
-		os.Exit(1)
-	}
+	return enc.Encode(out)
 }
 
-func main() {
-	var (
-		workload   = flag.String("workload", "intruder", "workload name")
-		threads    = flag.Int("threads", 8, "worker threads")
-		scale      = flag.Float64("scale", 0.5, "workload scale")
-		seed       = flag.Int64("seed", 1, "PRNG seed")
-		policy     = flag.String("policy", "Seer", "policy (HLE|RTM|SCM|ATS|Seer|PhTM|seq)")
-		topoSpec   = flag.String("topology", "", "machine shape, e.g. 2s8c2t (default: the paper's 1s4c2t testbed)")
-		remoteCost = flag.Uint64("remote-cost", 0, "extra cycles per cross-socket access on multi-socket shapes")
-		traceN     = flag.Int("trace", 0, "dump the last N runtime events")
-		kindsSpec  = flag.String("trace-kinds", "", "comma-separated event kinds to dump (e.g. abort,lock+); empty = all")
-		asJSON     = flag.Bool("json", false, "emit the report and inference state as JSON")
-		summary    = flag.Bool("summary", false, "print the canonical deterministic report digest and exit")
-		timeline   = flag.Bool("timeline", false, "render the per-interval metrics timeline (sparklines)")
-		interval   = flag.Uint64("metrics-interval", 0, "telemetry snapshot period in cycles (0 = harness default when -timeline/-timeline-* set, else disabled)")
-		csvPath    = flag.String("timeline-csv", "", "write the timeline as CSV to FILE")
-		jsonlPath  = flag.String("timeline-jsonl", "", "write the timeline as JSON Lines to FILE")
-		chromePath = flag.String("chrome-trace", "", "write a Chrome trace-event JSON document to FILE (enables tracing)")
-		explain    = flag.Bool("explain", false, "print the abort-attribution digest: top conflicting block pairs, hot lines, cascade depths, inference quality")
-		explainK   = flag.Int("explain-top", 10, "explain: number of pairs/lines to list")
-		spansJSONL = flag.String("spans-jsonl", "", "write per-attempt spans as JSON Lines to FILE (enables span tracing)")
-		spansChrom = flag.String("spans-chrome", "", "write per-attempt spans as a Chrome trace-event document to FILE (enables span tracing)")
-		dotPath    = flag.String("conflict-dot", "", "write the ground-truth conflict graph as Graphviz DOT to FILE (enables attribution)")
-		quantum    = flag.Int("quantum", 0, "speculative-quantum budget (0 = library default, -1 = off, K > 0 = up to K pure ticks; all outputs identical at any setting)")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	kinds, err := trace.ParseKinds(*kindsSpec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seerstat: %v\n", err)
-		os.Exit(1)
+// run is main with its arguments and output streams as parameters, so
+// tests can drive the command in-process. It returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("seerstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		workload   = fs.String("workload", "intruder", "workload name")
+		threads    = fs.Int("threads", 8, "worker threads")
+		scale      = fs.Float64("scale", 0.5, "workload scale")
+		seed       = fs.Int64("seed", 1, "PRNG seed")
+		policy     = fs.String("policy", "Seer", "policy (HLE|RTM|SCM|Backoff|ATS|Oracle|Seer|PhTM|seq)")
+		topoSpec   = fs.String("topology", "", "machine shape, e.g. 2s8c2t (default: the paper's 1s4c2t testbed)")
+		remoteCost = fs.Uint64("remote-cost", 0, "extra cycles per cross-socket access on multi-socket shapes")
+		traceN     = fs.Int("trace", 0, "dump the last N runtime events")
+		kindsSpec  = fs.String("trace-kinds", "", "comma-separated event kinds to dump (e.g. abort,lock+); empty = all")
+		asJSON     = fs.Bool("json", false, "emit the report and inference state as JSON")
+		summary    = fs.Bool("summary", false, "print the canonical deterministic report digest and exit")
+		timeline   = fs.Bool("timeline", false, "render the per-interval metrics timeline (sparklines)")
+		interval   = fs.Uint64("metrics-interval", 0, "telemetry snapshot period in cycles (0 = harness default when -timeline/-timeline-* set, else disabled)")
+		csvPath    = fs.String("timeline-csv", "", "write the timeline as CSV to FILE")
+		jsonlPath  = fs.String("timeline-jsonl", "", "write the timeline as JSON Lines to FILE")
+		chromePath = fs.String("chrome-trace", "", "write a Chrome trace-event JSON document to FILE (enables tracing)")
+		explain    = fs.Bool("explain", false, "print the abort-attribution digest: top conflicting block pairs, hot lines, cascade depths, inference quality")
+		explainK   = fs.Int("explain-top", 10, "explain: number of pairs/lines to list")
+		spansJSONL = fs.String("spans-jsonl", "", "write per-attempt spans as JSON Lines to FILE (enables span tracing)")
+		spansChrom = fs.String("spans-chrome", "", "write per-attempt spans as a Chrome trace-event document to FILE (enables span tracing)")
+		dotPath    = fs.String("conflict-dot", "", "write the ground-truth conflict graph as Graphviz DOT to FILE (enables attribution)")
+		quantum    = fs.Int("quantum", 0, "speculative-quantum budget (0 = library default, -1 = off, K > 0 = up to K pure ticks; all outputs identical at any setting)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "seerstat: %v\n", err)
+		return 1
 	}
 
+	kinds, err := telemetry.ParseKinds(*kindsSpec)
+	if err != nil {
+		return fail(err)
+	}
 	wl, err := stamp.New(*workload, *scale)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "seerstat: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	cfg := seer.DefaultConfig()
 	cfg.Threads = *threads
 	if *topoSpec != "" {
 		topo, err := seer.ParseTopology(*topoSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "seerstat: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		cfg.Topology = topo
 		cfg.RemoteAccessCost = *remoteCost
@@ -256,75 +260,70 @@ func main() {
 	}
 	sys, err := seer.NewSystem(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "seerstat: %v\n", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if err := wl.Setup(sys); err != nil {
-		fmt.Fprintf(os.Stderr, "seerstat: setup: %v\n", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("setup: %w", err))
 	}
 	rep, err := sys.Run(wl.Workers(*threads))
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "seerstat: run: %v\n", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("run: %w", err))
 	}
 	if err := wl.Validate(sys); err != nil {
-		fmt.Fprintf(os.Stderr, "seerstat: validation: %v\n", err)
-		os.Exit(1)
+		return fail(fmt.Errorf("validation: %w", err))
 	}
 
-	writeFile := func(path string, render func(w *os.File) error) {
-		if path == "" {
-			return
+	obs := sys.Recorder()
+	for _, out := range []struct {
+		path   string
+		render func(io.Writer) error
+	}{
+		{*csvPath, rep.WriteTimelineCSV},
+		{*jsonlPath, rep.WriteTimelineJSONL},
+		{*chromePath, obs.WriteChromeTrace},
+		{*spansJSONL, obs.WriteSpansJSONL},
+		{*spansChrom, obs.WriteChromeSpans},
+		{*dotPath, obs.WriteDOT},
+	} {
+		if out.path == "" {
+			continue
 		}
-		f, err := os.Create(path)
+		f, err := os.Create(out.path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "seerstat: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		if err := render(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seerstat: %s: %v\n", path, err)
-			os.Exit(1)
+		if err := errors.Join(out.render(f), f.Close()); err != nil {
+			return fail(fmt.Errorf("%s: %w", out.path, err))
 		}
 	}
-	writeFile(*csvPath, func(f *os.File) error { return rep.WriteTimelineCSV(f) })
-	writeFile(*jsonlPath, func(f *os.File) error { return rep.WriteTimelineJSONL(f) })
-	writeFile(*chromePath, func(f *os.File) error { return sys.WriteChromeTrace(f) })
-	writeFile(*spansJSONL, func(f *os.File) error { return sys.TxTrace().WriteSpansJSONL(f) })
-	writeFile(*spansChrom, func(f *os.File) error { return sys.TxTrace().WriteChromeSpans(f) })
-	writeFile(*dotPath, func(f *os.File) error { return sys.TxTrace().WriteDOT(f) })
 
 	if *summary {
-		fmt.Print(rep.Summary())
-		return
+		fmt.Fprint(stdout, rep.Summary())
+		return 0
 	}
 	if *asJSON {
-		emitJSON(sys, rep)
-		return
+		if err := emitJSON(stdout, sys, rep); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
-	fmt.Print(rep.String())
-	fmt.Printf("HTM: commits=%d aborts=%d (conflict=%d capacity=%d explicit=%d spurious=%d) attempts=%d fallbacks=%d\n",
+	fmt.Fprint(stdout, rep.String())
+	fmt.Fprintf(stdout, "HTM: commits=%d aborts=%d (conflict=%d capacity=%d explicit=%d spurious=%d) attempts=%d fallbacks=%d\n",
 		rep.HTM.Commits, rep.HTM.Aborts, rep.HTM.ConflictAborts, rep.HTM.CapacityAborts,
 		rep.HTM.ExplicitAborts, rep.HTM.SpuriousAborts, rep.HWAttempts, rep.Fallbacks)
 
 	if *timeline {
-		fmt.Printf("\nTimeline (interval = %d cycles):\n", cfg.MetricsInterval)
-		harness.RenderTimeline(os.Stdout, fmt.Sprintf("%s/%s", *workload, rep.Policy), rep.Timeline)
-		renderEngineCounters(rep.Timeline)
-		renderModeTimeline(rep.Timeline)
+		fmt.Fprintf(stdout, "\nTimeline (interval = %d cycles):\n", cfg.MetricsInterval)
+		harness.RenderTimeline(stdout, fmt.Sprintf("%s/%s", *workload, rep.Policy), rep.Timeline)
+		renderEngineCounters(stdout, rep.Timeline)
+		renderModeTimeline(stdout, rep.Timeline)
 	}
 
 	if *explain {
-		fmt.Println()
-		if err := sys.TxTrace().WriteExplain(os.Stdout, *explainK); err != nil {
-			fmt.Fprintf(os.Stderr, "seerstat: explain: %v\n", err)
-			os.Exit(1)
+		fmt.Fprintln(stdout)
+		if err := obs.WriteExplain(stdout, *explainK); err != nil {
+			return fail(fmt.Errorf("explain: %w", err))
 		}
 		if snaps := rep.Inference; len(snaps) > 0 {
 			const width = 48
@@ -335,54 +334,60 @@ func main() {
 				rec[i] = q.Recall
 			}
 			fin := snaps[len(snaps)-1]
-			fmt.Printf("\nInference-quality trajectory (%d snapshots):\n", len(snaps))
-			fmt.Printf("  precision   %s  [final %.3f]\n", plot.Sparkline(prec, width), fin.Precision)
-			fmt.Printf("  recall      %s  [final %.3f]\n", plot.Sparkline(rec, width), fin.Recall)
+			fmt.Fprintf(stdout, "\nInference-quality trajectory (%d snapshots):\n", len(snaps))
+			fmt.Fprintf(stdout, "  precision   %s  [final %.3f]\n", plot.Sparkline(prec, width), fin.Precision)
+			fmt.Fprintf(stdout, "  recall      %s  [final %.3f]\n", plot.Sparkline(rec, width), fin.Recall)
 		}
 	}
 
-	sched := sys.Scheduler()
-	if sched == nil {
-		return
+	if sched := sys.Scheduler(); sched != nil {
+		renderScheduler(stdout, sched)
 	}
-	n := sched.NumTx()
-	merged := sched.Merged()
-	fmt.Printf("\nConflict statistics (merged; rows = aborting tx, cols = concurrently active tx):\n")
-	fmt.Printf("%-4s %10s", "tx", "execs")
-	for y := 0; y < n; y++ {
-		fmt.Printf("  a[%d]/c[%d]   ", y, y)
-	}
-	fmt.Printf("\n")
-	for x := 0; x < n; x++ {
-		fmt.Printf("T%-3d %10d", x, merged.Execs(x))
-		for y := 0; y < n; y++ {
-			fmt.Printf(" %6d/%-6d", merged.Aborts(x, y), merged.Commits(x, y))
-		}
-		fmt.Printf("\n")
-	}
-	fmt.Printf("\nConditional abort probabilities P(x aborts | x‖y):\n")
-	for x := 0; x < n; x++ {
-		fmt.Printf("T%-3d", x)
-		for y := 0; y < n; y++ {
-			fmt.Printf(" %6.3f", merged.CondAbortProb(x, y))
-		}
-		fmt.Printf("  | conj:")
-		for y := 0; y < n; y++ {
-			fmt.Printf(" %6.3f", merged.ConjAbortProb(x, y))
-		}
-		fmt.Printf("\n")
-	}
-	fmt.Printf("\nLocking scheme (locksToAcquire):\n")
-	for x, row := range sched.Scheme() {
-		fmt.Printf("T%-3d -> %v\n", x, row)
-	}
-	th := sched.Thresholds()
-	fmt.Printf("\nThresholds: Th1=%.3f Th2=%.3f  scheme updates=%d\n", th.Th1, th.Th2, sched.SchemeUpdates)
-	fmt.Printf("Lock acquisitions: %d (multiCAS ok=%d fail=%d)\n",
-		sched.LockAcqEvents, sched.MultiCASOk, sched.MultiCASFail)
 
 	if *traceN > 0 {
-		fmt.Printf("\nLast %d runtime events (%s):\n", *traceN, sys.Trace().FormatSummary())
-		sys.Trace().Dump(os.Stdout, kinds)
+		events := obs.Events()
+		fmt.Fprintf(stdout, "\nLast %d runtime events (%s):\n", *traceN, telemetry.FormatSummary(events))
+		telemetry.DumpEvents(stdout, events, kinds)
 	}
+	return 0
+}
+
+// renderScheduler dumps the Seer scheduler's internals: merged conflict
+// statistics, abort probabilities, the locking scheme and its accounting.
+func renderScheduler(w io.Writer, sched *core.Seer) {
+	n := sched.NumTx()
+	merged := sched.Merged()
+	fmt.Fprintf(w, "\nConflict statistics (merged; rows = aborting tx, cols = concurrently active tx):\n")
+	fmt.Fprintf(w, "%-4s %10s", "tx", "execs")
+	for y := 0; y < n; y++ {
+		fmt.Fprintf(w, "  a[%d]/c[%d]   ", y, y)
+	}
+	fmt.Fprintf(w, "\n")
+	for x := 0; x < n; x++ {
+		fmt.Fprintf(w, "T%-3d %10d", x, merged.Execs(x))
+		for y := 0; y < n; y++ {
+			fmt.Fprintf(w, " %6d/%-6d", merged.Aborts(x, y), merged.Commits(x, y))
+		}
+		fmt.Fprintf(w, "\n")
+	}
+	fmt.Fprintf(w, "\nConditional abort probabilities P(x aborts | x‖y):\n")
+	for x := 0; x < n; x++ {
+		fmt.Fprintf(w, "T%-3d", x)
+		for y := 0; y < n; y++ {
+			fmt.Fprintf(w, " %6.3f", merged.CondAbortProb(x, y))
+		}
+		fmt.Fprintf(w, "  | conj:")
+		for y := 0; y < n; y++ {
+			fmt.Fprintf(w, " %6.3f", merged.ConjAbortProb(x, y))
+		}
+		fmt.Fprintf(w, "\n")
+	}
+	fmt.Fprintf(w, "\nLocking scheme (locksToAcquire):\n")
+	for x, row := range sched.Scheme() {
+		fmt.Fprintf(w, "T%-3d -> %v\n", x, row)
+	}
+	th := sched.Thresholds()
+	fmt.Fprintf(w, "\nThresholds: Th1=%.3f Th2=%.3f  scheme updates=%d\n", th.Th1, th.Th2, sched.SchemeUpdates)
+	fmt.Fprintf(w, "Lock acquisitions: %d (multiCAS ok=%d fail=%d)\n",
+		sched.LockAcqEvents, sched.MultiCASOk, sched.MultiCASFail)
 }

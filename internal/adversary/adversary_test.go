@@ -123,7 +123,7 @@ func TestRealizedConflictsMatchDeclared(t *testing.T) {
 	w := New(g, 1600)
 	w.TxWork = 200 // widen the conflict windows
 	sys := runGraph(t, w, seer.PolicyRTM, 8, 11, true)
-	truth := sys.TxTrace().TruthMatrix()
+	truth := sys.Recorder().TruthMatrix()
 	declared := g.Pairs()
 	n := g.Blocks
 	cross := uint64(0)
@@ -145,7 +145,7 @@ func TestRealizedConflictsMatchDeclared(t *testing.T) {
 
 // FuzzAdversaryGraph: arbitrary shape parameters must normalize to a
 // well-formed graph whose workload runs, validates, and — via the
-// txtrace ground truth — realizes only declared conflict pairs.
+// attribution ground truth — realizes only declared conflict pairs.
 func FuzzAdversaryGraph(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(1), []byte{0, 1, 1, 2, 2, 3})
 	f.Add(int64(2), uint8(3), uint8(2), []byte{0xFF, 0x01, 0x80, 0x7F})
@@ -167,7 +167,7 @@ func FuzzAdversaryGraph(f *testing.F) {
 		}
 		w := New(g, 200)
 		sys := runGraph(t, w, seer.PolicyRTM, 4, seed, true)
-		truth := sys.TxTrace().TruthMatrix()
+		truth := sys.Recorder().TruthMatrix()
 		declared := g.Pairs()
 		n := g.Blocks
 		for v := 0; v < n; v++ {

@@ -2,7 +2,7 @@
 // contention managers: rings, stars, bipartite hot-spots, cliques, and
 // phase-shifting mixes that flip the conflict graph mid-run to defeat
 // learned schemes. Each graph instantiates as a stamp.Workload whose
-// realized conflict structure (observable through the txtrace ground
+// realized conflict structure (observable through the attribution ground
 // truth) matches the declared edges exactly: atomic block b writes one
 // shared per-block line (so every block self-conflicts) plus one shared
 // line per incident edge of the current phase (so exactly the declared

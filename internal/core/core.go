@@ -17,7 +17,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 
 	"seer/internal/htm"
@@ -25,7 +24,7 @@ import (
 	"seer/internal/mem"
 	"seer/internal/spinlock"
 	"seer/internal/stats"
-	"seer/internal/trace"
+	"seer/internal/telemetry"
 	"seer/internal/tune"
 )
 
@@ -111,6 +110,7 @@ func ProfileOnly() Options {
 // The TM runtime owns one per worker and passes it to every Seer call.
 type ThreadState struct {
 	Ctx              *machine.Ctx
+	Obs              *telemetry.Thread // set by the runtime after NewThreadState; nil records nothing
 	AcquiredTxLocks  bool
 	AcquiredCoreLock bool
 
@@ -163,7 +163,6 @@ type Seer struct {
 	coreLocks []spinlock.Lock   // one per physical core
 	tuner     *tune.HillClimber
 	th        tune.Params
-	trc       *trace.Log // nil disables scheduler event tracing
 
 	// Reusable scratch for UpdateScheme, so the periodic recomputation is
 	// allocation-free in steady state. schemeBits is a flat numTx×numTx
@@ -246,10 +245,6 @@ func New(numTx int, mach machine.Config, m *mem.Memory, u *htm.Unit, opts Option
 // NumTx returns the number of atomic blocks.
 func (s *Seer) NumTx() int { return s.numTx }
 
-// SetTrace attaches an event log; scheme updates, threshold re-tunings
-// and scheduler lock operations are then recorded on it.
-func (s *Seer) SetTrace(l *trace.Log) { s.trc = l }
-
 // SchemePairs returns the number of serialized (x, y) block pairs in the
 // current locking scheme, counting each unordered pair once.
 func (s *Seer) SchemePairs() int {
@@ -279,7 +274,7 @@ func (s *Seer) Merged() *stats.Matrices { return s.merged }
 // statistics: the merged global matrices plus every thread's
 // not-yet-drained delta, without disturbing either (UpdateScheme drains
 // the deltas for real). Read-only introspection for the inference-quality
-// accumulator (internal/txtrace); dst must be sized for NumTx blocks.
+// scorer (telemetry.Options.Learned); dst must be sized for NumTx blocks.
 func (s *Seer) SnapshotLearned(dst *stats.Matrices) {
 	dst.Reset()
 	dst.MergeFrom(s.merged)
@@ -436,7 +431,7 @@ func (s *Seer) AcquireLocks(t *ThreadState, txID int, status htm.Status, attempt
 		core := s.mach.PhysCore(t.Ctx.ID())
 		s.coreLocks[core].Acquire(t.Ctx, s.mem)
 		t.AcquiredCoreLock = true
-		s.trc.Record2(t.Ctx.Clock(), t.Ctx.ID(), trace.EvLockAcq, txID, uint32(core), lockKindCore)
+		t.Obs.LockAcquired(t.Ctx.Clock(), core, telemetry.LockCore)
 	}
 	if s.opts.TxLocks && attemptsLeft == 1 && !t.AcquiredTxLocks {
 		s.acquireTxLocks(t, txID)
@@ -470,7 +465,7 @@ func (s *Seer) acquireTxLocks(t *ThreadState, txID int) {
 			s.MultiCASOk++
 			for _, id := range row {
 				t.heldTxLocks = append(t.heldTxLocks, s.lockFor(t, id))
-				s.trc.Record2(t.Ctx.Clock(), t.Ctx.ID(), trace.EvLockAcq, txID, uint32(id), lockKindTx)
+				t.Obs.LockAcquired(t.Ctx.Clock(), id, telemetry.LockTx)
 			}
 			return
 		}
@@ -480,15 +475,9 @@ func (s *Seer) acquireTxLocks(t *ThreadState, txID int) {
 		lk := s.lockFor(t, id)
 		lk.Acquire(t.Ctx, s.mem)
 		t.heldTxLocks = append(t.heldTxLocks, lk)
-		s.trc.Record2(t.Ctx.Clock(), t.Ctx.ID(), trace.EvLockAcq, txID, uint32(id), lockKindTx)
+		t.Obs.LockAcquired(t.Ctx.Clock(), id, telemetry.LockTx)
 	}
 }
-
-// lockKind values for the Detail2 payload of EvLockAcq/EvLockRel.
-const (
-	lockKindTx   uint32 = 0
-	lockKindCore uint32 = 1
-)
 
 // ReleaseLocks implements RELEASE-Seer-LOCKS.
 func (s *Seer) ReleaseLocks(t *ThreadState) {
@@ -496,7 +485,7 @@ func (s *Seer) ReleaseLocks(t *ThreadState) {
 		if n := len(t.heldTxLocks); n > 0 {
 			// One release event carrying the batch size (the individual
 			// ids were recorded at acquisition).
-			s.trc.Record2(t.Ctx.Clock(), t.Ctx.ID(), trace.EvLockRel, -1, uint32(n), lockKindTx)
+			t.Obs.LocksReleased(t.Ctx.Clock(), n, telemetry.LockTx)
 		}
 		for _, lk := range t.heldTxLocks {
 			lk.ReleaseOwned(t.Ctx, s.mem)
@@ -508,7 +497,7 @@ func (s *Seer) ReleaseLocks(t *ThreadState) {
 		core := s.mach.PhysCore(t.Ctx.ID())
 		s.coreLocks[core].ReleaseOwned(t.Ctx, s.mem)
 		t.AcquiredCoreLock = false
-		s.trc.Record2(t.Ctx.Clock(), t.Ctx.ID(), trace.EvLockRel, -1, uint32(core), lockKindCore)
+		t.Obs.LocksReleased(t.Ctx.Clock(), core, telemetry.LockCore)
 	}
 }
 
@@ -519,8 +508,7 @@ func (s *Seer) ReleaseLocks(t *ThreadState) {
 func (s *Seer) WaitLocks(t *ThreadState, txID int, sgl spinlock.Lock) {
 	if sgl.LockedFast(s.mem) {
 		if t.Ctx.ID() == 0 {
-			s.UpdateScheme(t.Ctx)
-			s.maybeTune(t.Ctx)
+			s.refresh(t)
 		}
 		sgl.SpinWhileLocked(t.Ctx, s.mem)
 	}
@@ -528,8 +516,7 @@ func (s *Seer) WaitLocks(t *ThreadState, txID int, sgl spinlock.Lock) {
 	// fall-back becomes rare (≈1% of commits), so waiting for it would
 	// starve the inference.
 	if t.Ctx.ID() == 0 && s.execsSinceUpdate >= s.opts.UpdateEvery {
-		s.UpdateScheme(t.Ctx)
-		s.maybeTune(t.Ctx)
+		s.refresh(t)
 	}
 	// The cooperative waits below are advisory (HTM enforces
 	// correctness), so they are bounded: unbounded spinning here can
@@ -538,13 +525,13 @@ func (s *Seer) WaitLocks(t *ThreadState, txID int, sgl spinlock.Lock) {
 	const coopSpinBudget = 256
 	if s.opts.TxLocks && !t.AcquiredTxLocks {
 		if lk := s.lockFor(t, txID); lk.LockedFast(s.mem) {
-			s.trc.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvWait, txID, uint32(lockKindTx))
+			t.Obs.Wait(t.Ctx.Clock(), telemetry.LockTx)
 			lk.SpinWhileLockedBounded(t.Ctx, s.mem, coopSpinBudget)
 		}
 	}
 	if s.opts.CoreLocks && !t.AcquiredCoreLock {
 		if lk := s.coreLocks[s.mach.PhysCore(t.Ctx.ID())]; lk.LockedFast(s.mem) {
-			s.trc.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvWait, txID, uint32(lockKindCore))
+			t.Obs.Wait(t.Ctx.Clock(), telemetry.LockCore)
 			lk.SpinWhileLockedBounded(t.Ctx, s.mem, coopSpinBudget)
 		}
 	}
@@ -647,20 +634,27 @@ func (s *Seer) UpdateScheme(ctx *machine.Ctx) {
 	if reused {
 		s.SchemeReuseHits++
 	}
-	s.trc.Record(ctx.Clock(), ctx.ID(), trace.EvScheme, -1, uint32(s.SchemePairs()))
+}
+
+// refresh is thread 0's periodic duty: recompute the locking scheme, then
+// close a tuning epoch if one is due.
+func (s *Seer) refresh(t *ThreadState) {
+	s.UpdateScheme(t.Ctx)
+	t.Obs.Scheme(t.Ctx.Clock(), s.SchemePairs())
+	s.maybeTune(t)
 }
 
 // maybeTune closes a tuning epoch if enough samples accumulated, feeding
 // the measured throughput (commits per cycle on the virtual clock) to the
 // hill climber and adopting the proposed thresholds.
-func (s *Seer) maybeTune(ctx *machine.Ctx) {
+func (s *Seer) maybeTune(t *ThreadState) {
 	if !s.opts.HillClimb || s.tuner == nil {
 		return
 	}
 	if s.epochExecs < s.opts.EpochExecs {
 		return
 	}
-	now := ctx.Clock()
+	now := t.Ctx.Clock()
 	elapsed := now - s.epochStartCycles
 	if elapsed == 0 {
 		return
@@ -668,8 +662,7 @@ func (s *Seer) maybeTune(ctx *machine.Ctx) {
 	throughput := float64(s.epochCommits) / float64(elapsed)
 	s.tuner.Feedback(throughput)
 	s.th = s.tuner.Params()
-	s.trc.Record2(now, ctx.ID(), trace.EvTune, -1,
-		math.Float32bits(float32(s.th.Th1)), math.Float32bits(float32(s.th.Th2)))
+	t.Obs.Tune(now, s.th.Th1, s.th.Th2)
 	s.epochExecs = 0
 	s.epochCommits = 0
 	s.epochStartCycles = now

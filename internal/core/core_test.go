@@ -377,8 +377,7 @@ func TestHillClimbAdjustsThresholds(t *testing.T) {
 				s.RegisterCommit(ts, 0)
 				s.Finish(ts)
 			}
-			s.UpdateScheme(c)
-			s.maybeTune(c)
+			s.refresh(ts)
 			c.Tick(100)
 		}
 	}}); err != nil {

@@ -18,7 +18,7 @@ import (
 // approach, normalizing throughput against blind retry (RTM). The
 // phase-shift timeline then shows the structural weakness of learned
 // scheduling: Seer's scheme quality (precision/recall against the
-// txtrace ground truth) collapses when the conflict graph flips mid-run
+// attribution ground truth) collapses when the conflict graph flips mid-run
 // and recovers only as new statistics drown out the stale ones, while
 // randomized backoff — which learns nothing — is unaffected.
 

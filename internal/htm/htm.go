@@ -226,7 +226,7 @@ type Unit struct {
 	coreActive []int16
 	// doomHook, when set, observes every effective doom with its ground
 	// truth: victim, aborter (-1 for non-conflict dooms) and the contended
-	// cache line. It is the attribution subsystem's tap (internal/txtrace);
+	// cache line. It is the attribution sink's tap (internal/telemetry);
 	// like the oracle it is simulator-only and costs one nil check when off.
 	doomHook func(victim, aborter int, ln mem.Line)
 }

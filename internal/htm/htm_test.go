@@ -638,3 +638,26 @@ func TestConflictAcrossWordBoundary(t *testing.T) {
 		t.Fatalf("memory = %d, want the winner's value 2", m.Peek(a))
 	}
 }
+
+// TestStatusCausePriority: Status.Cause is the one abort classification —
+// the HTM's own counters, the timeline's abort columns and the attribution
+// sink's cause rows all index by it — so each status must land in the slot
+// its name says, with conflict beating capacity beating explicit.
+func TestStatusCausePriority(t *testing.T) {
+	for _, c := range []struct {
+		status Status
+		want   Cause
+	}{
+		{BitConflict | BitRetry, CauseConflict},
+		{BitCapacity, CauseCapacity},
+		{BitExplicit | BitRetry, CauseExplicit},
+		{BitSpurious | BitRetry, CauseSpurious},
+		{BitRetry, CauseOther},
+		{BitConflict | BitCapacity | BitExplicit, CauseConflict},
+		{BitCapacity | BitExplicit, CauseCapacity},
+	} {
+		if got := c.status.Cause(); got != c.want {
+			t.Errorf("%v: cause %d, want %d", c.status, got, c.want)
+		}
+	}
+}

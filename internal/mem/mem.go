@@ -55,7 +55,7 @@ func LineOf(a Addr) Line { return Line(a / LineWords) }
 // Doomer is implemented by the HTM unit: the memory calls it to abort
 // transactions whose read/write sets are invalidated by a conflicting
 // access. ln is the contended cache line — the ground truth the
-// attribution subsystem (internal/txtrace) records, which real hardware
+// attribution sink (internal/telemetry) records, which real hardware
 // never reveals.
 type Doomer interface {
 	// DoomReaders dooms every transaction in the readers set except the

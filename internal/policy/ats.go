@@ -54,7 +54,6 @@ func (p *ATS) observe(hw int, aborted bool) {
 
 // Run implements Policy.
 func (p *ATS) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	hw := t.Ctx.ID()
 	serialized := false
 	if p.ci[hw] > p.Threshold {

@@ -118,13 +118,12 @@ func (p *Backoff) wait(t *Thread, hw int) {
 	t.Ctx.ParkOn(backoffKeyBase|uint64(hw), d, 0, 1)
 	p.waits[hw]++
 	p.cycles[hw] += d
-	t.Tel.AddBackoff(d)
+	t.Obs.Backoff(d)
 }
 
 // Run implements Policy: the RTM retry loop with a randomized
 // exponential-backoff wait between hardware attempts.
 func (p *Backoff) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	hw := t.Ctx.ID()
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
 		if p.SGL.LockedFast(t.Mem) {

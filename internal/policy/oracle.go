@@ -33,7 +33,6 @@ func (p *Oracle) Name() string { return "Oracle" }
 
 // Run implements Policy.
 func (p *Oracle) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)

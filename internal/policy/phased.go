@@ -5,7 +5,6 @@ import (
 
 	"seer/internal/mem"
 	"seer/internal/spinlock"
-	"seer/internal/trace"
 )
 
 // PhaseMode is the global execution mode of the phased-TM runtime, in the
@@ -13,8 +12,8 @@ import (
 // and follow its current phase.
 type PhaseMode int
 
-// Phases. The numeric values are the trace.EvPhase payload encoding and
-// the telemetry occupancy slots, so they must stay stable.
+// Phases. The numeric values are the telemetry.EvPhase payload encoding
+// and the timeline's occupancy slots, so they must stay stable.
 const (
 	PhaseHW    PhaseMode = iota // hardware attempts with SGL fall-back
 	PhaseSW                     // software (STM) commit path
@@ -127,8 +126,8 @@ func (p *Phased) Stats(makespan uint64) PhasedStats {
 	}
 }
 
-// PhaseCounters is the telemetry phase probe (telemetry.PhaseProbe): the
-// cumulative transition count and per-phase occupancy as of virtual time
+// PhaseCounters is the timeline's phase source (telemetry.Options.Phase):
+// the cumulative transition count and per-phase occupancy as of virtual time
 // now, with the open segment credited to the current phase.
 func (p *Phased) PhaseCounters(now uint64) (transitions uint64, occupancy [PhaseCount]uint64) {
 	occupancy = p.occupancy
@@ -154,12 +153,11 @@ func (p *Phased) setMode(t *Thread, m PhaseMode) {
 	old := p.mode
 	p.mode = m
 	p.transitions++
-	t.Trace.Record2(now, t.Ctx.ID(), trace.EvPhase, -1, uint32(m), uint32(old))
+	t.Obs.Phase(now, int(m), int(old))
 }
 
 // Run implements Policy.
 func (p *Phased) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	for {
 		// Dispatch on the mode word. While GLOCK is held the run keeps
 		// its deferral-driven routing: deferred work stays software.

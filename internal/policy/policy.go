@@ -21,8 +21,6 @@ import (
 	"seer/internal/mem"
 	"seer/internal/spinlock"
 	"seer/internal/telemetry"
-	"seer/internal/trace"
-	"seer/internal/txtrace"
 )
 
 // Mode classifies how a transaction finally committed; the breakdown of
@@ -98,34 +96,29 @@ type Thread struct {
 	HTM    *htm.Unit
 	Direct *mem.Direct
 	Modes  ModeCounts
-	Trace  *trace.Log         // nil disables event tracing
-	Tel    *telemetry.Shard   // nil disables interval metrics
-	Spans  *txtrace.Collector // nil disables attempt tracing/attribution
+	Obs    *telemetry.Thread // observability handle; nil records nothing
 
 	Seer      *core.ThreadState // non-nil only under the Seer policy
 	Attempts  uint64            // hardware attempts issued
 	Fallbacks uint64            // SGL acquisitions
-	curTx     int               // txID of the in-flight Run, for tracing
 }
 
 // lockWaitBegin samples the clock and the engine's park counter before a
-// lock wait; lockWaitEnd charges the elapsed cycles to the thread's
-// lock-wait telemetry and mirrors how many of them were fast-forwarded by
-// parking rather than simulated spin iterations.
+// lock wait; lockWaitEnd reports the elapsed cycles as lock wait, and how
+// many of them were fast-forwarded by parking rather than simulated spin
+// iterations.
 func (t *Thread) lockWaitBegin() (startClock, startSkipped uint64) {
 	return t.Ctx.Clock(), t.Ctx.ParkSkipped()
 }
 
 func (t *Thread) lockWaitEnd(startClock, startSkipped uint64) {
-	t.Tel.AddLockWait(t.Ctx.Clock() - startClock)
-	t.Tel.AddParkSkipped(t.Ctx.ParkSkipped() - startSkipped)
+	t.Obs.LockWait(t.Ctx.Clock()-startClock, t.Ctx.ParkSkipped()-startSkipped)
 }
 
-// commit records a committed transaction in mode m, in both the
-// end-of-run histogram and the interval telemetry.
+// commit records a committed transaction in mode m.
 func (t *Thread) commit(m Mode) {
 	t.Modes[m]++
-	t.Tel.IncMode(int(m))
+	t.Obs.Commit(int(m))
 }
 
 // NewThread builds the runtime state for ctx's hardware thread.
@@ -164,9 +157,7 @@ type Policy interface {
 // the lock word registers it, so the holder's acquire store dooms the
 // subscriber (strong isolation) in either mode.
 func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
-	t.Tel.IncAttempt()
-	t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvBegin, t.curTx, 0)
-	t.Spans.AttemptBegin(t.Ctx.ID(), t.Ctx.Clock())
+	t.Obs.AttemptBegin(t.Ctx.Clock())
 	subscribed := func(tx *htm.Tx) {
 		if sgl.LockedTx(tx) {
 			tx.Abort(spinlock.CodeSGLHeld)
@@ -181,38 +172,30 @@ func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access
 		status = t.HTM.Run(t.Ctx, subscribed)
 	}
 	if status == 0 {
-		t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvCommit, t.curTx, 0)
-		t.Spans.AttemptCommit(t.Ctx.ID(), t.Ctx.Clock())
+		t.Obs.AttemptCommit(t.Ctx.Clock())
 	} else {
-		// telemetry.Cause and txtrace.Cause mirror htm.Cause slot for slot
-		// (asserted by tests), so the one classification feeds all three.
-		cause := status.Cause()
-		t.Tel.IncAbort(telemetry.Cause(cause))
-		t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvAbort, t.curTx, uint32(status))
-		t.Spans.AttemptAbort(t.Ctx.ID(), t.Ctx.Clock(), uint32(status), txtrace.Cause(cause))
+		t.Obs.AttemptAbort(t.Ctx.Clock(), status)
 	}
 	return status
 }
 
 // runSGL executes body under the single-global lock on the software path.
 func runSGL(t *Thread, sgl spinlock.Lock, body func(mem.Access)) {
-	t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvFallback, t.curTx, 0)
-	begin := t.Ctx.Clock()
+	t.Obs.Fallback(t.Ctx.Clock())
 	start, skipped := t.lockWaitBegin()
 	sgl.Acquire(t.Ctx, t.Mem)
 	t.lockWaitEnd(start, skipped)
 	body(t.Direct)
 	sgl.Release(t.Ctx, t.Mem)
 	t.Fallbacks++
-	t.Tel.IncFallback()
-	t.commit(ModeSGL)
-	t.Spans.Fallback(t.Ctx.ID(), begin, t.Ctx.Clock())
+	t.Modes[ModeSGL]++
+	t.Obs.FallbackEnd(t.Ctx.Clock(), int(ModeSGL))
 }
 
 // spinSGL waits out a held single-global lock (lemming avoidance),
-// charging the spin to the thread's lock-wait telemetry.
+// charging the spin to the thread's lock wait.
 func spinSGL(t *Thread, sgl spinlock.Lock) {
-	t.Trace.Record(t.Ctx.Clock(), t.Ctx.ID(), trace.EvWait, t.curTx, 0)
+	t.Obs.Wait(t.Ctx.Clock(), 0) // the SGL has no telemetry.LockKind: waits on it carry 0
 	start, skipped := t.lockWaitBegin()
 	sgl.SpinWhileLocked(t.Ctx, t.Mem)
 	t.lockWaitEnd(start, skipped)
@@ -233,7 +216,6 @@ func (p *HLE) Name() string { return "HLE" }
 
 // Run implements Policy.
 func (p *HLE) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	// An elided spinlock acquisition spins until the lock is observed
 	// free, then elides — one speculative attempt (the hardware's retry
 	// budget is minimal and not software-controlled). Any abort falls
@@ -266,7 +248,6 @@ func (p *RTM) Name() string { return "RTM" }
 
 // Run implements Policy.
 func (p *RTM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
 		if p.SGL.LockedFast(t.Mem) {
 			spinSGL(t, p.SGL)
@@ -297,7 +278,6 @@ func (p *SCM) Name() string { return "SCM" }
 
 // Run implements Policy.
 func (p *SCM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	holdingAux := false
 	defer func() {
 		if holdingAux {
@@ -347,7 +327,6 @@ func (p *Seer) Name() string { return "Seer" }
 
 // Run implements Policy.
 func (p *Seer) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	t.curTx = txID
 	ts := t.Seer
 	p.Sched.Start(ts, txID, obj)
 	attempts := p.MaxAttempts

@@ -10,7 +10,6 @@ import (
 	"seer/internal/spinlock"
 	"seer/internal/telemetry"
 	"seer/internal/topology"
-	"seer/internal/txtrace"
 )
 
 // rig bundles a machine with all runtime pieces for policy tests.
@@ -372,66 +371,24 @@ func TestLastConflictorExposed(t *testing.T) {
 	}
 }
 
-// TestTelemetryModeAlignment: telemetry mirrors the Mode indices (it sits
-// below policy in the import graph); the slots must stay in lockstep.
-func TestTelemetryModeAlignment(t *testing.T) {
-	pairs := [][2]int{
-		{int(ModeHTM), telemetry.ModeHTM},
-		{int(ModeHTMAux), telemetry.ModeHTMAux},
-		{int(ModeHTMTx), telemetry.ModeHTMTx},
-		{int(ModeHTMCore), telemetry.ModeHTMCore},
-		{int(ModeHTMTxCore), telemetry.ModeHTMTxCore},
-		{int(ModeSGL), telemetry.ModeSGL},
-		{int(ModeSTM), telemetry.ModeSTM},
-		{int(NumModes), telemetry.NumModes},
-	}
-	for _, p := range pairs {
-		if p[0] != p[1] {
-			t.Fatalf("mode index drift: policy=%d telemetry=%d", p[0], p[1])
-		}
+// TestTelemetryModeNames: telemetry indexes its per-mode arrays and CSV
+// columns by Mode, so it must name exactly the modes there are, and its
+// fixed-size arrays must hold them.
+func TestTelemetryModeNames(t *testing.T) {
+	if len(telemetry.ModeNames) != int(NumModes) {
+		t.Fatalf("telemetry names %d modes, policy has %d", len(telemetry.ModeNames), NumModes)
 	}
 	if int(NumModes) > telemetry.MaxModes {
 		t.Fatalf("NumModes %d exceeds telemetry.MaxModes %d", NumModes, telemetry.MaxModes)
 	}
 }
 
-// TestCauseAlignment: attempt casts the HTM's one abort classification
-// (htm.Status.Cause) straight into telemetry's and txtrace's cause slots,
-// so the three enums must stay in lockstep — and each status must land in
-// the slot its name says.
-func TestCauseAlignment(t *testing.T) {
-	cases := []struct {
-		status htm.Status
-		tel    telemetry.Cause
-		span   txtrace.Cause
-	}{
-		{htm.BitConflict | htm.BitRetry, telemetry.CauseConflict, txtrace.CauseConflict},
-		{htm.BitCapacity, telemetry.CauseCapacity, txtrace.CauseCapacity},
-		{htm.BitExplicit | htm.BitRetry, telemetry.CauseExplicit, txtrace.CauseExplicit},
-		{htm.BitSpurious | htm.BitRetry, telemetry.CauseSpurious, txtrace.CauseSpurious},
-		{htm.BitRetry, telemetry.CauseOther, txtrace.CauseOther},
-		// Priority order: conflict beats capacity beats explicit.
-		{htm.BitConflict | htm.BitCapacity | htm.BitExplicit, telemetry.CauseConflict, txtrace.CauseConflict},
-		{htm.BitCapacity | htm.BitExplicit, telemetry.CauseCapacity, txtrace.CauseCapacity},
-	}
-	for _, c := range cases {
-		cause := c.status.Cause()
-		if telemetry.Cause(cause) != c.tel || txtrace.Cause(cause) != c.span {
-			t.Errorf("%v: cause %d, want telemetry %d / txtrace %d", c.status, cause, c.tel, c.span)
-		}
-	}
-	for _, n := range []int{int(telemetry.NumCauses), int(txtrace.NumCauses)} {
-		if n != int(htm.CauseOther)+1 {
-			t.Fatalf("cause count drift: htm has %d causes, a consumer %d", int(htm.CauseOther)+1, n)
-		}
-	}
-}
-
-// TestShardCountsCommitsAndAborts: a policy wired to a telemetry shard
-// must mirror its Modes histogram and attempt/abort accounting into it.
+// TestShardCountsCommitsAndAborts: a policy wired to an observability
+// handle must mirror its Modes histogram and attempt/abort accounting into
+// the timeline.
 func TestShardCountsCommitsAndAborts(t *testing.T) {
 	r := newRig(t, 4)
-	rec := telemetry.New(1<<16, 4)
+	rec := telemetry.New(telemetry.Options{Threads: 4, Interval: 1 << 40})
 	pol := &RTM{SGL: r.sgl, MaxAttempts: 5}
 	counter := r.m.AllocLines(1)
 	threadsSlice := make([]*Thread, 4)
@@ -440,7 +397,7 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 		idx := i
 		bodies[i] = func(c *machine.Ctx) {
 			th := NewThread(c, r.m, r.u)
-			th.Tel = rec.Shard(c.ID())
+			th.Obs = rec.Thread(c.ID())
 			threadsSlice[idx] = th
 			for n := 0; n < 40; n++ {
 				pol.Run(th, 0, 0, func(a mem.Access) {
@@ -450,7 +407,8 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 			}
 		}
 	}
-	if _, err := r.eng.Run(bodies); err != nil {
+	makespan, err := r.eng.Run(bodies)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var modes ModeCounts
@@ -460,30 +418,24 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 		attempts += th.Attempts
 		fallbacks += th.Fallbacks
 	}
-	var telModes, telAttempts, telAborts, telFallbacks uint64
-	for i := 0; i < 4; i++ {
-		s := rec.Shard(i)
-		for _, m := range s.Modes {
-			telModes += m
-		}
-		for _, a := range s.Aborts {
-			telAborts += a
-		}
-		telAttempts += s.Attempts
-		telFallbacks += s.Fallbacks
+	rec.Flush(makespan)
+	snap := rec.Timeline()[0] // the interval outlasts the run: one snapshot
+	var telAborts uint64
+	for _, a := range snap.Aborts {
+		telAborts += a
 	}
-	if telModes != modes.Total() {
-		t.Fatalf("telemetry commits %d != thread commits %d", telModes, modes.Total())
+	if snap.Commits != modes.Total() {
+		t.Fatalf("telemetry commits %d != thread commits %d", snap.Commits, modes.Total())
 	}
-	if telAttempts != attempts {
-		t.Fatalf("telemetry attempts %d != thread attempts %d", telAttempts, attempts)
+	if snap.Attempts != attempts {
+		t.Fatalf("telemetry attempts %d != thread attempts %d", snap.Attempts, attempts)
 	}
-	if telFallbacks != fallbacks {
-		t.Fatalf("telemetry fallbacks %d != thread fallbacks %d", telFallbacks, fallbacks)
+	if snap.Fallbacks != fallbacks {
+		t.Fatalf("telemetry fallbacks %d != thread fallbacks %d", snap.Fallbacks, fallbacks)
 	}
 	// Every attempt either committed in hardware or aborted.
-	hwCommits := telModes - telFallbacks
-	if telAttempts != hwCommits+telAborts {
-		t.Fatalf("attempts %d != hw commits %d + aborts %d", telAttempts, hwCommits, telAborts)
+	hwCommits := snap.Commits - snap.Fallbacks
+	if snap.Attempts != hwCommits+telAborts {
+		t.Fatalf("attempts %d != hw commits %d + aborts %d", snap.Attempts, hwCommits, telAborts)
 	}
 }

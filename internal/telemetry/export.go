@@ -1,19 +1,27 @@
 package telemetry
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
-
-	"seer/internal/trace"
 )
 
-// Exporters for the interval timeline and the event log. All three are
-// deterministic: identical inputs produce byte-identical output, so
-// exports double as regression artifacts for same-seed runs.
+// Exporters for every sink. All are deterministic: identical inputs
+// produce byte-identical output, so exports double as regression
+// artifacts for same-seed runs. An exporter whose sink is off returns one
+// of the errors below.
+var (
+	errNoEvents      = errors.New("telemetry: event log disabled (set Config.TraceEvents)")
+	errNoSpans       = errors.New("telemetry: span tracing disabled (set Config.TraceAttempts)")
+	errNoAttribution = errors.New("telemetry: attribution disabled (set Config.TraceAttempts or Config.AttributionCounters)")
+)
+
+// --- Timeline ---
 
 // CSVHeader returns the column layout of WriteCSV; exported so harness
 // exhibits can prefix it with their own key columns.
@@ -40,54 +48,35 @@ func CSVHeader() []string {
 
 // CSVRecord renders one snapshot in CSVHeader's column order.
 func CSVRecord(s Snapshot) []string {
-	rec := []string{
-		strconv.Itoa(s.Index),
-		strconv.FormatUint(s.StartCycle, 10),
-		strconv.FormatUint(s.EndCycle, 10),
-		strconv.FormatUint(s.Commits, 10),
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	f := func(v float64) string { return fmt.Sprintf("%.6f", v) }
+	rec := []string{strconv.Itoa(s.Index), u(s.StartCycle), u(s.EndCycle), u(s.Commits)}
+	for m := range ModeNames {
+		rec = append(rec, u(s.Modes[m]))
 	}
-	for m := 0; m < NumModes; m++ {
-		rec = append(rec, strconv.FormatUint(s.Modes[m], 10))
-	}
-	rec = append(rec, strconv.FormatUint(s.Attempts, 10))
-	for c := 0; c < int(NumCauses); c++ {
-		rec = append(rec, strconv.FormatUint(s.Aborts[c], 10))
+	rec = append(rec, u(s.Attempts))
+	for _, a := range s.Aborts {
+		rec = append(rec, u(a))
 	}
 	rec = append(rec,
-		strconv.FormatUint(s.Fallbacks, 10),
-		strconv.FormatUint(s.LockWait, 10),
-		strconv.FormatUint(s.ParkSkipped, 10),
-		strconv.FormatUint(s.BackoffWaits, 10),
-		strconv.FormatUint(s.BackoffCycles, 10),
-		fmt.Sprintf("%.6f", s.Th1),
-		fmt.Sprintf("%.6f", s.Th2),
-		strconv.Itoa(s.SchemePairs),
-		strconv.FormatUint(s.SchemeReuse, 10),
-		fmt.Sprintf("%.6f", s.Throughput()),
-		fmt.Sprintf("%.6f", s.AbortRate()),
-	)
-	// Attribution columns: empty/zero when the subsystem is off.
-	topPair, topDooms := "", "0"
+		u(s.Fallbacks), u(s.LockWait), u(s.ParkSkipped), u(s.BackoffWaits), u(s.BackoffCycles),
+		f(s.Th1), f(s.Th2), strconv.Itoa(s.SchemePairs), u(s.SchemeReuse),
+		f(s.Throughput()), f(s.AbortRate()))
+	// Attribution columns: empty/zero when the sink is off.
+	topPair, topDooms, deepest := "", "0", ""
 	if len(s.ConflictPairs) > 0 {
 		topPair = fmt.Sprintf("tx%d<-tx%d", s.ConflictPairs[0].Victim, s.ConflictPairs[0].Aborter)
-		topDooms = strconv.FormatUint(s.ConflictPairs[0].Count, 10)
+		topDooms = u(s.ConflictPairs[0].Count)
 	}
-	deepest := ""
 	if len(s.CascadeHist) > 0 {
 		deepest = strconv.Itoa(len(s.CascadeHist) - 1)
 	}
 	return append(rec, topPair, topDooms, deepest,
-		strconv.FormatUint(s.QuantumGrants, 10),
-		strconv.FormatUint(s.QuantumTicks, 10),
-		strconv.FormatUint(s.QuantumRollbacks, 10),
-		strconv.FormatUint(s.QuantumRollbackTicks, 10),
-		strconv.FormatUint(s.PhaseTransitions, 10),
-		strconv.FormatUint(s.PhaseHWCycles, 10),
-		strconv.FormatUint(s.PhaseSWCycles, 10),
-		strconv.FormatUint(s.PhaseGLOCKCycles, 10))
+		u(s.QuantumGrants), u(s.QuantumTicks), u(s.QuantumRollbacks), u(s.QuantumRollbackTicks),
+		u(s.PhaseTransitions), u(s.PhaseHWCycles), u(s.PhaseSWCycles), u(s.PhaseGLOCKCycles))
 }
 
-// WriteCSV renders the timeline as CSV, one row per interval.
+// WriteCSV renders a timeline as CSV, one row per interval.
 func WriteCSV(w io.Writer, snaps []Snapshot) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(CSVHeader()); err != nil {
@@ -102,7 +91,7 @@ func WriteCSV(w io.Writer, snaps []Snapshot) error {
 	return cw.Error()
 }
 
-// WriteJSONL renders the timeline as JSON Lines, one snapshot per line.
+// WriteJSONL renders a timeline as JSON Lines, one snapshot per line.
 func WriteJSONL(w io.Writer, snaps []Snapshot) error {
 	enc := json.NewEncoder(w)
 	for _, s := range snaps {
@@ -112,6 +101,8 @@ func WriteJSONL(w io.Writer, snaps []Snapshot) error {
 	}
 	return nil
 }
+
+// --- Event log ---
 
 // chromeEvent is one entry of the Chrome trace-event format (the JSON
 // array flavour readable by chrome://tracing and Perfetto). Field order
@@ -129,108 +120,276 @@ type chromeEvent struct {
 
 // WriteChromeTrace synthesizes a Chrome trace-event JSON document from
 // the retained event log: begin→commit/abort windows become duration
-// ("X") slices per hardware thread, fall-backs and lock operations become
-// instant events, threshold re-tunings become counter ("C") tracks, and
-// scheme recomputations become instants carrying the pair count. Virtual
-// cycles are mapped 1:1 onto the format's microsecond timestamps.
-func WriteChromeTrace(w io.Writer, events []trace.Event) error {
+// ("X") slices per hardware thread, threshold re-tunings become counter
+// ("C") tracks, and every other kind becomes an instant event carrying its
+// payload. Virtual cycles are mapped 1:1 onto the format's microsecond
+// timestamps.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	if r == nil || len(r.ring.events) == 0 {
+		return errNoEvents
+	}
 	type openTx struct {
 		start uint64
 		tx    int16
 		live  bool
 	}
+	events := r.Events()
 	open := map[int16]*openTx{}
 	out := make([]chromeEvent, 0, len(events))
 	for _, e := range events {
-		hw := int(e.HW)
+		// Most kinds render as a thread-scoped instant; the cases below
+		// fill in the name and arguments, or emit something else entirely.
+		ce := chromeEvent{Name: e.Kind.String(), Ph: "i", Ts: e.Cycle, Tid: int(e.HW), S: "t"}
 		switch e.Kind {
-		case trace.EvBegin:
+		case EvBegin:
 			open[e.HW] = &openTx{start: e.Cycle, tx: e.TxID, live: true}
-		case trace.EvCommit, trace.EvAbort:
-			name := fmt.Sprintf("tx%d", e.TxID)
-			args := map[string]any{"outcome": e.Kind.String()}
-			if e.Kind == trace.EvAbort {
-				args["status"] = fmt.Sprintf("%#x", e.Detail)
+			continue
+		case EvCommit, EvAbort:
+			ce.Name = fmt.Sprintf("tx%d", e.TxID)
+			ce.Args = map[string]any{"outcome": e.Kind.String()}
+			if e.Kind == EvAbort {
+				ce.Args["status"] = fmt.Sprintf("%#x", e.Detail)
 			}
+			// When the begin fell out of the ring buffer the outcome stays
+			// an instant, so the tail of the log still renders.
 			if o := open[e.HW]; o != nil && o.live && o.tx == e.TxID {
 				o.live = false
-				out = append(out, chromeEvent{
-					Name: name, Ph: "X", Ts: o.start, Dur: e.Cycle - o.start,
-					Pid: 0, Tid: hw, Args: args,
-				})
-			} else {
-				// The begin fell out of the ring buffer: keep the outcome
-				// as an instant so the tail of the log still renders.
-				out = append(out, chromeEvent{
-					Name: name, Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "t", Args: args,
-				})
+				ce.Ph, ce.S, ce.Ts, ce.Dur = "X", "", o.start, e.Cycle-o.start
 			}
-		case trace.EvFallback:
-			out = append(out, chromeEvent{
-				Name: "sgl-fallback", Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "t",
-				Args: map[string]any{"tx": e.TxID},
-			})
-		case trace.EvLockAcq, trace.EvLockRel:
-			name := "lock-release"
-			if e.Kind == trace.EvLockAcq {
-				name = "lock-acquire"
+		case EvFallback:
+			ce.Name, ce.Args = "sgl-fallback", map[string]any{"tx": e.TxID}
+		case EvLockAcq, EvLockRel:
+			ce.Name = "lock-release"
+			if e.Kind == EvLockAcq {
+				ce.Name = "lock-acquire"
 			}
 			kind := "tx"
-			if e.Detail2 != 0 {
+			if LockKind(e.Detail2) != LockTx {
 				kind = "core"
 			}
-			out = append(out, chromeEvent{
-				Name: name, Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "t",
-				Args: map[string]any{"lock": e.Detail, "kind": kind},
-			})
-		case trace.EvWait:
-			out = append(out, chromeEvent{
-				Name: "wait", Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "t",
-				Args: map[string]any{"tx": e.TxID},
-			})
-		case trace.EvScheme:
-			out = append(out, chromeEvent{
-				Name: "scheme-update", Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "p",
-				Args: map[string]any{"pairs": e.Detail},
-			})
-		case trace.EvTune:
-			out = append(out, chromeEvent{
-				Name: "thresholds", Ph: "C", Ts: e.Cycle, Pid: 0, Tid: hw,
-				Args: map[string]any{
-					"th1": float64(math.Float32frombits(e.Detail)),
-					"th2": float64(math.Float32frombits(e.Detail2)),
-				},
-			})
-		case trace.EvPhase:
-			// Phased-TM mode transition: Detail is the new mode, Detail2
-			// the old one (0=HW, 1=SW, 2=GLOCK). Process-scoped instant so
-			// the global mode change reads as a vertical line in Perfetto.
-			out = append(out, chromeEvent{
-				Name: "phase", Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "p",
-				Args: map[string]any{"to": e.Detail, "from": e.Detail2},
-			})
-		case trace.EvDoom:
-			// Attribution event from internal/txtrace: Detail is the
-			// conflicting line, Detail2 packs the aborter (hw, block).
-			out = append(out, chromeEvent{
-				Name: "doom", Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "t",
-				Args: map[string]any{
-					"victim_tx":     e.TxID,
-					"line":          e.Detail,
-					"aborter_hw":    int16(e.Detail2 >> 16),
-					"aborter_block": int16(e.Detail2 & 0xFFFF),
-				},
-			})
-		default:
-			out = append(out, chromeEvent{
-				Name: e.Kind.String(), Ph: "i", Ts: e.Cycle, Pid: 0, Tid: hw, S: "t",
-			})
+			ce.Args = map[string]any{"lock": e.Detail, "kind": kind}
+		case EvWait:
+			ce.Args = map[string]any{"tx": e.TxID}
+		case EvScheme:
+			ce.Name, ce.S, ce.Args = "scheme-update", "p", map[string]any{"pairs": e.Detail}
+		case EvTune:
+			ce.Name, ce.Ph, ce.S = "thresholds", "C", ""
+			ce.Args = map[string]any{
+				"th1": float64(math.Float32frombits(e.Detail)),
+				"th2": float64(math.Float32frombits(e.Detail2)),
+			}
+		case EvPhase:
+			// Process-scoped, so the global mode change (0=HW, 1=SW,
+			// 2=GLOCK) reads as a vertical line in Perfetto.
+			ce.S, ce.Args = "p", map[string]any{"to": e.Detail, "from": e.Detail2}
+		case EvDoom:
+			hw, block := UnpackAborter(e.Detail2)
+			ce.Args = map[string]any{
+				"victim_tx": e.TxID, "line": e.Detail, "aborter_hw": hw, "aborter_block": block,
+			}
 		}
+		out = append(out, ce)
 	}
 	doc := struct {
 		TraceEvents     []chromeEvent `json:"traceEvents"`
 		DisplayTimeUnit string        `json:"displayTimeUnit"`
 	}{TraceEvents: out, DisplayTimeUnit: "ns"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	return json.NewEncoder(w).Encode(doc)
+}
+
+// --- Attempt spans ---
+
+// spanThreads returns the handles whose spans the span exporters walk, or
+// an error when span retention is off.
+func (r *Recorder) spanThreads() ([]Thread, error) {
+	if a := r.attribution(); a == nil || !a.spans {
+		return nil, errNoSpans
+	}
+	return r.threads, nil
+}
+
+// writeAbortArgs renders the abort-only JSON members shared by both span
+// exporters; hand-rolled so field order and number formatting are stable
+// across Go versions.
+func writeAbortArgs(w io.Writer, sp Span) {
+	if sp.Outcome != OutcomeAbort {
+		return
+	}
+	fmt.Fprintf(w, `,"status":"%#x","depth":%d`, sp.Status, sp.Depth)
+	if sp.Line != NoLine {
+		fmt.Fprintf(w, `,"aborter_hw":%d,"aborter_block":%d,"line":%d`, sp.AborterHW, sp.AborterBlock, sp.Line)
+	}
+}
+
+// WriteSpansJSONL writes every retained attempt span as one JSON object
+// per line, ordered by (hardware thread, begin cycle) — the per-thread
+// buffers are already chronological.
+func (r *Recorder) WriteSpansJSONL(w io.Writer) error {
+	threads, err := r.spanThreads()
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	for i := range threads {
+		for _, sp := range threads[i].spans {
+			fmt.Fprintf(bw, `{"begin":%d,"end":%d,"hw":%d,"block":%d,"retry":%d,"outcome":%q`,
+				sp.Begin, sp.End, sp.HW, sp.Block, sp.Retry, sp.Outcome.String())
+			writeAbortArgs(bw, sp)
+			fmt.Fprintln(bw, "}")
+		}
+	}
+	return bw.Flush()
+}
+
+// WriteChromeSpans renders the attempt spans as Chrome trace-event
+// complete events ("X" phase), one track per hardware thread, loadable
+// in chrome://tracing or Perfetto. Abort spans carry the attribution in
+// args.
+func (r *Recorder) WriteChromeSpans(w io.Writer) error {
+	threads, err := r.spanThreads()
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, `{"traceEvents":[`)
+	first := true
+	for i := range threads {
+		for _, sp := range threads[i].spans {
+			if !first {
+				fmt.Fprintln(bw, ",")
+			}
+			first = false
+			dur := max(sp.End-sp.Begin, 1)
+			fmt.Fprintf(bw,
+				`{"name":"tx%d/%s","cat":"attempt","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"retry":%d`,
+				sp.Block, sp.Outcome.String(), sp.Begin, dur, sp.HW, sp.Retry)
+			writeAbortArgs(bw, sp)
+			fmt.Fprint(bw, `}}`)
+		}
+	}
+	fmt.Fprintln(bw, "\n]}")
+	return bw.Flush()
+}
+
+// --- Attribution ---
+
+// WriteDOT renders the ground-truth conflict graph in Graphviz DOT form:
+// one node per atomic block that participated in a conflict, one
+// directed edge aborter→victim weighted by the doom count. Deterministic
+// output (nodes and edges in ascending block order).
+func (r *Recorder) WriteDOT(w io.Writer) error {
+	a := r.attribution()
+	if a == nil {
+		return errNoAttribution
+	}
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "digraph conflicts {")
+	fmt.Fprintln(bw, "  rankdir=LR;")
+	fmt.Fprintln(bw, "  node [shape=box];")
+	n := a.nBlocks
+	used := make([]bool, n)
+	var maxW uint64
+	for v := 0; v < n; v++ {
+		for ab := 0; ab < n; ab++ {
+			if w := a.truth[v*n+ab]; w > 0 {
+				used[v], used[ab] = true, true
+				maxW = max(maxW, w)
+			}
+		}
+	}
+	for b := 0; b < n; b++ {
+		if used[b] {
+			fmt.Fprintf(bw, "  tx%d [label=\"block %d\"];\n", b, b)
+		}
+	}
+	for ab := 0; ab < n; ab++ {
+		for v := 0; v < n; v++ {
+			w := a.truth[v*n+ab]
+			if w == 0 {
+				continue
+			}
+			// Pen width scales with relative weight so hot edges pop.
+			pw := 1 + 4*float64(w)/float64(maxW)
+			fmt.Fprintf(bw, "  tx%d -> tx%d [label=\"%d\", penwidth=%.2f];\n", ab, v, w, pw)
+		}
+	}
+	fmt.Fprintln(bw, "}")
+	return bw.Flush()
+}
+
+// WriteExplain renders the attribution digest behind `seerstat -explain`:
+// the top-K aborting block pairs with ground-truth attribution, the
+// hottest conflicting cache lines, the per-cause abort counts per block,
+// the cascade-depth histogram, and — when the scorer ran — the final
+// precision/recall of Seer's learned locks against truth.
+func (r *Recorder) WriteExplain(w io.Writer, topK int) error {
+	a := r.attribution()
+	if a == nil {
+		return errNoAttribution
+	}
+	if topK <= 0 {
+		topK = 10
+	}
+
+	fmt.Fprintf(w, "attributed aborts: %d\n", a.attributed)
+
+	fmt.Fprintf(w, "top conflicting block pairs (victim <- aborter):\n")
+	pairs := r.TopPairs(topK)
+	if len(pairs) == 0 {
+		fmt.Fprintln(w, "  (none)")
+	}
+	for _, p := range pairs {
+		fmt.Fprintf(w, "  tx%-3d <- tx%-3d  %8d dooms\n", p.Victim, p.Aborter, p.Count)
+	}
+
+	fmt.Fprintf(w, "hot conflict lines:\n")
+	lines := r.TopLines(topK)
+	if len(lines) == 0 {
+		fmt.Fprintln(w, "  (none)")
+	}
+	for _, l := range lines {
+		fmt.Fprintf(w, "  line %-8d %8d dooms\n", l.Line, l.Count)
+	}
+
+	fmt.Fprintf(w, "aborts by cause x victim block:\n")
+	for cause, name := range CauseNames {
+		row := a.causeBlock[cause*a.nBlocks : (cause+1)*a.nBlocks]
+		var total uint64
+		for _, v := range row {
+			total += v
+		}
+		if total == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "  %-9s total=%d", name, total)
+		for b, v := range row {
+			if v > 0 {
+				fmt.Fprintf(w, " tx%d=%d", b, v)
+			}
+		}
+		fmt.Fprintln(w)
+	}
+
+	fmt.Fprintf(w, "cascade depth histogram:\n")
+	last := 0
+	for d, v := range a.cascadeHist {
+		if v > 0 {
+			last = d
+		}
+	}
+	for d := 0; d <= last; d++ {
+		label := fmt.Sprintf("%d", d)
+		if d == MaxCascadeDepth {
+			label = fmt.Sprintf("%d+", d)
+		}
+		fmt.Fprintf(w, "  depth %-3s %8d\n", label, a.cascadeHist[d])
+	}
+
+	if snaps := r.quality; len(snaps) > 0 {
+		fin := snaps[len(snaps)-1]
+		fmt.Fprintf(w, "inference quality (final of %d snapshots):\n", len(snaps))
+		fmt.Fprintf(w, "  true pairs=%d predicted=%d tp=%d precision=%.3f recall=%.3f rank-divergence=%.3f\n",
+			fin.TruePairs, fin.PredictedPairs, fin.TP, fin.Precision, fin.Recall, fin.RankDivergence)
+	}
+	return nil
 }

@@ -1,4 +1,4 @@
-package txtrace
+package telemetry
 
 import (
 	"sort"
@@ -6,18 +6,11 @@ import (
 	"seer/internal/stats"
 )
 
-// InferenceProbe fills dst with a snapshot of the scheduler's learned
-// commit/abort matrices (including counts not yet drained into the
-// merged view) and returns the live locking scheme — row x lists the
-// lock ids block x acquires. The system wires this to
-// core.Seer.SnapshotLearned; the collector calls it synchronously from
-// the engine goroutine, so no locking is needed.
-type InferenceProbe func(dst *stats.Matrices) [][]int
-
 // QualitySnapshot is one point of the inference-quality trajectory:
 // Seer's learned locking scheme scored against the ground-truth conflict
 // matrix accumulated so far (cumulative, not per-interval — the learner
-// itself is cumulative).
+// itself is cumulative). It is cut at the same boundary as the timeline's
+// Snapshot of the same index.
 type QualitySnapshot struct {
 	Index    int    `json:"index"`
 	EndCycle uint64 `json:"end_cycle"`
@@ -39,66 +32,6 @@ type QualitySnapshot struct {
 	Attributed uint64 `json:"attributed"`
 }
 
-// quality is the collector's inference-introspection state.
-type quality struct {
-	probe    InferenceProbe
-	interval uint64
-	nextCut  uint64
-	learned  *stats.Matrices // scratch, refilled per snapshot
-	snaps    []QualitySnapshot
-}
-
-// SetProbe installs the scheduler introspection hook and arms snapshot
-// cutting. Without a probe the collector accumulates truth but records
-// no quality trajectory.
-func (c *Collector) SetProbe(p InferenceProbe) {
-	if c == nil {
-		return
-	}
-	c.qual.probe = p
-	if p != nil && c.qual.learned == nil {
-		c.qual.learned = stats.NewMatrices(c.nBlocks)
-	}
-}
-
-// SetInterval sets the virtual-time period between quality snapshots
-// (0 disables periodic cuts; Flush still records a final one).
-func (c *Collector) SetInterval(interval uint64) {
-	if c == nil {
-		return
-	}
-	c.qual.interval = interval
-	c.qual.nextCut = interval
-}
-
-// OnTick advances the snapshot clock; the system chains it after the
-// telemetry recorder's tick hook.
-func (c *Collector) OnTick(now uint64) {
-	if c == nil || c.qual.probe == nil || c.qual.interval == 0 {
-		return
-	}
-	for now >= c.qual.nextCut {
-		c.cut(c.qual.nextCut)
-		c.qual.nextCut += c.qual.interval
-	}
-}
-
-// Flush records the final quality snapshot at end-of-run.
-func (c *Collector) Flush(end uint64) {
-	if c == nil || c.qual.probe == nil {
-		return
-	}
-	c.cut(end)
-}
-
-// Quality returns the recorded trajectory.
-func (c *Collector) Quality() []QualitySnapshot {
-	if c == nil {
-		return nil
-	}
-	return c.qual.snaps
-}
-
 // pairKey canonicalizes an unordered block pair (x ≤ y).
 func pairKey(x, y, n int) int {
 	if x > y {
@@ -107,19 +40,19 @@ func pairKey(x, y, n int) int {
 	return x*n + y
 }
 
-// cut scores the current learned scheme against the truth accumulated so
-// far and appends a snapshot. Runs only when introspection is enabled,
-// so it may allocate.
-func (c *Collector) cut(endCycle uint64) {
-	q := &c.qual
-	scheme := q.probe(q.learned)
-	n := c.nBlocks
+// cutQuality scores the current learned scheme against the truth
+// accumulated so far and appends a snapshot ending at end. It runs only
+// with the scorer on, so it may allocate.
+func (r *Recorder) cutQuality(end uint64) {
+	a := r.attr
+	scheme := r.opt.Learned(r.learned)
+	n := a.nBlocks
 
 	truth := map[int]uint64{}
 	for v := 0; v < n; v++ {
-		for a := 0; a < n; a++ {
-			if w := c.truth[v*n+a]; w > 0 {
-				truth[pairKey(v, a, n)] += w
+		for ab := 0; ab < n; ab++ {
+			if w := a.truth[v*n+ab]; w > 0 {
+				truth[pairKey(v, ab, n)] += w
 			}
 		}
 	}
@@ -142,12 +75,12 @@ func (c *Collector) cut(endCycle uint64) {
 		}
 	}
 	snap := QualitySnapshot{
-		Index:          len(q.snaps),
-		EndCycle:       endCycle,
+		Index:          len(r.quality),
+		EndCycle:       end,
 		TruePairs:      len(truth),
 		PredictedPairs: len(predicted),
 		TP:             tp,
-		Attributed:     c.attributed,
+		Attributed:     a.attributed,
 	}
 	if len(predicted) > 0 {
 		snap.Precision = float64(tp) / float64(len(predicted))
@@ -155,8 +88,8 @@ func (c *Collector) cut(endCycle uint64) {
 	if len(truth) > 0 {
 		snap.Recall = float64(tp) / float64(len(truth))
 	}
-	snap.RankDivergence = rankDivergence(truth, q.learned, n)
-	q.snaps = append(q.snaps, snap)
+	snap.RankDivergence = rankDivergence(truth, r.learned, n)
+	r.quality = append(r.quality, snap)
 }
 
 // rankDivergence compares how the ground truth and the learner order the

@@ -1,401 +1,170 @@
-// Package telemetry provides the runtime's interval-metrics layer: a
-// per-thread-sharded, single-writer set of counters that the machine's
-// tick loop samples on a fixed virtual-time interval. Because sampling is
-// driven by the deterministic simulator clock, the resulting timeline is
-// bit-for-bit reproducible for a fixed seed, which makes it usable both
-// for observing a live run (seerstat -timeline) and for regression-testing
-// scheduler dynamics.
+// Package telemetry is the TM runtime's observability recorder. The
+// runtime reports what happens — block enter/exit, attempt begin, commit
+// and abort, fall-backs, waits, lock operations, scheme updates — through
+// one nil-safe per-thread handle (Thread), one call per site; the Recorder
+// fans each event out to the sinks the configuration switched on:
 //
-// The layer is built so that disabling it costs nothing on the hot path:
-// every mutator is a method on a possibly-nil *Shard (one predictable
-// branch, no allocation), mirroring the trace.Log convention.
+//   - the event log: a bounded ring of the most recent events
+//     (Options.RingCapacity; events.go);
+//   - the timeline: per-thread counters diffed into one Snapshot per
+//     virtual-time interval (Options.Interval; timeline.go);
+//   - attempt spans: one Span per attempt or fall-back, with ground-truth
+//     abort attribution (Options.Spans; attribution.go);
+//   - attribution: the block×block ground-truth conflict matrix, aborts by
+//     cause and block, cascade depths and hot lines, fed by the HTM's doom
+//     hook at the conflict registry's clash point (Options.Attribution,
+//     implied by Spans; attribution.go);
+//   - the inference-quality scorer: Seer's learned locking scheme scored
+//     against that ground truth at every interval boundary (on with
+//     attribution when Options.Learned is set; quality.go).
+//
+// One interval clock (BeginRun/OnTick/Flush) drives the timeline and the
+// scorer, so a Snapshot and a QualitySnapshot always share their boundary.
+// The clock is the simulator's deterministic virtual time, so every export
+// is bit-for-bit reproducible for a fixed seed; recording never advances
+// that clock, so schedules are identical with any sink on or off. With no
+// sink on the system keeps a nil Recorder, every handle is nil, and each
+// site costs one nil check. The engine runs all simulated threads on one goroutine, so
+// nothing here is synchronized.
 package telemetry
 
-import "seer/internal/topology"
+import (
+	"math"
 
-// Commit-mode slots mirrored from internal/policy. telemetry sits below
-// policy in the import graph, so the indices are declared here and policy
-// asserts (in its tests) that they line up with its Mode enum.
-const (
-	ModeHTM = iota
-	ModeHTMAux
-	ModeHTMTx
-	ModeHTMCore
-	ModeHTMTxCore
-	ModeSGL
-	ModeSTM
-	NumModes
-	// MaxModes fixes the array size so adding a mode is a compile-time
-	// event here rather than a silent truncation.
-	MaxModes = 8
+	"seer/internal/htm"
+	"seer/internal/mem"
+	"seer/internal/stats"
+	"seer/internal/topology"
 )
 
-// ModeNames are the CSV/JSONL column names per mode slot.
-var ModeNames = [NumModes]string{"htm", "htm_aux", "htm_tx", "htm_core", "htm_tx_core", "sgl", "stm"}
+// LockKind tags EvLockAcq/EvLockRel/EvWait events with the kind of
+// scheduler lock involved. Waits on the single-global lock carry 0.
+type LockKind uint32
 
-// Cause classifies hardware aborts for the per-interval breakdown,
-// mirroring the priority order of htm's counter accounting.
-type Cause int
-
-// Abort causes.
+// Lock kinds.
 const (
-	CauseConflict Cause = iota
-	CauseCapacity
-	CauseExplicit
-	CauseSpurious
-	CauseOther
-	NumCauses
+	LockTx   LockKind = iota // a Seer transaction (or object-stripe) lock
+	LockCore                 // a Seer physical-core lock
 )
 
-// CauseNames are the CSV/JSONL column names per abort cause.
-var CauseNames = [NumCauses]string{"conflict", "capacity", "explicit", "spurious", "other"}
+// defaultPeriod is the interval clock's period when the timeline is off
+// but the inference-quality scorer still needs boundaries.
+const defaultPeriod = 1 << 16
 
-// Shard is one hardware thread's counter block. Exactly one thread writes
-// it (the engine serializes execution), and the recorder reads all shards
-// only at scheduling points, so no synchronization is needed. A nil *Shard
-// is a valid, disabled shard: every mutator is a no-op.
-type Shard struct {
-	Modes       [MaxModes]uint64
-	Attempts    uint64
-	Aborts      [NumCauses]uint64
-	Fallbacks   uint64
-	LockWait    uint64 // cycles spent spinning on locks (SGL, tx, core)
-	ParkSkipped uint64 // lock-wait cycles fast-forwarded by parking (subset of LockWait)
+// Options configures a Recorder. The four sink switches mirror the
+// seer.Config fields of the same meaning; the sources are sampled at
+// every interval boundary and left nil when the system has nothing to
+// sample.
+type Options struct {
+	Threads  int               // hardware threads (one handle each)
+	Blocks   int               // atomic blocks
+	Topology topology.Topology // per-socket timeline breakdown when Sockets > 1
 
-	// BackoffWaits and BackoffCycles count the randomized backoff sleeps
-	// of the Backoff policy (waits issued, total cycles slept). Zero for
-	// every other policy.
-	BackoffWaits  uint64
-	BackoffCycles uint64
+	RingCapacity int    // event log: retain the most recent N events (0 = off)
+	Interval     uint64 // timeline: snapshot period in cycles (0 = off)
+	Spans        bool   // retain per-attempt spans (implies Attribution)
+	Attribution  bool   // ground-truth attribution accumulators
+
+	// IgnoredLines are excluded from the conflict matrix and the hot-line
+	// ranking. The system lists the single-global-lock word: every attempt
+	// subscribes to it, so its conflicts describe the fall-back protocol,
+	// not the workload's data.
+	IgnoredLines []mem.Line
+
+	// Scheduler returns Seer's current thresholds, the locking scheme's
+	// pair count and the cumulative count of allocation-free scheme updates.
+	Scheduler func() (th1, th2 float64, schemePairs int, schemeReuse uint64)
+	// Quantum returns the engine's cumulative speculative-quantum counters.
+	Quantum func() (grants, ticks, rollbacks, rollbackTicks uint64)
+	// Phase returns the phased-TM runtime's cumulative mode transitions and
+	// per-phase occupancy (HW, SW, GLOCK) as of virtual time now.
+	Phase func(now uint64) (transitions uint64, occupancy [3]uint64)
+	// Learned fills dst with Seer's learned commit/abort statistics and
+	// returns the live locking scheme (row x lists the lock ids block x
+	// acquires); it arms the inference-quality scorer.
+	Learned func(dst *stats.Matrices) [][]int
 }
 
-// IncMode counts a commit in mode slot m.
-func (s *Shard) IncMode(m int) {
-	if s == nil {
-		return
-	}
-	s.Modes[m]++
-}
-
-// IncAttempt counts an issued hardware transaction.
-func (s *Shard) IncAttempt() {
-	if s == nil {
-		return
-	}
-	s.Attempts++
-}
-
-// IncAbort counts a hardware abort by cause.
-func (s *Shard) IncAbort(c Cause) {
-	if s == nil {
-		return
-	}
-	s.Aborts[c]++
-}
-
-// IncFallback counts a single-global-lock acquisition.
-func (s *Shard) IncFallback() {
-	if s == nil {
-		return
-	}
-	s.Fallbacks++
-}
-
-// AddLockWait adds cycles spent waiting on locks.
-func (s *Shard) AddLockWait(cycles uint64) {
-	if s == nil {
-		return
-	}
-	s.LockWait += cycles
-}
-
-// AddBackoff counts one randomized backoff wait of the given length.
-func (s *Shard) AddBackoff(cycles uint64) {
-	if s == nil {
-		return
-	}
-	s.BackoffWaits++
-	s.BackoffCycles += cycles
-}
-
-// AddParkSkipped adds lock-wait cycles that the engine fast-forwarded by
-// parking the thread instead of simulating its spin iterations. These
-// cycles are a subset of LockWait: they still elapse on the virtual clock,
-// but cost no host time.
-func (s *Shard) AddParkSkipped(cycles uint64) {
-	if s == nil {
-		return
-	}
-	s.ParkSkipped += cycles
-}
-
-// SocketCounters is one socket's share of a Snapshot, populated only on
-// multi-socket topologies (see Recorder.SetTopology).
-type SocketCounters struct {
-	Socket   int    `json:"socket"`
-	Commits  uint64 `json:"commits"`
-	Attempts uint64 `json:"attempts"`
-	Aborts   uint64 `json:"aborts"`
-	LockWait uint64 `json:"lock_wait_cycles"`
-}
-
-// Snapshot is the aggregate over one sampling interval, plus the
-// scheduler's control state at the interval boundary.
-type Snapshot struct {
-	Index      int    `json:"index"`
-	StartCycle uint64 `json:"start_cycle"`
-	EndCycle   uint64 `json:"end_cycle"`
-
-	Commits     uint64            `json:"commits"`
-	Modes       [MaxModes]uint64  `json:"modes"`
-	Attempts    uint64            `json:"attempts"`
-	Aborts      [NumCauses]uint64 `json:"aborts"`
-	Fallbacks   uint64            `json:"fallbacks"`
-	LockWait    uint64            `json:"lock_wait_cycles"`
-	ParkSkipped uint64            `json:"park_skipped_cycles"`
-
-	// BackoffWaits and BackoffCycles mirror the Backoff policy's
-	// randomized sleeps in the interval; always zero (and omitted from
-	// JSON) under every other policy, keeping pre-backoff timeline
-	// outputs byte-identical.
-	BackoffWaits  uint64 `json:"backoff_waits,omitempty"`
-	BackoffCycles uint64 `json:"backoff_cycles,omitempty"`
-
-	// Quantum* mirror the engine's speculative-quantum activity in the
-	// interval (machine.Engine.QuantumCounters, diffed by the recorder):
-	// quanta granted, pure ticks journaled, rollbacks, and journaled ticks
-	// discarded by rollbacks. All zero — and omitted from JSON — unless
-	// speculation is enabled and a quantum probe is installed, keeping
-	// pre-quantum timeline outputs byte-identical.
-	QuantumGrants        uint64 `json:"quantum_grants,omitempty"`
-	QuantumTicks         uint64 `json:"quantum_ticks,omitempty"`
-	QuantumRollbacks     uint64 `json:"quantum_rollbacks,omitempty"`
-	QuantumRollbackTicks uint64 `json:"quantum_rollback_ticks,omitempty"`
-
-	// Phase* mirror the phased-TM runtime's global execution mode over
-	// the interval: mode transitions that happened in it, and how the
-	// interval's cycles split across the HW/SW/GLOCK phases (diffed from
-	// the policy's cumulative occupancy by the recorder). All zero — and
-	// omitted from JSON — unless the Phased policy installed a phase
-	// probe, keeping pre-phase timeline outputs byte-identical.
-	PhaseTransitions uint64 `json:"phase_transitions,omitempty"`
-	PhaseHWCycles    uint64 `json:"phase_hw_cycles,omitempty"`
-	PhaseSWCycles    uint64 `json:"phase_sw_cycles,omitempty"`
-	PhaseGLOCKCycles uint64 `json:"phase_glock_cycles,omitempty"`
-
-	// Sockets breaks the interval down per socket on multi-socket
-	// machines; nil (and omitted from JSON) on single-socket machines,
-	// which keeps pre-topology timeline outputs byte-identical.
-	Sockets []SocketCounters `json:"sockets,omitempty"`
-
-	// ConflictPairs are the interval's heaviest ground-truth conflict
-	// edges (victim block ← aborter block, by doom count) and CascadeHist
-	// its abort cascade-depth histogram (trailing zeroes trimmed). Both
-	// are nil — and omitted from JSON — unless the attribution subsystem
-	// is on (Config.AttributionCounters), keeping pre-attribution
-	// timeline outputs byte-identical.
-	ConflictPairs []PairCount `json:"conflict_pairs,omitempty"`
-	CascadeHist   []uint64    `json:"cascade_hist,omitempty"`
-
-	// Scheduler state sampled at EndCycle (zero unless a probe is set,
-	// i.e. for non-Seer policies).
-	Th1         float64 `json:"th1"`
-	Th2         float64 `json:"th2"`
-	SchemePairs int     `json:"scheme_pairs"`
-	// SchemeReuse counts scheme updates in the interval that completed
-	// without growing any row (the allocation-free steady state).
-	SchemeReuse uint64 `json:"scheme_reuse_hits"`
-}
-
-// Cycles returns the interval's length in virtual cycles.
-func (s Snapshot) Cycles() uint64 { return s.EndCycle - s.StartCycle }
-
-// Throughput returns commits per 1000 virtual cycles in the interval.
-func (s Snapshot) Throughput() float64 {
-	if s.EndCycle == s.StartCycle {
-		return 0
-	}
-	return 1000 * float64(s.Commits) / float64(s.Cycles())
-}
-
-// AbortRate returns hardware aborts per issued hardware transaction in
-// the interval.
-func (s Snapshot) AbortRate() float64 {
-	if s.Attempts == 0 {
-		return 0
-	}
-	var aborts uint64
-	for _, a := range s.Aborts {
-		aborts += a
-	}
-	return float64(aborts) / float64(s.Attempts)
-}
-
-// totals is the cumulative sum over shards, used to diff intervals.
-type totals struct {
-	modes         [MaxModes]uint64
-	attempts      uint64
-	aborts        [NumCauses]uint64
-	fallbacks     uint64
-	lockWait      uint64
-	parkSkipped   uint64
-	backoffWaits  uint64
-	backoffCycles uint64
-}
-
-// Probe supplies the scheduler's control state at snapshot time: the
-// current thresholds, the locking scheme's pair count, and the cumulative
-// scheme-update reuse-hit counter (diffed per interval by the recorder).
-type Probe func() (th1, th2 float64, schemePairs int, schemeReuse uint64)
-
-// PairCount is one victim←aborter conflict edge with its doom count
-// (mirrors txtrace.PairCount; telemetry sits below txtrace in the import
-// graph, so the shape is declared in both and asserted equal in tests).
-type PairCount struct {
-	Victim  int    `json:"victim"`
-	Aborter int    `json:"aborter"`
-	Count   uint64 `json:"count"`
-}
-
-// QuantumProbe supplies the engine's cumulative speculative-quantum
-// counters at snapshot time (machine.Engine.QuantumCounters); the
-// recorder diffs them per interval.
-type QuantumProbe func() (grants, ticks, rollbacks, rollbackTicks uint64)
-
-// PhaseProbe supplies the phased-TM runtime's cumulative mode state as
-// of virtual time now: total mode transitions and per-phase occupancy
-// cycles (HW, SW, GLOCK — with the currently open phase segment credited
-// up to now). The recorder diffs both per interval.
-type PhaseProbe func(now uint64) (transitions uint64, occupancy [3]uint64)
-
-// AttrProbe supplies the attribution subsystem's cumulative state at
-// snapshot time: the flat victim-major ground-truth conflict matrix
-// (borrowed view, nBlocks×nBlocks) and the cumulative cascade-depth
-// histogram. The recorder diffs both per interval.
-type AttrProbe func() (truth []uint64, nBlocks int, cascade []uint64)
-
-// topConflictPairs is the number of conflict edges retained per snapshot.
-const topConflictPairs = 4
-
-// Recorder owns the shards and cuts snapshots at interval boundaries. A
-// nil *Recorder is a valid, disabled recorder.
+// Recorder is one system's observability state: the per-thread handles
+// and every sink. A nil *Recorder is a valid recorder with every sink off.
 type Recorder struct {
-	interval uint64
-	shards   []Shard
-	probe    Probe
+	opt     Options
+	threads []Thread
 
-	// socketOf maps each shard (hardware thread) to its socket; nil on
-	// single-socket machines, where per-socket breakdowns are skipped.
-	socketOf []int
-	sockets  int
-	prevSock []SocketCounters // cumulative per-socket totals at the last snapshot
+	ring     ring
+	attr     *attribution // nil unless Spans or Attribution
+	timeline timeline     // cut only when opt.Interval > 0
 
-	snaps     []Snapshot
-	prev      totals
-	prevReuse uint64 // probe's cumulative reuse counter at the last snapshot
-	start     uint64 // start cycle of the interval being accumulated
+	// The interval clock: [start, start+period) is the interval being
+	// accumulated; cuts counts the boundaries cut so far.
+	period uint64
+	start  uint64
+	cuts   int
 
-	// Speculative-quantum probe state: the engine's cumulative counters at
-	// the last snapshot, for interval diffs.
-	quantumProbe QuantumProbe
-	prevQuantum  [4]uint64
-
-	// Phase probe state: the phased policy's cumulative transition count
-	// and per-phase occupancy at the last snapshot, for interval diffs.
-	phaseProbe    PhaseProbe
-	prevPhase     [3]uint64
-	prevPhaseTran uint64
-
-	// Attribution probe state: cumulative truth matrix and cascade
-	// histogram at the last snapshot, for interval diffs.
-	attrProbe   AttrProbe
-	prevTruth   []uint64
-	prevCascade []uint64
+	learned *stats.Matrices // scorer scratch; nil when the scorer is off
+	quality []QualitySnapshot
 }
 
-// New creates a recorder cutting a snapshot every interval cycles for a
-// machine with threads hardware threads. interval must be positive.
-func New(interval uint64, threads int) *Recorder {
-	if interval == 0 {
-		panic("telemetry: interval must be positive (0 means disabled: use a nil Recorder)")
+// New builds the recorder for o. A system with no sink to switch on keeps
+// a nil *Recorder instead.
+func New(o Options) *Recorder {
+	o.Attribution = o.Attribution || o.Spans
+	r := &Recorder{opt: o, threads: make([]Thread, o.Threads), period: o.Interval}
+	for hw := range r.threads {
+		r.threads[hw] = Thread{rec: r, hw: int16(hw), block: -1}
 	}
-	return &Recorder{interval: interval, shards: make([]Shard, threads)}
-}
-
-// Interval returns the sampling interval in cycles (0 on a nil recorder).
-func (r *Recorder) Interval() uint64 {
-	if r == nil {
-		return 0
+	if o.RingCapacity > 0 {
+		r.ring.events = make([]Event, o.RingCapacity)
 	}
-	return r.interval
+	if o.Interval > 0 && o.Topology.Sockets > 1 {
+		r.timeline.prevSock = make([]counters, o.Topology.Sockets)
+	}
+	if o.Attribution {
+		r.attr = newAttribution(o)
+		if o.Interval > 0 {
+			r.timeline.prevTruth = make([]uint64, len(r.attr.truth))
+		}
+		if o.Learned != nil {
+			r.learned = stats.NewMatrices(o.Blocks)
+			if r.period == 0 {
+				r.period = defaultPeriod
+			}
+		}
+	}
+	return r
 }
 
-// Shard returns hardware thread hw's counter block (nil on a nil
-// recorder, yielding disabled no-op shards downstream).
-func (r *Recorder) Shard(hw int) *Shard {
+// Thread returns hardware thread hw's handle (nil on a nil recorder, so
+// every event downstream is a no-op).
+func (r *Recorder) Thread(hw int) *Thread {
 	if r == nil {
 		return nil
 	}
-	return &r.shards[hw]
+	return &r.threads[hw]
 }
 
-// SetProbe installs the scheduler-state probe.
-func (r *Recorder) SetProbe(p Probe) {
-	if r == nil {
-		return
+// --- The interval clock ---
+
+// TickHook returns the engine tick hook that drives the interval clock, or
+// nil when neither the timeline nor the scorer needs one.
+func (r *Recorder) TickHook() func(now uint64) {
+	if !r.clocked() {
+		return nil
 	}
-	r.probe = p
+	return r.OnTick
 }
 
-// SetQuantumProbe installs the speculative-quantum probe: every snapshot
-// from here on carries the interval's quantum grant/tick/rollback deltas.
-// Without it (the default, and whenever speculation is off) those fields
-// stay zero and timeline outputs are byte-identical to pre-quantum ones.
-func (r *Recorder) SetQuantumProbe(p QuantumProbe) {
-	if r == nil {
-		return
+// DoomHook returns the HTM doom hook (OnDoom), or nil when the attribution
+// sink is off.
+func (r *Recorder) DoomHook() func(victim, aborter int, ln mem.Line) {
+	if r.attribution() == nil {
+		return nil
 	}
-	r.quantumProbe = p
+	return r.OnDoom
 }
 
-// SetPhaseProbe installs the phased-TM mode probe: every snapshot from
-// here on carries the interval's mode-transition count and HW/SW/GLOCK
-// occupancy split. Without it (the default, and under every non-phased
-// policy) those fields stay zero and timeline outputs are byte-identical
-// to pre-phase ones.
-func (r *Recorder) SetPhaseProbe(p PhaseProbe) {
-	if r == nil {
-		return
-	}
-	r.phaseProbe = p
-}
-
-// SetAttribution installs the abort-attribution probe: every snapshot
-// from here on carries the interval's top conflict pairs and cascade
-// histogram. Without it (the default) those fields stay nil and timeline
-// outputs are byte-identical to pre-attribution ones.
-func (r *Recorder) SetAttribution(p AttrProbe) {
-	if r == nil {
-		return
-	}
-	r.attrProbe = p
-}
-
-// SetTopology enables per-socket counter breakdowns for a multi-socket
-// machine: every snapshot from here on carries a Sockets slice sharded
-// by topo.SocketOf. On single-socket topologies it is a no-op, so
-// single-socket timelines are identical with or without the call.
-func (r *Recorder) SetTopology(topo topology.Topology) {
-	if r == nil || topo.Sockets <= 1 {
-		return
-	}
-	r.sockets = topo.Sockets
-	r.socketOf = make([]int, len(r.shards))
-	for hw := range r.socketOf {
-		r.socketOf[hw] = topo.SocketOf(hw)
-	}
-	r.prevSock = make([]SocketCounters, topo.Sockets)
-}
+// clocked reports whether any sink consumes the interval clock.
+func (r *Recorder) clocked() bool { return r != nil && r.period != 0 }
 
 // BeginRun rewinds the interval origin to cycle 0. The engine resets the
 // virtual clocks at the start of every Run; cumulative counters carry
@@ -407,194 +176,226 @@ func (r *Recorder) BeginRun() {
 	r.start = 0
 }
 
-// OnTick is the engine's tick hook: now is the global virtual time (the
-// minimum clock over runnable threads, which is non-decreasing within a
-// run). It cuts one snapshot per fully elapsed interval.
+// OnTick advances the clock to now, the global virtual time (the minimum
+// clock over runnable threads, non-decreasing within a run), cutting one
+// boundary per fully elapsed interval.
 func (r *Recorder) OnTick(now uint64) {
-	if r == nil {
-		return
-	}
-	for now >= r.start+r.interval {
-		r.emit(r.start + r.interval)
+	for now >= r.start+r.period {
+		r.cut(r.start + r.period)
 	}
 }
 
-// Flush closes the timeline at end (the run's makespan): it cuts any
-// fully elapsed intervals and then a trailing partial interval. A run
-// shorter than one interval therefore still yields one snapshot.
+// Flush closes the run at end (its makespan): it cuts any fully elapsed
+// intervals and then a trailing partial one, so a run shorter than one
+// interval still yields one boundary.
 func (r *Recorder) Flush(end uint64) {
-	if r == nil {
+	if !r.clocked() {
 		return
 	}
 	r.OnTick(end)
-	if end > r.start || len(r.snaps) == 0 {
-		r.emit(end)
+	if end > r.start || r.cuts == 0 {
+		r.cut(end)
 	}
 }
 
-// emit cuts the snapshot [r.start, end).
-func (r *Recorder) emit(end uint64) {
-	cur := r.sum()
-	snap := Snapshot{Index: len(r.snaps), StartCycle: r.start, EndCycle: end}
-	for i := range cur.modes {
-		snap.Modes[i] = cur.modes[i] - r.prev.modes[i]
-		snap.Commits += snap.Modes[i]
+// cut closes the interval [r.start, end) in every clocked sink.
+func (r *Recorder) cut(end uint64) {
+	if r.opt.Interval > 0 {
+		r.cutSnapshot(end)
 	}
-	for i := range cur.aborts {
-		snap.Aborts[i] = cur.aborts[i] - r.prev.aborts[i]
+	if r.learned != nil {
+		r.cutQuality(end)
 	}
-	snap.Attempts = cur.attempts - r.prev.attempts
-	snap.Fallbacks = cur.fallbacks - r.prev.fallbacks
-	snap.LockWait = cur.lockWait - r.prev.lockWait
-	snap.ParkSkipped = cur.parkSkipped - r.prev.parkSkipped
-	snap.BackoffWaits = cur.backoffWaits - r.prev.backoffWaits
-	snap.BackoffCycles = cur.backoffCycles - r.prev.backoffCycles
-	if r.probe != nil {
-		var reuse uint64
-		snap.Th1, snap.Th2, snap.SchemePairs, reuse = r.probe()
-		snap.SchemeReuse = reuse - r.prevReuse
-		r.prevReuse = reuse
-	}
-	if r.quantumProbe != nil {
-		g, t, rb, rt := r.quantumProbe()
-		cum := [4]uint64{g, t, rb, rt}
-		snap.QuantumGrants = cum[0] - r.prevQuantum[0]
-		snap.QuantumTicks = cum[1] - r.prevQuantum[1]
-		snap.QuantumRollbacks = cum[2] - r.prevQuantum[2]
-		snap.QuantumRollbackTicks = cum[3] - r.prevQuantum[3]
-		r.prevQuantum = cum
-	}
-	if r.phaseProbe != nil {
-		tran, occ := r.phaseProbe(end)
-		snap.PhaseTransitions = tran - r.prevPhaseTran
-		snap.PhaseHWCycles = occ[0] - r.prevPhase[0]
-		snap.PhaseSWCycles = occ[1] - r.prevPhase[1]
-		snap.PhaseGLOCKCycles = occ[2] - r.prevPhase[2]
-		r.prevPhaseTran, r.prevPhase = tran, occ
-	}
-	if r.attrProbe != nil {
-		r.emitAttribution(&snap)
-	}
-	if r.socketOf != nil {
-		curSock := r.sumSockets()
-		snap.Sockets = make([]SocketCounters, r.sockets)
-		for s := range snap.Sockets {
-			snap.Sockets[s] = SocketCounters{
-				Socket:   s,
-				Commits:  curSock[s].Commits - r.prevSock[s].Commits,
-				Attempts: curSock[s].Attempts - r.prevSock[s].Attempts,
-				Aborts:   curSock[s].Aborts - r.prevSock[s].Aborts,
-				LockWait: curSock[s].LockWait - r.prevSock[s].LockWait,
-			}
-		}
-		r.prevSock = curSock
-	}
-	r.snaps = append(r.snaps, snap)
-	r.prev = cur
+	r.cuts++
 	r.start = end
 }
 
-// emitAttribution fills the snapshot's conflict-pair and cascade fields
-// with the interval's deltas against the attribution probe's cumulative
-// views.
-func (r *Recorder) emitAttribution(snap *Snapshot) {
-	truth, n, cascade := r.attrProbe()
-	if r.prevTruth == nil {
-		r.prevTruth = make([]uint64, len(truth))
-		r.prevCascade = make([]uint64, len(cascade))
-	}
-	// Top-K conflict edges by interval delta; insertion sort into a fixed
-	// K-slot buffer, ties broken by (victim, aborter) for determinism.
-	var top [topConflictPairs]PairCount
-	used := 0
-	for v := 0; v < n; v++ {
-		for a := 0; a < n; a++ {
-			d := truth[v*n+a] - r.prevTruth[v*n+a]
-			if d == 0 {
-				continue
-			}
-			pc := PairCount{Victim: v, Aborter: a, Count: d}
-			i := used
-			if i < topConflictPairs {
-				used++
-			} else if top[i-1].Count >= pc.Count {
-				continue
-			} else {
-				i--
-			}
-			for i > 0 && top[i-1].Count < pc.Count {
-				top[i] = top[i-1]
-				i--
-			}
-			top[i] = pc
-		}
-	}
-	if used > 0 {
-		snap.ConflictPairs = append([]PairCount(nil), top[:used]...)
-	}
-	copy(r.prevTruth, truth)
-
-	last := -1
-	for d := range cascade {
-		if cascade[d]-r.prevCascade[d] > 0 {
-			last = d
-		}
-	}
-	if last >= 0 {
-		hist := make([]uint64, last+1)
-		for d := 0; d <= last; d++ {
-			hist[d] = cascade[d] - r.prevCascade[d]
-		}
-		snap.CascadeHist = hist
-	}
-	copy(r.prevCascade, cascade)
-}
-
-// sumSockets folds the shards into cumulative per-socket totals.
-func (r *Recorder) sumSockets() []SocketCounters {
-	out := make([]SocketCounters, r.sockets)
-	for i := range r.shards {
-		s := &r.shards[i]
-		sc := &out[r.socketOf[i]]
-		for m := range s.Modes {
-			sc.Commits += s.Modes[m]
-		}
-		for c := range s.Aborts {
-			sc.Aborts += s.Aborts[c]
-		}
-		sc.Attempts += s.Attempts
-		sc.LockWait += s.LockWait
-	}
-	return out
-}
-
-// sum folds all shards into cumulative totals.
-func (r *Recorder) sum() totals {
-	var t totals
-	for i := range r.shards {
-		s := &r.shards[i]
-		for m := range s.Modes {
-			t.modes[m] += s.Modes[m]
-		}
-		for c := range s.Aborts {
-			t.aborts[c] += s.Aborts[c]
-		}
-		t.attempts += s.Attempts
-		t.fallbacks += s.Fallbacks
-		t.lockWait += s.LockWait
-		t.parkSkipped += s.ParkSkipped
-		t.backoffWaits += s.BackoffWaits
-		t.backoffCycles += s.BackoffCycles
-	}
-	return t
-}
-
-// Snapshots returns a copy of the recorded timeline.
-func (r *Recorder) Snapshots() []Snapshot {
+// Timeline returns a copy of the snapshots cut so far (nil when the
+// timeline is off). Snapshots of repeated runs accumulate.
+func (r *Recorder) Timeline() []Snapshot {
 	if r == nil {
 		return nil
 	}
-	out := make([]Snapshot, len(r.snaps))
-	copy(out, r.snaps)
-	return out
+	return append([]Snapshot(nil), r.timeline.snaps...)
+}
+
+// Quality returns the inference-quality trajectory recorded so far (nil
+// when the scorer is off).
+func (r *Recorder) Quality() []QualitySnapshot {
+	if r == nil {
+		return nil
+	}
+	return r.quality
+}
+
+// --- The per-thread handle ---
+
+// Thread is one hardware thread's recording handle; its methods are the
+// runtime's event vocabulary. A nil *Thread is a valid, disabled handle:
+// every method is a no-op costing one predictable branch. Methods taking
+// now stamp the event with that virtual time (the caller's clock).
+type Thread struct {
+	rec *Recorder
+	hw  int16
+	c   counters
+
+	// Episode state, written by the owning thread and read by OnDoom
+	// (which the engine serializes like any access).
+	block     int16  // current atomic block, -1 when idle
+	retry     uint8  // attempts completed in the current episode
+	inAttempt bool   // between AttemptBegin and its commit/abort
+	aborted   bool   // aborted at least once in the current episode
+	lastDepth uint16 // cascade depth of the episode's latest abort
+	begin     uint64 // begin cycle of the open attempt or fall-back
+	pend      pending
+	spans     []Span
+}
+
+// log appends an event to the event log; inBlock stamps it with the
+// thread's current atomic block, otherwise with -1.
+func (t *Thread) log(now uint64, kind Kind, inBlock bool, detail, detail2 uint32) {
+	if t == nil {
+		return
+	}
+	tx := int16(-1)
+	if inBlock {
+		tx = t.block
+	}
+	t.rec.ring.add(Event{Cycle: now, HW: t.hw, Kind: kind, TxID: tx, Detail: detail, Detail2: detail2})
+}
+
+// BlockEnter opens an atomic-block episode.
+func (t *Thread) BlockEnter(block int) {
+	if t == nil {
+		return
+	}
+	t.block = int16(block)
+	t.retry = 0
+	t.aborted = false
+	t.lastDepth = 0
+	t.pend.valid = false
+}
+
+// BlockExit closes the episode.
+func (t *Thread) BlockExit() {
+	if t == nil {
+		return
+	}
+	t.block = -1
+	t.inAttempt = false
+	t.aborted = false
+	t.pend.valid = false
+}
+
+// AttemptBegin records the start of a transaction attempt (hardware or
+// software commit path).
+func (t *Thread) AttemptBegin(now uint64) {
+	if t == nil {
+		return
+	}
+	t.c.attempts++
+	t.log(now, EvBegin, true, 0, 0)
+	t.begin = now
+	t.inAttempt = true
+	t.pend.valid = false
+}
+
+// AttemptCommit records that the open attempt committed.
+func (t *Thread) AttemptCommit(now uint64) {
+	if t == nil {
+		return
+	}
+	t.log(now, EvCommit, true, 0, 0)
+	t.closeAttempt(now, OutcomeCommit, 0)
+}
+
+// AttemptAbort records that the open attempt aborted with the given
+// status, consuming any attribution OnDoom parked for it.
+func (t *Thread) AttemptAbort(now uint64, status htm.Status) {
+	if t == nil {
+		return
+	}
+	t.c.aborts[status.Cause()]++
+	t.log(now, EvAbort, true, uint32(status), 0)
+	t.aborted = true
+	t.closeAttempt(now, OutcomeAbort, status)
+}
+
+// Commit counts the block's completion in commit mode m (a policy.Mode).
+func (t *Thread) Commit(m int) {
+	if t == nil {
+		return
+	}
+	t.c.modes[m]++
+}
+
+// Fallback records entry into the single-global-lock path.
+func (t *Thread) Fallback(now uint64) {
+	if t == nil {
+		return
+	}
+	t.log(now, EvFallback, true, 0, 0)
+	t.begin = now
+}
+
+// FallbackEnd records the end of the fall-back (lock released), counting
+// the block's completion in mode m: the span covers acquisition wait, body
+// and release.
+func (t *Thread) FallbackEnd(now uint64, m int) {
+	if t == nil {
+		return
+	}
+	t.c.fallbacks++
+	t.c.modes[m]++
+	if a := t.rec.attr; a != nil && a.spans {
+		t.spans = append(t.spans, t.span(now, OutcomeFallback))
+	}
+}
+
+// LockWait charges cycles spent waiting on a lock, parkSkipped of which
+// the engine fast-forwarded by parking the thread instead of simulating
+// its spin iterations (they still elapse on the virtual clock).
+func (t *Thread) LockWait(cycles, parkSkipped uint64) {
+	if t == nil {
+		return
+	}
+	t.c.lockWait += cycles
+	t.c.parkSkipped += parkSkipped
+}
+
+// Backoff counts one randomized backoff sleep of the given length.
+func (t *Thread) Backoff(cycles uint64) {
+	if t == nil {
+		return
+	}
+	t.c.backoffWaits++
+	t.c.backoffCycles += cycles
+}
+
+// Wait logs the start of a cooperative wait on a lock of the given kind.
+func (t *Thread) Wait(now uint64, kind LockKind) { t.log(now, EvWait, true, uint32(kind), 0) }
+
+// LockAcquired logs the acquisition of scheduler lock id.
+func (t *Thread) LockAcquired(now uint64, id int, kind LockKind) {
+	t.log(now, EvLockAcq, true, uint32(id), uint32(kind))
+}
+
+// LocksReleased logs a release: n is the batch size for LockTx (the ids
+// were logged at acquisition) and the core id for LockCore.
+func (t *Thread) LocksReleased(now uint64, n int, kind LockKind) {
+	t.log(now, EvLockRel, false, uint32(n), uint32(kind))
+}
+
+// Phase logs a phased-TM mode transition.
+func (t *Thread) Phase(now uint64, to, from int) {
+	t.log(now, EvPhase, false, uint32(to), uint32(from))
+}
+
+// Scheme logs a locking-scheme recomputation yielding pairs serialized
+// block pairs.
+func (t *Thread) Scheme(now uint64, pairs int) { t.log(now, EvScheme, false, uint32(pairs), 0) }
+
+// Tune logs a threshold re-tuning.
+func (t *Thread) Tune(now uint64, th1, th2 float64) {
+	t.log(now, EvTune, false, math.Float32bits(float32(th1)), math.Float32bits(float32(th2)))
 }

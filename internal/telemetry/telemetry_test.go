@@ -5,68 +5,154 @@ import (
 	"strings"
 	"testing"
 
+	"seer/internal/htm"
+	"seer/internal/stats"
 	"seer/internal/topology"
 )
 
+// Commit-mode slots used by these tests (policy.ModeHTM and policy.ModeSGL;
+// policy sits above this package).
+const (
+	modeHTM = 0
+	modeSGL = 5
+)
+
+const conflict = htm.BitConflict | htm.BitRetry
+
+// timelineOnly builds a recorder with just the timeline sink.
+func timelineOnly(interval uint64, threads int) *Recorder {
+	return New(Options{Threads: threads, Interval: interval})
+}
+
+// everyEvent calls the whole event vocabulary once.
+func everyEvent(t *Thread) {
+	t.BlockEnter(1)
+	t.AttemptBegin(10)
+	t.AttemptAbort(20, conflict)
+	t.AttemptBegin(30)
+	t.AttemptCommit(40)
+	t.Commit(modeHTM)
+	t.Fallback(50)
+	t.LockWait(7, 3)
+	t.FallbackEnd(60, modeSGL)
+	t.Wait(70, LockCore)
+	t.LockAcquired(80, 2, LockTx)
+	t.LocksReleased(90, 1, LockTx)
+	t.Backoff(5)
+	t.Phase(100, 1, 0)
+	t.Scheme(110, 3)
+	t.Tune(120, 0.3, 0.8)
+	t.BlockExit()
+}
+
+// TestNilRecorderAndShardAreNoOps: a nil recorder and a nil per-thread
+// handle (the recorder's shard for one hardware thread) accept every call.
 func TestNilRecorderAndShardAreNoOps(t *testing.T) {
 	var r *Recorder
-	if r.Interval() != 0 || r.Shard(3) != nil || r.Snapshots() != nil {
+	if r.Thread(3) != nil || r.Timeline() != nil || r.Quality() != nil || r.Events() != nil ||
+		r.EventTotal() != 0 || r.Spans(0) != nil || r.TruthMatrix() != nil ||
+		r.TopPairs(5) != nil || r.TopLines(5) != nil {
 		t.Fatalf("nil recorder leaked state")
 	}
-	r.SetProbe(func() (float64, float64, int, uint64) { return 1, 2, 3, 4 })
+	if r.TickHook() != nil || r.DoomHook() != nil {
+		t.Fatalf("nil recorder offers hooks")
+	}
 	r.BeginRun()
-	r.OnTick(1 << 20)
 	r.Flush(1 << 20)
-
-	var s *Shard
-	s.IncMode(ModeSGL)
-	s.IncAttempt()
-	s.IncAbort(CauseConflict)
-	s.IncFallback()
-	s.AddLockWait(10)
-	s.AddParkSkipped(5)
+	for name, err := range map[string]error{
+		"WriteChromeTrace": r.WriteChromeTrace(&bytes.Buffer{}),
+		"WriteSpansJSONL":  r.WriteSpansJSONL(&bytes.Buffer{}),
+		"WriteChromeSpans": r.WriteChromeSpans(&bytes.Buffer{}),
+		"WriteDOT":         r.WriteDOT(&bytes.Buffer{}),
+		"WriteExplain":     r.WriteExplain(&bytes.Buffer{}, 5),
+	} {
+		if err == nil {
+			t.Errorf("%s on a nil recorder must error", name)
+		}
+	}
+	everyEvent(nil)
 }
 
 func TestNilShardZeroAllocs(t *testing.T) {
-	var s *Shard
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.IncMode(ModeHTM)
-		s.IncAttempt()
-		s.IncAbort(CauseCapacity)
-		s.IncFallback()
-		s.AddLockWait(7)
-		s.AddParkSkipped(3)
-	})
+	allocs := testing.AllocsPerRun(1000, func() { everyEvent(nil) })
 	if allocs != 0 {
-		t.Fatalf("nil shard allocated %.1f per op, want 0", allocs)
+		t.Fatalf("nil handle allocated %.1f per op, want 0", allocs)
 	}
 }
 
-func TestZeroIntervalPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("New(0, ...) did not panic")
+// TestSinksAreIndependent: every sink combination accepts the whole
+// vocabulary, and a sink that is off exposes nothing and errors on export.
+func TestSinksAreIndependent(t *testing.T) {
+	for _, o := range []Options{
+		{RingCapacity: 8},
+		{Interval: 100},
+		{Attribution: true},
+		{Spans: true},
+		{RingCapacity: 8, Interval: 100, Spans: true},
+	} {
+		o.Threads, o.Blocks = 2, 3
+		r := New(o)
+		r.BeginRun()
+		everyEvent(r.Thread(1))
+		r.Flush(150)
+		if got := len(r.Events()) > 0; got != (o.RingCapacity > 0) {
+			t.Errorf("%+v: events retained = %v", o, got)
 		}
-	}()
-	New(0, 4)
+		if got := len(r.Timeline()) > 0; got != (o.Interval > 0) {
+			t.Errorf("%+v: timeline cut = %v", o, got)
+		}
+		if got := len(r.Spans(1)) > 0; got != o.Spans {
+			t.Errorf("%+v: spans retained = %v", o, got)
+		}
+		if got := r.TruthMatrix() != nil; got != (o.Spans || o.Attribution) {
+			t.Errorf("%+v: attribution on = %v", o, got)
+		}
+		if got := r.DoomHook() != nil; got != (o.Spans || o.Attribution) {
+			t.Errorf("%+v: doom hook offered = %v", o, got)
+		}
+		if err := r.WriteChromeTrace(&bytes.Buffer{}); (err == nil) != (o.RingCapacity > 0) {
+			t.Errorf("%+v: WriteChromeTrace err = %v", o, err)
+		}
+		if err := r.WriteSpansJSONL(&bytes.Buffer{}); (err == nil) != o.Spans {
+			t.Errorf("%+v: WriteSpansJSONL err = %v", o, err)
+		}
+		if err := r.WriteDOT(&bytes.Buffer{}); (err == nil) != (o.Spans || o.Attribution) {
+			t.Errorf("%+v: WriteDOT err = %v", o, err)
+		}
+	}
+}
+
+// TestZeroIntervalDisablesTimeline: Interval 0 means no timeline sink and,
+// with no scorer either, no interval clock at all.
+func TestZeroIntervalDisablesTimeline(t *testing.T) {
+	r := New(Options{Threads: 4, RingCapacity: 8})
+	if r.TickHook() != nil {
+		t.Fatalf("clockless recorder offers a tick hook")
+	}
+	r.BeginRun()
+	r.Thread(0).Commit(modeHTM)
+	r.Flush(1 << 20)
+	if r.Timeline() != nil || r.Quality() != nil {
+		t.Fatalf("clockless recorder cut something: %v %v", r.Timeline(), r.Quality())
+	}
 }
 
 func TestIntervalBoundaries(t *testing.T) {
-	r := New(100, 2)
+	r := timelineOnly(100, 2)
 	r.BeginRun()
-	r.Shard(0).IncMode(ModeHTM)
+	r.Thread(0).Commit(modeHTM)
 	r.OnTick(50) // inside first interval: no snapshot yet
-	if got := len(r.Snapshots()); got != 0 {
+	if got := len(r.Timeline()); got != 0 {
 		t.Fatalf("early snapshot: %d", got)
 	}
-	r.Shard(1).IncMode(ModeHTM)
+	r.Thread(1).Commit(modeHTM)
 	r.OnTick(100) // boundary reached
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1", len(snaps))
 	}
 	s := snaps[0]
-	if s.StartCycle != 0 || s.EndCycle != 100 || s.Commits != 2 || s.Modes[ModeHTM] != 2 {
+	if s.StartCycle != 0 || s.EndCycle != 100 || s.Commits != 2 || s.Modes[modeHTM] != 2 {
 		t.Fatalf("bad first snapshot: %+v", s)
 	}
 }
@@ -74,11 +160,11 @@ func TestIntervalBoundaries(t *testing.T) {
 // TestMultiIntervalSkip: one tick jumping several intervals ahead must
 // cut one snapshot per elapsed interval, not one total.
 func TestMultiIntervalSkip(t *testing.T) {
-	r := New(10, 1)
+	r := timelineOnly(10, 1)
 	r.BeginRun()
-	r.Shard(0).IncAttempt()
+	r.Thread(0).AttemptBegin(1)
 	r.OnTick(35)
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots = %d, want 3", len(snaps))
 	}
@@ -94,29 +180,29 @@ func TestMultiIntervalSkip(t *testing.T) {
 }
 
 func TestFlushShortRun(t *testing.T) {
-	r := New(1000, 1)
+	r := timelineOnly(1000, 1)
 	r.BeginRun()
-	r.Shard(0).IncMode(ModeSGL)
+	r.Thread(0).FallbackEnd(40, modeSGL)
 	r.Flush(42) // run far shorter than one interval
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1", len(snaps))
 	}
-	if s := snaps[0]; s.StartCycle != 0 || s.EndCycle != 42 || s.Commits != 1 {
+	if s := snaps[0]; s.StartCycle != 0 || s.EndCycle != 42 || s.Commits != 1 || s.Fallbacks != 1 {
 		t.Fatalf("bad trailing snapshot: %+v", s)
 	}
 	// Flushing again at the same cycle must not duplicate the snapshot.
 	r.Flush(42)
-	if got := len(r.Snapshots()); got != 1 {
+	if got := len(r.Timeline()); got != 1 {
 		t.Fatalf("re-flush duplicated: %d", got)
 	}
 }
 
 func TestFlushPartialTail(t *testing.T) {
-	r := New(100, 1)
+	r := timelineOnly(100, 1)
 	r.BeginRun()
 	r.Flush(250) // 2 full intervals + partial [200,250)
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 3 {
 		t.Fatalf("snapshots = %d, want 3", len(snaps))
 	}
@@ -127,58 +213,57 @@ func TestFlushPartialTail(t *testing.T) {
 }
 
 func TestProbeSampledPerSnapshot(t *testing.T) {
-	r := New(10, 1)
 	calls := 0
-	r.SetProbe(func() (float64, float64, int, uint64) {
+	r := New(Options{Threads: 1, Interval: 10, Scheduler: func() (float64, float64, int, uint64) {
 		calls++
-		// The reuse counter is cumulative at the probe (3, 6, 9, ...); the
+		// The reuse counter is cumulative at the source (3, 6, 9, ...); the
 		// recorder diffs it per interval.
 		return float64(calls), 2 * float64(calls), calls, uint64(3 * calls)
-	})
+	}})
 	r.BeginRun()
 	r.OnTick(20)
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(snaps))
 	}
 	if snaps[0].Th1 != 1 || snaps[1].Th1 != 2 || snaps[1].Th2 != 4 || snaps[1].SchemePairs != 2 {
-		t.Fatalf("probe values wrong: %+v", snaps)
+		t.Fatalf("source values wrong: %+v", snaps)
 	}
 	if snaps[0].SchemeReuse != 3 || snaps[1].SchemeReuse != 3 {
 		t.Fatalf("scheme-reuse diffs wrong: %d, %d", snaps[0].SchemeReuse, snaps[1].SchemeReuse)
 	}
 }
 
-// TestParkSkippedDiffedPerInterval: the shard counter is cumulative; each
+// TestParkSkippedDiffedPerInterval: the counter is cumulative; each
 // snapshot must carry only the interval's delta.
 func TestParkSkippedDiffedPerInterval(t *testing.T) {
-	r := New(10, 2)
+	r := timelineOnly(10, 2)
 	r.BeginRun()
-	r.Shard(0).AddParkSkipped(100)
+	r.Thread(0).LockWait(120, 100)
 	r.OnTick(10)
-	r.Shard(1).AddParkSkipped(40)
+	r.Thread(1).LockWait(40, 40)
 	r.OnTick(20)
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(snaps))
 	}
-	if snaps[0].ParkSkipped != 100 || snaps[1].ParkSkipped != 40 {
-		t.Fatalf("park-skipped diffs wrong: %d, %d", snaps[0].ParkSkipped, snaps[1].ParkSkipped)
+	if snaps[0].ParkSkipped != 100 || snaps[1].ParkSkipped != 40 || snaps[0].LockWait != 120 {
+		t.Fatalf("lock-wait diffs wrong: %+v", snaps)
 	}
 }
 
 // TestBeginRunAcrossRuns: the engine clock resets per run while counters
 // accumulate; interval diffs must stay correct across the rewind.
 func TestBeginRunAcrossRuns(t *testing.T) {
-	r := New(100, 1)
+	r := timelineOnly(100, 1)
 	r.BeginRun()
-	r.Shard(0).IncMode(ModeHTM)
+	r.Thread(0).Commit(modeHTM)
 	r.Flush(100)
 	r.BeginRun() // clock rewinds to 0 for run 2
-	r.Shard(0).IncMode(ModeHTM)
-	r.Shard(0).IncMode(ModeHTM)
+	r.Thread(0).Commit(modeHTM)
+	r.Thread(0).Commit(modeHTM)
 	r.Flush(100)
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(snaps))
 	}
@@ -190,7 +275,49 @@ func TestBeginRunAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestOneClockCutsBothSnapshotKinds: the timeline and the inference-quality
+// scorer share one interval clock, so across repeated runs every Snapshot
+// has a QualitySnapshot with the same index and end cycle; with the
+// timeline off the scorer still gets boundaries, at the default period.
+func TestOneClockCutsBothSnapshotKinds(t *testing.T) {
+	learned := func(dst *stats.Matrices) [][]int { return make([][]int, 2) }
+	r := New(Options{Threads: 1, Blocks: 2, Interval: 100, Attribution: true, Learned: learned})
+	for run := 0; run < 2; run++ {
+		r.BeginRun()
+		r.OnTick(230)
+		r.Flush(250)
+	}
+	snaps, quality := r.Timeline(), r.Quality()
+	if len(snaps) != 6 || len(quality) != 6 {
+		t.Fatalf("two runs cut %d snapshots and %d quality snapshots, want 6 and 6", len(snaps), len(quality))
+	}
+	for i := range snaps {
+		if quality[i].Index != snaps[i].Index || quality[i].EndCycle != snaps[i].EndCycle {
+			t.Fatalf("boundary %d: quality %+v vs snapshot %d..%d", i, quality[i], snaps[i].StartCycle, snaps[i].EndCycle)
+		}
+	}
+
+	r = New(Options{Threads: 1, Blocks: 2, Attribution: true, Learned: learned})
+	r.BeginRun()
+	r.Flush(defaultPeriod + 5)
+	if q := r.Quality(); len(q) != 2 || q[0].EndCycle != defaultPeriod || q[1].EndCycle != defaultPeriod+5 {
+		t.Fatalf("scorer-only boundaries = %+v", q)
+	}
+	if r.Timeline() != nil {
+		t.Fatalf("timeline cut with Interval 0")
+	}
+}
+
 func TestCSVHeaderMatchesRecord(t *testing.T) {
+	// The abort columns are named by htm.Cause slot.
+	for c, want := range map[htm.Cause]string{
+		htm.CauseConflict: "conflict", htm.CauseCapacity: "capacity", htm.CauseExplicit: "explicit",
+		htm.CauseSpurious: "spurious", htm.CauseOther: "other",
+	} {
+		if CauseNames[c] != want {
+			t.Fatalf("CauseNames[%d] = %q, want %q", c, CauseNames[c], want)
+		}
+	}
 	h := CSVHeader()
 	rec := CSVRecord(Snapshot{})
 	if len(h) != len(rec) {
@@ -206,26 +333,25 @@ func TestCSVHeaderMatchesRecord(t *testing.T) {
 	}
 }
 
-// TestPerSocketBreakdown: on a multi-socket topology the recorder must
+// TestPerSocketBreakdown: on a multi-socket topology the timeline must
 // shard interval counters by socket, diff them per interval, and have
 // the shards sum to the machine-wide aggregates; single-socket
-// topologies must keep Sockets nil so old timelines stay byte-identical.
+// topologies must keep Sockets nil so their timelines do not change.
 func TestPerSocketBreakdown(t *testing.T) {
 	topo := topology.Multi(2, 2, 2) // 8 threads: 0-1,4-5 socket 0; 2-3,6-7 socket 1
-	r := New(100, topo.Threads())
-	r.SetTopology(topo)
+	r := New(Options{Threads: topo.Threads(), Interval: 100, Topology: topo})
 	r.BeginRun()
-	r.Shard(0).IncMode(ModeHTM) // socket 0
-	r.Shard(0).IncAttempt()
-	r.Shard(6).IncMode(ModeSGL) // socket 1
-	r.Shard(6).IncAttempt()
-	r.Shard(6).IncAbort(CauseConflict)
-	r.Shard(6).AddLockWait(40)
+	r.Thread(0).Commit(modeHTM) // socket 0
+	r.Thread(0).AttemptBegin(1)
+	r.Thread(6).Commit(modeSGL) // socket 1
+	r.Thread(6).AttemptBegin(1)
+	r.Thread(6).AttemptAbort(2, conflict)
+	r.Thread(6).LockWait(40, 0)
 	r.OnTick(100)
-	r.Shard(4).IncMode(ModeHTM) // socket 0, interval 2
+	r.Thread(4).Commit(modeHTM) // socket 0, interval 2
 	r.Flush(150)
 
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 2 {
 		t.Fatalf("%d snapshots, want 2", len(snaps))
 	}
@@ -255,12 +381,11 @@ func TestPerSocketBreakdown(t *testing.T) {
 	}
 
 	// Single-socket machines must not grow a Sockets slice.
-	r2 := New(100, 8)
-	r2.SetTopology(topology.SMT2(4))
+	r2 := New(Options{Threads: 8, Interval: 100, Topology: topology.SMT2(4)})
 	r2.BeginRun()
-	r2.Shard(0).IncMode(ModeHTM)
+	r2.Thread(0).Commit(modeHTM)
 	r2.Flush(50)
-	if s := r2.Snapshots()[0]; s.Sockets != nil {
+	if s := r2.Timeline()[0]; s.Sockets != nil {
 		t.Fatalf("single-socket snapshot carries Sockets = %+v, want nil", s.Sockets)
 	}
 }
@@ -269,30 +394,29 @@ func TestPerSocketBreakdown(t *testing.T) {
 // (2s3c2t), hyperthread siblings are Cores()=6 apart, so the
 // socket-of-thread mapping is no longer a contiguous halving of the id
 // space: threads 0-2 and 6-8 share socket 0 while 3-5 and 9-11 share
-// socket 1. The recorder must group shard counters by topology.SocketOf,
-// not by any id-range shortcut.
+// socket 1. The timeline must group counters by topology.SocketOf, not by
+// any id-range shortcut.
 func TestPerSocketAsymmetricTopology(t *testing.T) {
 	topo := topology.Multi(2, 3, 2)
 	if topo.Threads() != 12 {
 		t.Fatalf("2s3c2t has %d threads, want 12", topo.Threads())
 	}
-	r := New(100, topo.Threads())
-	r.SetTopology(topo)
+	r := New(Options{Threads: topo.Threads(), Interval: 100, Topology: topo})
 	r.BeginRun()
 	// One commit per hardware thread; aborts only on socket-1 threads,
 	// including the sibling range 9-11 that a naive split would place in
 	// the "upper half = socket 1, lower half = socket 0" pattern wrongly
 	// for threads 6-8.
 	for hw := 0; hw < topo.Threads(); hw++ {
-		r.Shard(hw).IncMode(ModeHTM)
-		r.Shard(hw).IncAttempt()
+		r.Thread(hw).Commit(modeHTM)
+		r.Thread(hw).AttemptBegin(1)
 		if topo.SocketOf(hw) == 1 {
-			r.Shard(hw).IncAbort(CauseConflict)
+			r.Thread(hw).AttemptAbort(2, conflict)
 		}
 	}
 	r.Flush(100)
 
-	snaps := r.Snapshots()
+	snaps := r.Timeline()
 	if len(snaps) != 1 {
 		t.Fatalf("%d snapshots, want 1", len(snaps))
 	}

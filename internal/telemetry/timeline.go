@@ -1,0 +1,298 @@
+package telemetry
+
+import "seer/internal/htm"
+
+// MaxModes fixes the size of the per-mode commit arrays (policy.Mode
+// indexes them), so adding a mode is a compile-time event here rather than
+// a silent truncation.
+const MaxModes = 8
+
+// ModeNames are the CSV column names per commit-mode slot, in
+// policy.Mode order (policy's tests check the lengths agree).
+var ModeNames = [...]string{"htm", "htm_aux", "htm_tx", "htm_core", "htm_tx_core", "sgl", "stm"}
+
+// NumCauses is the number of abort causes (htm.Cause slots).
+const NumCauses = int(htm.CauseOther) + 1
+
+// CauseNames are the CSV column and rendering labels per htm.Cause.
+var CauseNames = [NumCauses]string{"conflict", "capacity", "explicit", "spurious", "other"}
+
+// counters is one hardware thread's cumulative counter block, the input of
+// the timeline sink. Only the owning thread writes it (the engine
+// serializes execution) and the recorder reads all of them only at
+// interval boundaries, so no synchronization is needed.
+type counters struct {
+	modes         [MaxModes]uint64
+	attempts      uint64
+	aborts        [NumCauses]uint64
+	fallbacks     uint64
+	lockWait      uint64 // cycles spent waiting on locks (SGL, tx, core)
+	parkSkipped   uint64 // lock-wait cycles the engine fast-forwarded by parking (subset of lockWait)
+	backoffWaits  uint64 // randomized sleeps of the Backoff policy
+	backoffCycles uint64
+}
+
+// add accumulates o into c.
+func (c *counters) add(o *counters) {
+	for m := range c.modes {
+		c.modes[m] += o.modes[m]
+	}
+	for i := range c.aborts {
+		c.aborts[i] += o.aborts[i]
+	}
+	c.attempts += o.attempts
+	c.fallbacks += o.fallbacks
+	c.lockWait += o.lockWait
+	c.parkSkipped += o.parkSkipped
+	c.backoffWaits += o.backoffWaits
+	c.backoffCycles += o.backoffCycles
+}
+
+// SocketCounters is one socket's share of a Snapshot, populated only on
+// multi-socket topologies.
+type SocketCounters struct {
+	Socket   int    `json:"socket"`
+	Commits  uint64 `json:"commits"`
+	Attempts uint64 `json:"attempts"`
+	Aborts   uint64 `json:"aborts"`
+	LockWait uint64 `json:"lock_wait_cycles"`
+}
+
+// PairCount is one victim←aborter conflict edge with its doom count.
+type PairCount struct {
+	Victim  int    `json:"victim"`
+	Aborter int    `json:"aborter"`
+	Count   uint64 `json:"count"`
+}
+
+// Snapshot is the aggregate over one interval of the timeline, plus the
+// scheduler's control state at the interval boundary.
+type Snapshot struct {
+	Index      int    `json:"index"`
+	StartCycle uint64 `json:"start_cycle"`
+	EndCycle   uint64 `json:"end_cycle"`
+
+	Commits     uint64            `json:"commits"`
+	Modes       [MaxModes]uint64  `json:"modes"`
+	Attempts    uint64            `json:"attempts"`
+	Aborts      [NumCauses]uint64 `json:"aborts"`
+	Fallbacks   uint64            `json:"fallbacks"`
+	LockWait    uint64            `json:"lock_wait_cycles"`
+	ParkSkipped uint64            `json:"park_skipped_cycles"`
+
+	// BackoffWaits and BackoffCycles are the Backoff policy's randomized
+	// sleeps in the interval; zero (and omitted from JSON) under every
+	// other policy.
+	BackoffWaits  uint64 `json:"backoff_waits,omitempty"`
+	BackoffCycles uint64 `json:"backoff_cycles,omitempty"`
+
+	// Quantum* are the engine's speculative-quantum activity in the
+	// interval (Options.Quantum, diffed): quanta granted, pure ticks
+	// journaled, rollbacks, and journaled ticks discarded by rollbacks.
+	// Zero (and omitted from JSON) without that source.
+	QuantumGrants        uint64 `json:"quantum_grants,omitempty"`
+	QuantumTicks         uint64 `json:"quantum_ticks,omitempty"`
+	QuantumRollbacks     uint64 `json:"quantum_rollbacks,omitempty"`
+	QuantumRollbackTicks uint64 `json:"quantum_rollback_ticks,omitempty"`
+
+	// Phase* are the phased-TM runtime's global execution mode over the
+	// interval (Options.Phase, diffed): mode transitions, and how the
+	// interval's cycles split across the HW/SW/GLOCK phases. Zero (and
+	// omitted from JSON) without that source.
+	PhaseTransitions uint64 `json:"phase_transitions,omitempty"`
+	PhaseHWCycles    uint64 `json:"phase_hw_cycles,omitempty"`
+	PhaseSWCycles    uint64 `json:"phase_sw_cycles,omitempty"`
+	PhaseGLOCKCycles uint64 `json:"phase_glock_cycles,omitempty"`
+
+	// Sockets breaks the interval down per socket on multi-socket
+	// machines; nil (and omitted from JSON) on single-socket machines.
+	Sockets []SocketCounters `json:"sockets,omitempty"`
+
+	// ConflictPairs are the interval's heaviest ground-truth conflict
+	// edges (victim block ← aborter block, by doom count) and CascadeHist
+	// its abort cascade-depth histogram (trailing zeroes trimmed). Both are
+	// nil (and omitted from JSON) unless the attribution sink is on.
+	ConflictPairs []PairCount `json:"conflict_pairs,omitempty"`
+	CascadeHist   []uint64    `json:"cascade_hist,omitempty"`
+
+	// Scheduler state sampled at EndCycle (Options.Scheduler; zero without
+	// it, i.e. for non-Seer policies).
+	Th1         float64 `json:"th1"`
+	Th2         float64 `json:"th2"`
+	SchemePairs int     `json:"scheme_pairs"`
+	// SchemeReuse counts scheme updates in the interval that completed
+	// without growing any row (the allocation-free steady state).
+	SchemeReuse uint64 `json:"scheme_reuse_hits"`
+}
+
+// Cycles returns the interval's length in virtual cycles.
+func (s Snapshot) Cycles() uint64 { return s.EndCycle - s.StartCycle }
+
+// Throughput returns commits per 1000 virtual cycles in the interval.
+func (s Snapshot) Throughput() float64 {
+	if s.EndCycle == s.StartCycle {
+		return 0
+	}
+	return 1000 * float64(s.Commits) / float64(s.Cycles())
+}
+
+// AbortRate returns aborts per issued transaction attempt in the interval.
+func (s Snapshot) AbortRate() float64 {
+	if s.Attempts == 0 {
+		return 0
+	}
+	var aborts uint64
+	for _, a := range s.Aborts {
+		aborts += a
+	}
+	return float64(aborts) / float64(s.Attempts)
+}
+
+// topConflictPairs is the number of conflict edges retained per snapshot.
+const topConflictPairs = 4
+
+// timeline is the interval-metrics sink: the cut snapshots plus every
+// cumulative value as of the last cut, against which the next interval is
+// diffed. Cumulative counters carry across repeated runs.
+type timeline struct {
+	snaps []Snapshot
+
+	prev        counters
+	prevSock    []counters // per socket; nil on single-socket machines
+	prevReuse   uint64
+	prevQuantum [4]uint64
+	prevPhase   [3]uint64
+	prevTran    uint64
+	prevTruth   []uint64 // sized with the attribution sink
+	prevCascade [MaxCascadeDepth + 1]uint64
+}
+
+// cutSnapshot appends the snapshot of the interval [r.start, end).
+func (r *Recorder) cutSnapshot(end uint64) {
+	tl := &r.timeline
+	var cur counters
+	var curSock []counters
+	if tl.prevSock != nil {
+		curSock = make([]counters, len(tl.prevSock))
+	}
+	for i := range r.threads {
+		c := &r.threads[i].c
+		cur.add(c)
+		if curSock != nil {
+			curSock[r.opt.Topology.SocketOf(i)].add(c)
+		}
+	}
+	snap := Snapshot{Index: len(tl.snaps), StartCycle: r.start, EndCycle: end}
+	for i := range cur.modes {
+		snap.Modes[i] = cur.modes[i] - tl.prev.modes[i]
+		snap.Commits += snap.Modes[i]
+	}
+	for i := range cur.aborts {
+		snap.Aborts[i] = cur.aborts[i] - tl.prev.aborts[i]
+	}
+	snap.Attempts = cur.attempts - tl.prev.attempts
+	snap.Fallbacks = cur.fallbacks - tl.prev.fallbacks
+	snap.LockWait = cur.lockWait - tl.prev.lockWait
+	snap.ParkSkipped = cur.parkSkipped - tl.prev.parkSkipped
+	snap.BackoffWaits = cur.backoffWaits - tl.prev.backoffWaits
+	snap.BackoffCycles = cur.backoffCycles - tl.prev.backoffCycles
+	tl.prev = cur
+	if src := r.opt.Scheduler; src != nil {
+		var reuse uint64
+		snap.Th1, snap.Th2, snap.SchemePairs, reuse = src()
+		snap.SchemeReuse = reuse - tl.prevReuse
+		tl.prevReuse = reuse
+	}
+	if src := r.opt.Quantum; src != nil {
+		g, t, rb, rt := src()
+		cum := [4]uint64{g, t, rb, rt}
+		snap.QuantumGrants = cum[0] - tl.prevQuantum[0]
+		snap.QuantumTicks = cum[1] - tl.prevQuantum[1]
+		snap.QuantumRollbacks = cum[2] - tl.prevQuantum[2]
+		snap.QuantumRollbackTicks = cum[3] - tl.prevQuantum[3]
+		tl.prevQuantum = cum
+	}
+	if src := r.opt.Phase; src != nil {
+		tran, occ := src(end)
+		snap.PhaseTransitions = tran - tl.prevTran
+		snap.PhaseHWCycles = occ[0] - tl.prevPhase[0]
+		snap.PhaseSWCycles = occ[1] - tl.prevPhase[1]
+		snap.PhaseGLOCKCycles = occ[2] - tl.prevPhase[2]
+		tl.prevTran, tl.prevPhase = tran, occ
+	}
+	if a := r.attr; a != nil {
+		snap.ConflictPairs = tl.topPairs(a)
+		snap.CascadeHist = tl.cascadeDelta(a)
+	}
+	if curSock != nil {
+		snap.Sockets = make([]SocketCounters, len(curSock))
+		for s := range curSock {
+			c, p := &curSock[s], &tl.prevSock[s]
+			sc := SocketCounters{Socket: s, Attempts: c.attempts - p.attempts, LockWait: c.lockWait - p.lockWait}
+			for m := range c.modes {
+				sc.Commits += c.modes[m] - p.modes[m]
+			}
+			for i := range c.aborts {
+				sc.Aborts += c.aborts[i] - p.aborts[i]
+			}
+			snap.Sockets[s] = sc
+		}
+		tl.prevSock = curSock
+	}
+	tl.snaps = append(tl.snaps, snap)
+}
+
+// topPairs returns the interval's heaviest conflict edges by delta against
+// the attribution sink's cumulative truth matrix: insertion sort into a
+// fixed K-slot buffer, ties keeping (victim, aborter) scan order.
+func (tl *timeline) topPairs(a *attribution) []PairCount {
+	var top [topConflictPairs]PairCount
+	used := 0
+	n := a.nBlocks
+	for v := 0; v < n; v++ {
+		for ab := 0; ab < n; ab++ {
+			d := a.truth[v*n+ab] - tl.prevTruth[v*n+ab]
+			if d == 0 {
+				continue
+			}
+			i := used
+			if i < topConflictPairs {
+				used++
+			} else if top[i-1].Count >= d {
+				continue
+			} else {
+				i--
+			}
+			for i > 0 && top[i-1].Count < d {
+				top[i] = top[i-1]
+				i--
+			}
+			top[i] = PairCount{Victim: v, Aborter: ab, Count: d}
+		}
+	}
+	copy(tl.prevTruth, a.truth)
+	if used == 0 {
+		return nil
+	}
+	return append([]PairCount(nil), top[:used]...)
+}
+
+// cascadeDelta returns the interval's cascade-depth histogram with
+// trailing zeroes trimmed (nil when the interval had no aborts).
+func (tl *timeline) cascadeDelta(a *attribution) []uint64 {
+	last := -1
+	for d := range a.cascadeHist {
+		if a.cascadeHist[d] != tl.prevCascade[d] {
+			last = d
+		}
+	}
+	var hist []uint64
+	if last >= 0 {
+		hist = make([]uint64, last+1)
+	}
+	for d := range hist {
+		hist[d] = a.cascadeHist[d] - tl.prevCascade[d]
+	}
+	tl.prevCascade = a.cascadeHist
+	return hist
+}

@@ -1,24 +1,43 @@
-package trace
+// Package trace_test is the event-log battery of internal/telemetry. The
+// package it was written for (internal/trace) is merged into telemetry;
+// the tests stay at this path, as an external test package with no
+// non-test code beside it, so their identities in the test floor are
+// unchanged.
+package trace_test
 
 import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"seer/internal/htm"
+	. "seer/internal/telemetry"
 )
 
+// newLog builds a recorder with only the event log on, for threads
+// hardware threads.
+func newLog(capacity, threads int) *Recorder {
+	return New(Options{Threads: threads, RingCapacity: capacity})
+}
+
 func TestNilLogIsNoOp(t *testing.T) {
-	var l *Log
-	l.Add(Event{}) // must not panic
-	l.Record(1, 2, EvBegin, 0, 0)
-	if l.Total() != 0 || l.Events() != nil {
-		t.Fatalf("nil log retained state")
+	var r *Recorder
+	r.Thread(2).AttemptBegin(1) // must not panic
+	if r.EventTotal() != 0 || r.Events() != nil {
+		t.Fatalf("nil recorder retained events")
+	}
+	// A recorder whose event log is off retains nothing either.
+	off := New(Options{Threads: 1, Interval: 100})
+	off.Thread(0).AttemptBegin(1)
+	if off.EventTotal() != 0 || off.Events() != nil {
+		t.Fatalf("event log off, yet events retained")
 	}
 }
 
 func TestChronologicalOrder(t *testing.T) {
-	l := New(8)
+	l := newLog(8, 1)
 	for i := 0; i < 5; i++ {
-		l.Record(uint64(i*10), 0, EvBegin, 0, 0)
+		l.Thread(0).AttemptBegin(uint64(i * 10))
 	}
 	evs := l.Events()
 	if len(evs) != 5 {
@@ -32,9 +51,9 @@ func TestChronologicalOrder(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	l := New(4)
+	l := newLog(4, 1)
 	for i := 0; i < 10; i++ {
-		l.Record(uint64(i), 0, EvCommit, 0, 0)
+		l.Thread(0).AttemptCommit(uint64(i))
 	}
 	evs := l.Events()
 	if len(evs) != 4 {
@@ -43,34 +62,41 @@ func TestRingEviction(t *testing.T) {
 	if evs[0].Cycle != 6 || evs[3].Cycle != 9 {
 		t.Fatalf("wrong window: %v", evs)
 	}
-	if l.Total() != 10 {
-		t.Fatalf("total = %d, want 10", l.Total())
+	if l.EventTotal() != 10 {
+		t.Fatalf("total = %d, want 10", l.EventTotal())
 	}
 }
 
 func TestSummaryAndDump(t *testing.T) {
-	l := New(16)
-	l.Record(1, 0, EvBegin, 0, 0)
-	l.Record(2, 0, EvAbort, 0, 4)
-	l.Record(3, 0, EvBegin, 0, 0)
-	l.Record(4, 0, EvCommit, 0, 0)
-	s := l.Summary()
+	l := newLog(16, 1)
+	h := l.Thread(0)
+	h.BlockEnter(0)
+	h.AttemptBegin(1)
+	h.AttemptAbort(2, htm.BitExplicit)
+	h.AttemptBegin(3)
+	h.AttemptCommit(4)
+	evs := l.Events()
+	s := SummarizeEvents(evs)
 	if s[EvBegin] != 2 || s[EvAbort] != 1 || s[EvCommit] != 1 {
 		t.Fatalf("summary = %v", s)
 	}
-	if fs := l.FormatSummary(); !strings.Contains(fs, "begin=2") {
+	if fs := FormatSummary(evs); !strings.Contains(fs, "begin=2") {
 		t.Fatalf("FormatSummary = %q", fs)
 	}
 	var b strings.Builder
-	l.Dump(&b, map[Kind]bool{EvAbort: true})
+	DumpEvents(&b, evs, map[Kind]bool{EvAbort: true})
 	out := b.String()
 	if strings.Count(out, "\n") != 1 || !strings.Contains(out, "abort") {
 		t.Fatalf("filtered dump wrong:\n%s", out)
 	}
+	// The abort event carries the block and the raw status word.
+	if e := evs[1]; e.Kind != EvAbort || e.TxID != 0 || e.Detail != uint32(htm.BitExplicit) {
+		t.Fatalf("abort event = %+v", e)
+	}
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := EvBegin; k <= EvTune; k++ {
+	for k := EvBegin; k <= EvPhase; k++ {
 		if strings.HasPrefix(k.String(), "kind(") {
 			t.Fatalf("kind %d missing mnemonic", k)
 		}
@@ -85,9 +111,9 @@ func TestKindStrings(t *testing.T) {
 func TestQuickRingInvariant(t *testing.T) {
 	f := func(cap8 uint8, n uint16) bool {
 		capacity := int(cap8%32) + 1
-		l := New(capacity)
+		l := newLog(capacity, 1)
 		for i := 0; i < int(n%500); i++ {
-			l.Record(uint64(i), 0, EvBegin, 0, 0)
+			l.Thread(0).AttemptBegin(uint64(i))
 		}
 		evs := l.Events()
 		total := int(n % 500)
@@ -110,18 +136,16 @@ func TestQuickRingInvariant(t *testing.T) {
 	}
 }
 
-// TestFutureKindRetained: Summary and FormatSummary must count kinds that
-// do not exist yet (added by later versions) instead of dropping them.
+// TestFutureKindRetained: SummarizeEvents and FormatSummary must count
+// kinds that do not exist yet (added by later versions) instead of
+// dropping them.
 func TestFutureKindRetained(t *testing.T) {
-	l := New(8)
 	future := Kind(99)
-	l.Record(1, 0, EvBegin, 0, 0)
-	l.Add(Event{Cycle: 2, Kind: future})
-	s := l.Summary()
-	if s[future] != 1 {
-		t.Fatalf("future kind dropped from Summary: %v", s)
+	evs := []Event{{Cycle: 1, Kind: EvBegin}, {Cycle: 2, Kind: future}}
+	if s := SummarizeEvents(evs); s[future] != 1 {
+		t.Fatalf("future kind dropped from the summary: %v", s)
 	}
-	fs := l.FormatSummary()
+	fs := FormatSummary(evs)
 	if !strings.Contains(fs, "kind(99)=1") {
 		t.Fatalf("future kind missing from FormatSummary: %q", fs)
 	}
@@ -131,27 +155,30 @@ func TestFutureKindRetained(t *testing.T) {
 	}
 }
 
+// TestRecord2Detail2: events with a second payload keep both and render
+// it; events without one do not print a zero detail2.
 func TestRecord2Detail2(t *testing.T) {
-	l := New(4)
-	l.Record2(7, 1, EvTune, -1, 0xAAAA, 0xBBBB)
+	l := newLog(4, 2)
+	l.Thread(1).Phase(7, 0xAAAA, 0xBBBB)
 	evs := l.Events()
-	if len(evs) != 1 || evs[0].Detail != 0xAAAA || evs[0].Detail2 != 0xBBBB {
-		t.Fatalf("Record2 round-trip failed: %+v", evs)
+	if len(evs) != 1 || evs[0].Kind != EvPhase || evs[0].TxID != -1 ||
+		evs[0].Detail != 0xAAAA || evs[0].Detail2 != 0xBBBB {
+		t.Fatalf("two-payload event round-trip failed: %+v", evs)
 	}
 	if !strings.Contains(evs[0].String(), "detail2=0xbbbb") {
 		t.Fatalf("String omits detail2: %q", evs[0].String())
 	}
-	l.Record(8, 1, EvCommit, 0, 0)
+	l.Thread(1).AttemptCommit(8)
 	if s := l.Events()[1].String(); strings.Contains(s, "detail2") {
 		t.Fatalf("String shows zero detail2: %q", s)
 	}
 }
 
 // TestWideHWThreadIDs: HW is int16, so hardware thread ids beyond int8's
-// range must survive the Record fast path.
+// range must survive.
 func TestWideHWThreadIDs(t *testing.T) {
-	l := New(2)
-	l.Record(1, 300, EvBegin, 0, 0)
+	l := newLog(2, 301)
+	l.Thread(300).AttemptBegin(1)
 	if hw := l.Events()[0].HW; hw != 300 {
 		t.Fatalf("HW = %d, want 300", hw)
 	}
@@ -178,13 +205,13 @@ func TestParseKinds(t *testing.T) {
 
 // TestParseKindsEdges pins down the less obvious contract points:
 // duplicates collapse, every known mnemonic round-trips (including doom,
-// added with the attribution subsystem), names are case-sensitive, inner
+// added with the attribution sink), names are case-sensitive, inner
 // whitespace survives trimming, and the error names the known kinds.
 func TestParseKindsEdges(t *testing.T) {
 	if m, err := ParseKinds("abort,abort, abort "); err != nil || len(m) != 1 || !m[EvAbort] {
 		t.Fatalf("duplicates must collapse: %v, %v", m, err)
 	}
-	for _, k := range knownKinds {
+	for k := EvBegin; k <= EvPhase; k++ {
 		m, err := ParseKinds(k.String())
 		if err != nil || len(m) != 1 || !m[k] {
 			t.Fatalf("mnemonic %q does not round-trip: %v, %v", k.String(), m, err)

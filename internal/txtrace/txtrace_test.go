@@ -1,4 +1,9 @@
-package txtrace
+// Package txtrace_test is the attempt-span, attribution and
+// inference-quality battery of internal/telemetry. The package it was
+// written for (internal/txtrace) is merged into telemetry; the tests stay
+// at this path, as an external test package with no non-test code beside
+// it, so their identities in the test floor are unchanged.
+package txtrace_test
 
 import (
 	"bufio"
@@ -7,62 +12,67 @@ import (
 	"strings"
 	"testing"
 
+	"seer/internal/htm"
 	"seer/internal/mem"
 	"seer/internal/stats"
-	"seer/internal/telemetry"
-	"seer/internal/trace"
+	. "seer/internal/telemetry"
 )
 
-// TestCauseMirrorsTelemetry pins the txtrace Cause enum to telemetry's:
-// policy code converts between them by integer value, so slot order and
-// labels must stay in lockstep.
-func TestCauseMirrorsTelemetry(t *testing.T) {
-	if int(NumCauses) != int(telemetry.NumCauses) {
-		t.Fatalf("NumCauses = %d, telemetry.NumCauses = %d", NumCauses, telemetry.NumCauses)
+// Abort statuses by cause.
+const (
+	conflict = htm.BitConflict | htm.BitRetry
+	capacity = htm.BitCapacity
+	explicit = htm.BitExplicit | htm.BitRetry
+)
+
+// collector builds a recorder with the attribution sink on (and span
+// retention when spans is set) for nBlocks atomic blocks.
+func collector(nBlocks, threads int, spans bool, ignored ...mem.Line) *Recorder {
+	return New(Options{Threads: threads, Blocks: nBlocks, Spans: spans, Attribution: true, IgnoredLines: ignored})
+}
+
+// explain returns the recorder's attribution digest.
+func explain(t *testing.T, c *Recorder) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := c.WriteExplain(&b, 5); err != nil {
+		t.Fatal(err)
 	}
-	for c := Cause(0); c < NumCauses; c++ {
-		if CauseNames[c] != telemetry.CauseNames[c] {
-			t.Errorf("cause %d: name %q != telemetry %q", c, CauseNames[c], telemetry.CauseNames[c])
-		}
-	}
+	return b.String()
 }
 
 func TestNilCollectorNoOps(t *testing.T) {
-	var c *Collector
-	// Every recording method must be callable on nil.
-	c.BlockEnter(0, 1)
-	c.BlockExit(0)
-	c.AttemptBegin(0, 10)
-	c.AttemptCommit(0, 20)
-	c.AttemptAbort(0, 20, 1, CauseConflict)
-	c.Fallback(0, 10, 20)
-	c.OnDoom(0, 1, 7)
-	c.IgnoreLine(3)
-	c.SetTraceLog(nil)
-	c.SetProbe(nil)
-	c.SetInterval(100)
-	c.OnTick(1000)
+	var c *Recorder
+	// Every recording method must be callable on the nil recorder's handle.
+	h := c.Thread(0)
+	h.BlockEnter(1)
+	h.AttemptBegin(10)
+	h.AttemptCommit(20)
+	h.AttemptBegin(20)
+	h.AttemptAbort(30, conflict)
+	h.Fallback(30)
+	h.FallbackEnd(40, 5)
+	h.BlockExit()
+	c.BeginRun()
 	c.Flush(1000)
-	if c.NumBlocks() != 0 || c.Threads() != 0 || c.SpanCount() != 0 ||
-		c.Attributed() != 0 || c.SpansEnabled() {
-		t.Error("nil collector must report zero state")
+	if c.DoomHook() != nil || c.TickHook() != nil {
+		t.Error("nil recorder must offer no hooks")
 	}
-	if c.Spans(0) != nil || c.TruthMatrix() != nil || c.CascadeHist() != nil ||
-		c.LineConflicts() != nil || c.Quality() != nil || c.TopPairs(5) != nil ||
-		c.TopLines(5) != nil || c.AttrProbe() != nil {
-		t.Error("nil collector views must be nil")
+	if c.Spans(0) != nil || c.TruthMatrix() != nil || c.Quality() != nil ||
+		c.TopPairs(5) != nil || c.TopLines(5) != nil {
+		t.Error("nil recorder views must be nil")
 	}
 	if err := c.WriteExplain(&bytes.Buffer{}, 5); err == nil {
-		t.Error("WriteExplain on nil collector must error")
+		t.Error("WriteExplain on nil recorder must error")
 	}
 	if err := c.WriteSpansJSONL(&bytes.Buffer{}); err == nil {
-		t.Error("WriteSpansJSONL on nil collector must error")
+		t.Error("WriteSpansJSONL on nil recorder must error")
 	}
 	if err := c.WriteChromeSpans(&bytes.Buffer{}); err == nil {
-		t.Error("WriteChromeSpans on nil collector must error")
+		t.Error("WriteChromeSpans on nil recorder must error")
 	}
 	if err := c.WriteDOT(&bytes.Buffer{}); err == nil {
-		t.Error("WriteDOT on nil collector must error")
+		t.Error("WriteDOT on nil recorder must error")
 	}
 }
 
@@ -71,7 +81,7 @@ func TestPackAborterRoundTrip(t *testing.T) {
 		{0, 0}, {1, 2}, {-1, -1}, {127, 255}, {-1, 3}, {5, -1},
 	}
 	for _, c := range cases {
-		hw, block := UnpackAborter(packAborter(c.hw, c.block))
+		hw, block := UnpackAborter(PackAborter(c.hw, c.block))
 		if hw != c.hw || block != c.block {
 			t.Errorf("round trip (%d,%d) -> (%d,%d)", c.hw, c.block, hw, block)
 		}
@@ -81,20 +91,22 @@ func TestPackAborterRoundTrip(t *testing.T) {
 // TestSpanLifecycle walks one thread through commit, unattributed abort
 // and fallback, checking the retained spans field by field.
 func TestSpanLifecycle(t *testing.T) {
-	c := NewCollector(3, 2, true)
+	c := collector(3, 2, true)
+	h := c.Thread(0)
 
-	c.BlockEnter(0, 2)
-	c.AttemptBegin(0, 100)
-	c.AttemptAbort(0, 150, 0x2, CauseCapacity) // no OnDoom: unattributed
-	c.AttemptBegin(0, 160)
-	c.AttemptCommit(0, 200)
-	c.BlockExit(0)
+	h.BlockEnter(2)
+	h.AttemptBegin(100)
+	h.AttemptAbort(150, capacity) // no OnDoom: unattributed
+	h.AttemptBegin(160)
+	h.AttemptCommit(200)
+	h.BlockExit()
 
-	c.BlockEnter(0, 1)
-	c.AttemptBegin(0, 300)
-	c.AttemptAbort(0, 310, 0x4, CauseExplicit)
-	c.Fallback(0, 320, 400)
-	c.BlockExit(0)
+	h.BlockEnter(1)
+	h.AttemptBegin(300)
+	h.AttemptAbort(310, explicit)
+	h.Fallback(320)
+	h.FallbackEnd(400, 5)
+	h.BlockExit()
 
 	spans := c.Spans(0)
 	if len(spans) != 4 {
@@ -102,7 +114,7 @@ func TestSpanLifecycle(t *testing.T) {
 	}
 	ab := spans[0]
 	if ab.Outcome != OutcomeAbort || ab.Begin != 100 || ab.End != 150 ||
-		ab.Block != 2 || ab.Retry != 0 || ab.Status != 0x2 {
+		ab.Block != 2 || ab.Retry != 0 || ab.Status != uint32(capacity) {
 		t.Errorf("abort span = %+v", ab)
 	}
 	if ab.AborterHW != -1 || ab.AborterBlock != -1 || ab.Line != NoLine || ab.Depth != 0 {
@@ -116,16 +128,18 @@ func TestSpanLifecycle(t *testing.T) {
 		t.Errorf("BlockEnter must reset episode state: %+v", sp)
 	}
 	fb := spans[3]
-	if fb.Outcome != OutcomeFallback || fb.Begin != 320 || fb.End != 400 || fb.Block != 1 {
+	if fb.Outcome != OutcomeFallback || fb.Begin != 320 || fb.End != 400 || fb.Block != 1 || fb.Retry != 1 {
 		t.Errorf("fallback span = %+v", fb)
 	}
-	if c.SpanCount() != 4 || c.Threads() != 2 {
-		t.Errorf("SpanCount=%d Threads=%d", c.SpanCount(), c.Threads())
+	if len(c.Spans(1)) != 0 {
+		t.Errorf("idle thread retained spans: %v", c.Spans(1))
 	}
 	// Capacity and explicit aborts land in their cause rows.
-	if c.CauseBlock(CauseCapacity, 2) != 1 || c.CauseBlock(CauseExplicit, 1) != 1 {
-		t.Errorf("causeBlock: capacity[2]=%d explicit[1]=%d",
-			c.CauseBlock(CauseCapacity, 2), c.CauseBlock(CauseExplicit, 1))
+	ex := explain(t, c)
+	for _, want := range []string{"capacity  total=1 tx2=1", "explicit  total=1 tx1=1"} {
+		if !strings.Contains(ex, want) {
+			t.Errorf("explain missing %q:\n%s", want, ex)
+		}
 	}
 }
 
@@ -133,55 +147,54 @@ func TestSpanLifecycle(t *testing.T) {
 // span, the truth matrix, the hot-line ranking and the EvDoom mirror all
 // carry the ground truth.
 func TestAttribution(t *testing.T) {
-	c := NewCollector(4, 2, true)
-	log := trace.New(16)
-	c.SetTraceLog(log)
+	c := New(Options{Threads: 2, Blocks: 4, Spans: true, RingCapacity: 16})
+	doom := c.DoomHook()
 
 	// Thread 1 runs block 3; thread 0's access in block 2 dooms it on
 	// line 7.
-	c.BlockEnter(0, 2)
-	c.BlockEnter(1, 3)
-	c.AttemptBegin(1, 100)
-	c.OnDoom(1, 0, mem.Line(7))
-	c.AttemptAbort(1, 140, 0x1, CauseConflict)
+	c.Thread(0).BlockEnter(2)
+	c.Thread(1).BlockEnter(3)
+	c.Thread(1).AttemptBegin(100)
+	doom(1, 0, mem.Line(7))
+	c.Thread(1).AttemptAbort(140, conflict)
 
 	sp := c.Spans(1)[0]
 	if sp.AborterHW != 0 || sp.AborterBlock != 2 || sp.Line != 7 || sp.Depth != 0 {
 		t.Errorf("attributed span = %+v", sp)
 	}
-	if c.Attributed() != 1 {
-		t.Errorf("attributed = %d, want 1", c.Attributed())
+	if !strings.Contains(explain(t, c), "attributed aborts: 1\n") {
+		t.Errorf("attributed count wrong:\n%s", explain(t, c))
 	}
-	if got := c.TruthPair(3, 2); got != 1 {
+	if got := c.TruthMatrix()[3*4+2]; got != 1 {
 		t.Errorf("truth[victim=3][aborter=2] = %d, want 1", got)
 	}
-	if got := c.LineConflicts()[7]; got != 1 {
-		t.Errorf("lineConflicts[7] = %d, want 1", got)
+	if tl := c.TopLines(0); len(tl) != 1 || tl[0] != (LineCount{Line: 7, Count: 1}) {
+		t.Errorf("hot lines = %v, want line 7 once", tl)
 	}
 
 	// The attribution is mirrored as one EvDoom event.
-	var doom *trace.Event
-	for _, e := range log.Events() {
-		if e.Kind == trace.EvDoom {
+	var doomEv *Event
+	for _, e := range c.Events() {
+		if e.Kind == EvDoom {
 			e := e
-			doom = &e
+			doomEv = &e
 		}
 	}
-	if doom == nil {
+	if doomEv == nil {
 		t.Fatal("no EvDoom event recorded")
 	}
-	if doom.Detail != 7 {
-		t.Errorf("EvDoom Detail (line) = %d, want 7", doom.Detail)
+	if doomEv.Detail != 7 || doomEv.TxID != 3 {
+		t.Errorf("EvDoom line/block = %d/%d, want 7/3", doomEv.Detail, doomEv.TxID)
 	}
-	if hw, block := UnpackAborter(doom.Detail2); hw != 0 || block != 2 {
+	if hw, block := UnpackAborter(doomEv.Detail2); hw != 0 || block != 2 {
 		t.Errorf("EvDoom aborter = (%d,%d), want (0,2)", hw, block)
 	}
 
 	// A doom with no attributable requester (-1) attributes the span but
 	// adds nothing to the truth matrix.
-	c.AttemptBegin(1, 200)
-	c.OnDoom(1, -1, mem.Line(9))
-	c.AttemptAbort(1, 220, 0x1, CauseConflict)
+	c.Thread(1).AttemptBegin(200)
+	doom(1, -1, mem.Line(9))
+	c.Thread(1).AttemptAbort(220, conflict)
 	sp = c.Spans(1)[1]
 	if sp.AborterHW != -1 || sp.AborterBlock != -1 || sp.Line != 9 {
 		t.Errorf("requesterless doom span = %+v", sp)
@@ -200,102 +213,95 @@ func TestAttribution(t *testing.T) {
 // policy-level attempt (Seer's multi-CAS) attribute spans but never feed
 // the conflict matrix.
 func TestIgnoredLineAndIdleVictim(t *testing.T) {
-	c := NewCollector(2, 2, true)
-	c.IgnoreLine(5)
+	c := collector(2, 2, true, mem.Line(5))
+	doom := c.DoomHook()
 
-	c.BlockEnter(0, 0)
-	c.BlockEnter(1, 1)
+	c.Thread(0).BlockEnter(0)
+	c.Thread(1).BlockEnter(1)
 
 	// Doom on the ignored line, victim mid-attempt.
-	c.AttemptBegin(1, 10)
-	c.OnDoom(1, 0, mem.Line(5))
-	c.AttemptAbort(1, 20, 0x1, CauseConflict)
+	c.Thread(1).AttemptBegin(10)
+	doom(1, 0, mem.Line(5))
+	c.Thread(1).AttemptAbort(20, conflict)
 	if sp := c.Spans(1)[0]; sp.Line != 5 {
 		t.Errorf("ignored-line doom must still attribute the span: %+v", sp)
 	}
 
 	// Doom outside any attempt (victim between attempts).
-	c.OnDoom(1, 0, mem.Line(6))
+	doom(1, 0, mem.Line(6))
 
 	for _, w := range c.TruthMatrix() {
 		if w != 0 {
 			t.Fatalf("truth matrix must stay empty, got %v", c.TruthMatrix())
 		}
 	}
-	if len(c.LineConflicts()) != 0 {
-		t.Errorf("lineConflicts must stay empty, got %v", c.LineConflicts())
+	if tl := c.TopLines(0); len(tl) != 0 {
+		t.Errorf("hot lines must stay empty, got %v", tl)
 	}
 }
 
 // TestCascadeDepth checks the blame chain: when the aborter is itself
 // retrying after an abort of depth d, the victim's abort gets depth d+1.
 func TestCascadeDepth(t *testing.T) {
-	c := NewCollector(2, 3, true)
-	c.BlockEnter(0, 0)
-	c.BlockEnter(1, 1)
-	c.BlockEnter(2, 0)
+	c := collector(2, 3, true)
+	doom := c.DoomHook()
+	t0, t1, t2 := c.Thread(0), c.Thread(1), c.Thread(2)
+	t0.BlockEnter(0)
+	t1.BlockEnter(1)
+	t2.BlockEnter(0)
 
 	// Root abort: thread 0 doomed by thread 1 (which has not aborted).
-	c.AttemptBegin(0, 10)
-	c.OnDoom(0, 1, mem.Line(3))
-	c.AttemptAbort(0, 20, 0x1, CauseConflict)
+	t0.AttemptBegin(10)
+	doom(0, 1, mem.Line(3))
+	t0.AttemptAbort(20, conflict)
 	if d := c.Spans(0)[0].Depth; d != 0 {
 		t.Fatalf("root abort depth = %d, want 0", d)
 	}
 
 	// Thread 0 retries and dooms thread 1: depth 1.
-	c.AttemptBegin(0, 30)
-	c.AttemptBegin(1, 30)
-	c.OnDoom(1, 0, mem.Line(3))
-	c.AttemptAbort(1, 40, 0x1, CauseConflict)
+	t0.AttemptBegin(30)
+	t1.AttemptBegin(30)
+	doom(1, 0, mem.Line(3))
+	t1.AttemptAbort(40, conflict)
 	if d := c.Spans(1)[0].Depth; d != 1 {
 		t.Fatalf("first cascade depth = %d, want 1", d)
 	}
 
 	// Thread 1 retries and dooms thread 2: depth 2.
-	c.AttemptBegin(1, 50)
-	c.AttemptBegin(2, 50)
-	c.OnDoom(2, 1, mem.Line(3))
-	c.AttemptAbort(2, 60, 0x1, CauseConflict)
+	t1.AttemptBegin(50)
+	t2.AttemptBegin(50)
+	doom(2, 1, mem.Line(3))
+	t2.AttemptAbort(60, conflict)
 	if d := c.Spans(2)[0].Depth; d != 2 {
 		t.Fatalf("second cascade depth = %d, want 2", d)
 	}
 
-	hist := c.CascadeHist()
-	if hist[0] != 1 || hist[1] != 1 || hist[2] != 1 {
-		t.Errorf("cascade histogram = %v", hist[:4])
+	ex := explain(t, c)
+	for _, want := range []string{"depth 0          1\n", "depth 1          1\n", "depth 2          1\n"} {
+		if !strings.Contains(ex, want) {
+			t.Errorf("cascade histogram missing %q:\n%s", want, ex)
+		}
 	}
 
 	// A committed episode clears the chain: thread 0 commits, re-enters,
 	// and its next doom is a fresh root.
-	c.AttemptCommit(0, 70)
-	c.BlockExit(0)
-	c.BlockEnter(0, 0)
-	c.AttemptBegin(2, 80)
-	c.OnDoom(2, 0, mem.Line(3))
-	c.AttemptAbort(2, 90, 0x1, CauseConflict)
+	t0.AttemptCommit(70)
+	t0.BlockExit()
+	t0.BlockEnter(0)
+	t2.AttemptBegin(80)
+	doom(2, 0, mem.Line(3))
+	t2.AttemptAbort(90, conflict)
 	if d := c.Spans(2)[1].Depth; d != 0 {
 		t.Errorf("post-commit doom depth = %d, want 0 (chain reset)", d)
 	}
 }
 
-// TestQualitySnapshots drives the inference scorer with a synthetic probe
-// and checks precision/recall/rank-divergence arithmetic.
+// TestQualitySnapshots drives the inference scorer with a synthetic
+// source and checks precision/recall/rank-divergence arithmetic.
 func TestQualitySnapshots(t *testing.T) {
-	c := NewCollector(3, 2, false)
-	c.BlockEnter(0, 0)
-	c.BlockEnter(1, 1)
-
-	// Ground truth: pair {0,1} conflicts 3 times.
-	for i := 0; i < 3; i++ {
-		c.AttemptBegin(1, uint64(10*i))
-		c.OnDoom(1, 0, mem.Line(4))
-		c.AttemptAbort(1, uint64(10*i+5), 0x1, CauseConflict)
-	}
-
-	// The probe predicts {0,1} (true) and {2,2} (false), and reports
+	// The source predicts {0,1} (true) and {2,2} (false), and reports
 	// learned abort weights that rank {0,1} first — matching truth.
-	probe := func(dst *stats.Matrices) [][]int {
+	learned := func(dst *stats.Matrices) [][]int {
 		dst.Reset()
 		for i := 0; i < 5; i++ {
 			dst.AddAbort(0, 1)
@@ -303,10 +309,19 @@ func TestQualitySnapshots(t *testing.T) {
 		dst.AddAbort(2, 2)
 		return [][]int{{1}, {}, {2}}
 	}
-	c.SetProbe(probe)
-	c.SetInterval(100)
+	c := New(Options{Threads: 2, Blocks: 3, Attribution: true, Interval: 100, Learned: learned})
+	c.Thread(0).BlockEnter(0)
+	c.Thread(1).BlockEnter(1)
+
+	// Ground truth: pair {0,1} conflicts 3 times.
+	for i := 0; i < 3; i++ {
+		c.Thread(1).AttemptBegin(uint64(10 * i))
+		c.OnDoom(1, 0, mem.Line(4))
+		c.Thread(1).AttemptAbort(uint64(10*i+5), conflict)
+	}
 
 	// One periodic cut at 100 and 200, then the final flush at 250.
+	c.BeginRun()
 	c.OnTick(205)
 	c.Flush(250)
 
@@ -331,42 +346,70 @@ func TestQualitySnapshots(t *testing.T) {
 	if fin.Attributed != 3 {
 		t.Errorf("attributed = %d, want 3", fin.Attributed)
 	}
+	// The timeline's snapshots carry the same boundaries and the interval's
+	// heaviest conflict edge.
+	tl := c.Timeline()
+	if len(tl) != 3 || tl[2].EndCycle != 250 {
+		t.Fatalf("timeline = %+v", tl)
+	}
+	if p := tl[0].ConflictPairs; len(p) != 1 || p[0] != (PairCount{Victim: 1, Aborter: 0, Count: 3}) {
+		t.Errorf("interval 0 conflict pairs = %v", p)
+	}
 }
 
 // TestRankDivergenceReversed checks the normalization: a perfectly
-// reversed ranking of m pairs scores 1.
+// reversed ranking of m pairs scores 1, and fewer than two pairs score 0.
 func TestRankDivergenceReversed(t *testing.T) {
-	n := 2
-	truth := map[int]uint64{
-		pairKey(0, 0, n): 10, // truth ranks {0,0} first
-		pairKey(0, 1, n): 5,
+	final := func(truth00, truth01 int, learned func(dst *stats.Matrices)) QualitySnapshot {
+		c := New(Options{Threads: 2, Blocks: 2, Attribution: true, Learned: func(dst *stats.Matrices) [][]int {
+			dst.Reset()
+			learned(dst)
+			return make([][]int, 2)
+		}})
+		c.Thread(0).BlockEnter(0)
+		dooms := func(aborterBlock, n int) {
+			c.Thread(1).BlockEnter(aborterBlock)
+			for i := 0; i < n; i++ {
+				c.Thread(0).AttemptBegin(0)
+				c.OnDoom(0, 1, mem.Line(1))
+				c.Thread(0).AttemptAbort(1, conflict)
+			}
+		}
+		dooms(0, truth00)
+		dooms(1, truth01)
+		c.BeginRun()
+		c.Flush(10)
+		q := c.Quality()
+		return q[len(q)-1]
 	}
-	learned := stats.NewMatrices(n)
-	learned.AddAbort(0, 1) // learner ranks {0,1} first
-	learned.AddAbort(0, 1)
-	learned.AddAbort(0, 1)
-	learned.AddAbort(0, 0)
-	if d := rankDivergence(truth, learned, n); d != 1 {
-		t.Errorf("reversed ranking divergence = %v, want 1", d)
+	// Truth ranks {0,0} first; the learner ranks {0,1} first.
+	rev := final(10, 5, func(dst *stats.Matrices) {
+		dst.AddAbort(0, 1)
+		dst.AddAbort(0, 1)
+		dst.AddAbort(0, 1)
+		dst.AddAbort(0, 0)
+	})
+	if rev.TruePairs != 2 || rev.RankDivergence != 1 {
+		t.Errorf("reversed ranking: %+v, want divergence 1", rev)
 	}
-	// Fewer than two pairs: divergence defined as 0.
-	if d := rankDivergence(map[int]uint64{0: 3}, stats.NewMatrices(n), n); d != 0 {
-		t.Errorf("single-pair divergence = %v, want 0", d)
+	if one := final(3, 0, func(*stats.Matrices) {}); one.TruePairs != 1 || one.RankDivergence != 0 {
+		t.Errorf("single pair: %+v, want divergence 0", one)
 	}
 }
 
-// TestExporters smoke-tests the three export formats on a tiny attributed
+// TestExporters smoke-tests the export formats on a tiny attributed
 // history: JSONL lines must parse, the Chrome document must be valid JSON,
 // and the DOT graph must name the participating blocks.
 func TestExporters(t *testing.T) {
-	c := NewCollector(3, 2, true)
-	c.BlockEnter(0, 0)
-	c.BlockEnter(1, 2)
-	c.AttemptBegin(1, 100)
+	c := collector(3, 2, true)
+	c.Thread(0).BlockEnter(0)
+	h := c.Thread(1)
+	h.BlockEnter(2)
+	h.AttemptBegin(100)
 	c.OnDoom(1, 0, mem.Line(8))
-	c.AttemptAbort(1, 120, 0x1, CauseConflict)
-	c.AttemptBegin(1, 130)
-	c.AttemptCommit(1, 150)
+	h.AttemptAbort(120, conflict)
+	h.AttemptBegin(130)
+	h.AttemptCommit(150)
 
 	var jsonl bytes.Buffer
 	if err := c.WriteSpansJSONL(&jsonl); err != nil {
@@ -424,13 +467,10 @@ func TestExporters(t *testing.T) {
 		t.Errorf("TopLines = %v", tl)
 	}
 
-	var explain bytes.Buffer
-	if err := c.WriteExplain(&explain, 5); err != nil {
-		t.Fatal(err)
-	}
+	ex := explain(t, c)
 	for _, want := range []string{"attributed aborts: 1", "tx2", "line 8", "conflict"} {
-		if !strings.Contains(explain.String(), want) {
-			t.Errorf("explain missing %q:\n%s", want, explain.String())
+		if !strings.Contains(ex, want) {
+			t.Errorf("explain missing %q:\n%s", want, ex)
 		}
 	}
 }
@@ -438,14 +478,14 @@ func TestExporters(t *testing.T) {
 // TestTopPairsOrdering checks the deterministic sort: count descending,
 // ties by victim then aborter, truncated at k.
 func TestTopPairsOrdering(t *testing.T) {
-	c := NewCollector(3, 2, false)
-	c.BlockEnter(0, 0)
+	c := collector(3, 2, false)
+	c.Thread(0).BlockEnter(0)
 	doom := func(victimBlock int, times int) {
-		c.BlockEnter(1, victimBlock)
+		c.Thread(1).BlockEnter(victimBlock)
 		for i := 0; i < times; i++ {
-			c.AttemptBegin(1, 0)
+			c.Thread(1).AttemptBegin(0)
 			c.OnDoom(1, 0, mem.Line(1))
-			c.AttemptAbort(1, 1, 0x1, CauseConflict)
+			c.Thread(1).AttemptAbort(1, conflict)
 		}
 	}
 	doom(2, 1)
@@ -468,5 +508,8 @@ func TestTopPairsOrdering(t *testing.T) {
 	}
 	if k2 := c.TopPairs(2); len(k2) != 2 || k2[0] != want[0] {
 		t.Errorf("TopPairs(2) = %v", k2)
+	}
+	if c.Spans(1) != nil {
+		t.Errorf("spans retained with span retention off: %v", c.Spans(1))
 	}
 }

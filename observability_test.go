@@ -10,7 +10,7 @@ import (
 
 	"seer"
 	"seer/internal/adversary"
-	"seer/internal/trace"
+	"seer/internal/telemetry"
 )
 
 // TestObservabilityExportsGolden pins every observability export byte for
@@ -54,7 +54,7 @@ func TestObservabilityExportsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	kinds, err := trace.ParseKinds("abort,doom,lock+,lock-,scheme,tune,wait,fallback")
+	kinds, err := telemetry.ParseKinds("abort,doom,lock+,lock-,scheme,tune,wait,fallback")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,16 @@ func TestObservabilityExportsGolden(t *testing.T) {
 	}
 	section("timeline.csv", rep.WriteTimelineCSV)
 	section("timeline.jsonl", rep.WriteTimelineJSONL)
+	rec := sys.Recorder()
 	section("chrome-trace", sys.WriteChromeTrace)
-	section("spans.jsonl", sys.TxTrace().WriteSpansJSONL)
-	section("spans-chrome", sys.TxTrace().WriteChromeSpans)
-	section("conflict.dot", sys.TxTrace().WriteDOT)
-	section("explain", func(w io.Writer) error { return sys.TxTrace().WriteExplain(w, 5) })
+	section("spans.jsonl", rec.WriteSpansJSONL)
+	section("spans-chrome", rec.WriteChromeSpans)
+	section("conflict.dot", rec.WriteDOT)
+	section("explain", func(w io.Writer) error { return rec.WriteExplain(w, 5) })
 	section("events", func(w io.Writer) error {
-		fmt.Fprintf(w, "%d total (%s)\n", sys.Trace().Total(), sys.Trace().FormatSummary())
-		sys.Trace().Dump(w, kinds)
+		events := rec.Events()
+		fmt.Fprintf(w, "%d total (%s)\n", rec.EventTotal(), telemetry.FormatSummary(events))
+		telemetry.DumpEvents(w, events, kinds)
 		return nil
 	})
 	section("summary", func(w io.Writer) error {

@@ -266,12 +266,7 @@ func (r Report) WriteTimelineJSONL(w io.Writer) error {
 // WriteChromeTrace synthesizes a Chrome trace-event JSON document
 // (loadable in chrome://tracing or Perfetto) from the system's retained
 // event log. It requires Config.TraceEvents > 0.
-func (s *System) WriteChromeTrace(w io.Writer) error {
-	if s.trc == nil {
-		return fmt.Errorf("seer: tracing disabled (set Config.TraceEvents)")
-	}
-	return telemetry.WriteChromeTrace(w, s.trc.Events())
-}
+func (s *System) WriteChromeTrace(w io.Writer) error { return s.obs.WriteChromeTrace(w) }
 
 // buildReport assembles the Report after a run.
 func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
@@ -331,13 +326,8 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 		qr.Grants, qr.Ticks, qr.Rollbacks, qr.RollbackTicks = s.eng.QuantumCounters()
 		r.Quantum = qr
 	}
-	if s.tel != nil {
-		s.tel.Flush(makespan)
-		r.Timeline = s.tel.Snapshots()
-	}
-	if s.txc != nil {
-		s.txc.Flush(makespan)
-		r.Inference = s.txc.Quality()
-	}
+	s.obs.Flush(makespan)
+	r.Timeline = s.obs.Timeline()
+	r.Inference = s.obs.Quality()
 	return r
 }

@@ -45,8 +45,6 @@ import (
 	"seer/internal/stats"
 	"seer/internal/telemetry"
 	"seer/internal/topology"
-	"seer/internal/trace"
-	"seer/internal/txtrace"
 )
 
 // Re-exported substrate types, so programs written against the public API
@@ -77,14 +75,14 @@ type (
 	Snapshot = telemetry.Snapshot
 	// TraceEvent is one entry of the bounded runtime event log
 	// (enabled by Config.TraceEvents).
-	TraceEvent = trace.Event
+	TraceEvent = telemetry.Event
 	// AttemptSpan is one transaction attempt with ground-truth abort
 	// attribution (enabled by Config.TraceAttempts).
-	AttemptSpan = txtrace.Span
+	AttemptSpan = telemetry.Span
 	// InferenceSnapshot is one point of the Seer inference-quality
 	// trajectory: the learned locking scheme scored against the
 	// ground-truth conflict matrix (Report.Inference).
-	InferenceSnapshot = txtrace.QualitySnapshot
+	InferenceSnapshot = telemetry.QualitySnapshot
 	// Topology describes the machine shape as sockets × physical cores
 	// × SMT threads (see Config.Topology).
 	Topology = topology.Topology
@@ -408,9 +406,7 @@ type System struct {
 	sgl   spinlock.Lock
 	sched *core.Seer // nil unless the policy is Seer
 	pol   policy.Policy
-	trc   *trace.Log
-	tel   *telemetry.Recorder // nil unless Config.MetricsInterval > 0
-	txc   *txtrace.Collector  // nil unless TraceAttempts/AttributionCounters
+	obs   *telemetry.Recorder // nil unless an observability Config field is set
 }
 
 // NewSystem builds a system from cfg. The returned system is single-use
@@ -437,9 +433,6 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, err
 	}
 	s := &System{cfg: cfg, eng: eng}
-	if cfg.TraceEvents > 0 {
-		s.trc = trace.New(cfg.TraceEvents)
-	}
 	var memBuf *mem.Buffers
 	var htmBuf *htm.Buffers
 	if r := cfg.Recycler; r != nil {
@@ -507,63 +500,45 @@ func NewSystem(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("seer: unknown policy %q", cfg.Policy)
 	}
-	if s.sched != nil {
-		s.sched.SetTrace(s.trc)
+	if cfg.TraceEvents > 0 || cfg.MetricsInterval > 0 || cfg.TraceAttempts || cfg.AttributionCounters {
+		s.obs = s.newRecorder(topo)
 	}
-	if cfg.MetricsInterval > 0 {
-		s.tel = telemetry.New(cfg.MetricsInterval, hw)
-		if topo.Sockets > 1 {
-			s.tel.SetTopology(topo)
-		}
-		if sched := s.sched; sched != nil {
-			s.tel.SetProbe(func() (float64, float64, int, uint64) {
-				th := sched.Thresholds()
-				return th.Th1, th.Th2, sched.SchemePairs(), sched.SchemeReuseHits
-			})
-		}
-		if cfg.SpeculativeQuantum > 0 {
-			s.tel.SetQuantumProbe(eng.QuantumCounters)
-		}
-		if pp, ok := s.pol.(*policy.Phased); ok {
-			s.tel.SetPhaseProbe(pp.PhaseCounters)
-		}
-	}
-	if cfg.TraceAttempts || cfg.AttributionCounters {
-		s.txc = txtrace.NewCollector(cfg.NumAtomicBlocks, hw, cfg.TraceAttempts)
+	s.htm.SetDoomHook(s.obs.DoomHook())
+	s.eng.SetTickHook(s.obs.TickHook())
+	return s, nil
+}
+
+// newRecorder builds the observability recorder: its sinks are switched
+// by the four observability Config fields, its sources are whatever this
+// system has to sample.
+func (s *System) newRecorder(topo topology.Topology) *telemetry.Recorder {
+	cfg := s.cfg
+	o := telemetry.Options{
+		Threads: topo.Threads(), Blocks: cfg.NumAtomicBlocks, Topology: topo,
+		RingCapacity: cfg.TraceEvents, Interval: cfg.MetricsInterval,
+		Spans: cfg.TraceAttempts, Attribution: cfg.AttributionCounters,
 		// Conflicts on the single-global-lock word are fall-back protocol
 		// mechanics, not workload data conflicts: keep them out of the
 		// ground-truth matrix (spans still carry their attribution).
-		s.txc.IgnoreLine(uint32(mem.LineOf(s.sgl.Addr())))
-		s.txc.SetTraceLog(s.trc)
-		s.htm.SetDoomHook(s.txc.OnDoom)
-		if sched := s.sched; sched != nil {
-			s.txc.SetProbe(func(dst *stats.Matrices) [][]int {
-				sched.SnapshotLearned(dst)
-				return sched.Scheme()
-			})
-			interval := cfg.MetricsInterval
-			if interval == 0 {
-				interval = 1 << 16
-			}
-			s.txc.SetInterval(interval)
+		IgnoredLines: []mem.Line{mem.LineOf(s.sgl.Addr())},
+	}
+	if sched := s.sched; sched != nil {
+		o.Scheduler = func() (float64, float64, int, uint64) {
+			th := sched.Thresholds()
+			return th.Th1, th.Th2, sched.SchemePairs(), sched.SchemeReuseHits
 		}
-		s.tel.SetAttribution(s.txc.AttrProbe())
+		o.Learned = func(dst *stats.Matrices) [][]int {
+			sched.SnapshotLearned(dst)
+			return sched.Scheme()
+		}
 	}
-	// The engine holds a single tick hook; chain telemetry and the
-	// inference-quality snapshots when both are live.
-	switch {
-	case s.tel != nil && s.txc != nil:
-		tel, txc := s.tel, s.txc
-		s.eng.SetTickHook(func(now uint64) {
-			tel.OnTick(now)
-			txc.OnTick(now)
-		})
-	case s.tel != nil:
-		s.eng.SetTickHook(s.tel.OnTick)
-	case s.txc != nil:
-		s.eng.SetTickHook(s.txc.OnTick)
+	if cfg.SpeculativeQuantum > 0 {
+		o.Quantum = s.eng.QuantumCounters
 	}
-	return s, nil
+	if pp, ok := s.pol.(*policy.Phased); ok {
+		o.Phase = pp.PhaseCounters
+	}
+	return telemetry.New(o)
 }
 
 // Config returns the system's configuration.
@@ -583,22 +558,12 @@ func (s *System) PolicyName() string { return s.pol.Name() }
 // policies).
 func (s *System) Scheduler() *core.Seer { return s.sched }
 
-// Trace returns the event log (nil unless Config.TraceEvents > 0).
-func (s *System) Trace() *trace.Log { return s.trc }
-
-// Telemetry returns the interval-metrics recorder (nil unless
-// Config.MetricsInterval > 0). The recorder accumulates across repeated
-// Runs; Report.Timeline carries the snapshots cut so far.
-func (s *System) Telemetry() *telemetry.Recorder { return s.tel }
-
-// TraceEvents returns the retained runtime events in chronological order
-// (nil unless Config.TraceEvents > 0).
-func (s *System) TraceEvents() []TraceEvent { return s.trc.Events() }
-
-// TxTrace returns the attempt-tracing/attribution collector (nil unless
-// Config.TraceAttempts or Config.AttributionCounters is set). Use it for
-// span/DOT/explain exports after a run.
-func (s *System) TxTrace() *txtrace.Collector { return s.txc }
+// Recorder returns the system's observability recorder: the event log,
+// timeline, attempt spans, attribution and their exporters. It is nil —
+// a valid recorder with every sink off — unless Config.TraceEvents,
+// MetricsInterval, TraceAttempts or AttributionCounters is set, and
+// accumulates across repeated Runs.
+func (s *System) Recorder() *telemetry.Recorder { return s.obs }
 
 // Alloc reserves n words of simulated memory.
 func (s *System) Alloc(n int) Addr { return s.mem.Alloc(n) }
@@ -649,17 +614,16 @@ func (s *System) Run(workers []Worker) (Report, error) {
 		idx := i
 		bodies[i] = func(ctx *machine.Ctx) {
 			pt := policy.NewThread(ctx, s.mem, s.htm)
-			pt.Trace = s.trc
-			pt.Tel = s.tel.Shard(ctx.ID())
-			pt.Spans = s.txc
+			pt.Obs = s.obs.Thread(ctx.ID())
 			if s.sched != nil {
 				pt.Seer = s.sched.NewThreadState(ctx)
+				pt.Seer.Obs = pt.Obs
 			}
 			threads[idx] = pt
 			worker(&Thread{sys: s, pt: pt})
 		}
 	}
-	s.tel.BeginRun()
+	s.obs.BeginRun()
 	makespan, err := s.eng.Run(bodies)
 	if err != nil {
 		return Report{}, err

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"seer"
-	"seer/internal/trace"
+	"seer/internal/telemetry"
 )
 
 // runCounter runs nThreads workers each incrementing a shared counter
@@ -171,17 +171,17 @@ func TestTraceViaPublicAPI(t *testing.T) {
 	if _, err := sys.Run(workers); err != nil {
 		t.Fatal(err)
 	}
-	log := sys.Trace()
-	if log == nil || log.Total() == 0 {
+	rec := sys.Recorder()
+	if rec.EventTotal() == 0 {
 		t.Fatalf("trace empty")
 	}
-	sum := log.Summary()
-	begins := sum[trace.EvBegin]
-	outcomes := sum[trace.EvCommit] + sum[trace.EvAbort]
+	evs := rec.Events()
+	sum := telemetry.SummarizeEvents(evs)
+	begins := sum[telemetry.EvBegin]
+	outcomes := sum[telemetry.EvCommit] + sum[telemetry.EvAbort]
 	if begins == 0 || begins != outcomes {
 		t.Fatalf("begins=%d outcomes=%d (every attempt needs an outcome)", begins, outcomes)
 	}
-	evs := log.Events()
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Cycle < evs[i-1].Cycle {
 			t.Fatalf("trace not chronological at %d", i)

@@ -43,10 +43,9 @@ func (t *Thread) AtomicObj(txID int, objID uint64, body func(Access)) {
 	if txID < 0 || txID >= t.sys.cfg.NumAtomicBlocks {
 		panic("seer: txID out of range for configured NumAtomicBlocks")
 	}
-	hw := t.pt.Ctx.ID()
-	t.pt.Spans.BlockEnter(hw, txID)
+	t.pt.Obs.BlockEnter(txID)
 	t.sys.pol.Run(t.pt, txID, objID, body)
-	t.pt.Spans.BlockExit(hw)
+	t.pt.Obs.BlockExit()
 }
 
 // Direct returns the thread's non-transactional accessor. Use it only for

@@ -78,8 +78,8 @@ func TestTimelineInvariants(t *testing.T) {
 			t.Fatalf("Seer snapshot missing threshold probe: %+v", s)
 		}
 	}
-	if sys.Telemetry() == nil {
-		t.Fatalf("Telemetry() nil with MetricsInterval set")
+	if sys.Recorder() == nil {
+		t.Fatalf("Recorder() nil with MetricsInterval set")
 	}
 }
 
@@ -100,8 +100,8 @@ func TestTimelineShortRun(t *testing.T) {
 	}
 }
 
-// TestTimelineDisabled: MetricsInterval 0 must leave the telemetry layer
-// entirely absent.
+// TestTimelineDisabled: with every observability field zero the recorder
+// must be entirely absent.
 func TestTimelineDisabled(t *testing.T) {
 	sys, workers := buildTimelineSystem(t, seer.PolicyRTM, 0, 0)
 	rep, err := sys.Run(workers)
@@ -111,8 +111,8 @@ func TestTimelineDisabled(t *testing.T) {
 	if rep.Timeline != nil {
 		t.Fatalf("Timeline non-nil with metrics disabled")
 	}
-	if sys.Telemetry() != nil {
-		t.Fatalf("Telemetry() non-nil with metrics disabled")
+	if sys.Recorder() != nil {
+		t.Fatalf("Recorder() non-nil with observability disabled")
 	}
 }
 
@@ -169,14 +169,14 @@ func TestChromeTraceRequiresTracing(t *testing.T) {
 	}
 }
 
-// TestTraceEventsAccessor: the public TraceEvents accessor mirrors the
-// retained event log.
+// TestTraceEventsAccessor: the recorder's Events view mirrors the retained
+// event log, and is nil when the log is off.
 func TestTraceEventsAccessor(t *testing.T) {
 	sys, workers := buildTimelineSystem(t, seer.PolicyRTM, 0, 256)
 	if _, err := sys.Run(workers); err != nil {
 		t.Fatal(err)
 	}
-	evs := sys.TraceEvents()
+	evs := sys.Recorder().Events()
 	if len(evs) == 0 {
 		t.Fatalf("TraceEvents empty with tracing enabled")
 	}
@@ -184,14 +184,14 @@ func TestTraceEventsAccessor(t *testing.T) {
 	if _, err := sysOff.Run(workersOff); err != nil {
 		t.Fatal(err)
 	}
-	if sysOff.TraceEvents() != nil {
+	if sysOff.Recorder().Events() != nil {
 		t.Fatalf("TraceEvents non-nil with tracing disabled")
 	}
 }
 
 // BenchmarkMetricsOverhead compares a run with telemetry disabled against
 // one with interval metrics enabled. The disabled case must add no
-// allocations on the hot path (the nil-shard no-op convention).
+// allocations on the hot path (a nil recorder hands out nil handles).
 func BenchmarkMetricsOverhead(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
@@ -233,5 +233,58 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestInferenceSharesTimelineClockAcrossRuns: the inference-quality
+// trajectory is cut by the same interval clock as the timeline, so a second
+// Run on one System extends both by the same boundaries (the quality clock
+// used to be a separate one that was never rewound between runs).
+func TestInferenceSharesTimelineClockAcrossRuns(t *testing.T) {
+	cfg := seer.DefaultConfig()
+	cfg.Policy = seer.PolicySeer
+	cfg.Threads = 4
+	cfg.PhysCores = 2
+	cfg.NumAtomicBlocks = 1
+	cfg.MemWords = 1 << 14
+	cfg.MaxCycles = 1 << 32
+	cfg.MetricsInterval = 4096
+	cfg.AttributionCounters = true
+	sys, err := seer.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := sys.AllocAligned(1)
+	workers := make([]seer.Worker, cfg.Threads)
+	for i := range workers {
+		workers[i] = func(th *seer.Thread) {
+			for n := 0; n < 300; n++ {
+				th.Atomic(0, func(a seer.Access) {
+					a.Store(counter, a.Load(counter)+1)
+					a.Work(10)
+				})
+				th.Work(5)
+			}
+		}
+	}
+	first, err := sys.Run(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sys.Run(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := len(second.Timeline) - len(first.Timeline)
+	if added < 2 {
+		t.Fatalf("second run added %d timeline intervals; the test needs several", added)
+	}
+	if got := len(second.Inference) - len(first.Inference); got != added {
+		t.Fatalf("second run added %d inference snapshots but %d timeline intervals", got, added)
+	}
+	for i, s := range second.Timeline {
+		if q := second.Inference[i]; q.Index != s.Index || q.EndCycle != s.EndCycle {
+			t.Fatalf("boundary %d: inference ends at %d, timeline interval at %d", i, q.EndCycle, s.EndCycle)
+		}
 	}
 }
