@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	seerbench -experiment fig3|table3|fig4|fig5|lockfrac|ext|attempts|contended|scaling|inference|adversarial|phased|fullsuite|all [flags]
+//	seerbench -experiment fig3|table3|fig4|fig5|lockfrac|ext|attempts|timeline|inference|contended|scaling|adversarial|phased|fullsuite|all [flags]
 //
 // The contended experiment is a stress view of the SGL park/wake path
 // (HLE at 8 threads), the scaling experiment sweeps machine shapes from
@@ -39,6 +39,8 @@
 //	             by machine shape; results identical at any count)
 //	-quantum k   speculative-quantum depth per cell (0 = library default,
 //	             -1 = off; results identical at any setting)
+//	-csv f       also write the selected exhibits' machine-readable form to f
+//	             (an error if none of them has one)
 //	-cpuprofile f write a pprof CPU profile of the run to f
 //	-memprofile f write a pprof heap profile (taken at exit, after a GC) to f
 //	-v           stream per-cell progress to stderr
@@ -51,233 +53,123 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"seer"
 	"seer/internal/harness"
 )
 
-// experimentNames lists every runnable -experiment value, in the order
-// the doc comment presents them; "unknown experiment" errors and the
-// -experiment flag help enumerate it so typos are self-correcting.
-var experimentNames = []string{
-	"fig3", "table3", "fig4", "fig5", "lockfrac", "ext", "attempts",
-	"timeline", "inference", "contended", "scaling", "adversarial",
-	"phased", "fullsuite", "all",
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
+// run is the whole command: it parses args, writes the exhibits to stdout
+// and diagnostics to stderr, and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("seerbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment = flag.String("experiment", "all", strings.Join(experimentNames, "|"))
-		scale      = flag.Float64("scale", 1.0, "workload scale factor")
-		runs       = flag.Int("runs", 3, "repetitions per measurement")
-		seed       = flag.Int64("seed", 1, "base PRNG seed")
-		workloads  = flag.String("workloads", "", "comma-separated workload subset")
-		verbose    = flag.Bool("v", false, "stream per-cell progress to stderr")
-		csvPath    = flag.String("csv", "", "also write machine-readable results to this CSV file")
-		allPol     = flag.Bool("allpolicies", false, "fig3: include the ATS and Oracle extension baselines")
-		plotOut    = flag.Bool("plot", false, "fig3: render terminal line charts instead of tables")
-		interval   = flag.Uint64("metrics-interval", 0, "timeline: snapshot period in cycles (0 = default)")
-		parallel   = flag.Int("parallel", 0, "concurrent grid cells (0/1 = sequential, -1 = one per CPU)")
-		topoSpec   = flag.String("topology", "", "machine shape for every cell, e.g. 2s8c2t (default: the paper's 1s4c2t testbed)")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		fullSuite  = flag.Bool("full-suite", false, "widen the default workload set with bayes and labyrinth")
-		regShards  = flag.Int("registry-shards", 0, "conflict-registry shard count per cell (0 = auto by machine shape; results identical at any count)")
-		quantum    = flag.Int("quantum", 0, "speculative-quantum budget per cell (0 = library default, -1 = off, K > 0 = up to K pure ticks; results identical at any setting)")
+		experiment = fs.String("experiment", "all", strings.Join(harness.Names(), "|")+"|all")
+		scale      = fs.Float64("scale", 1.0, "workload scale factor")
+		runs       = fs.Int("runs", 3, "repetitions per measurement")
+		seed       = fs.Int64("seed", 1, "base PRNG seed")
+		workloads  = fs.String("workloads", "", "comma-separated workload subset")
+		verbose    = fs.Bool("v", false, "stream per-cell progress to stderr")
+		csvPath    = fs.String("csv", "", "also write machine-readable results to this CSV file")
+		allPol     = fs.Bool("allpolicies", false, "fig3: include the ATS and Oracle extension baselines")
+		plotOut    = fs.Bool("plot", false, "fig3: render terminal line charts instead of tables")
+		interval   = fs.Uint64("metrics-interval", 0, "timeline, inference, adversarial: snapshot period in cycles (0 = default)")
+		parallel   = fs.Int("parallel", 0, "concurrent grid cells (0/1 = sequential, -1 = one per CPU)")
+		topoSpec   = fs.String("topology", "", "machine shape for every cell, e.g. 2s8c2t (default: the paper's 1s4c2t testbed)")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
+		fullSuite  = fs.Bool("full-suite", false, "widen the default workload set with bayes and labyrinth")
+		regShards  = fs.Int("registry-shards", 0, "conflict-registry shard count per cell (0 = auto by machine shape; results identical at any count)")
+		quantum    = fs.Int("quantum", 0, "speculative-quantum budget per cell (0 = library default, -1 = off, K > 0 = up to K pure ticks; results identical at any setting)")
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	// fail stops an in-flight CPU profile (StopCPUProfile is a no-op when
-	// none is running) so partial profiles are flushed, then exits.
-	fail := func(err error) {
+	// none is running) so partial profiles are flushed.
+	fail := func(err error) int {
 		pprof.StopCPUProfile()
-		fmt.Fprintf(os.Stderr, "seerbench: %v\n", err)
-		os.Exit(1)
-	}
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
+		fmt.Fprintf(stderr, "seerbench: %v\n", err)
+		return 1
 	}
 
+	selected, err := harness.Select(*experiment)
+	if err != nil {
+		return fail(err)
+	}
+	hasCSV := func(e harness.Exhibit) bool { return e.CSV }
+	if *csvPath != "" && !slices.ContainsFunc(selected, hasCSV) {
+		var have []string
+		for _, e := range harness.Exhibits {
+			if e.CSV {
+				have = append(have, e.Name)
+			}
+		}
+		return fail(fmt.Errorf("-csv: %s has no CSV form (have %s)", *experiment, strings.Join(have, "|")))
+	}
 	opt := harness.Options{Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel,
 		FullSuite: *fullSuite, RegistryShards: *regShards, Quantum: *quantum}
 	if *topoSpec != "" {
-		topo, err := seer.ParseTopology(*topoSpec)
-		if err != nil {
-			fail(err)
+		if opt.Topology, err = seer.ParseTopology(*topoSpec); err != nil {
+			return fail(err)
 		}
-		opt.Topology = topo
 	}
-	var wls []string
+	a := harness.Args{Interval: *interval, AllPolicies: *allPol, Plot: *plotOut}
 	if *workloads != "" {
-		wls = strings.Split(*workloads, ",")
+		a.Workloads = strings.Split(*workloads, ",")
 	}
-	var progress io.Writer
 	if *verbose {
-		progress = os.Stderr
+		a.Progress = stderr
 	}
 
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fail(err)
+		}
+	}
 	var csvOut *os.File
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+		if csvOut, err = os.Create(*csvPath); err != nil {
+			return fail(err)
+		}
+		defer csvOut.Close() // error paths; the success path checks Close below
+	}
+	for _, e := range selected {
+		out, err := e.Run(opt, a)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		defer f.Close()
-		csvOut = f
-	}
-	maybeCSV := func(write func(io.Writer) error) error {
-		if csvOut == nil {
-			return nil
+		out.Render(stdout)
+		if csvOut != nil && e.CSV {
+			if err := out.(harness.CSVWriter).WriteCSV(csvOut); err != nil {
+				return fail(err)
+			}
 		}
-		return write(csvOut)
 	}
-
-	run := func(name string) error {
-		switch name {
-		case "fig3":
-			pols := harness.Fig3Policies
-			if *allPol {
-				pols = harness.AllPolicies
-			}
-			d, err := harness.Fig3With(opt, wls, pols, progress)
-			if err != nil {
-				return err
-			}
-			if *plotOut {
-				d.Plot(os.Stdout)
-			} else {
-				d.Render(os.Stdout)
-			}
-			if err := maybeCSV(d.WriteCSV); err != nil {
-				return err
-			}
-		case "table3":
-			d, err := harness.Table3(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-			if err := maybeCSV(d.WriteCSV); err != nil {
-				return err
-			}
-		case "fig4":
-			d, err := harness.Fig4(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-			if err := maybeCSV(d.WriteCSV); err != nil {
-				return err
-			}
-		case "fig5":
-			d, err := harness.Fig5(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-			if err := maybeCSV(d.WriteCSV); err != nil {
-				return err
-			}
-		case "contended":
-			d, err := harness.Contended(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "scaling":
-			d, err := harness.Scaling(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "lockfrac":
-			d, err := harness.LockFrac(opt, wls)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "ext":
-			d, err := harness.Extensions(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "attempts":
-			d, err := harness.Attempts(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "timeline":
-			d, err := harness.Timelines(opt, wls, nil, *interval, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-			if err := maybeCSV(d.WriteCSV); err != nil {
-				return err
-			}
-		case "inference":
-			d, err := harness.Inference(opt, wls, *interval, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "adversarial":
-			d, err := harness.Adversarial(opt, wls, *interval, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "phased":
-			d, err := harness.Phased(opt, wls, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-		case "fullsuite":
-			// Figure 3 restricted to the opt-in workloads, over the full
-			// policy set — the bayes/labyrinth companion to fig3.
-			d, err := harness.Fig3With(opt, []string{"bayes", "labyrinth"}, harness.AllPolicies, progress)
-			if err != nil {
-				return err
-			}
-			d.Render(os.Stdout)
-			if err := maybeCSV(d.WriteCSV); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("unknown experiment %q (have %s)", name, strings.Join(experimentNames, "|"))
-		}
-		return nil
-	}
-
-	names := []string{*experiment}
-	if *experiment == "all" {
-		names = []string{"fig3", "table3", "fig4", "fig5", "lockfrac", "ext", "attempts", "timeline"}
-	}
-	for _, name := range names {
-		if err := run(name); err != nil {
-			fail(err)
+	if csvOut != nil {
+		if err := csvOut.Close(); err != nil {
+			return fail(err)
 		}
 	}
 	pprof.StopCPUProfile()
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		runtime.GC() // report live heap, not transient garbage
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		f.Close()
 	}
+	return 0
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"seer/internal/harness"
@@ -28,148 +31,19 @@ func TestExhibitGoldens(t *testing.T) {
 	// using every CPU here does not weaken the byte-for-byte guarantee.
 	opt := harness.Options{Scale: 0.05, Runs: 1, Seed: 1, Parallel: -1}
 
-	exhibits := []struct {
-		name   string
-		render func(opt harness.Options) (string, error)
-	}{
-		{"fig3", func(opt harness.Options) (string, error) {
-			d, err := harness.Fig3With(opt, nil, harness.Fig3Policies, nil)
+	for _, ex := range harness.Exhibits {
+		t.Run(ex.Name, func(t *testing.T) {
+			out, err := ex.Run(opt, harness.Args{})
 			if err != nil {
-				return "", err
+				t.Fatalf("%s: %v", ex.Name, err)
+			}
+			if _, ok := out.(harness.CSVWriter); ex.CSV && !ok {
+				t.Errorf("%s is registered with a CSV form but its output has none", ex.Name)
 			}
 			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"table3", func(opt harness.Options) (string, error) {
-			d, err := harness.Table3(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"fig4", func(opt harness.Options) (string, error) {
-			d, err := harness.Fig4(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"fig5", func(opt harness.Options) (string, error) {
-			d, err := harness.Fig5(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"lockfrac", func(opt harness.Options) (string, error) {
-			d, err := harness.LockFrac(opt, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"ext", func(opt harness.Options) (string, error) {
-			d, err := harness.Extensions(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"attempts", func(opt harness.Options) (string, error) {
-			d, err := harness.Attempts(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"timeline", func(opt harness.Options) (string, error) {
-			d, err := harness.Timelines(opt, nil, nil, 0, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"contended", func(opt harness.Options) (string, error) {
-			d, err := harness.Contended(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"scaling", func(opt harness.Options) (string, error) {
-			d, err := harness.Scaling(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"inference", func(opt harness.Options) (string, error) {
-			d, err := harness.Inference(opt, nil, 0, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"adversarial", func(opt harness.Options) (string, error) {
-			d, err := harness.Adversarial(opt, nil, 0, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"phased", func(opt harness.Options) (string, error) {
-			d, err := harness.Phased(opt, nil, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-		{"fullsuite", func(opt harness.Options) (string, error) {
-			// The opt-in workloads through the fig3 pipeline over the full
-			// policy set (the seerbench -experiment fullsuite exhibit).
-			d, err := harness.Fig3With(opt, []string{"bayes", "labyrinth"}, harness.AllPolicies, nil)
-			if err != nil {
-				return "", err
-			}
-			var buf bytes.Buffer
-			d.Render(&buf)
-			return buf.String(), nil
-		}},
-	}
-
-	for _, ex := range exhibits {
-		ex := ex
-		t.Run(ex.name, func(t *testing.T) {
-			got, err := ex.render(opt)
-			if err != nil {
-				t.Fatalf("%s: %v", ex.name, err)
-			}
-			path := filepath.Join("testdata", "exhibits", ex.name+".golden")
+			out.Render(&buf)
+			got := buf.String()
+			path := filepath.Join("testdata", "exhibits", ex.Name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
@@ -184,10 +58,30 @@ func TestExhibitGoldens(t *testing.T) {
 				t.Fatalf("missing golden (run with -update to create): %v", err)
 			}
 			if got != string(want) {
-				dump := filepath.Join(t.TempDir(), ex.name+".got")
+				dump := filepath.Join(t.TempDir(), ex.Name+".got")
 				os.WriteFile(dump, []byte(got), 0o644)
-				t.Errorf("%s output differs from %s (got written to %s)", ex.name, path, dump)
+				t.Errorf("%s output differs from %s (got written to %s)", ex.Name, path, dump)
 			}
 		})
+	}
+}
+
+// TestExhibitRegistryMatchesGoldens: every registered exhibit has a
+// golden file and every golden file has a registry entry, so neither an
+// unpinned exhibit nor a stale golden can sit in the tree. Runs without
+// simulating anything.
+func TestExhibitRegistryMatchesGoldens(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "exhibits", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var goldens []string
+	for _, f := range files {
+		goldens = append(goldens, strings.TrimSuffix(filepath.Base(f), ".golden"))
+	}
+	names := harness.Names()
+	sort.Strings(names)
+	if !reflect.DeepEqual(names, goldens) {
+		t.Fatalf("registry names %v\ndo not match testdata/exhibits/*.golden %v", names, goldens)
 	}
 }

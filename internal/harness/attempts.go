@@ -3,77 +3,49 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"seer"
+	"seer/internal/bench"
 )
 
 // AttemptsData holds the retry-budget ablation: the paper adopts Intel's
 // recommended 5 hardware attempts for STAMP; this experiment sweeps the
 // budget to show how sensitive each policy is to it.
 type AttemptsData struct {
-	Budgets  []int
-	Policies []seer.PolicyKind
+	Policies, Budgets []string
 	// Throughput[policy][budgetIdx] is the geomean commits/kcycle
 	// across the workloads at 8 threads.
-	Throughput map[seer.PolicyKind][]float64
+	Throughput map[string][]float64
 }
 
 // AttemptBudgets is the swept axis.
 var AttemptBudgets = []int{1, 2, 3, 5, 8, 12}
 
-// Attempts sweeps the hardware retry budget at 8 threads.
-func Attempts(opt Options, workloads []string, progress io.Writer) (*AttemptsData, error) {
-	opt = opt.normalized()
-	if workloads == nil {
-		workloads = opt.suite()
+// attempts sweeps the hardware retry budget at 8 threads.
+func attempts(opt Options, a Args) (Output, error) {
+	rows := opt.rows(a.Workloads)
+	cols := policyPoints([]seer.PolicyKind{seer.PolicyRTM, seer.PolicySCM, seer.PolicySeer})
+	xs := make([]point, len(AttemptBudgets))
+	for i, budget := range AttemptBudgets {
+		xs[i] = point{strconv.Itoa(budget), func(sp *Spec) { sp.Threads, sp.MaxAttempts = MachineHWThreads, budget }}
 	}
-	policies := []seer.PolicyKind{seer.PolicyRTM, seer.PolicySCM, seer.PolicySeer}
-	data := &AttemptsData{
-		Budgets:    AttemptBudgets,
-		Policies:   policies,
-		Throughput: map[seer.PolicyKind][]float64{},
-	}
-	type cell struct {
-		pol  seer.PolicyKind
-		bi   int
-		last bool // last workload of the (pol, budget) block
-	}
-	var specs []Spec
-	var cells []cell
-	for _, pol := range policies {
-		data.Throughput[pol] = make([]float64, len(AttemptBudgets))
-		for bi, budget := range AttemptBudgets {
-			for wi, wl := range workloads {
-				specs = append(specs, Spec{
-					Workload: wl, Scale: opt.Scale, Policy: pol,
-					MaxAttempts: budget,
-					Threads:     8, Runs: opt.Runs, Seed: opt.Seed,
-				})
-				cells = append(cells, cell{pol: pol, bi: bi, last: wi == len(workloads)-1})
-			}
-		}
-	}
-	vals := make([]float64, 0, len(workloads))
-	_, err := RunGrid(opt, specs, func(i int, res Result) {
-		c := cells[i]
-		var tp float64
-		for _, rep := range res.Reports {
-			tp += rep.Throughput()
-		}
-		vals = append(vals, tp/float64(len(res.Reports)))
-		if !c.last {
-			return
-		}
-		data.Throughput[c.pol][c.bi] = GeoMean(vals)
-		vals = vals[:0]
-		if progress != nil {
-			fmt.Fprintf(progress, "attempts %-5s budget=%-2d %.3f\n", c.pol, AttemptBudgets[c.bi], data.Throughput[c.pol][c.bi])
-		}
-	})
-	if err != nil {
+	g := newGrid(opt)
+	g.cube(rows, cols, xs)
+	if err := g.run("attempts", a.Progress); err != nil {
 		return nil, err
 	}
-	return data, nil
+	d := &AttemptsData{Policies: labels(cols), Budgets: labels(xs), Throughput: map[string][]float64{}}
+	for _, pol := range d.Policies {
+		for _, budget := range d.Budgets {
+			perRow := make([]float64, len(rows))
+			for ri, row := range rows {
+				perRow[ri] = bench.Mean(throughputs(g.at(row, pol, budget)))
+			}
+			d.Throughput[pol] = append(d.Throughput[pol], GeoMean(perRow))
+		}
+	}
+	return d, nil
 }
 
 // Render writes the ablation as text.
@@ -81,7 +53,7 @@ func (d *AttemptsData) Render(w io.Writer) {
 	fmt.Fprintf(w, "\nRetry-budget ablation: geomean throughput (commits/kcycle) at 8 threads\n")
 	fmt.Fprintf(w, "%-6s", "")
 	for _, b := range d.Budgets {
-		fmt.Fprintf(w, " %6d", b)
+		fmt.Fprintf(w, " %6s", b)
 	}
 	fmt.Fprintln(w)
 	for _, pol := range d.Policies {

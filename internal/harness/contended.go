@@ -16,8 +16,10 @@ import (
 // and what fraction of it the engine fast-forwarded instead of simulating
 // poll by poll.
 
-// ContendedRow is one workload's row of the contended-SGL exhibit.
+// ContendedRow is one workload's row of the contended-SGL exhibit,
+// averaged over repetitions.
 type ContendedRow struct {
+	Workload       string
 	MakespanCycles uint64
 	SGLPct         float64
 	LockWaitCycles uint64
@@ -25,38 +27,30 @@ type ContendedRow struct {
 }
 
 // ContendedData holds the contended-SGL stress results per workload.
-type ContendedData struct {
-	Workloads []string
-	Rows      map[string]ContendedRow
-}
+type ContendedData struct{ Rows []ContendedRow }
 
 // contendedInterval is the telemetry period used to total lock-wait and
 // park-skip cycles; coarse on purpose, the exhibit only needs the sums.
 const contendedInterval = 1 << 16
 
-// Contended runs every workload under HLE at 8 threads — the maximally
+// contended runs every workload under HLE at 8 threads — the maximally
 // contended configuration — and reports SGL usage, lock-wait cycles and
 // the parked (fast-forwarded) share of that wait.
-func Contended(opt Options, workloads []string, progress io.Writer) (*ContendedData, error) {
-	opt = opt.normalized()
-	if workloads == nil {
-		workloads = opt.suite()
+func contended(opt Options, a Args) (Output, error) {
+	rows := opt.rows(a.Workloads)
+	hle := point{string(seer.PolicyHLE), func(sp *Spec) {
+		sp.Policy, sp.MetricsInterval = seer.PolicyHLE, contendedInterval
+	}}
+	g := newGrid(opt)
+	g.cube(rows, []point{hle}, fullMachine)
+	if err := g.run("contended", a.Progress); err != nil {
+		return nil, err
 	}
-	data := &ContendedData{
-		Workloads: append([]string{}, workloads...),
-		Rows:      map[string]ContendedRow{},
-	}
-	specs := make([]Spec, len(workloads))
-	for i, wl := range workloads {
-		specs[i] = Spec{
-			Workload: wl, Scale: opt.Scale, Policy: seer.PolicyHLE,
-			Threads: 8, Runs: opt.Runs, Seed: opt.Seed,
-			MetricsInterval: contendedInterval,
-		}
-	}
-	_, err := RunGrid(opt, specs, func(i int, res Result) {
-		var row ContendedRow
-		for _, rep := range res.Reports {
+	d := &ContendedData{}
+	for _, wl := range rows {
+		reports := g.at8(wl, hle.label).Reports
+		row := ContendedRow{Workload: wl}
+		for _, rep := range reports {
 			row.MakespanCycles += rep.MakespanCycles
 			row.SGLPct += rep.ModeFractions()[seer.ModeSGL]
 			for _, snap := range rep.Timeline {
@@ -64,20 +58,14 @@ func Contended(opt Options, workloads []string, progress io.Writer) (*ContendedD
 				row.ParkSkipped += snap.ParkSkipped
 			}
 		}
-		n := uint64(len(res.Reports))
+		n := uint64(len(reports))
 		row.MakespanCycles /= n
 		row.SGLPct /= float64(n)
 		row.LockWaitCycles /= n
 		row.ParkSkipped /= n
-		data.Rows[workloads[i]] = row
-		if progress != nil {
-			fmt.Fprintf(progress, "contended %s done\n", workloads[i])
-		}
-	})
-	if err != nil {
-		return nil, err
+		d.Rows = append(d.Rows, row)
 	}
-	return data, nil
+	return d, nil
 }
 
 // Render writes the contended-SGL table as text.
@@ -85,13 +73,12 @@ func (d *ContendedData) Render(w io.Writer) {
 	fmt.Fprintf(w, "\ncontended SGL stress: HLE at 8 threads\n")
 	fmt.Fprintf(w, "%-14s %14s %8s %14s %14s %8s\n",
 		"workload", "makespan", "SGL%", "lockWait", "parkSkipped", "skip%")
-	for _, wl := range d.Workloads {
-		r := d.Rows[wl]
+	for _, r := range d.Rows {
 		skipPct := 0.0
 		if r.LockWaitCycles > 0 {
 			skipPct = 100 * float64(r.ParkSkipped) / float64(r.LockWaitCycles)
 		}
 		fmt.Fprintf(w, "%-14s %14d %8.2f %14d %14d %8.2f\n",
-			wl, r.MakespanCycles, r.SGLPct, r.LockWaitCycles, r.ParkSkipped, skipPct)
+			r.Workload, r.MakespanCycles, r.SGLPct, r.LockWaitCycles, r.ParkSkipped, skipPct)
 	}
 }

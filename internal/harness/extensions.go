@@ -1,31 +1,10 @@
 package harness
 
-import (
-	"fmt"
-	"io"
-
-	"seer"
-	"seer/internal/core"
-)
-
-// ExtData holds the future-work extension study: the paper's §6 sketches
-// object-granular locks and sampled statistics; this experiment measures
-// both against the stock scheduler.
-type ExtData struct {
-	Workloads []string
-	Threads   []int
-	// Speedup[wl][variant][threadIdx], relative to stock full Seer.
-	Speedup  map[string]map[string][]float64
-	Variants []string
-	Geomean  map[string][]float64
-}
+import "seer/internal/core"
 
 // extVariants returns the extension configurations measured against the
 // stock scheduler.
-func extVariants() []struct {
-	Name string
-	Opts seer.SeerOptions
-} {
+func extVariants() []Variant {
 	stock := core.DefaultOptions()
 
 	obj := stock
@@ -41,10 +20,7 @@ func extVariants() []struct {
 	oracle := stock
 	oracle.PreciseOracle = true
 
-	return []struct {
-		Name string
-		Opts seer.SeerOptions
-	}{
+	return []Variant{
 		{"stock", stock},
 		{"+obj-locks", obj},
 		{"+sampling/4", sampled},
@@ -53,84 +29,13 @@ func extVariants() []struct {
 	}
 }
 
-// Extensions measures the §6 future-work extensions. Workloads that pass
-// object identifiers (kmeans does) exercise the stripe locks; all
-// workloads exercise sampling.
-func Extensions(opt Options, workloads []string, progress io.Writer) (*ExtData, error) {
-	opt = opt.normalized()
-	if workloads == nil {
-		workloads = opt.suite()
-	}
-	variants := extVariants()
-	data := &ExtData{
-		Workloads: workloads,
-		Threads:   Table3Threads,
-		Speedup:   map[string]map[string][]float64{},
-		Geomean:   map[string][]float64{},
-	}
-	for _, v := range variants {
-		data.Variants = append(data.Variants, v.Name)
-	}
-	// Grid: the stock variant's cells come first per workload and double
-	// as the baseline (fixed seeds make a separate baseline sweep a
-	// duplicate of variant 0).
-	specs, cells := variantGrid(opt, workloads, data.Threads, variants)
-	base := make([]float64, len(data.Threads))
-	_, err := RunGrid(opt, specs, func(i int, res Result) {
-		c := cells[i]
-		if c.vi == 0 {
-			base[c.ti] = res.MeanMakespan
-		}
-		if c.ti == 0 {
-			if data.Speedup[c.wl] == nil {
-				data.Speedup[c.wl] = map[string][]float64{}
-			}
-			data.Speedup[c.wl][c.name] = make([]float64, len(data.Threads))
-		}
-		series := data.Speedup[c.wl][c.name]
-		series[c.ti] = base[c.ti] / res.MeanMakespan
-		if c.ti == len(data.Threads)-1 && progress != nil {
-			fmt.Fprintf(progress, "ext %-14s %-12s %v\n", c.wl, c.name, fmtSeries(series))
-		}
+// extensions measures the future-work extensions the paper's §6
+// sketches — object-granular locks and sampled statistics — against the
+// stock scheduler. Workloads that pass object identifiers (kmeans does)
+// exercise the stripe locks; all workloads exercise sampling.
+func extensions(opt Options, a Args) (Output, error) {
+	return variantSweep("ext", opt, a, extVariants(), seriesStyle{
+		title: "\nExtensions (§6 future work): speedup vs stock Seer\n",
+		label: "  %-12[2]s",
 	})
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range data.Variants {
-		gm := make([]float64, len(data.Threads))
-		for ti := range data.Threads {
-			vals := make([]float64, 0, len(workloads))
-			for _, wl := range workloads {
-				vals = append(vals, data.Speedup[wl][v][ti])
-			}
-			gm[ti] = GeoMean(vals)
-		}
-		data.Geomean[v] = gm
-	}
-	return data, nil
-}
-
-// Render writes the extension study as text.
-func (d *ExtData) Render(w io.Writer) {
-	fmt.Fprintf(w, "\nExtensions (§6 future work): speedup vs stock Seer\n")
-	for _, wl := range append(append([]string{}, d.Workloads...), "geomean") {
-		fmt.Fprintf(w, "%-14s", wl)
-		for _, th := range d.Threads {
-			fmt.Fprintf(w, " %6dt", th)
-		}
-		fmt.Fprintln(w)
-		for _, v := range d.Variants {
-			var series []float64
-			if wl == "geomean" {
-				series = d.Geomean[v]
-			} else {
-				series = d.Speedup[wl][v]
-			}
-			fmt.Fprintf(w, "  %-12s", v)
-			for _, s := range series {
-				fmt.Fprintf(w, " %6.2f", s)
-			}
-			fmt.Fprintln(w)
-		}
-	}
 }

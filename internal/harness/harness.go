@@ -197,12 +197,16 @@ func Speedup(baseline float64, r Result) float64 {
 // the shared implementation in internal/bench.
 func GeoMean(vals []float64) float64 { return bench.GeoMean(vals) }
 
-// SeerVariants returns the cumulative option sets of Figure 5, in
-// presentation order, plus the core-locks-only variant discussed in §5.3.
-func SeerVariants() []struct {
+// Variant is a named Seer option set, one column of the ablation
+// exhibits (Figure 5, ext).
+type Variant struct {
 	Name string
 	Opts seer.SeerOptions
-} {
+}
+
+// SeerVariants returns the cumulative option sets of Figure 5, in
+// presentation order, plus the core-locks-only variant discussed in §5.3.
+func SeerVariants() []Variant {
 	base := core.DefaultOptions()
 	off := base
 	off.TxLocks, off.CoreLocks, off.HTMLockAcq, off.HillClimb = false, false, false, false
@@ -222,10 +226,7 @@ func SeerVariants() []struct {
 	coreOnly := off
 	coreOnly.CoreLocks = true
 
-	return []struct {
-		Name string
-		Opts seer.SeerOptions
-	}{
+	return []Variant{
 		{"profile-only", off},
 		{"+tx-locks", tx},
 		{"+core-locks", txCore},

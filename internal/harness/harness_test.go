@@ -9,6 +9,16 @@ import (
 	"seer/internal/stamp"
 )
 
+// mustRun runs one exhibit at test scale and returns its concrete data.
+func mustRun[T Output](t *testing.T, run func(Options, Args) (Output, error), workloads []string) T {
+	t.Helper()
+	out, err := run(Options{Scale: 0.08, Runs: 1, Seed: 5}, Args{Workloads: workloads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.(T)
+}
+
 func TestRunOneBasic(t *testing.T) {
 	res, err := RunOne(Spec{
 		Workload: "ssca2", Scale: 0.1, Policy: seer.PolicyRTM,
@@ -115,12 +125,9 @@ func TestFig3SmallGrid(t *testing.T) {
 	old := Fig3Threads
 	Fig3Threads = []int{1, 4}
 	defer func() { Fig3Threads = old }()
-	d, err := Fig3(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"ssca2"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range Fig3Policies {
-		series := d.Speedup["ssca2"][pol]
+	d := mustRun[*Series](t, fig3, []string{"ssca2"})
+	for _, pol := range d.Cols {
+		series := d.Value["ssca2"][pol]
 		if len(series) != 2 {
 			t.Fatalf("%s series = %v", pol, series)
 		}
@@ -149,11 +156,8 @@ func TestTable3Small(t *testing.T) {
 	old := Table3Threads
 	Table3Threads = []int{4}
 	defer func() { Table3Threads = old }()
-	d, err := Table3(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"ssca2", "kmeans-high"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range Fig3Policies {
+	d := mustRun[*Table3Data](t, table3, []string{"ssca2", "kmeans-high"})
+	for _, pol := range d.Policies {
 		var sum float64
 		for m := 0; m < int(seer.NumModes); m++ {
 			sum += d.Pct[pol][0][m]
@@ -177,11 +181,8 @@ func TestFig4Small(t *testing.T) {
 	old := Fig3Threads
 	Fig3Threads = []int{2}
 	defer func() { Fig3Threads = old }()
-	d, err := Fig4(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"hashmap"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := d.PerWorkload["hashmap"][0]
+	d := mustRun[*Series](t, fig4, []string{"hashmap"})
+	rel := d.Value["hashmap"]["profile-only"][0]
 	if rel < 0.7 || rel > 1.3 {
 		t.Fatalf("hashmap profiling overhead out of range: %v", rel)
 	}
@@ -200,14 +201,11 @@ func TestFig5Small(t *testing.T) {
 	old := Table3Threads
 	Table3Threads = []int{4}
 	defer func() { Table3Threads = old }()
-	d, err := Fig5(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"kmeans-high"}, nil)
-	if err != nil {
-		t.Fatal(err)
+	d := mustRun[*Series](t, fig5, []string{"kmeans-high"})
+	if len(d.Cols) != 6 {
+		t.Fatalf("variants = %v", d.Cols)
 	}
-	if len(d.Variants) != 6 {
-		t.Fatalf("variants = %v", d.Variants)
-	}
-	base := d.Speedup["kmeans-high"]["profile-only"][0]
+	base := d.Value["kmeans-high"]["profile-only"][0]
 	if math.Abs(base-1) > 1e-9 {
 		t.Fatalf("profile-only vs itself = %v, want 1", base)
 	}
@@ -223,12 +221,9 @@ func TestLockFracSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid in -short mode")
 	}
-	d, err := LockFrac(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"intruder"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := d.PerWorkload["intruder"]
-	if e.MedianFrac < 0 || e.MedianFrac > 1 {
+	d := mustRun[*LockFracData](t, lockFrac, []string{"intruder"})
+	e := d.Rows[0]
+	if e.Workload != "intruder" || e.MedianFrac < 0 || e.MedianFrac > 1 {
 		t.Fatalf("median lock fraction = %v", e.MedianFrac)
 	}
 	var sb strings.Builder
@@ -264,10 +259,7 @@ func TestCSVExports(t *testing.T) {
 	Fig3Threads = []int{2}
 	defer func() { Fig3Threads = oldT }()
 
-	d3, err := Fig3(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"ssca2"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d3 := mustRun[*Series](t, fig3, []string{"ssca2"})
 	var sb strings.Builder
 	if err := d3.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -289,10 +281,7 @@ func TestCSVExports(t *testing.T) {
 	oldTT := Table3Threads
 	Table3Threads = []int{2}
 	defer func() { Table3Threads = oldTT }()
-	dt, err := Table3(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"ssca2"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dt := mustRun[*Table3Data](t, table3, []string{"ssca2"})
 	sb.Reset()
 	if err := dt.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
@@ -311,14 +300,11 @@ func TestAttemptsSweepSmall(t *testing.T) {
 	old := AttemptBudgets
 	AttemptBudgets = []int{1, 5}
 	defer func() { AttemptBudgets = old }()
-	d, err := Attempts(Options{Scale: 0.08, Runs: 1, Seed: 5}, []string{"vacation-high"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := mustRun[*AttemptsData](t, attempts, []string{"vacation-high"})
 	for _, pol := range d.Policies {
 		for bi, v := range d.Throughput[pol] {
 			if v <= 0 {
-				t.Fatalf("%s budget %d: throughput %v", pol, d.Budgets[bi], v)
+				t.Fatalf("%s budget %s: throughput %v", pol, d.Budgets[bi], v)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"seer"
-	"seer/internal/plot"
 )
 
 // The inference exhibit is the measurement the paper's authors could not
@@ -15,74 +14,33 @@ import (
 // commit/abort statistics directly against the true conflict graph —
 // precision, recall and rank divergence as functions of virtual time.
 
-// InferenceEntry is one workload's inference-quality trajectory under
-// the Seer policy.
-type InferenceEntry struct {
-	Workload string
-	Report   seer.Report
-}
+// InferenceData holds the inference exhibit: one Seer run per workload
+// with the attribution counters on.
+type InferenceData TimelineData
 
-// InferenceData holds the inference exhibit.
-type InferenceData struct {
-	Interval uint64
-	Entries  []InferenceEntry
-}
-
-// Inference runs each workload once under Seer at 8 threads with the
+// inference runs each workload once under Seer at 8 threads with the
 // attribution counters on and collects the quality trajectories.
-// interval 0 selects DefaultMetricsInterval.
-func Inference(opt Options, workloads []string, interval uint64, progress io.Writer) (*InferenceData, error) {
-	opt = opt.normalized()
-	if workloads == nil {
-		workloads = opt.suite()
-	}
-	if interval == 0 {
-		interval = DefaultMetricsInterval
-	}
-	data := &InferenceData{Interval: interval}
-	specs := make([]Spec, 0, len(workloads))
-	for _, wl := range workloads {
-		specs = append(specs, Spec{
-			Workload: wl, Scale: opt.Scale, Policy: seer.PolicySeer,
-			Threads: MachineHWThreads, Runs: 1, Seed: opt.Seed,
-			MetricsInterval: interval, Inference: true,
-		})
-	}
-	_, err := RunGrid(opt, specs, func(i int, res Result) {
-		sp := specs[i]
-		rep := res.Reports[0]
-		data.Entries = append(data.Entries, InferenceEntry{Workload: sp.Workload, Report: rep})
-		if progress != nil {
-			fmt.Fprintf(progress, "inference %-14s %d snapshots\n", sp.Workload, len(rep.Inference))
-		}
-	})
+func inference(opt Options, a Args) (Output, error) {
+	d, err := observe("inference", opt, a, []seer.PolicyKind{seer.PolicySeer}, true)
 	if err != nil {
 		return nil, err
 	}
-	return data, nil
+	return (*InferenceData)(d), nil
 }
 
 // Render writes one block per workload: precision/recall sparklines over
 // virtual time plus the final quality figures.
 func (d *InferenceData) Render(w io.Writer) {
 	fmt.Fprintf(w, "\nInference quality: Seer's learned locks vs. ground-truth conflicts (interval = %d cycles, 8 threads)\n", d.Interval)
-	const width = 48
 	for _, e := range d.Entries {
 		snaps := e.Report.Inference
 		if len(snaps) == 0 {
 			fmt.Fprintf(w, "%-14s no snapshots\n", e.Workload)
 			continue
 		}
-		prec := make([]float64, len(snaps))
-		rec := make([]float64, len(snaps))
-		for i, q := range snaps {
-			prec[i] = q.Precision
-			rec[i] = q.Recall
-		}
 		fin := snaps[len(snaps)-1]
 		fmt.Fprintf(w, "%s: %d snapshots, %d attributed aborts\n", e.Workload, len(snaps), fin.Attributed)
-		fmt.Fprintf(w, "  precision   %s  [final %.3f]\n", plot.Sparkline(prec, width), fin.Precision)
-		fmt.Fprintf(w, "  recall      %s  [final %.3f]\n", plot.Sparkline(rec, width), fin.Recall)
+		renderQuality(w, snaps)
 		fmt.Fprintf(w, "  final: true=%d predicted=%d tp=%d rank-divergence=%.3f\n",
 			fin.TruePairs, fin.PredictedPairs, fin.TP, fin.RankDivergence)
 	}

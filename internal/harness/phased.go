@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"seer"
-	"seer/internal/bench"
 	"seer/internal/stamp"
 )
 
@@ -30,142 +29,51 @@ var PhasedPolicies = []seer.PolicyKind{
 	seer.PolicyRTM, seer.PolicySCM, seer.PolicySeer, seer.PolicyPhased,
 }
 
-// PhasedData holds the exhibit: absolute throughput, per-cell global-
-// lock and software-mode commit shares, and the PhTM cell's runtime
-// digest per workload.
-type PhasedData struct {
-	Workloads []string
-	Policies  []seer.PolicyKind
-	// Throughput[wlIdx][polIdx] is the trimmed-mean commits/kcycle over
-	// runs at 8 threads.
-	Throughput [][]float64
-	// SGLShare[wlIdx][polIdx] is the percentage of commits that went
-	// through the single global lock (the serialization measure).
-	SGLShare [][]float64
-	// SWShare[wlIdx][polIdx] is the percentage of commits on the
-	// software path (nonzero only in the PhTM column).
-	SWShare [][]float64
-	// Phased[wlIdx] is the PhTM cell's mode-word digest.
-	Phased []*seer.PhasedReport
-}
+// PhasedData holds the exhibit: the (workload × policy) throughput
+// matrix, whose per-cell reports carry the global-lock and software-mode
+// commit shares and the PhTM cell's runtime digest.
+type PhasedData struct{ *Matrix }
 
-// Phased runs the (workload × policy) grid at 8 threads.
-func Phased(opt Options, workloads []string, progress io.Writer) (*PhasedData, error) {
-	opt = opt.normalized()
-	if workloads == nil {
-		workloads = append([]string{}, PhasedWorkloads...)
+// phased runs the (workload × policy) matrix at 8 threads.
+func phased(opt Options, a Args) (Output, error) {
+	rows := a.Workloads
+	if rows == nil {
+		rows = PhasedWorkloads
 	}
-	pols := PhasedPolicies
-	data := &PhasedData{
-		Workloads:  workloads,
-		Policies:   pols,
-		Throughput: make([][]float64, len(workloads)),
-		SGLShare:   make([][]float64, len(workloads)),
-		SWShare:    make([][]float64, len(workloads)),
-		Phased:     make([]*seer.PhasedReport, len(workloads)),
-	}
-	for g := range data.Throughput {
-		data.Throughput[g] = make([]float64, len(pols))
-		data.SGLShare[g] = make([]float64, len(pols))
-		data.SWShare[g] = make([]float64, len(pols))
-	}
-
-	var specs []Spec
-	cells := bench.Cross(len(workloads), len(pols))
-	for _, c := range cells {
-		specs = append(specs, Spec{
-			Workload: workloads[c[0]], Scale: opt.Scale, Policy: pols[c[1]],
-			Threads: MachineHWThreads, Runs: opt.Runs, Seed: opt.Seed,
-		})
-	}
-	_, err := RunGrid(opt, specs, func(i int, res Result) {
-		c := cells[i]
-		vals := make([]float64, len(res.Reports))
-		for r, rep := range res.Reports {
-			vals[r] = rep.Throughput()
-		}
-		data.Throughput[c[0]][c[1]] = bench.TrimmedMean(vals, 0.2)
-		last := res.Reports[len(res.Reports)-1]
-		if commits := last.Commits(); commits > 0 {
-			data.SGLShare[c[0]][c[1]] = 100 * float64(last.Modes[seer.ModeSGL]) / float64(commits)
-			data.SWShare[c[0]][c[1]] = 100 * float64(last.Modes[seer.ModeSTM]) / float64(commits)
-		}
-		if res.Spec.Policy == seer.PolicyPhased {
-			data.Phased[c[0]] = last.Phased
-		}
-		if progress != nil {
-			fmt.Fprintf(progress, "phased %-14s %-8s %.3f commits/kcycle (SGL %.1f%%)\n",
-				res.Spec.Workload, res.Spec.Policy,
-				data.Throughput[c[0]][c[1]], data.SGLShare[c[0]][c[1]])
-		}
-	})
-	if err != nil {
+	g := newGrid(opt)
+	g.cube(rows, policyPoints(PhasedPolicies), fullMachine)
+	if err := g.run("phased", a.Progress); err != nil {
 		return nil, err
 	}
-	return data, nil
+	return &PhasedData{reduceMatrix(g, "\nPhased TM: throughput (commits/kcycle) at 8 threads",
+		"workload", rows, PhasedPolicies)}, nil
 }
 
-// polIdx returns the index of pol in d.Policies, or -1.
-func (d *PhasedData) polIdx(pol seer.PolicyKind) int {
-	for i, p := range d.Policies {
-		if p == pol {
-			return i
-		}
+// modeShare is the percentage of a run's commits made in mode.
+func modeShare(rep seer.Report, mode seer.Mode) float64 {
+	if rep.Commits() == 0 {
+		return 0
 	}
-	return -1
+	return 100 * float64(rep.Modes[mode]) / float64(rep.Commits())
 }
 
 // Render writes the throughput, speedup, and serialization tables plus
 // the PhTM mode-word digest per workload.
 func (d *PhasedData) Render(w io.Writer) {
-	cols := make([]string, len(d.Policies))
-	for i, p := range d.Policies {
-		cols[i] = string(p)
-	}
-	abs := bench.RatioTable{
-		Title:     "\nPhased TM: throughput (commits/kcycle) at 8 threads",
-		RowHeader: "workload",
-		Rows:      d.Workloads, Cols: cols, Cells: d.Throughput,
-	}
-	abs.Render(w)
+	d.Matrix.Render(w)
 
-	if base := d.polIdx(seer.PolicyRTM); base >= 0 {
-		rel := make([][]float64, len(d.Workloads))
-		for g := range d.Workloads {
-			rel[g] = make([]float64, len(d.Policies))
-			for p := range d.Policies {
-				if d.Throughput[g][base] > 0 {
-					rel[g][p] = d.Throughput[g][p] / d.Throughput[g][base]
-				}
-			}
+	sgl := make([][]float64, len(d.Rows))
+	for r, reports := range d.Last {
+		for _, rep := range reports {
+			sgl[r] = append(sgl[r], modeShare(rep, seer.ModeSGL))
 		}
-		tbl := bench.RatioTable{
-			Title:     "\nSpeedup over blind retry (RTM = 1.00)",
-			RowHeader: "workload",
-			Rows:      d.Workloads, Cols: cols, Cells: rel,
-			Geomean: true,
-		}
-		tbl.Render(w)
 	}
-
-	sgl := bench.RatioTable{
-		Title:     "\nGlobal-lock serialization: % of commits through the SGL",
-		RowHeader: "workload",
-		Rows:      d.Workloads, Cols: cols, Cells: d.SGLShare,
-	}
-	sgl.Render(w)
+	d.table(w, "\nGlobal-lock serialization: % of commits through the SGL", sgl, false)
 
 	fmt.Fprintf(w, "\nPhTM mode-word digest per workload\n")
-	for g, name := range d.Workloads {
-		pr := d.Phased[g]
-		if pr == nil {
-			continue
-		}
-		pi := d.polIdx(seer.PolicyPhased)
-		sw := 0.0
-		if pi >= 0 {
-			sw = d.SWShare[g][pi]
-		}
+	for r, name := range d.Rows {
+		rep := d.Last[r][d.col(seer.PolicyPhased)]
+		pr := rep.Phased
 		total := pr.ModeCycles[0] + pr.ModeCycles[1] + pr.ModeCycles[2]
 		occ := [3]float64{}
 		if total > 0 {
@@ -174,7 +82,7 @@ func (d *PhasedData) Render(w io.Writer) {
 			}
 		}
 		fmt.Fprintf(w, "%-14s sw-commits=%5.1f%% deferrals=%d undeferrals=%d transitions=%d occupancy hw=%.1f%% sw=%.1f%% glock=%.1f%%\n",
-			name, sw, pr.Deferrals, pr.Undeferrals, pr.Transitions,
+			name, modeShare(rep, seer.ModeSTM), pr.Deferrals, pr.Undeferrals, pr.Transitions,
 			occ[0], occ[1], occ[2])
 	}
 }

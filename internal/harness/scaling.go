@@ -39,149 +39,73 @@ var ScalingPolicies = []seer.PolicyKind{seer.PolicyRTM, seer.PolicySeer}
 // local-to-remote latency ratio of a real multi-socket machine.
 const ScalingRemotePenalty = 4
 
-// ScalingData holds speedups indexed [workload][policy][shapeIdx], plus
-// the NUMA sensitivity column at the largest shape.
+// ScalingData is the scaling sweep — speedup over the sequential run,
+// [workload][policy][shapeIdx] — plus the NUMA sensitivity column.
 type ScalingData struct {
-	Workloads []string
-	Policies  []seer.PolicyKind
-	Shapes    []seer.Topology
-	// Speedup[workload][policy][shapeIdx] vs the sequential baseline.
-	Speedup map[string]map[seer.PolicyKind][]float64
-	// Geomean[policy][shapeIdx] aggregates across workloads.
-	Geomean map[seer.PolicyKind][]float64
+	*Series
 	// RemoteSpeedup[workload] is Seer at the largest shape with
 	// ScalingRemotePenalty charged on cross-socket accesses; compare with
-	// Speedup[workload][PolicySeer][len(Shapes)-1] for the NUMA cost.
+	// Value[workload]["Seer"] at the last shape for the NUMA cost.
 	RemoteSpeedup map[string]float64
 }
 
-// Scaling runs every workload under ScalingPolicies across
+// shapePoint is a machine shape as an x position, run with as many
+// workers as it has hardware threads; labelled e.g. "2s8c2t(32)".
+func shapePoint(t seer.Topology) point {
+	return point{fmt.Sprintf("%s(%d)", t, t.Threads()), func(sp *Spec) {
+		sp.Threads, sp.Topology = t.Threads(), t
+	}}
+}
+
+// scaling runs every workload under ScalingPolicies across
 // ScalingShapes, with as many workers as each shape has hardware
 // threads, and reports speedup over the sequential baseline. A final
 // per-workload cell reruns Seer on the largest shape with the
 // cross-socket access penalty enabled.
-func Scaling(opt Options, workloads []string, progress io.Writer) (*ScalingData, error) {
-	opt = opt.normalized()
+func scaling(opt Options, a Args) (Output, error) {
 	// The shape axis is the experiment; a global -topology override would
 	// silently turn the sweep into one repeated shape.
 	opt.Topology = seer.Topology{}
-	if workloads == nil {
-		workloads = opt.suite()
+	xs := make([]point, len(ScalingShapes))
+	for i, shape := range ScalingShapes {
+		xs[i] = shapePoint(shape)
 	}
-	data := &ScalingData{
-		Workloads:     append([]string{}, workloads...),
-		Policies:      ScalingPolicies,
-		Shapes:        ScalingShapes,
-		Speedup:       map[string]map[seer.PolicyKind][]float64{},
-		Geomean:       map[seer.PolicyKind][]float64{},
-		RemoteSpeedup: map[string]float64{},
+	sweep := seriesSpec{
+		rows: opt.rows(a.Workloads), cols: policyPoints(ScalingPolicies), xs: xs,
+		ref: sequential, refPerRow: true,
+		style: seriesStyle{
+			title: "\nscaling: speedup vs sequential across machine shapes (workers = hardware threads)\n",
+			head:  fmt.Sprintf("%-14s %-6s", "workload", "policy"),
+			label: "%-14s %-6s", x: " %12s", val: " %12.2f",
+		},
 	}
-	// Grid: per workload, the sequential baseline, then (policy × shape),
-	// then the penalized Seer cell. RunGrid's ordered callback sees the
-	// baseline before any cell that divides by it.
-	type cell struct {
-		wl     string
-		pol    seer.PolicyKind
-		si     int  // shape index; -1 marks the baseline cell
-		remote bool // the NUMA sensitivity cell
-	}
-	var specs []Spec
-	var cells []cell
-	largest := ScalingShapes[len(ScalingShapes)-1]
-	for _, wl := range workloads {
-		specs = append(specs, Spec{
-			Workload: wl, Scale: opt.Scale,
-			Policy: seer.PolicySeq, Threads: 1, Runs: opt.Runs, Seed: opt.Seed,
-		})
-		cells = append(cells, cell{wl: wl, si: -1})
-		for _, pol := range ScalingPolicies {
-			for si, shape := range ScalingShapes {
-				specs = append(specs, Spec{
-					Workload: wl, Scale: opt.Scale, Policy: pol,
-					Threads: shape.Threads(), Runs: opt.Runs, Seed: opt.Seed,
-					Topology: shape,
-				})
-				cells = append(cells, cell{wl: wl, pol: pol, si: si})
-			}
-		}
-		specs = append(specs, Spec{
-			Workload: wl, Scale: opt.Scale, Policy: seer.PolicySeer,
-			Threads: largest.Threads(), Runs: opt.Runs, Seed: opt.Seed,
-			Topology: largest, RemoteAccessCost: ScalingRemotePenalty,
-		})
-		cells = append(cells, cell{wl: wl, remote: true})
-	}
-	baselines := map[string]float64{}
-	_, err := RunGrid(opt, specs, func(i int, res Result) {
-		c := cells[i]
-		switch {
-		case c.si < 0 && !c.remote:
-			baselines[c.wl] = res.MeanMakespan
-			data.Speedup[c.wl] = map[seer.PolicyKind][]float64{}
-		case c.remote:
-			data.RemoteSpeedup[c.wl] = Speedup(baselines[c.wl], res)
-			if progress != nil {
-				fmt.Fprintf(progress, "scaling %-14s done\n", c.wl)
-			}
-		default:
-			if c.si == 0 {
-				data.Speedup[c.wl][c.pol] = make([]float64, len(ScalingShapes))
-			}
-			data.Speedup[c.wl][c.pol][c.si] = Speedup(baselines[c.wl], res)
-		}
-	})
-	if err != nil {
+	largest := xs[len(xs)-1]
+	remote := point{"Seer+remote", func(sp *Spec) {
+		sp.Policy, sp.RemoteAccessCost = seer.PolicySeer, ScalingRemotePenalty
+	}}
+	g := newGrid(opt)
+	sweep.addTo(g)
+	g.cube(sweep.rows, []point{remote}, []point{largest})
+	if err := g.run("scaling", a.Progress); err != nil {
 		return nil, err
 	}
-	for _, pol := range ScalingPolicies {
-		gm := make([]float64, len(ScalingShapes))
-		for si := range ScalingShapes {
-			vals := make([]float64, 0, len(workloads))
-			for _, wl := range workloads {
-				vals = append(vals, data.Speedup[wl][pol][si])
-			}
-			gm[si] = GeoMean(vals)
-		}
-		data.Geomean[pol] = gm
+	d := &ScalingData{Series: sweep.reduce(g), RemoteSpeedup: map[string]float64{}}
+	for _, wl := range sweep.rows {
+		seq := sweep.refCell(g, wl, largest).MeanMakespan
+		d.RemoteSpeedup[wl] = Speedup(seq, g.at(wl, remote.label, largest.label))
 	}
-	return data, nil
-}
-
-// shapeLabel renders one column header, e.g. "2s8c2t(32)".
-func shapeLabel(t seer.Topology) string {
-	return fmt.Sprintf("%s(%d)", t, t.Threads())
+	return d, nil
 }
 
 // Render writes the scaling tables as text.
 func (d *ScalingData) Render(w io.Writer) {
-	fmt.Fprintf(w, "\nscaling: speedup vs sequential across machine shapes (workers = hardware threads)\n")
-	fmt.Fprintf(w, "%-14s %-6s", "workload", "policy")
-	for _, shape := range d.Shapes {
-		fmt.Fprintf(w, " %12s", shapeLabel(shape))
-	}
-	fmt.Fprintln(w)
-	row := func(name string, pol seer.PolicyKind, vals []float64) {
-		fmt.Fprintf(w, "%-14s %-6s", name, pol)
-		for _, v := range vals {
-			fmt.Fprintf(w, " %12.2f", v)
-		}
-		fmt.Fprintln(w)
-	}
-	for _, wl := range d.Workloads {
-		for _, pol := range d.Policies {
-			row(wl, pol, d.Speedup[wl][pol])
-		}
-	}
-	for _, pol := range d.Policies {
-		row("geomean", pol, d.Geomean[pol])
-	}
-
-	largest := d.Shapes[len(d.Shapes)-1]
+	d.Series.Render(w)
+	last := len(d.Xs) - 1
 	fmt.Fprintf(w, "\nNUMA sensitivity: seer at %s with a %d-cycle cross-socket access penalty\n",
-		shapeLabel(largest), ScalingRemotePenalty)
+		d.Xs[last], ScalingRemotePenalty)
 	fmt.Fprintf(w, "%-14s %12s %12s %8s\n", "workload", "uniform", "penalized", "ratio")
-	for _, wl := range d.Workloads {
-		uniform := d.Speedup[wl][seer.PolicySeer][len(d.Shapes)-1]
+	for _, wl := range d.Rows {
+		uniform := d.Value[wl][string(seer.PolicySeer)][last]
 		penalized := d.RemoteSpeedup[wl]
 		ratio := 0.0
 		if uniform > 0 {

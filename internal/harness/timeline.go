@@ -33,43 +33,44 @@ type TimelineData struct {
 	Entries  []TimelineEntry
 }
 
-// Timelines runs each (workload × policy) cell once at 8 threads with
-// interval metrics enabled and collects the per-interval series. interval
-// 0 selects DefaultMetricsInterval.
-func Timelines(opt Options, workloads []string, policies []seer.PolicyKind, interval uint64, progress io.Writer) (*TimelineData, error) {
-	opt = opt.normalized()
-	if workloads == nil {
-		workloads = opt.suite()
+// observe runs each (workload × policy) cell once at 8 threads with
+// interval metrics on — plus, with inference set, the abort-attribution
+// counters — and collects the reports in row-major order. An a.Interval
+// of 0 selects DefaultMetricsInterval.
+func observe(name string, opt Options, a Args, pols []seer.PolicyKind, inference bool) (*TimelineData, error) {
+	d := &TimelineData{Interval: a.Interval}
+	if d.Interval == 0 {
+		d.Interval = DefaultMetricsInterval
 	}
-	if policies == nil {
-		policies = []seer.PolicyKind{seer.PolicyRTM, seer.PolicySeer}
+	rows := opt.rows(a.Workloads)
+	cols := make([]point, len(pols))
+	for i, pol := range pols {
+		cols[i] = point{string(pol), func(sp *Spec) {
+			sp.Policy, sp.Runs = pol, 1
+			sp.MetricsInterval, sp.Inference = d.Interval, inference
+		}}
 	}
-	if interval == 0 {
-		interval = DefaultMetricsInterval
+	g := newGrid(opt)
+	g.cube(rows, cols, fullMachine)
+	if err := g.run(name, a.Progress); err != nil {
+		return nil, err
 	}
-	data := &TimelineData{Interval: interval}
-	var specs []Spec
-	for _, wl := range workloads {
-		for _, pol := range policies {
-			specs = append(specs, Spec{
-				Workload: wl, Scale: opt.Scale, Policy: pol,
-				Threads: MachineHWThreads, Runs: 1, Seed: opt.Seed,
-				MetricsInterval: interval,
-			})
+	for _, wl := range rows {
+		for i, pol := range pols {
+			d.Entries = append(d.Entries, TimelineEntry{wl, pol, g.at8(wl, cols[i].label).Reports[0]})
 		}
 	}
-	_, err := RunGrid(opt, specs, func(i int, res Result) {
-		sp := specs[i]
-		rep := res.Reports[0]
-		data.Entries = append(data.Entries, TimelineEntry{Workload: sp.Workload, Policy: sp.Policy, Report: rep})
-		if progress != nil {
-			fmt.Fprintf(progress, "timeline %-14s %-6s %d intervals\n", sp.Workload, sp.Policy, len(rep.Timeline))
-		}
-	})
+	return d, nil
+}
+
+// timelines records the per-interval series of RTM and Seer on every
+// workload.
+func timelines(opt Options, a Args) (Output, error) {
+	d, err := observe("timeline", opt, a, []seer.PolicyKind{seer.PolicyRTM, seer.PolicySeer}, false)
 	if err != nil {
 		return nil, err
 	}
-	return data, nil
+	return d, nil
 }
 
 // Render writes one sparkline block per entry.
@@ -127,18 +128,12 @@ func RenderTimeline(w io.Writer, title string, snaps []seer.Snapshot) {
 // file with the other exhibits.
 func (d *TimelineData) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	header := append([]string{"exhibit", "workload", "policy"}, telemetry.CSVHeader()...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
+	cw.Write(append([]string{"exhibit", "workload", "policy"}, telemetry.CSVHeader()...))
 	for _, e := range d.Entries {
 		for _, s := range e.Report.Timeline {
-			rec := append([]string{"timeline", e.Workload, string(e.Policy)}, telemetry.CSVRecord(s)...)
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
+			cw.Write(append([]string{"timeline", e.Workload, string(e.Policy)}, telemetry.CSVRecord(s)...))
 		}
 	}
 	cw.Flush()
-	return cw.Error()
+	return cw.Error() // reports the first failed Write, too
 }
