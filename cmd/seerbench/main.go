@@ -35,8 +35,6 @@
 //	             paper's 1s4c2t testbed (spec form <sockets>s<cores>c<threads>t,
 //	             e.g. 2s8c2t; cells needing more threads than the shape
 //	             offers fail). scaling ignores it: it sweeps its own shapes.
-//	-registry-shards n  conflict-registry shard count per cell (0 = auto
-//	             by machine shape; results identical at any count)
 //	-quantum k   speculative-quantum depth per cell (0 = library default,
 //	             -1 = off; results identical at any setting)
 //	-csv f       also write the selected exhibits' machine-readable form to f
@@ -83,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		fullSuite  = fs.Bool("full-suite", false, "widen the default workload set with bayes and labyrinth")
-		regShards  = fs.Int("registry-shards", 0, "conflict-registry shard count per cell (0 = auto by machine shape; results identical at any count)")
 		quantum    = fs.Int("quantum", 0, "speculative-quantum budget per cell (0 = library default, -1 = off, K > 0 = up to K pure ticks; results identical at any setting)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -112,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-csv: %s has no CSV form (have %s)", *experiment, strings.Join(have, "|")))
 	}
 	opt := harness.Options{Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel,
-		FullSuite: *fullSuite, RegistryShards: *regShards, Quantum: *quantum}
+		FullSuite: *fullSuite, Quantum: *quantum}
 	if *topoSpec != "" {
 		if opt.Topology, err = seer.ParseTopology(*topoSpec); err != nil {
 			return fail(err)

@@ -1,8 +1,10 @@
-// Command seerstat runs one workload under the Seer policy and dumps the
-// scheduler's internals: the merged conflict statistics, the inferred
-// locking scheme, threshold trajectory, lock-acquisition accounting and
-// the commit-mode breakdown. It is the debugging/inspection companion of
-// seerbench.
+// Command seerstat runs one cell — one workload under one policy (Seer
+// by default) on one machine shape — and dumps what happened: the
+// commit-mode breakdown and HTM counters under every policy and, under
+// Seer, the scheduler's internals (merged conflict statistics, inferred
+// locking scheme, threshold trajectory, lock-acquisition accounting). It
+// is the debugging/inspection companion of seerbench and sizes, shapes
+// and runs its cell exactly as seerbench does (harness.Spec.Config).
 //
 // Usage:
 //
@@ -223,54 +225,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	cfg := seer.DefaultConfig()
-	cfg.Threads = *threads
+	spec := harness.Spec{
+		Workload: *workload, Scale: *scale, Policy: seer.PolicyKind(*policy), Threads: *threads,
+		RemoteAccessCost: *remoteCost, MetricsInterval: *interval,
+		Inference: *explain || *dotPath != "", Quantum: *quantum,
+	}
 	if *topoSpec != "" {
-		topo, err := seer.ParseTopology(*topoSpec)
-		if err != nil {
+		if spec.Topology, err = seer.ParseTopology(*topoSpec); err != nil {
 			return fail(err)
 		}
-		cfg.Topology = topo
-		cfg.RemoteAccessCost = *remoteCost
-	} else {
-		cfg.HWThreads = harness.MachineHWThreads
-		cfg.PhysCores = harness.MachinePhysCores
 	}
-	cfg.Seed = *seed
-	cfg.Policy = seer.PolicyKind(*policy)
-	cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-	cfg.MemWords = wl.MemWords() + (1 << 14)
-	cfg.MaxCycles = 1 << 36
+	if spec.MetricsInterval == 0 && (*timeline || *csvPath != "" || *jsonlPath != "") {
+		spec.MetricsInterval = harness.DefaultMetricsInterval
+	}
+	cfg := spec.Config(wl, *seed)
 	cfg.TraceEvents = *traceN
 	if *chromePath != "" && cfg.TraceEvents == 0 {
 		cfg.TraceEvents = 1 << 16
 	}
-	needTimeline := *timeline || *csvPath != "" || *jsonlPath != ""
-	cfg.MetricsInterval = *interval
-	if cfg.MetricsInterval == 0 && needTimeline {
-		cfg.MetricsInterval = harness.DefaultMetricsInterval
-	}
 	cfg.TraceAttempts = *spansJSONL != "" || *spansChrom != ""
-	cfg.AttributionCounters = *explain || *dotPath != ""
-	switch {
-	case *quantum < 0:
-		cfg.SpeculativeQuantum = 0
-	case *quantum > 0:
-		cfg.SpeculativeQuantum = *quantum
-	}
-	sys, err := seer.NewSystem(cfg)
+	sys, rep, err := stamp.Run(wl, cfg)
 	if err != nil {
 		return fail(err)
-	}
-	if err := wl.Setup(sys); err != nil {
-		return fail(fmt.Errorf("setup: %w", err))
-	}
-	rep, err := sys.Run(wl.Workers(*threads))
-	if err != nil {
-		return fail(fmt.Errorf("run: %w", err))
-	}
-	if err := wl.Validate(sys); err != nil {
-		return fail(fmt.Errorf("validation: %w", err))
 	}
 
 	obs := sys.Recorder()

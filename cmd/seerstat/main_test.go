@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+
+	"seer"
+	"seer/internal/harness"
 )
 
 // seerstat runs the command in-process and returns its standard output.
@@ -56,5 +60,45 @@ func TestTraceKindsFilter(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-trace-kinds", "bogus"}, &bytes.Buffer{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "bogus") {
 		t.Errorf("unknown kind: exit %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestWideShapesFit: seerstat sizes a cell by the shared recipe, so the
+// wide shapes seerbench runs — and a thread count above the testbed's 8,
+// which grows the flat machine — build and run here too.
+func TestWideShapesFit(t *testing.T) {
+	for _, args := range [][]string{
+		{"-threads", "64", "-topology", "2s16c2t", "-scale", "0.1", "-policy", "RTM"},
+		{"-threads", "16"},
+	} {
+		if out := seerstat(t, append(args, "-summary")...); !strings.Contains(out, "threads="+args[1]+"\n") {
+			t.Errorf("seerstat %v: summary does not report %s threads:\n%s", args, args[1], out)
+		}
+	}
+}
+
+// TestSummaryMatchesHarness: seerstat and the harness (so seerbench) run
+// the same cell for the same parameters, on the testbed and on a wide shape.
+func TestSummaryMatchesHarness(t *testing.T) {
+	for _, c := range []struct {
+		threads int
+		topo    string
+	}{{8, ""}, {32, "2s8c2t"}} {
+		spec := harness.Spec{Workload: "intruder", Scale: 0.05, Policy: seer.PolicySeer, Threads: c.threads, Seed: 3}
+		if c.topo != "" {
+			var err error
+			if spec.Topology, err = seer.ParseTopology(c.topo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := harness.RunOne(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := seerstat(t, "-threads", strconv.Itoa(c.threads), "-topology", c.topo, "-seed", "3", "-summary")
+		if want := res.Reports[0].Summary(); got != want {
+			t.Errorf("%dt %s: seerstat -summary differs from harness.RunOne:\n--- seerstat ---\n%s--- harness ---\n%s",
+				c.threads, c.topo, got, want)
+		}
 	}
 }

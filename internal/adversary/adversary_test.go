@@ -4,31 +4,19 @@ import (
 	"testing"
 
 	"seer"
+	"seer/internal/stamp"
 )
 
 // runGraph builds a system, runs workload w under pol, validates, and
 // returns the system for post-run inspection.
 func runGraph(t testing.TB, w *Workload, pol seer.PolicyKind, threads int, seed int64, attribution bool) *seer.System {
 	t.Helper()
-	cfg := seer.DefaultConfig()
-	cfg.Threads = threads
-	cfg.HWThreads = 8
-	cfg.PhysCores = 4
+	cfg := stamp.Config(w, threads, seer.Topology{})
 	cfg.Seed = seed
 	cfg.Policy = pol
-	cfg.NumAtomicBlocks = w.NumAtomicBlocks()
-	cfg.MemWords = w.MemWords() + (1 << 14)
-	cfg.MaxCycles = 1 << 33
 	cfg.AttributionCounters = attribution
-	sys, err := seer.NewSystem(cfg)
+	sys, _, err := stamp.Run(w, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	w.Setup(sys)
-	if _, err := sys.Run(w.Workers(threads)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
 	return sys

@@ -29,11 +29,6 @@ type Options struct {
 	// that was not given an explicit list (the seerbench -full-suite
 	// flag). Explicit workload arguments are unaffected.
 	FullSuite bool
-	// RegistryShards sets the conflict registry's shard count for every
-	// grid cell that does not pin its own (the seerbench -registry-shards
-	// flag; 0 = auto by machine shape). Pure data layout: results are
-	// bit-identical at any count.
-	RegistryShards int
 	// Quantum sets the speculative-quantum budget for every grid cell
 	// that does not pin its own (the seerbench -quantum flag; 0 = library
 	// default, -1 = speculation off, K > 0 = quanta of up to K pure

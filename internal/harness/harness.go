@@ -13,13 +13,11 @@ import (
 	"seer/internal/stamp"
 )
 
-// MachineHWThreads and MachinePhysCores pin the simulated testbed to the
-// paper's: a 4-core, 8-hardware-thread processor. Thread counts 1–4 land
-// on distinct physical cores; 5–8 start doubling up hyperthread siblings
-// (worker i runs on hardware thread i, and threads t, t+4 share a core).
+// MachineHWThreads and MachinePhysCores are the paper's testbed (see
+// stamp.TestbedHWThreads), under the names the exhibit code reads.
 const (
-	MachineHWThreads = 8
-	MachinePhysCores = 4
+	MachineHWThreads = stamp.TestbedHWThreads
+	MachinePhysCores = stamp.TestbedPhysCores
 )
 
 // Spec describes one measurement cell.
@@ -49,10 +47,6 @@ type Spec struct {
 	// Seer policy, the inference-quality trajectory in Report.Inference
 	// (see seer.Config.AttributionCounters).
 	Inference bool
-	// RegistryShards sets the conflict registry's shard count for this
-	// cell (0 = auto by machine shape; see seer.Config.RegistryShards).
-	// Pure data layout — results are identical at any count.
-	RegistryShards int
 	// Quantum sets the speculative-quantum budget for this cell: 0 keeps
 	// the library default (seer.DefaultSpeculativeQuantum), -1 disables
 	// speculation, and any positive K grants quanta of up to K pure
@@ -103,7 +97,32 @@ func runOneWith(spec Spec, rec *seer.Recycler) (Result, error) {
 	return res, nil
 }
 
-// runOnce builds a system and workload, runs, and validates. With a
+// Config is the cell's seer.Config: the stamp recipe for wl plus this
+// Spec's overrides, seeded with seed. seerstat builds its cell through
+// it too, so the two CLIs size and shape a cell identically.
+func (spec Spec) Config(wl stamp.Workload, seed int64) seer.Config {
+	cfg := stamp.Config(wl, spec.Threads, spec.Topology)
+	cfg.RemoteAccessCost = spec.RemoteAccessCost
+	cfg.Seed = seed
+	cfg.Policy = spec.Policy
+	if spec.MaxAttempts > 0 {
+		cfg.MaxAttempts = spec.MaxAttempts
+	}
+	if spec.SeerOpts != nil {
+		cfg.Seer = *spec.SeerOpts
+	}
+	cfg.MetricsInterval = spec.MetricsInterval
+	cfg.AttributionCounters = spec.Inference
+	switch {
+	case spec.Quantum < 0:
+		cfg.SpeculativeQuantum = 0
+	case spec.Quantum > 0:
+		cfg.SpeculativeQuantum = spec.Quantum
+	}
+	return cfg
+}
+
+// runOnce runs and validates one repetition of the cell. With a
 // recycler the system is a replica built on the caller's reusable
 // buffers, returned to it after validation.
 func runOnce(spec Spec, seed int64, rec *seer.Recycler) (seer.Report, error) {
@@ -111,60 +130,11 @@ func runOnce(spec Spec, seed int64, rec *seer.Recycler) (seer.Report, error) {
 	if err != nil {
 		return seer.Report{}, err
 	}
-	cfg := seer.DefaultConfig()
-	cfg.Threads = spec.Threads
-	if spec.Topology.IsZero() {
-		cfg.HWThreads = MachineHWThreads
-		cfg.PhysCores = MachinePhysCores
-		if spec.Threads > MachineHWThreads {
-			cfg.HWThreads = spec.Threads
-		}
-	} else {
-		cfg.Topology = spec.Topology
-		cfg.RemoteAccessCost = spec.RemoteAccessCost
-	}
-	cfg.Seed = seed
-	cfg.Policy = spec.Policy
-	cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-	cfg.MemWords = wl.MemWords() + (1 << 14)
-	if !spec.Topology.IsZero() {
-		// Wide machines grow per-thread state in simulated memory (arena
-		// shard lines and slack chunks, thread-stat lines); extra words
-		// only extend the address space, they never shift the layout.
-		cfg.MemWords += spec.Topology.Threads() * 2048
-	}
-	cfg.MaxCycles = 1 << 36 // livelock guard
-	if spec.MaxAttempts > 0 {
-		cfg.MaxAttempts = spec.MaxAttempts
-	}
-	if spec.SeerOpts != nil {
-		cfg.Seer = *spec.SeerOpts
-	} else {
-		cfg.Seer = core.DefaultOptions()
-	}
-	cfg.MetricsInterval = spec.MetricsInterval
-	cfg.AttributionCounters = spec.Inference
-	cfg.RegistryShards = spec.RegistryShards
-	switch {
-	case spec.Quantum < 0:
-		cfg.SpeculativeQuantum = 0
-	case spec.Quantum > 0:
-		cfg.SpeculativeQuantum = spec.Quantum
-	}
+	cfg := spec.Config(wl, seed)
 	cfg.Recycler = rec
-	sys, err := seer.NewSystem(cfg)
+	sys, rep, err := stamp.Run(wl, cfg)
 	if err != nil {
 		return seer.Report{}, err
-	}
-	if err := wl.Setup(sys); err != nil {
-		return seer.Report{}, fmt.Errorf("setup failed: %w", err)
-	}
-	rep, err := sys.Run(wl.Workers(spec.Threads))
-	if err != nil {
-		return seer.Report{}, err
-	}
-	if err := wl.Validate(sys); err != nil {
-		return seer.Report{}, fmt.Errorf("validation failed: %w", err)
 	}
 	sys.Release()
 	return rep, nil

@@ -328,27 +328,13 @@ func TestOrderingRobustToCostModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := seer.DefaultConfig()
-		cfg.Threads = 8
-		cfg.HWThreads = MachineHWThreads
-		cfg.PhysCores = MachinePhysCores
+		cfg := stamp.Config(wl, 8, seer.Topology{})
 		cfg.Policy = pol
 		cfg.Seed = 2
-		cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-		cfg.MemWords = wl.MemWords() + (1 << 14)
-		cfg.MaxCycles = 1 << 36
 		cfg.Cost.XBegin = beginCost
 		cfg.Cost.XEnd = endCost
-		sys, err := seer.NewSystem(cfg)
+		_, rep, err := stamp.Run(wl, cfg)
 		if err != nil {
-			t.Fatal(err)
-		}
-		wl.Setup(sys)
-		rep, err := sys.Run(wl.Workers(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := wl.Validate(sys); err != nil {
 			t.Fatal(err)
 		}
 		return rep.Throughput()

@@ -461,10 +461,6 @@ func (t *Tx) Abort(code uint8) {
 func (t *Tx) ReadSetLines() int  { return t.st.nReadLines }
 func (t *Tx) WriteSetLines() int { return t.st.nWriteLines }
 
-// WriteSetWords reports the number of distinct buffered store addresses,
-// for tests.
-func (t *Tx) WriteSetWords() int { return t.st.wb.count() }
-
 // Run executes body as one hardware transaction attempt on ctx's thread.
 // It returns status 0 if the transaction committed, and the abort status
 // otherwise (body side effects are discarded on abort, as the write buffer

@@ -87,8 +87,8 @@ type lineState struct {
 // line: two shards never share a line of the registry itself.
 const shardAlign = 8
 
-// MaxRegistryShards caps the shard count of the conflict registry.
-const MaxRegistryShards = 64
+// maxShards caps the shard count of the conflict registry.
+const maxShards = 64
 
 // Memory is the simulated shared memory.
 //
@@ -142,7 +142,7 @@ func New(words int) *Memory {
 
 // NewSharded creates a memory whose conflict registry is split into the
 // given number of cache-line-padded shards (rounded up to a power of
-// two, clamped to [1, MaxRegistryShards]). The shard count is pure data
+// two, clamped to [1, maxShards]). The shard count is pure data
 // layout: every registry operation behaves identically — and every
 // schedule is bit-for-bit identical — whatever the count (the registry
 // is consulted between engine scheduling points only, so the mapping is
@@ -152,13 +152,13 @@ func NewSharded(words, shards int) *Memory {
 }
 
 // setShards fixes the shard geometry for nLines. shards is rounded up to
-// a power of two and clamped to [1, MaxRegistryShards].
+// a power of two and clamped to [1, maxShards].
 func (m *Memory) setShards(shards int) {
 	if shards < 1 {
 		shards = 1
 	}
-	if shards > MaxRegistryShards {
-		shards = MaxRegistryShards
+	if shards > maxShards {
+		shards = maxShards
 	}
 	shift := uint32(0)
 	for 1<<shift < shards {
@@ -194,9 +194,6 @@ func (m *Memory) AccessCost(hw int, a Addr) uint64 {
 	}
 	return m.access(hw, LineOf(a))
 }
-
-// Words returns the memory size in words.
-func (m *Memory) Words() int { return len(m.words) }
 
 // Alloc bump-allocates n words and returns the address of the first.
 // It panics when the memory is exhausted: simulated workloads size their

@@ -12,15 +12,7 @@ import (
 func TestLabyrinthQueueTooSmall(t *testing.T) {
 	w := NewLabyrinth(0.1)
 	w.queueSlots = w.totalOps / 2
-	cfg := seer.DefaultConfig()
-	cfg.Threads = 1
-	cfg.NumAtomicBlocks = w.NumAtomicBlocks()
-	cfg.MemWords = w.MemWords() + (1 << 14)
-	sys, err := seer.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Setup(sys)
+	_, _, err := Run(w, Config(w, 1, seer.Topology{}))
 	if err == nil {
 		t.Fatal("undersized queue accepted")
 	}
@@ -33,15 +25,7 @@ func TestLabyrinthQueueTooSmall(t *testing.T) {
 // every pre-planned request.
 func TestLabyrinthQueueDefaultSufficient(t *testing.T) {
 	w := NewLabyrinth(0.1)
-	cfg := seer.DefaultConfig()
-	cfg.Threads = 1
-	cfg.NumAtomicBlocks = w.NumAtomicBlocks()
-	cfg.MemWords = w.MemWords() + (1 << 14)
-	sys, err := seer.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Setup(sys); err != nil {
+	if _, _, err := Run(w, Config(w, 1, seer.Topology{})); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -27,8 +27,8 @@ import (
 )
 
 // Workload is one benchmark instance. The lifecycle is:
-// New... → MemWords/NumAtomicBlocks (to size the system) → Setup →
-// Workers → (System.Run) → Validate.
+// New... → MemWords/NumAtomicBlocks (to size the system, see Config) →
+// Setup → Workers → (System.Run) → Validate; Run drives it end to end.
 type Workload interface {
 	// Name is the benchmark's display name (matches the paper's
 	// figures, e.g. "kmeans-high").

@@ -144,23 +144,7 @@ func TestSynthCustomParameterization(t *testing.T) {
 		Overlap:    true,
 		TotalOps:   1200,
 	}
-	cfg := seer.DefaultConfig()
-	cfg.Threads = 8
-	cfg.HWThreads = harness.MachineHWThreads
-	cfg.PhysCores = harness.MachinePhysCores
-	cfg.Policy = seer.PolicySeer
-	cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-	cfg.MemWords = wl.MemWords() + (1 << 14)
-	cfg.MaxCycles = 1 << 34
-	sys, err := seer.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl.Setup(sys)
-	if _, err := sys.Run(wl.Workers(8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Validate(sys); err != nil {
+	if _, _, err := stamp.Run(wl, stamp.Config(wl, 8, seer.Topology{})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -219,32 +203,16 @@ func TestSynthQuickRandomConfigs(t *testing.T) {
 			wl.TxWork = append(wl.TxWork, uint64(20+10*b))
 		}
 		for _, pol := range []seer.PolicyKind{seer.PolicyRTM, seer.PolicySeer, seer.PolicyATS} {
-			cfg := seer.DefaultConfig()
-			cfg.Threads = 4
-			cfg.HWThreads = harness.MachineHWThreads
-			cfg.PhysCores = harness.MachinePhysCores
-			cfg.Seed = seed
-			cfg.Policy = pol
-			cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-			cfg.MemWords = wl.MemWords() + (1 << 14)
-			cfg.MaxCycles = 1 << 33
-			sys, err := seer.NewSystem(cfg)
-			if err != nil {
-				t.Log(err)
-				return false
-			}
 			fresh := *wl // fresh addresses per system
 			fresh.Share = append([]float64{}, wl.Share...)
 			fresh.HotLines = append([]int{}, wl.HotLines...)
 			fresh.ReadLines = append([]int{}, wl.ReadLines...)
 			fresh.WriteLines = append([]int{}, wl.WriteLines...)
 			fresh.TxWork = append([]uint64{}, wl.TxWork...)
-			fresh.Setup(sys)
-			if _, err := sys.Run(fresh.Workers(4)); err != nil {
-				t.Log(err)
-				return false
-			}
-			if err := fresh.Validate(sys); err != nil {
+			cfg := stamp.Config(&fresh, 4, seer.Topology{})
+			cfg.Seed = seed
+			cfg.Policy = pol
+			if _, _, err := stamp.Run(&fresh, cfg); err != nil {
 				t.Log(err)
 				return false
 			}

@@ -21,24 +21,11 @@ func runAndCorrupt(t *testing.T, name string, corrupt func(sys *seer.System)) er
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := seer.DefaultConfig()
-	cfg.Threads = 2
-	cfg.HWThreads = harness.MachineHWThreads
-	cfg.PhysCores = harness.MachinePhysCores
+	cfg := stamp.Config(wl, 2, seer.Topology{})
 	cfg.Policy = seer.PolicyRTM
-	cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-	cfg.MemWords = wl.MemWords() + (1 << 14)
-	cfg.MaxCycles = 1 << 34
-	sys, err := seer.NewSystem(cfg)
+	sys, _, err := stamp.Run(wl, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	wl.Setup(sys)
-	if _, err := sys.Run(wl.Workers(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Validate(sys); err != nil {
-		t.Fatalf("pre-corruption validation failed: %v", err)
+		t.Fatalf("pre-corruption run failed: %v", err)
 	}
 	corrupt(sys)
 	return wl.Validate(sys)

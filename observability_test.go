@@ -10,6 +10,7 @@ import (
 
 	"seer"
 	"seer/internal/adversary"
+	"seer/internal/stamp"
 	"seer/internal/telemetry"
 )
 
@@ -22,15 +23,8 @@ import (
 // ObservabilityExportsGolden -update .`).
 func TestObservabilityExportsGolden(t *testing.T) {
 	wl := adversary.New(adversary.Clique(6), 40)
-	cfg := seer.DefaultConfig()
-	cfg.Policy = seer.PolicySeer
-	cfg.Threads = 8
-	cfg.HWThreads = 8
-	cfg.PhysCores = 4
+	cfg := stamp.Config(wl, 8, seer.Topology{})
 	cfg.Seed = 7
-	cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-	cfg.MemWords = wl.MemWords() + (1 << 14)
-	cfg.MaxCycles = 1 << 32
 	// Short scheme-update and tuning epochs, so the brief run still logs
 	// scheme and tune events.
 	cfg.Seer.UpdateEvery = 24
@@ -39,18 +33,8 @@ func TestObservabilityExportsGolden(t *testing.T) {
 	cfg.MetricsInterval = 1 << 11
 	cfg.TraceAttempts = true
 	cfg.AttributionCounters = true
-	sys, err := seer.NewSystem(cfg)
+	sys, rep, err := stamp.Run(wl, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Setup(sys); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Run(wl.Workers(cfg.Threads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
 

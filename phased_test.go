@@ -18,27 +18,11 @@ func runCapBound(t *testing.T, pol seer.PolicyKind) seer.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := seer.DefaultConfig()
+	cfg := stamp.Config(wl, 8, seer.Topology{})
 	cfg.Policy = pol
-	cfg.Threads = 8
-	cfg.HWThreads = 8
-	cfg.PhysCores = 4
 	cfg.Seed = 3
-	cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-	cfg.MemWords = wl.MemWords()
-	cfg.MaxCycles = 1 << 33
-	sys, err := seer.NewSystem(cfg)
+	_, rep, err := stamp.Run(wl, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Setup(sys); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sys.Run(wl.Workers(cfg.Threads))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.Validate(sys); err != nil {
 		t.Fatal(err)
 	}
 	return rep

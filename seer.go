@@ -166,9 +166,10 @@ type Config struct {
 	// t+PhysCores are hyperthread siblings. Must divide HWThreads.
 	// Ignored when Topology is set.
 	PhysCores int
-	// HWThreads is the machine's total hardware thread count; it
-	// defaults to max(Threads, 2*PhysCores handled automatically).
-	// Ignored when Topology is set.
+	// HWThreads is the machine's total hardware thread count. 0 means
+	// Threads; either way it is rounded up to a multiple of PhysCores
+	// (idle hardware threads are harmless). A non-zero value below
+	// Threads is rejected. Ignored when Topology is set.
 	HWThreads int
 	// Topology, when non-zero, pins the full machine shape — sockets,
 	// physical cores per socket, SMT threads per core — and overrides
@@ -239,14 +240,6 @@ type Config struct {
 	// DefaultConfig enables it at DefaultSpeculativeQuantum. Negative
 	// values are rejected by Validate.
 	SpeculativeQuantum int
-	// RegistryShards splits the conflict registry's line-state table into
-	// cache-line-padded shards indexed by a line hash, so the registry
-	// entries of adjacent hot lines stop sharing hardware cache lines.
-	// 0 picks automatically from the machine shape (flat for ≤ 64
-	// hardware threads, spread for wider machines); explicit values are
-	// rounded to a power of two and clamped to [1, mem.MaxRegistryShards].
-	// Pure data layout: schedules are bit-for-bit identical at any count.
-	RegistryShards int
 	// Recycler, when non-nil, supplies the large simulator buffers
 	// (simulated memory words, registry line states, per-thread HTM
 	// contexts) from a previous System built with the same Recycler, and
@@ -262,20 +255,6 @@ type Config struct {
 type Recycler struct {
 	mem mem.Buffers
 	htm htm.Buffers
-}
-
-// registryShards resolves Config.RegistryShards for a machine with hw
-// hardware threads: explicit values win; auto (0) keeps the flat table
-// on narrow machines and spreads one shard per 16 hardware threads on
-// the wide shapes where the scaling exhibits run.
-func (c Config) registryShards(hw int) int {
-	if c.RegistryShards != 0 {
-		return c.RegistryShards
-	}
-	if hw <= 64 {
-		return 1
-	}
-	return hw / 16
 }
 
 // DefaultSpeculativeQuantum is the speculative multi-tick quantum used by
@@ -313,7 +292,6 @@ var (
 	ErrHWThreads       = errors.New("seer: HWThreads < Threads")
 	ErrPolicy          = errors.New("seer: unknown policy")
 	ErrQuantum         = errors.New("seer: SpeculativeQuantum must be non-negative")
-	ErrRegistryShards  = errors.New("seer: RegistryShards must be non-negative")
 )
 
 // valid reports whether p names a registered policy.
@@ -371,9 +349,6 @@ func (c Config) Validate() error {
 	}
 	if c.SpeculativeQuantum < 0 {
 		return fmt.Errorf("%w, got %d", ErrQuantum, c.SpeculativeQuantum)
-	}
-	if c.RegistryShards < 0 {
-		return fmt.Errorf("%w, got %d", ErrRegistryShards, c.RegistryShards)
 	}
 	topo, err := c.machineTopology()
 	if err != nil {
@@ -438,7 +413,7 @@ func NewSystem(cfg Config) (*System, error) {
 	if r := cfg.Recycler; r != nil {
 		memBuf, htmBuf = &r.mem, &r.htm
 	}
-	s.mem = mem.NewRecycled(cfg.MemWords, cfg.registryShards(hw), memBuf)
+	s.mem = mem.NewRecycled(cfg.MemWords, 1, memBuf)
 	// Spin-lock waiters park on their lock word (machine.Ctx.ParkOnWord);
 	// the engine evaluates their wake-time polls against committed memory
 	// so a poll that would observe the word still busy re-parks without a

@@ -7,6 +7,7 @@ import (
 
 	"seer"
 	"seer/internal/adversary"
+	"seer/internal/stamp"
 )
 
 // TestBankTransferConservation is the classic TM serializability check:
@@ -236,33 +237,17 @@ func TestAdversarialConservation(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					wl := adversary.New(g, 400)
-					cfg := seer.DefaultConfig()
+					cfg := stamp.Config(wl, 4, seer.Topology{})
 					cfg.Policy = pol
-					cfg.Threads = 4
-					cfg.HWThreads = 8
-					cfg.PhysCores = 4
 					cfg.Seed = 7
-					cfg.NumAtomicBlocks = wl.NumAtomicBlocks()
-					cfg.MemWords = wl.MemWords() + (1 << 14)
-					cfg.MaxCycles = 1 << 33
 					if squeeze {
 						// Every body writes a block line, its incident edge
 						// lines and two stat lines; one write line of budget
 						// guarantees a capacity abort on each attempt.
 						cfg.HTM.WriteSetLines = 1
 					}
-					sys, err := seer.NewSystem(cfg)
+					_, rep, err := stamp.Run(wl, cfg)
 					if err != nil {
-						t.Fatal(err)
-					}
-					if err := wl.Setup(sys); err != nil {
-						t.Fatal(err)
-					}
-					rep, err := sys.Run(wl.Workers(cfg.Threads))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := wl.Validate(sys); err != nil {
 						t.Fatalf("%s under %s: %v", g.Name, pol, err)
 					}
 					if squeeze {
@@ -389,7 +374,6 @@ func TestConfigValidation(t *testing.T) {
 		{"zero blocks", func(c *seer.Config) { c.NumAtomicBlocks = 0 }, seer.ErrNumAtomicBlocks},
 		{"zero attempts", func(c *seer.Config) { c.MaxAttempts = 0 }, seer.ErrMaxAttempts},
 		{"hwthreads below threads", func(c *seer.Config) { c.Threads = 8; c.HWThreads = 4 }, seer.ErrHWThreads},
-		{"negative registry shards", func(c *seer.Config) { c.RegistryShards = -1 }, seer.ErrRegistryShards},
 		{"unknown policy", func(c *seer.Config) { c.Policy = "Bogus" }, seer.ErrPolicy},
 	}
 	for _, tc := range cases {
