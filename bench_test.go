@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"seer"
+	"seer/internal/adversary"
 	"seer/internal/harness"
 )
 
@@ -240,5 +241,24 @@ func BenchmarkEngineTick(b *testing.B) {
 	b.ResetTimer()
 	if _, err := sys.Run(workers); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkObsCell measures one cell with every observability sink on — a
+// bench-clique32-sized Seer cell, as in the ledger's infer-obs workload —
+// on a warm Recycler: `go test -bench ObsCell -benchmem` reproduces the
+// steady-state allocations per cell without the ledger.
+func BenchmarkObsCell(b *testing.B) {
+	rec := new(seer.Recycler)
+	cell := func() {
+		sys, rep := obsCell(b, adversary.Clique(32), 8000, 1, rec, true)
+		_ = rep.Summary()
+		sys.Release()
+	}
+	cell()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cell()
 	}
 }

@@ -75,9 +75,9 @@ func TestNormalize(t *testing.T) {
 		Blocks: 1000,
 		Phases: [][]Edge{{
 			{A: -3, B: 5}, {A: 5, B: -3}, // duplicate after folding
-			{A: 7, B: 7},                 // self edge
-			{A: 9, B: 2},                 // reversed
-			{A: 131, B: 4},               // out of range
+			{A: 7, B: 7},   // self edge
+			{A: 9, B: 2},   // reversed
+			{A: 131, B: 4}, // out of range
 		}},
 	}.Normalize()
 	if err := g.wellFormed(); err != nil {

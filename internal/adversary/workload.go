@@ -100,25 +100,34 @@ func (w *Workload) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// The body is built once per worker and reads the op's
+			// operands from these variables: a closure literal inside the
+			// loop would be one heap object per operation.
+			var (
+				blockLine seer.Addr
+				edges     []int
+				lines     []seer.Addr
+			)
+			work := w.TxWork
+			body := func(a seer.Access) {
+				a.Store(blockLine, a.Load(blockLine)+1)
+				for _, ei := range edges {
+					el := lines[ei]
+					a.Store(el, a.Load(el)+1)
+				}
+				a.Work(work)
+				w.done.add(a, 1)
+				w.edgeMass.add(a, uint64(len(edges)))
+			}
 			for n := 0; n < ops; n++ {
 				// Phase by position in this worker's sequence: all
 				// workers flip at (nearly) the same operation count.
 				p := n * phases / ops
 				b := rng.Intn(w.G.Blocks)
-				blockLine := w.blockLines[b]
-				edges := w.incident[p][b]
-				lines := w.edgeLines[p]
-				work := w.TxWork
-				t.AtomicObj(b, uint64(b), func(a seer.Access) {
-					a.Store(blockLine, a.Load(blockLine)+1)
-					for _, ei := range edges {
-						el := lines[ei]
-						a.Store(el, a.Load(el)+1)
-					}
-					a.Work(work)
-					w.done.add(a, 1)
-					w.edgeMass.add(a, uint64(len(edges)))
-				})
+				blockLine = w.blockLines[b]
+				edges = w.incident[p][b]
+				lines = w.edgeLines[p]
+				t.AtomicObj(b, uint64(b), body)
 				if w.GapWork > 0 {
 					t.Work(w.GapWork + uint64(rng.Intn(int(w.GapWork)+1)))
 				}

@@ -124,7 +124,9 @@ func (spec Spec) Config(wl stamp.Workload, seed int64) seer.Config {
 
 // runOnce runs and validates one repetition of the cell. With a
 // recycler the system is a replica built on the caller's reusable
-// buffers, returned to it after validation.
+// buffers, returned to it after validation — so only what the Report owns
+// (Timeline and Inference are copies) crosses the Release; anything
+// borrowed from sys.Recorder() would be overwritten by the next cell.
 func runOnce(spec Spec, seed int64, rec *seer.Recycler) (seer.Report, error) {
 	wl, err := stamp.New(spec.Workload, spec.Scale)
 	if err != nil {

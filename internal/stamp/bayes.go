@@ -77,41 +77,50 @@ func (w *Bayes) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// Bodies are built once per worker and read the op's operands
+			// from these variables (see DESIGN §6c: a closure literal
+			// inside the loop is one heap object per operation).
+			var (
+				u, v int
+				key  uint64
+			)
+			// Propose edge u→v: read both parent lists, score (cost grows
+			// with the parent sets — the source of bayes' run-to-run
+			// variance), then maybe insert.
+			propose := func(a seer.Access) {
+				pu := a.Load(w.varAddr(u))
+				pv := a.Load(w.varAddr(v))
+				// Scoring cost scales with the parent sets.
+				a.Work(40 + 25*(pu+pv))
+				if pv < uint64(w.maxParent) && !w.edges.Contains(a, key) {
+					w.edges.Put(a, key, 1)
+					a.Store(w.varAddr(v)+1+seer.Addr(pv), uint64(u))
+					a.Store(w.varAddr(v), pv+1)
+					a.Store(w.score, a.Load(w.score)+pu+1)
+					w.ins.add(a, 1)
+				}
+			}
+			// Query sufficient statistics (read-mostly).
+			query := func(a seer.Access) {
+				p := a.Load(w.varAddr(u))
+				var sum uint64
+				for j := uint64(0); j < p; j++ {
+					sum += a.Load(w.varAddr(u) + 1 + seer.Addr(j))
+				}
+				a.Work(30 + 10*p)
+				_ = sum
+			}
 			for n := 0; n < ops; n++ {
-				u := rng.Intn(w.nVars)
-				v := rng.Intn(w.nVars)
+				u = rng.Intn(w.nVars)
+				v = rng.Intn(w.nVars)
 				if u == v {
 					v = (v + 1) % w.nVars
 				}
 				if rng.Bool(0.6) {
-					// Propose edge u→v: read both parent lists, score
-					// (cost grows with the parent sets — the source of
-					// bayes' run-to-run variance), then maybe insert.
-					key := uint64(u)<<16 | uint64(v)
-					t.Atomic(0, func(a seer.Access) {
-						pu := a.Load(w.varAddr(u))
-						pv := a.Load(w.varAddr(v))
-						// Scoring cost scales with the parent sets.
-						a.Work(40 + 25*(pu+pv))
-						if pv < uint64(w.maxParent) && !w.edges.Contains(a, key) {
-							w.edges.Put(a, key, 1)
-							a.Store(w.varAddr(v)+1+seer.Addr(pv), uint64(u))
-							a.Store(w.varAddr(v), pv+1)
-							a.Store(w.score, a.Load(w.score)+pu+1)
-							w.ins.add(a, 1)
-						}
-					})
+					key = uint64(u)<<16 | uint64(v)
+					t.Atomic(0, propose)
 				} else {
-					// Query sufficient statistics (read-mostly).
-					t.Atomic(1, func(a seer.Access) {
-						p := a.Load(w.varAddr(u))
-						var sum uint64
-						for j := uint64(0); j < p; j++ {
-							sum += a.Load(w.varAddr(u) + 1 + seer.Addr(j))
-						}
-						a.Work(30 + 10*p)
-						_ = sum
-					})
+					t.Atomic(1, query)
 				}
 				t.Work(uint64(8 + rng.Intn(9)))
 			}

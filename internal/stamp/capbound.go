@@ -66,13 +66,14 @@ func (w *CapBound) Workers(nThreads int) []seer.Worker {
 	for i := range workers {
 		ops, base := parts[i], w.regions[i]
 		workers[i] = func(t *seer.Thread) {
+			body := func(a seer.Access) {
+				for j := 0; j < capBoundLines; j++ {
+					p := base + seer.Addr(j*8)
+					a.Store(p, a.Load(p)+1)
+				}
+			}
 			for n := 0; n < ops; n++ {
-				t.Atomic(0, func(a seer.Access) {
-					for j := 0; j < capBoundLines; j++ {
-						p := base + seer.Addr(j*8)
-						a.Store(p, a.Load(p)+1)
-					}
-				})
+				t.Atomic(0, body)
 				t.Work(40)
 			}
 		}

@@ -76,47 +76,56 @@ func (g *Genome) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// Bodies are built once per worker and read the op's operands
+			// from these variables (DESIGN §6c).
+			var (
+				seg  uint64
+				site int
+			)
+			dedup := func(a seer.Access) {
+				present := g.set.Contains(a, seg)
+				a.Work(130) // segment comparison
+				if !present {
+					g.set.PutIfAbsent(a, seg, seg)
+					g.inserted.add(a, 1)
+				}
+			}
+			extend := func(a seer.Access) {
+				_, _ = g.set.Get(a, seg)
+				_ = a.Load(g.chainLen) // consult chain metadata
+				a.Work(90)             // overlap matching
+				g.siteTab.Add(a, site, 1)
+			}
+			splice := func(a seer.Access) {
+				// Read the chain metadata up front: the read set is held
+				// for the whole splice, as in the original's chain-walk
+				// transactions.
+				cur := a.Load(g.chainLen)
+				n2 := a.Load(g.chainLen + 1)
+				sl := g.siteTab.Get(a, site)
+				a.Work(150) // chain splicing
+				a.Store(g.chainLen, cur+sl%7+1)
+				a.Store(g.chainLen+1, n2+1)
+			}
 			for n := 0; n < ops; n++ {
 				switch r := rng.Intn(100); {
 				case r < 62:
 					// Dedup a random segment.
-					seg := rng.Uint64() % g.segSpace
-					t.Atomic(0, func(a seer.Access) {
-						present := g.set.Contains(a, seg)
-						a.Work(130) // segment comparison
-						if !present {
-							g.set.PutIfAbsent(a, seg, seg)
-							g.inserted.add(a, 1)
-						}
-					})
+					seg = rng.Uint64() % g.segSpace
+					t.Atomic(0, dedup)
 					t.Work(10)
 				case r < 80:
 					// Extend a construction site: lookup + localized
 					// update.
-					seg := rng.Uint64() % g.segSpace
-					site := rng.Intn(g.sites)
-					t.Atomic(1, func(a seer.Access) {
-						_, _ = g.set.Get(a, seg)
-						_ = a.Load(g.chainLen) // consult chain metadata
-						a.Work(90)             // overlap matching
-						g.siteTab.Add(a, site, 1)
-					})
+					seg = rng.Uint64() % g.segSpace
+					site = rng.Intn(g.sites)
+					t.Atomic(1, extend)
 					t.Work(10)
 				default:
 					// Splice chains: hotspot on the global chain
 					// metadata.
-					site := rng.Intn(g.sites)
-					t.Atomic(2, func(a seer.Access) {
-						// Read the chain metadata up front: the read
-						// set is held for the whole splice, as in the
-						// original's chain-walk transactions.
-						cur := a.Load(g.chainLen)
-						n2 := a.Load(g.chainLen + 1)
-						sl := g.siteTab.Get(a, site)
-						a.Work(150) // chain splicing
-						a.Store(g.chainLen, cur+sl%7+1)
-						a.Store(g.chainLen+1, n2+1)
-					})
+					site = rng.Intn(g.sites)
+					t.Atomic(2, splice)
 					t.Work(uint64(4 + rng.Intn(9)))
 				}
 			}

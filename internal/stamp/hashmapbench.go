@@ -66,28 +66,34 @@ func (w *HashMapBench) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// Bodies are built once per worker and read the op's key from
+			// k (DESIGN §6c).
+			var k uint64
+			get := func(a seer.Access) {
+				a.Work(120)
+				_, _ = w.table.Get(a, k)
+			}
+			put := func(a seer.Access) {
+				a.Work(120)
+				if w.table.PutIfAbsent(a, k, k) {
+					w.balance.add(a, 1)
+				}
+			}
+			del := func(a seer.Access) {
+				a.Work(120)
+				if w.table.Delete(a, k) {
+					w.balance.add(a, ^uint64(0)) // -1, wrapping
+				}
+			}
 			for n := 0; n < ops; n++ {
-				k := rng.Uint64() % keySpace
+				k = rng.Uint64() % keySpace
 				switch r := rng.Intn(100); {
 				case r < 90:
-					t.Atomic(0, func(a seer.Access) {
-						a.Work(120)
-						_, _ = w.table.Get(a, k)
-					})
+					t.Atomic(0, get)
 				case r < 95:
-					t.Atomic(0, func(a seer.Access) {
-						a.Work(120)
-						if w.table.PutIfAbsent(a, k, k) {
-							w.balance.add(a, 1)
-						}
-					})
+					t.Atomic(0, put)
 				default:
-					t.Atomic(0, func(a seer.Access) {
-						a.Work(120)
-						if w.table.Delete(a, k) {
-							w.balance.add(a, ^uint64(0)) // -1, wrapping
-						}
-					})
+					t.Atomic(0, del)
 				}
 				t.Work(uint64(100 + rng.Intn(41)))
 			}

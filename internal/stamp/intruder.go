@@ -88,17 +88,43 @@ func (w *Intruder) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// Bodies are built once per worker; operands and results
+			// travel through these variables (DESIGN §6c).
+			var (
+				pkt, sess    uint64
+				ok, complete bool
+			)
+			capture := func(a seer.Access) {
+				pkt, ok = w.packets.Pop(a)
+				a.Work(8) // header checks
+				if ok {
+					w.popped.add(a, 1)
+				}
+			}
+			reassemble := func(a seer.Access) {
+				cnt, _ := w.sessionTab.Get(a, sess)
+				a.Work(200) // fragment reassembly
+				cnt++
+				complete = cnt%8 == 0
+				if complete {
+					// Completed session: remove it from the resident
+					// table (the unlink rewrites the bucket chain,
+					// conflicting with concurrent walkers) and carry
+					// the count in the flag queue entry instead.
+					w.sessionTab.Delete(a, sess)
+				} else {
+					w.sessionTab.Put(a, sess, cnt)
+				}
+			}
+			detect := func(a seer.Access) {
+				a.Work(30) // signature check
+				if w.flagged.Push(a, sess<<8|8) {
+					w.pushed.add(a, 1)
+				}
+			}
 			for n := 0; n < ops; n++ {
 				// Capture: pop one packet.
-				var pkt uint64
-				var ok bool
-				t.Atomic(0, func(a seer.Access) {
-					pkt, ok = w.packets.Pop(a)
-					a.Work(8) // header checks
-					if ok {
-						w.popped.add(a, 1)
-					}
-				})
+				t.Atomic(0, capture)
 				if !ok {
 					// Trace exhausted (only possible through races
 					// in partitioning; never expected).
@@ -107,33 +133,13 @@ func (w *Intruder) Workers(nThreads int) []seer.Worker {
 				t.Work(uint64(22 + rng.Intn(17))) // decode outside the capture txn
 
 				// Reassembly: account the fragment to its session.
-				sess := pkt >> 8
-				var complete bool
-				t.Atomic(1, func(a seer.Access) {
-					cnt, _ := w.sessionTab.Get(a, sess)
-					a.Work(200) // fragment reassembly
-					cnt++
-					complete = cnt%8 == 0
-					if complete {
-						// Completed session: remove it from the resident
-						// table (the unlink rewrites the bucket chain,
-						// conflicting with concurrent walkers) and carry
-						// the count in the flag queue entry instead.
-						w.sessionTab.Delete(a, sess)
-					} else {
-						w.sessionTab.Put(a, sess, cnt)
-					}
-				})
+				sess = pkt >> 8
+				t.Atomic(1, reassemble)
 				t.Work(uint64(6 + rng.Intn(9)))
 
 				// Detection: flag completed sessions.
 				if complete {
-					t.Atomic(2, func(a seer.Access) {
-						a.Work(30) // signature check
-						if w.flagged.Push(a, sess<<8|8) {
-							w.pushed.add(a, 1)
-						}
-					})
+					t.Atomic(2, detect)
 					t.Work(5)
 				}
 			}

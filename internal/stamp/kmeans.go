@@ -62,25 +62,32 @@ func (w *Kmeans) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// The body is built once per worker and reads the op's
+			// operands from these variables (DESIGN §6c).
+			var (
+				point uint64
+				base  seer.Addr
+			)
+			body := func(a seer.Access) {
+				a.Work(40)                    // accumulate coordinates
+				a.Store(base, a.Load(base)+1) // membership count
+				for d := 0; d < w.dims; d++ {
+					off := base + seer.Addr(1+d)
+					a.Store(off, a.Load(off)+point+uint64(d))
+				}
+			}
 			for n := 0; n < ops; n++ {
 				// Distance computation over all clusters (private); the
 				// jitter models per-point variance and prevents the
 				// deterministic engine from phase-locking threads.
 				t.Work(uint64(10*w.nClusters + rng.Intn(2*w.nClusters+1)))
 				c := rng.Intn(w.nClusters)
-				point := rng.Uint64() % 1000
-				base := w.clusters.Addr(c)
+				point = rng.Uint64() % 1000
+				base = w.clusters.Addr(c)
 				// The cluster index is the natural object identity:
 				// with the object-granular extension enabled, Seer
 				// serializes only same-cluster updates.
-				t.AtomicObj(0, uint64(c), func(a seer.Access) {
-					a.Work(40)                    // accumulate coordinates
-					a.Store(base, a.Load(base)+1) // membership count
-					for d := 0; d < w.dims; d++ {
-						off := base + seer.Addr(1+d)
-						a.Store(off, a.Load(off)+point+uint64(d))
-					}
-				})
+				t.AtomicObj(0, uint64(c), body)
 			}
 		}
 	}
@@ -151,17 +158,24 @@ func (w *SSCA2) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// The body is built once per worker and reads the op's
+			// operands from these variables (DESIGN §6c).
+			var (
+				dst  uint64
+				base seer.Addr
+			)
+			body := func(a seer.Access) {
+				a.Work(20) // edge weight computation
+				deg := a.Load(base)
+				slot := deg % uint64(w.adjCap) // ring of edge slots
+				a.Store(base+1+seer.Addr(slot), dst)
+				a.Store(base, deg+1)
+			}
 			for n := 0; n < ops; n++ {
 				src := rng.Intn(w.nNodes)
-				dst := uint64(rng.Intn(w.nNodes))
-				base := w.nodeAddr(src)
-				t.Atomic(0, func(a seer.Access) {
-					a.Work(20) // edge weight computation
-					deg := a.Load(base)
-					slot := deg % uint64(w.adjCap) // ring of edge slots
-					a.Store(base+1+seer.Addr(slot), dst)
-					a.Store(base, deg+1)
-				})
+				dst = uint64(rng.Intn(w.nNodes))
+				base = w.nodeAddr(src)
+				t.Atomic(0, body)
 				t.Work(160)
 			}
 		}

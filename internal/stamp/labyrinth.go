@@ -108,16 +108,40 @@ func (w *Labyrinth) Workers(nThreads int) []seer.Worker {
 	for i := range workers {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
+			// Bodies are built once per worker; operands and results
+			// travel through these variables (DESIGN §6c).
+			var (
+				req            uint64
+				ok             bool
+				x1, y1, x2, y2 int
+			)
+			claim := func(a seer.Access) {
+				_, req, ok = w.queue.Pop(a)
+				if ok {
+					w.claims.add(a, 1)
+				}
+			}
+			route := func(a seer.Access) {
+				marked := uint64(0)
+				step := func(x, y int) {
+					c := w.cell(x, y)
+					a.Store(c, a.Load(c)+1)
+					marked++
+				}
+				x := x1
+				for ; x != x2; x += sign(x2 - x) {
+					step(x, y1)
+				}
+				for y := y1; y != y2; y += sign(y2 - y) {
+					step(x2, y)
+				}
+				step(x2, y2)
+				a.Work(uint64(30 + 2*marked)) // expansion cost
+				w.routed.add(a, marked)
+			}
 			for n := 0; n < ops; n++ {
 				// Claim the next request (hot, small).
-				var req uint64
-				var ok bool
-				t.Atomic(1, func(a seer.Access) {
-					_, req, ok = w.queue.Pop(a)
-					if ok {
-						w.claims.add(a, 1)
-					}
-				})
+				t.Atomic(1, claim)
 				if !ok {
 					return
 				}
@@ -125,26 +149,9 @@ func (w *Labyrinth) Workers(nThreads int) []seer.Worker {
 
 				// Route: mark every cell of the L-shaped path. The
 				// whole path is one atomic region, as in Lee routing.
-				x1, y1 := int(req>>24&0xFF), int(req>>16&0xFF)
-				x2, y2 := int(req>>8&0xFF), int(req&0xFF)
-				t.Atomic(0, func(a seer.Access) {
-					marked := uint64(0)
-					step := func(x, y int) {
-						c := w.cell(x, y)
-						a.Store(c, a.Load(c)+1)
-						marked++
-					}
-					x := x1
-					for ; x != x2; x += sign(x2 - x) {
-						step(x, y1)
-					}
-					for y := y1; y != y2; y += sign(y2 - y) {
-						step(x2, y)
-					}
-					step(x2, y2)
-					a.Work(uint64(30 + 2*marked)) // expansion cost
-					w.routed.add(a, marked)
-				})
+				x1, y1 = int(req>>24&0xFF), int(req>>16&0xFF)
+				x2, y2 = int(req>>8&0xFF), int(req&0xFF)
+				t.Atomic(0, route)
 				t.Work(20)
 			}
 		}

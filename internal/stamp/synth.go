@@ -124,6 +124,25 @@ func (w *Synth) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// The body is built once per worker and reads the op's
+			// operands from these variables; the line lists are reused
+			// across ops (DESIGN §6c).
+			var (
+				reads, writes []seer.Addr
+				work          uint64
+			)
+			body := func(a seer.Access) {
+				var sum uint64
+				for _, r := range reads {
+					sum += a.Load(r)
+				}
+				a.Work(work)
+				for _, wr := range writes {
+					a.Store(wr, a.Load(wr)+1)
+				}
+				w.done.add(a, 1)
+				_ = sum
+			}
 			for n := 0; n < ops; n++ {
 				b := w.pick(rng.Float64())
 				hot := w.HotLines[b]
@@ -133,27 +152,15 @@ func (w *Synth) Workers(nThreads int) []seer.Worker {
 				set := w.sets[b]
 				// Choose the lines outside the body (stable across
 				// hardware retries).
-				reads := make([]seer.Addr, w.ReadLines[b])
-				for j := range reads {
-					reads[j] = set + seer.Addr(rng.Intn(hot)*8)
+				reads, writes = reads[:0], writes[:0]
+				for j := 0; j < w.ReadLines[b]; j++ {
+					reads = append(reads, set+seer.Addr(rng.Intn(hot)*8))
 				}
-				writes := make([]seer.Addr, w.WriteLines[b])
-				for j := range writes {
-					writes[j] = set + seer.Addr(rng.Intn(hot)*8)
+				for j := 0; j < w.WriteLines[b]; j++ {
+					writes = append(writes, set+seer.Addr(rng.Intn(hot)*8))
 				}
-				work := w.TxWork[b]
-				t.AtomicObj(b, uint64(n), func(a seer.Access) {
-					var sum uint64
-					for _, r := range reads {
-						sum += a.Load(r)
-					}
-					a.Work(work)
-					for _, wr := range writes {
-						a.Store(wr, a.Load(wr)+1)
-					}
-					w.done.add(a, 1)
-					_ = sum
-				})
+				work = w.TxWork[b]
+				t.AtomicObj(b, uint64(n), body)
 				if w.GapWork > 0 {
 					t.Work(w.GapWork + uint64(rng.Intn(int(w.GapWork)+1)))
 				}

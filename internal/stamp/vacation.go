@@ -105,56 +105,66 @@ func (w *Vacation) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// Bodies are built once per worker and read the op's operands
+			// from these variables; the key list is reused across ops
+			// (DESIGN §6c).
+			var (
+				tab  *tmds.RBTree
+				k    uint64
+				keys = make([]uint64, w.queries)
+			)
+			reserve := func(a seer.Access) {
+				bestKey, bestVal := uint64(0), uint64(0)
+				found := false
+				for _, k := range keys {
+					if v, ok := tab.Get(a, k); ok && v > 0 && (!found || v > bestVal) {
+						bestKey, bestVal, found = k, v, true
+					}
+				}
+				a.Work(110) // pricing and itinerary checks
+				if found {
+					tab.Update(a, bestKey, bestVal-1)
+					w.booked.add(a, 1)
+				}
+			}
+			deleteCustomer := func(a seer.Access) {
+				a.Work(70) // customer record bookkeeping
+				if w.customers.Delete(a, k) {
+					w.stock.add(a, 1)
+				} else {
+					w.customers.Insert(a, k, 0)
+				}
+			}
+			restock := func(a seer.Access) {
+				v, ok := tab.Get(a, k)
+				a.Work(60) // table maintenance
+				if ok {
+					tab.Update(a, k, v+1)
+					w.stock.add(a, 1)
+				}
+			}
 			for n := 0; n < ops; n++ {
 				r := rng.Intn(100)
 				switch {
 				case r < w.reservePct:
 					// Reserve: query `queries` random items, book the
 					// cheapest available one.
-					keys := make([]uint64, w.queries)
 					for q := range keys {
 						keys[q] = w.hotKey(rng)
 					}
-					tab := tables[rng.Intn(len(tables))]
-					t.Atomic(0, func(a seer.Access) {
-						bestKey, bestVal := uint64(0), uint64(0)
-						found := false
-						for _, k := range keys {
-							if v, ok := tab.Get(a, k); ok && v > 0 && (!found || v > bestVal) {
-								bestKey, bestVal, found = k, v, true
-							}
-						}
-						a.Work(110) // pricing and itinerary checks
-						if found {
-							tab.Update(a, bestKey, bestVal-1)
-							w.booked.add(a, 1)
-						}
-					})
+					tab = tables[rng.Intn(len(tables))]
+					t.Atomic(0, reserve)
 					t.Work(10)
 				case r < w.reservePct+w.deletePct:
 					// Delete customer (tree structural change).
-					cust := uint64(rng.Intn(w.nItems))
-					t.Atomic(1, func(a seer.Access) {
-						a.Work(70) // customer record bookkeeping
-						if w.customers.Delete(a, cust) {
-							w.stock.add(a, 1)
-						} else {
-							w.customers.Insert(a, cust, 0)
-						}
-					})
+					k = uint64(rng.Intn(w.nItems))
+					t.Atomic(1, deleteCustomer)
 					t.Work(10)
 				default:
 					// Update tables: restock an item.
-					tab := tables[rng.Intn(len(tables))]
-					k := uint64(rng.Intn(w.nItems))
-					t.Atomic(2, func(a seer.Access) {
-						v, ok := tab.Get(a, k)
-						a.Work(60) // table maintenance
-						if ok {
-							tab.Update(a, k, v+1)
-							w.stock.add(a, 1)
-						}
-					})
+					tab = tables[rng.Intn(len(tables))]
+					k = uint64(rng.Intn(w.nItems))
+					t.Atomic(2, restock)
 					t.Work(10)
 				}
 			}

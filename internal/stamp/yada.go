@@ -71,19 +71,38 @@ func (w *Yada) Workers(nThreads int) []seer.Worker {
 		ops := parts[i]
 		workers[i] = func(t *seer.Thread) {
 			rng := t.Rand()
+			// Bodies are built once per worker and read the cavity from
+			// these variables; the cavity buffer is reused across
+			// attempts (DESIGN §6c).
+			var size, start int
+			vals := make([]uint64, w.cavityMax)
+			claim := func(a seer.Access) {
+				a.Work(10)
+				a.Store(w.workHead, a.Load(w.workHead)+1)
+			}
+			refine := func(a seer.Access) {
+				// Read the whole cavity first (the read set is held
+				// for the entire refinement), retriangulate, then
+				// write the new elements back.
+				for c := 0; c < size; c++ {
+					vals[c] = a.Load(w.mesh + seer.Addr((start+c)*8))
+				}
+				a.Work(160) // retriangulation geometry
+				for c := 0; c < size; c++ {
+					a.Store(w.mesh+seer.Addr((start+c)*8), vals[c]+1)
+				}
+				w.refined.add(a, uint64(size))
+			}
 			for n := 0; n < ops; n++ {
 				// Claim work.
-				t.Atomic(1, func(a seer.Access) {
-					a.Work(10)
-					a.Store(w.workHead, a.Load(w.workHead)+1)
-				})
+				t.Atomic(1, claim)
 				t.Work(uint64(6 + rng.Intn(9)))
 
 				// Refine a cavity: a contiguous cell region drawn from
 				// the sliding "active front" of the mesh, so concurrent
 				// cavities overlap with high probability (as refinement
 				// work clusters around bad triangles).
-				size := w.cavityMin + rng.Intn(w.cavityMax-w.cavityMin+1)
+				size = w.cavityMin + rng.Intn(w.cavityMax-w.cavityMin+1)
 				window := 96
 				if window > w.nCells-w.cavityMax {
 					window = w.nCells - w.cavityMax
@@ -94,21 +113,8 @@ func (w *Yada) Workers(nThreads int) []seer.Worker {
 				// the per-thread iteration count would let threads drift
 				// into disjoint regions and anneal the conflicts away.
 				front := int(t.Clock()/700*97) % (w.nCells - window + 1)
-				start := front + rng.Intn(window-size+1)
-				t.Atomic(0, func(a seer.Access) {
-					// Read the whole cavity first (the read set is held
-					// for the entire refinement), retriangulate, then
-					// write the new elements back.
-					vals := make([]uint64, size)
-					for c := 0; c < size; c++ {
-						vals[c] = a.Load(w.mesh + seer.Addr((start+c)*8))
-					}
-					a.Work(160) // retriangulation geometry
-					for c := 0; c < size; c++ {
-						a.Store(w.mesh+seer.Addr((start+c)*8), vals[c]+1)
-					}
-					w.refined.add(a, uint64(size))
-				})
+				start = front + rng.Intn(window-size+1)
+				t.Atomic(0, refine)
 				t.Work(uint64(12 + rng.Intn(17)))
 			}
 		}

@@ -194,9 +194,11 @@ func (r *Recorder) attribution() *attribution {
 }
 
 // Spans returns hardware thread hw's retained spans in chronological
-// order (borrowed, not copied; nil when span retention is off).
+// order (nil when span retention is off). The slice is borrowed, not
+// copied: it is valid until Release, after which the next recorder built
+// on the same Buffers overwrites it.
 func (r *Recorder) Spans(hw int) []Span {
-	if r == nil {
+	if r == nil || !r.opt.Spans {
 		return nil
 	}
 	return r.threads[hw].spans

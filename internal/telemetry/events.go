@@ -91,8 +91,9 @@ func (l *ring) add(e Event) {
 	}
 }
 
-// Events returns the retained events in chronological order (nil when the
-// event log is off).
+// Events returns a copy of the retained events in chronological order
+// (nil when the event log is off). The ring itself is recycled storage, so
+// the copy must be taken before Release; once taken it is the caller's.
 func (r *Recorder) Events() []Event {
 	if r == nil || len(r.ring.events) == 0 {
 		return nil

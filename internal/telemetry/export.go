@@ -385,7 +385,7 @@ func (r *Recorder) WriteExplain(w io.Writer, topK int) error {
 		fmt.Fprintf(w, "  depth %-3s %8d\n", label, a.cascadeHist[d])
 	}
 
-	if snaps := r.quality; len(snaps) > 0 {
+	if snaps := r.scorer.quality; len(snaps) > 0 {
 		fin := snaps[len(snaps)-1]
 		fmt.Fprintf(w, "inference quality (final of %d snapshots):\n", len(snaps))
 		fmt.Fprintf(w, "  true pairs=%d predicted=%d tp=%d precision=%.3f recall=%.3f rank-divergence=%.3f\n",

@@ -1,7 +1,8 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"seer/internal/stats"
 )
@@ -32,64 +33,87 @@ type QualitySnapshot struct {
 	Attributed uint64 `json:"attributed"`
 }
 
-// pairKey canonicalizes an unordered block pair (x ≤ y).
-func pairKey(x, y, n int) int {
-	if x > y {
-		x, y = y, x
-	}
-	return x*n + y
+// pw is one unordered conflict pair the scorer ranks: its canonical key
+// x*n+y (x ≤ y), its ground-truth and learned abort weights, and its rank
+// in the truth ordering (written between the two sorts).
+type pw struct {
+	key, rankT int32
+	tw, lw     uint64
+}
+
+// scorer is the inference-quality sink: the learner's statistics sampled
+// at every cut, the trajectory scored so far, and dense scratch — pred is
+// n×n, pairs holds at most n(n+1)/2 values — so a cut allocates nothing
+// once the trajectory has its capacity. There are no maps and no pointers:
+// every pass visits the pairs in ascending key order.
+type scorer struct {
+	learned *stats.Matrices
+	quality []QualitySnapshot
+	pred    []bool
+	pairs   []pw
 }
 
 // cutQuality scores the current learned scheme against the truth
-// accumulated so far and appends a snapshot ending at end. It runs only
-// with the scorer on, so it may allocate.
+// accumulated so far and appends a snapshot ending at end.
 func (r *Recorder) cutQuality(end uint64) {
-	a := r.attr
-	scheme := r.opt.Learned(r.learned)
+	sc, a := &r.scorer, r.attr
+	scheme := r.opt.Learned(sc.learned)
 	n := a.nBlocks
-
-	truth := map[int]uint64{}
-	for v := 0; v < n; v++ {
-		for ab := 0; ab < n; ab++ {
-			if w := a.truth[v*n+ab]; w > 0 {
-				truth[pairKey(v, ab, n)] += w
-			}
-		}
-	}
 
 	// In the paper's scheme, lock ids coincide with block ids: block x
 	// acquiring lock y predicts that x conflicts with y.
-	predicted := map[int]bool{}
+	clear(sc.pred)
+	predicted := 0
 	for x, row := range scheme {
 		for _, y := range row {
-			if y >= 0 && y < n {
-				predicted[pairKey(x, y, n)] = true
+			if k := min(x, y)*n + max(x, y); y >= 0 && y < n && !sc.pred[k] {
+				sc.pred[k] = true
+				predicted++
 			}
 		}
 	}
 
-	tp := 0
-	for k := range predicted {
-		if truth[k] > 0 {
-			tp++
+	// One pass over the unordered pairs: fold both directions of the truth
+	// and learned matrices, count the confusion entries, and collect the
+	// union of pairs either side considers conflicting for the ranking.
+	sc.pairs = sc.pairs[:0]
+	truePairs, tp := 0, 0
+	for x := 0; x < n; x++ {
+		for y := x; y < n; y++ {
+			k := x*n + y
+			tw, lw := a.truth[k], sc.learned.Aborts(x, y)
+			if y != x {
+				tw += a.truth[y*n+x]
+				lw += sc.learned.Aborts(y, x)
+			}
+			if tw > 0 {
+				truePairs++
+				if sc.pred[k] {
+					tp++
+				}
+			}
+			if tw > 0 || lw > 0 {
+				sc.pairs = append(sc.pairs, pw{key: int32(k), tw: tw, lw: lw})
+			}
 		}
 	}
+
 	snap := QualitySnapshot{
-		Index:          len(r.quality),
+		Index:          len(sc.quality),
 		EndCycle:       end,
-		TruePairs:      len(truth),
-		PredictedPairs: len(predicted),
+		TruePairs:      truePairs,
+		PredictedPairs: predicted,
 		TP:             tp,
+		RankDivergence: rankDivergence(sc.pairs),
 		Attributed:     a.attributed,
 	}
-	if len(predicted) > 0 {
-		snap.Precision = float64(tp) / float64(len(predicted))
+	if predicted > 0 {
+		snap.Precision = float64(tp) / float64(predicted)
 	}
-	if len(truth) > 0 {
-		snap.Recall = float64(tp) / float64(len(truth))
+	if truePairs > 0 {
+		snap.Recall = float64(tp) / float64(truePairs)
 	}
-	snap.RankDivergence = rankDivergence(truth, r.learned, n)
-	r.quality = append(r.quality, snap)
+	sc.quality = append(sc.quality, snap)
 }
 
 // rankDivergence compares how the ground truth and the learner order the
@@ -97,67 +121,27 @@ func (r *Recorder) cutQuality(end uint64) {
 // two rankings over the union of pairs either side considers conflicting,
 // normalized by the maximum footrule ⌊m²/2⌋ (so 0 means the learner has
 // internalized the relative importance of conflicts perfectly, even if
-// its absolute counts are off).
-func rankDivergence(truth map[int]uint64, learned *stats.Matrices, n int) float64 {
-	type pw struct {
-		key    int
-		tw, lw uint64
-	}
-	byKey := map[int]*pw{}
-	for k, w := range truth {
-		byKey[k] = &pw{key: k, tw: w}
-	}
-	for x := 0; x < n; x++ {
-		for y := x; y < n; y++ {
-			w := learned.Aborts(x, y)
-			if y != x {
-				w += learned.Aborts(y, x)
-			}
-			if w == 0 {
-				continue
-			}
-			k := x*n + y
-			if p, ok := byKey[k]; ok {
-				p.lw = w
-			} else {
-				byKey[k] = &pw{key: k, lw: w}
-			}
-		}
-	}
-	m := len(byKey)
+// its absolute counts are off). It reorders pairs.
+func rankDivergence(pairs []pw) float64 {
+	m := len(pairs)
 	if m < 2 {
 		return 0
 	}
-	pairs := make([]*pw, 0, m)
-	for _, p := range byKey {
-		pairs = append(pairs, p)
-	}
-	// Rank by truth weight, then by learned weight; ties broken by key so
-	// both rankings are total orders and the distance is deterministic.
-	rankT := make(map[int]int, m)
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].tw != pairs[j].tw {
-			return pairs[i].tw > pairs[j].tw
-		}
-		return pairs[i].key < pairs[j].key
+	// Rank by truth weight, then by learned weight; ties broken by key, so
+	// both rankings are total orders over distinct keys: the result does
+	// not depend on the sort algorithm or on the order pairs arrived in.
+	slices.SortFunc(pairs, func(p, q pw) int {
+		return cmp.Or(cmp.Compare(q.tw, p.tw), cmp.Compare(p.key, q.key))
 	})
-	for i, p := range pairs {
-		rankT[p.key] = i
+	for i := range pairs {
+		pairs[i].rankT = int32(i)
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].lw != pairs[j].lw {
-			return pairs[i].lw > pairs[j].lw
-		}
-		return pairs[i].key < pairs[j].key
+	slices.SortFunc(pairs, func(p, q pw) int {
+		return cmp.Or(cmp.Compare(q.lw, p.lw), cmp.Compare(p.key, q.key))
 	})
 	dist := 0
 	for i, p := range pairs {
-		d := rankT[p.key] - i
-		if d < 0 {
-			d = -d
-		}
-		dist += d
+		dist += max(int(p.rankT)-i, i-int(p.rankT))
 	}
-	maxDist := m * m / 2
-	return float64(dist) / float64(maxDist)
+	return float64(dist) / float64(m*m/2)
 }

@@ -1,0 +1,85 @@
+package telemetry
+
+import "seer/internal/stats"
+
+// Buffers holds a Recorder's growing storage between replica lifetimes:
+// the per-thread handles with their span slices, the event ring, the
+// snapshot slice with its arena, and the scorer's trajectory and dense
+// scratch. Paired with mem.Buffers and htm.Buffers it lets a grid worker
+// record every cell on one set of arrays (see seer.Recycler), so a cell
+// with every sink on allocates like a cell with none. The zero value is
+// ready: the first NewRecycled allocates.
+type Buffers struct {
+	threads []Thread
+	events  []Event
+	snaps   []Snapshot
+	arena   arena
+	quality []QualitySnapshot
+	pred    []bool
+	pairs   []pw
+}
+
+// NewRecycled builds the recorder for o like New, drawing its storage from
+// buf where the capacity suffices and allocating otherwise. All of buf is
+// owned by the returned Recorder — sinks that are off carry their storage
+// along untouched — until Release hands it back; a nil buf is exactly New.
+// A recycled recorder is indistinguishable from a fresh one: every slice
+// is truncated or zeroed in place, and stale ring entries are unobservable
+// behind the reset cursor.
+func NewRecycled(o Options, buf *Buffers) *Recorder {
+	var b Buffers
+	if buf != nil {
+		b, *buf = *buf, Buffers{}
+	}
+	o.Attribution = o.Attribution || o.Spans
+	r := &Recorder{opt: o, threads: sized(b.threads, o.Threads), period: o.Interval}
+	// Spare handles beyond o.Threads are reset too: they keep their span
+	// storage for a wider cell, not a pointer to an earlier recorder.
+	all := r.threads[:cap(r.threads)]
+	for hw := range all {
+		all[hw] = Thread{rec: r, hw: int16(hw), block: -1, spans: all[hw].spans[:0]}
+	}
+	r.ring.events = sized(b.events, o.RingCapacity)
+	r.timeline.snaps = b.snaps[:0]
+	r.timeline.arena = arena{b.arena.pairs[:0], b.arena.hist[:0], b.arena.socks[:0]}
+	r.scorer = scorer{quality: b.quality[:0], pred: b.pred[:0], pairs: b.pairs[:0]}
+	if o.Interval > 0 && o.Topology.Sockets > 1 {
+		r.timeline.prevSock = make([]counters, o.Topology.Sockets)
+		r.timeline.curSock = make([]counters, o.Topology.Sockets)
+	}
+	if o.Attribution {
+		r.attr = newAttribution(o)
+		if o.Interval > 0 {
+			r.timeline.prevTruth = make([]uint64, len(r.attr.truth))
+		}
+		if o.Learned != nil {
+			r.scorer.learned = stats.NewMatrices(o.Blocks)
+			r.scorer.pred = sized(b.pred, o.Blocks*o.Blocks)
+			if r.period == 0 {
+				r.period = defaultPeriod
+			}
+		}
+	}
+	return r
+}
+
+// sized returns s resliced to n elements, or a fresh slice when its
+// capacity falls short. The contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Release returns the recorder's storage to buf for the next recorder
+// built on it. The Recorder, and every slice borrowed from it, must not be
+// used afterwards.
+func (r *Recorder) Release(buf *Buffers) {
+	if r == nil {
+		return
+	}
+	tl, sc := &r.timeline, &r.scorer
+	*buf = Buffers{r.threads, r.ring.events, tl.snaps, tl.arena, sc.quality, sc.pred, sc.pairs}
+	r.threads, r.ring, r.timeline, r.scorer = nil, ring{}, timeline{}, scorer{}
+}

@@ -101,38 +101,12 @@ type Recorder struct {
 	start  uint64
 	cuts   int
 
-	learned *stats.Matrices // scorer scratch; nil when the scorer is off
-	quality []QualitySnapshot
+	scorer scorer // learned is nil when the scorer is off
 }
 
-// New builds the recorder for o. A system with no sink to switch on keeps
-// a nil *Recorder instead.
-func New(o Options) *Recorder {
-	o.Attribution = o.Attribution || o.Spans
-	r := &Recorder{opt: o, threads: make([]Thread, o.Threads), period: o.Interval}
-	for hw := range r.threads {
-		r.threads[hw] = Thread{rec: r, hw: int16(hw), block: -1}
-	}
-	if o.RingCapacity > 0 {
-		r.ring.events = make([]Event, o.RingCapacity)
-	}
-	if o.Interval > 0 && o.Topology.Sockets > 1 {
-		r.timeline.prevSock = make([]counters, o.Topology.Sockets)
-	}
-	if o.Attribution {
-		r.attr = newAttribution(o)
-		if o.Interval > 0 {
-			r.timeline.prevTruth = make([]uint64, len(r.attr.truth))
-		}
-		if o.Learned != nil {
-			r.learned = stats.NewMatrices(o.Blocks)
-			if r.period == 0 {
-				r.period = defaultPeriod
-			}
-		}
-	}
-	return r
-}
+// New builds the recorder for o on fresh storage. A system with no sink to
+// switch on keeps a nil *Recorder instead.
+func New(o Options) *Recorder { return NewRecycled(o, nil) }
 
 // Thread returns hardware thread hw's handle (nil on a nil recorder, so
 // every event downstream is a no-op).
@@ -203,29 +177,43 @@ func (r *Recorder) cut(end uint64) {
 	if r.opt.Interval > 0 {
 		r.cutSnapshot(end)
 	}
-	if r.learned != nil {
+	if r.scorer.learned != nil {
 		r.cutQuality(end)
 	}
 	r.cuts++
 	r.start = end
 }
 
-// Timeline returns a copy of the snapshots cut so far (nil when the
-// timeline is off). Snapshots of repeated runs accumulate.
+// Timeline returns a deep copy of the snapshots cut so far (nil when the
+// timeline is off): the caller owns it, per-snapshot slices included, so it
+// outlives Release. Snapshots of repeated runs accumulate.
 func (r *Recorder) Timeline() []Snapshot {
 	if r == nil {
 		return nil
 	}
-	return append([]Snapshot(nil), r.timeline.snaps...)
+	tl := &r.timeline
+	out := append([]Snapshot(nil), tl.snaps...)
+	own := arena{
+		pairs: make([]PairCount, 0, len(tl.arena.pairs)),
+		hist:  make([]uint64, 0, len(tl.arena.hist)),
+		socks: make([]SocketCounters, 0, len(tl.arena.socks)),
+	}
+	for i := range out {
+		s := &out[i]
+		s.ConflictPairs = carve(&own.pairs, s.ConflictPairs)
+		s.CascadeHist = carve(&own.hist, s.CascadeHist)
+		s.Sockets = carve(&own.socks, s.Sockets)
+	}
+	return out
 }
 
-// Quality returns the inference-quality trajectory recorded so far (nil
-// when the scorer is off).
+// Quality returns a copy of the inference-quality trajectory recorded so
+// far (nil when the scorer is off); like Timeline it outlives Release.
 func (r *Recorder) Quality() []QualitySnapshot {
 	if r == nil {
 		return nil
 	}
-	return r.quality
+	return append([]QualitySnapshot(nil), r.scorer.quality...)
 }
 
 // --- The per-thread handle ---

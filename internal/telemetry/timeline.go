@@ -1,6 +1,10 @@
 package telemetry
 
-import "seer/internal/htm"
+import (
+	"slices"
+
+	"seer/internal/htm"
+)
 
 // MaxModes fixes the size of the per-mode commit arrays (policy.Mode
 // indexes them), so adding a mode is a compile-time event here rather than
@@ -156,9 +160,11 @@ const topConflictPairs = 4
 // diffed. Cumulative counters carry across repeated runs.
 type timeline struct {
 	snaps []Snapshot
+	arena arena
 
 	prev        counters
 	prevSock    []counters // per socket; nil on single-socket machines
+	curSock     []counters // prevSock's double buffer, swapped at every cut
 	prevReuse   uint64
 	prevQuantum [4]uint64
 	prevPhase   [3]uint64
@@ -167,14 +173,33 @@ type timeline struct {
 	prevCascade [MaxCascadeDepth + 1]uint64
 }
 
+// arena backs the variable-length fields of the cut snapshots
+// (ConflictPairs, CascadeHist, Sockets): each is carved off the end of one
+// growing slice per element type instead of allocated per cut. Growth
+// leaves earlier carvings on the old backing array, which stays valid.
+type arena struct {
+	pairs []PairCount
+	hist  []uint64
+	socks []SocketCounters
+}
+
+// carve appends vs to the arena and returns the appended region with its
+// capacity clipped (nil for none), so appending to it cannot reach the
+// next carving.
+func carve[T any](arena *[]T, vs []T) []T {
+	if len(vs) == 0 {
+		return nil
+	}
+	*arena = append(*arena, vs...)
+	return slices.Clip((*arena)[len(*arena)-len(vs):])
+}
+
 // cutSnapshot appends the snapshot of the interval [r.start, end).
 func (r *Recorder) cutSnapshot(end uint64) {
 	tl := &r.timeline
 	var cur counters
-	var curSock []counters
-	if tl.prevSock != nil {
-		curSock = make([]counters, len(tl.prevSock))
-	}
+	curSock := tl.curSock
+	clear(curSock)
 	for i := range r.threads {
 		c := &r.threads[i].c
 		cur.add(c)
@@ -225,7 +250,7 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		snap.CascadeHist = tl.cascadeDelta(a)
 	}
 	if curSock != nil {
-		snap.Sockets = make([]SocketCounters, len(curSock))
+		first := len(tl.arena.socks)
 		for s := range curSock {
 			c, p := &curSock[s], &tl.prevSock[s]
 			sc := SocketCounters{Socket: s, Attempts: c.attempts - p.attempts, LockWait: c.lockWait - p.lockWait}
@@ -235,9 +260,10 @@ func (r *Recorder) cutSnapshot(end uint64) {
 			for i := range c.aborts {
 				sc.Aborts += c.aborts[i] - p.aborts[i]
 			}
-			snap.Sockets[s] = sc
+			tl.arena.socks = append(tl.arena.socks, sc)
 		}
-		tl.prevSock = curSock
+		snap.Sockets = slices.Clip(tl.arena.socks[first:])
+		tl.prevSock, tl.curSock = curSock, tl.prevSock
 	}
 	tl.snaps = append(tl.snaps, snap)
 }
@@ -271,10 +297,7 @@ func (tl *timeline) topPairs(a *attribution) []PairCount {
 		}
 	}
 	copy(tl.prevTruth, a.truth)
-	if used == 0 {
-		return nil
-	}
-	return append([]PairCount(nil), top[:used]...)
+	return carve(&tl.arena.pairs, top[:used])
 }
 
 // cascadeDelta returns the interval's cascade-depth histogram with
@@ -286,13 +309,10 @@ func (tl *timeline) cascadeDelta(a *attribution) []uint64 {
 			last = d
 		}
 	}
-	var hist []uint64
-	if last >= 0 {
-		hist = make([]uint64, last+1)
-	}
-	for d := range hist {
+	var hist [MaxCascadeDepth + 1]uint64
+	for d := 0; d <= last; d++ {
 		hist[d] = a.cascadeHist[d] - tl.prevCascade[d]
 	}
 	tl.prevCascade = a.cascadeHist
-	return hist
+	return carve(&tl.arena.hist, hist[:last+1])
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"seer"
@@ -92,5 +93,100 @@ func TestObservabilityExportsGolden(t *testing.T) {
 	}
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("observability exports have %d lines, %s has %d", len(gotLines), golden, len(wantLines))
+	}
+}
+
+// obsCell runs one Seer cell at 8 threads on the given Recycler, with every
+// observability sink on — the shape of the ledger's infer-obs cells — or
+// with none.
+func obsCell(tb testing.TB, g adversary.Graph, ops int, seed int64, rec *seer.Recycler, sinks bool) (*seer.System, seer.Report) {
+	tb.Helper()
+	wl := adversary.New(g, ops)
+	cfg := stamp.Config(wl, 8, seer.Topology{})
+	cfg.Seed = seed
+	if sinks {
+		cfg.TraceEvents = 4096
+		cfg.MetricsInterval = 4096
+		cfg.TraceAttempts = true
+		cfg.AttributionCounters = true
+	}
+	cfg.Recycler = rec
+	sys, rep, err := stamp.Run(wl, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys, rep
+}
+
+// TestReportOutlivesReleaseAndReuse pins the ownership line: a Report owns
+// its Timeline (per-snapshot slices included) and Inference, so releasing
+// the system and recording a different cell on the same Recycler's storage
+// changes nothing the Report renders.
+func TestReportOutlivesReleaseAndReuse(t *testing.T) {
+	render := func(rep seer.Report) string {
+		var b bytes.Buffer
+		b.WriteString(rep.Summary())
+		if err := rep.WriteTimelineJSONL(&b); err != nil { // conflict pairs, cascade histograms
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	rec := new(seer.Recycler)
+	sysA, repA := obsCell(t, adversary.Clique(6), 400, 7, rec, true)
+	if len(repA.Timeline) < 4 || len(repA.Inference) != len(repA.Timeline) {
+		t.Fatalf("cell A cut %d snapshots and %d inference points", len(repA.Timeline), len(repA.Inference))
+	}
+	before := render(repA)
+	sysA.Release()
+	sysB, repB := obsCell(t, adversary.Ring(8), 1200, 11, rec, true)
+	if len(repB.Timeline) <= len(repA.Timeline) {
+		t.Fatalf("cell B (%d snapshots) does not overwrite all of cell A's (%d)", len(repB.Timeline), len(repA.Timeline))
+	}
+	if after := render(repA); after != before {
+		t.Errorf("cell A's report changed after Release and reuse:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	// The same line within one system: a second Run must not reach the
+	// first Report either.
+	beforeB := render(repB)
+	if _, err := sysB.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := render(repB); after != beforeB {
+		t.Error("a second Run changed the first Run's report")
+	}
+}
+
+// mallocsDuring returns the heap objects f allocates.
+func mallocsDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestObsCellSteadyStateAllocs pins the recycling: on a warm Recycler a
+// cell with every sink on records into the previous cell's storage, so it
+// allocates like the same cell with no sink at all — a few dozen objects
+// more (the Report's owned copies, the attribution matrices), where every
+// cut and every transaction used to allocate.
+func TestObsCellSteadyStateAllocs(t *testing.T) {
+	rec := new(seer.Recycler)
+	cell := func(sinks bool) func() {
+		return func() {
+			sys, rep := obsCell(t, adversary.Clique(32), 2000, 1, rec, sinks)
+			_ = rep.Summary()
+			sys.Release()
+		}
+	}
+	first := mallocsDuring(cell(true))
+	second := mallocsDuring(cell(true))
+	none := mallocsDuring(cell(false))
+	t.Logf("first cell %d allocs, second %d, with no sink %d", first, second, none)
+	if second > first {
+		t.Errorf("second obs-on cell allocates %d objects, more than the first (%d)", second, first)
+	}
+	if second > none+64 {
+		t.Errorf("obs-on cell on a warm Recycler allocates %d objects, the same cell with no sink %d: want within 64", second, none)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"seer/internal/policy"
@@ -199,9 +200,11 @@ func (r Report) String() string {
 // built on this. Unlike String, zero counters are printed, so the digest
 // shape is independent of which events happened to occur.
 func (r Report) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "policy=%s threads=%d\n", r.Policy, r.Threads)
-	fmt.Fprintf(&b, "makespan=%d commits=%d\n", r.MakespanCycles, r.Commits())
+	// One buffer; the per-interval lines, which dominate a timeline run,
+	// are formatted with strconv so they box nothing.
+	b := make([]byte, 0, 512+192*(len(r.Timeline)+len(r.Inference)))
+	b = fmt.Appendf(b, "policy=%s threads=%d\n", r.Policy, r.Threads)
+	b = fmt.Appendf(b, "makespan=%d commits=%d\n", r.MakespanCycles, r.Commits())
 	for m := Mode(0); m < NumModes; m++ {
 		// The STM mode line appears only when the Phased policy ran, so
 		// digests of every other policy are unchanged (the Backoff-line
@@ -209,48 +212,77 @@ func (r Report) Summary() string {
 		if m == ModeSTM && r.Phased == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "mode[%s]=%d\n", m.String(), r.Modes[m])
+		b = fmt.Appendf(b, "mode[%s]=%d\n", m.String(), r.Modes[m])
 	}
-	fmt.Fprintf(&b, "htm commits=%d aborts=%d conflict=%d capacity=%d explicit=%d spurious=%d\n",
+	b = fmt.Appendf(b, "htm commits=%d aborts=%d conflict=%d capacity=%d explicit=%d spurious=%d\n",
 		r.HTM.Commits, r.HTM.Aborts, r.HTM.ConflictAborts, r.HTM.CapacityAborts,
 		r.HTM.ExplicitAborts, r.HTM.SpuriousAborts)
-	fmt.Fprintf(&b, "hwattempts=%d fallbacks=%d\n", r.HWAttempts, r.Fallbacks)
+	b = fmt.Appendf(b, "hwattempts=%d fallbacks=%d\n", r.HWAttempts, r.Fallbacks)
 	if r.Seer != nil {
-		fmt.Fprintf(&b, "seer th1=%.6f th2=%.6f updates=%d multicas=%d/%d lockacq=%d medianfrac=%.6f\n",
+		b = fmt.Appendf(b, "seer th1=%.6f th2=%.6f updates=%d multicas=%d/%d lockacq=%d medianfrac=%.6f\n",
 			r.Seer.Thresholds.Th1, r.Seer.Thresholds.Th2, r.Seer.SchemeUpdates,
 			r.Seer.MultiCASOk, r.Seer.MultiCASFail, r.Seer.LockAcqEvents, r.Seer.LockFracMedian)
 		for i, row := range r.Seer.SchemeRows {
-			fmt.Fprintf(&b, "scheme[%d]=%v\n", i, row)
+			b = fmt.Appendf(b, "scheme[%d]=%v\n", i, row)
 		}
 	}
 	// The backoff line appears only when the Backoff policy ran, so
 	// digests of every other policy are unchanged.
 	if r.Backoff != nil {
-		fmt.Fprintf(&b, "backoff waits=%d cycles=%d maxwindow=%d\n",
+		b = fmt.Appendf(b, "backoff waits=%d cycles=%d maxwindow=%d\n",
 			r.Backoff.Waits, r.Backoff.Cycles, r.Backoff.MaxWindow)
 	}
 	// Phased lines appear only when the Phased policy ran, so digests of
 	// every other policy are unchanged.
 	if p := r.Phased; p != nil {
-		fmt.Fprintf(&b, "phased deferrals=%d undeferrals=%d transitions=%d\n",
+		b = fmt.Appendf(b, "phased deferrals=%d undeferrals=%d transitions=%d\n",
 			p.Deferrals, p.Undeferrals, p.Transitions)
-		fmt.Fprintf(&b, "phased sw attempts=%d commits=%d aborts=%d conflict=%d explicit=%d\n",
+		b = fmt.Appendf(b, "phased sw attempts=%d commits=%d aborts=%d conflict=%d explicit=%d\n",
 			p.SWAttempts, p.SWCommits, p.SWAborts, p.STM.ConflictAborts, p.STM.ExplicitAborts)
-		fmt.Fprintf(&b, "phased cycles hw=%d sw=%d glock=%d\n",
+		b = fmt.Appendf(b, "phased cycles hw=%d sw=%d glock=%d\n",
 			p.ModeCycles[0], p.ModeCycles[1], p.ModeCycles[2])
 	}
-	fmt.Fprintf(&b, "timeline intervals=%d\n", len(r.Timeline))
+	b = fmt.Appendf(b, "timeline intervals=%d\n", len(r.Timeline))
 	for _, s := range r.Timeline {
-		fmt.Fprintf(&b, "interval[%d] %d..%d commits=%d attempts=%d aborts=%v fallbacks=%d lockwait=%d modes=%v\n",
-			s.Index, s.StartCycle, s.EndCycle, s.Commits, s.Attempts, s.Aborts, s.Fallbacks, s.LockWait, s.Modes)
+		b = appendUints(b, "interval[", uint64(s.Index))
+		b = appendUints(b, "] ", s.StartCycle)
+		b = appendUints(b, "..", s.EndCycle)
+		b = appendUints(b, " commits=", s.Commits)
+		b = appendUints(b, " attempts=", s.Attempts)
+		b = appendUints(b, " aborts=[", s.Aborts[:]...)
+		b = appendUints(b, "] fallbacks=", s.Fallbacks)
+		b = appendUints(b, " lockwait=", s.LockWait)
+		b = appendUints(b, " modes=[", s.Modes[:]...)
+		b = append(b, "]\n"...)
 	}
 	// Inference lines appear only when attribution ran, so digests of
 	// runs with tracing disabled are unchanged.
 	for _, q := range r.Inference {
-		fmt.Fprintf(&b, "inference[%d] end=%d true=%d predicted=%d tp=%d precision=%.6f recall=%.6f rankdiv=%.6f attributed=%d\n",
-			q.Index, q.EndCycle, q.TruePairs, q.PredictedPairs, q.TP, q.Precision, q.Recall, q.RankDivergence, q.Attributed)
+		b = appendUints(b, "inference[", uint64(q.Index))
+		b = appendUints(b, "] end=", q.EndCycle)
+		b = appendUints(b, " true=", uint64(q.TruePairs))
+		b = appendUints(b, " predicted=", uint64(q.PredictedPairs))
+		b = appendUints(b, " tp=", uint64(q.TP))
+		b = strconv.AppendFloat(append(b, " precision="...), q.Precision, 'f', 6, 64)
+		b = strconv.AppendFloat(append(b, " recall="...), q.Recall, 'f', 6, 64)
+		b = strconv.AppendFloat(append(b, " rankdiv="...), q.RankDivergence, 'f', 6, 64)
+		b = appendUints(b, " attributed=", q.Attributed)
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendUints appends label followed by vs in decimal, space separated
+// (fmt's %d, and its %v of an integer array between the brackets).
+func appendUints(b []byte, label string, vs ...uint64) []byte {
+	b = append(b, label...)
+	for i, v := range vs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendUint(b, v, 10)
+	}
+	return b
 }
 
 // WriteTimelineCSV renders Report.Timeline as CSV, one row per interval.

@@ -242,7 +242,8 @@ type Config struct {
 	SpeculativeQuantum int
 	// Recycler, when non-nil, supplies the large simulator buffers
 	// (simulated memory words, registry line states, per-thread HTM
-	// contexts) from a previous System built with the same Recycler, and
+	// contexts, the observability recorder's span, event and snapshot
+	// storage) from a previous System built with the same Recycler, and
 	// receives them back from System.Release. The harness keeps one per
 	// grid worker so replicas are rebuilt without reallocating
 	// multi-megabyte state per cell. A Recycler must only ever be used
@@ -255,6 +256,7 @@ type Config struct {
 type Recycler struct {
 	mem mem.Buffers
 	htm htm.Buffers
+	obs telemetry.Buffers
 }
 
 // DefaultSpeculativeQuantum is the speculative multi-tick quantum used by
@@ -410,8 +412,9 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{cfg: cfg, eng: eng}
 	var memBuf *mem.Buffers
 	var htmBuf *htm.Buffers
+	var obsBuf *telemetry.Buffers
 	if r := cfg.Recycler; r != nil {
-		memBuf, htmBuf = &r.mem, &r.htm
+		memBuf, htmBuf, obsBuf = &r.mem, &r.htm, &r.obs
 	}
 	s.mem = mem.NewRecycled(cfg.MemWords, 1, memBuf)
 	// Spin-lock waiters park on their lock word (machine.Ctx.ParkOnWord);
@@ -476,7 +479,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("seer: unknown policy %q", cfg.Policy)
 	}
 	if cfg.TraceEvents > 0 || cfg.MetricsInterval > 0 || cfg.TraceAttempts || cfg.AttributionCounters {
-		s.obs = s.newRecorder(topo)
+		s.obs = s.newRecorder(topo, obsBuf)
 	}
 	s.htm.SetDoomHook(s.obs.DoomHook())
 	s.eng.SetTickHook(s.obs.TickHook())
@@ -486,7 +489,7 @@ func NewSystem(cfg Config) (*System, error) {
 // newRecorder builds the observability recorder: its sinks are switched
 // by the four observability Config fields, its sources are whatever this
 // system has to sample.
-func (s *System) newRecorder(topo topology.Topology) *telemetry.Recorder {
+func (s *System) newRecorder(topo topology.Topology, buf *telemetry.Buffers) *telemetry.Recorder {
 	cfg := s.cfg
 	o := telemetry.Options{
 		Threads: topo.Threads(), Blocks: cfg.NumAtomicBlocks, Topology: topo,
@@ -513,7 +516,7 @@ func (s *System) newRecorder(topo topology.Topology) *telemetry.Recorder {
 	if pp, ok := s.pol.(*policy.Phased); ok {
 		o.Phase = pp.PhaseCounters
 	}
-	return telemetry.New(o)
+	return telemetry.NewRecycled(o, buf)
 }
 
 // Config returns the system's configuration.
@@ -537,7 +540,10 @@ func (s *System) Scheduler() *core.Seer { return s.sched }
 // timeline, attempt spans, attribution and their exporters. It is nil —
 // a valid recorder with every sink off — unless Config.TraceEvents,
 // MetricsInterval, TraceAttempts or AttributionCounters is set, and
-// accumulates across repeated Runs.
+// accumulates across repeated Runs. The recorder and every slice borrowed
+// from it (Recorder.Spans, Recorder.TruthMatrix) are valid until Release;
+// only what a Report owns (Timeline, Inference) and the copies
+// Recorder.Events returns may be read afterwards.
 func (s *System) Recorder() *telemetry.Recorder { return s.obs }
 
 // Alloc reserves n words of simulated memory.
@@ -564,11 +570,13 @@ func (s *System) Memory() *mem.Memory { return s.mem }
 
 // Release returns the system's large buffers to the Recycler it was
 // built with (a no-op without one), making them available to the next
-// System built on that Recycler. The system must not be used afterwards.
+// System built on that Recycler. The system and its Recorder must not be
+// used afterwards; Reports it returned stay valid.
 func (s *System) Release() {
 	if r := s.cfg.Recycler; r != nil {
 		s.mem.Release(&r.mem)
 		s.htm.Release(&r.htm)
+		s.obs.Release(&r.obs)
 	}
 }
 
