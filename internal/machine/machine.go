@@ -8,7 +8,8 @@
 // thread runs exclusively until it calls Tick, at which point control
 // switches back to the engine's event loop, which always resumes the
 // runnable thread with the smallest virtual clock (ties broken by thread
-// id) by popping a (wakeup-cycle, thread-id) event from a min-heap.
+// id) by popping the earliest (wakeup-cycle, thread-id) event off the
+// event queue (eventqueue.go).
 // Because exactly one thread executes between two scheduling points, all
 // simulator state can be manipulated without synchronization, and whole
 // runs are reproducible bit-for-bit for a fixed seed.
@@ -151,7 +152,8 @@ func (c Config) Siblings(hw int) []int { return c.Topo.Siblings(hw) }
 
 // ErrMaxCycles is returned by Engine.Run when a run exceeds
 // Config.MaxCycles, which usually indicates a livelock in the simulated
-// program.
+// program — or, with no budget set, when a clock reaches 2^56 - 2, the
+// last cycle the event queue orders exactly.
 var ErrMaxCycles = errors.New("machine: run exceeded MaxCycles (livelock?)")
 
 // ErrDeadlock is returned by Engine.Run when every remaining thread is
@@ -316,14 +318,14 @@ func (c *Ctx) Advance(cost uint64) { c.clock += cost }
 //	for { Tick(period - pollCost); Tick(pollCost); if free { break } }
 //
 // and must be called right after a poll (a Tick(pollCost) plus load) that
-// observed the key busy. The thread is removed from the event heap; a
+// observed the key busy. The thread leaves the event queue; a
 // subsequent WakeKey computes the first poll boundary
 //
 //	b = Clock() + k·period  (minimal k ≥ 1 scheduled after the waker)
 //
 // and re-inserts the thread there with Clock() = b - pollCost, so the
 // caller's loop re-executes its polling Tick(pollCost) and observes the
-// key at exactly the cycle — and in exactly the heap order — the spin
+// key at exactly the cycle — and in exactly the queue order — the spin
 // loop would have. Virtual-time cost accounting is unchanged: the skipped
 // cycles are added in one jump instead of period-sized steps.
 //
@@ -379,28 +381,29 @@ func (c *Ctx) armPark(key, period, pollCost uint64, maxPolls int) {
 		c.parkDeadline = c.clock + period*uint64(maxPolls)
 	}
 	c.parked = true
+	c.eng.wakeable.Add(c.id)
 }
 
 // WakeKey wakes every thread parked on key, scheduling each at its first
 // poll boundary ordered after the caller's current position in the
 // schedule. The caller is conceptually the thread whose store made the
 // key available (a lock release); waiters whose poll would land at the
-// caller's exact cycle keep the (cycle, id) tie-break of the event heap.
+// caller's exact cycle keep the (cycle, id) tie-break of the event queue.
 // With no parked threads the call is one integer compare.
 func (c *Ctx) WakeKey(key uint64) {
 	e := c.eng
 	if e.nParked == 0 {
 		return
 	}
-	for _, t := range e.threads {
-		if !t.parked || t.pollPending || t.parkKey != key {
-			// A pollPending thread already has its wake's poll event
-			// queued; per-tick it would be runnable here, so a second
-			// release must not reschedule it.
-			continue
+	// wakeable holds exactly the threads a release can reschedule, so the
+	// walk costs the parked population, not the machine width. ForEach
+	// iterates a copy in ascending id order — the order the full scan of
+	// e.threads had — so wake may edit the set underneath it.
+	e.wakeable.ForEach(func(id int) {
+		if t := e.threads[id]; t.parkKey == key {
+			e.wake(t, c.clock, int32(c.id))
 		}
-		e.wake(t, c.clock, int32(c.id))
-	}
+	})
 	// The re-inserted waiters may now own the queue minimum: shrink the
 	// caller's batch horizon so its next Tick yields at the right cycle.
 	c.batchLimit = e.horizonFor(int32(c.id))
@@ -424,6 +427,7 @@ func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
 	}
 	t.parkSkipped += (b - t.parkPollCost) - t.clock
 	t.clock = b - t.parkPollCost
+	e.wakeable.Remove(t.id)
 	if t.parkEval && e.pollEval != nil {
 		// Evaluated park: keep the context suspended and queue the poll
 		// boundary as an ordinary event. The event loop re-checks the key
@@ -465,12 +469,12 @@ func (c *Ctx) Work(n uint64) {
 }
 
 // Engine owns the hardware threads and drives the min-clock cooperative
-// schedule from a wakeup-event heap.
+// schedule from the wakeup-event queue.
 type Engine struct {
 	cfg     Config
 	threads []*Ctx
-	// queue holds one (wakeup-cycle, thread-id) event per live context,
-	// reused across Runs to stay allocation-free.
+	// queue holds one (wakeup-cycle, thread-id) event per scheduled
+	// context, in place: a fixed-size value cleared at the start of a Run.
 	queue eventQueue
 	// tickHook, when set, observes the global virtual time (the minimum
 	// clock over runnable threads, non-decreasing within a run) once per
@@ -479,8 +483,13 @@ type Engine struct {
 	tickHook func(now uint64)
 	// nParked counts threads currently suspended in ParkOn. It gates
 	// WakeKey's scan and distinguishes "all done" from "all deadlocked"
-	// when the event heap runs dry.
+	// when the event queue runs dry.
 	nParked int
+	// wakeable is the set WakeKey walks: the threads that are parked and
+	// not pollPending. A pollPending thread already has its wake's poll
+	// event queued — per-tick it would be runnable — so a second release
+	// must not reschedule it.
+	wakeable topology.Set
 	// pollEval, when set, reports whether the word a ParkOnWord waiter is
 	// parked on is still busy; the event loop uses it to evaluate wake-time
 	// polls without resuming the waiter's coroutine. It must be a pure read
@@ -493,9 +502,11 @@ type Engine struct {
 	lockLoad  func(hw int, key uint64) uint64
 	lockStore func(hw int, key uint64, v uint64)
 	// maxCap is the MaxCycles bound pre-encoded as a batch horizon: the
-	// first clock value past the livelock budget (MaxUint64 when the
-	// budget is unlimited). Folded into every thread's batchLimit so the
-	// Tick fast path is a single comparison.
+	// first clock value past the livelock budget, or maxEventCycle — the
+	// last cycle the event queue orders exactly — when the budget is
+	// unlimited or later than that. Folded into every thread's batchLimit
+	// so the Tick fast path is a single comparison, and an event at or
+	// past it ends the run with ErrMaxCycles.
 	maxCap uint64
 	// Speculative-quantum totals, accumulated over the engine's lifetime
 	// (see Engine.QuantumCounters).
@@ -503,11 +514,33 @@ type Engine struct {
 	specTicks         uint64
 	specRollbacks     uint64
 	specRollbackTicks uint64
+	// count is the event loop's account of its own work (see Counters).
+	count Counters
 	// running is the context currently resumed inside t.next(), nil
 	// between resumes. It lets SpecBarrier reach the speculating thread
 	// from hooks (mem.Memory.Peek) that have no Ctx in hand.
 	running *Ctx
 }
+
+// Counters is the event loop's account of its own work: every event it
+// delivered, by how. Only a Resume pays the two coroutine switches; the
+// other three kinds are steps the loop executed on the thread's behalf.
+type Counters struct {
+	Resumes      uint64 // delivered by resuming the thread's coroutine
+	Polls        uint64 // evaluated wake-time polls that found the word busy and re-parked (ParkOnWord)
+	AcquireSteps uint64 // delegated-acquire ticks that parked or queued their next tick (AcquireWord)
+	Replays      uint64 // journaled pure ticks re-delivered after a quantum (TickPure)
+}
+
+// Counters returns the engine-lifetime event-loop totals. Like the
+// quantum counters they accumulate across Runs; callers that want per-run
+// numbers diff them. They are maintained by Run alone — nothing on the
+// Tick fast path — and are as deterministic as the schedule itself.
+func (e *Engine) Counters() Counters { return e.count }
+
+// Events returns the number of events the loop took off the schedule and
+// delivered: each is counted under exactly one kind.
+func (c Counters) Events() uint64 { return c.Resumes + c.Polls + c.AcquireSteps + c.Replays }
 
 // horizonFor returns the tick-batch horizon for thread id: the first
 // clock value at which it must yield to the event loop. While the queue
@@ -521,13 +554,12 @@ type Engine struct {
 func (e *Engine) horizonFor(id int32) uint64 {
 	lim := e.maxCap
 	if q := &e.queue; q.n != 0 {
-		h := q.min.cycle
-		if id < q.min.id {
+		m := q.min.event()
+		h := m.cycle
+		if id < m.id {
 			h++ // equal cycles still precede the min: yield one later
 		}
-		if h < lim {
-			lim = h
-		}
+		lim = min(lim, h)
 	}
 	return lim
 }
@@ -551,23 +583,26 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, maxCap: ^uint64(0)}
-	if cfg.MaxCycles > 0 {
+	e := &Engine{cfg: cfg, maxCap: maxEventCycle}
+	if cfg.MaxCycles > 0 && cfg.MaxCycles < maxEventCycle {
 		e.maxCap = cfg.MaxCycles + 1
 	}
-	e.threads = make([]*Ctx, cfg.HWThreads())
-	for i := range e.threads {
-		t := &Ctx{
-			id:         i,
-			rng:        NewRand(mix(cfg.Seed, int64(i))),
-			eng:        e,
-			batchLimit: e.maxCap,
-		}
-		if cfg.SpecQuantum > 0 {
-			t.specCap = cfg.SpecQuantum
-			t.spec.cycles = make([]uint64, cfg.SpecQuantum)
-			t.spec.rngs = make([]Rand, cfg.SpecQuantum)
-		}
+	// One slab each for the contexts and the speculation journals, sliced
+	// per thread, instead of three heap objects per hardware thread.
+	n, q := cfg.HWThreads(), max(cfg.SpecQuantum, 0)
+	ctxs := make([]Ctx, n)
+	cycles := make([]uint64, n*q)
+	rngs := make([]Rand, n*q)
+	e.threads = make([]*Ctx, n)
+	for i := range ctxs {
+		t := &ctxs[i]
+		t.id = i
+		t.rng = NewRand(mix(cfg.Seed, int64(i)))
+		t.eng = e
+		t.batchLimit = e.maxCap
+		t.specCap = q
+		t.spec.cycles = cycles[i*q : (i+1)*q : (i+1)*q]
+		t.spec.rngs = rngs[i*q : (i+1)*q : (i+1)*q]
 		e.threads[i] = t
 	}
 	return e, nil
@@ -620,6 +655,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	}
 	e.queue.clear()
 	e.nParked = 0
+	e.wakeable.Clear()
 	for i, body := range bodies {
 		if body == nil {
 			continue
@@ -643,7 +679,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 			if e.tickHook != nil {
 				e.tickHook(ev.cycle)
 			}
-			if e.cfg.MaxCycles > 0 && ev.cycle > e.cfg.MaxCycles {
+			if ev.cycle >= e.maxCap {
 				// Unwind every live context so no coroutine outlives the
 				// run, then report the livelock.
 				e.drain(bodies)
@@ -666,6 +702,8 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 						e.tickHook(ev.cycle)
 					}
 					t.clock = ev.cycle
+					e.count.Polls++
+					e.wakeable.Add(t.id)
 					if t.parkPolls > 0 {
 						// Re-queue the bounded wait's deadline, exactly as
 						// the coroutine's re-park would.
@@ -704,16 +742,18 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				t.clock = ev.cycle - t.parkPollCost
 				t.parked = false
 				e.nParked--
+				e.wakeable.Remove(t.id)
 			}
 			if runAcq {
 				t.clock = ev.cycle
 				nc, status := e.acquireStep(t, e.horizonFor(ev.id), true)
-				if status == acqBusy {
-					t.armAcquirePark()
-					e.nParked++
-					break
-				}
-				if status == acqQueued {
+				if status != acqDone {
+					e.count.AcquireSteps++
+					if status == acqBusy {
+						t.armAcquirePark()
+						e.nParked++
+						break
+					}
 					ev = e.queue.replaceMin(event{cycle: nc, id: ev.id})
 					continue
 				}
@@ -729,6 +769,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 					// the per-tick engine would have popped — without a
 					// coroutine switch. Queue the next deferred tick, or
 					// the final resume at the thread's current clock.
+					e.count.Replays++
 					t.spec.next++
 					nc := t.clock
 					if t.spec.next < t.spec.n {
@@ -746,6 +787,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				t.spec.n, t.spec.next = 0, 0
 			}
 			t.batchLimit = e.horizonFor(ev.id)
+			e.count.Resumes++
 			e.running = t
 			clock, ok := t.next()
 			e.running = nil
@@ -836,6 +878,7 @@ func (e *Engine) drain(bodies []func(*Ctx)) {
 	}
 	e.queue.clear()
 	e.nParked = 0
+	e.wakeable.Clear()
 }
 
 // mix combines a seed and a thread id into a well-spread 64-bit PRNG seed

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"seer/internal/topology"
@@ -88,7 +89,7 @@ func TestParkObservationEquivalence(t *testing.T) {
 
 // TestParkWakeSameCycleTieBreak: a release at exactly a waiter's poll
 // boundary is observable in that slot only by waiters with a higher
-// thread id than the releaser (heap order runs the lower id first).
+// thread id than the releaser (the event order runs the lower id first).
 func TestParkWakeSameCycleTieBreak(t *testing.T) {
 	// Thread 1 releases at cycle 2+27k (a boundary of thread 0's and
 	// thread 2's poll trains, which both start polling at cycle 2).
@@ -314,6 +315,117 @@ func TestParkedRunsAreDeterministic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if got := run(); got != first {
 			t.Fatalf("run %d makespan %d, want %d", i+1, got, first)
+		}
+	}
+}
+
+// wakeKeyFullScan is the walk WakeKey's parked-id set replaced: every
+// context of the machine dereferenced and filtered, in ascending id order.
+func wakeKeyFullScan(c *Ctx, key uint64) {
+	e := c.eng
+	if e.nParked == 0 {
+		return
+	}
+	for _, t := range e.threads {
+		if t.parked && !t.pollPending && t.parkKey == key {
+			e.wake(t, c.clock, int32(c.id))
+		}
+	}
+	c.batchLimit = e.horizonFor(int32(c.id))
+}
+
+// wakeSnap is the engine state a release leaves behind.
+type wakeSnap struct {
+	queue    eventQueue
+	wakeable topology.Set
+	nParked  int
+}
+
+// runWakeScenario parks n-1 waiters on two held words — plain, evaluated
+// and bounded-evaluated parks, staggered so that releases find them in
+// every state — and has thread 0 release each word repeatedly through
+// wake: four rounds with the word still held (evaluated waiters re-park
+// engine-side, the others resume and re-park) and a back-to-back second
+// release each round (which must skip the pollPending waiters of the
+// first), then a final round that frees both. It returns the engine state
+// after every release, every waiter's clock at every return from a park,
+// and the hook stream.
+func runWakeScenario(t *testing.T, n int, wake func(*Ctx, uint64)) (snaps []wakeSnap, returns []event, hooks []uint64) {
+	t.Helper()
+	eng := parkEngine(t, n)
+	words := [2]uint64{1, 1}
+	eng.SetParkPollEvaluator(func(key uint64) bool { return words[key] != 0 })
+	eng.SetTickHook(func(now uint64) { hooks = append(hooks, now) })
+	release := func(c *Ctx, key uint64) {
+		wake(c, key)
+		for _, w := range eng.threads {
+			if want := w.parked && !w.pollPending; eng.wakeable.Has(w.id) != want {
+				t.Fatalf("n=%d cycle %d: wakeable.Has(%d) = %v, parked=%v pollPending=%v",
+					n, c.Clock(), w.id, !want, w.parked, w.pollPending)
+			}
+		}
+		snaps = append(snaps, wakeSnap{eng.queue, eng.wakeable, eng.nParked})
+	}
+	bodies := make([]func(*Ctx), n)
+	bodies[0] = func(c *Ctx) {
+		for round := uint64(0); round < 10; round++ {
+			c.Tick(40 + 13*round)
+			if round >= 8 {
+				words[round&1] = 0
+			}
+			release(c, round&1)
+			release(c, round&1)
+		}
+	}
+	for i := 1; i < n; i++ {
+		bodies[i] = func(c *Ctx) {
+			key := uint64(i & 1)
+			c.Tick(uint64(1 + i%7))
+			for {
+				c.Tick(tpPollCost)
+				if words[key] == 0 {
+					return
+				}
+				switch i % 3 {
+				case 0:
+					c.ParkOn(key, tpPeriod, tpPollCost, 0)
+				case 1:
+					c.ParkOnWord(key, tpPeriod, tpPollCost, 0)
+				default:
+					c.ParkOnWord(key, tpPeriod, tpPollCost, 3)
+					c.Tick(uint64(20 + i%11)) // runnable, not parked, across some releases
+				}
+				returns = append(returns, event{cycle: c.Clock(), id: int32(i)})
+			}
+		}
+	}
+	if _, err := eng.Run(bodies); err != nil {
+		t.Fatalf("n=%d: %v", n, err)
+	}
+	return snaps, returns, hooks
+}
+
+// TestWakeKeyMatchesFullScan: walking the parked-id set must wake the
+// same threads in the same order as scanning every context — the queue,
+// the set and the parked count equal after every release, and every
+// waiter back from its park at the same clock, in the same sequence.
+func TestWakeKeyMatchesFullScan(t *testing.T) {
+	for _, n := range []int{8, 128} {
+		snaps, returns, hooks := runWakeScenario(t, n, (*Ctx).WakeKey)
+		refSnaps, refReturns, refHooks := runWakeScenario(t, n, wakeKeyFullScan)
+		if len(returns) < 4*(n-1) {
+			t.Fatalf("n=%d: only %d park returns; the scenario did not exercise the wake path", n, len(returns))
+		}
+		for i := range snaps {
+			if snaps[i] != refSnaps[i] {
+				t.Fatalf("n=%d: engine state after release %d differs from the full scan's", n, i)
+			}
+		}
+		if !slices.Equal(returns, refReturns) {
+			t.Fatalf("n=%d: waiters return from their parks in a different order or at different clocks", n)
+		}
+		if !slices.Equal(hooks, refHooks) {
+			t.Fatalf("n=%d: hook streams differ (%d vs %d)", n, len(hooks), len(refHooks))
 		}
 	}
 }

@@ -64,6 +64,10 @@ type (
 	HTMConfig = htm.Config
 	// HTMCounters aggregates commit/abort events by cause.
 	HTMCounters = htm.Counters
+	// EngineCounters is the simulator's account of its own event loop:
+	// events scheduled, split into coroutine resumes and the steps the
+	// engine executed on a thread's behalf (System.EngineCounters).
+	EngineCounters = machine.Counters
 	// SeerOptions selects which Seer mechanisms are active.
 	SeerOptions = core.Options
 	// Mode classifies how a transaction committed (Table 3 rows).
@@ -531,6 +535,11 @@ func (s *System) Topology() Topology { return s.eng.Config().Topo }
 
 // PolicyName returns the active policy's name.
 func (s *System) PolicyName() string { return s.pol.Name() }
+
+// EngineCounters returns the event loop's work totals over the system's
+// lifetime — what the simulator, not the simulated machine, did. They are
+// deterministic for a fixed seed; diff them for per-run numbers.
+func (s *System) EngineCounters() EngineCounters { return s.eng.Counters() }
 
 // Scheduler exposes the Seer scheduler for inspection (nil for other
 // policies).
