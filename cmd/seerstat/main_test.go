@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,6 +13,8 @@ import (
 	"seer"
 	"seer/internal/harness"
 )
+
+var updateGolden = flag.Bool("update", false, "regenerate testdata golden files")
 
 // seerstat runs the command in-process and returns its standard output.
 func seerstat(t *testing.T, args ...string) string {
@@ -100,5 +106,49 @@ func TestSummaryMatchesHarness(t *testing.T) {
 			t.Errorf("%dt %s: seerstat -summary differs from harness.RunOne:\n--- seerstat ---\n%s--- harness ---\n%s",
 				c.threads, c.topo, got, want)
 		}
+	}
+}
+
+// TestRenderedOutputsGolden pins seerstat's own renderers byte for byte:
+// the -timeline view (engine-counter and phased-mode lines included) under
+// Seer and PhTM, and the -json document, at scale 0.05. The outputs are
+// concatenated and compared with testdata/seerstat.golden (regenerate with
+// `go test ./cmd/seerstat -run RenderedOutputsGolden -update`).
+func TestRenderedOutputsGolden(t *testing.T) {
+	var all bytes.Buffer
+	for _, args := range [][]string{
+		{"-policy", "Seer", "-timeline", "-metrics-interval", "8192"},
+		{"-policy", "PhTM", "-timeline", "-metrics-interval", "8192"},
+		{"-policy", "Seer", "-json"},
+	} {
+		fmt.Fprintf(&all, "==== seerstat %s ====\n", strings.Join(args, " "))
+		all.WriteString(seerstat(t, args...))
+	}
+	golden := filepath.Join("testdata", "seerstat.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run `go test ./cmd/seerstat -run RenderedOutputsGolden -update`): %v", err)
+	}
+	gotLines, wantLines := strings.Split(all.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range wantLines {
+		if i >= len(gotLines) || gotLines[i] != wantLines[i] {
+			got := ""
+			if i < len(gotLines) {
+				got = gotLines[i]
+			}
+			t.Fatalf("seerstat output diverges from %s at line %d:\n got: %.200s\nwant: %.200s", golden, i+1, got, wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("seerstat output has %d lines, %s has %d", len(gotLines), golden, len(wantLines))
 	}
 }
