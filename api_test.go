@@ -6,6 +6,7 @@ import (
 
 	"seer"
 	"seer/internal/mem"
+	"seer/internal/stamp"
 )
 
 // TestThreadAccessors covers the Thread handle's surface.
@@ -208,6 +209,54 @@ func TestLivelockMidTransactionLeavesSystemReusable(t *testing.T) {
 			rep.Commits(), rep.Modes[seer.ModeHTM], sys.Peek(c))
 	}
 	clean("after the second run")
+}
+
+// TestMaxCyclesInSGLHerdLeavesRecyclerClean: an 8-thread HLE cell whose
+// MaxCycles trips halfway through, while its threads queue on the single
+// global lock, hands its buffers back to a Recycler; a clean cell built on
+// that Recycler must report exactly what it reports on a fresh one.
+func TestMaxCyclesInSGLHerdLeavesRecyclerClean(t *testing.T) {
+	cellConfig := func(rec *seer.Recycler) (stamp.Workload, seer.Config) {
+		wl, err := stamp.New("intruder", 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := stamp.Config(wl, 8, seer.Topology{})
+		cfg.Policy = seer.PolicyHLE
+		cfg.Recycler = rec
+		return wl, cfg
+	}
+	clean := func(rec *seer.Recycler) seer.Report {
+		sys, rep, err := stamp.Run(cellConfig(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Release()
+		return rep
+	}
+	want := clean(new(seer.Recycler))
+
+	rec := new(seer.Recycler)
+	wl, cfg := cellConfig(rec)
+	cfg.MaxCycles = want.MakespanCycles / 2
+	sys, err := seer.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Setup(sys); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Run(wl.Workers(cfg.Threads)); err == nil || !strings.Contains(err.Error(), "MaxCycles") {
+		t.Fatalf("run with MaxCycles %d: err = %v, want the livelock verdict", cfg.MaxCycles, err)
+	}
+	if c := sys.EngineCounters(); c.AcquireSteps == 0 || c.Polls == 0 {
+		t.Fatalf("engine counters %+v: the verdict did not land in the SGL herd", c)
+	}
+	sys.Release()
+	if got := clean(rec).Summary(); got != want.Summary() {
+		t.Fatalf("clean cell on the recycled buffers differs from a fresh Recycler:\n--- fresh ---\n%s--- recycled ---\n%s",
+			want.Summary(), got)
+	}
 }
 
 // TestMemoryHelpers: allocation helpers and bounds.

@@ -1,28 +1,23 @@
 package machine
 
-// Engine-side lock acquisition (DESIGN.md §6j).
+// Engine-side lock acquisition (DESIGN.md §6b, the acquiring state).
 //
-// At wide shapes the dominant residual coroutine traffic is the
-// test-and-test-and-set acquire protocol: a poll tick plus load, then a
-// CAS tick plus load-and-store, each tick usually crossing the batch
-// horizon because event density leaves no conflict-free window. Per tick
-// that is two yield/resume round trips per uncontended acquire — and the
-// thread learns nothing at either resume that the engine does not already
-// know, because the protocol is a fixed state machine over one simulated
-// word.
-//
-// AcquireWord therefore lets the event loop run the protocol on the
-// thread's behalf. The coroutine executes the loop inline (with the exact
-// per-tick hook and doom semantics) while its ticks stay below the batch
-// horizon; the first tick at or past the horizon suspends it, and from
-// then on every protocol step executes inside Engine.Run at the pop of
-// the thread's own (cycle, id) event — the same schedule position, the
-// same hook firings, the same DirectLoad/DirectStore side effects at the
-// same cycles — without resuming the coroutine. A poll that observes the
-// word busy parks the thread through the ordinary evaluated-park state
-// (see ParkOnWord), so wake-time polls are engine-evaluated too. The
-// coroutine resumes exactly once, after the winning store, and AcquireWord
-// returns with the lock held.
+// The test-and-test-and-set acquire protocol — a poll tick plus load, then
+// a CAS tick plus load-and-store — is a fixed state machine over one
+// simulated word, so the thread learns nothing at a resume between its
+// ticks that the engine does not already know. AcquireWord therefore lets
+// the event loop run the protocol on the thread's behalf. The coroutine
+// executes the loop inline (with the exact per-tick hook and doom
+// semantics) while its ticks stay below the batch horizon; the first tick
+// at or past the horizon suspends it, and from then on every protocol
+// step executes inside Engine.Run at the pop of the thread's own
+// (cycle, id) event — the same schedule position, the same hook firings,
+// the same DirectLoad/DirectStore side effects at the same cycles —
+// without resuming the coroutine. A poll that observes the word busy
+// parks the thread like ParkOnWord, with acq as the park's continuation,
+// so its wake-time polls are engine-evaluated too. The coroutine resumes
+// exactly once, after the winning store, and AcquireWord returns with the
+// lock held.
 //
 // This is delegation, not speculation: nothing runs ahead of virtual
 // time, so no undo log is needed and the observable streams are
@@ -65,7 +60,10 @@ func (c *Ctx) AcquireWord(key, owner uint64) bool {
 	// A suspended delegation leaves the schedule like a park does: any
 	// open speculative quantum must replay first.
 	c.flushSpec()
-	c.acqCAS, c.acqKey, c.acqOwner = false, key, owner
+	// The protocol parks on its word with the spin-lock poll period.
+	cost := &e.cfg.Cost
+	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkPolls = key, cost.SpinQuantum+cost.DirectLoad, cost.DirectLoad, 0
+	c.acqCAS, c.acqOwner = false, owner
 	nc, status := e.acquireStep(c, c.batchLimit, false)
 	if status == acqDone {
 		return true
@@ -75,25 +73,15 @@ func (c *Ctx) AcquireWord(key, owner uint64) bool {
 	// from a completed acquire.
 	c.acq = true
 	if status == acqBusy {
-		c.armAcquirePark()
+		c.sleep()
 	} else {
 		// The pending tick becomes the thread's queued event, exactly as
 		// the per-tick yield would have queued it.
 		c.clock = nc
-		c.specOn = false
+		c.setState(acquiring)
 	}
 	c.suspend()
 	return true
-}
-
-// armAcquirePark parks the thread on the lock word its delegated acquire
-// just polled busy, with the spin-lock poll period. The park is
-// evaluator-armed, so the engine evaluates wake-time polls and continues
-// the protocol itself.
-func (c *Ctx) armAcquirePark() {
-	cost := &c.eng.cfg.Cost
-	c.parkEval = true
-	c.armPark(c.acqKey, cost.SpinQuantum+cost.DirectLoad, cost.DirectLoad, 0)
 }
 
 // acquireStep is the test-and-test-and-set protocol, the one copy both the
@@ -123,9 +111,9 @@ func (e *Engine) acquireStep(t *Ctx, horizon uint64, fired bool) (nextCycle uint
 				e.tickHook(nc)
 			}
 		}
-		free := e.lockLoad(t.id, t.acqKey) == 0
+		free := e.lockLoad(t.id, t.parkKey) == 0
 		if t.acqCAS && free {
-			e.lockStore(t.id, t.acqKey, t.acqOwner)
+			e.lockStore(t.id, t.parkKey, t.acqOwner)
 			return 0, acqDone
 		}
 		if !t.acqCAS && !free {

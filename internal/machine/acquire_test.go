@@ -10,10 +10,11 @@ import (
 // SetLockWordOps, so AcquireWord delegates the TTS protocol to the event
 // loop and wake-time polls are engine-evaluated) and the unwired ticking
 // reference (AcquireWord reports false and a hand-rolled ticking loop
-// mirroring spinlock.Acquire runs instead; ParkOnWord degrades to ParkOn)
-// — and require the full tick-hook stream, every acquire cycle and every
-// bounded-wait verdict to match exactly. The lock word lives in plain test
-// state; both engines' bodies and ops close over the same variable.
+// mirroring spinlock.Acquire runs instead; every woken waiter resumes to
+// run its own poll) — and require the full tick-hook stream, every acquire
+// cycle and every bounded-wait verdict to match exactly. The lock word
+// lives in plain test state; both engines' bodies and ops close over the
+// same variable.
 
 const (
 	taLoad   = 2           // DirectLoad of the default cost model
@@ -54,7 +55,7 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 			func(_ int, _ uint64, v uint64) { word = v })
 	}
 	tr := lockTrace{acqs: make([][]uint64, nThreads), waits: make([][]uint64, nThreads)}
-	eng.SetTickHook(func(now uint64) { tr.hooks = append(tr.hooks, now) })
+	verify := watchStates(t, eng, func(now uint64) { tr.hooks = append(tr.hooks, now) })
 	bodies := make([]func(*Ctx), nThreads)
 	for i := range bodies {
 		id := i
@@ -112,6 +113,7 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 	if tr.makespan, err = eng.Run(bodies); err != nil {
 		t.Fatalf("wired=%v: %v", wired, err)
 	}
+	verify()
 	return tr
 }
 

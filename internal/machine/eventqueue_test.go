@@ -530,7 +530,7 @@ func TestClockPastPackedCeilingIsErrMaxCycles(t *testing.T) {
 		bodies := []func(*Ctx){
 			func(c *Ctx) { c.Tick(10); c.Tick(jump); ran = append(ran, 0); c.Tick(1) },
 			func(c *Ctx) { c.Tick(50); ran = append(ran, 1); c.Tick(50) },
-			func(c *Ctx) { c.Tick(20); c.ParkOn(1, 1<<57, 2, 3); ran = append(ran, 2) },
+			func(c *Ctx) { c.Tick(20); c.ParkOnWord(1, 1<<57, 2, 3); ran = append(ran, 2) },
 		}
 		if _, err := e.Run(bodies); !errors.Is(err, ErrMaxCycles) {
 			t.Fatalf("jump %#x: err = %v, want ErrMaxCycles", jump, err)

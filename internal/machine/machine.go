@@ -190,48 +190,65 @@ type Ctx struct {
 	// (cycle, id) tie-break encoding).
 	batchLimit uint64
 
-	// Park state (see ParkOn). While parked, clock holds the cycle of the
-	// last poll that observed the key busy; the waker fast-forwards it to
-	// the first poll boundary scheduled after the wake.
-	parked       bool
+	// state is the thread's place in the schedule; only setState writes it.
+	state schedState
+
+	// Park state (see ParkOnWord). While parked, clock holds the cycle of
+	// the last poll that observed the key busy; a wake fast-forwards it to
+	// the first poll boundary scheduled after the waker.
 	parkKey      uint64
 	parkPeriod   uint64
 	parkPollCost uint64
-	parkPolls    int    // remaining poll budget; 0 = unbounded
+	parkPolls    int    // poll budget; 0 = unbounded
 	parkDeadline uint64 // final-poll cycle for bounded parks
 	parkSkipped  uint64 // cumulative virtual cycles fast-forwarded while parked
-	// parkEval marks a park whose wake-time polls the engine may evaluate
-	// itself through the installed poll evaluator (see ParkOnWord and
-	// Engine.SetParkPollEvaluator): a poll that observes the key still
-	// busy re-parks without ever resuming the coroutine. pollPending is
-	// true between a wake and the delivery of its poll event.
-	parkEval    bool
-	pollPending bool
 
-	// Delegated-acquire state (see AcquireWord). While acq is true the
-	// coroutine is suspended inside AcquireWord and the event loop runs
-	// the test-and-test-and-set protocol at the thread's popped events;
-	// acqCAS marks the queued event as the CAS tick (else the poll tick).
+	// Delegated-acquire state (see AcquireWord). acq is the park's
+	// continuation: true while the coroutine is suspended inside
+	// AcquireWord, so a poll that finds the word free continues the
+	// test-and-test-and-set protocol engine-side instead of resuming the
+	// thread. acqCAS marks the pending protocol tick as the CAS (else the
+	// poll); the protocol's lock word is parkKey.
 	acq      bool
 	acqCAS   bool
-	acqKey   uint64
 	acqOwner uint64
 
 	// Speculative-quantum state (see quantum.go). specCap mirrors
 	// Config.SpecQuantum; specOn is true while the running thread is
-	// deferring pure ticks into the journal; replaying is true while the
-	// engine re-delivers journaled ticks as events; specUnwind arms the
-	// next resume to panic with unwindPayload, the unwinder's payload,
-	// after a rollback.
+	// deferring pure ticks into the journal; specUnwind arms the next
+	// resume to panic with unwindPayload, the unwinder's payload, after a
+	// rollback.
 	specCap       int
 	specOn        bool
-	replaying     bool
 	specUnwind    bool
 	spec          specJournal
 	unwinder      func() any
 	unwindPayload any
 
 	panicked any
+}
+
+// schedState is a thread's place in the schedule: what its queued event,
+// if it has one, asks of the event loop when it pops (DESIGN.md §6b).
+type schedState uint8
+
+const (
+	runnable  schedState = iota // queued at its next tick (or running, or done): the pop resumes it
+	parked                      // off the schedule until a wake; a bounded park's deadline stays queued
+	polling                     // woken: queued at a poll boundary the loop evaluates before resuming
+	acquiring                   // queued at a delegated-acquire tick the loop executes itself
+	replaying                   // queued at a journaled pure tick the loop re-delivers
+)
+
+// setState moves t to state s. It is the only writer of t.state and of
+// Engine.wakeable, which it keeps equal to the set of parked threads.
+func (t *Ctx) setState(s schedState) {
+	if s == parked {
+		t.eng.wakeable.Add(t.id)
+	} else if t.state == parked {
+		t.eng.wakeable.Remove(t.id)
+	}
+	t.state = s
 }
 
 // errAbandonRun is the sentinel panic a context uses to unwind a body
@@ -273,7 +290,7 @@ func (c *Ctx) Cost() *CostModel { return &c.eng.cfg.Cost }
 // of one comparison each. The horizon encodes both the queue minimum
 // with the (cycle, id) tie-break and the MaxCycles livelock bound (a
 // clock past MaxCycles always takes the yield so the engine loop can
-// deliver the verdict); see Engine.horizonFor and DESIGN.md §6h for the
+// deliver the verdict); see Engine.horizonFor and DESIGN.md §6b for the
 // observation-equivalence argument. This preserves the schedule
 // bit-for-bit while eliminating the dominant cost of fine-grained ticks.
 func (c *Ctx) Tick(cost uint64) {
@@ -311,77 +328,64 @@ func (c *Ctx) suspend() {
 // cannot enable another thread to observe intermediate state.
 func (c *Ctx) Advance(cost uint64) { c.clock += cost }
 
-// ParkOn suspends the thread until another thread calls WakeKey(key),
-// replacing a busy-wait loop that polls every period cycles. It is the
-// event-driven form of
+// ParkOnWord suspends the thread until another thread calls WakeKey(key),
+// replacing a busy-wait loop that polls one simulated memory word every
+// period cycles. It is the event-driven form of
 //
 //	for { Tick(period - pollCost); Tick(pollCost); if free { break } }
 //
-// and must be called right after a poll (a Tick(pollCost) plus load) that
-// observed the key busy. The thread leaves the event queue; a
-// subsequent WakeKey computes the first poll boundary
+// and must be called right after a poll (a Tick(pollCost) plus a load of
+// key's word) that observed the word busy. The poll must have no
+// observable effect beyond its tick while the word is busy — the
+// spin-lock polls satisfy this: a busy lock word has no live
+// transactional writer, so the load dooms nobody. The thread leaves the
+// event queue; a subsequent WakeKey computes the first poll boundary
 //
 //	b = Clock() + k·period  (minimal k ≥ 1 scheduled after the waker)
 //
-// and re-inserts the thread there with Clock() = b - pollCost, so the
-// caller's loop re-executes its polling Tick(pollCost) and observes the
-// key at exactly the cycle — and in exactly the queue order — the spin
-// loop would have. Virtual-time cost accounting is unchanged: the skipped
-// cycles are added in one jump instead of period-sized steps.
+// and queues the thread there with Clock() = b - pollCost. When that
+// event pops, the event loop evaluates the word through the evaluator
+// installed with Engine.SetParkPollEvaluator: a word still busy re-parks
+// the thread with the hooks, clock and schedule position of the per-tick
+// loop but no coroutine switch. Otherwise — or with no evaluator — the
+// thread resumes and its loop re-executes the polling Tick(pollCost) and
+// load itself, at exactly the cycle and queue order the spin loop would
+// have. The skipped cycles are added in one jump instead of period-sized
+// steps, so virtual-time accounting is unchanged.
 //
 // maxPolls bounds the wait: after maxPolls further poll boundaries with
-// no wake, the thread resumes at the final boundary on its own (the
-// bounded variant returns with the key still busy, as a bounded spin loop
-// would). maxPolls 0 parks unboundedly; if every remaining thread is
-// parked unboundedly, the run fails with ErrDeadlock.
-func (c *Ctx) ParkOn(key, period, pollCost uint64, maxPolls int) {
-	c.parkEval = false
-	c.parkOn(key, period, pollCost, maxPolls)
-}
-
-// ParkOnWord is ParkOn for waits whose poll is a plain busy-test of one
-// simulated memory word: a Tick(pollCost) followed by a load of key's
-// word, with no observable effect beyond the tick when the word is busy
-// (the spin-lock polls satisfy this: a busy lock word can have no live
-// transactional writer, so the load dooms nobody). Declaring that lets
-// the engine evaluate wake-time polls itself through the evaluator
-// installed with Engine.SetParkPollEvaluator: a poll that would observe
-// the word still busy is replayed by the event loop — hook firings, clock
-// and schedule position all identical to the per-tick loop — without the
-// two coroutine switches of a resume/re-park round trip. Only a poll that
-// observes the word free (or the final boundary of a bounded wait) resumes
-// the context, which then re-executes the real poll itself. With no
-// evaluator installed it behaves exactly like ParkOn.
+// no wake, the thread resumes at the final boundary on its own (returning
+// with the word still busy, as a bounded spin loop would). maxPolls 0
+// parks unboundedly; if every remaining thread is parked unboundedly, the
+// run fails with ErrDeadlock.
 func (c *Ctx) ParkOnWord(key, period, pollCost uint64, maxPolls int) {
-	c.parkEval = true
-	c.parkOn(key, period, pollCost, maxPolls)
-}
-
-func (c *Ctx) parkOn(key, period, pollCost uint64, maxPolls int) {
 	if period == 0 {
-		panic("machine: ParkOn with zero period")
+		panic("machine: ParkOnWord with zero period")
 	}
 	// A parked thread leaves the schedule entirely, so a speculative
-	// journal must be replayed first: parking and replay must never
-	// coexist (the wake path assumes the thread has no queued event).
+	// journal must be replayed first: parking and replay never coexist.
 	c.flushSpec()
-	c.armPark(key, period, pollCost, maxPolls)
+	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkPolls = key, period, pollCost, maxPolls
+	c.parkDeadline = c.clock + period*uint64(maxPolls)
+	c.sleep()
 	c.suspend() // the journal is flushed, so no rollback can be pending here
 }
 
-// armPark marks the thread parked on key from its current clock. The
-// caller takes it off the schedule: the coroutine by suspending (Run then
-// counts it parked), the event loop by not re-queueing it.
-func (c *Ctx) armPark(key, period, pollCost uint64, maxPolls int) {
-	c.parkKey = key
-	c.parkPeriod = period
-	c.parkPollCost = pollCost
-	c.parkPolls = maxPolls
-	if maxPolls > 0 {
-		c.parkDeadline = c.clock + period*uint64(maxPolls)
+// sleep parks t with its current park parameters. A bounded park keeps
+// its deadline, the final poll boundary, queued so the wait cannot
+// outlive its poll budget.
+func (t *Ctx) sleep() {
+	t.setState(parked)
+	if t.parkPolls > 0 {
+		t.eng.queue.push(event{cycle: t.parkDeadline, id: int32(t.id)})
 	}
-	c.parked = true
-	c.eng.wakeable.Add(c.id)
+}
+
+// skipTo fast-forwards a parked thread to poll boundary b: its clock moves
+// to the start of the polling tick that lands on b.
+func (t *Ctx) skipTo(b uint64) {
+	t.parkSkipped += (b - t.parkPollCost) - t.clock
+	t.clock = b - t.parkPollCost
 }
 
 // WakeKey wakes every thread parked on key, scheduling each at its first
@@ -389,16 +393,15 @@ func (c *Ctx) armPark(key, period, pollCost uint64, maxPolls int) {
 // schedule. The caller is conceptually the thread whose store made the
 // key available (a lock release); waiters whose poll would land at the
 // caller's exact cycle keep the (cycle, id) tie-break of the event queue.
-// With no parked threads the call is one integer compare.
+// With no parked threads the call is one set-emptiness test.
 func (c *Ctx) WakeKey(key uint64) {
 	e := c.eng
-	if e.nParked == 0 {
+	if e.wakeable.Empty() {
 		return
 	}
-	// wakeable holds exactly the threads a release can reschedule, so the
-	// walk costs the parked population, not the machine width. ForEach
-	// iterates a copy in ascending id order — the order the full scan of
-	// e.threads had — so wake may edit the set underneath it.
+	// The walk costs the parked population, not the machine width.
+	// ForEach iterates a copy in ascending id order — the order a full
+	// scan of e.threads has — so wake may edit the set underneath it.
 	e.wakeable.ForEach(func(id int) {
 		if t := e.threads[id]; t.parkKey == key {
 			e.wake(t, c.clock, int32(c.id))
@@ -409,9 +412,8 @@ func (c *Ctx) WakeKey(key uint64) {
 	c.batchLimit = e.horizonFor(int32(c.id))
 }
 
-// wake transitions parked thread t back to runnable at its first poll
-// boundary scheduled after position (now, wakerID) in the (cycle, id)
-// event order.
+// wake moves parked thread t to polling at its first poll boundary
+// scheduled after position (now, wakerID) in the (cycle, id) event order.
 func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
 	per := t.parkPeriod
 	k := uint64(1)
@@ -425,35 +427,15 @@ func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
 		// waiter cannot observe it until the next boundary.
 		b += per
 	}
-	t.parkSkipped += (b - t.parkPollCost) - t.clock
-	t.clock = b - t.parkPollCost
-	e.wakeable.Remove(t.id)
-	if t.parkEval && e.pollEval != nil {
-		// Evaluated park: keep the context suspended and queue the poll
-		// boundary as an ordinary event. The event loop re-checks the key
-		// when the event pops and only resumes the coroutine if the poll
-		// would observe it free (see the pollPending branch in Run).
-		t.pollPending = true
-		if t.parkPolls > 0 {
-			if b < t.parkDeadline {
-				e.queue.decreaseKey(int32(t.id), b)
-			}
-		} else {
-			e.queue.push(event{cycle: b, id: int32(t.id)})
-		}
-		return
-	}
-	t.parked = false
-	e.nParked--
-	if t.parkPolls > 0 {
+	t.skipTo(b)
+	t.setState(polling)
+	if t.parkPolls == 0 {
+		e.queue.push(event{cycle: b, id: int32(t.id)})
+	} else if b < t.parkDeadline {
 		// The bounded waiter's deadline event is queued at ≥ b (the
 		// deadline is itself a boundary ordered after the waker, and b is
 		// the first such boundary): pull it forward.
-		if b < t.parkDeadline {
-			e.queue.decreaseKey(int32(t.id), b)
-		}
-	} else {
-		e.queue.push(event{cycle: b, id: int32(t.id)})
+		e.queue.decreaseKey(int32(t.id), b)
 	}
 }
 
@@ -481,19 +463,15 @@ type Engine struct {
 	// scheduling step, before the next thread is resumed. The telemetry
 	// recorder uses it to cut interval snapshots deterministically.
 	tickHook func(now uint64)
-	// nParked counts threads currently suspended in ParkOn. It gates
-	// WakeKey's scan and distinguishes "all done" from "all deadlocked"
-	// when the event queue runs dry.
-	nParked int
-	// wakeable is the set WakeKey walks: the threads that are parked and
-	// not pollPending. A pollPending thread already has its wake's poll
-	// event queued — per-tick it would be runnable — so a second release
-	// must not reschedule it.
+	// wakeable is the set of parked threads, kept by Ctx.setState: the
+	// threads WakeKey can reschedule, and — once the queue runs dry — the
+	// ones Run reports deadlocked. A polling thread already has its wake's
+	// poll queued, so a second release must not reschedule it.
 	wakeable topology.Set
-	// pollEval, when set, reports whether the word a ParkOnWord waiter is
-	// parked on is still busy; the event loop uses it to evaluate wake-time
-	// polls without resuming the waiter's coroutine. It must be a pure read
-	// of committed simulated memory (the runtime installs mem.Memory.Peek).
+	// pollEval, when set, reports whether the word a parked thread waits
+	// on is still busy; the event loop uses it to evaluate wake-time polls
+	// without resuming the waiter's coroutine. It must be a pure read of
+	// committed simulated memory (the runtime installs mem.Memory.Peek).
 	pollEval func(key uint64) bool
 	// lockLoad/lockStore are the committed-memory word operations backing
 	// delegated acquires (Ctx.AcquireWord) — non-transactional load/store
@@ -569,13 +547,14 @@ func (e *Engine) horizonFor(id int32) uint64 {
 func (e *Engine) SetTickHook(hook func(now uint64)) { e.tickHook = hook }
 
 // SetParkPollEvaluator installs (or clears, with nil) the busy predicate
-// for evaluated parks (Ctx.ParkOnWord): eval(key) reports whether the word
+// for wake-time polls (Ctx.ParkOnWord): eval(key) reports whether the word
 // the key names is still busy, i.e. whether a poll at the current point in
 // the schedule would go back to sleep. It must be a pure read of committed
 // simulated state with no side effects — the runtime installs a
 // mem.Memory.Peek of the lock word. Install it before Run and leave it in
-// place for the engine's lifetime; without one, ParkOnWord degrades to
-// ParkOn. Schedules and all observable streams are identical either way.
+// place for the engine's lifetime; without one, every woken thread resumes
+// to run its poll itself. Schedules and all observable streams are
+// identical either way.
 func (e *Engine) SetParkPollEvaluator(eval func(key uint64) bool) { e.pollEval = eval }
 
 // New creates an engine for the given machine configuration.
@@ -648,30 +627,28 @@ func (t *Ctx) finish() {
 // without a body stay idle at clock 0. It returns the makespan (maximum
 // final clock). A panic inside a body is recovered and returned as an
 // error wrapping the panic value; ErrMaxCycles is returned on livelock.
+//
+// Each popped event is dispatched on its thread's state (DESIGN.md §6b):
+// the loop either executes the event itself — an evaluated poll, a
+// delegated-acquire tick, a journal replay — or resumes the coroutine.
 func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	if len(bodies) > len(e.threads) {
 		return 0, fmt.Errorf("machine: %d bodies for %d hardware threads",
 			len(bodies), len(e.threads))
 	}
 	e.queue.clear()
-	e.nParked = 0
-	e.wakeable.Clear()
 	for i, body := range bodies {
 		if body == nil {
 			continue
 		}
 		t := e.threads[i]
-		t.clock = 0
-		t.panicked = nil
-		t.parked = false
-		t.pollPending = false
-		t.acq = false
-		t.parkSkipped = 0
-		t.resetSpec()
+		t.reset()
+		t.clock, t.panicked, t.parkSkipped = 0, nil, 0
 		t.start(body)
 		e.queue.push(event{cycle: 0, id: int32(i)})
 	}
 
+events:
 	for !e.queue.empty() {
 		ev := e.queue.pop()
 		for {
@@ -685,90 +662,70 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 				e.drain(bodies)
 				return ev.cycle, ErrMaxCycles
 			}
-			runAcq := false
-			if t.pollPending {
-				// The popped event is an evaluated waiter's wake-time poll
-				// boundary. Per-tick the coroutine would resume here, tick
-				// through its polling load (firing the hook once more at
-				// this same cycle) and, with the word still busy, park
-				// again — with no other observable action, because a busy
-				// word has no transactional writer to doom. So the engine
-				// replays those two steps itself and skips both coroutine
-				// switches. The final boundary of a bounded wait always
-				// resumes: there the loop gives up busy-or-not.
-				t.pollPending = false
-				if (t.parkPolls == 0 || ev.cycle < t.parkDeadline) && e.pollEval(t.parkKey) {
+			switch t.state {
+			case parked:
+				// A bounded wait's deadline: the final poll boundary came
+				// with no wake. Fast-forward like a wake would; the final
+				// boundary always resumes, busy or not.
+				t.skipTo(ev.cycle)
+				fallthrough
+			case polling:
+				// A wake-time poll boundary. Per-tick the coroutine would
+				// resume here, tick through its polling load (the hook
+				// fires once more at this cycle) and, with the word still
+				// busy, park again — with no other observable action,
+				// because a busy word has no transactional writer to doom.
+				// So the loop replays those steps itself.
+				if e.pollEval != nil && (t.parkPolls == 0 || ev.cycle < t.parkDeadline) && e.pollEval(t.parkKey) {
 					if e.tickHook != nil {
 						e.tickHook(ev.cycle)
 					}
 					t.clock = ev.cycle
 					e.count.Polls++
-					e.wakeable.Add(t.id)
-					if t.parkPolls > 0 {
-						// Re-queue the bounded wait's deadline, exactly as
-						// the coroutine's re-park would.
-						e.queue.push(event{cycle: t.parkDeadline, id: ev.id})
-					}
+					t.sleep()
+					continue events
+				}
+				// No evaluator, a free word, or a bounded wait's final
+				// boundary: resume the coroutine so the real load — and its
+				// doom semantics on a free word — runs in the context, its
+				// clock already at the poll's tick start.
+				if !t.acq {
+					t.setState(runnable)
 					break
 				}
-				// The poll would observe the word free (or this is the
-				// final boundary): resume the coroutine so the real load —
-				// and its doom semantics on a free word — executes in the
-				// context itself. Its clock already sits at the poll's
-				// tick start, courtesy of the wake.
-				t.parked = false
-				e.nParked--
-				if t.acq {
-					// A delegated acquire's wake: fire the poll tick's
-					// hook (the resumed coroutine's Tick would) and run
-					// the protocol — the real load included — engine-side.
-					if e.tickHook != nil {
-						e.tickHook(ev.cycle)
-					}
-					t.acqCAS = false
-					runAcq = true
+				// A delegated acquire continues engine-side instead: fire
+				// the poll tick's hook (the resumed coroutine's Tick would)
+				// and run the protocol from the poll, real load included.
+				if e.tickHook != nil {
+					e.tickHook(ev.cycle)
 				}
-			} else if t.acq {
-				// The popped event is a delegated acquire's own protocol
-				// tick; its pop hook above was the tick's hook.
-				runAcq = true
-			} else if t.parked {
-				// A popped event for a still-parked thread is its bounded
-				// wait's deadline firing: the final poll boundary arrived
-				// with no wake. Fast-forward the clock like a wake would,
-				// so the thread re-executes its polling tick at exactly
-				// the deadline cycle.
-				t.parkSkipped += (ev.cycle - t.parkPollCost) - t.clock
-				t.clock = ev.cycle - t.parkPollCost
-				t.parked = false
-				e.nParked--
-				e.wakeable.Remove(t.id)
-			}
-			if runAcq {
+				t.acqCAS = false
+				t.setState(acquiring)
+				fallthrough
+			case acquiring:
+				// A delegated acquire's protocol tick; the pop hook above
+				// was the tick's hook.
 				t.clock = ev.cycle
 				nc, status := e.acquireStep(t, e.horizonFor(ev.id), true)
 				if status != acqDone {
 					e.count.AcquireSteps++
 					if status == acqBusy {
-						t.armAcquirePark()
-						e.nParked++
-						break
+						t.sleep()
+						continue events
 					}
 					ev = e.queue.replaceMin(event{cycle: nc, id: ev.id})
 					continue
 				}
-				// acqDone: the winning store executed at the thread's
-				// current clock; fall through to the ordinary resume so
-				// AcquireWord returns with the lock held.
+				// The winning store executed at the thread's clock: resume
+				// so AcquireWord returns with the lock held.
 				t.acq = false
-			}
-			if t.replaying {
+				t.setState(runnable)
+			case replaying:
 				if t.spec.next < t.spec.n {
-					// The popped event is deferred tick spec.next of t's
-					// journal: its hook just fired at exactly the cycle
-					// the per-tick engine would have popped — without a
-					// coroutine switch. Queue the next deferred tick, or
-					// the final resume at the thread's current clock.
+					// Deferred tick spec.next of t's journal: its hook just
+					// fired at the cycle the per-tick engine pops it at.
+					// Queue the next deferred tick, or the final resume at
+					// the thread's current clock.
 					e.count.Replays++
 					t.spec.next++
 					nc := t.clock
@@ -778,12 +735,9 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 					ev = e.queue.replaceMin(event{cycle: nc, id: ev.id})
 					continue
 				}
-				// Final resume event (or a rollback truncated the journal
-				// to this very event): leave replay mode and fall through
-				// to the ordinary resume below. If the thread was rolled
-				// back, its clock and PRNG already sit at the rewound
-				// tick and the resume will unwind (Ctx.suspend).
-				t.replaying = false
+				// The final resume (or a rollback truncated the journal to
+				// this event, and the resume will unwind: Ctx.suspend).
+				t.setState(runnable)
 				t.spec.n, t.spec.next = 0, 0
 			}
 			t.batchLimit = e.horizonFor(ev.id)
@@ -799,61 +753,53 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 					e.drain(bodies)
 					return t.clock, fmt.Errorf("machine: thread %d panicked: %v", t.id, t.panicked)
 				}
-				break
+				continue events
 			}
-			if t.parked {
-				// The thread suspended in ParkOn: it leaves the schedule
-				// until WakeKey re-inserts it. A bounded park keeps a
-				// deadline event queued so the wait cannot outlive its
-				// poll budget.
-				e.nParked++
-				if t.parkPolls > 0 {
-					e.queue.push(event{cycle: t.parkDeadline, id: ev.id})
-				}
-				break
+			if t.state == parked {
+				// The thread parked itself (ParkOnWord, or AcquireWord's
+				// poll found the word busy); a wake re-queues it.
+				continue events
 			}
 			if t.spec.n > 0 {
 				// The yield closed a speculative quantum: re-deliver the
-				// journaled ticks as ordinary events, in (cycle, id)
-				// order, before the world sees this thread again. ParkOn
-				// and the coroutine trampoline flush their journals
-				// before suspending, so a quantum-closing yield is always
-				// a plain runnable yield.
-				t.replaying = true
+				// journaled ticks as events, in (cycle, id) order, before
+				// the world sees this thread again. Parks and the
+				// trampoline flush their journals before suspending, so
+				// only a runnable yield gets here with one.
+				t.setState(replaying)
 				t.spec.next = 0
-				ev = e.queue.replaceMin(event{cycle: t.spec.cycles[0], id: ev.id})
-				continue
+				clock = t.spec.cycles[0]
 			}
 			ev = e.queue.replaceMin(event{cycle: clock, id: ev.id})
 		}
 	}
 
-	if e.nParked > 0 {
-		// Every remaining thread is parked with no poll budget and no
-		// runnable thread left to wake it.
-		for i, body := range bodies {
-			if body == nil {
-				continue
-			}
-			if c := e.threads[i].clock; c > makespan {
-				makespan = c
-			}
+	for i, body := range bodies {
+		if body != nil {
+			t := e.threads[i]
+			t.batchLimit = e.maxCap // empty queue: post-run Ticks never yield
+			makespan = max(makespan, t.clock)
 		}
+	}
+	if e.deadlocked() {
 		e.drain(bodies)
 		return makespan, ErrDeadlock
 	}
-
-	for i, body := range bodies {
-		if body == nil {
-			continue
-		}
-		t := e.threads[i]
-		t.batchLimit = e.maxCap // empty queue: post-run Ticks never yield
-		if t.clock > makespan {
-			makespan = t.clock
-		}
-	}
 	return makespan, nil
+}
+
+// deadlocked is Run's verdict once its queue runs dry: a thread is still
+// parked with no poll budget, and no thread is left to wake it.
+func (e *Engine) deadlocked() bool { return e.queue.empty() && !e.wakeable.Empty() }
+
+// reset re-arms t as a runnable thread with nothing in flight — no park
+// continuation, no speculation, the batch horizon at its cap. Run applies
+// it before binding a body and drain before abandoning one.
+func (t *Ctx) reset() {
+	t.setState(runnable)
+	t.acq, t.specOn, t.specUnwind = false, false, false
+	t.spec.n, t.spec.next = 0, 0
+	t.batchLimit = t.eng.maxCap
 }
 
 // drain unwinds all remaining live contexts. Called only on the error
@@ -862,23 +808,17 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 // cancelled before their body starts. Either way the coroutine ends here,
 // synchronously, and the engine is immediately reusable.
 func (e *Engine) drain(bodies []func(*Ctx)) {
-	for i := range bodies {
-		if bodies[i] == nil {
+	for i, body := range bodies {
+		if body == nil {
 			continue
 		}
 		t := e.threads[i]
-		t.parked = false
-		t.pollPending = false
-		t.acq = false
-		t.batchLimit = e.maxCap
-		t.resetSpec()
+		t.reset()
 		if t.next != nil {
 			t.finish()
 		}
 	}
 	e.queue.clear()
-	e.nParked = 0
-	e.wakeable.Clear()
 }
 
 // mix combines a seed and a thread id into a well-spread 64-bit PRNG seed

@@ -8,7 +8,8 @@ import (
 	"seer/internal/topology"
 )
 
-// The park/wake tests drive ParkOn/WakeKey directly, with hand-rolled
+// The park/wake tests drive ParkOnWord/WakeKey directly on an engine with
+// no poll evaluator, so every wake resumes the waiter, with hand-rolled
 // poll loops mirroring the spinlock package's shape: poll (Tick(load) +
 // check), park on busy, re-poll after the wake. Observation equivalence
 // against real spinning is asserted by comparing the exact clocks at
@@ -19,7 +20,7 @@ const (
 	tpPollCost = 2  // DirectLoad
 )
 
-// spinUntil simulates the ticking loop ParkOn replaces: poll every
+// spinUntil simulates the ticking loop ParkOnWord replaces: poll every
 // tpPeriod cycles until pred() is true, and return the cycle of the
 // observing poll.
 func spinUntil(c *Ctx, pred func() bool) uint64 {
@@ -47,7 +48,7 @@ func parkUntil(c *Ctx, key uint64, pred func() bool) uint64 {
 		if pred() {
 			return c.Clock()
 		}
-		c.ParkOn(key, tpPeriod, tpPollCost, 0)
+		c.ParkOnWord(key, tpPeriod, tpPollCost, 0)
 	}
 }
 
@@ -144,7 +145,7 @@ func TestBoundedParkDeadline(t *testing.T) {
 				return
 			}
 			before := c.Clock()
-			c.ParkOn(99, tpPeriod, tpPollCost, budget-i)
+			c.ParkOnWord(99, tpPeriod, tpPollCost, budget-i)
 			i += int((c.Clock() + tpPollCost - before) / tpPeriod)
 		}
 	}}); err != nil {
@@ -182,7 +183,7 @@ func TestBoundedParkWakeKeepsBudget(t *testing.T) {
 					return
 				}
 				before := c.Clock()
-				c.ParkOn(5, tpPeriod, tpPollCost, budget-i)
+				c.ParkOnWord(5, tpPeriod, tpPollCost, budget-i)
 				i += int((c.Clock() + tpPollCost - before) / tpPeriod)
 			}
 		},
@@ -211,12 +212,12 @@ func TestParkDeadlock(t *testing.T) {
 	_, err := eng.Run([]func(*Ctx){
 		func(c *Ctx) {
 			c.Tick(tpPollCost)
-			c.ParkOn(1, tpPeriod, tpPollCost, 0)
+			c.ParkOnWord(1, tpPeriod, tpPollCost, 0)
 			t.Error("waiter 0 resumed without a wake")
 		},
 		func(c *Ctx) {
 			c.Tick(5)
-			c.ParkOn(2, tpPeriod, tpPollCost, 0)
+			c.ParkOnWord(2, tpPeriod, tpPollCost, 0)
 			t.Error("waiter 1 resumed without a wake")
 		},
 	})
@@ -240,7 +241,7 @@ func TestParkSkippedAccounting(t *testing.T) {
 		func(c *Ctx) {
 			c.Tick(tpPollCost)
 			parkedAt = c.Clock()
-			c.ParkOn(3, tpPeriod, tpPollCost, 0)
+			c.ParkOnWord(3, tpPeriod, tpPollCost, 0)
 			resumedAt = c.Clock()
 			c.Tick(tpPollCost)
 			if !flag {
@@ -271,12 +272,12 @@ func TestWakeKeyIsSelective(t *testing.T) {
 	_, err := eng.Run([]func(*Ctx){
 		func(c *Ctx) {
 			c.Tick(tpPollCost)
-			c.ParkOn(10, tpPeriod, tpPollCost, 0)
+			c.ParkOnWord(10, tpPeriod, tpPollCost, 0)
 			// Woken by the matching WakeKey(10) below.
 		},
 		func(c *Ctx) {
 			c.Tick(tpPollCost)
-			c.ParkOn(11, tpPeriod, tpPollCost, 0)
+			c.ParkOnWord(11, tpPeriod, tpPollCost, 0)
 			t.Error("thread parked on key 11 woken by WakeKey(10)")
 		},
 		func(c *Ctx) {
@@ -294,6 +295,7 @@ func TestWakeKeyIsSelective(t *testing.T) {
 // produce identical makespans (engine reuse resets all park state).
 func TestParkedRunsAreDeterministic(t *testing.T) {
 	eng := parkEngine(t, 4)
+	verify := watchStates(t, eng, nil)
 	run := func() uint64 {
 		flag := false
 		ms, err := eng.Run([]func(*Ctx){
@@ -309,6 +311,7 @@ func TestParkedRunsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		verify()
 		return ms
 	}
 	first := run()
@@ -323,11 +326,8 @@ func TestParkedRunsAreDeterministic(t *testing.T) {
 // context of the machine dereferenced and filtered, in ascending id order.
 func wakeKeyFullScan(c *Ctx, key uint64) {
 	e := c.eng
-	if e.nParked == 0 {
-		return
-	}
 	for _, t := range e.threads {
-		if t.parked && !t.pollPending && t.parkKey == key {
+		if t.state == parked && t.parkKey == key {
 			e.wake(t, c.clock, int32(c.id))
 		}
 	}
@@ -338,33 +338,30 @@ func wakeKeyFullScan(c *Ctx, key uint64) {
 type wakeSnap struct {
 	queue    eventQueue
 	wakeable topology.Set
-	nParked  int
 }
 
-// runWakeScenario parks n-1 waiters on two held words — plain, evaluated
-// and bounded-evaluated parks, staggered so that releases find them in
-// every state — and has thread 0 release each word repeatedly through
-// wake: four rounds with the word still held (evaluated waiters re-park
-// engine-side, the others resume and re-park) and a back-to-back second
-// release each round (which must skip the pollPending waiters of the
-// first), then a final round that frees both. It returns the engine state
-// after every release, every waiter's clock at every return from a park,
-// and the hook stream.
-func runWakeScenario(t *testing.T, n int, wake func(*Ctx, uint64)) (snaps []wakeSnap, returns []event, hooks []uint64) {
+// runWakeScenario parks n-1 waiters on two held words — unbounded and
+// bounded parks, staggered so that releases find them in every state —
+// and has thread 0 release each word repeatedly through wake: four rounds
+// with the word still held (woken waiters re-park engine-side, a bounded
+// one at its deadline resumes and re-parks) and a back-to-back second
+// release each round (which must skip the polling waiters of the first),
+// then a final round that frees both. With eval the engine evaluates the
+// wake-time polls; without, every woken waiter resumes to poll. It returns
+// the engine state after every release, every waiter's clock at every
+// return from a park, the hook stream and the count of wakes, each ending
+// in an engine-side poll or a return.
+func runWakeScenario(t *testing.T, n int, eval bool, wake func(*Ctx, uint64)) (snaps []wakeSnap, returns []event, hooks []uint64, wakes int) {
 	t.Helper()
 	eng := parkEngine(t, n)
 	words := [2]uint64{1, 1}
-	eng.SetParkPollEvaluator(func(key uint64) bool { return words[key] != 0 })
-	eng.SetTickHook(func(now uint64) { hooks = append(hooks, now) })
+	if eval {
+		eng.SetParkPollEvaluator(func(key uint64) bool { return words[key] != 0 })
+	}
+	verify := watchStates(t, eng, func(now uint64) { hooks = append(hooks, now) })
 	release := func(c *Ctx, key uint64) {
 		wake(c, key)
-		for _, w := range eng.threads {
-			if want := w.parked && !w.pollPending; eng.wakeable.Has(w.id) != want {
-				t.Fatalf("n=%d cycle %d: wakeable.Has(%d) = %v, parked=%v pollPending=%v",
-					n, c.Clock(), w.id, !want, w.parked, w.pollPending)
-			}
-		}
-		snaps = append(snaps, wakeSnap{eng.queue, eng.wakeable, eng.nParked})
+		snaps = append(snaps, wakeSnap{eng.queue, eng.wakeable})
 	}
 	bodies := make([]func(*Ctx), n)
 	bodies[0] = func(c *Ctx) {
@@ -386,12 +383,9 @@ func runWakeScenario(t *testing.T, n int, wake func(*Ctx, uint64)) (snaps []wake
 				if words[key] == 0 {
 					return
 				}
-				switch i % 3 {
-				case 0:
-					c.ParkOn(key, tpPeriod, tpPollCost, 0)
-				case 1:
+				if i%3 != 2 {
 					c.ParkOnWord(key, tpPeriod, tpPollCost, 0)
-				default:
+				} else {
 					c.ParkOnWord(key, tpPeriod, tpPollCost, 3)
 					c.Tick(uint64(20 + i%11)) // runnable, not parked, across some releases
 				}
@@ -402,30 +396,34 @@ func runWakeScenario(t *testing.T, n int, wake func(*Ctx, uint64)) (snaps []wake
 	if _, err := eng.Run(bodies); err != nil {
 		t.Fatalf("n=%d: %v", n, err)
 	}
-	return snaps, returns, hooks
+	verify()
+	return snaps, returns, hooks, len(returns) + int(eng.Counters().Polls)
 }
 
 // TestWakeKeyMatchesFullScan: walking the parked-id set must wake the
-// same threads in the same order as scanning every context — the queue,
-// the set and the parked count equal after every release, and every
-// waiter back from its park at the same clock, in the same sequence.
+// same threads in the same order as scanning every context — the queue
+// and the set equal after every release, and every waiter back from its
+// park at the same clock, in the same sequence — with and without an
+// evaluator.
 func TestWakeKeyMatchesFullScan(t *testing.T) {
 	for _, n := range []int{8, 128} {
-		snaps, returns, hooks := runWakeScenario(t, n, (*Ctx).WakeKey)
-		refSnaps, refReturns, refHooks := runWakeScenario(t, n, wakeKeyFullScan)
-		if len(returns) < 4*(n-1) {
-			t.Fatalf("n=%d: only %d park returns; the scenario did not exercise the wake path", n, len(returns))
-		}
-		for i := range snaps {
-			if snaps[i] != refSnaps[i] {
-				t.Fatalf("n=%d: engine state after release %d differs from the full scan's", n, i)
+		for _, eval := range []bool{false, true} {
+			snaps, returns, hooks, wakes := runWakeScenario(t, n, eval, (*Ctx).WakeKey)
+			refSnaps, refReturns, refHooks, _ := runWakeScenario(t, n, eval, wakeKeyFullScan)
+			if wakes < 4*(n-1) {
+				t.Fatalf("n=%d eval=%v: only %d wakes; the scenario did not exercise the wake path", n, eval, wakes)
 			}
-		}
-		if !slices.Equal(returns, refReturns) {
-			t.Fatalf("n=%d: waiters return from their parks in a different order or at different clocks", n)
-		}
-		if !slices.Equal(hooks, refHooks) {
-			t.Fatalf("n=%d: hook streams differ (%d vs %d)", n, len(hooks), len(refHooks))
+			for i := range snaps {
+				if snaps[i] != refSnaps[i] {
+					t.Fatalf("n=%d eval=%v: engine state after release %d differs from the full scan's", n, eval, i)
+				}
+			}
+			if !slices.Equal(returns, refReturns) {
+				t.Fatalf("n=%d eval=%v: waiters return from their parks in a different order or at different clocks", n, eval)
+			}
+			if !slices.Equal(hooks, refHooks) {
+				t.Fatalf("n=%d eval=%v: hook streams differ (%d vs %d)", n, eval, len(hooks), len(refHooks))
+			}
 		}
 	}
 }

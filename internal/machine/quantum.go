@@ -2,11 +2,11 @@ package machine
 
 // Speculative multi-tick quanta (DESIGN.md §6i).
 //
-// The tick-batching fast path (§6h) lets a thread advance only while its
+// The tick-batching fast path (§6b) lets a thread advance only while its
 // clock stays strictly below the conflict-free horizon; the first tick at
 // or past the horizon still pays a full yield/resume coroutine round-trip,
-// and at wide shapes those switches are the dominant engine cost. §6h also
-// proved that batching *past* the horizon is unsound in general: an
+// and at wide shapes those switches are the dominant engine cost. §6b also
+// argues that batching *past* the horizon is unsound in general: an
 // earlier-virtual-time thread may doom the batching thread mid-window, and
 // the published side effects cannot be taken back.
 //
@@ -18,14 +18,14 @@ package machine
 // against the world at all — it is journaled (cycle + PRNG state at entry)
 // into a fixed per-thread undo log, and the thread keeps running without
 // yielding. The speculation closes at the first impure tick (or park, or
-// body return), at which point the thread yields once and the engine
-// REPLAYS the journal: each deferred tick becomes an ordinary
-// (cycle, id) event that is popped in global (cycle, id) order and fires
-// the tick hook exactly as the per-tick engine would have — but without a
-// coroutine switch, which is the entire performance win.
+// body return), at which point the thread yields once and enters the
+// replaying state: the engine re-delivers each deferred tick as an
+// ordinary (cycle, id) event that is popped in global (cycle, id) order
+// and fires the tick hook exactly as the per-tick engine would have — but
+// without a coroutine switch, which is the entire performance win.
 //
-// If an earlier-virtual-time thread dooms the speculating thread while the
-// journal is replaying, Interfere rolls the journal back to the
+// If an earlier-virtual-time thread dooms the speculating thread while it
+// is replaying, Interfere rolls the journal back to the
 // interference point: the undelivered ticks are truncated (their hooks
 // never fire), the clock and PRNG are restored from the journal entry at
 // the replay cursor, and the thread's next resume unwinds through the
@@ -118,7 +118,7 @@ func (c *Ctx) EndQuantum() {
 // payload instead of returning from the tick, delivering the abort at the
 // same (cycle, id) position the per-tick schedule delivers it.
 func (c *Ctx) Interfere() {
-	if !c.replaying || c.spec.next >= c.spec.n {
+	if c.state != replaying || c.spec.next >= c.spec.n {
 		return
 	}
 	j := c.spec.next
@@ -150,16 +150,6 @@ func (c *Ctx) flushSpec() {
 	if c.specOn {
 		c.EndQuantum()
 	}
-}
-
-// resetSpec clears all speculation state; called when (re)arming a thread
-// for a run and when draining on error paths.
-func (c *Ctx) resetSpec() {
-	c.specOn = false
-	c.replaying = false
-	c.specUnwind = false
-	c.spec.n = 0
-	c.spec.next = 0
 }
 
 // SpecBarrier closes the currently running thread's speculative quantum,

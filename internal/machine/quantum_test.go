@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"seer/internal/topology"
@@ -20,17 +21,18 @@ func quantumRun(t *testing.T, spec int, mk func() []func(*Ctx)) ([]uint64, uint6
 		Cost: DefaultCostModel(), SpecQuantum: spec,
 	})
 	var stream []uint64
-	e.SetTickHook(func(now uint64) { stream = append(stream, now) })
+	verify := watchStates(t, e, func(now uint64) { stream = append(stream, now) })
 	makespan, err := e.Run(bodies)
 	if err != nil {
 		t.Fatalf("SpecQuantum=%d: %v", spec, err)
 	}
+	verify()
 	return stream, makespan
 }
 
 // mixedBodies is a workload exercising every speculation edge: pure ticks
 // that open quanta, impure ticks that close and replay them, PRNG draws
-// journaled mid-quantum, a timed park that must flush the journal, and a
+// journaled mid-quantum, a bounded park that must flush the journal, and a
 // body whose final ticks are pure (trampoline flush).
 func mixedBodies(draws []uint64) []func(*Ctx) {
 	return []func(*Ctx){
@@ -54,7 +56,7 @@ func mixedBodies(draws []uint64) []func(*Ctx) {
 			for i := 0; i < 12; i++ {
 				c.TickPure(7)
 				c.TickPure(7)
-				c.ParkOn(1<<62|uint64(c.ID()), 31, 0, 1)
+				c.ParkOnWord(1<<62|uint64(c.ID()), 31, 0, 1)
 				draws[2] += c.Rand().Uint64() & 0xFF
 			}
 		},
@@ -185,9 +187,11 @@ func TestQuantumRollback(t *testing.T) {
 		Topo: topology.MustFromFlat(2, 2), Seed: 3,
 		Cost: DefaultCostModel(), SpecQuantum: 8,
 	})
+	verify := watchStates(t, e, nil)
 	if _, err := e.Run(bodies); err != nil {
 		t.Fatal(err)
 	}
+	verify()
 	if got != sentinel {
 		t.Fatalf("recovered %v, want the unwinder sentinel", got)
 	}
@@ -294,7 +298,7 @@ func TestQuantumEngineReuse(t *testing.T) {
 		Cost: DefaultCostModel(), SpecQuantum: 16,
 	})
 	var stream []uint64
-	e.SetTickHook(func(now uint64) { stream = append(stream, now) })
+	verify := watchStates(t, e, func(now uint64) { stream = append(stream, now) })
 	run := func() (string, uint64) {
 		stream = stream[:0]
 		draws := make([]uint64, 4)
@@ -302,6 +306,7 @@ func TestQuantumEngineReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		verify()
 		return fmt.Sprint(stream), makespan
 	}
 	s1, m1 := run()
@@ -348,6 +353,9 @@ func TestQuantumZeroAlloc(t *testing.T) {
 				if _, err := e.Run(bodies); err != nil { // warm-up
 					t.Fatal(err)
 				}
+				// The process's first GC cycle allocates its background
+				// workers; make sure it is not one counted here.
+				runtime.GC()
 				return testing.AllocsPerRun(3, func() {
 					if _, err := e.Run(bodies); err != nil {
 						t.Fatal(err)

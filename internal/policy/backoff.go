@@ -15,12 +15,11 @@ import (
 // information is used, only the abort signal itself, yet the randomized
 // waits de-synchronize conflicting threads with high probability.
 //
-// The wait is a bounded park on a per-thread key disjoint from every
-// lock-word address, so the engine fast-forwards the virtual clock in one
-// jump instead of simulating spin iterations, and no WakeKey can resume
-// the thread early. Waits draw from the thread's deterministic PRNG
-// stream, so schedules — and the telemetry timeline — stay bit-for-bit
-// reproducible for a fixed seed.
+// The wait is one tick of the drawn length, so the engine advances the
+// virtual clock in one jump instead of simulating spin iterations, and
+// nothing can end it early. Waits draw from the thread's deterministic
+// PRNG stream, so schedules — and the telemetry timeline — stay
+// bit-for-bit reproducible for a fixed seed.
 type Backoff struct {
 	SGL         spinlock.Lock
 	MaxAttempts int
@@ -41,12 +40,6 @@ const (
 	DefaultMinWindow = 64
 	DefaultMaxWindow = 16384
 )
-
-// backoffKeyBase tags park keys used for backoff waits. Lock parking
-// keys are simulated-memory word addresses, which are always far below
-// 1<<63, so no spinlock release's WakeKey can ever match a backoff key
-// and cut a wait short.
-const backoffKeyBase = uint64(1) << 63
 
 // NewBackoff builds a Backoff policy with the default window bounds for
 // a machine with hwThreads hardware threads.
@@ -109,13 +102,13 @@ func (p *Backoff) shrink(hw int) {
 	p.win[hw] = w
 }
 
-// wait parks the thread for a uniform random draw from [1, window]
-// cycles. The bounded park (maxPolls 1, no poller cost) resumes at
-// exactly clock+d with no waker involved — a pure timed sleep whose
-// skipped cycles the engine accounts like any parked lock wait.
+// wait sleeps the thread for a uniform random draw from [1, window]
+// cycles: one Tick(d), a timed sleep that ends at exactly clock+d with no
+// waker involved. Its cycles are counted as backoff, not as parked lock
+// wait.
 func (p *Backoff) wait(t *Thread, hw int) {
 	d := 1 + t.Ctx.Rand().Uint64()%p.win[hw]
-	t.Ctx.ParkOn(backoffKeyBase|uint64(hw), d, 0, 1)
+	t.Ctx.Tick(d)
 	p.waits[hw]++
 	p.cycles[hw] += d
 	t.Obs.Backoff(d)

@@ -71,10 +71,10 @@ func (l Lock) TryAcquire(ctx *machine.Ctx, m *mem.Memory) bool {
 //
 // The spin is event-driven: instead of ticking through every spin quantum,
 // a thread that observes the lock busy parks on the lock word
-// (machine.Ctx.ParkOn) and is re-inserted into the schedule at its next
-// poll boundary after the holder's release. The observable schedule —
+// (machine.Ctx.ParkOnWord) and is re-inserted into the schedule at its
+// next poll boundary after the holder's release. The observable schedule —
 // which cycles the lock word is polled at, and in which thread order — is
-// identical to the ticking loop's; see DESIGN.md §6d.
+// identical to the ticking loop's; see DESIGN.md §6b.
 func (l Lock) Acquire(ctx *machine.Ctx, m *mem.Memory) {
 	// When the engine has lock-word operations installed (the runtime
 	// wires DirectLoad/DirectStore and a Peek-based poll evaluator), the
