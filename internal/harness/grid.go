@@ -32,8 +32,8 @@ type Options struct {
 	// Quantum sets the speculative-quantum budget for every grid cell
 	// that does not pin its own (the seerbench -quantum flag; 0 = library
 	// default, -1 = speculation off, K > 0 = quanta of up to K pure
-	// ticks). Pure engine mechanics: results are bit-identical at any
-	// setting.
+	// ticks). Engine mechanics meant to be result-neutral; see
+	// Spec.Quantum for where that does not yet hold.
 	Quantum int
 }
 

@@ -50,8 +50,10 @@ type Spec struct {
 	// Quantum sets the speculative-quantum budget for this cell: 0 keeps
 	// the library default (seer.DefaultSpeculativeQuantum), -1 disables
 	// speculation, and any positive K grants quanta of up to K pure
-	// ticks. Pure engine mechanics — results are identical at any
-	// setting (the quantum on/off CI gate pins this).
+	// ticks. Engine mechanics meant to be result-neutral: the exhibit
+	// goldens and the quantum on/off CI gate are identical at any
+	// setting, but a known bug still makes some cells differ with
+	// speculation off (DESIGN.md §6i, seer.Config.SpeculativeQuantum).
 	Quantum int
 }
 

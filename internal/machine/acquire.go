@@ -15,7 +15,8 @@ package machine
 // the same DirectLoad/DirectStore side effects at the same cycles —
 // without resuming the coroutine. A poll that observes the word busy
 // parks the thread like ParkOnWord, with acq as the park's continuation,
-// so its wake-time polls are engine-evaluated too. The coroutine resumes
+// so the wake queues it polling and the loop runs that poll too. This is
+// the one place the engine polls a lock word. The coroutine resumes
 // exactly once, after the winning store, and AcquireWord returns with the
 // lock held.
 //
@@ -36,8 +37,8 @@ const (
 // hardware thread hw — including its strong-isolation doom side effects —
 // and store the matching non-transactional store. The runtime installs
 // mem.Memory.DirectLoad/DirectStore on the lock word. Install both before
-// Run, together with SetParkPollEvaluator; without them AcquireWord
-// reports false and callers fall back to their ticking loop.
+// Run; without them AcquireWord reports false and callers fall back to
+// their ticking loop.
 func (e *Engine) SetLockWordOps(load func(hw int, key uint64) uint64, store func(hw int, key uint64, v uint64)) {
 	e.lockLoad, e.lockStore = load, store
 }
@@ -54,12 +55,12 @@ func (e *Engine) SetLockWordOps(load func(hw int, key uint64) uint64, store func
 // observable streams are identical either way.
 func (c *Ctx) AcquireWord(key, owner uint64) bool {
 	e := c.eng
-	if e.lockLoad == nil || e.pollEval == nil {
+	if e.lockLoad == nil {
 		return false
 	}
 	// A suspended delegation leaves the schedule like a park does: any
 	// open speculative quantum must replay first.
-	c.flushSpec()
+	c.EndQuantum()
 	// The protocol parks on its word with the spin-lock poll period.
 	cost := &e.cfg.Cost
 	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkPolls = key, cost.SpinQuantum+cost.DirectLoad, cost.DirectLoad, 0

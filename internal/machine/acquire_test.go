@@ -6,15 +6,14 @@ import (
 )
 
 // The lock-protocol equivalence tests run one lock program on two engines
-// — one with the runtime wiring installed (SetParkPollEvaluator +
-// SetLockWordOps, so AcquireWord delegates the TTS protocol to the event
-// loop and wake-time polls are engine-evaluated) and the unwired ticking
-// reference (AcquireWord reports false and a hand-rolled ticking loop
-// mirroring spinlock.Acquire runs instead; every woken waiter resumes to
-// run its own poll) — and require the full tick-hook stream, every acquire
-// cycle and every bounded-wait verdict to match exactly. The lock word
-// lives in plain test state; both engines' bodies and ops close over the
-// same variable.
+// — one with the runtime wiring installed (SetLockWordOps, so AcquireWord
+// delegates the TTS protocol, wake-time polls included, to the event loop)
+// and the unwired ticking reference (AcquireWord reports false and a
+// hand-rolled ticking loop mirroring spinlock.Acquire runs instead, so
+// every woken acquirer resumes to run its own poll) — and require the full
+// tick-hook stream, every acquire cycle and every bounded-wait verdict to
+// match exactly. The lock word lives in plain test state; both engines'
+// bodies and ops close over the same variable.
 
 const (
 	taLoad   = 2           // DirectLoad of the default cost model
@@ -49,7 +48,6 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 	const key = 99
 	var word uint64
 	if wired {
-		eng.SetParkPollEvaluator(func(uint64) bool { return word != 0 })
 		eng.SetLockWordOps(
 			func(_ int, _ uint64) uint64 { return word },
 			func(_ int, _ uint64, v uint64) { word = v })
@@ -173,8 +171,8 @@ func TestDelegatedAcquireEquivalence(t *testing.T) {
 // FuzzLockProtocolEquivalence extends the fixed shapes to arbitrary lock
 // programs: random thread counts and hold times, acquires racing bounded
 // waits, releases landing on and between poll boundaries. The engine-side
-// shortcuts (delegated acquire, evaluated wake-time polls) must be
-// invisible for every one of them.
+// shortcut (delegated acquire, its woken polls included) must be invisible
+// for every one of them.
 func FuzzLockProtocolEquivalence(f *testing.F) {
 	for _, shape := range contentionShapes {
 		f.Add(uint8(shape.n-1), shapeProgram(shape.n, shape.rounds))
@@ -182,6 +180,12 @@ func FuzzLockProtocolEquivalence(f *testing.F) {
 	// Bounded waiters against a holder, and a waiter that outlives its budget.
 	f.Add(uint8(2), []byte{opAcquire, 200, opWait, 3, opWait, 0, opRelease, 0, opAcquire, 9, opTick, 40})
 	f.Add(uint8(1), []byte{opAcquire, 255, opWait, 0, opTick, 255, opWait, 5, opRelease, 0, opAcquire, 0})
+	// A bounded wait (budget 5, first poll at cycle 33) on a word held
+	// since cycle 27 and released at cycle 52 + hold: the releases sweep
+	// across poll boundaries and past the wait's final one.
+	for hold := 0; hold < 256; hold += 13 {
+		f.Add(uint8(1), []byte{opAcquire, byte(hold), opTick, 30, opRelease, 0, opWait, 4})
+	}
 	f.Fuzz(func(t *testing.T, threads uint8, prog []byte) {
 		if len(prog) > 512 {
 			t.Skip("program too long")
@@ -205,49 +209,5 @@ func boundedWait(c *Ctx, key uint64, word *uint64, maxSpins int) (bool, uint64) 
 		before := c.Clock()
 		c.ParkOnWord(key, taPeriod, taLoad, maxSpins-i)
 		i += int((c.Clock() + taLoad - before) / taPeriod)
-	}
-}
-
-// TestEvaluatedBoundedParkEquivalence: a bounded park whose wake-time
-// polls are engine-evaluated must observe the release — or give up at
-// the final poll boundary — at exactly the cycles the unevaluated park
-// does, with an identical hook stream. Release cycles sweep across poll
-// boundaries and past the budget.
-func TestEvaluatedBoundedParkEquivalence(t *testing.T) {
-	const key, budget = 7, 5
-	for rel := uint64(1); rel < 300; rel += 13 {
-		type out struct {
-			ok    bool
-			at    uint64
-			hooks []uint64
-		}
-		var res [2]out
-		for variant := 0; variant < 2; variant++ {
-			eng := parkEngine(t, 2)
-			word := uint64(1) // pre-held
-			if variant == 1 {
-				eng.SetParkPollEvaluator(func(uint64) bool { return word != 0 })
-			}
-			o := &res[variant]
-			eng.SetTickHook(func(now uint64) { o.hooks = append(o.hooks, now) })
-			if _, err := eng.Run([]func(*Ctx){
-				func(c *Ctx) { o.ok, o.at = boundedWait(c, key, &word, budget) },
-				func(c *Ctx) {
-					c.Tick(rel)
-					word = 0
-					c.WakeKey(key)
-				},
-			}); err != nil {
-				t.Fatalf("rel=%d variant=%d: %v", rel, variant, err)
-			}
-		}
-		if res[0].ok != res[1].ok || res[0].at != res[1].at {
-			t.Fatalf("rel=%d: plain park (ok=%v at %d) vs evaluated park (ok=%v at %d)",
-				rel, res[0].ok, res[0].at, res[1].ok, res[1].at)
-		}
-		if !slices.Equal(res[0].hooks, res[1].hooks) {
-			t.Fatalf("rel=%d: hook streams differ (%d plain vs %d evaluated)",
-				rel, len(res[0].hooks), len(res[1].hooks))
-		}
 	}
 }

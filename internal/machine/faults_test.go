@@ -19,16 +19,15 @@ const (
 	faultBudget = 10000 // MaxCycles of every fault engine; the probe ends far below it
 )
 
-// faultEngine builds a four-thread engine wired like the runtime — poll
-// evaluator and lock-word operations over *word — with the given quantum
-// budget and MaxCycles faultBudget.
+// faultEngine builds a four-thread engine wired like the runtime — with
+// lock-word operations over *word — with the given quantum budget and
+// MaxCycles faultBudget.
 func faultEngine(t *testing.T, spec int, word *uint64) *Engine {
 	t.Helper()
 	e := mustEngine(t, Config{
 		Topo: topology.MustFromFlat(4, 4), Seed: 1, MaxCycles: faultBudget,
 		Cost: DefaultCostModel(), SpecQuantum: spec,
 	})
-	e.SetParkPollEvaluator(func(uint64) bool { return *word != 0 })
 	e.SetLockWordOps(
 		func(int, uint64) uint64 { return *word },
 		func(_ int, _ uint64, v uint64) { *word = v })
@@ -36,7 +35,7 @@ func faultEngine(t *testing.T, spec int, word *uint64) *Engine {
 }
 
 // probe runs a program on e that passes through every state — contended
-// delegated acquires, evaluated polls, bounded waits and quanta — and
+// delegated acquires and their woken polls, bounded waits and quanta — and
 // returns its hook stream, makespan and the engine counters it added.
 func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint64, delta Counters) {
 	t.Helper()
@@ -76,7 +75,6 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 	after := e.Counters()
 	delta = Counters{
 		Resumes:      after.Resumes - before.Resumes,
-		Polls:        after.Polls - before.Polls,
 		AcquireSteps: after.AcquireSteps - before.AcquireSteps,
 		Replays:      after.Replays - before.Replays,
 	}
@@ -84,8 +82,8 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 }
 
 // TestFaultsLeaveEngineReusable covers the fault-table rows the engine's
-// states add: ErrMaxCycles delivered on a delegated-acquire tick, on an
-// evaluated poll and while a thread is replaying its journal, and
+// states add: ErrMaxCycles delivered on a delegated-acquire tick, on a
+// woken acquirer's poll and while a thread is replaying its journal, and
 // ErrDeadlock reached after a bounded waiter's deadline fired.
 func TestFaultsLeaveEngineReusable(t *testing.T) {
 	for _, fc := range []struct {
@@ -108,12 +106,12 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 		},
 		reached: func(e *Engine, now uint64) bool { return now > faultBudget && e.threads[0].state == acquiring },
 	}, {
-		name: "MaxCycles on an evaluated poll",
+		name: "MaxCycles on the poll of a woken acquirer",
 		want: ErrMaxCycles,
 		bodies: func(word *uint64) []func(*Ctx) {
 			*word = 9 // held by a thread outside the program
 			return []func(*Ctx){
-				func(c *Ctx) { c.Tick(taLoad); c.ParkOnWord(faultKey, taPeriod, taLoad, 0) },
+				func(c *Ctx) { c.Tick(taLoad); c.AcquireWord(faultKey, 1) },
 				func(c *Ctx) { c.Tick(faultBudget - 5); c.WakeKey(faultKey); c.Tick(2 * faultBudget) },
 			}
 		},
@@ -174,7 +172,7 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 				t.Fatalf("probe after the fault: makespan %d, %d hooks, counters %+v; on a fresh engine: %d, %d, %+v",
 					makespan, len(hooks), delta, wantMakespan, len(wantHooks), wantDelta)
 			}
-			if delta.Polls == 0 || delta.AcquireSteps == 0 || (fc.spec > 0 && delta.Replays == 0) {
+			if delta.AcquireSteps == 0 || (fc.spec > 0 && delta.Replays == 0) {
 				t.Fatalf("probe counters %+v: the probe missed a state", delta)
 			}
 		})

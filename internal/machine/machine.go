@@ -98,8 +98,8 @@ type Config struct {
 	// number of pure ticks (Ctx.TickPure) a thread may journal and run
 	// past its batch horizon before yielding, with rollback on
 	// interference (see quantum.go and DESIGN.md §6i). 0 disables
-	// speculation; schedules and all observable streams are identical
-	// either way.
+	// speculation; by design schedules and all observable streams are
+	// identical either way (DESIGN.md §6i lists the known exception).
 	SpecQuantum int
 }
 
@@ -205,21 +205,20 @@ type Ctx struct {
 
 	// Delegated-acquire state (see AcquireWord). acq is the park's
 	// continuation: true while the coroutine is suspended inside
-	// AcquireWord, so a poll that finds the word free continues the
-	// test-and-test-and-set protocol engine-side instead of resuming the
-	// thread. acqCAS marks the pending protocol tick as the CAS (else the
-	// poll); the protocol's lock word is parkKey.
+	// AcquireWord, so the wake's poll continues the test-and-test-and-set
+	// protocol engine-side instead of resuming the thread. acqCAS marks the
+	// pending protocol tick as the CAS (else the poll); the protocol's lock
+	// word is parkKey.
 	acq      bool
 	acqCAS   bool
 	acqOwner uint64
 
 	// Speculative-quantum state (see quantum.go). specCap mirrors
-	// Config.SpecQuantum; specOn is true while the running thread is
-	// deferring pure ticks into the journal; specUnwind arms the next
+	// Config.SpecQuantum; a running thread has a quantum open exactly when
+	// its journal is non-empty (spec.n > 0). specUnwind arms the next
 	// resume to panic with unwindPayload, the unwinder's payload, after a
 	// rollback.
 	specCap       int
-	specOn        bool
 	specUnwind    bool
 	spec          specJournal
 	unwinder      func() any
@@ -235,7 +234,7 @@ type schedState uint8
 const (
 	runnable  schedState = iota // queued at its next tick (or running, or done): the pop resumes it
 	parked                      // off the schedule until a wake; a bounded park's deadline stays queued
-	polling                     // woken: queued at a poll boundary the loop evaluates before resuming
+	polling                     // a woken acquirer, queued at the poll boundary the loop runs its protocol from
 	acquiring                   // queued at a delegated-acquire tick the loop executes itself
 	replaying                   // queued at a journaled pure tick the loop re-delivers
 )
@@ -301,7 +300,6 @@ func (c *Ctx) Tick(cost uint64) {
 		}
 		return
 	}
-	c.specOn = false // an impure tick past the horizon closes any quantum
 	c.suspend()
 }
 
@@ -310,10 +308,10 @@ func (c *Ctx) Tick(cost uint64) {
 // has abandoned the run instead (yield reports false) the body unwinds via
 // the errAbandonRun sentinel; a speculative rollback that struck while the
 // thread was suspended (Interfere) is delivered at the resume, by
-// panicking with the payload the rollback prepared. Callers close any open
-// quantum (specOn) first. Kept small enough to inline: every frame between
-// a body and its yield costs a mispredicted return after the coroutine
-// switch.
+// panicking with the payload the rollback prepared. A yield with ticks
+// still journaled closes the quantum: the loop replays them before the
+// resume. Kept small enough to inline: every frame between a body and its
+// yield costs a mispredicted return after the coroutine switch.
 func (c *Ctx) suspend() {
 	if !c.yield(c.clock) {
 		panic(errAbandonRun)
@@ -323,10 +321,6 @@ func (c *Ctx) suspend() {
 		panic(c.unwindPayload)
 	}
 }
-
-// Advance adds cost cycles without yielding. Use only for accounting that
-// cannot enable another thread to observe intermediate state.
-func (c *Ctx) Advance(cost uint64) { c.clock += cost }
 
 // ParkOnWord suspends the thread until another thread calls WakeKey(key),
 // replacing a busy-wait loop that polls one simulated memory word every
@@ -344,14 +338,10 @@ func (c *Ctx) Advance(cost uint64) { c.clock += cost }
 //	b = Clock() + k·period  (minimal k ≥ 1 scheduled after the waker)
 //
 // and queues the thread there with Clock() = b - pollCost. When that
-// event pops, the event loop evaluates the word through the evaluator
-// installed with Engine.SetParkPollEvaluator: a word still busy re-parks
-// the thread with the hooks, clock and schedule position of the per-tick
-// loop but no coroutine switch. Otherwise — or with no evaluator — the
-// thread resumes and its loop re-executes the polling Tick(pollCost) and
-// load itself, at exactly the cycle and queue order the spin loop would
-// have. The skipped cycles are added in one jump instead of period-sized
-// steps, so virtual-time accounting is unchanged.
+// event pops the thread resumes, and its loop re-executes the polling
+// Tick(pollCost) and load itself, at exactly the cycle and queue order the
+// spin loop would have. The skipped cycles are added in one jump instead
+// of period-sized steps, so virtual-time accounting is unchanged.
 //
 // maxPolls bounds the wait: after maxPolls further poll boundaries with
 // no wake, the thread resumes at the final boundary on its own (returning
@@ -364,7 +354,7 @@ func (c *Ctx) ParkOnWord(key, period, pollCost uint64, maxPolls int) {
 	}
 	// A parked thread leaves the schedule entirely, so a speculative
 	// journal must be replayed first: parking and replay never coexist.
-	c.flushSpec()
+	c.EndQuantum()
 	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkPolls = key, period, pollCost, maxPolls
 	c.parkDeadline = c.clock + period*uint64(maxPolls)
 	c.sleep()
@@ -412,8 +402,10 @@ func (c *Ctx) WakeKey(key uint64) {
 	c.batchLimit = e.horizonFor(int32(c.id))
 }
 
-// wake moves parked thread t to polling at its first poll boundary
-// scheduled after position (now, wakerID) in the (cycle, id) event order.
+// wake queues parked thread t at its first poll boundary scheduled after
+// position (now, wakerID) in the (cycle, id) event order: runnable, so the
+// pop resumes the thread to run its own poll, or polling when it is a
+// delegated acquire, whose poll the loop runs.
 func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
 	per := t.parkPeriod
 	k := uint64(1)
@@ -428,7 +420,11 @@ func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
 		b += per
 	}
 	t.skipTo(b)
-	t.setState(polling)
+	s := runnable
+	if t.acq {
+		s = polling
+	}
+	t.setState(s)
 	if t.parkPolls == 0 {
 		e.queue.push(event{cycle: b, id: int32(t.id)})
 	} else if b < t.parkDeadline {
@@ -465,14 +461,9 @@ type Engine struct {
 	tickHook func(now uint64)
 	// wakeable is the set of parked threads, kept by Ctx.setState: the
 	// threads WakeKey can reschedule, and — once the queue runs dry — the
-	// ones Run reports deadlocked. A polling thread already has its wake's
-	// poll queued, so a second release must not reschedule it.
+	// ones Run reports deadlocked. A woken thread already has its poll
+	// queued, so a second release must not reschedule it.
 	wakeable topology.Set
-	// pollEval, when set, reports whether the word a parked thread waits
-	// on is still busy; the event loop uses it to evaluate wake-time polls
-	// without resuming the waiter's coroutine. It must be a pure read of
-	// committed simulated memory (the runtime installs mem.Memory.Peek).
-	pollEval func(key uint64) bool
 	// lockLoad/lockStore are the committed-memory word operations backing
 	// delegated acquires (Ctx.AcquireWord) — non-transactional load/store
 	// with their full strong-isolation doom semantics, executed by the
@@ -502,10 +493,9 @@ type Engine struct {
 
 // Counters is the event loop's account of its own work: every event it
 // delivered, by how. Only a Resume pays the two coroutine switches; the
-// other three kinds are steps the loop executed on the thread's behalf.
+// other two kinds are steps the loop executed on the thread's behalf.
 type Counters struct {
 	Resumes      uint64 // delivered by resuming the thread's coroutine
-	Polls        uint64 // evaluated wake-time polls that found the word busy and re-parked (ParkOnWord)
 	AcquireSteps uint64 // delegated-acquire ticks that parked or queued their next tick (AcquireWord)
 	Replays      uint64 // journaled pure ticks re-delivered after a quantum (TickPure)
 }
@@ -518,7 +508,7 @@ func (e *Engine) Counters() Counters { return e.count }
 
 // Events returns the number of events the loop took off the schedule and
 // delivered: each is counted under exactly one kind.
-func (c Counters) Events() uint64 { return c.Resumes + c.Polls + c.AcquireSteps + c.Replays }
+func (c Counters) Events() uint64 { return c.Resumes + c.AcquireSteps + c.Replays }
 
 // horizonFor returns the tick-batch horizon for thread id: the first
 // clock value at which it must yield to the event loop. While the queue
@@ -546,16 +536,12 @@ func (e *Engine) horizonFor(id int32) uint64 {
 // Unset, the loop pays a single nil check per step.
 func (e *Engine) SetTickHook(hook func(now uint64)) { e.tickHook = hook }
 
-// SetParkPollEvaluator installs (or clears, with nil) the busy predicate
-// for wake-time polls (Ctx.ParkOnWord): eval(key) reports whether the word
-// the key names is still busy, i.e. whether a poll at the current point in
-// the schedule would go back to sleep. It must be a pure read of committed
-// simulated state with no side effects — the runtime installs a
-// mem.Memory.Peek of the lock word. Install it before Run and leave it in
-// place for the engine's lifetime; without one, every woken thread resumes
-// to run its poll itself. Schedules and all observable streams are
-// identical either way.
-func (e *Engine) SetParkPollEvaluator(eval func(key uint64) bool) { e.pollEval = eval }
+// SetParkPollEvaluator does nothing. The engine no longer evaluates
+// wake-time polls: a woken waiter resumes to run its own poll, and a woken
+// delegated acquire runs its poll inside the event loop (AcquireWord). The
+// stub remains only because benchmark/layers.go still calls it; delete it
+// together with those calls.
+func (e *Engine) SetParkPollEvaluator(func(key uint64) bool) {}
 
 // New creates an engine for the given machine configuration.
 func New(cfg Config) (*Engine, error) {
@@ -609,7 +595,7 @@ func (t *Ctx) start(body func(*Ctx)) {
 		// A body must not finish with deferred ticks in flight: replay
 		// them so the final ticks' hooks fire at their per-tick events
 		// before the context is torn down.
-		t.flushSpec()
+		t.EndQuantum()
 	})
 }
 
@@ -626,11 +612,12 @@ func (t *Ctx) finish() {
 // len(bodies) must be at most the number of hardware threads; threads
 // without a body stay idle at clock 0. It returns the makespan (maximum
 // final clock). A panic inside a body is recovered and returned as an
-// error wrapping the panic value; ErrMaxCycles is returned on livelock.
+// error carrying the panic value (wrapping it when it is an error, so
+// errors.Is sees through it); ErrMaxCycles is returned on livelock.
 //
 // Each popped event is dispatched on its thread's state (DESIGN.md §6b):
-// the loop either executes the event itself — an evaluated poll, a
-// delegated-acquire tick, a journal replay — or resumes the coroutine.
+// the loop either executes the event itself — a delegated-acquire tick or
+// a journal replay — or resumes the coroutine.
 func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	if len(bodies) > len(e.threads) {
 		return 0, fmt.Errorf("machine: %d bodies for %d hardware threads",
@@ -665,37 +652,16 @@ events:
 			switch t.state {
 			case parked:
 				// A bounded wait's deadline: the final poll boundary came
-				// with no wake. Fast-forward like a wake would; the final
-				// boundary always resumes, busy or not.
+				// with no wake. Fast-forward like a wake would and resume;
+				// the thread runs the final poll itself and gives up, busy
+				// or not.
 				t.skipTo(ev.cycle)
-				fallthrough
+				t.setState(runnable)
 			case polling:
-				// A wake-time poll boundary. Per-tick the coroutine would
-				// resume here, tick through its polling load (the hook
-				// fires once more at this cycle) and, with the word still
-				// busy, park again — with no other observable action,
-				// because a busy word has no transactional writer to doom.
-				// So the loop replays those steps itself.
-				if e.pollEval != nil && (t.parkPolls == 0 || ev.cycle < t.parkDeadline) && e.pollEval(t.parkKey) {
-					if e.tickHook != nil {
-						e.tickHook(ev.cycle)
-					}
-					t.clock = ev.cycle
-					e.count.Polls++
-					t.sleep()
-					continue events
-				}
-				// No evaluator, a free word, or a bounded wait's final
-				// boundary: resume the coroutine so the real load — and its
-				// doom semantics on a free word — runs in the context, its
-				// clock already at the poll's tick start.
-				if !t.acq {
-					t.setState(runnable)
-					break
-				}
-				// A delegated acquire continues engine-side instead: fire
-				// the poll tick's hook (the resumed coroutine's Tick would)
-				// and run the protocol from the poll, real load included.
+				// A woken acquirer's poll boundary. The coroutine would
+				// resume here and tick through its polling load (the hook
+				// fires once more at this cycle); the loop fires that hook
+				// and runs the protocol from the poll, real load included.
 				if e.tickHook != nil {
 					e.tickHook(ev.cycle)
 				}
@@ -751,6 +717,9 @@ events:
 				t.finish()
 				if t.panicked != nil {
 					e.drain(bodies)
+					if err, ok := t.panicked.(error); ok {
+						return t.clock, fmt.Errorf("machine: thread %d panicked: %w", t.id, err)
+					}
 					return t.clock, fmt.Errorf("machine: thread %d panicked: %v", t.id, t.panicked)
 				}
 				continue events
@@ -797,7 +766,7 @@ func (e *Engine) deadlocked() bool { return e.queue.empty() && !e.wakeable.Empty
 // it before binding a body and drain before abandoning one.
 func (t *Ctx) reset() {
 	t.setState(runnable)
-	t.acq, t.specOn, t.specUnwind = false, false, false
+	t.acq, t.specUnwind = false, false
 	t.spec.n, t.spec.next = 0, 0
 	t.batchLimit = t.eng.maxCap
 }

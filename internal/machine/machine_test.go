@@ -262,7 +262,7 @@ func TestDeterministicSchedule(t *testing.T) {
 }
 
 // TestClockMonotonicQuick: a thread's clock never decreases through any
-// sequence of Tick/Advance/Work calls.
+// sequence of Tick/TickPure/Work calls.
 func TestClockMonotonicQuick(t *testing.T) {
 	f := func(costs []uint16) bool {
 		e, err := New(Config{Topo: topology.MustFromFlat(1, 1), Seed: 5, Cost: DefaultCostModel()})
@@ -277,7 +277,7 @@ func TestClockMonotonicQuick(t *testing.T) {
 				case 0:
 					c.Tick(uint64(cost))
 				case 1:
-					c.Advance(uint64(cost))
+					c.TickPure(uint64(cost))
 				default:
 					c.Work(uint64(cost % 64))
 				}

@@ -8,12 +8,11 @@ import (
 	"seer/internal/topology"
 )
 
-// The park/wake tests drive ParkOnWord/WakeKey directly on an engine with
-// no poll evaluator, so every wake resumes the waiter, with hand-rolled
-// poll loops mirroring the spinlock package's shape: poll (Tick(load) +
-// check), park on busy, re-poll after the wake. Observation equivalence
-// against real spinning is asserted by comparing the exact clocks at
-// which polls happen.
+// The park/wake tests drive ParkOnWord/WakeKey directly, so every wake
+// resumes the waiter, with hand-rolled poll loops mirroring the spinlock
+// package's shape: poll (Tick(load) + check), park on busy, re-poll after
+// the wake. Observation equivalence against real spinning is asserted by
+// comparing the exact clocks at which polls happen.
 
 const (
 	tpPeriod   = 27 // SpinQuantum + DirectLoad of the default cost model
@@ -343,24 +342,29 @@ type wakeSnap struct {
 // runWakeScenario parks n-1 waiters on two held words — unbounded and
 // bounded parks, staggered so that releases find them in every state —
 // and has thread 0 release each word repeatedly through wake: four rounds
-// with the word still held (woken waiters re-park engine-side, a bounded
-// one at its deadline resumes and re-parks) and a back-to-back second
-// release each round (which must skip the polling waiters of the first),
-// then a final round that frees both. With eval the engine evaluates the
-// wake-time polls; without, every woken waiter resumes to poll. It returns
-// the engine state after every release, every waiter's clock at every
-// return from a park, the hook stream and the count of wakes, each ending
-// in an engine-side poll or a return.
-func runWakeScenario(t *testing.T, n int, eval bool, wake func(*Ctx, uint64)) (snaps []wakeSnap, returns []event, hooks []uint64, wakes int) {
+// with the word still held (woken waiters poll it busy and re-park, a
+// bounded one at its deadline resumes and re-parks) and a back-to-back
+// second release each round (which must skip the waiters the first
+// woke), then a final round that frees both. With wired, every third
+// waiter takes its word through a delegated acquire instead, so its wakes
+// queue it polling and the loop runs its polls; once it holds the word it
+// releases it through wake too. It returns the engine state after every
+// release, every waiter's clock at every return from a park or an
+// acquire, the hook stream and the number of threads the releases woke.
+func runWakeScenario(t *testing.T, n int, wired bool, wake func(*Ctx, uint64)) (snaps []wakeSnap, returns []event, hooks []uint64, wakes int) {
 	t.Helper()
 	eng := parkEngine(t, n)
 	words := [2]uint64{1, 1}
-	if eval {
-		eng.SetParkPollEvaluator(func(key uint64) bool { return words[key] != 0 })
+	if wired {
+		eng.SetLockWordOps(
+			func(_ int, key uint64) uint64 { return words[key] },
+			func(_ int, key uint64, v uint64) { words[key] = v })
 	}
 	verify := watchStates(t, eng, func(now uint64) { hooks = append(hooks, now) })
 	release := func(c *Ctx, key uint64) {
+		parked := eng.wakeable.Count()
 		wake(c, key)
+		wakes += parked - eng.wakeable.Count()
 		snaps = append(snaps, wakeSnap{eng.queue, eng.wakeable})
 	}
 	bodies := make([]func(*Ctx), n)
@@ -378,6 +382,14 @@ func runWakeScenario(t *testing.T, n int, eval bool, wake func(*Ctx, uint64)) (s
 		bodies[i] = func(c *Ctx) {
 			key := uint64(i & 1)
 			c.Tick(uint64(1 + i%7))
+			if wired && i%3 == 0 {
+				c.AcquireWord(key, uint64(i)+1)
+				returns = append(returns, event{cycle: c.Clock(), id: int32(i)})
+				c.Tick(taCAS)
+				words[key] = 0
+				release(c, key)
+				return
+			}
 			for {
 				c.Tick(tpPollCost)
 				if words[key] == 0 {
@@ -397,32 +409,35 @@ func runWakeScenario(t *testing.T, n int, eval bool, wake func(*Ctx, uint64)) (s
 		t.Fatalf("n=%d: %v", n, err)
 	}
 	verify()
-	return snaps, returns, hooks, len(returns) + int(eng.Counters().Polls)
+	return snaps, returns, hooks, wakes
 }
 
 // TestWakeKeyMatchesFullScan: walking the parked-id set must wake the
 // same threads in the same order as scanning every context — the queue
 // and the set equal after every release, and every waiter back from its
-// park at the same clock, in the same sequence — with and without an
-// evaluator.
+// park at the same clock, in the same sequence — with plain waiters only
+// and with delegated acquirers among them.
 func TestWakeKeyMatchesFullScan(t *testing.T) {
 	for _, n := range []int{8, 128} {
-		for _, eval := range []bool{false, true} {
-			snaps, returns, hooks, wakes := runWakeScenario(t, n, eval, (*Ctx).WakeKey)
-			refSnaps, refReturns, refHooks, _ := runWakeScenario(t, n, eval, wakeKeyFullScan)
+		for _, wired := range []bool{false, true} {
+			snaps, returns, hooks, wakes := runWakeScenario(t, n, wired, (*Ctx).WakeKey)
+			refSnaps, refReturns, refHooks, _ := runWakeScenario(t, n, wired, wakeKeyFullScan)
 			if wakes < 4*(n-1) {
-				t.Fatalf("n=%d eval=%v: only %d wakes; the scenario did not exercise the wake path", n, eval, wakes)
+				t.Fatalf("n=%d wired=%v: only %d wakes; the scenario did not exercise the wake path", n, wired, wakes)
+			}
+			if len(snaps) != len(refSnaps) {
+				t.Fatalf("n=%d wired=%v: %d releases, the full scan's run %d", n, wired, len(snaps), len(refSnaps))
 			}
 			for i := range snaps {
 				if snaps[i] != refSnaps[i] {
-					t.Fatalf("n=%d eval=%v: engine state after release %d differs from the full scan's", n, eval, i)
+					t.Fatalf("n=%d wired=%v: engine state after release %d differs from the full scan's", n, wired, i)
 				}
 			}
 			if !slices.Equal(returns, refReturns) {
-				t.Fatalf("n=%d eval=%v: waiters return from their parks in a different order or at different clocks", n, eval)
+				t.Fatalf("n=%d wired=%v: waiters return from their parks in a different order or at different clocks", n, wired)
 			}
 			if !slices.Equal(hooks, refHooks) {
-				t.Fatalf("n=%d eval=%v: hook streams differ (%d vs %d)", n, eval, len(hooks), len(refHooks))
+				t.Fatalf("n=%d wired=%v: hook streams differ (%d vs %d)", n, wired, len(hooks), len(refHooks))
 			}
 		}
 	}

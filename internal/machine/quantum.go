@@ -67,18 +67,16 @@ func (c *Ctx) TickPure(cost uint64) {
 		// guard keeps livelock verdicts on the per-tick schedule: a tick
 		// past the MaxCycles budget always yields so the engine loop can
 		// deliver ErrMaxCycles at the same event it always did.
-		if !c.specOn {
-			c.specOn = true
-			c.eng.specGrants++
-		}
 		j := &c.spec
+		if j.n == 0 {
+			c.eng.specGrants++ // the first deferred tick opens a quantum
+		}
 		j.cycles[j.n] = c.clock
 		j.rngs[j.n] = c.rng
 		j.n++
 		c.eng.specTicks++
 		return
 	}
-	c.specOn = false
 	c.suspend()
 }
 
@@ -93,14 +91,15 @@ func (c *Ctx) TickPure(cost uint64) {
 // When the quantum's most recent deferred tick sits exactly at the current
 // clock it is un-deferred and becomes the live yield itself — the caller
 // is still inside that tick, so the per-tick engine would have made it the
-// scheduling point. Without an open quantum the call is a no-op.
+// scheduling point. Without an open quantum (an empty journal) the call is
+// a no-op, so control-flow points the journal must not cross — parking, a
+// delegated acquire, body return — call it unconditionally.
 func (c *Ctx) EndQuantum() {
-	if !c.specOn {
+	j := &c.spec
+	if j.n == 0 {
 		return
 	}
-	c.specOn = false
-	j := &c.spec
-	if j.n > 0 && j.cycles[j.n-1] == c.clock {
+	if j.cycles[j.n-1] == c.clock {
 		j.n--
 		c.eng.specTicks--
 	}
@@ -143,15 +142,6 @@ func (c *Ctx) Interfere() {
 // next resume (suspend).
 func (c *Ctx) SetUnwinder(fn func() any) { c.unwinder = fn }
 
-// flushSpec replays any deferred ticks before a control-flow point the
-// journal must not cross (parking, body return). After it returns the
-// journal is empty and the thread is positioned at its current clock.
-func (c *Ctx) flushSpec() {
-	if c.specOn {
-		c.EndQuantum()
-	}
-}
-
 // SpecBarrier closes the currently running thread's speculative quantum,
 // if one is open. It exists for shared reads that have no scheduling point
 // of their own — mem.Memory.Peek wires it as its speculation barrier —
@@ -160,9 +150,10 @@ func (c *Ctx) flushSpec() {
 // virtual-time threads ran; closing the quantum first replays the journal
 // and re-runs the read at its true (cycle, id) position. Outside a resume
 // (running == nil) and outside speculation the call is a no-op, so the
-// hook is safe for engine- and test-side Peeks.
+// hook is safe for engine- and test-side Peeks. The journal test in front
+// of the call keeps the common no-quantum Peek to two loads.
 func (e *Engine) SpecBarrier() {
-	if t := e.running; t != nil && t.specOn {
+	if t := e.running; t != nil && t.spec.n > 0 {
 		t.EndQuantum()
 	}
 }

@@ -18,7 +18,9 @@ import (
 //     (the running thread, or with none running, one thread at most);
 //  3. wakeable equals the set of parked threads;
 //  4. the deadlock verdict holds exactly when the queue is empty and a
-//     thread is parked.
+//     thread is parked;
+//  5. a polling thread is a delegated acquire (acq set): a wake queues a
+//     plain waiter runnable, to run its own poll.
 func checkStates(e *Engine) error {
 	var parkedSet topology.Set
 	delivered := e.running != nil
@@ -28,6 +30,9 @@ func checkStates(e *Engine) error {
 		}
 		if t.state == parked {
 			parkedSet.Add(t.id)
+		}
+		if t.state == polling && !t.acq {
+			return fmt.Errorf("thread %d: polling without a delegated acquire", t.id)
 		}
 		if t.next == nil || t == e.running {
 			if t.state != runnable {

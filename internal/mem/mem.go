@@ -16,6 +16,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 
 	"seer/internal/topology"
@@ -195,17 +196,26 @@ func (m *Memory) AccessCost(hw int, a Addr) uint64 {
 	return m.access(hw, LineOf(a))
 }
 
+// Named simulated-memory faults, matchable with errors.Is. Alloc and every
+// address check panic with an error wrapping one of them. Inside a run the
+// engine recovers the panic and the run fails with an error wrapping it
+// (machine.Engine.Run); outside a run — while a program sets up its data —
+// the panic propagates to the caller.
+var (
+	ErrOutOfMemory = errors.New("mem: out of simulated memory")
+	ErrBadAddress  = errors.New("mem: address out of range")
+)
+
 // Alloc bump-allocates n words and returns the address of the first.
-// It panics when the memory is exhausted: simulated workloads size their
-// memory up front.
+// It panics with an error wrapping ErrOutOfMemory when the memory is
+// exhausted: simulated workloads size their memory up front.
 func (m *Memory) Alloc(n int) Addr {
 	if n <= 0 {
 		panic("mem: Alloc with non-positive size")
 	}
 	a := m.brk
 	if int(a)+n > len(m.words) {
-		panic(fmt.Sprintf("mem: out of simulated memory (%d words requested, %d free)",
-			n, len(m.words)-int(a)))
+		panic(fmt.Errorf("%w (%d words requested, %d free)", ErrOutOfMemory, n, len(m.words)-int(a)))
 	}
 	m.brk += Addr(n)
 	return a
@@ -234,11 +244,12 @@ func (m *Memory) AllocAligned(n int) Addr {
 // Free returns the number of unallocated words remaining.
 func (m *Memory) Free() int { return len(m.words) - int(m.brk) }
 
-// checkAddr panics on out-of-range addresses: simulated programs have no
-// MMU, so this is the closest analogue of a segmentation fault.
+// checkAddr panics with an error wrapping ErrBadAddress on out-of-range
+// addresses: simulated programs have no MMU, so this is the closest
+// analogue of a segmentation fault.
 func (m *Memory) checkAddr(a Addr) {
 	if int(a) >= len(m.words) {
-		panic(fmt.Sprintf("mem: address %d out of range (%d words)", a, len(m.words)))
+		panic(fmt.Errorf("%w: %d (%d words)", ErrBadAddress, a, len(m.words)))
 	}
 }
 

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -62,8 +63,8 @@ func TestAllocBasics(t *testing.T) {
 func TestAllocExhaustion(t *testing.T) {
 	m, _ := newTestMem(64)
 	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic on exhaustion")
+		if err, _ := recover().(error); !errors.Is(err, ErrOutOfMemory) {
+			t.Fatalf("panic value %v, want an error wrapping ErrOutOfMemory", err)
 		}
 	}()
 	m.Alloc(1000)
@@ -101,8 +102,8 @@ func TestPeekPoke(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	m, _ := newTestMem(64)
 	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic on out-of-range access")
+		if err, _ := recover().(error); !errors.Is(err, ErrBadAddress) {
+			t.Fatalf("panic value %v, want an error wrapping ErrBadAddress", err)
 		}
 	}()
 	m.Peek(Addr(1 << 20))

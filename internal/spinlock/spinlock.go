@@ -77,10 +77,10 @@ func (l Lock) TryAcquire(ctx *machine.Ctx, m *mem.Memory) bool {
 // identical to the ticking loop's; see DESIGN.md §6b.
 func (l Lock) Acquire(ctx *machine.Ctx, m *mem.Memory) {
 	// When the engine has lock-word operations installed (the runtime
-	// wires DirectLoad/DirectStore and a Peek-based poll evaluator), the
-	// whole protocol is delegated to the event loop: every tick, hook and
-	// doom lands at the identical schedule position, but the coroutine
-	// suspends at most once. See machine.Ctx.AcquireWord.
+	// wires DirectLoad/DirectStore), the whole protocol — wake-time polls
+	// included — is delegated to the event loop: every tick, hook and doom
+	// lands at the identical schedule position, but the coroutine suspends
+	// at most once. See machine.Ctx.AcquireWord.
 	if ctx.AcquireWord(uint64(l.addr), uint64(ctx.ID())+1) {
 		return
 	}
