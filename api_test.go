@@ -2,10 +2,14 @@ package seer_test
 
 import (
 	"errors"
+	"maps"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"seer"
+	"seer/internal/harness"
 	"seer/internal/mem"
 	"seer/internal/stamp"
 )
@@ -383,5 +387,38 @@ func TestWorkerPanicSurfaces(t *testing.T) {
 	}})
 	if err == nil || !strings.Contains(err.Error(), "application bug") {
 		t.Fatalf("panic not surfaced: %v", err)
+	}
+}
+
+// knobCallers names, for every field of the configuration structs, the
+// non-test caller that needs it. The CLIs keep flag tables of their own.
+var knobCallers = map[reflect.Type]map[string]string{
+	reflect.TypeFor[seer.Config](): {
+		"Threads Seed Policy MemWords NumAtomicBlocks MaxCycles": "every cell (stamp.Config)",
+		"PhysCores HWThreads": "benchmark/cell.go, legacy, retire with ROADMAP item 1", "Seer": "fig4, fig5, ext",
+		"Topology RemoteAccessCost": "scaling exhibit", "MaxAttempts": "attempts exhibit",
+		"MetricsInterval": "timeline exhibit", "AttributionCounters": "inference exhibit", "HTM Cost": "DefaultConfig",
+		"TraceEvents TraceAttempts": "seerstat -trace, -spans-*; ledger infer-obs", "Recycler": "RunGrid, ledger",
+	},
+	reflect.TypeFor[harness.Spec](): {
+		"Workload Scale Policy Threads Runs Seed": "every cell", "SeerOpts": "fig4, fig5, ext",
+		"Topology RemoteAccessCost": "scaling exhibit", "MaxAttempts": "attempts exhibit",
+		"MetricsInterval": "timeline exhibit", "Inference": "inference exhibit",
+	},
+	reflect.TypeFor[harness.Options](): {"Scale Runs Seed Parallel Topology": "seerbench flags of those names"},
+}
+
+// TestKnobTable: every knob earns its keep; the structs and knobCallers name the same fields.
+func TestKnobTable(t *testing.T) {
+	for typ, callers := range knobCallers {
+		var have []string
+		for _, f := range reflect.VisibleFields(typ) {
+			have = append(have, f.Name)
+		}
+		want := strings.Fields(strings.Join(slices.Collect(maps.Keys(callers)), " "))
+		slices.Sort(have)
+		if slices.Sort(want); !slices.Equal(have, want) {
+			t.Errorf("%v fields %v, knobCallers %v: every field needs one caller", typ, have, want)
+		}
 	}
 }

@@ -27,18 +27,14 @@
 //	-scale f     workload scale factor (default 1.0; smaller is faster)
 //	-runs n      repetitions per cell (default 3)
 //	-seed n      base seed (default 1)
-//	-workloads s comma-separated subset (default: the full STAMP suite)
-//	-full-suite  widen the default workload set with bayes and labyrinth
+//	-workloads s comma-separated workload list replacing the default STAMP
+//	             suite (e.g. bayes,labyrinth for the two the paper excludes)
 //	-parallel n  run n grid cells concurrently (-1 = one per CPU; output
 //	             is byte-identical to a sequential run at any width)
 //	-topology s  run every cell on this machine shape instead of the
 //	             paper's 1s4c2t testbed (spec form <sockets>s<cores>c<threads>t,
 //	             e.g. 2s8c2t; cells needing more threads than the shape
 //	             offers fail). scaling ignores it: it sweeps its own shapes.
-//	-quantum k   speculative-quantum depth per cell (0 = library default,
-//	             -1 = off; exhibit goldens are identical at any setting,
-//	             but some cells still differ with speculation off: see
-//	             DESIGN.md §6i)
 //	-csv f       also write the selected exhibits' machine-readable form to f
 //	             (an error if none of them has one)
 //	-cpuprofile f write a pprof CPU profile of the run to f
@@ -82,8 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		topoSpec   = fs.String("topology", "", "machine shape for every cell, e.g. 2s8c2t (default: the paper's 1s4c2t testbed)")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		fullSuite  = fs.Bool("full-suite", false, "widen the default workload set with bayes and labyrinth")
-		quantum    = fs.Int("quantum", 0, "speculative-quantum budget per cell (0 = library default, -1 = off, K > 0 = up to K pure ticks; meant to be result-neutral, but some cells differ with speculation off: DESIGN.md §6i)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -110,8 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return fail(fmt.Errorf("-csv: %s has no CSV form (have %s)", *experiment, strings.Join(have, "|")))
 	}
-	opt := harness.Options{Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel,
-		FullSuite: *fullSuite, Quantum: *quantum}
+	opt := harness.Options{Scale: *scale, Runs: *runs, Seed: *seed, Parallel: *parallel}
 	if *topoSpec != "" {
 		if opt.Topology, err = seer.ParseTopology(*topoSpec); err != nil {
 			return fail(err)

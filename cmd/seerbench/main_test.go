@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -100,5 +103,23 @@ func TestCSVNeedsACapableExhibit(t *testing.T) {
 		if !strings.Contains(string(data), "\n"+tag+",") {
 			t.Errorf("all -csv has no %s records", tag)
 		}
+	}
+}
+
+// flagCallers names, for every seerbench flag, the user who needs it.
+var flagCallers = map[string]string{
+	"-experiment -scale -runs -seed": "results/README.md", "-workloads -parallel": "CI exhibit-regress",
+	"-v": "progress of long sweeps", "-csv -allpolicies -plot": "README fig3 outputs",
+	"-metrics-interval": "timeline, inference, adversarial", "-topology": "README wide shapes",
+	"-cpuprofile -memprofile": "README hot-path work",
+}
+
+// TestFlagTable: the flag set and flagCallers name the same flags.
+func TestFlagTable(t *testing.T) {
+	_, _, usage := seerbench("-h")
+	have := strings.Fields(strings.Join(regexp.MustCompile(`(?m)^  -\S+`).FindAllString(usage, -1), " "))
+	want := strings.Fields(strings.Join(slices.Collect(maps.Keys(flagCallers)), " "))
+	if slices.Sort(want); !slices.Equal(have, want) {
+		t.Errorf("flags %v, flagCallers %v: every flag needs one caller", have, want)
 	}
 }

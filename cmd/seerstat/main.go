@@ -20,6 +20,11 @@
 // inference-quality trajectory of the learned locks against the true
 // conflict graph. The spans/DOT flags export per-attempt spans (JSONL or
 // Chrome trace-event) and the weighted conflict graph (Graphviz).
+//
+// -timeline also prints the simulator's own efficiency counters, among
+// them the engine's speculative quanta. Speculation always runs, at
+// seer.DefaultSpeculativeQuantum, and no flag changes it: it is engine
+// mechanics, not part of the simulated machine (DESIGN.md §6i).
 package main
 
 import (
@@ -207,7 +212,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		spansJSONL = fs.String("spans-jsonl", "", "write per-attempt spans as JSON Lines to FILE (enables span tracing)")
 		spansChrom = fs.String("spans-chrome", "", "write per-attempt spans as a Chrome trace-event document to FILE (enables span tracing)")
 		dotPath    = fs.String("conflict-dot", "", "write the ground-truth conflict graph as Graphviz DOT to FILE (enables attribution)")
-		quantum    = fs.Int("quantum", 0, "speculative-quantum budget (0 = library default, -1 = off, K > 0 = up to K pure ticks; meant to be output-neutral, but some cells differ with speculation off: DESIGN.md §6i)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -228,7 +232,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	spec := harness.Spec{
 		Workload: *workload, Scale: *scale, Policy: seer.PolicyKind(*policy), Threads: *threads,
 		RemoteAccessCost: *remoteCost, MetricsInterval: *interval,
-		Inference: *explain || *dotPath != "", Quantum: *quantum,
+		Inference: *explain || *dotPath != "",
 	}
 	if *topoSpec != "" {
 		if spec.Topology, err = seer.ParseTopology(*topoSpec); err != nil {

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -150,5 +153,24 @@ func TestRenderedOutputsGolden(t *testing.T) {
 	}
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("seerstat output has %d lines, %s has %d", len(gotLines), golden, len(wantLines))
+	}
+}
+
+// flagCallers names, for every seerstat flag, the user who needs it.
+var flagCallers = map[string]string{
+	"-workload -threads -scale -seed -policy": "every inspection", "-topology -remote-cost": "CI wide smokes",
+	"-summary": "CI digest smokes", "-json": "rendered-outputs golden", "-trace -trace-kinds": "TUTORIAL event dumps",
+	"-timeline -metrics-interval": "TUTORIAL timelines", "-explain -explain-top": "TUTORIAL attribution",
+	"-timeline-csv -timeline-jsonl -chrome-trace -spans-jsonl -spans-chrome -conflict-dot": "observability exports",
+}
+
+// TestFlagTable: the flag set and flagCallers name the same flags.
+func TestFlagTable(t *testing.T) {
+	var usage bytes.Buffer
+	run([]string{"-h"}, &usage, &usage)
+	have := strings.Fields(strings.Join(regexp.MustCompile(`(?m)^  -\S+`).FindAllString(usage.String(), -1), " "))
+	want := strings.Fields(strings.Join(slices.Collect(maps.Keys(flagCallers)), " "))
+	if slices.Sort(want); !slices.Equal(have, want) {
+		t.Errorf("flags %v, flagCallers %v: every flag needs one caller", have, want)
 	}
 }

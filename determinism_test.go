@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"seer"
+	"seer/internal/harness"
+	"seer/internal/stamp"
 )
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata golden files")
@@ -48,15 +50,15 @@ func detConfig(pol seer.PolicyKind) seer.Config {
 // detRun builds a fresh system, runs a small two-block contended workload
 // and returns the canonical Report digest.
 func detRun(t *testing.T, pol seer.PolicyKind) string {
-	return detRunWith(t, detConfig(pol))
+	return detRunWith(t, detConfig(pol), seer.NewSystem)
 }
 
-// detRunWith is detRun on an explicit configuration, so variants can
-// perturb implementation knobs that must not change results.
-func detRunWith(t *testing.T, cfg seer.Config) string {
+// detRunWith is detRun on an explicit configuration and constructor, so
+// variants can perturb implementation knobs that must not change results.
+func detRunWith(t *testing.T, cfg seer.Config, newSystem func(seer.Config) (*seer.System, error)) string {
 	t.Helper()
 	pol := cfg.Policy
-	sys, err := seer.NewSystem(cfg)
+	sys, err := newSystem(cfg)
 	if err != nil {
 		t.Fatalf("%s: NewSystem: %v", pol, err)
 	}
@@ -107,7 +109,7 @@ func TestDeterminismRecyclerInvariant(t *testing.T) {
 		for rep := 0; rep < 3; rep++ {
 			cfg := detConfig(pol)
 			cfg.Recycler = rec
-			if got := detRunWith(t, cfg); got != base {
+			if got := detRunWith(t, cfg, seer.NewSystem); got != base {
 				t.Fatalf("%s: recycled replica (use %d) differs from fresh system:\n--- fresh ---\n%s--- recycled ---\n%s",
 					pol, rep, base, got)
 			}
@@ -115,21 +117,68 @@ func TestDeterminismRecyclerInvariant(t *testing.T) {
 	}
 }
 
-// TestDeterminismQuantumInvariant: the speculative-quantum budget is pure
-// engine mechanics — the undo log replays or rolls back every deferred
-// tick at its per-tick (cycle, id) position — so no budget may move a
-// single byte of the report. The golden run itself executes at the
-// library default (speculation on), so this test is what pins the
-// per-tick baseline: budget 0 disables speculation entirely.
+// quantumDepth is a system constructor whose engine speculates at depth k
+// instead of DefaultSpeculativeQuantum; k = 0 is the per-tick reference.
+func quantumDepth(k int) func(seer.Config) (*seer.System, error) {
+	return func(cfg seer.Config) (*seer.System, error) { return seer.NewSystemQuantum(cfg, k) }
+}
+
+// TestDeterminismQuantumInvariant: the speculation depth is pure engine
+// mechanics — the undo log replays or rolls back every deferred tick at
+// its per-tick (cycle, id) position — so no depth may move a single byte
+// of the report. The golden run itself executes at the default depth, so
+// this test is what pins the per-tick baseline: depth 0 disables
+// speculation entirely.
 func TestDeterminismQuantumInvariant(t *testing.T) {
 	for _, pol := range detPolicies {
 		base := detRun(t, pol) // DefaultSpeculativeQuantum
 		for _, k := range []int{0, 1, 7, 1024} {
-			cfg := detConfig(pol)
-			cfg.SpeculativeQuantum = k
-			if got := detRunWith(t, cfg); got != base {
-				t.Fatalf("%s: SpeculativeQuantum=%d report differs from default:\n--- default ---\n%s--- quantum=%d ---\n%s",
+			if got := detRunWith(t, detConfig(pol), quantumDepth(k)); got != base {
+				t.Fatalf("%s: quantum=%d report differs from default:\n--- default ---\n%s--- quantum=%d ---\n%s",
 					pol, k, base, k, got)
+			}
+		}
+	}
+}
+
+// TestQuantumInvariantScalingShapes: every cell of the scaling exhibit's
+// grid — ScalingShapes × ScalingPolicies × the STAMP suite, up to 128
+// threads — digests identically on the per-tick reference engine, at an
+// aggressive depth and at the default one.
+func TestQuantumInvariantScalingShapes(t *testing.T) {
+	for _, shape := range harness.ScalingShapes {
+		for _, pol := range harness.ScalingPolicies {
+			for _, name := range stamp.Suite {
+				spec := harness.Spec{Workload: name, Scale: 0.02, Policy: pol, Threads: shape.Threads(), Topology: shape}
+				run := func(k int) string {
+					wl, err := stamp.New(name, spec.Scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := spec.Config(wl, 1)
+					sys, err := seer.NewSystemQuantum(cfg, k)
+					if err == nil {
+						err = wl.Setup(sys)
+					}
+					var rep seer.Report
+					if err == nil {
+						rep, err = sys.Run(wl.Workers(cfg.Threads))
+					}
+					if err == nil {
+						err = wl.Validate(sys)
+					}
+					if err != nil {
+						t.Fatalf("%s/%s/%s quantum=%d: %v", name, pol, shape, k, err)
+					}
+					return rep.Summary()
+				}
+				base := run(seer.DefaultSpeculativeQuantum)
+				for _, k := range []int{0, 256} {
+					if got := run(k); got != base {
+						t.Fatalf("%s/%s/%s: quantum=%d digest differs from default:\n--- default ---\n%s--- quantum=%d ---\n%s",
+							name, pol, shape, k, base, k, got)
+					}
+				}
 			}
 		}
 	}

@@ -34,12 +34,11 @@ func quantumFuzzRun(t *testing.T, pol seer.PolicyKind, seed int64, threads, slot
 	cfg.MemWords = 1 << 16
 	cfg.MetricsInterval = 1 << 14
 	cfg.MaxCycles = 1 << 32
-	cfg.SpeculativeQuantum = quantum
 	if pol == seer.PolicySeq {
 		cfg.Threads = 1
 		threads = 1
 	}
-	sys, err := seer.NewSystem(cfg)
+	sys, err := seer.NewSystemQuantum(cfg, quantum)
 	if err != nil {
 		t.Fatalf("NewSystem(%s, quantum=%d): %v", pol, quantum, err)
 	}
@@ -80,7 +79,7 @@ func quantumFuzzRun(t *testing.T, pol seer.PolicyKind, seed int64, threads, slot
 // quantum engine: whatever the seed, policy, contention shape and quantum
 // budget, the canonical report digest — makespan, commit modes, abort
 // causes, every telemetry interval — must be byte-identical to the
-// per-tick (SpeculativeQuantum=0) run. Any divergence means a speculated
+// per-tick (quantum 0) run. Any divergence means a speculated
 // tick leaked an observation past the undo log (exactly the bug class the
 // mem.Peek speculation barrier exists for), so the digest comparison is
 // the whole oracle.

@@ -24,7 +24,7 @@ var AttemptBudgets = []int{1, 2, 3, 5, 8, 12}
 
 // attempts sweeps the hardware retry budget at 8 threads.
 func attempts(opt Options, a Args) (Output, error) {
-	rows := opt.rows(a.Workloads)
+	rows := a.rows()
 	cols := policyPoints([]seer.PolicyKind{seer.PolicyRTM, seer.PolicySCM, seer.PolicySeer})
 	xs := make([]point, len(AttemptBudgets))
 	for i, budget := range AttemptBudgets {

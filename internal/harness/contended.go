@@ -37,7 +37,7 @@ const contendedInterval = 1 << 16
 // contended configuration — and reports SGL usage, lock-wait cycles and
 // the parked (fast-forwarded) share of that wait.
 func contended(opt Options, a Args) (Output, error) {
-	rows := opt.rows(a.Workloads)
+	rows := a.rows()
 	hle := point{string(seer.PolicyHLE), func(sp *Spec) {
 		sp.Policy, sp.MetricsInterval = seer.PolicyHLE, contendedInterval
 	}}

@@ -55,7 +55,7 @@ func fig3(opt Options, a Args) (Output, error) {
 	if a.AllPolicies {
 		pols = AllPolicies
 	}
-	return speedupFigure("fig3", opt, a, opt.rows(a.Workloads), pols)
+	return speedupFigure("fig3", opt, a, a.rows(), pols)
 }
 
 // fullSuite is Figure 3 restricted to the opt-in workloads, over the
@@ -71,7 +71,7 @@ func fullSuite(opt Options, a Args) (Output, error) {
 // and a maximum of 8%; the low-contention hashmap stays within 4%.
 func fig4(opt Options, a Args) (Output, error) {
 	return seriesSpec{
-		rows: slices.Sorted(slices.Values(opt.rows(a.Workloads, "hashmap"))),
+		rows: slices.Sorted(slices.Values(a.rows("hashmap"))),
 		cols: variantPoints([]Variant{{"profile-only", core.ProfileOnly()}}),
 		xs:   threadPoints(Fig3Threads),
 		ref:  policyPoint(seer.PolicyRTM),
@@ -91,7 +91,7 @@ func variantSweep(name string, opt Options, a Args, variants []Variant, style se
 	cols := variantPoints(variants)
 	style.panel, style.x, style.val = "%-14s", " %6st", " %6.2f"
 	return seriesSpec{
-		rows: opt.rows(a.Workloads), cols: cols, xs: threadPoints(Table3Threads),
+		rows: a.rows(), cols: cols, xs: threadPoints(Table3Threads),
 		ref: cols[0], style: style,
 	}.run(name, opt, a.Progress)
 }
@@ -117,7 +117,7 @@ type Table3Data struct {
 
 // table3 reproduces Table 3.
 func table3(opt Options, a Args) (Output, error) {
-	rows := opt.rows(a.Workloads)
+	rows := a.rows()
 	cols, xs := policyPoints(Fig3Policies), threadPoints(Table3Threads)
 	g := newGrid(opt)
 	g.cube(rows, cols, xs)
@@ -196,7 +196,7 @@ type LockFracData struct{ Rows []LockFracRow }
 // fraction of transaction locks acquired when any are (§5.2 reports <23%
 // in half the cases) and the SGL usage.
 func lockFrac(opt Options, a Args) (Output, error) {
-	rows := slices.Sorted(slices.Values(opt.rows(a.Workloads)))
+	rows := slices.Sorted(slices.Values(a.rows()))
 	g := newGrid(opt)
 	stock := policyPoint(seer.PolicySeer)
 	g.cube(rows, []point{stock}, fullMachine)

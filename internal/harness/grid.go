@@ -24,17 +24,6 @@ type Options struct {
 	// -topology flag). Cells whose thread count exceeds the shape fail
 	// with a config error rather than silently resizing.
 	Topology seer.Topology
-	// FullSuite widens the default workload set from stamp.Suite to
-	// stamp.FullSuite (adds bayes and labyrinth) in every experiment
-	// that was not given an explicit list (the seerbench -full-suite
-	// flag). Explicit workload arguments are unaffected.
-	FullSuite bool
-	// Quantum sets the speculative-quantum budget for every grid cell
-	// that does not pin its own (the seerbench -quantum flag; 0 = library
-	// default, -1 = speculation off, K > 0 = quanta of up to K pure
-	// ticks). Engine mechanics meant to be result-neutral; see
-	// Spec.Quantum for where that does not yet hold.
-	Quantum int
 }
 
 func (o Options) normalized() Options {
@@ -50,14 +39,11 @@ func (o Options) normalized() Options {
 // Suite returns the Figure 3 workload list.
 func Suite() []string { return append([]string{}, stamp.Suite...) }
 
-// rows resolves an exhibit's workload axis: the explicit list when one
-// was given, else the suite the options select plus the exhibit's extras.
-func (o Options) rows(explicit []string, extra ...string) []string {
-	if explicit != nil {
-		return explicit
-	}
-	if o.FullSuite {
-		return append(append([]string{}, stamp.FullSuite...), extra...)
+// rows resolves an exhibit's workload axis: the -workloads list when one
+// was given, else the suite plus the exhibit's extras.
+func (a Args) rows(extra ...string) []string {
+	if a.Workloads != nil {
+		return a.Workloads
 	}
 	return append(Suite(), extra...)
 }

@@ -20,7 +20,10 @@ const (
 	MachinePhysCores = stamp.TestbedPhysCores
 )
 
-// Spec describes one measurement cell.
+// Spec describes one measurement cell. Each field is set by an exhibit
+// or a CLI flag (TestKnobTable); engine mechanics such as the speculation
+// depth have no field, so every exhibit runs the one schedule
+// seer.NewSystem builds.
 type Spec struct {
 	Workload string
 	Scale    float64
@@ -47,14 +50,6 @@ type Spec struct {
 	// Seer policy, the inference-quality trajectory in Report.Inference
 	// (see seer.Config.AttributionCounters).
 	Inference bool
-	// Quantum sets the speculative-quantum budget for this cell: 0 keeps
-	// the library default (seer.DefaultSpeculativeQuantum), -1 disables
-	// speculation, and any positive K grants quanta of up to K pure
-	// ticks. Engine mechanics meant to be result-neutral: the exhibit
-	// goldens and the quantum on/off CI gate are identical at any
-	// setting, but a known bug still makes some cells differ with
-	// speculation off (DESIGN.md §6i, seer.Config.SpeculativeQuantum).
-	Quantum int
 }
 
 // Result aggregates the repetitions of one Spec.
@@ -115,12 +110,6 @@ func (spec Spec) Config(wl stamp.Workload, seed int64) seer.Config {
 	}
 	cfg.MetricsInterval = spec.MetricsInterval
 	cfg.AttributionCounters = spec.Inference
-	switch {
-	case spec.Quantum < 0:
-		cfg.SpeculativeQuantum = 0
-	case spec.Quantum > 0:
-		cfg.SpeculativeQuantum = spec.Quantum
-	}
 	return cfg
 }
 

@@ -41,14 +41,11 @@ func (o Options) workers() int {
 // On error, the first failing index (not the first to fail in wall-clock
 // order) determines the returned error, again for determinism.
 func RunGrid(opt Options, specs []Spec, progress func(i int, res Result)) ([]Result, error) {
-	if !opt.Topology.IsZero() || opt.Quantum != 0 {
+	if !opt.Topology.IsZero() {
 		specs = append([]Spec(nil), specs...)
 		for i := range specs {
-			if !opt.Topology.IsZero() && specs[i].Topology.IsZero() {
+			if specs[i].Topology.IsZero() {
 				specs[i].Topology = opt.Topology
-			}
-			if opt.Quantum != 0 && specs[i].Quantum == 0 {
-				specs[i].Quantum = opt.Quantum
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func scaling(opt Options, a Args) (Output, error) {
 		xs[i] = shapePoint(shape)
 	}
 	sweep := seriesSpec{
-		rows: opt.rows(a.Workloads), cols: policyPoints(ScalingPolicies), xs: xs,
+		rows: a.rows(), cols: policyPoints(ScalingPolicies), xs: xs,
 		ref: sequential, refPerRow: true,
 		style: seriesStyle{
 			title: "\nscaling: speedup vs sequential across machine shapes (workers = hardware threads)\n",

@@ -42,7 +42,7 @@ func observe(name string, opt Options, a Args, pols []seer.PolicyKind, inference
 	if d.Interval == 0 {
 		d.Interval = DefaultMetricsInterval
 	}
-	rows := opt.rows(a.Workloads)
+	rows := a.rows()
 	cols := make([]point, len(pols))
 	for i, pol := range pols {
 		cols[i] = point{string(pol), func(sp *Spec) {

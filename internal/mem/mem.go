@@ -81,101 +81,42 @@ type lineState struct {
 	writer  int16        // hardware thread with the line in a write set, -1 if none
 }
 
-// shardAlign is the shard-boundary alignment of the line-state table, in
-// lineState entries. Eight 40-byte entries are 320 bytes — a whole number
-// of 64-byte cache lines — so rounding each shard's stride up to a
-// multiple of shardAlign keeps every shard starting on its own cache
-// line: two shards never share a line of the registry itself.
-const shardAlign = 8
-
-// maxShards caps the shard count of the conflict registry.
-const maxShards = 64
-
-// Memory is the simulated shared memory.
-//
-// The conflict registry is a sharded table: cache line ln's state lives
-// in shard ln & shardMask (a power-of-two hash on the low line bits) at
-// slot ln >> shardShift. The shards are carved out of one flat backing
-// array with a cache-line-aligned stride, so the mapping costs one
-// multiply-add per access, stays allocation-free, and — because adjacent
-// simulated lines land in different shards — the registry entries of a
-// hot contiguous region stop sharing hardware cache lines with each
-// other. With one shard (the default for narrow machines) the mapping
-// degenerates to the identity and the table is exactly the old flat
-// layout.
+// Memory is the simulated shared memory. Its conflict registry is one
+// flat table with an entry per cache line, indexed by line number.
 type Memory struct {
-	words      []uint64
-	lines      []lineState // sharded backing; index via slot()
-	shardMask  uint32      // nShards - 1
-	shardShift uint32      // log2(nShards)
-	stride     uint32      // slots per shard (shardAlign-aligned)
-	nLines     int
-	brk        Addr // bump-allocation watermark
-	doomer     Doomer
-	access     AccessCostFunc // nil = uniform memory
+	words  []uint64
+	lines  []lineState // conflict registry, one entry per cache line
+	brk    Addr        // bump-allocation watermark
+	doomer Doomer
+	access AccessCostFunc // nil = uniform memory
 
 	// specBarrier, when set, is invoked before every Peek. Peek is the one
 	// shared read with no scheduling point of its own (spinlock.LockedFast
 	// funnels through it), so under speculative quanta it must close the
 	// running thread's quantum first: a speculated Peek would otherwise
-	// read lock words before earlier-virtual-time threads have run. The
-	// hook is nil unless speculation is enabled (see machine.Engine
-	// SpecBarrier), and a no-op when no speculating thread is running.
+	// read lock words before earlier-virtual-time threads have run. Every
+	// seer.System installs it (machine.Engine.SpecBarrier); it is a no-op
+	// when no speculating thread is running, and nil on a bare Memory.
 	specBarrier func()
-}
-
-// slot maps a cache line to its index in the sharded line-state table.
-func (m *Memory) slot(ln Line) uint32 {
-	return (uint32(ln)&m.shardMask)*m.stride + uint32(ln)>>m.shardShift
 }
 
 // line returns the conflict-registry entry of a cache line.
 func (m *Memory) line(ln Line) *lineState {
-	return &m.lines[m.slot(ln)]
+	return &m.lines[ln]
 }
 
 // New creates a memory of the given size in words, rounded up to a whole
-// number of cache lines, with a single-shard (flat) conflict registry.
-// Word 0 is reserved (Nil).
+// number of cache lines. Word 0 is reserved (Nil).
 func New(words int) *Memory {
-	return NewSharded(words, 1)
+	return NewRecycled(words, 1, nil)
 }
 
-// NewSharded creates a memory whose conflict registry is split into the
-// given number of cache-line-padded shards (rounded up to a power of
-// two, clamped to [1, maxShards]). The shard count is pure data
-// layout: every registry operation behaves identically — and every
-// schedule is bit-for-bit identical — whatever the count (the registry
-// is consulted between engine scheduling points only, so the mapping is
-// invisible to simulated programs).
+// NewSharded is New; shards is ignored, since the registry has one
+// layout. It stays only because benchmark/layers.go calls it (ROADMAP
+// item 1(b)).
 func NewSharded(words, shards int) *Memory {
-	return NewRecycled(words, shards, nil)
+	return New(words)
 }
-
-// setShards fixes the shard geometry for nLines. shards is rounded up to
-// a power of two and clamped to [1, maxShards].
-func (m *Memory) setShards(shards int) {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
-	shift := uint32(0)
-	for 1<<shift < shards {
-		shift++
-	}
-	n := uint32(1) << shift
-	m.shardMask = n - 1
-	m.shardShift = shift
-	// Slots per shard: enough for the highest slot index any line maps
-	// to, rounded up so each shard starts on its own cache line.
-	stride := (uint32(m.nLines-1) >> shift) + 1
-	m.stride = (stride + shardAlign - 1) &^ (shardAlign - 1)
-}
-
-// Shards returns the conflict registry's shard count.
-func (m *Memory) Shards() int { return int(m.shardMask) + 1 }
 
 // SetDoomer installs the HTM unit that receives conflict notifications.
 // It must be called before any transactional line registration.

@@ -332,3 +332,24 @@ func TestQuickRegistryConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestShardedRegistryZeroAllocs: registry accesses are the innermost
+// loop of every transactional load/store and must stay off the heap at
+// wide-machine width — 128 threads, where the reader sets span all four
+// topology.Set words.
+func TestShardedRegistryZeroAllocs(t *testing.T) {
+	m, _ := newTestMem(1 << 12)
+	base := m.AllocLines(4)
+	lines := []Line{LineOf(base), LineOf(base) + 1}
+	if avg := testing.AllocsPerRun(200, func() {
+		for hw := 0; hw < 128; hw++ {
+			m.RegisterRead(hw, base+Addr(hw%64))
+		}
+		m.RegisterWrite(3, base+LineWords)
+		for hw := 0; hw < 128; hw++ {
+			m.Unregister(hw, lines)
+		}
+	}); avg != 0 {
+		t.Fatalf("registry ops allocate %.1f allocs/op, want 0", avg)
+	}
+}

@@ -94,12 +94,6 @@ var Suite = []string{
 	"ssca2", "vacation-high", "vacation-low", "yada",
 }
 
-// FullSuite is Suite plus the two workloads the paper excludes from its
-// evaluation (bayes for nondeterministic structure-learning run times,
-// labyrinth for transactions exceeding TSX capacity). Opt-in via the
-// harness -full-suite flag; they have goldens of their own.
-var FullSuite = append(append([]string{}, Suite...), "bayes", "labyrinth")
-
 // ErrQueueTooSmall reports a workload whose operation pre-plan outgrew
 // its fixed-capacity transactional queue — a sizing error in the
 // instance parameters, returned by Setup instead of panicking.

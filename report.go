@@ -40,13 +40,13 @@ type Report struct {
 	// Phased policy ran (nil otherwise).
 	Phased *PhasedReport
 
-	// Quantum holds the engine's speculative-quantum counters when
-	// Config.SpeculativeQuantum > 0 (nil otherwise). Like the HTM
+	// Quantum holds the engine's speculative-quantum counters (never nil;
+	// every System speculates at DefaultSpeculativeQuantum). Like the HTM
 	// counters they accumulate across Runs on one System. The counters
 	// are engine diagnostics, not simulated-machine state: they are
-	// deliberately excluded from Summary, whose digest is invariant
-	// across SpeculativeQuantum settings (the determinism goldens and
-	// the differential fuzz target rely on that).
+	// deliberately excluded from Summary, whose digest must not depend on
+	// the speculation depth (the tests' per-tick reference engine and the
+	// differential fuzz target rely on that).
 	Quantum *QuantumReport
 
 	// Timeline is the interval-metrics series cut by the telemetry
@@ -353,11 +353,9 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 			STM:         stm,
 		}
 	}
-	if s.cfg.SpeculativeQuantum > 0 {
-		qr := &QuantumReport{}
-		qr.Grants, qr.Ticks, qr.Rollbacks, qr.RollbackTicks = s.eng.QuantumCounters()
-		r.Quantum = qr
-	}
+	qr := &QuantumReport{}
+	qr.Grants, qr.Ticks, qr.Rollbacks, qr.RollbackTicks = s.eng.QuantumCounters()
+	r.Quantum = qr
 	s.obs.Flush(makespan)
 	r.Timeline = s.obs.Timeline()
 	r.Inference = s.obs.Quality()

@@ -163,6 +163,10 @@ const (
 )
 
 // Config describes a simulated system: machine, HTM, memory and policy.
+// Every field is part of the simulated system or its observation; engine
+// mechanics such as the speculation depth (DefaultSpeculativeQuantum) are
+// not configurable, so no field can move a schedule without modelling
+// anything.
 type Config struct {
 	// Threads is the number of worker (= hardware) threads to use.
 	Threads int
@@ -234,18 +238,6 @@ type Config struct {
 	// spans — the cheap mode the telemetry timeline and `seerstat
 	// -explain` use. Implied by TraceAttempts.
 	AttributionCounters bool
-	// SpeculativeQuantum bounds the engine's speculative multi-tick
-	// quanta: the maximum number of pure compute ticks a thread may run
-	// past its conflict-free horizon without yielding, journaled in a
-	// per-thread undo log and rolled back if an earlier-virtual-time
-	// thread dooms the speculating transaction (DESIGN.md §6i). Meant as
-	// pure scheduling mechanics, and the exhibit goldens are identical at
-	// any setting; but a known bug (a spurious abort drawn as a quantum
-	// closes) still makes some cells differ between 0 and the default —
-	// at seed 1, three of the four benchmark workloads. 0 disables speculation;
-	// DefaultConfig enables it at DefaultSpeculativeQuantum. Negative
-	// values are rejected by Validate.
-	SpeculativeQuantum int
 	// Recycler, when non-nil, supplies the large simulator buffers
 	// (simulated memory words, registry line states, per-thread HTM
 	// contexts, the observability recorder's span, event and snapshot
@@ -265,29 +257,32 @@ type Recycler struct {
 	obs telemetry.Buffers
 }
 
-// DefaultSpeculativeQuantum is the speculative multi-tick quantum used by
-// DefaultConfig: deep enough to cover the long conflict-free compute
-// stretches of the STAMP-style workloads, small enough that a rollback
-// discards bounded work and the per-thread journal stays cache-resident
-// (two words per entry).
+// DefaultSpeculativeQuantum is the depth of the engine's speculative
+// multi-tick quanta: the maximum number of pure compute ticks a thread may
+// run past its conflict-free horizon without yielding, journaled in a
+// per-thread undo log and rolled back if an earlier-virtual-time thread
+// dooms the speculating transaction (DESIGN.md §6i). Every System runs at
+// this depth; it is engine mechanics, not configuration. Deep enough to
+// cover the long conflict-free compute stretches of the STAMP-style
+// workloads, small enough that a rollback discards bounded work and the
+// per-thread journal stays cache-resident (two words per entry).
 const DefaultSpeculativeQuantum = 64
 
 // DefaultConfig mirrors the paper's testbed: 8 hardware threads on 4
 // physical cores, 5 hardware attempts, full Seer options.
 func DefaultConfig() Config {
 	return Config{
-		Threads:            8,
-		PhysCores:          4,
-		Seed:               1,
-		MemWords:           1 << 20,
-		NumAtomicBlocks:    1,
-		MaxAttempts:        5,
-		Policy:             PolicySeer,
-		Seer:               core.DefaultOptions(),
-		HTM:                htm.DefaultConfig(),
-		Cost:               machine.DefaultCostModel(),
-		MaxCycles:          0,
-		SpeculativeQuantum: DefaultSpeculativeQuantum,
+		Threads:         8,
+		PhysCores:       4,
+		Seed:            1,
+		MemWords:        1 << 20,
+		NumAtomicBlocks: 1,
+		MaxAttempts:     5,
+		Policy:          PolicySeer,
+		Seer:            core.DefaultOptions(),
+		HTM:             htm.DefaultConfig(),
+		Cost:            machine.DefaultCostModel(),
+		MaxCycles:       0,
 	}
 }
 
@@ -309,7 +304,6 @@ var (
 	ErrMaxAttempts     = errors.New("seer: MaxAttempts must be positive")
 	ErrHWThreads       = errors.New("seer: HWThreads < Threads")
 	ErrPolicy          = errors.New("seer: unknown policy")
-	ErrQuantum         = errors.New("seer: SpeculativeQuantum must be non-negative")
 )
 
 // valid reports whether p names a registered policy.
@@ -365,9 +359,6 @@ func (c Config) Validate() error {
 	if !c.Policy.valid() {
 		return fmt.Errorf("%w %q", ErrPolicy, c.Policy)
 	}
-	if c.SpeculativeQuantum < 0 {
-		return fmt.Errorf("%w, got %d", ErrQuantum, c.SpeculativeQuantum)
-	}
 	topo, err := c.machineTopology()
 	if err != nil {
 		return err
@@ -376,14 +367,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: topology %s has %d < %d", ErrHWThreads,
 			topo, topo.Threads(), c.Threads)
 	}
-	mach := machine.Config{
-		Topo:        topo,
-		Seed:        c.Seed,
-		MaxCycles:   c.MaxCycles,
-		Cost:        c.Cost,
-		SpecQuantum: c.SpeculativeQuantum,
-	}
-	return mach.Validate()
+	return machine.Config{Topo: topo}.Validate()
 }
 
 // Worker is the code run by one thread of the simulated program.
@@ -406,6 +390,13 @@ type System struct {
 // per Run for meaningful statistics, though repeated Runs are allowed and
 // accumulate counters.
 func NewSystem(cfg Config) (*System, error) {
+	return newSystem(cfg, DefaultSpeculativeQuantum)
+}
+
+// newSystem is NewSystem with the engine's speculation depth as a
+// parameter. Only the tests choose another depth: 0 is the per-tick
+// reference engine every speculated schedule must reproduce.
+func newSystem(cfg Config, quantum int) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -419,7 +410,7 @@ func NewSystem(cfg Config) (*System, error) {
 		Seed:        cfg.Seed,
 		MaxCycles:   cfg.MaxCycles,
 		Cost:        cfg.Cost,
-		SpecQuantum: cfg.SpeculativeQuantum,
+		SpecQuantum: quantum,
 	}
 	eng, err := machine.New(mach)
 	if err != nil {
@@ -441,13 +432,11 @@ func NewSystem(cfg Config) (*System, error) {
 	eng.SetLockWordOps(
 		func(hw int, key uint64) uint64 { return m.DirectLoad(hw, mem.Addr(key)) },
 		func(hw int, key uint64, v uint64) { m.DirectStore(hw, mem.Addr(key), v) })
-	if cfg.SpeculativeQuantum > 0 {
-		// Peek (the one tickless shared read — spinlock.LockedFast funnels
-		// through it) must close an open speculative quantum before reading,
-		// or a speculated poll would see lock words from before earlier
-		// virtual-time threads ran. See machine.Engine.SpecBarrier.
-		s.mem.SetSpecBarrier(eng.SpecBarrier)
-	}
+	// Peek (the one tickless shared read — spinlock.LockedFast funnels
+	// through it) must close an open speculative quantum before reading,
+	// or a speculated poll would see lock words from before earlier
+	// virtual-time threads ran. See machine.Engine.SpecBarrier.
+	s.mem.SetSpecBarrier(eng.SpecBarrier)
 	if cfg.RemoteAccessCost > 0 && topo.Sockets > 1 {
 		// NUMA model: cache lines are interleaved across sockets by line
 		// index; touching a line homed on another socket costs extra
@@ -508,6 +497,7 @@ func (s *System) newRecorder(topo topology.Topology, buf *telemetry.Buffers) *te
 		// mechanics, not workload data conflicts: keep them out of the
 		// ground-truth matrix (spans still carry their attribution).
 		IgnoredLines: []mem.Line{mem.LineOf(s.sgl.Addr())},
+		Quantum:      s.eng.QuantumCounters,
 	}
 	if sched := s.sched; sched != nil {
 		o.Scheduler = func() (float64, float64, int, uint64) {
@@ -518,9 +508,6 @@ func (s *System) newRecorder(topo topology.Topology, buf *telemetry.Buffers) *te
 			sched.SnapshotLearned(dst)
 			return sched.Scheme()
 		}
-	}
-	if cfg.SpeculativeQuantum > 0 {
-		o.Quantum = s.eng.QuantumCounters
 	}
 	if pp, ok := s.pol.(*policy.Phased); ok {
 		o.Phase = pp.PhaseCounters
