@@ -11,15 +11,22 @@
 //	seerstat -workload intruder -threads 8 -scale 0.5 [-policy Seer]
 //	seerstat -workload intruder -threads 32 -topology 2s8c2t [-remote-cost n]
 //	seerstat -workload intruder -explain
-//	seerstat -workload hashmap -spans-jsonl spans.jsonl -spans-chrome spans.json -conflict-dot graph.dot
+//	seerstat -workload intruder -trace 20 -chrome-trace trace.json
+//	seerstat -workload hashmap -spans-jsonl spans.jsonl -conflict-dot graph.dot
 //
 // -explain enables the ground-truth abort-attribution subsystem and
 // prints the conflict digest real hardware cannot produce: the top
 // aborting block pairs (victim ← aborter), the hottest conflicting cache
 // lines, abort cascade depths and — under the Seer policy — the
 // inference-quality trajectory of the learned locks against the true
-// conflict graph. The spans/DOT flags export per-attempt spans (JSONL or
-// Chrome trace-event) and the weighted conflict graph (Graphviz).
+// conflict graph. The spans/DOT flags export per-attempt spans (JSON
+// Lines) and the weighted conflict graph (Graphviz).
+//
+// -chrome-trace writes one Chrome trace-event document (chrome://tracing,
+// Perfetto): the attempt spans as slices on one track per hardware
+// thread, and the runtime events as instants and a thresholds counter. It
+// turns on span retention and an event log of at least 65536 events;
+// -trace N only limits the dump printed to stdout.
 //
 // -timeline also prints the simulator's own efficiency counters, among
 // them the engine's speculative quanta. Speculation always runs, at
@@ -206,11 +213,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		interval   = fs.Uint64("metrics-interval", 0, "telemetry snapshot period in cycles (0 = harness default when -timeline/-timeline-* set, else disabled)")
 		csvPath    = fs.String("timeline-csv", "", "write the timeline as CSV to FILE")
 		jsonlPath  = fs.String("timeline-jsonl", "", "write the timeline as JSON Lines to FILE")
-		chromePath = fs.String("chrome-trace", "", "write a Chrome trace-event JSON document to FILE (enables tracing)")
+		chromePath = fs.String("chrome-trace", "", "write attempt spans and runtime events as one Chrome trace-event document to FILE (enables span tracing and the event log)")
 		explain    = fs.Bool("explain", false, "print the abort-attribution digest: top conflicting block pairs, hot lines, cascade depths, inference quality")
 		explainK   = fs.Int("explain-top", 10, "explain: number of pairs/lines to list")
 		spansJSONL = fs.String("spans-jsonl", "", "write per-attempt spans as JSON Lines to FILE (enables span tracing)")
-		spansChrom = fs.String("spans-chrome", "", "write per-attempt spans as a Chrome trace-event document to FILE (enables span tracing)")
 		dotPath    = fs.String("conflict-dot", "", "write the ground-truth conflict graph as Graphviz DOT to FILE (enables attribution)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -244,10 +250,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg := spec.Config(wl, *seed)
 	cfg.TraceEvents = *traceN
-	if *chromePath != "" && cfg.TraceEvents == 0 {
-		cfg.TraceEvents = 1 << 16
+	if *chromePath != "" {
+		cfg.TraceEvents = max(*traceN, 1<<16)
 	}
-	cfg.TraceAttempts = *spansJSONL != "" || *spansChrom != ""
+	cfg.TraceAttempts = *spansJSONL != "" || *chromePath != ""
 	sys, rep, err := stamp.Run(wl, cfg)
 	if err != nil {
 		return fail(err)
@@ -262,7 +268,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{*jsonlPath, rep.WriteTimelineJSONL},
 		{*chromePath, obs.WriteChromeTrace},
 		{*spansJSONL, obs.WriteSpansJSONL},
-		{*spansChrom, obs.WriteChromeSpans},
 		{*dotPath, obs.WriteDOT},
 	} {
 		if out.path == "" {
@@ -326,6 +331,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *traceN > 0 {
 		events := obs.Events()
+		events = events[max(len(events)-*traceN, 0):]
 		fmt.Fprintf(stdout, "\nLast %d runtime events (%s):\n", *traceN, telemetry.FormatSummary(events))
 		telemetry.DumpEvents(stdout, events, kinds)
 	}

@@ -30,10 +30,10 @@ func seerstat(t *testing.T, args ...string) string {
 	return stdout.String()
 }
 
-// eventLines returns the lines of the -trace dump that follow its header.
-func eventLines(t *testing.T, out string) []string {
+// eventLines returns the lines of the -trace n dump that follow its header.
+func eventLines(t *testing.T, out string, n int) []string {
 	t.Helper()
-	_, dump, found := strings.Cut(out, "\nLast 2000 runtime events (")
+	_, dump, found := strings.Cut(out, fmt.Sprintf("\nLast %d runtime events (", n))
 	if !found {
 		t.Fatalf("no event dump in output:\n%s", out)
 	}
@@ -46,7 +46,7 @@ func eventLines(t *testing.T, out string) []string {
 func TestTraceDumpUnderEveryPolicy(t *testing.T) {
 	for _, pol := range []string{"RTM", "Seer"} {
 		out := seerstat(t, "-policy", pol, "-trace", "2000")
-		if got := len(eventLines(t, out)); got != 2000 {
+		if got := len(eventLines(t, out, 2000)); got != 2000 {
 			t.Errorf("-policy %s -trace 2000 dumped %d events, want 2000", pol, got)
 		}
 		if hasScheme := strings.Contains(out, "Locking scheme (locksToAcquire)"); hasScheme != (pol == "Seer") {
@@ -57,7 +57,7 @@ func TestTraceDumpUnderEveryPolicy(t *testing.T) {
 
 // TestTraceKindsFilter: -trace-kinds keeps only the named kinds in the dump.
 func TestTraceKindsFilter(t *testing.T) {
-	lines := eventLines(t, seerstat(t, "-policy", "RTM", "-trace", "2000", "-trace-kinds", "abort"))
+	lines := eventLines(t, seerstat(t, "-policy", "RTM", "-trace", "2000", "-trace-kinds", "abort"), 2000)
 	if len(lines) == 0 {
 		t.Fatalf("abort filter left nothing of a contended run's last 2000 events")
 	}
@@ -69,6 +69,30 @@ func TestTraceKindsFilter(t *testing.T) {
 	var stderr bytes.Buffer
 	if code := run([]string{"-trace-kinds", "bogus"}, &bytes.Buffer{}, &stderr); code != 1 || !strings.Contains(stderr.String(), "bogus") {
 		t.Errorf("unknown kind: exit %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestChromeTraceIgnoresTraceN: -chrome-trace sizes its own event log, so
+// adding -trace N leaves the trace file byte-identical and only limits the
+// stdout dump to the last N events.
+func TestChromeTraceIgnoresTraceN(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(name string, args ...string) (doc []byte, stdout string) {
+		path := filepath.Join(dir, name)
+		stdout = seerstat(t, append(args, "-scale", "0.1", "-chrome-trace", path)...)
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc, stdout
+	}
+	alone, _ := trace("alone.json")
+	withN, out := trace("with-trace.json", "-trace", "5")
+	if !bytes.Equal(alone, withN) {
+		t.Errorf("-trace 5 changed the Chrome trace: %d bytes alone, %d with -trace 5", len(alone), len(withN))
+	}
+	if got := len(eventLines(t, out, 5)); got != 5 {
+		t.Errorf("-trace 5 -chrome-trace dumped %d events, want 5", got)
 	}
 }
 
@@ -161,7 +185,7 @@ var flagCallers = map[string]string{
 	"-workload -threads -scale -seed -policy": "every inspection", "-topology -remote-cost": "CI wide smokes",
 	"-summary": "CI digest smokes", "-json": "rendered-outputs golden", "-trace -trace-kinds": "TUTORIAL event dumps",
 	"-timeline -metrics-interval": "TUTORIAL timelines", "-explain -explain-top": "TUTORIAL attribution",
-	"-timeline-csv -timeline-jsonl -chrome-trace -spans-jsonl -spans-chrome -conflict-dot": "observability exports",
+	"-timeline-csv -timeline-jsonl -chrome-trace -spans-jsonl -conflict-dot": "observability exports",
 }
 
 // TestFlagTable: the flag set and flagCallers name the same flags.

@@ -16,7 +16,7 @@ import (
 // artifacts for same-seed runs. An exporter whose sink is off returns one
 // of the errors below.
 var (
-	errNoEvents      = errors.New("telemetry: event log disabled (set Config.TraceEvents)")
+	errNoTrace       = errors.New("telemetry: event log and span tracing disabled (set Config.TraceEvents or Config.TraceAttempts)")
 	errNoSpans       = errors.New("telemetry: span tracing disabled (set Config.TraceAttempts)")
 	errNoAttribution = errors.New("telemetry: attribution disabled (set Config.TraceAttempts or Config.AttributionCounters)")
 )
@@ -102,115 +102,11 @@ func WriteJSONL(w io.Writer, snaps []Snapshot) error {
 	return nil
 }
 
-// --- Event log ---
-
-// chromeEvent is one entry of the Chrome trace-event format (the JSON
-// array flavour readable by chrome://tracing and Perfetto). Field order
-// is fixed by the struct, keeping the export deterministic.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   uint64         `json:"ts"`
-	Dur  uint64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"` // instant-event scope
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// WriteChromeTrace synthesizes a Chrome trace-event JSON document from
-// the retained event log: begin→commit/abort windows become duration
-// ("X") slices per hardware thread, threshold re-tunings become counter
-// ("C") tracks, and every other kind becomes an instant event carrying its
-// payload. Virtual cycles are mapped 1:1 onto the format's microsecond
-// timestamps.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	if r == nil || len(r.ring.events) == 0 {
-		return errNoEvents
-	}
-	type openTx struct {
-		start uint64
-		tx    int16
-		live  bool
-	}
-	events := r.Events()
-	open := map[int16]*openTx{}
-	out := make([]chromeEvent, 0, len(events))
-	for _, e := range events {
-		// Most kinds render as a thread-scoped instant; the cases below
-		// fill in the name and arguments, or emit something else entirely.
-		ce := chromeEvent{Name: e.Kind.String(), Ph: "i", Ts: e.Cycle, Tid: int(e.HW), S: "t"}
-		switch e.Kind {
-		case EvBegin:
-			open[e.HW] = &openTx{start: e.Cycle, tx: e.TxID, live: true}
-			continue
-		case EvCommit, EvAbort:
-			ce.Name = fmt.Sprintf("tx%d", e.TxID)
-			ce.Args = map[string]any{"outcome": e.Kind.String()}
-			if e.Kind == EvAbort {
-				ce.Args["status"] = fmt.Sprintf("%#x", e.Detail)
-			}
-			// When the begin fell out of the ring buffer the outcome stays
-			// an instant, so the tail of the log still renders.
-			if o := open[e.HW]; o != nil && o.live && o.tx == e.TxID {
-				o.live = false
-				ce.Ph, ce.S, ce.Ts, ce.Dur = "X", "", o.start, e.Cycle-o.start
-			}
-		case EvFallback:
-			ce.Name, ce.Args = "sgl-fallback", map[string]any{"tx": e.TxID}
-		case EvLockAcq, EvLockRel:
-			ce.Name = "lock-release"
-			if e.Kind == EvLockAcq {
-				ce.Name = "lock-acquire"
-			}
-			kind := "tx"
-			if LockKind(e.Detail2) != LockTx {
-				kind = "core"
-			}
-			ce.Args = map[string]any{"lock": e.Detail, "kind": kind}
-		case EvWait:
-			ce.Args = map[string]any{"tx": e.TxID}
-		case EvScheme:
-			ce.Name, ce.S, ce.Args = "scheme-update", "p", map[string]any{"pairs": e.Detail}
-		case EvTune:
-			ce.Name, ce.Ph, ce.S = "thresholds", "C", ""
-			ce.Args = map[string]any{
-				"th1": float64(math.Float32frombits(e.Detail)),
-				"th2": float64(math.Float32frombits(e.Detail2)),
-			}
-		case EvPhase:
-			// Process-scoped, so the global mode change (0=HW, 1=SW,
-			// 2=GLOCK) reads as a vertical line in Perfetto.
-			ce.S, ce.Args = "p", map[string]any{"to": e.Detail, "from": e.Detail2}
-		case EvDoom:
-			hw, block := UnpackAborter(e.Detail2)
-			ce.Args = map[string]any{
-				"victim_tx": e.TxID, "line": e.Detail, "aborter_hw": hw, "aborter_block": block,
-			}
-		}
-		out = append(out, ce)
-	}
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{TraceEvents: out, DisplayTimeUnit: "ns"}
-	return json.NewEncoder(w).Encode(doc)
-}
-
 // --- Attempt spans ---
 
-// spanThreads returns the handles whose spans the span exporters walk, or
-// an error when span retention is off.
-func (r *Recorder) spanThreads() ([]Thread, error) {
-	if a := r.attribution(); a == nil || !a.spans {
-		return nil, errNoSpans
-	}
-	return r.threads, nil
-}
-
-// writeAbortArgs renders the abort-only JSON members shared by both span
-// exporters; hand-rolled so field order and number formatting are stable
-// across Go versions.
+// writeAbortArgs renders the abort-only JSON members shared by the span
+// JSONL lines and the Chrome trace's attempt slices; hand-rolled so field
+// order and number formatting are stable across Go versions.
 func writeAbortArgs(w io.Writer, sp Span) {
 	if sp.Outcome != OutcomeAbort {
 		return
@@ -225,13 +121,12 @@ func writeAbortArgs(w io.Writer, sp Span) {
 // per line, ordered by (hardware thread, begin cycle) — the per-thread
 // buffers are already chronological.
 func (r *Recorder) WriteSpansJSONL(w io.Writer) error {
-	threads, err := r.spanThreads()
-	if err != nil {
-		return err
+	if r == nil || !r.opt.Spans {
+		return errNoSpans
 	}
 	bw := bufio.NewWriter(w)
-	for i := range threads {
-		for _, sp := range threads[i].spans {
+	for i := range r.threads {
+		for _, sp := range r.threads[i].spans {
 			fmt.Fprintf(bw, `{"begin":%d,"end":%d,"hw":%d,"block":%d,"retry":%d,"outcome":%q`,
 				sp.Begin, sp.End, sp.HW, sp.Block, sp.Retry, sp.Outcome.String())
 			writeAbortArgs(bw, sp)
@@ -241,33 +136,82 @@ func (r *Recorder) WriteSpansJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteChromeSpans renders the attempt spans as Chrome trace-event
-// complete events ("X" phase), one track per hardware thread, loadable
-// in chrome://tracing or Perfetto. Abort spans carry the attribution in
-// args.
-func (r *Recorder) WriteChromeSpans(w io.Writer) error {
-	threads, err := r.spanThreads()
-	if err != nil {
-		return err
+// --- Chrome trace ---
+
+// WriteChromeTrace renders one Chrome trace-event JSON document, loadable
+// in chrome://tracing or Perfetto, in which each sink that is on draws its
+// own tracks. Every retained attempt span is a complete ("X") slice on its
+// hardware thread's track, with the abort attribution in args. Every
+// retained event is an instant carrying its payload, except threshold
+// re-tunings, which draw a counter ("C") track, and — when spans are on —
+// the begin/commit/abort/fallback events the slices already draw. Virtual
+// cycles map 1:1 onto the format's microsecond timestamps. It errors only
+// when both the event log and span retention are off.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	spans := r != nil && r.opt.Spans
+	if !spans && (r == nil || len(r.ring.events) == 0) {
+		return errNoTrace
 	}
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, `{"traceEvents":[`)
-	first := true
-	for i := range threads {
-		for _, sp := range threads[i].spans {
-			if !first {
-				fmt.Fprintln(bw, ",")
+	fmt.Fprint(bw, `{"traceEvents":[`)
+	sep := "\n"
+	entry := func(format string, a ...any) {
+		fmt.Fprint(bw, sep)
+		sep = ",\n"
+		fmt.Fprintf(bw, format, a...)
+	}
+	if spans {
+		for i := range r.threads {
+			for _, sp := range r.threads[i].spans {
+				entry(`{"name":"tx%d/%s","cat":"attempt","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"retry":%d`,
+					sp.Block, sp.Outcome.String(), sp.Begin, max(sp.End-sp.Begin, 1), sp.HW, sp.Retry)
+				writeAbortArgs(bw, sp)
+				fmt.Fprint(bw, `}}`)
 			}
-			first = false
-			dur := max(sp.End-sp.Begin, 1)
-			fmt.Fprintf(bw,
-				`{"name":"tx%d/%s","cat":"attempt","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"retry":%d`,
-				sp.Block, sp.Outcome.String(), sp.Begin, dur, sp.HW, sp.Retry)
-			writeAbortArgs(bw, sp)
-			fmt.Fprint(bw, `}}`)
 		}
 	}
-	fmt.Fprintln(bw, "\n]}")
+	for _, e := range r.Events() {
+		if spans && e.Kind <= EvFallback {
+			continue // begin, commit, abort, fallback: a slice draws each
+		}
+		// A thread-scoped instant named by the kind's mnemonic, carrying the
+		// block, unless the case below says otherwise.
+		name, ph, scope, args := e.Kind.String(), "i", `,"s":"t"`, fmt.Sprintf(`"tx":%d`, e.TxID)
+		switch e.Kind {
+		case EvCommit, EvAbort:
+			name, args = fmt.Sprintf("tx%d", e.TxID), fmt.Sprintf(`"outcome":"%s"`, e.Kind)
+			if e.Kind == EvAbort {
+				args += fmt.Sprintf(`,"status":"%#x"`, e.Detail)
+			}
+		case EvFallback:
+			name = "sgl-fallback"
+		case EvLockAcq, EvLockRel:
+			name = "lock-release"
+			kind := "tx"
+			if e.Kind == EvLockAcq {
+				name = "lock-acquire"
+			}
+			if LockKind(e.Detail2) != LockTx {
+				kind = "core"
+			}
+			args = fmt.Sprintf(`"kind":"%s","lock":%d`, kind, e.Detail)
+		case EvScheme:
+			name, scope, args = "scheme-update", `,"s":"p"`, fmt.Sprintf(`"pairs":%d`, e.Detail)
+		case EvTune:
+			name, ph, scope = "thresholds", "C", ""
+			args = fmt.Sprintf(`"th1":%v,"th2":%v`,
+				float64(math.Float32frombits(e.Detail)), float64(math.Float32frombits(e.Detail2)))
+		case EvPhase:
+			// Process-scoped, so the global mode change (0=HW, 1=SW,
+			// 2=GLOCK) reads as a vertical line in Perfetto.
+			scope, args = `,"s":"p"`, fmt.Sprintf(`"from":%d,"to":%d`, e.Detail2, e.Detail)
+		case EvDoom:
+			hw, block := UnpackAborter(e.Detail2)
+			args = fmt.Sprintf(`"aborter_block":%d,"aborter_hw":%d,"line":%d,"victim_tx":%d`, block, hw, e.Detail, e.TxID)
+		}
+		entry(`{"name":"%s","ph":"%s","ts":%d,"pid":0,"tid":%d%s,"args":{%s}}`, name, ph, e.Cycle, e.HW, scope, args)
+	}
+	fmt.Fprintln(bw, "\n],\"displayTimeUnit\":\"ns\"}")
 	return bw.Flush()
 }
 

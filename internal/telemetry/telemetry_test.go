@@ -62,7 +62,6 @@ func TestNilRecorderAndShardAreNoOps(t *testing.T) {
 	for name, err := range map[string]error{
 		"WriteChromeTrace": r.WriteChromeTrace(&bytes.Buffer{}),
 		"WriteSpansJSONL":  r.WriteSpansJSONL(&bytes.Buffer{}),
-		"WriteChromeSpans": r.WriteChromeSpans(&bytes.Buffer{}),
 		"WriteDOT":         r.WriteDOT(&bytes.Buffer{}),
 		"WriteExplain":     r.WriteExplain(&bytes.Buffer{}, 5),
 	} {
@@ -82,6 +81,8 @@ func TestNilShardZeroAllocs(t *testing.T) {
 
 // TestSinksAreIndependent: every sink combination accepts the whole
 // vocabulary, and a sink that is off exposes nothing and errors on export.
+// The Chrome trace draws from the event log and the spans, so it errors
+// only when both are off.
 func TestSinksAreIndependent(t *testing.T) {
 	for _, o := range []Options{
 		{RingCapacity: 8},
@@ -110,7 +111,7 @@ func TestSinksAreIndependent(t *testing.T) {
 		if got := r.DoomHook() != nil; got != (o.Spans || o.Attribution) {
 			t.Errorf("%+v: doom hook offered = %v", o, got)
 		}
-		if err := r.WriteChromeTrace(&bytes.Buffer{}); (err == nil) != (o.RingCapacity > 0) {
+		if err := r.WriteChromeTrace(&bytes.Buffer{}); (err == nil) != (o.RingCapacity > 0 || o.Spans) {
 			t.Errorf("%+v: WriteChromeTrace err = %v", o, err)
 		}
 		if err := r.WriteSpansJSONL(&bytes.Buffer{}); (err == nil) != o.Spans {

@@ -68,8 +68,8 @@ func TestNilCollectorNoOps(t *testing.T) {
 	if err := c.WriteSpansJSONL(&bytes.Buffer{}); err == nil {
 		t.Error("WriteSpansJSONL on nil recorder must error")
 	}
-	if err := c.WriteChromeSpans(&bytes.Buffer{}); err == nil {
-		t.Error("WriteChromeSpans on nil recorder must error")
+	if err := c.WriteChromeTrace(&bytes.Buffer{}); err == nil {
+		t.Error("WriteChromeTrace on nil recorder must error")
 	}
 	if err := c.WriteDOT(&bytes.Buffer{}); err == nil {
 		t.Error("WriteDOT on nil recorder must error")
@@ -398,18 +398,32 @@ func TestRankDivergenceReversed(t *testing.T) {
 }
 
 // TestExporters smoke-tests the export formats on a tiny attributed
-// history: JSONL lines must parse, the Chrome document must be valid JSON,
-// and the DOT graph must name the participating blocks.
+// history: JSONL lines must parse, the Chrome document must be valid JSON
+// with each sink drawing its own entries, and the DOT graph must name the
+// participating blocks.
 func TestExporters(t *testing.T) {
-	c := collector(3, 2, true)
-	c.Thread(0).BlockEnter(0)
-	h := c.Thread(1)
-	h.BlockEnter(2)
-	h.AttemptBegin(100)
-	c.OnDoom(1, 0, mem.Line(8))
-	h.AttemptAbort(120, conflict)
-	h.AttemptBegin(130)
-	h.AttemptCommit(150)
+	// history records thread 1's conflict abort (doomed by thread 0 on
+	// line 8), its committed retry and a fall-back episode, with the
+	// attribution sink on plus the sinks in o.
+	history := func(o Options) *Recorder {
+		o.Threads, o.Blocks, o.Attribution = 2, 3, true
+		c := New(o)
+		c.Thread(0).BlockEnter(0)
+		h := c.Thread(1)
+		h.BlockEnter(2)
+		h.AttemptBegin(100)
+		c.OnDoom(1, 0, mem.Line(8))
+		h.AttemptAbort(120, conflict)
+		h.AttemptBegin(130)
+		h.AttemptCommit(150)
+		h.BlockExit()
+		h.BlockEnter(1)
+		h.Fallback(160)
+		h.FallbackEnd(170, 5)
+		h.BlockExit()
+		return c
+	}
+	c := history(Options{Spans: true})
 
 	var jsonl bytes.Buffer
 	if err := c.WriteSpansJSONL(&jsonl); err != nil {
@@ -429,22 +443,49 @@ func TestExporters(t *testing.T) {
 			}
 		}
 	}
-	if lines != 2 {
-		t.Errorf("got %d JSONL lines, want 2", lines)
+	if lines != 3 {
+		t.Errorf("got %d JSONL lines, want 3", lines)
 	}
 
-	var chrome bytes.Buffer
-	if err := c.WriteChromeSpans(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
-		t.Fatalf("Chrome document invalid: %v", err)
-	}
-	if len(doc.TraceEvents) != 2 {
-		t.Errorf("got %d trace events, want 2", len(doc.TraceEvents))
+	// Spans draw the attempt slices and the event log the instants; with
+	// both on, the log leaves begin/commit/abort/fallback to the slices.
+	for _, o := range []Options{{Spans: true}, {RingCapacity: 64}, {Spans: true, RingCapacity: 64}} {
+		var chrome bytes.Buffer
+		if err := history(o).WriteChromeTrace(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+			t.Fatalf("%+v: Chrome document invalid: %v\n%s", o, err, chrome.String())
+		}
+		slices, attemptEvents, other := 0, 0, 0
+		for _, e := range doc.TraceEvents {
+			name, _ := e["name"].(string)
+			switch {
+			case e["ph"] == "X":
+				slices++
+			case name == "begin" || name == "sgl-fallback" || strings.HasPrefix(name, "tx"):
+				attemptEvents++
+			default:
+				other++
+			}
+		}
+		wantSlices, wantAttemptEvents, wantOther := 0, 0, 0
+		if o.Spans {
+			wantSlices = 3
+		}
+		if o.RingCapacity > 0 {
+			wantOther = 1 // the doom
+			if !o.Spans {
+				wantAttemptEvents = 5 // two begins, the abort, the commit, the fall-back
+			}
+		}
+		if slices != wantSlices || attemptEvents != wantAttemptEvents || other != wantOther {
+			t.Errorf("%+v: %d slices, %d attempt events, %d other entries; want %d, %d, %d\n%s",
+				o, slices, attemptEvents, other, wantSlices, wantAttemptEvents, wantOther, chrome.String())
+		}
 	}
 
 	var dot bytes.Buffer

@@ -18,8 +18,8 @@ import (
 // TestObservabilityExportsGolden pins every observability export byte for
 // byte: one small fixed cell (Seer, 8 threads, a 6-block clique, all four
 // observability Config fields on) whose timeline CSV and JSONL, Chrome
-// event trace, spans JSONL, Chrome spans, conflict DOT, explain digest and
-// filtered event dump are concatenated and compared with
+// trace, spans JSONL, conflict DOT, explain digest and filtered event dump
+// are concatenated and compared with
 // testdata/observability.golden (regenerate with `go test -run
 // ObservabilityExportsGolden -update .`).
 func TestObservabilityExportsGolden(t *testing.T) {
@@ -53,9 +53,8 @@ func TestObservabilityExportsGolden(t *testing.T) {
 	section("timeline.csv", rep.WriteTimelineCSV)
 	section("timeline.jsonl", rep.WriteTimelineJSONL)
 	rec := sys.Recorder()
-	section("chrome-trace", sys.WriteChromeTrace)
+	section("chrome-trace", rec.WriteChromeTrace)
 	section("spans.jsonl", rec.WriteSpansJSONL)
-	section("spans-chrome", rec.WriteChromeSpans)
 	section("conflict.dot", rec.WriteDOT)
 	section("explain", func(w io.Writer) error { return rec.WriteExplain(w, 5) })
 	section("events", func(w io.Writer) error {

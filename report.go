@@ -295,11 +295,6 @@ func (r Report) WriteTimelineJSONL(w io.Writer) error {
 	return telemetry.WriteJSONL(w, r.Timeline)
 }
 
-// WriteChromeTrace synthesizes a Chrome trace-event JSON document
-// (loadable in chrome://tracing or Perfetto) from the system's retained
-// event log. It requires Config.TraceEvents > 0.
-func (s *System) WriteChromeTrace(w io.Writer) error { return s.obs.WriteChromeTrace(w) }
-
 // buildReport assembles the Report after a run.
 func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 	r := Report{

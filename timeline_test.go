@@ -9,7 +9,8 @@ import (
 )
 
 // buildTimelineSystem constructs a contended counter workload with
-// interval metrics (and optionally tracing) enabled.
+// interval metrics and, when traceN > 0, the event log and attempt spans
+// enabled.
 func buildTimelineSystem(t *testing.T, pol seer.PolicyKind, interval uint64, traceN int) (*seer.System, []seer.Worker) {
 	t.Helper()
 	cfg := seer.DefaultConfig()
@@ -21,6 +22,7 @@ func buildTimelineSystem(t *testing.T, pol seer.PolicyKind, interval uint64, tra
 	cfg.MaxCycles = 1 << 32
 	cfg.MetricsInterval = interval
 	cfg.TraceEvents = traceN
+	cfg.TraceAttempts = traceN > 0
 	sys, err := seer.NewSystem(cfg)
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
@@ -132,7 +134,7 @@ func TestTimelineExportsDeterministic(t *testing.T) {
 		if err := rep.WriteTimelineJSONL(&b2); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.WriteChromeTrace(&b3); err != nil {
+		if err := sys.Recorder().WriteChromeTrace(&b3); err != nil {
 			t.Fatal(err)
 		}
 		return b1.String(), b2.String(), b3.String()
@@ -156,15 +158,15 @@ func TestTimelineExportsDeterministic(t *testing.T) {
 	}
 }
 
-// TestChromeTraceRequiresTracing: synthesizing a Chrome trace without an
-// event log is an error, not silence.
+// TestChromeTraceRequiresTracing: synthesizing a Chrome trace with neither
+// an event log nor attempt spans is an error, not silence.
 func TestChromeTraceRequiresTracing(t *testing.T) {
 	sys, workers := buildTimelineSystem(t, seer.PolicyRTM, 0, 0)
 	if _, err := sys.Run(workers); err != nil {
 		t.Fatal(err)
 	}
 	var b bytes.Buffer
-	if err := sys.WriteChromeTrace(&b); err == nil {
+	if err := sys.Recorder().WriteChromeTrace(&b); err == nil {
 		t.Fatalf("WriteChromeTrace succeeded without tracing")
 	}
 }
