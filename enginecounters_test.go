@@ -1,6 +1,7 @@
 package seer_test
 
 import (
+	"fmt"
 	"testing"
 
 	"seer"
@@ -12,6 +13,14 @@ import (
 // makes every kind of engine-side step occur — to its exact values: the
 // counters are as deterministic as the schedule, so any drift is a change
 // in how the engine delivers events, not noise.
+//
+// With eager wakes the cell took 45 926 acquire steps, 34 693 resumes and
+// 2 599 replays. A release now queues only the acquirer that can win; each
+// of the 13 631 settled losers is a poll, or a poll, lost CAS and re-poll,
+// that no event delivers any more, which leaves 5 016 steps. The deferred
+// acquirers no longer shorten the other threads' batch horizons either, so
+// fewer ticks yield (23 392 resumes) or outrun a horizon into a quantum
+// (1 793 replays).
 func TestEngineCountersHLECell(t *testing.T) {
 	wl, err := stamp.New("intruder", 0.2)
 	if err != nil {
@@ -24,8 +33,123 @@ func TestEngineCountersHLECell(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sys.EngineCounters()
-	want := seer.EngineCounters{Resumes: 34693, AcquireSteps: 45926, Replays: 2599}
-	if got != want || got.Events() != 83218 {
-		t.Errorf("engine counters = %+v (%d events), want %+v (83218 events)", got, got.Events(), want)
+	want := seer.EngineCounters{Resumes: 23392, AcquireSteps: 5016, Replays: 1793, Settled: 13631}
+	if got != want || got.Events() != 30201 {
+		t.Errorf("engine counters = %+v (%d events), want %+v (30201 events)", got, got.Events(), want)
+	}
+}
+
+// TestEngineCountersSGLHerd pins a 128-thread cell whose fall-backs pile
+// up on the single global lock — intruder under RTM on 4s16c2t — where a
+// release finds up to 127 acquirers parked: nearly all of them are
+// settled at the winning store instead of stepped through the queue.
+// With eager wakes the cell took 162 607 acquire steps and 189 688
+// events; settling 51 600 losers leaves 4 973 steps and 29 201 events.
+func TestEngineCountersSGLHerd(t *testing.T) {
+	topo, err := seer.ParseTopology("4s16c2t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wl, err := stamp.New("intruder", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stamp.Config(wl, 128, topo)
+	cfg.Policy = seer.PolicyRTM
+	sys, _, err := stamp.Run(wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sys.EngineCounters()
+	want := seer.EngineCounters{Resumes: 23611, AcquireSteps: 4973, Replays: 617, Settled: 51600}
+	if got.Settled == 0 || got != want {
+		t.Errorf("engine counters = %+v, want %+v", got, want)
+	}
+}
+
+// runHerdCell is stamp.Run with eager wakes forced when eager is set.
+func runHerdCell(t *testing.T, wl stamp.Workload, cfg seer.Config, eager bool) (seer.Report, seer.EngineCounters) {
+	t.Helper()
+	sys, err := seer.NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Setup(sys); err != nil {
+		t.Fatal(err)
+	}
+	if eager {
+		sys.ForceEagerWakes()
+	}
+	rep, err := sys.Run(wl.Workers(cfg.Threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Validate(sys); err != nil {
+		t.Fatal(err)
+	}
+	return rep, sys.EngineCounters()
+}
+
+// TestLazyHerdCostModels: the lazy herd's closed form is written in
+// LockOp, SpinQuantum and DirectLoad, which seer.Config.Cost makes public.
+// With each of them halved and doubled, herd cells — the single global
+// lock under RTM at 128 threads, Seer's transaction and core locks taken
+// by multi-CAS at 32 threads, and HLE's convoy at 8 — must report exactly
+// what they report with eager wakes, and the lazy run must still settle
+// deferred acquirers.
+func TestLazyHerdCostModels(t *testing.T) {
+	cells := []struct {
+		scale   float64
+		threads int
+		topo    string
+		policy  seer.PolicyKind
+	}{
+		{0.02, 128, "4s16c2t", seer.PolicyRTM},
+		{0.05, 32, "2s8c2t", seer.PolicySeer},
+		{0.1, 8, "", seer.PolicyHLE},
+	}
+	costs := []struct {
+		name string
+		f    func(*seer.CostModel) *uint64
+	}{
+		{"LockOp", func(c *seer.CostModel) *uint64 { return &c.LockOp }},
+		{"SpinQuantum", func(c *seer.CostModel) *uint64 { return &c.SpinQuantum }},
+		{"DirectLoad", func(c *seer.CostModel) *uint64 { return &c.DirectLoad }},
+	}
+	for _, cell := range cells {
+		var topo seer.Topology
+		if cell.topo != "" {
+			var err error
+			if topo, err = seer.ParseTopology(cell.topo); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wl, err := stamp.New("intruder", cell.scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cost := range costs {
+			for _, scale := range []func(uint64) uint64{
+				func(v uint64) uint64 { return v / 2 },
+				func(v uint64) uint64 { return v * 2 },
+			} {
+				cfg := stamp.Config(wl, cell.threads, topo)
+				cfg.Policy = cell.policy
+				p := cost.f(&cfg.Cost)
+				*p = scale(*p)
+				name := fmt.Sprintf("%s/%dT %s=%d", cell.policy, cell.threads, cost.name, *p)
+				lazy, counters := runHerdCell(t, wl, cfg, false)
+				eager, _ := runHerdCell(t, wl, cfg, true)
+				if lazy.Summary() != eager.Summary() {
+					t.Errorf("%s: report differs from eager wakes'\nlazy:\n%s\neager:\n%s", name, lazy.Summary(), eager.Summary())
+				}
+				if counters.Settled == 0 {
+					t.Errorf("%s: no deferred acquirer was settled", name)
+				}
+				if s := lazy.Seer; s != nil && s.MultiCASOk+s.MultiCASFail == 0 {
+					t.Errorf("%s: no multi-CAS ran", name)
+				}
+			}
+		}
 	}
 }

@@ -4,3 +4,9 @@ package seer
 // k instead of DefaultSpeculativeQuantum; k = 0 is the per-tick reference
 // engine the quantum tests compare against.
 func NewSystemQuantum(cfg Config, k int) (*System, error) { return newSystem(cfg, k) }
+
+// ForceEagerWakes installs a no-op tick hook. With any tick hook the
+// engine queues every acquirer a lock release finds parked instead of only
+// the one that can win (machine.Ctx.WakeKey), so this is the eager
+// reference the lazy herd must be invisible against.
+func (s *System) ForceEagerWakes() { s.eng.SetTickHook(func(uint64) {}) }

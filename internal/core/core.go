@@ -458,7 +458,7 @@ func (s *Seer) acquireTxLocks(t *ThreadState, txID int) {
 	if s.opts.HTMLockAcq && len(row) >= 2 {
 		status := s.htm.Run(t.Ctx, func(tx *htm.Tx) {
 			for _, id := range row {
-				s.lockFor(t, id).AcquireTx(tx, t.Ctx.ID())
+				s.lockFor(t, id).AcquireTx(tx, t.Ctx)
 			}
 		})
 		if status == 0 {

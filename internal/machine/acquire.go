@@ -18,11 +18,14 @@ package machine
 // so the wake queues it polling and the loop runs that poll too. This is
 // the one place the engine polls a lock word. The coroutine resumes
 // exactly once, after the winning store, and AcquireWord returns with the
-// lock held.
+// lock held. With no tick hook, a release queues only the acquirer that
+// can win (Ctx.WakeKey), and the winning store settles the others' losing
+// steps in closed form (settleHerd).
 //
-// This is delegation, not speculation: nothing runs ahead of virtual
-// time, so no undo log is needed and the observable streams are
-// byte-identical to the per-tick engine by construction.
+// This is delegation, not speculation: nothing runs ahead of virtual time
+// except a settled loser's steps, which no other thread can observe, so
+// no undo log is needed and the observable streams are byte-identical to
+// the per-tick engine.
 
 // acquireStep status codes.
 const (
@@ -115,6 +118,9 @@ func (e *Engine) acquireStep(t *Ctx, horizon uint64, fired bool) (nextCycle uint
 		free := e.lockLoad(t.id, t.parkKey) == 0
 		if t.acqCAS && free {
 			e.lockStore(t.id, t.parkKey, t.acqOwner)
+			if !e.herd.Empty() {
+				e.settleHerd(t)
+			}
 			return 0, acqDone
 		}
 		if !t.acqCAS && !free {
@@ -124,4 +130,87 @@ func (e *Engine) acquireStep(t *Ctx, horizon uint64, fired bool) (nextCycle uint
 		// lost the race to another acquirer goes back to polling.
 		t.acqCAS = !t.acqCAS
 	}
+}
+
+// settleHerd runs the protocol of every acquirer deferred on w's word from
+// its recorded poll boundary b, in closed form, once w's winning store
+// lands at (s, w). Each of them loses: w polled at or before the first
+// boundary, so every deferred CAS lands after s, and the word stays held
+// until at least s + LockOp, since only its holder stores it. Their loads
+// doom nobody: the only transactional writer of a lock word
+// (spinlock.AcquireTx) reads it first and aborts on a held one. A poll
+// ordered after the store reads the word held and re-parks at b; an
+// earlier one read it free, and its CAS at b + LockOp fails and the poll
+// after it re-parks at b + LockOp + DirectLoad. A step at or past
+// s + LockOp (or the MaxCycles cap) is not settled: it is queued as the
+// event eager wakes would have left queued.
+func (e *Engine) settleHerd(w *Ctx) {
+	cost := &e.cfg.Cost
+	store := event{cycle: w.clock, id: int32(w.id)}.key()
+	lim := min(w.clock+cost.LockOp, e.maxCap)
+	e.herd.ForEach(func(id int) {
+		t := e.threads[id]
+		if t.parkKey != w.parkKey {
+			return
+		}
+		e.herd.Remove(id)
+		b := t.herdB
+		steps := [3]uint64{b, b + cost.LockOp, b + cost.LockOp + cost.DirectLoad} // poll, CAS, re-poll
+		n := 3
+		if (event{cycle: b, id: int32(id)}).key() < store {
+			n = 1 // the poll follows the store
+		} else if (event{cycle: steps[1], id: int32(id)}).key() > store {
+			panic("machine: a deferred acquirer's CAS precedes the winning store")
+		}
+		for i, c := range steps[:n] {
+			if c >= lim {
+				e.herdStep(t, b, c, i)
+				return
+			}
+		}
+		t.skipTo(b)
+		t.herdB, t.clock = 0, steps[n-1]
+		e.count.Settled++
+	})
+	w.batchLimit = e.horizonFor(int32(w.id))
+}
+
+// herdStep takes deferred acquirer t, woken at boundary b, off the herd
+// and queues protocol step i at cycle c — 0 the poll at b, 1 the CAS, 2
+// the re-poll after a lost CAS — as the event eager wakes would have
+// queued.
+func (e *Engine) herdStep(t *Ctx, b, c uint64, i int) {
+	if i == 0 {
+		e.wake(t, b)
+		return
+	}
+	t.skipTo(b)
+	t.herdB, t.clock, t.acqCAS = 0, c, i == 1
+	t.setState(acquiring)
+	e.queue.push(event{cycle: c, id: int32(t.id)})
+}
+
+// MaterializeHerd queues every acquirer deferred on key's word where eager
+// wakes had it at the caller's position: no store has reached the word
+// since the release, so a deferred poll ordered before the caller has
+// read it free and waits on its CAS at b + LockOp, and a later one is
+// still due at b. spinlock.AcquireTx calls it right after its
+// transactional write to a free lock word registers, so every doom the
+// eager polls owe that transaction lands where it does with eager wakes.
+func (c *Ctx) MaterializeHerd(key uint64) {
+	e := c.eng
+	pos := event{cycle: c.clock, id: int32(c.id)}.key()
+	e.herd.ForEach(func(id int) {
+		t := e.threads[id]
+		if t.parkKey != key {
+			return
+		}
+		e.herd.Remove(id)
+		if b := t.herdB; (event{cycle: b, id: int32(id)}).key() > pos {
+			e.herdStep(t, b, b+e.cfg.Cost.LockOp, 1)
+		} else {
+			e.wake(t, b)
+		}
+	})
+	c.batchLimit = e.horizonFor(int32(c.id))
 }

@@ -5,15 +5,21 @@ import (
 	"testing"
 )
 
-// The lock-protocol equivalence tests run one lock program on two engines
-// — one with the runtime wiring installed (SetLockWordOps, so AcquireWord
-// delegates the TTS protocol, wake-time polls included, to the event loop)
-// and the unwired ticking reference (AcquireWord reports false and a
+// The lock-protocol equivalence tests run one lock program on three
+// engines — the unwired ticking reference (AcquireWord reports false and a
 // hand-rolled ticking loop mirroring spinlock.Acquire runs instead, so
-// every woken acquirer resumes to run its own poll) — and require the full
-// tick-hook stream, every acquire cycle and every bounded-wait verdict to
-// match exactly. The lock word lives in plain test state; both engines'
-// bodies and ops close over the same variable.
+// every woken acquirer resumes to run its own poll), the wired engine
+// (SetLockWordOps, so AcquireWord delegates the TTS protocol, wake-time
+// polls included, to the event loop) and the lazy engine (wired with no
+// tick hook, so a release queues only the acquirer that can win and the
+// word's next store settles the rest) — and require every acquire cycle,
+// bounded-wait verdict, per-thread ParkSkipped total, doom and the
+// makespan to match exactly, and the wired engine's full tick-hook stream
+// to match the reference's. The lock word lives in plain test state; each
+// run's bodies and ops close over their own copy. The word also models
+// strong isolation: a transaction may write it (opTxWrite), and the next
+// other access to it dooms that transaction, at a position every engine
+// must agree on.
 
 const (
 	taLoad   = 2           // DirectLoad of the default cost model
@@ -28,45 +34,94 @@ const (
 	opRelease        // release the lock (if held)
 	opWait           // bounded wait for the lock to be free, budget 1 + arg%6 polls
 	opTick           // Tick(1 + arg)
+	opTxWrite        // spinlock.AcquireTx's multi-CAS: load at Tick(1 + arg%8), write a free word at Tick(1), commit at Tick(1 + arg>>3), each unless doomed
 	numLockOps
+)
+
+// lockMode selects the engine a lock program runs on.
+type lockMode int
+
+const (
+	ticking lockMode = iota // no lock-word ops: every acquire ticks
+	wired                   // lock-word ops and a tick hook: eager wakes
+	lazy                    // lock-word ops, no tick hook: lazy herd
 )
 
 // lockTrace is everything a lock program lets an observer see.
 type lockTrace struct {
-	hooks    []uint64   // the engine's complete tick-hook stream
-	acqs     [][]uint64 // per thread: acquire-completion clocks
-	waits    [][]uint64 // per thread: bounded-wait verdict clocks, +1<<63 when it gave up
+	hooks    []uint64    // the engine's complete tick-hook stream (none when lazy)
+	acqs     [][]uint64  // per thread: acquire-completion clocks
+	waits    [][]uint64  // per thread: bounded-wait verdict clocks, +1<<63 when it gave up
+	skipped  []uint64    // per thread: ParkSkipped after the run
+	dooms    [][3]uint64 // (cycle, accessing thread, victim) of every access that doomed a transaction
 	makespan uint64
+	counters Counters
+	mats     int // transactional writes that found acquirers deferred
 }
 
 // runLockProgram runs prog on nThreads threads contending for one lock. A
 // thread still holding the lock when its steps run out releases it, so
-// every program terminates.
-func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTrace {
+// every program terminates. The lazy run has no tick hook to check the
+// schedule-state invariants from, so its bodies check them at every step.
+func runLockProgram(t *testing.T, nThreads int, prog []byte, mode lockMode) lockTrace {
 	t.Helper()
 	eng := parkEngine(t, nThreads)
 	const key = 99
 	var word uint64
-	if wired {
-		eng.SetLockWordOps(
-			func(_ int, _ uint64) uint64 { return word },
-			func(_ int, _ uint64, v uint64) { word = v })
-	}
+	inTx := make([]bool, nThreads) // threads whose transaction has read the word
+	txWriter := -1                 // the one of them that has also written it, or -1
+	untouched := false             // no store or transactional write since the last release
 	tr := lockTrace{acqs: make([][]uint64, nThreads), waits: make([][]uint64, nThreads)}
-	verify := watchStates(t, eng, func(now uint64) { tr.hooks = append(tr.hooks, now) })
+	// access is the strong isolation of an access to the word by hw: it
+	// dooms another thread's transactional write, and a write (a store or
+	// a transactional write) dooms another thread's transactional read.
+	access := func(hw int, write bool) {
+		for v, live := range inTx {
+			if live && v != hw && (write || v == txWriter) {
+				tr.dooms = append(tr.dooms, [3]uint64{eng.Thread(hw).Clock(), uint64(hw), uint64(v)})
+				inTx[v] = false
+				if v == txWriter {
+					txWriter = -1
+				}
+			}
+		}
+	}
+	load := func(hw int) uint64 { access(hw, false); return word }
+	store := func(hw int, v uint64) { access(hw, true); word, untouched = v, v == 0 }
+	if mode != ticking {
+		eng.SetLockWordOps(
+			func(hw int, _ uint64) uint64 { return load(hw) },
+			func(hw int, _ uint64, v uint64) { store(hw, v) })
+	}
+	verify, check := func() {}, func() {}
+	var firstErr error
+	if mode == lazy {
+		check = func() {
+			if err := checkStates(eng, func(uint64) bool { return untouched }); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+	} else {
+		verify = watchStates(t, eng, func(now uint64) { tr.hooks = append(tr.hooks, now) })
+	}
 	bodies := make([]func(*Ctx), nThreads)
 	for i := range bodies {
 		id := i
 		bodies[i] = func(c *Ctx) {
 			owner := uint64(id) + 1
 			held := false
+			acquired := func() {
+				held = true
+				tr.acqs[id] = append(tr.acqs[id], c.Clock())
+			}
 			release := func() {
 				c.Tick(taCAS)
-				word = 0
+				store(id, 0)
 				c.WakeKey(key)
 				held = false
 			}
 			for k := 2 * id; k+1 < len(prog); k += 2 * nThreads {
+				check()
 				op, arg := prog[k]%numLockOps, uint64(prog[k+1])
 				switch {
 				case op == opAcquire && !held:
@@ -76,83 +131,141 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 						// load-and-store, park on busy.
 						for {
 							c.Tick(taLoad)
-							if word == 0 {
+							if load(id) == 0 {
 								c.Tick(taCAS)
-								if word != 0 {
+								if load(id) != 0 {
 									continue
 								}
-								word = owner
+								store(id, owner)
 								break
 							}
 							c.ParkOnWord(key, taPeriod, taLoad, 0)
 						}
 					}
-					held = true
-					tr.acqs[id] = append(tr.acqs[id], c.Clock())
+					acquired()
 					c.Tick(arg)
 				case op == opRelease && held:
 					release()
 				case op == opWait:
-					ok, at := boundedWait(c, key, &word, 1+int(arg%6))
+					ok, at := boundedWait(c, key, func() uint64 { return load(id) }, 1+int(arg%6))
 					if !ok {
 						at |= 1 << 63
 					}
 					tr.waits[id] = append(tr.waits[id], at)
 				case op == opTick:
 					c.Tick(1 + arg)
+				case op == opTxWrite && !held:
+					// spinlock.AcquireTx: the load aborts on a held word;
+					// the write, unless something doomed the transaction
+					// since, registers and materializes any deferred
+					// acquirer; the commit, unless doomed, publishes it.
+					c.Tick(1 + arg%8)
+					access(id, false)
+					if word != 0 {
+						break
+					}
+					inTx[id] = true
+					if c.Tick(1); !inTx[id] {
+						break
+					}
+					access(id, true)
+					txWriter, untouched = id, false
+					if !eng.herd.Empty() {
+						tr.mats++
+					}
+					c.MaterializeHerd(key)
+					if c.Tick(1 + arg>>3); inTx[id] {
+						inTx[id], txWriter, word = false, -1, owner
+						acquired()
+					}
 				}
 			}
 			if held {
 				release()
 			}
+			check()
 		}
 	}
 	var err error
 	if tr.makespan, err = eng.Run(bodies); err != nil {
-		t.Fatalf("wired=%v: %v", wired, err)
+		t.Fatalf("mode %d: %v", mode, err)
 	}
 	verify()
+	if firstErr != nil {
+		t.Fatalf("lazy run: schedule-state invariant broken: %v", firstErr)
+	}
+	for i := range nThreads {
+		tr.skipped = append(tr.skipped, eng.Thread(i).ParkSkipped())
+	}
+	tr.counters = eng.Counters()
 	return tr
 }
 
-// checkLockProtocolEquivalence fails unless the wired engine's observable
-// streams are identical to the ticking reference's.
-func checkLockProtocolEquivalence(t *testing.T, nThreads int, prog []byte) {
+// checkLockProtocolEquivalence fails unless the wired and lazy engines'
+// observable streams are identical to the ticking reference's. It returns
+// the lazy run.
+func checkLockProtocolEquivalence(t *testing.T, nThreads int, prog []byte) lockTrace {
 	t.Helper()
-	ref := runLockProgram(t, nThreads, prog, false)
-	got := runLockProgram(t, nThreads, prog, true)
+	ref := runLockProgram(t, nThreads, prog, ticking)
+	got := runLockProgram(t, nThreads, prog, wired)
 	if !slices.Equal(ref.hooks, got.hooks) {
 		t.Fatalf("n=%d prog=%v: hook streams differ (%d ticking vs %d wired)",
 			nThreads, prog, len(ref.hooks), len(got.hooks))
 	}
-	if ref.makespan != got.makespan {
-		t.Fatalf("n=%d prog=%v: makespan %d (ticking) vs %d (wired)", nThreads, prog, ref.makespan, got.makespan)
-	}
-	for id := range ref.acqs {
-		if !slices.Equal(ref.acqs[id], got.acqs[id]) {
-			t.Fatalf("n=%d prog=%v thread %d: acquire cycles %v (ticking) vs %v (wired)",
-				nThreads, prog, id, ref.acqs[id], got.acqs[id])
+	lz := runLockProgram(t, nThreads, prog, lazy)
+	for name, run := range map[string]lockTrace{"wired": got, "lazy": lz} {
+		if ref.makespan != run.makespan {
+			t.Fatalf("n=%d prog=%v: makespan %d (ticking) vs %d (%s)", nThreads, prog, ref.makespan, run.makespan, name)
 		}
-		if !slices.Equal(ref.waits[id], got.waits[id]) {
-			t.Fatalf("n=%d prog=%v thread %d: bounded waits %v (ticking) vs %v (wired)",
-				nThreads, prog, id, ref.waits[id], got.waits[id])
+		for id := range ref.acqs {
+			if !slices.Equal(ref.acqs[id], run.acqs[id]) {
+				t.Fatalf("n=%d prog=%v thread %d: acquire cycles %v (ticking) vs %v (%s)",
+					nThreads, prog, id, ref.acqs[id], run.acqs[id], name)
+			}
+			if !slices.Equal(ref.waits[id], run.waits[id]) {
+				t.Fatalf("n=%d prog=%v thread %d: bounded waits %v (ticking) vs %v (%s)",
+					nThreads, prog, id, ref.waits[id], run.waits[id], name)
+			}
+		}
+		if !slices.Equal(ref.skipped, run.skipped) {
+			t.Fatalf("n=%d prog=%v: ParkSkipped %v (ticking) vs %v (%s)", nThreads, prog, ref.skipped, run.skipped, name)
+		}
+		if !slices.Equal(ref.dooms, run.dooms) {
+			t.Fatalf("n=%d prog=%v: dooms %v (ticking) vs %v (%s)", nThreads, prog, ref.dooms, run.dooms, name)
 		}
 	}
+	return lz
 }
 
-// contentionShapes are the fixed scenarios delegated acquire shipped with:
-// n contenders, each acquiring, holding (a per-thread duration) and
-// releasing the lock rounds times.
-var contentionShapes = []struct{ n, rounds int }{{1, 3}, {2, 3}, {3, 4}, {8, 3}}
+// contentionShape is a fixed scenario: n contenders, each acquiring,
+// holding (a per-thread duration, or nothing at all) and releasing the
+// lock rounds times. A zero hold releases the word LockOp after taking
+// it, the earliest a holder can, so deferred acquirers' steps straddle
+// the settling bound.
+type contentionShape struct {
+	n, rounds int
+	zeroHold  bool
+}
 
-// shapeProgram encodes one contention shape as a lock program.
-func shapeProgram(n, rounds int) []byte {
+// contentionShapes are the scenarios delegated acquire shipped with;
+// herdShapes add the zero holds and the wide herds of the lazy path.
+var (
+	contentionShapes = []contentionShape{{1, 3, false}, {2, 3, false}, {3, 4, false}, {8, 3, false}}
+	herdShapes       = []contentionShape{{8, 3, true}, {32, 2, false}, {128, 2, true}}
+)
+
+// program encodes the shape as a lock program.
+func (s contentionShape) program() []byte {
 	var prog []byte
-	for r := 0; r < rounds; r++ {
-		for id := 0; id < n; id++ {
-			prog = append(prog, opAcquire, byte(5+11*id))
+	for r := 0; r < s.rounds; r++ {
+		for id := 0; id < s.n; id++ {
+			hold := byte(5 + 11*id)
+			if s.zeroHold {
+				hold = 0
+			}
+			prog = append(prog, opAcquire, hold)
 		}
-		for id := 0; id < n; id++ {
+		for id := 0; id < s.n; id++ {
 			prog = append(prog, opRelease, 0)
 		}
 	}
@@ -160,22 +273,95 @@ func shapeProgram(n, rounds int) []byte {
 }
 
 // TestDelegatedAcquireEquivalence: for several contention shapes, the
-// delegated protocol's observable streams must be identical to the
-// ticking loop's.
+// delegated protocol's observable streams, eager or lazy, must be
+// identical to the ticking loop's, and from three contenders on the lazy
+// engine must settle deferred acquirers rather than deliver their steps.
 func TestDelegatedAcquireEquivalence(t *testing.T) {
-	for _, shape := range contentionShapes {
-		checkLockProtocolEquivalence(t, shape.n, shapeProgram(shape.n, shape.rounds))
+	for _, shape := range append(contentionShapes, herdShapes...) {
+		lz := checkLockProtocolEquivalence(t, shape.n, shape.program())
+		if shape.n >= 3 && lz.counters.Settled == 0 {
+			t.Errorf("%+v: the lazy engine settled no deferred acquirer", shape)
+		}
+	}
+}
+
+// interleave deals per-thread op lists into a lock program, padding
+// threads whose list ran out with opTick pairs.
+func interleave(ops [][]byte) []byte {
+	var prog []byte
+	for k := 0; ; k += 2 {
+		more := false
+		for _, o := range ops {
+			if k+1 < len(o) {
+				prog, more = append(prog, o[k], o[k+1]), true
+			} else {
+				prog = append(prog, opTick, 0)
+			}
+		}
+		if !more {
+			return prog[:len(prog)-2*len(ops)]
+		}
+	}
+}
+
+// herdTxWriteProgram: thread 0 holds the lock until cycle 252 while four
+// acquirers park on it; thread 5's transaction writes the word at cycle
+// 253 + txArg%8 + 1, after the release and before any acquirer's CAS, so
+// some deferred acquirers have polled by then and some have not.
+func herdTxWriteProgram(txArg byte) []byte {
+	ops := [][]byte{{opAcquire, 200, opRelease, 0}}
+	for id := 1; id <= 4; id++ {
+		ops = append(ops, []byte{opTick, byte(3 * id), opAcquire, 5, opRelease, 0})
+	}
+	ops = append(ops, []byte{opTick, 250, opTxWrite, txArg, opAcquire, 1})
+	return interleave(ops)
+}
+
+// TestLazyHerdMaterializes: a transactional write to the word in the
+// middle of a deferred herd queues the herd where eager wakes had it, so
+// every stream, dooms included, stays equal to the reference's.
+func TestLazyHerdMaterializes(t *testing.T) {
+	doomed := 0
+	for arg := 0; arg < 256; arg += 3 {
+		lz := checkLockProtocolEquivalence(t, 6, herdTxWriteProgram(byte(arg)))
+		if lz.mats == 0 {
+			t.Fatalf("txArg %d: the write found no deferred acquirer to materialize", arg)
+		}
+		if len(lz.dooms) > 0 {
+			doomed++
+		}
+	}
+	if doomed == 0 {
+		t.Fatal("no waiter's load ever doomed the transactional writer")
+	}
+}
+
+// TestLazyHerdSettleBound: two acquirers park on a held word at every
+// pair of poll phases, so after the release one wins and releases again
+// with no hold, at the earliest cycle a holder can, while the other one's
+// poll, CAS or re-poll lands on, just before or just after that release.
+// Steps at or past it must be queued rather than settled.
+func TestLazyHerdSettleBound(t *testing.T) {
+	for a := byte(0); a < taPeriod; a++ {
+		for b := byte(0); b < taPeriod; b++ {
+			checkLockProtocolEquivalence(t, 3, interleave([][]byte{
+				{opAcquire, 100, opRelease, 0},
+				{opTick, 30 + a, opAcquire, 0, opRelease, 0},
+				{opTick, 30 + b, opAcquire, 0, opRelease, 0},
+			}))
+		}
 	}
 }
 
 // FuzzLockProtocolEquivalence extends the fixed shapes to arbitrary lock
-// programs: random thread counts and hold times, acquires racing bounded
-// waits, releases landing on and between poll boundaries. The engine-side
-// shortcut (delegated acquire, its woken polls included) must be invisible
-// for every one of them.
+// programs: 1 to 128 threads, random hold times, acquires racing bounded
+// waits, releases landing on and between poll boundaries, back-to-back
+// releases and transactional writes in the middle of a herd. The
+// engine-side shortcuts (delegated acquire, its woken polls included, and
+// the lazy herd) must be invisible for every one of them.
 func FuzzLockProtocolEquivalence(f *testing.F) {
 	for _, shape := range contentionShapes {
-		f.Add(uint8(shape.n-1), shapeProgram(shape.n, shape.rounds))
+		f.Add(uint8(shape.n-1), shape.program())
 	}
 	// Bounded waiters against a holder, and a waiter that outlives its budget.
 	f.Add(uint8(2), []byte{opAcquire, 200, opWait, 3, opWait, 0, opRelease, 0, opAcquire, 9, opTick, 40})
@@ -186,21 +372,41 @@ func FuzzLockProtocolEquivalence(f *testing.F) {
 	for hold := 0; hold < 256; hold += 13 {
 		f.Add(uint8(1), []byte{opAcquire, byte(hold), opTick, 30, opRelease, 0, opWait, 4})
 	}
+	// The lazy herd's shapes, then back-to-back releases: every thread
+	// re-acquires the moment it releases, with no hold, so each release
+	// comes LockOp after the store that settled the previous herd.
+	for _, shape := range herdShapes {
+		f.Add(uint8(shape.n-1), shape.program())
+	}
+	for _, shape := range []struct{ n, rounds int }{{4, 4}, {16, 4}, {64, 2}} {
+		ops := make([][]byte, shape.n)
+		for id := range ops {
+			for r := 0; r < shape.rounds; r++ {
+				ops[id] = append(ops[id], opAcquire, 0, opRelease, 0)
+			}
+		}
+		f.Add(uint8(shape.n-1), interleave(ops))
+	}
+	// A transaction writes the word in the middle of a herd.
+	for arg := byte(0); arg < 8; arg++ {
+		f.Add(uint8(5), herdTxWriteProgram(arg))
+	}
 	f.Fuzz(func(t *testing.T, threads uint8, prog []byte) {
-		if len(prog) > 512 {
+		// 1024 bytes fits the widest seed: 128 threads, two rounds.
+		if len(prog) > 1024 {
 			t.Skip("program too long")
 		}
-		checkLockProtocolEquivalence(t, 1+int(threads%8), prog)
+		checkLockProtocolEquivalence(t, 1+int(threads%128), prog)
 	})
 }
 
 // boundedWait mirrors spinlock.SpinWhileLockedBounded's loop: poll, park
 // bounded on busy, give up when the budget runs out. Returns whether the
 // word was observed free and the clock of the deciding poll.
-func boundedWait(c *Ctx, key uint64, word *uint64, maxSpins int) (bool, uint64) {
+func boundedWait(c *Ctx, key uint64, load func() uint64, maxSpins int) (bool, uint64) {
 	for i := 0; ; {
 		c.Tick(taLoad)
-		if *word == 0 {
+		if load() == 0 {
 			return true, c.Clock()
 		}
 		if i >= maxSpins {

@@ -63,7 +63,7 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 	waiter := func(c *Ctx) {
 		for i := 0; i < 4; i++ {
 			c.Tick(30)
-			boundedWait(c, faultKey, word, 2)
+			boundedWait(c, faultKey, func() uint64 { return *word }, 2)
 		}
 	}
 	// The waiter runs on thread 0, where most faults leave their victim.
@@ -83,17 +83,23 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 
 // TestFaultsLeaveEngineReusable covers the fault-table rows the engine's
 // states add: ErrMaxCycles delivered on a delegated-acquire tick, on a
-// woken acquirer's poll and while a thread is replaying its journal, and
-// ErrDeadlock reached after a bounded waiter's deadline fired.
+// woken acquirer's poll, while a thread is replaying its journal and while
+// a release has acquirers deferred, and ErrDeadlock reached after a
+// bounded waiter's deadline fired.
 func TestFaultsLeaveEngineReusable(t *testing.T) {
+	deferred := false // the lazy row's release left acquirers deferred
 	for _, fc := range []struct {
 		name string
 		spec int
 		want error
+		// lazy runs the failing program with no tick hook, so releases
+		// defer acquirers; its verdict and makespan must equal a hooked
+		// run's (eager wakes).
+		lazy bool
 		// bodies builds the failing program; word is the lock word.
 		bodies func(word *uint64) []func(*Ctx)
-		// reached reports, at a tick hook, that the run is at the event
-		// the case is about.
+		// reached reports that the run is at the event the case is about:
+		// at a tick hook, or after a lazy run.
 		reached func(e *Engine, now uint64) bool
 	}{{
 		name: "MaxCycles on a delegated-acquire tick",
@@ -134,6 +140,34 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 		},
 		reached: func(e *Engine, now uint64) bool { return now > faultBudget && e.threads[0].state == replaying },
 	}, {
+		// Three acquirers park on a word held until cycle 9982. Their
+		// boundaries after the release are 9996 (thread 1, queued),
+		// 9998 (thread 3, deferred) and 10006 (thread 2: past the cap,
+		// so queued). Eager wakes fail at thread 2's poll, before thread
+		// 1's CAS at 10021.
+		name: "MaxCycles with acquirers deferred",
+		want: ErrMaxCycles,
+		lazy: true,
+		bodies: func(word *uint64) []func(*Ctx) {
+			deferred = false
+			contender := func(d uint64) func(*Ctx) {
+				return func(c *Ctx) { c.Tick(30 + d); c.AcquireWord(faultKey, uint64(c.ID())+1) }
+			}
+			return []func(*Ctx){
+				func(c *Ctx) {
+					c.AcquireWord(faultKey, 1)
+					c.Tick(9930)
+					c.Tick(taCAS)
+					*word = 0
+					c.WakeKey(faultKey)
+					deferred = !c.eng.herd.Empty()
+					c.Tick(2 * faultBudget)
+				},
+				contender(1), contender(11), contender(3),
+			}
+		},
+		reached: func(*Engine, uint64) bool { return deferred },
+	}, {
 		name: "deadlock after a bounded deadline",
 		want: ErrDeadlock,
 		bodies: func(word *uint64) []func(*Ctx) {
@@ -141,7 +175,7 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 			return []func(*Ctx){
 				func(c *Ctx) { c.Tick(5); c.ParkOnWord(faultKey+1, taPeriod, taLoad, 0) },
 				func(c *Ctx) {
-					if ok, _ := boundedWait(c, faultKey, word, 3); ok {
+					if ok, _ := boundedWait(c, faultKey, func() uint64 { return *word }, 3); ok {
 						panic("bounded wait saw a held word free")
 					}
 					c.ParkOnWord(faultKey+1, taPeriod, taLoad, 0)
@@ -157,11 +191,29 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 			var word uint64
 			e := faultEngine(t, fc.spec, &word)
 			hit := false
-			verify := watchStates(t, e, func(now uint64) { hit = hit || fc.reached(e, now) })
-			if _, err := e.Run(fc.bodies(&word)); !errors.Is(err, fc.want) {
+			verify := func() {}
+			if !fc.lazy {
+				verify = watchStates(t, e, func(now uint64) { hit = hit || fc.reached(e, now) })
+			}
+			makespan, err := e.Run(fc.bodies(&word))
+			if !errors.Is(err, fc.want) {
 				t.Fatalf("err = %v, want %v", err, fc.want)
 			}
 			verify()
+			if fc.lazy {
+				hit = fc.reached(e, makespan)
+				if err := checkStates(e, nil); err != nil {
+					t.Fatalf("after the fault: %v", err)
+				}
+				var eagerWord uint64
+				eager := faultEngine(t, fc.spec, &eagerWord)
+				verify := watchStates(t, eager, nil)
+				wantMakespan, wantErr := eager.Run(fc.bodies(&eagerWord))
+				verify()
+				if !errors.Is(wantErr, fc.want) || makespan != wantMakespan {
+					t.Fatalf("makespan %d; with eager wakes %d, %v", makespan, wantMakespan, wantErr)
+				}
+			}
 			if !hit {
 				t.Fatal("the run never reached the event the case is about")
 			}

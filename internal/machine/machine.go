@@ -58,8 +58,11 @@ type CostModel struct {
 	STMStore    uint64 // instrumented software transactional store
 }
 
-// DefaultCostModel returns the calibrated cost model used throughout the
-// evaluation (see EXPERIMENTS.md for the calibration notes).
+// DefaultCostModel returns the cost model used throughout the evaluation.
+// EXPERIMENTS.md ("Calibration notes") records what the transaction-path
+// constants (XBegin, XEnd, AbortHandle, the memory accesses, Work) were
+// set from; the lock, Seer-profiling and STM constants have no recorded
+// calibration.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		Work:        1,
@@ -190,9 +193,6 @@ type Ctx struct {
 	// (cycle, id) tie-break encoding).
 	batchLimit uint64
 
-	// state is the thread's place in the schedule; only setState writes it.
-	state schedState
-
 	// Park state (see ParkOnWord). While parked, clock holds the cycle of
 	// the last poll that observed the key busy; a wake fast-forwards it to
 	// the first poll boundary scheduled after the waker.
@@ -209,9 +209,17 @@ type Ctx struct {
 	// protocol engine-side instead of resuming the thread. acqCAS marks the
 	// pending protocol tick as the CAS (else the poll); the protocol's lock
 	// word is parkKey.
-	acq      bool
-	acqCAS   bool
+	acq    bool
+	acqCAS bool
+	// state is the thread's place in the schedule; only setState writes it.
+	// (Declared next to acq and acqCAS, whose padding it shares.)
+	state    schedState
 	acqOwner uint64
+	// herdB is the poll boundary a lazy wake deferred this acquirer to, 0
+	// when none (see WakeKey): the thread stays parked until the word's
+	// next store settles it (settleHerd) or a transactional write
+	// materializes it (MaterializeHerd).
+	herdB uint64
 
 	// Speculative-quantum state (see quantum.go). specCap mirrors
 	// Config.SpecQuantum; a running thread has a quantum open exactly when
@@ -384,29 +392,55 @@ func (t *Ctx) skipTo(b uint64) {
 // key available (a lock release); waiters whose poll would land at the
 // caller's exact cycle keep the (cycle, id) tie-break of the event queue.
 // With no parked threads the call is one set-emptiness test.
+//
+// Lazy herd: with lock-word operations installed and no tick hook, only
+// the delegated acquirer with the earliest (boundary, id) is queued. Every
+// other one can only lose the race for the word, so it stays parked with
+// its boundary in herdB (the herd), and the word's next store settles it
+// in closed form (settleHerd). The caller must have just freed key's
+// word, and a holder must not store it again until LockOp after taking it
+// (DESIGN.md §6b).
 func (c *Ctx) WakeKey(key uint64) {
 	e := c.eng
 	if e.wakeable.Empty() {
 		return
 	}
+	now, wid := c.clock, int32(c.id)
+	lazy := e.tickHook == nil && e.lockLoad != nil
+	var first *Ctx
 	// The walk costs the parked population, not the machine width.
 	// ForEach iterates a copy in ascending id order — the order a full
 	// scan of e.threads has — so wake may edit the set underneath it.
 	e.wakeable.ForEach(func(id int) {
-		if t := e.threads[id]; t.parkKey == key {
-			e.wake(t, c.clock, int32(c.id))
+		t := e.threads[id]
+		if t.parkKey != key {
+			return
+		}
+		b := t.boundary(now, wid)
+		if !lazy || !t.acq || b >= e.maxCap {
+			// A boundary past the MaxCycles cap stays queued, so the run
+			// fails at the event it fails at with eager wakes.
+			e.wake(t, b)
+			return
+		}
+		t.herdB = b
+		e.herd.Add(id)
+		if first == nil || b < first.herdB {
+			first = t // ascending ids: an equal boundary keeps the smaller id
 		}
 	})
+	if first != nil {
+		e.herd.Remove(first.id)
+		e.wake(first, first.herdB)
+	}
 	// The re-inserted waiters may now own the queue minimum: shrink the
 	// caller's batch horizon so its next Tick yields at the right cycle.
-	c.batchLimit = e.horizonFor(int32(c.id))
+	c.batchLimit = e.horizonFor(wid)
 }
 
-// wake queues parked thread t at its first poll boundary scheduled after
-// position (now, wakerID) in the (cycle, id) event order: runnable, so the
-// pop resumes the thread to run its own poll, or polling when it is a
-// delegated acquire, whose poll the loop runs.
-func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
+// boundary returns parked thread t's first poll boundary scheduled after
+// position (now, wakerID) in the (cycle, id) event order.
+func (t *Ctx) boundary(now uint64, wakerID int32) uint64 {
 	per := t.parkPeriod
 	k := uint64(1)
 	if now > t.clock {
@@ -419,7 +453,15 @@ func (e *Engine) wake(t *Ctx, now uint64, wakerID int32) {
 		// waiter cannot observe it until the next boundary.
 		b += per
 	}
+	return b
+}
+
+// wake queues parked thread t at poll boundary b: runnable, so the pop
+// resumes the thread to run its own poll, or polling when it is a
+// delegated acquire, whose poll the loop runs.
+func (e *Engine) wake(t *Ctx, b uint64) {
 	t.skipTo(b)
+	t.herdB = 0
 	s := runnable
 	if t.acq {
 		s = polling
@@ -470,6 +512,9 @@ type Engine struct {
 	// event loop on the acquiring thread's behalf. See SetLockWordOps.
 	lockLoad  func(hw int, key uint64) uint64
 	lockStore func(hw int, key uint64, v uint64)
+	// herd is the set of deferred acquirers, each parked with herdB set
+	// (see WakeKey).
+	herd topology.Set
 	// maxCap is the MaxCycles bound pre-encoded as a batch horizon: the
 	// first clock value past the livelock budget, or maxEventCycle — the
 	// last cycle the event queue orders exactly — when the budget is
@@ -498,6 +543,10 @@ type Counters struct {
 	Resumes      uint64 // delivered by resuming the thread's coroutine
 	AcquireSteps uint64 // delegated-acquire ticks that parked or queued their next tick (AcquireWord)
 	Replays      uint64 // journaled pure ticks re-delivered after a quantum (TickPure)
+	// Settled counts deferred acquirers a winning store re-parked in
+	// closed form (settleHerd): steps no event delivers, so Events leaves
+	// them out.
+	Settled uint64
 }
 
 // Counters returns the engine-lifetime event-loop totals. Like the
@@ -766,7 +815,7 @@ func (e *Engine) deadlocked() bool { return e.queue.empty() && !e.wakeable.Empty
 // it before binding a body and drain before abandoning one.
 func (t *Ctx) reset() {
 	t.setState(runnable)
-	t.acq, t.specUnwind = false, false
+	t.acq, t.specUnwind, t.herdB = false, false, 0
 	t.spec.n, t.spec.next = 0, 0
 	t.batchLimit = t.eng.maxCap
 }
@@ -788,6 +837,7 @@ func (e *Engine) drain(bodies []func(*Ctx)) {
 		}
 	}
 	e.queue.clear()
+	e.herd.Clear()
 }
 
 // mix combines a seed and a thread id into a well-spread 64-bit PRNG seed

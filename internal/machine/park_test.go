@@ -327,7 +327,7 @@ func wakeKeyFullScan(c *Ctx, key uint64) {
 	e := c.eng
 	for _, t := range e.threads {
 		if t.state == parked && t.parkKey == key {
-			e.wake(t, c.clock, int32(c.id))
+			e.wake(t, t.boundary(c.clock, int32(c.id)))
 		}
 	}
 	c.batchLimit = e.horizonFor(int32(c.id))

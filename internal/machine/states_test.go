@@ -20,8 +20,14 @@ import (
 //  4. the deadlock verdict holds exactly when the queue is empty and a
 //     thread is parked;
 //  5. a polling thread is a delegated acquire (acq set): a wake queues a
-//     plain waiter runnable, to run its own poll.
-func checkStates(e *Engine) error {
+//     plain waiter runnable, to run its own poll;
+//  6. the herd set holds exactly the deferred threads (herdB set), each a
+//     parked delegated acquirer with no queued event whose word has not
+//     been stored since the release that deferred it (untouched; nil
+//     where no herd may form, as on an engine with a tick hook).
+//
+// Hook-free runs call it from body code.
+func checkStates(e *Engine, untouched func(key uint64) bool) error {
 	var parkedSet topology.Set
 	delivered := e.running != nil
 	for _, t := range e.threads {
@@ -33,6 +39,11 @@ func checkStates(e *Engine) error {
 		}
 		if t.state == polling && !t.acq {
 			return fmt.Errorf("thread %d: polling without a delegated acquire", t.id)
+		}
+		if deferred := t.herdB != 0; deferred != e.herd.Has(t.id) {
+			return fmt.Errorf("thread %d: herdB %d, in the herd set = %v", t.id, t.herdB, !deferred)
+		} else if deferred && (t.state != parked || !t.acq || t.parkPolls != 0 || untouched == nil || !untouched(t.parkKey)) {
+			return fmt.Errorf("thread %d: deferred in state %d (acq %v, polls %d) or on a stored word", t.id, t.state, t.acq, t.parkPolls)
 		}
 		if t.next == nil || t == e.running {
 			if t.state != runnable {
@@ -70,7 +81,7 @@ func watchStates(t testing.TB, e *Engine, inner func(now uint64)) (verify func()
 			inner(now)
 		}
 		if first == nil {
-			if err := checkStates(e); err != nil {
+			if err := checkStates(e, nil); err != nil {
 				first = fmt.Errorf("at cycle %d: %w", now, err)
 			}
 		}

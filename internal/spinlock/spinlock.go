@@ -151,15 +151,19 @@ func (l Lock) Release(ctx *machine.Ctx, m *mem.Memory) {
 	ctx.WakeKey(uint64(l.addr))
 }
 
-// AcquireTx writes the lock word from inside a hardware transaction,
-// aborting explicitly (code CodeLockBusy) if the lock is held. Seer's
-// multi-CAS optimization uses this to batch several lock acquisitions
-// into one hardware transaction.
-func (l Lock) AcquireTx(t *htm.Tx, ownerHW int) {
+// AcquireTx writes the lock word from inside hardware transaction t on
+// ctx's thread, aborting explicitly (code CodeLockBusy) if the lock is
+// held. Seer's multi-CAS optimization uses this to batch several lock
+// acquisitions into one hardware transaction. Acquirers a release left
+// deferred on the free word (machine.Ctx.WakeKey) would doom the writer
+// with their polls, so once the write registers they are queued where
+// eager wakes had them (machine.Ctx.MaterializeHerd).
+func (l Lock) AcquireTx(t *htm.Tx, ctx *machine.Ctx) {
 	if t.Load(l.addr) != 0 {
 		t.Abort(CodeLockBusy)
 	}
-	t.Store(l.addr, uint64(ownerHW)+1)
+	t.Store(l.addr, uint64(ctx.ID())+1)
+	ctx.MaterializeHerd(uint64(l.addr))
 }
 
 // ReleaseOwned frees a lock known to be held by ctx's thread without the

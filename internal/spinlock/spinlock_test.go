@@ -144,8 +144,8 @@ func TestAcquireTxMultiCAS(t *testing.T) {
 	l1, l2 := New(m), New(m)
 	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
 		st := u.Run(c, func(tx *htm.Tx) {
-			l1.AcquireTx(tx, c.ID())
-			l2.AcquireTx(tx, c.ID())
+			l1.AcquireTx(tx, c)
+			l2.AcquireTx(tx, c)
 		})
 		if st != 0 {
 			t.Errorf("multi-CAS aborted: %v", st)
@@ -159,8 +159,8 @@ func TestAcquireTxMultiCAS(t *testing.T) {
 		// Now hold l2 and verify the batch takes neither.
 		l2.Acquire(c, m)
 		st = u.Run(c, func(tx *htm.Tx) {
-			l1.AcquireTx(tx, c.ID())
-			l2.AcquireTx(tx, c.ID()) // busy → explicit abort
+			l1.AcquireTx(tx, c)
+			l2.AcquireTx(tx, c) // busy → explicit abort
 		})
 		if !st.Explicit() || st.ExplicitCode() != CodeLockBusy {
 			t.Errorf("busy multi-CAS status = %v", st)
