@@ -263,7 +263,7 @@ func TestMaxCyclesInSGLHerdLeavesRecyclerClean(t *testing.T) {
 	if _, err := sys.Run(wl.Workers(cfg.Threads)); err == nil || !strings.Contains(err.Error(), "MaxCycles") {
 		t.Fatalf("run with MaxCycles %d: err = %v, want the livelock verdict", cfg.MaxCycles, err)
 	}
-	if c := sys.EngineCounters(); c.AcquireSteps == 0 {
+	if c := sys.EngineCounters(); c.Steps == 0 {
 		t.Fatalf("engine counters %+v: the verdict did not land in the SGL herd", c)
 	}
 	sys.Release()

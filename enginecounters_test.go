@@ -21,6 +21,16 @@ import (
 // acquirers no longer shorten the other threads' batch horizons either, so
 // fewer ticks yield (23 392 resumes) or outrun a horizon into a quantum
 // (1 793 replays).
+//
+// Two engine-side continuations then turned resumes into loop steps, one
+// for one, so the 30 201 events stand. The wait continuation: the lemming
+// waits on the SGL resume once, with the verdict, instead of at every
+// woken poll and every poll tick that crossed a horizon; 515 resumes
+// became steps (22 877 resumes, 5 531 steps). The attempt prologue: the
+// begin tick, the subscription load and an SGL-held abort's AbortHandle
+// tick run in the loop, and an attempt resumes once; 3 772 more resumes
+// became steps (19 105 resumes, 9 303 steps). No tick changed sides of a
+// quantum, so the replays and settled losers stand.
 func TestEngineCountersHLECell(t *testing.T) {
 	wl, err := stamp.New("intruder", 0.2)
 	if err != nil {
@@ -33,7 +43,7 @@ func TestEngineCountersHLECell(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sys.EngineCounters()
-	want := seer.EngineCounters{Resumes: 23392, AcquireSteps: 5016, Replays: 1793, Settled: 13631}
+	want := seer.EngineCounters{Resumes: 19105, Steps: 9303, Replays: 1793, Settled: 13631}
 	if got != want || got.Events() != 30201 {
 		t.Errorf("engine counters = %+v (%d events), want %+v (30201 events)", got, got.Events(), want)
 	}
@@ -45,6 +55,10 @@ func TestEngineCountersHLECell(t *testing.T) {
 // settled at the winning store instead of stepped through the queue.
 // With eager wakes the cell took 162 607 acquire steps and 189 688
 // events; settling 51 600 losers leaves 4 973 steps and 29 201 events.
+// The wait continuation turns 1 487 resumes at the lemming waits into loop
+// steps (22 124 resumes, 6 460 steps). The attempt prologue, where every
+// RTM retry against the held SGL aborts, turns 5 223 more: 16 901
+// resumes, 11 683 steps, and still 29 201 events.
 func TestEngineCountersSGLHerd(t *testing.T) {
 	topo, err := seer.ParseTopology("4s16c2t")
 	if err != nil {
@@ -61,7 +75,7 @@ func TestEngineCountersSGLHerd(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := sys.EngineCounters()
-	want := seer.EngineCounters{Resumes: 23611, AcquireSteps: 4973, Replays: 617, Settled: 51600}
+	want := seer.EngineCounters{Resumes: 16901, Steps: 11683, Replays: 617, Settled: 51600}
 	if got.Settled == 0 || got != want {
 		t.Errorf("engine counters = %+v, want %+v", got, want)
 	}

@@ -10,3 +10,15 @@ func NewSystemQuantum(cfg Config, k int) (*System, error) { return newSystem(cfg
 // the one that can win (machine.Ctx.WakeKey), so this is the eager
 // reference the lazy herd must be invisible against.
 func (s *System) ForceEagerWakes() { s.eng.SetTickHook(func(uint64) {}) }
+
+// NewSystemUndelegated is NewSystem on an engine with delegation off
+// (machine.Engine.SetDelegation): lock waits and attempt prologues run in
+// the threads' coroutines. It is the reference the engine-side
+// continuations must be invisible against.
+func NewSystemUndelegated(cfg Config) (*System, error) {
+	s, err := NewSystem(cfg)
+	if err == nil {
+		s.eng.SetDelegation(false)
+	}
+	return s, err
+}

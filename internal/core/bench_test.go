@@ -35,6 +35,7 @@ func BenchmarkScanActive(b *testing.B) {
 		// Populate every other thread's slot so each scan dedups a full list.
 		for hw := 1; hw < 8; hw++ {
 			s.activeTxs[hw] = int32(hw % s.numTx)
+			s.live.Add(hw)
 		}
 		s.Start(ts, 0, 0)
 		b.ResetTimer()

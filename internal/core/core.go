@@ -25,6 +25,7 @@ import (
 	"seer/internal/spinlock"
 	"seer/internal/stats"
 	"seer/internal/telemetry"
+	"seer/internal/topology"
 	"seer/internal/tune"
 )
 
@@ -155,6 +156,7 @@ type Seer struct {
 	opts  Options
 
 	activeTxs []int32           // one single-writer slot per hardware thread
+	live      topology.Set      // the threads whose activeTxs slot holds a transaction
 	threads   []*ThreadState    // all registered thread states
 	merged    *stats.Matrices   // global matrices, fed per-thread deltas on update
 	scheme    [][]int           // locksToAcquire: row per tx, sorted lock ids
@@ -306,6 +308,7 @@ func (s *Seer) Start(t *ThreadState, txID int, obj uint64) {
 	t.obj = obj
 	t.Ctx.Tick(t.Ctx.Cost().DirectStore)
 	s.activeTxs[t.Ctx.ID()] = int32(txID)
+	s.live.Add(t.Ctx.ID())
 }
 
 // lockFor returns the lock a transaction of block id with t's object
@@ -333,6 +336,7 @@ func mix64(k uint64) uint64 {
 func (s *Seer) Finish(t *ThreadState) {
 	t.Ctx.Tick(t.Ctx.Cost().DirectStore)
 	s.activeTxs[t.Ctx.ID()] = NoTx
+	s.live.Remove(t.Ctx.ID())
 }
 
 // --- Algorithm 3: statistics registration ---
@@ -353,7 +357,9 @@ func (s *Seer) Finish(t *ThreadState) {
 // This runs on every commit and every abort, so it avoids both an
 // O(numTx) clear of the dedup array (epoch stamps instead of booleans)
 // and closure indirection for the matrix update (a direct branch on
-// abort).
+// abort). The scan is charged StatsSlot per slot of the whole list, but
+// walks only the live slots (s.live), in ascending thread order like a
+// full scan: at 128 threads most slots are empty.
 func (s *Seer) scanActive(t *ThreadState, txID int, abort bool) {
 	// The execution counters below are shared (thread 0 reads them to
 	// trigger scheme updates) and bumped before this event's scheduling
@@ -382,13 +388,19 @@ func (s *Seer) scanActive(t *ThreadState, txID int, abort bool) {
 		t.seenEpoch = 1
 	}
 	epoch := t.seenEpoch
-	for i, a := range s.activeTxs {
-		if i != self && a != NoTx && t.seen[a] != epoch {
-			t.seen[a] = epoch
-			if abort {
-				t.mats.AddAbort(txID, int(a))
-			} else {
-				t.mats.AddCommit(txID, int(a))
+	// Locals, so the stores to seen do not make the compiler reload the
+	// slices on every member.
+	active, seen, live := s.activeTxs, t.seen, s.live
+	live.Remove(self)
+	for wi, w := range live.W {
+		for ; w != 0; w &= w - 1 {
+			if a := active[wi<<6+bits.TrailingZeros64(w)]; seen[a] != epoch {
+				seen[a] = epoch
+				if abort {
+					t.mats.AddAbort(txID, int(a))
+				} else {
+					t.mats.AddCommit(txID, int(a))
+				}
 			}
 		}
 	}

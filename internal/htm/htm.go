@@ -173,7 +173,23 @@ type txnState struct {
 	// cnt holds the thread's event counters, one bank per execution mode so
 	// reports can distinguish the two commit protocols.
 	cnt [numBanks]Counters
+	// Prologue state (RunSubscribed): pro is the pending prologue tick,
+	// lock and held the subscribed word and its explicit-abort code, and
+	// status the prologue's verdict, 0 when the body is to run.
+	pro    prologueTick
+	held   uint8
+	lock   mem.Addr
+	status Status
 }
+
+// prologueTick is the pending tick of a subscribed attempt's prologue.
+type prologueTick uint8
+
+const (
+	proBegin prologueTick = iota // the mode's begin tick
+	proLoad                      // the subscription load of the lock word
+	proAbort                     // AbortHandle, after the load aborted the attempt
+)
 
 // reset clears the per-attempt state while keeping every reusable buffer's
 // capacity: lines is truncated in place and the write buffer's backing
@@ -362,16 +378,24 @@ func (u *Unit) writeCap(st *txnState) int { return max(1, u.cfg.WriteSetLines/u.
 // abort.
 func (t *Tx) step(cost uint64) {
 	t.ctx.Tick(cost)
+	if s := t.boundary(); s != 0 {
+		t.st.sig.status = s
+		panic(&t.st.sig)
+	}
+}
+
+// boundary is the instruction-boundary check after a tick: the status of
+// a pending doom, or of a spurious abort drawn now; 0 for neither.
+func (t *Tx) boundary() Status {
 	st := t.st
 	if st.doomed {
-		st.sig.status = st.doomStatus
-		panic(&st.sig)
+		return st.doomStatus
 	}
 	if t.p.spurious > 0 && t.ctx.Rand().Bool(t.p.spurious) {
 		st.lastConflictor = -1
-		st.sig.status = BitSpurious | BitRetry
-		panic(&st.sig)
+		return BitSpurious | BitRetry
 	}
+	return 0
 }
 
 // stepPure is step for ticks with no shared-state side effects (Tx.Work):
@@ -383,17 +407,10 @@ func (t *Tx) step(cost uint64) {
 // disabled this is bit-for-bit identical to step.
 func (t *Tx) stepPure(cost uint64) {
 	t.ctx.TickPure(cost)
-	st := t.st
-	if st.doomed {
+	if s := t.boundary(); s != 0 {
 		t.ctx.EndQuantum()
-		st.sig.status = st.doomStatus
-		panic(&st.sig)
-	}
-	if t.p.spurious > 0 && t.ctx.Rand().Bool(t.p.spurious) {
-		t.ctx.EndQuantum()
-		st.lastConflictor = -1
-		st.sig.status = BitSpurious | BitRetry
-		panic(&st.sig)
+		t.st.sig.status = s
+		panic(&t.st.sig)
 	}
 }
 
@@ -408,14 +425,24 @@ func (t *Tx) Load(a mem.Addr) uint64 {
 		return v
 	}
 	if grew, ownWrite := t.u.mem.RegisterRead(t.hw, a); grew && !ownWrite {
-		st.nReadLines++
-		st.lines = append(st.lines, mem.LineOf(a))
-		if t.p.capacity && st.nReadLines > t.u.readCap(st) {
-			st.sig.status = BitCapacity
+		if s := t.addRead(a); s != 0 {
+			st.sig.status = s
 			panic(&st.sig)
 		}
 	}
 	return t.u.mem.Peek(a)
+}
+
+// addRead books a's line, just registered, into the read set and returns
+// BitCapacity when the set outgrew the thread's L1 share, 0 otherwise.
+func (t *Tx) addRead(a mem.Addr) Status {
+	st := t.st
+	st.nReadLines++
+	st.lines = append(st.lines, mem.LineOf(a))
+	if t.p.capacity && st.nReadLines > t.u.readCap(st) {
+		return BitCapacity
+	}
+	return 0
 }
 
 // Store performs a transactional (buffered) store.
@@ -465,14 +492,36 @@ func (t *Tx) WriteSetLines() int { return t.st.nWriteLines }
 // It returns status 0 if the transaction committed, and the abort status
 // otherwise (body side effects are discarded on abort, as the write buffer
 // is never applied). Nesting is not supported and panics.
-func (u *Unit) Run(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, &u.hw, body) }
+func (u *Unit) Run(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, &u.hw, false, body) }
 
 // RunSW executes body as one software (STM) transaction attempt on ctx's
 // thread — the SW execution mode of the phased-TM runtime. It is Run under
 // the software modeParams: no L1 capacity model, no spurious aborts,
 // instrumented per-access costs and a multi-line commit publish cost, with
 // events booked into the software counter bank (SWCounters).
-func (u *Unit) RunSW(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, &u.sw, body) }
+func (u *Unit) RunSW(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, &u.sw, false, body) }
+
+// RunSubscribed is Run, or RunSW when sw is set, with the attempt
+// subscribed to the fall-back lock word at lock before body runs: the
+// attempt's first access loads the word, and a held word aborts it
+// explicitly with code held. It is
+//
+//	Run(ctx, func(tx *Tx) { if tx.Load(lock) != 0 { tx.Abort(held) }; body(tx) })
+//
+// tick for tick, hook for hook and doom for doom, but the prologue — the
+// begin tick, the subscription load and, when they abort the attempt, its
+// bookkeeping and AbortHandle tick — runs engine-side
+// (machine.Ctx.Delegate), and an attempt the prologue aborts returns its
+// status without a panic.
+func (u *Unit) RunSubscribed(ctx *machine.Ctx, sw bool, lock mem.Addr, held uint8, body func(mem.Access)) Status {
+	p := &u.hw
+	if sw {
+		p = &u.sw
+	}
+	st := &u.txns[ctx.ID()]
+	st.lock, st.held = lock, held
+	return u.run(ctx, p, true, func(tx *Tx) { body(tx) })
+}
 
 // run is the attempt runner: begin, execute body, then commit or unwind
 // with a coarse status, under execution mode p. Both modes acquire per-line
@@ -480,8 +529,9 @@ func (u *Unit) RunSW(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx
 // software transactions and direct accesses all conflict-detect eagerly
 // against one another, requester-wins), buffer stores in the same
 // epoch-stamped write buffer and abort through the same pre-boxed panic
-// signal — zero steady-state allocations either way.
-func (u *Unit) run(ctx *machine.Ctx, p *modeParams, body func(*Tx)) (status Status) {
+// signal — zero steady-state allocations either way. With sub set the
+// attempt first subscribes to the thread's st.lock (RunSubscribed).
+func (u *Unit) run(ctx *machine.Ctx, p *modeParams, sub bool, body func(*Tx)) (status Status) {
 	hw := ctx.ID()
 	st := &u.txns[hw]
 	if st.active {
@@ -503,12 +553,6 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, body func(*Tx)) (status Stat
 		})
 	}
 	tx.p = p
-	ctx.Tick(p.begin)
-	st.active = true
-	if p.capacity {
-		u.coreActive[st.core]++
-	}
-	st.wb.begin()
 
 	defer func() {
 		r := recover()
@@ -529,8 +573,12 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, body func(*Tx)) (status Stat
 		}
 		// Every unwind — an abort, a programming error in the body, the
 		// engine abandoning the run — leaves the unit as a commit would:
-		// nothing registered, nothing active.
-		u.end(st, hw, p)
+		// nothing registered, nothing active. (The run may be abandoned
+		// inside the prologue, before the attempt began or after it
+		// aborted.)
+		if st.active {
+			u.end(st, hw, p)
+		}
 		sig, ok := r.(*abortSignal)
 		if !ok {
 			panic(r) // not an abort: propagate
@@ -544,6 +592,21 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, body func(*Tx)) (status Stat
 		ctx.Tick(tx.cost.AbortHandle)
 	}()
 
+	if !sub {
+		ctx.Tick(p.begin)
+		u.begin(st, p)
+	} else if st.pro, st.status = proBegin, 0; ctx.Delegate(st) {
+		if st.status != 0 {
+			return st.status
+		}
+	} else {
+		// Delegation is off: the prologue as body code.
+		ctx.Tick(p.begin)
+		u.begin(st, p)
+		if tx.Load(st.lock) != 0 {
+			tx.Abort(st.held)
+		}
+	}
 	body(tx)
 
 	// Commit: one scheduling point, then the write buffer becomes globally
@@ -555,6 +618,75 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, body func(*Tx)) (status Stat
 	st.wb.apply(u.mem)
 	u.end(st, hw, p)
 	st.cnt[p.bank].Commits++
+	return 0
+}
+
+// begin opens st's attempt under mode p: the thread is active, occupies
+// its core's L1 share when the mode models capacity, and its write buffer
+// is armed.
+func (u *Unit) begin(st *txnState, p *modeParams) {
+	st.active = true
+	if p.capacity {
+		u.coreActive[st.core]++
+	}
+	st.wb.begin()
+}
+
+// StepCost and Step make the thread's txnState the machine.Protocol of a
+// subscribed attempt's prologue (RunSubscribed), which the engine runs
+// tick by tick: the begin tick, which opens the attempt; the subscription
+// load, which does what Tx.Load and the held test do after their tick but
+// returns the abort instead of panicking; and after an abort the unwind
+// bookkeeping and the AbortHandle tick that run's recover would do.
+
+// StepCost implements machine.Protocol.
+func (st *txnState) StepCost() uint64 {
+	tx := &st.tx
+	switch st.pro {
+	case proBegin:
+		return tx.p.begin
+	case proLoad:
+		return tx.p.load + tx.u.mem.AccessCost(tx.hw, st.lock)
+	}
+	return tx.cost.AbortHandle
+}
+
+// Step implements machine.Protocol.
+func (st *txnState) Step() (done bool) {
+	tx := &st.tx
+	switch st.pro {
+	case proBegin:
+		tx.u.begin(st, tx.p)
+		st.pro = proLoad
+		return false
+	case proLoad:
+		if st.status = tx.subscribe(); st.status == 0 {
+			return true
+		}
+		tx.u.end(st, tx.hw, tx.p)
+		st.cnt[tx.p.bank].recordAbort(st.status)
+		st.pro = proAbort
+		return false
+	}
+	return true
+}
+
+// subscribe is the prologue's subscription load after its tick: step's
+// instruction-boundary check, then Load's registration of the (first, so
+// unbuffered) line and the held test. It returns the status the body code
+// would have aborted with, 0 when the word is free.
+func (t *Tx) subscribe() Status {
+	if s := t.boundary(); s != 0 {
+		return s
+	}
+	if grew, ownWrite := t.u.mem.RegisterRead(t.hw, t.st.lock); grew && !ownWrite {
+		if s := t.addRead(t.st.lock); s != 0 {
+			return s
+		}
+	}
+	if t.u.mem.Peek(t.st.lock) != 0 {
+		return BitExplicit | BitRetry | Status(t.st.held)<<24
+	}
 	return 0
 }
 

@@ -92,3 +92,55 @@ func BenchmarkLargeWriteSet(b *testing.B) {
 		}
 	}})
 }
+
+// BenchmarkSubscribedAttempt is the attempt prologue's layer number: 128
+// hardware threads on a 4s16c2t machine retry RTM-style attempts,
+// subscribed to a fall-back lock word that stays held, so every attempt
+// aborts at its subscription load. It reports ns, coroutine resumes and
+// Go panics per attempt, with the prologue delegated to the engine and,
+// for reference, with delegation off (the subscription as body code).
+func BenchmarkSubscribedAttempt(b *testing.B) {
+	for _, delegated := range []bool{true, false} {
+		name := "delegated"
+		if !delegated {
+			name = "undelegated"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := machine.Config{Topo: topology.Multi(4, 16, 2), Seed: 1, Cost: machine.DefaultCostModel()}
+			eng, _ := machine.New(cfg)
+			eng.SetDelegation(delegated)
+			m := mem.New(1 << 12)
+			u := New(m, cfg, DefaultConfig())
+			lock := m.AllocLines(1)
+			m.DirectStore(0, lock, 1)
+			n := cfg.Topo.Threads()
+			per := b.N/n + 1
+			panics := 0
+			body := func(mem.Access) { panic("benchmark: the held lock word let an attempt run its body") }
+			bodies := make([]func(*machine.Ctx), n)
+			for i := range bodies {
+				bodies[i] = func(c *machine.Ctx) {
+					st := &u.txns[c.ID()]
+					for k := 0; k < per; k++ {
+						if u.RunSubscribed(c, false, lock, 0xFF, body) == 0 {
+							panic("benchmark: an attempt committed under a held lock word")
+						}
+						if st.pro != proAbort {
+							panics++ // the abort unwound the attempt's body
+						}
+					}
+				}
+			}
+			before := eng.Counters()
+			b.ResetTimer()
+			if _, err := eng.Run(bodies); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			attempts := float64(per * n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/attempts, "ns/attempt")
+			b.ReportMetric(float64(eng.Counters().Resumes-before.Resumes)/attempts, "resumes/attempt")
+			b.ReportMetric(float64(panics)/attempts, "panics/attempt")
+		})
+	}
+}

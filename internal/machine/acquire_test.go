@@ -1,21 +1,25 @@
 package machine
 
 import (
+	"os"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 // The lock-protocol equivalence tests run one lock program on three
-// engines — the unwired ticking reference (AcquireWord reports false and a
-// hand-rolled ticking loop mirroring spinlock.Acquire runs instead, so
-// every woken acquirer resumes to run its own poll), the wired engine
-// (SetLockWordOps, so AcquireWord delegates the TTS protocol, wake-time
-// polls included, to the event loop) and the lazy engine (wired with no
-// tick hook, so a release queues only the acquirer that can win and the
-// word's next store settles the rest) — and require every acquire cycle,
-// bounded-wait verdict, per-thread ParkSkipped total, doom and the
-// makespan to match exactly, and the wired engine's full tick-hook stream
-// to match the reference's. The lock word lives in plain test state; each
+// engines — the unwired ticking reference (AcquireWord and WaitWord report
+// false and hand-rolled ticking loops mirroring spinlock's Acquire,
+// SpinWhileLocked and SpinWhileLockedBounded run instead, so every woken
+// thread resumes to run its own poll), the wired engine (SetLockWordOps,
+// so AcquireWord and WaitWord delegate their protocols, wake-time polls
+// included, to the event loop) and the lazy engine (wired with no tick
+// hook, so a release queues only the acquirer that can win and the word's
+// next store settles the rest) — and require every acquire cycle, wait
+// verdict, per-thread ParkSkipped total, doom and the makespan to match
+// exactly, and the wired engine's full tick-hook stream to match the
+// reference's. The lock word lives in plain test state; each
 // run's bodies and ops close over their own copy. The word also models
 // strong isolation: a transaction may write it (opTxWrite), and the next
 // other access to it dooms that transaction, at a position every engine
@@ -30,11 +34,12 @@ const (
 // A lock program is a byte string of (op, arg) pairs dealt round-robin to
 // the threads: pair k is the next step of thread k mod nThreads.
 const (
-	opAcquire = iota // acquire the lock (unless already held), then Tick(arg)
-	opRelease        // release the lock (if held)
-	opWait           // bounded wait for the lock to be free, budget 1 + arg%6 polls
-	opTick           // Tick(1 + arg)
-	opTxWrite        // spinlock.AcquireTx's multi-CAS: load at Tick(1 + arg%8), write a free word at Tick(1), commit at Tick(1 + arg>>3), each unless doomed
+	opAcquire     = iota // acquire the lock (unless already held), then Tick(arg)
+	opRelease            // release the lock (if held)
+	opWaitBounded        // bounded wait for the lock to be free, budget 1 + arg%6 polls
+	opTick               // Tick(1 + arg)
+	opTxWrite            // spinlock.AcquireTx's multi-CAS: load at Tick(1 + arg%8), write a free word at Tick(1), commit at Tick(1 + arg>>3), each unless doomed
+	opWait               // unbounded wait for the lock to be free (unless held), then Tick(arg)
 	numLockOps
 )
 
@@ -51,7 +56,7 @@ const (
 type lockTrace struct {
 	hooks    []uint64    // the engine's complete tick-hook stream (none when lazy)
 	acqs     [][]uint64  // per thread: acquire-completion clocks
-	waits    [][]uint64  // per thread: bounded-wait verdict clocks, +1<<63 when it gave up
+	waits    [][]uint64  // per thread: wait verdict clocks, +1<<63 when a bounded wait gave up
 	skipped  []uint64    // per thread: ParkSkipped after the run
 	dooms    [][3]uint64 // (cycle, accessing thread, victim) of every access that doomed a transaction
 	makespan uint64
@@ -146,12 +151,23 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, mode lockMode) lock
 					c.Tick(arg)
 				case op == opRelease && held:
 					release()
-				case op == opWait:
-					ok, at := boundedWait(c, key, func() uint64 { return load(id) }, 1+int(arg%6))
+				case op == opWaitBounded:
+					budget := 1 + int(arg%6)
+					free, ok := c.WaitWord(key, budget)
+					at := c.Clock()
 					if !ok {
+						free, at = boundedWait(c, key, func() uint64 { return load(id) }, budget)
+					}
+					if !free {
 						at |= 1 << 63
 					}
 					tr.waits[id] = append(tr.waits[id], at)
+				case op == opWait && !held:
+					if _, ok := c.WaitWord(key, -1); !ok {
+						spinWait(c, key, func() uint64 { return load(id) })
+					}
+					tr.waits[id] = append(tr.waits[id], c.Clock())
+					c.Tick(arg)
 				case op == opTick:
 					c.Tick(1 + arg)
 				case op == opTxWrite && !held:
@@ -355,22 +371,23 @@ func TestLazyHerdSettleBound(t *testing.T) {
 
 // FuzzLockProtocolEquivalence extends the fixed shapes to arbitrary lock
 // programs: 1 to 128 threads, random hold times, acquires racing bounded
-// waits, releases landing on and between poll boundaries, back-to-back
-// releases and transactional writes in the middle of a herd. The
-// engine-side shortcuts (delegated acquire, its woken polls included, and
-// the lazy herd) must be invisible for every one of them.
+// and unbounded waits, releases landing on and between poll boundaries,
+// back-to-back releases and transactional writes in the middle of a herd.
+// The engine-side shortcuts (the acquire and wait continuations, their
+// woken polls included, and the lazy herd) must be invisible for every one
+// of them.
 func FuzzLockProtocolEquivalence(f *testing.F) {
 	for _, shape := range contentionShapes {
 		f.Add(uint8(shape.n-1), shape.program())
 	}
 	// Bounded waiters against a holder, and a waiter that outlives its budget.
-	f.Add(uint8(2), []byte{opAcquire, 200, opWait, 3, opWait, 0, opRelease, 0, opAcquire, 9, opTick, 40})
-	f.Add(uint8(1), []byte{opAcquire, 255, opWait, 0, opTick, 255, opWait, 5, opRelease, 0, opAcquire, 0})
+	f.Add(uint8(2), []byte{opAcquire, 200, opWaitBounded, 3, opWaitBounded, 0, opRelease, 0, opAcquire, 9, opTick, 40})
+	f.Add(uint8(1), []byte{opAcquire, 255, opWaitBounded, 0, opTick, 255, opWaitBounded, 5, opRelease, 0, opAcquire, 0})
 	// A bounded wait (budget 5, first poll at cycle 33) on a word held
 	// since cycle 27 and released at cycle 52 + hold: the releases sweep
 	// across poll boundaries and past the wait's final one.
 	for hold := 0; hold < 256; hold += 13 {
-		f.Add(uint8(1), []byte{opAcquire, byte(hold), opTick, 30, opRelease, 0, opWait, 4})
+		f.Add(uint8(1), []byte{opAcquire, byte(hold), opTick, 30, opRelease, 0, opWaitBounded, 4})
 	}
 	// The lazy herd's shapes, then back-to-back releases: every thread
 	// re-acquires the moment it releases, with no hold, so each release
@@ -391,6 +408,23 @@ func FuzzLockProtocolEquivalence(f *testing.F) {
 	for arg := byte(0); arg < 8; arg++ {
 		f.Add(uint8(5), herdTxWriteProgram(arg))
 	}
+	// A bounded wait (budget 1 + b, first poll at cycle 33, final poll
+	// boundary 33 + 27·(1 + b)) on a word its holder releases one cycle
+	// before, at, or one cycle after that deadline, with the waiter after
+	// and before the releaser in the id tie-break.
+	for b := byte(0); b < 6; b++ {
+		for _, d := range []int{-1, 0, 1} {
+			hold := byte(27*(1+int(b)) - 19 + d)
+			f.Add(uint8(1), []byte{opAcquire, hold, opTick, 30, opRelease, 0, opWaitBounded, b})
+			f.Add(uint8(1), []byte{opTick, 30, opAcquire, hold, opWaitBounded, b, opRelease, 0})
+		}
+	}
+	// Waiters parked beside a herd of acquirers: the release wakes them
+	// eagerly while only one acquirer is queued, so their polls land
+	// around the lazy handoff and the winner's settling store.
+	for k := byte(0); k < 9; k++ {
+		f.Add(uint8(7), waitHerdProgram(k))
+	}
 	f.Fuzz(func(t *testing.T, threads uint8, prog []byte) {
 		// 1024 bytes fits the widest seed: 128 threads, two rounds.
 		if len(prog) > 1024 {
@@ -398,6 +432,77 @@ func FuzzLockProtocolEquivalence(f *testing.F) {
 		}
 		checkLockProtocolEquivalence(t, 1+int(threads%128), prog)
 	})
+}
+
+// TestTxReadDoomedCorpus replays the checked-in fuzz input on which a
+// transaction could once write a lock word stored after its load. Its op
+// bytes are all below opWait, so it decodes to the same program under
+// every op count since opTxWrite, and its four dooms stay where they were
+// found.
+func TestTxReadDoomedCorpus(t *testing.T) {
+	b, err := os.ReadFile("testdata/fuzz/FuzzLockProtocolEquivalence/tx-read-doomed-16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(b), "\n")
+	threads, err1 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "byte("), ")"))
+	prog, err2 := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+	if err1 != nil || err2 != nil || len(threads) != 1 {
+		t.Fatalf("malformed corpus file: %v, %v", err1, err2)
+	}
+	for k := 0; k < len(prog); k += 2 {
+		if prog[k] >= opWait {
+			t.Fatalf("op byte %d at %d decodes differently since opWait was added", prog[k], k)
+		}
+	}
+	lz := checkLockProtocolEquivalence(t, 1+int(threads[0]%128), []byte(prog))
+	if want := [][3]uint64{{8, 0, 7}, {11, 7, 0}, {27, 2, 0}, {241, 5, 11}}; !slices.Equal(lz.dooms, want) {
+		t.Fatalf("dooms %v, want %v", lz.dooms, want)
+	}
+}
+
+// waitHerdProgram: thread 0 holds the lock until cycle 252 while four
+// acquirers and three waiters — one unbounded, then bounded — park on it,
+// the waiters at poll phases shifted by k.
+func waitHerdProgram(k byte) []byte {
+	ops := [][]byte{{opAcquire, 200, opRelease, 0}}
+	for id := 1; id <= 4; id++ {
+		ops = append(ops, []byte{opTick, byte(3 * id), opAcquire, 5, opRelease, 0})
+	}
+	for id := 5; id <= 7; id++ {
+		ops = append(ops, []byte{opTick, 40 + k + byte(id), opWait, k, opWaitBounded, byte(id)})
+	}
+	return interleave(ops)
+}
+
+// TestWaitContinuationEquivalence: the fixed wait shapes — every bounded
+// budget against releases around its deadline, and waiters beside a lazy
+// herd — give the reference's streams on the wired and the lazy engines.
+func TestWaitContinuationEquivalence(t *testing.T) {
+	for b := byte(0); b < 6; b++ {
+		for d := -1; d <= 1; d++ {
+			hold := byte(27*(1+int(b)) - 19 + d)
+			checkLockProtocolEquivalence(t, 2, []byte{opAcquire, hold, opTick, 30, opRelease, 0, opWaitBounded, b})
+			checkLockProtocolEquivalence(t, 2, []byte{opTick, 30, opAcquire, hold, opWaitBounded, b, opRelease, 0})
+		}
+	}
+	for k := byte(0); k < 9; k++ {
+		if lz := checkLockProtocolEquivalence(t, 8, waitHerdProgram(k)); lz.counters.Settled == 0 {
+			t.Errorf("k=%d: the lazy engine settled no deferred acquirer", k)
+		}
+	}
+}
+
+// spinWait mirrors spinlock.SpinWhileLocked's loop: poll, park unbounded
+// on busy.
+func spinWait(c *Ctx, key uint64, load func() uint64) {
+	for {
+		c.Tick(taLoad)
+		if load() == 0 {
+			return
+		}
+		c.ParkOnWord(key, taPeriod, taLoad, 0)
+	}
 }
 
 // boundedWait mirrors spinlock.SpinWhileLockedBounded's loop: poll, park

@@ -74,9 +74,9 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 	verify()
 	after := e.Counters()
 	delta = Counters{
-		Resumes:      after.Resumes - before.Resumes,
-		AcquireSteps: after.AcquireSteps - before.AcquireSteps,
-		Replays:      after.Replays - before.Replays,
+		Resumes: after.Resumes - before.Resumes,
+		Steps:   after.Steps - before.Steps,
+		Replays: after.Replays - before.Replays,
 	}
 	return hooks, makespan, delta
 }
@@ -110,7 +110,7 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 				func(c *Ctx) { c.AcquireWord(faultKey, 2); c.Tick(2 * faultBudget) },
 			}
 		},
-		reached: func(e *Engine, now uint64) bool { return now > faultBudget && e.threads[0].state == acquiring },
+		reached: func(e *Engine, now uint64) bool { return now > faultBudget && e.threads[0].state == stepping },
 	}, {
 		name: "MaxCycles on the poll of a woken acquirer",
 		want: ErrMaxCycles,
@@ -224,7 +224,7 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 				t.Fatalf("probe after the fault: makespan %d, %d hooks, counters %+v; on a fresh engine: %d, %d, %+v",
 					makespan, len(hooks), delta, wantMakespan, len(wantHooks), wantDelta)
 			}
-			if delta.AcquireSteps == 0 || (fc.spec > 0 && delta.Replays == 0) {
+			if delta.Steps == 0 || (fc.spec > 0 && delta.Replays == 0) {
 				t.Fatalf("probe counters %+v: the probe missed a state", delta)
 			}
 		})

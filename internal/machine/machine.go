@@ -200,21 +200,25 @@ type Ctx struct {
 	parkPeriod   uint64
 	parkPollCost uint64
 	parkPolls    int    // poll budget; 0 = unbounded
-	parkDeadline uint64 // final-poll cycle for bounded parks
+	parkDeadline uint64 // final-poll cycle for bounded parks and waits (noDeadline for an unbounded wait)
 	parkSkipped  uint64 // cumulative virtual cycles fast-forwarded while parked
 
-	// Delegated-acquire state (see AcquireWord). acq is the park's
-	// continuation: true while the coroutine is suspended inside
-	// AcquireWord, so the wake's poll continues the test-and-test-and-set
-	// protocol engine-side instead of resuming the thread. acqCAS marks the
-	// pending protocol tick as the CAS (else the poll); the protocol's lock
-	// word is parkKey.
-	acq    bool
-	acqCAS bool
+	// Continuation state (see continuation.go). cont is the engine-side
+	// protocol the coroutine is suspended in, contNone while user code
+	// runs, so a wake's poll continues the protocol engine-side instead of
+	// resuming the thread. A protocol on a lock word parks on parkKey.
+	// acqCAS marks an acquire's pending tick as the CAS (else the poll) and
+	// acqOwner is the value its CAS stores; waitFree is a wait's verdict
+	// (its final poll boundary is parkDeadline); proto is a delegated
+	// Protocol.
+	cont     contKind
+	acqCAS   bool
+	waitFree bool
 	// state is the thread's place in the schedule; only setState writes it.
-	// (Declared next to acq and acqCAS, whose padding it shares.)
+	// (Declared next to cont and the flags, whose padding it shares.)
 	state    schedState
 	acqOwner uint64
+	proto    Protocol
 	// herdB is the poll boundary a lazy wake deferred this acquirer to, 0
 	// when none (see WakeKey): the thread stays parked until the word's
 	// next store settles it (settleHerd) or a transactional write
@@ -226,7 +230,7 @@ type Ctx struct {
 	// its journal is non-empty (spec.n > 0). specUnwind arms the next
 	// resume to panic with unwindPayload, the unwinder's payload, after a
 	// rollback.
-	specCap       int
+	specCap       int32
 	specUnwind    bool
 	spec          specJournal
 	unwinder      func() any
@@ -242,8 +246,8 @@ type schedState uint8
 const (
 	runnable  schedState = iota // queued at its next tick (or running, or done): the pop resumes it
 	parked                      // off the schedule until a wake; a bounded park's deadline stays queued
-	polling                     // a woken acquirer, queued at the poll boundary the loop runs its protocol from
-	acquiring                   // queued at a delegated-acquire tick the loop executes itself
+	polling                     // a woken continuation, queued at the poll boundary the loop runs its protocol from
+	stepping                    // queued at a continuation tick the loop executes itself
 	replaying                   // queued at a journaled pure tick the loop re-delivers
 )
 
@@ -417,7 +421,7 @@ func (c *Ctx) WakeKey(key uint64) {
 			return
 		}
 		b := t.boundary(now, wid)
-		if !lazy || !t.acq || b >= e.maxCap {
+		if !lazy || t.cont != contAcquire || b >= e.maxCap {
 			// A boundary past the MaxCycles cap stays queued, so the run
 			// fails at the event it fails at with eager wakes.
 			e.wake(t, b)
@@ -457,13 +461,13 @@ func (t *Ctx) boundary(now uint64, wakerID int32) uint64 {
 }
 
 // wake queues parked thread t at poll boundary b: runnable, so the pop
-// resumes the thread to run its own poll, or polling when it is a
-// delegated acquire, whose poll the loop runs.
+// resumes the thread to run its own poll, or polling when it is in a
+// continuation, whose poll the loop runs.
 func (e *Engine) wake(t *Ctx, b uint64) {
 	t.skipTo(b)
 	t.herdB = 0
 	s := runnable
-	if t.acq {
+	if t.cont != contNone {
 		s = polling
 	}
 	t.setState(s)
@@ -507,9 +511,10 @@ type Engine struct {
 	// queued, so a second release must not reschedule it.
 	wakeable topology.Set
 	// lockLoad/lockStore are the committed-memory word operations backing
-	// delegated acquires (Ctx.AcquireWord) — non-transactional load/store
-	// with their full strong-isolation doom semantics, executed by the
-	// event loop on the acquiring thread's behalf. See SetLockWordOps.
+	// the acquire and wait continuations (Ctx.AcquireWord, Ctx.WaitWord) —
+	// non-transactional load/store with their full strong-isolation doom
+	// semantics, executed by the event loop on the thread's behalf. See
+	// SetLockWordOps.
 	lockLoad  func(hw int, key uint64) uint64
 	lockStore func(hw int, key uint64, v uint64)
 	// herd is the set of deferred acquirers, each parked with herdB set
@@ -534,15 +539,18 @@ type Engine struct {
 	// between resumes. It lets SpecBarrier reach the speculating thread
 	// from hooks (mem.Memory.Peek) that have no Ctx in hand.
 	running *Ctx
+	// delegation turns on the wait continuation and Delegate
+	// (SetDelegation).
+	delegation bool
 }
 
 // Counters is the event loop's account of its own work: every event it
 // delivered, by how. Only a Resume pays the two coroutine switches; the
 // other two kinds are steps the loop executed on the thread's behalf.
 type Counters struct {
-	Resumes      uint64 // delivered by resuming the thread's coroutine
-	AcquireSteps uint64 // delegated-acquire ticks that parked or queued their next tick (AcquireWord)
-	Replays      uint64 // journaled pure ticks re-delivered after a quantum (TickPure)
+	Resumes uint64 // delivered by resuming the thread's coroutine
+	Steps   uint64 // continuation ticks (acquire, wait, Delegate) that parked or queued their next tick
+	Replays uint64 // journaled pure ticks re-delivered after a quantum (TickPure)
 	// Settled counts deferred acquirers a winning store re-parked in
 	// closed form (settleHerd): steps no event delivers, so Events leaves
 	// them out.
@@ -557,7 +565,7 @@ func (e *Engine) Counters() Counters { return e.count }
 
 // Events returns the number of events the loop took off the schedule and
 // delivered: each is counted under exactly one kind.
-func (c Counters) Events() uint64 { return c.Resumes + c.AcquireSteps + c.Replays }
+func (c Counters) Events() uint64 { return c.Resumes + c.Steps + c.Replays }
 
 // horizonFor returns the tick-batch horizon for thread id: the first
 // clock value at which it must yield to the event loop. While the queue
@@ -586,8 +594,8 @@ func (e *Engine) horizonFor(id int32) uint64 {
 func (e *Engine) SetTickHook(hook func(now uint64)) { e.tickHook = hook }
 
 // SetParkPollEvaluator does nothing. The engine no longer evaluates
-// wake-time polls: a woken waiter resumes to run its own poll, and a woken
-// delegated acquire runs its poll inside the event loop (AcquireWord). The
+// wake-time polls: a woken plain waiter resumes to run its own poll, and a
+// woken continuation runs its poll inside the event loop. The
 // stub remains only because benchmark/layers.go still calls it; delete it
 // together with those calls.
 func (e *Engine) SetParkPollEvaluator(func(key uint64) bool) {}
@@ -597,7 +605,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, maxCap: maxEventCycle}
+	e := &Engine{cfg: cfg, maxCap: maxEventCycle, delegation: true}
 	if cfg.MaxCycles > 0 && cfg.MaxCycles < maxEventCycle {
 		e.maxCap = cfg.MaxCycles + 1
 	}
@@ -614,7 +622,7 @@ func New(cfg Config) (*Engine, error) {
 		t.rng = NewRand(mix(cfg.Seed, int64(i)))
 		t.eng = e
 		t.batchLimit = e.maxCap
-		t.specCap = q
+		t.specCap = int32(q)
 		t.spec.cycles = cycles[i*q : (i+1)*q : (i+1)*q]
 		t.spec.rngs = rngs[i*q : (i+1)*q : (i+1)*q]
 		e.threads[i] = t
@@ -665,8 +673,8 @@ func (t *Ctx) finish() {
 // errors.Is sees through it); ErrMaxCycles is returned on livelock.
 //
 // Each popped event is dispatched on its thread's state (DESIGN.md §6b):
-// the loop either executes the event itself — a delegated-acquire tick or
-// a journal replay — or resumes the coroutine.
+// the loop either executes the event itself — a continuation tick or a
+// journal replay — or resumes the coroutine.
 func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	if len(bodies) > len(e.threads) {
 		return 0, fmt.Errorf("machine: %d bodies for %d hardware threads",
@@ -700,40 +708,44 @@ events:
 			}
 			switch t.state {
 			case parked:
-				// A bounded wait's deadline: the final poll boundary came
-				// with no wake. Fast-forward like a wake would and resume;
-				// the thread runs the final poll itself and gives up, busy
-				// or not.
+				// A bounded park's deadline: the final poll boundary came
+				// with no wake. Fast-forward like a wake would. A plain
+				// waiter resumes to run the final poll itself and gives up,
+				// busy or not; a wait continuation's poll is the loop's, as
+				// for a woken one.
 				t.skipTo(ev.cycle)
-				t.setState(runnable)
+				if t.cont == contNone {
+					t.setState(runnable)
+					break
+				}
+				fallthrough
 			case polling:
-				// A woken acquirer's poll boundary. The coroutine would
+				// A woken continuation's poll boundary. The coroutine would
 				// resume here and tick through its polling load (the hook
 				// fires once more at this cycle); the loop fires that hook
 				// and runs the protocol from the poll, real load included.
 				if e.tickHook != nil {
 					e.tickHook(ev.cycle)
 				}
-				t.acqCAS = false
-				t.setState(acquiring)
+				t.setState(stepping)
 				fallthrough
-			case acquiring:
-				// A delegated acquire's protocol tick; the pop hook above
-				// was the tick's hook.
+			case stepping:
+				// A continuation's tick; the pop hook above was the tick's
+				// hook.
 				t.clock = ev.cycle
-				nc, status := e.acquireStep(t, e.horizonFor(ev.id), true)
-				if status != acqDone {
-					e.count.AcquireSteps++
-					if status == acqBusy {
+				nc, status := e.step(t, e.horizonFor(ev.id), true)
+				if status != stepDone {
+					e.count.Steps++
+					if status == stepBusy {
 						t.sleep()
 						continue events
 					}
 					ev = e.queue.replaceMin(event{cycle: nc, id: ev.id})
 					continue
 				}
-				// The winning store executed at the thread's clock: resume
-				// so AcquireWord returns with the lock held.
-				t.acq = false
+				// The protocol completed at the thread's clock: resume, so
+				// the call that handed it off returns.
+				t.cont = contNone
 				t.setState(runnable)
 			case replaying:
 				if t.spec.next < t.spec.n {
@@ -774,8 +786,9 @@ events:
 				continue events
 			}
 			if t.state == parked {
-				// The thread parked itself (ParkOnWord, or AcquireWord's
-				// poll found the word busy); a wake re-queues it.
+				// The thread parked itself (ParkOnWord, or a
+				// continuation's poll found the word busy); a wake
+				// re-queues it.
 				continue events
 			}
 			if t.spec.n > 0 {
@@ -815,7 +828,7 @@ func (e *Engine) deadlocked() bool { return e.queue.empty() && !e.wakeable.Empty
 // it before binding a body and drain before abandoning one.
 func (t *Ctx) reset() {
 	t.setState(runnable)
-	t.acq, t.specUnwind, t.herdB = false, false, 0
+	t.cont, t.proto, t.specUnwind, t.herdB = contNone, nil, false, 0
 	t.spec.n, t.spec.next = 0, 0
 	t.batchLimit = t.eng.maxCap
 }

@@ -41,8 +41,8 @@ package machine
 type specJournal struct {
 	cycles []uint64 // virtual cycle of each deferred tick, in issue order
 	rngs   []Rand   // PRNG state at entry to each deferred tick
-	n      int      // deferred ticks currently journaled
-	next   int      // replay cursor: deferred ticks already re-delivered
+	n      int32    // deferred ticks currently journaled
+	next   int32    // replay cursor: deferred ticks already re-delivered
 }
 
 // TickPure advances the thread's virtual clock by cost cycles like Tick,

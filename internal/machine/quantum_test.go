@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"seer/internal/topology"
@@ -368,5 +369,87 @@ func TestQuantumZeroAlloc(t *testing.T) {
 				t.Fatalf("quantum path allocates: %.1f allocs/run with speculation, %.1f without", spec, base)
 			}
 		})
+	}
+}
+
+// countdown is a Protocol of n ticks of cost cost each.
+type countdown struct{ n, cost uint64 }
+
+func (p *countdown) StepCost() uint64 { return p.cost }
+func (p *countdown) Step() bool       { p.n--; return p.n == 0 }
+
+// TestContinuationClosesQuantum: a thread that enters a wait continuation
+// or a Delegate with a speculative quantum open closes the quantum with
+// the continuation's first tick. Every scheduling step checks the state
+// invariants — among them, that a thread suspended while the loop replays
+// its journal carries no continuation yet — and the hook stream, wait
+// verdicts and makespan must equal the per-tick engine's.
+func TestContinuationClosesQuantum(t *testing.T) {
+	const key = 7
+	type result struct {
+		hooks    []uint64
+		waits    []uint64
+		makespan uint64
+		entered  int // continuations entered with a journal open
+	}
+	run := func(spec int) result {
+		e := mustEngine(t, Config{
+			Topo: topology.MustFromFlat(3, 3), Seed: 3,
+			Cost: DefaultCostModel(), SpecQuantum: spec,
+		})
+		var word uint64
+		e.SetLockWordOps(
+			func(int, uint64) uint64 { return word },
+			func(_ int, _ uint64, v uint64) { word = v })
+		var r result
+		verify := watchStates(t, e, func(now uint64) { r.hooks = append(r.hooks, now) })
+		waiter := func(maxSpins int) func(*Ctx) {
+			return func(c *Ctx) {
+				for round := 0; round < 3; round++ {
+					for i := 0; i < 20; i++ {
+						c.TickPure(3)
+					}
+					if c.spec.n > 0 {
+						r.entered++
+					}
+					if _, ok := c.WaitWord(key, maxSpins); !ok {
+						t.Error("WaitWord declined with lock-word ops installed")
+					}
+					r.waits = append(r.waits, c.Clock())
+					for i := 0; i < 10; i++ {
+						c.TickPure(5)
+					}
+					if c.spec.n > 0 {
+						r.entered++
+					}
+					c.Delegate(&countdown{n: 3, cost: 4})
+				}
+			}
+		}
+		holder := func(c *Ctx) {
+			for round := 0; round < 3; round++ {
+				c.AcquireWord(key, 1)
+				c.Tick(90)
+				c.Tick(25)
+				word = 0
+				c.WakeKey(key)
+				c.Tick(40)
+			}
+		}
+		makespan, err := e.Run([]func(*Ctx){holder, waiter(-1), waiter(2)})
+		if err != nil {
+			t.Fatalf("SpecQuantum=%d: %v", spec, err)
+		}
+		verify()
+		r.makespan = makespan
+		return r
+	}
+	ref, got := run(0), run(64)
+	if got.entered == 0 {
+		t.Fatal("no continuation was entered with a quantum open")
+	}
+	if !slices.Equal(ref.hooks, got.hooks) || !slices.Equal(ref.waits, got.waits) || ref.makespan != got.makespan {
+		t.Fatalf("quantum run diverged: waits %v vs %v, makespan %d vs %d, %d vs %d hooks",
+			got.waits, ref.waits, got.makespan, ref.makespan, len(got.hooks), len(ref.hooks))
 	}
 }

@@ -10,19 +10,23 @@ import (
 // checkStates recomputes the engine's schedule-state invariants by brute
 // force, at a tick hook:
 //
-//  1. every thread is in exactly one known state, and a thread with no
-//     live body (idle or done) is runnable, as is the running thread;
+//  1. every thread is in exactly one known state with one known
+//     continuation kind, and a thread with no live body (idle or done) is
+//     runnable, as is the running thread;
 //  2. a live thread has a queued event exactly when it is runnable,
-//     polling, acquiring, replaying or a bounded parked thread — except
+//     polling, stepping, replaying or a bounded parked thread — except
 //     the thread being delivered, whose event the loop has just popped
 //     (the running thread, or with none running, one thread at most);
 //  3. wakeable equals the set of parked threads;
 //  4. the deadlock verdict holds exactly when the queue is empty and a
 //     thread is parked;
-//  5. a polling thread is a delegated acquire (acq set): a wake queues a
-//     plain waiter runnable, to run its own poll;
+//  5. a thread other than the running one is polling or stepping exactly
+//     when it is suspended in a continuation and not parked: a wake queues
+//     a plain waiter runnable, to run its own poll, a thread whose first
+//     continuation tick closes a quantum sets the continuation only once
+//     that tick returns, and a parked acquire has no deadline;
 //  6. the herd set holds exactly the deferred threads (herdB set), each a
-//     parked delegated acquirer with no queued event whose word has not
+//     parked acquire continuation with no queued event whose word has not
 //     been stored since the release that deferred it (untouched; nil
 //     where no herd may form, as on an engine with a tick hook).
 //
@@ -31,19 +35,24 @@ func checkStates(e *Engine, untouched func(key uint64) bool) error {
 	var parkedSet topology.Set
 	delivered := e.running != nil
 	for _, t := range e.threads {
-		if t.state > replaying {
-			return fmt.Errorf("thread %d: unknown state %d", t.id, t.state)
+		if t.state > replaying || t.cont > contProto {
+			return fmt.Errorf("thread %d: unknown state %d or continuation %d", t.id, t.state, t.cont)
 		}
 		if t.state == parked {
 			parkedSet.Add(t.id)
 		}
-		if t.state == polling && !t.acq {
-			return fmt.Errorf("thread %d: polling without a delegated acquire", t.id)
+		if t != e.running {
+			if stepping := t.state == polling || t.state == stepping; stepping != (t.cont != contNone && t.state != parked) {
+				return fmt.Errorf("thread %d: state %d in continuation %d", t.id, t.state, t.cont)
+			}
+			if t.state == parked && t.cont == contAcquire && t.parkPolls != 0 {
+				return fmt.Errorf("thread %d: parked acquire with a deadline", t.id)
+			}
 		}
 		if deferred := t.herdB != 0; deferred != e.herd.Has(t.id) {
 			return fmt.Errorf("thread %d: herdB %d, in the herd set = %v", t.id, t.herdB, !deferred)
-		} else if deferred && (t.state != parked || !t.acq || t.parkPolls != 0 || untouched == nil || !untouched(t.parkKey)) {
-			return fmt.Errorf("thread %d: deferred in state %d (acq %v, polls %d) or on a stored word", t.id, t.state, t.acq, t.parkPolls)
+		} else if deferred && (t.state != parked || t.cont != contAcquire || untouched == nil || !untouched(t.parkKey)) {
+			return fmt.Errorf("thread %d: deferred in state %d (continuation %d) or on a stored word", t.id, t.state, t.cont)
 		}
 		if t.next == nil || t == e.running {
 			if t.state != runnable {

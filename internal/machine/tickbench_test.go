@@ -28,7 +28,7 @@ func BenchmarkTick(b *testing.B) {
 // word ops, no tick hook): each acquires, holds the lock for 50 cycles,
 // releases it and works 10 cycles before its next acquire, so every
 // release finds the other n-1 parked. One op is one handoff; the
-// acquire-steps/op metric is the queue traffic the herd still costs and
+// steps/op metric is the queue traffic the herd still costs and
 // settled/op the losers settled in closed form instead.
 func BenchmarkSGLHerd(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
@@ -61,7 +61,7 @@ func BenchmarkSGLHerd(b *testing.B) {
 				b.Fatal(err)
 			}
 			ops := float64(per * n)
-			b.ReportMetric(float64(eng.Counters().AcquireSteps)/ops, "acquire-steps/op")
+			b.ReportMetric(float64(eng.Counters().Steps)/ops, "steps/op")
 			b.ReportMetric(float64(eng.Counters().Settled)/ops, "settled/op")
 		})
 	}

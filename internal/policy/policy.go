@@ -155,22 +155,14 @@ type Policy interface {
 // held, to stay correct with respect to the fall-back path: a transaction
 // must not commit while an SGL holder is mid-critical-section, and loading
 // the lock word registers it, so the holder's acquire store dooms the
-// subscriber (strong isolation) in either mode.
+// subscriber (strong isolation) in either mode. The subscription is the
+// HTM's engine-side prologue (htm.Unit.RunSubscribed).
 func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
 	t.Obs.AttemptBegin(t.Ctx.Clock())
-	subscribed := func(tx *htm.Tx) {
-		if sgl.LockedTx(tx) {
-			tx.Abort(spinlock.CodeSGLHeld)
-		}
-		body(tx)
-	}
-	var status htm.Status
-	if phase == PhaseSW {
-		status = t.HTM.RunSW(t.Ctx, subscribed)
-	} else {
+	if phase != PhaseSW {
 		t.Attempts++
-		status = t.HTM.Run(t.Ctx, subscribed)
 	}
+	status := t.HTM.RunSubscribed(t.Ctx, phase == PhaseSW, sgl.Addr(), spinlock.CodeSGLHeld, body)
 	if status == 0 {
 		t.Obs.AttemptCommit(t.Ctx.Clock())
 	} else {

@@ -48,13 +48,6 @@ func (l Lock) LockedFast(m *mem.Memory) bool {
 	return m.Peek(l.addr) != 0
 }
 
-// LockedTx reports whether the lock is held from inside a hardware
-// transaction, subscribing the transaction to the lock word: a subsequent
-// acquisition aborts the transaction.
-func (l Lock) LockedTx(t *htm.Tx) bool {
-	return t.Load(l.addr) != 0
-}
-
 // TryAcquire attempts one compare-and-swap. The load and conditional store
 // execute within a single scheduling point, so the CAS is atomic under the
 // engine's serialization.
@@ -101,6 +94,12 @@ func (l Lock) Acquire(ctx *machine.Ctx, m *mem.Memory) {
 // poll boundaries like Acquire. It does not acquire the lock; Seer uses it
 // to cooperate with lock holders.
 func (l Lock) SpinWhileLocked(ctx *machine.Ctx, m *mem.Memory) {
+	// Like Acquire, the wait runs engine-side when the engine has
+	// lock-word operations: the coroutine resumes once, with the lock
+	// observed free. See machine.Ctx.WaitWord.
+	if _, ok := ctx.WaitWord(uint64(l.addr), -1); ok {
+		return
+	}
 	cost := ctx.Cost()
 	for {
 		ctx.Tick(cost.DirectLoad)
@@ -124,6 +123,9 @@ func (l Lock) SpinWhileLocked(ctx *machine.Ctx, m *mem.Memory) {
 // consumed by a park are recovered from the clock delta, so a wake part
 // way through the budget leaves the remaining budget unchanged.
 func (l Lock) SpinWhileLockedBounded(ctx *machine.Ctx, m *mem.Memory, maxSpins int) bool {
+	if free, ok := ctx.WaitWord(uint64(l.addr), max(maxSpins, 0)); ok {
+		return free
+	}
 	cost := ctx.Cost()
 	period := cost.SpinQuantum + cost.DirectLoad
 	for i := 0; ; {

@@ -105,7 +105,7 @@ func TestMutualExclusion(t *testing.T) {
 	}
 }
 
-// TestTransactionSubscription: a transaction that checks the lock aborts
+// TestTransactionSubscription: a transaction subscribed to the lock aborts
 // when the lock is later acquired (the SGL-fallback correctness property).
 func TestTransactionSubscription(t *testing.T) {
 	eng, m, u := env(t, 2)
@@ -114,10 +114,7 @@ func TestTransactionSubscription(t *testing.T) {
 	var txStatus htm.Status
 	bodies := []func(*machine.Ctx){
 		func(c *machine.Ctx) {
-			txStatus = u.Run(c, func(tx *htm.Tx) {
-				if l.LockedTx(tx) {
-					tx.Abort(CodeSGLHeld)
-				}
+			txStatus = u.RunSubscribed(c, false, l.Addr(), CodeSGLHeld, func(tx mem.Access) {
 				tx.Load(data)
 				tx.Work(500) // stay inside while thread 1 acquires
 			})

@@ -424,10 +424,10 @@ func newSystem(cfg Config, quantum int) (*System, error) {
 		memBuf, htmBuf, obsBuf = &r.mem, &r.htm, &r.obs
 	}
 	s.mem = mem.NewRecycled(cfg.MemWords, 1, memBuf)
-	// Spin-lock acquires are delegated to the engine's event loop
-	// (machine.Ctx.AcquireWord), which runs the protocol — wake-time polls
-	// included — with the real load/store on the lock word, dooms included,
-	// so it is byte-identical to the coroutine's.
+	// Spin-lock acquires and waits are delegated to the engine's event loop
+	// (machine.Ctx.AcquireWord, WaitWord), which runs the protocols —
+	// wake-time polls included — with the real load/store on the lock word,
+	// dooms included, so they are byte-identical to the coroutine's.
 	m := s.mem
 	eng.SetLockWordOps(
 		func(hw int, key uint64) uint64 { return m.DirectLoad(hw, mem.Addr(key)) },
