@@ -9,14 +9,16 @@ import (
 	"seer/internal/stamp"
 )
 
-// TestContinuationsInvisible: the engine-side wait and attempt prologue are
-// engine mechanics — every step they take for a thread lands at its
-// (cycle, id) position with the real operations — so turning them off
-// (seer.NewSystemUndelegated) may not move a byte of the report: over the
-// determinism grid, with XBegin, TxLoad, AbortHandle, SpinQuantum and
-// DirectLoad halved and doubled on it, and over every cell of the scaling
-// exhibit's grid up to 128 threads. The delegating runs must also resume
-// fewer coroutines.
+// TestContinuationsInvisible: the engine-side acquire, wait and attempt
+// prologue and the lazy herd are engine mechanics — every step they take
+// for a thread lands at its (cycle, id) position with the real operations,
+// or is settled in closed form where no thread can observe it — so
+// turning them all off (seer.NewSystemUndelegated) may not move a byte of
+// the report: over the determinism grid, with XBegin, TxLoad, AbortHandle,
+// SpinQuantum and DirectLoad halved and doubled on it, and over every cell
+// of the scaling exhibit's grid up to 128 threads. The delegating runs
+// must also resume fewer coroutines and settle deferred acquirers, and the
+// reference must settle none.
 func TestContinuationsInvisible(t *testing.T) {
 	var on, off seer.EngineCounters
 	compare := func(name string, run func(newSystem func(seer.Config) (*seer.System, error)) (string, seer.EngineCounters)) {
@@ -28,6 +30,8 @@ func TestContinuationsInvisible(t *testing.T) {
 		}
 		on.Resumes += c.Resumes
 		off.Resumes += ref.Resumes
+		on.Settled += c.Settled
+		off.Settled += ref.Settled
 	}
 
 	costs := []struct {
@@ -96,5 +100,8 @@ func TestContinuationsInvisible(t *testing.T) {
 	}
 	if on.Resumes >= off.Resumes {
 		t.Errorf("delegation resumed %d coroutines, %d without it", on.Resumes, off.Resumes)
+	}
+	if on.Settled == 0 || off.Settled != 0 {
+		t.Errorf("%d deferred acquirers settled, %d on the unwired reference", on.Settled, off.Settled)
 	}
 }

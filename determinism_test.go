@@ -57,6 +57,12 @@ func detRun(t *testing.T, pol seer.PolicyKind) string {
 // variants can perturb implementation knobs that must not change results.
 func detRunWith(t *testing.T, cfg seer.Config, newSystem func(seer.Config) (*seer.System, error)) string {
 	t.Helper()
+	return detReport(t, cfg, newSystem).Summary()
+}
+
+// detReport is detRunWith's run, returning the whole Report.
+func detReport(t *testing.T, cfg seer.Config, newSystem func(seer.Config) (*seer.System, error)) seer.Report {
+	t.Helper()
 	pol := cfg.Policy
 	sys, err := newSystem(cfg)
 	if err != nil {
@@ -95,7 +101,7 @@ func detRunWith(t *testing.T, cfg seer.Config, newSystem func(seer.Config) (*see
 		t.Fatalf("%s: Run: %v", pol, err)
 	}
 	sys.Release() // hand buffers back when cfg carries a recycler
-	return rep.Summary()
+	return rep
 }
 
 // TestDeterminismRecyclerInvariant: a recycled simulator replica is reset

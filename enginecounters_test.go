@@ -81,18 +81,15 @@ func TestEngineCountersSGLHerd(t *testing.T) {
 	}
 }
 
-// runHerdCell is stamp.Run with eager wakes forced when eager is set.
-func runHerdCell(t *testing.T, wl stamp.Workload, cfg seer.Config, eager bool) (seer.Report, seer.EngineCounters) {
+// runHerdCell is stamp.Run on the system newSystem builds.
+func runHerdCell(t *testing.T, wl stamp.Workload, cfg seer.Config, newSystem func(seer.Config) (*seer.System, error)) (seer.Report, seer.EngineCounters) {
 	t.Helper()
-	sys, err := seer.NewSystem(cfg)
+	sys, err := newSystem(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := wl.Setup(sys); err != nil {
 		t.Fatal(err)
-	}
-	if eager {
-		sys.ForceEagerWakes()
 	}
 	rep, err := sys.Run(wl.Workers(cfg.Threads))
 	if err != nil {
@@ -109,8 +106,9 @@ func runHerdCell(t *testing.T, wl stamp.Workload, cfg seer.Config, eager bool) (
 // With each of them halved and doubled, herd cells — the single global
 // lock under RTM at 128 threads, Seer's transaction and core locks taken
 // by multi-CAS at 32 threads, and HLE's convoy at 8 — must report exactly
-// what they report with eager wakes, and the lazy run must still settle
-// deferred acquirers.
+// what they report on the unwired engine (seer.NewSystemUndelegated, whose
+// wakes are all eager), and the lazy run must still settle deferred
+// acquirers while the reference settles none.
 func TestLazyHerdCostModels(t *testing.T) {
 	cells := []struct {
 		scale   float64
@@ -152,13 +150,13 @@ func TestLazyHerdCostModels(t *testing.T) {
 				p := cost.f(&cfg.Cost)
 				*p = scale(*p)
 				name := fmt.Sprintf("%s/%dT %s=%d", cell.policy, cell.threads, cost.name, *p)
-				lazy, counters := runHerdCell(t, wl, cfg, false)
-				eager, _ := runHerdCell(t, wl, cfg, true)
+				lazy, counters := runHerdCell(t, wl, cfg, seer.NewSystem)
+				eager, ref := runHerdCell(t, wl, cfg, seer.NewSystemUndelegated)
 				if lazy.Summary() != eager.Summary() {
 					t.Errorf("%s: report differs from eager wakes'\nlazy:\n%s\neager:\n%s", name, lazy.Summary(), eager.Summary())
 				}
-				if counters.Settled == 0 {
-					t.Errorf("%s: no deferred acquirer was settled", name)
+				if counters.Settled == 0 || ref.Settled != 0 {
+					t.Errorf("%s: %d deferred acquirers settled, %d on the unwired reference", name, counters.Settled, ref.Settled)
 				}
 				if s := lazy.Seer; s != nil && s.MultiCASOk+s.MultiCASFail == 0 {
 					t.Errorf("%s: no multi-CAS ran", name)

@@ -77,7 +77,7 @@ func runAttemptProgram(t *testing.T, p attemptProgram, prologue bool) attemptTra
 	data := m.AllocLines(dataLines)
 	tr := attemptTrace{statuses: make([][]Status, p.threads)}
 	if p.hook {
-		eng.SetTickHook(func(now uint64) { tr.hooks = append(tr.hooks, now) })
+		eng.SetTickHook(func(now uint64) uint64 { tr.hooks = append(tr.hooks, now); return 0 })
 	}
 	u.SetDoomHook(func(victim, aborter int, ln mem.Line) {
 		tr.dooms = append(tr.dooms, [4]uint64{uint64(victim), uint64(aborter), uint64(ln), eng.Thread(victim).Clock()})

@@ -10,11 +10,11 @@ package machine
 // polling and the loop runs that poll too; the continuation's step
 // (Engine.step) is the one place the engine loads or stores a lock word.
 // The coroutine resumes exactly once, after the winning store, and
-// AcquireWord returns with the lock held. With no tick hook, a release
-// queues only the acquirer that can win (Ctx.WakeKey), and the winning
-// store settles the others' losing steps in closed form (settleHerd): the
-// one exception to "every step at its true position", and no other thread
-// can observe those steps.
+// AcquireWord returns with the lock held. A release queues only the
+// acquirer that can win (Ctx.WakeKey), and the winning store settles the
+// others' losing steps in closed form (settleHerd): the one exception to
+// "every step at its true position", and no other thread can observe
+// those steps.
 
 // SetLockWordOps installs the committed-memory operations the event loop
 // uses to execute the acquire and wait continuations (Ctx.AcquireWord,

@@ -8,22 +8,23 @@ import (
 	"testing"
 )
 
-// The lock-protocol equivalence tests run one lock program on three
-// engines — the unwired ticking reference (AcquireWord and WaitWord report
-// false and hand-rolled ticking loops mirroring spinlock's Acquire,
+// The lock-protocol equivalence tests run one lock program on two engines
+// — the unwired ticking reference (AcquireWord and WaitWord report false
+// and hand-rolled ticking loops mirroring spinlock's Acquire,
 // SpinWhileLocked and SpinWhileLockedBounded run instead, so every woken
-// thread resumes to run its own poll), the wired engine (SetLockWordOps,
-// so AcquireWord and WaitWord delegate their protocols, wake-time polls
-// included, to the event loop) and the lazy engine (wired with no tick
-// hook, so a release queues only the acquirer that can win and the word's
-// next store settles the rest) — and require every acquire cycle, wait
-// verdict, per-thread ParkSkipped total, doom and the makespan to match
-// exactly, and the wired engine's full tick-hook stream to match the
-// reference's. The lock word lives in plain test state; each
-// run's bodies and ops close over their own copy. The word also models
-// strong isolation: a transaction may write it (opTxWrite), and the next
-// other access to it dooms that transaction, at a position every engine
-// must agree on.
+// thread resumes to run its own poll and every wake is eager) and the
+// wired engine (SetLockWordOps, so AcquireWord and WaitWord delegate their
+// protocols, wake-time polls included, to the event loop, a release queues
+// only the acquirer that can win, and the word's next store settles the
+// rest) — and require every acquire cycle, wait verdict, per-thread
+// ParkSkipped total, doom and the makespan to match exactly. Both engines
+// carry a tick hook that sees every tick; the wired engine's hook stream
+// must be the reference's minus the losing steps the herd settled in
+// closed form. The lock word lives in plain test state; each run's bodies
+// and ops close over their own copy. The word also models strong
+// isolation: a transaction may write it (opTxWrite), and the next other
+// access to it dooms that transaction, at a position both engines must
+// agree on.
 
 const (
 	taLoad   = 2           // DirectLoad of the default cost model
@@ -43,32 +44,24 @@ const (
 	numLockOps
 )
 
-// lockMode selects the engine a lock program runs on.
-type lockMode int
-
-const (
-	ticking lockMode = iota // no lock-word ops: every acquire ticks
-	wired                   // lock-word ops and a tick hook: eager wakes
-	lazy                    // lock-word ops, no tick hook: lazy herd
-)
-
 // lockTrace is everything a lock program lets an observer see.
 type lockTrace struct {
-	hooks    []uint64    // the engine's complete tick-hook stream (none when lazy)
+	hooks    []uint64    // the engine's complete tick-hook stream
 	acqs     [][]uint64  // per thread: acquire-completion clocks
 	waits    [][]uint64  // per thread: wait verdict clocks, +1<<63 when a bounded wait gave up
 	skipped  []uint64    // per thread: ParkSkipped after the run
 	dooms    [][3]uint64 // (cycle, accessing thread, victim) of every access that doomed a transaction
 	makespan uint64
 	counters Counters
-	mats     int // transactional writes that found acquirers deferred
+	mats     int    // transactional writes that found acquirers deferred
+	deferred uint64 // acquirers the releases deferred
 }
 
-// runLockProgram runs prog on nThreads threads contending for one lock. A
-// thread still holding the lock when its steps run out releases it, so
-// every program terminates. The lazy run has no tick hook to check the
-// schedule-state invariants from, so its bodies check them at every step.
-func runLockProgram(t *testing.T, nThreads int, prog []byte, mode lockMode) lockTrace {
+// runLockProgram runs prog on nThreads threads contending for one lock, on
+// the wired engine or the ticking reference, checking the schedule-state
+// invariants at every tick. A thread still holding the lock when its steps
+// run out releases it, so every program terminates.
+func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTrace {
 	t.Helper()
 	eng := parkEngine(t, nThreads)
 	const key = 99
@@ -93,22 +86,13 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, mode lockMode) lock
 	}
 	load := func(hw int) uint64 { access(hw, false); return word }
 	store := func(hw int, v uint64) { access(hw, true); word, untouched = v, v == 0 }
-	if mode != ticking {
+	if wired {
 		eng.SetLockWordOps(
 			func(hw int, _ uint64) uint64 { return load(hw) },
 			func(hw int, _ uint64, v uint64) { store(hw, v) })
 	}
-	verify, check := func() {}, func() {}
-	var firstErr error
-	if mode == lazy {
-		check = func() {
-			if err := checkStates(eng, func(uint64) bool { return untouched }); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	} else {
-		verify = watchStates(t, eng, func(now uint64) { tr.hooks = append(tr.hooks, now) })
-	}
+	verify := watchStates(t, eng, func(now uint64) { tr.hooks = append(tr.hooks, now) },
+		func(uint64) bool { return untouched })
 	bodies := make([]func(*Ctx), nThreads)
 	for i := range bodies {
 		id := i
@@ -123,30 +107,14 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, mode lockMode) lock
 				c.Tick(taCAS)
 				store(id, 0)
 				c.WakeKey(key)
+				tr.deferred += uint64(eng.herd.Count())
 				held = false
 			}
 			for k := 2 * id; k+1 < len(prog); k += 2 * nThreads {
-				check()
 				op, arg := prog[k]%numLockOps, uint64(prog[k+1])
 				switch {
 				case op == opAcquire && !held:
-					if !c.AcquireWord(key, owner) {
-						// The fallback spinlock.Acquire runs when the engine
-						// has no lock-word ops: poll tick + load, CAS tick +
-						// load-and-store, park on busy.
-						for {
-							c.Tick(taLoad)
-							if load(id) == 0 {
-								c.Tick(taCAS)
-								if load(id) != 0 {
-									continue
-								}
-								store(id, owner)
-								break
-							}
-							c.ParkOnWord(key, taPeriod, taLoad, 0)
-						}
-					}
+					acquireWord(c, key, owner, func() uint64 { return load(id) }, func(v uint64) { store(id, v) })
 					acquired()
 					c.Tick(arg)
 				case op == opRelease && held:
@@ -199,17 +167,13 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, mode lockMode) lock
 			if held {
 				release()
 			}
-			check()
 		}
 	}
 	var err error
 	if tr.makespan, err = eng.Run(bodies); err != nil {
-		t.Fatalf("mode %d: %v", mode, err)
+		t.Fatalf("wired=%v: %v", wired, err)
 	}
 	verify()
-	if firstErr != nil {
-		t.Fatalf("lazy run: schedule-state invariant broken: %v", firstErr)
-	}
 	for i := range nThreads {
 		tr.skipped = append(tr.skipped, eng.Thread(i).ParkSkipped())
 	}
@@ -217,40 +181,53 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, mode lockMode) lock
 	return tr
 }
 
-// checkLockProtocolEquivalence fails unless the wired and lazy engines'
-// observable streams are identical to the ticking reference's. It returns
-// the lazy run.
+// checkLockProtocolEquivalence fails unless the wired engine's observable
+// streams are the ticking reference's. Its hook stream must be an in-order
+// subsequence of the reference's, missing only deferred acquirers' steps:
+// at least the woken poll of each settled one (two hook calls, the pop and
+// the poll's tick), and at most that poll, a CAS and a re-poll of each
+// deferred one — none where no release deferred an acquirer. It returns
+// the wired run.
 func checkLockProtocolEquivalence(t *testing.T, nThreads int, prog []byte) lockTrace {
 	t.Helper()
-	ref := runLockProgram(t, nThreads, prog, ticking)
-	got := runLockProgram(t, nThreads, prog, wired)
-	if !slices.Equal(ref.hooks, got.hooks) {
-		t.Fatalf("n=%d prog=%v: hook streams differ (%d ticking vs %d wired)",
-			nThreads, prog, len(ref.hooks), len(got.hooks))
+	ref := runLockProgram(t, nThreads, prog, false)
+	got := runLockProgram(t, nThreads, prog, true)
+	lo, hi := 2*got.counters.Settled, 4*got.deferred
+	if missing := uint64(len(ref.hooks) - len(got.hooks)); !isSubsequence(got.hooks, ref.hooks) || missing < lo || missing > hi {
+		t.Fatalf("n=%d prog=%v: hook stream of %d ticks is not the reference's %d less %d to %d",
+			nThreads, prog, len(got.hooks), len(ref.hooks), lo, hi)
 	}
-	lz := runLockProgram(t, nThreads, prog, lazy)
-	for name, run := range map[string]lockTrace{"wired": got, "lazy": lz} {
-		if ref.makespan != run.makespan {
-			t.Fatalf("n=%d prog=%v: makespan %d (ticking) vs %d (%s)", nThreads, prog, ref.makespan, run.makespan, name)
+	if ref.makespan != got.makespan {
+		t.Fatalf("n=%d prog=%v: makespan %d (ticking) vs %d (wired)", nThreads, prog, ref.makespan, got.makespan)
+	}
+	for id := range ref.acqs {
+		if !slices.Equal(ref.acqs[id], got.acqs[id]) {
+			t.Fatalf("n=%d prog=%v thread %d: acquire cycles %v (ticking) vs %v (wired)",
+				nThreads, prog, id, ref.acqs[id], got.acqs[id])
 		}
-		for id := range ref.acqs {
-			if !slices.Equal(ref.acqs[id], run.acqs[id]) {
-				t.Fatalf("n=%d prog=%v thread %d: acquire cycles %v (ticking) vs %v (%s)",
-					nThreads, prog, id, ref.acqs[id], run.acqs[id], name)
-			}
-			if !slices.Equal(ref.waits[id], run.waits[id]) {
-				t.Fatalf("n=%d prog=%v thread %d: bounded waits %v (ticking) vs %v (%s)",
-					nThreads, prog, id, ref.waits[id], run.waits[id], name)
-			}
-		}
-		if !slices.Equal(ref.skipped, run.skipped) {
-			t.Fatalf("n=%d prog=%v: ParkSkipped %v (ticking) vs %v (%s)", nThreads, prog, ref.skipped, run.skipped, name)
-		}
-		if !slices.Equal(ref.dooms, run.dooms) {
-			t.Fatalf("n=%d prog=%v: dooms %v (ticking) vs %v (%s)", nThreads, prog, ref.dooms, run.dooms, name)
+		if !slices.Equal(ref.waits[id], got.waits[id]) {
+			t.Fatalf("n=%d prog=%v thread %d: bounded waits %v (ticking) vs %v (wired)",
+				nThreads, prog, id, ref.waits[id], got.waits[id])
 		}
 	}
-	return lz
+	if !slices.Equal(ref.skipped, got.skipped) {
+		t.Fatalf("n=%d prog=%v: ParkSkipped %v (ticking) vs %v (wired)", nThreads, prog, ref.skipped, got.skipped)
+	}
+	if !slices.Equal(ref.dooms, got.dooms) {
+		t.Fatalf("n=%d prog=%v: dooms %v (ticking) vs %v (wired)", nThreads, prog, ref.dooms, got.dooms)
+	}
+	return got
+}
+
+// isSubsequence reports whether sub is seq with some elements left out,
+// the rest in order.
+func isSubsequence(sub, seq []uint64) bool {
+	for _, v := range seq {
+		if len(sub) > 0 && sub[0] == v {
+			sub = sub[1:]
+		}
+	}
+	return len(sub) == 0
 }
 
 // contentionShape is a fixed scenario: n contenders, each acquiring,
@@ -289,14 +266,14 @@ func (s contentionShape) program() []byte {
 }
 
 // TestDelegatedAcquireEquivalence: for several contention shapes, the
-// delegated protocol's observable streams, eager or lazy, must be
-// identical to the ticking loop's, and from three contenders on the lazy
-// engine must settle deferred acquirers rather than deliver their steps.
+// delegated protocol's observable streams must be identical to the
+// ticking loop's, and from three contenders on the wired engine must
+// settle deferred acquirers rather than deliver their steps.
 func TestDelegatedAcquireEquivalence(t *testing.T) {
 	for _, shape := range append(contentionShapes, herdShapes...) {
-		lz := checkLockProtocolEquivalence(t, shape.n, shape.program())
-		if shape.n >= 3 && lz.counters.Settled == 0 {
-			t.Errorf("%+v: the lazy engine settled no deferred acquirer", shape)
+		got := checkLockProtocolEquivalence(t, shape.n, shape.program())
+		if shape.n >= 3 && got.counters.Settled == 0 {
+			t.Errorf("%+v: the wired engine settled no deferred acquirer", shape)
 		}
 	}
 }
@@ -339,11 +316,11 @@ func herdTxWriteProgram(txArg byte) []byte {
 func TestLazyHerdMaterializes(t *testing.T) {
 	doomed := 0
 	for arg := 0; arg < 256; arg += 3 {
-		lz := checkLockProtocolEquivalence(t, 6, herdTxWriteProgram(byte(arg)))
-		if lz.mats == 0 {
+		got := checkLockProtocolEquivalence(t, 6, herdTxWriteProgram(byte(arg)))
+		if got.mats == 0 {
 			t.Fatalf("txArg %d: the write found no deferred acquirer to materialize", arg)
 		}
-		if len(lz.dooms) > 0 {
+		if len(got.dooms) > 0 {
 			doomed++
 		}
 	}
@@ -455,9 +432,9 @@ func TestTxReadDoomedCorpus(t *testing.T) {
 			t.Fatalf("op byte %d at %d decodes differently since opWait was added", prog[k], k)
 		}
 	}
-	lz := checkLockProtocolEquivalence(t, 1+int(threads[0]%128), []byte(prog))
-	if want := [][3]uint64{{8, 0, 7}, {11, 7, 0}, {27, 2, 0}, {241, 5, 11}}; !slices.Equal(lz.dooms, want) {
-		t.Fatalf("dooms %v, want %v", lz.dooms, want)
+	got := checkLockProtocolEquivalence(t, 1+int(threads[0]%128), []byte(prog))
+	if want := [][3]uint64{{8, 0, 7}, {11, 7, 0}, {27, 2, 0}, {241, 5, 11}}; !slices.Equal(got.dooms, want) {
+		t.Fatalf("dooms %v, want %v", got.dooms, want)
 	}
 }
 
@@ -477,7 +454,7 @@ func waitHerdProgram(k byte) []byte {
 
 // TestWaitContinuationEquivalence: the fixed wait shapes — every bounded
 // budget against releases around its deadline, and waiters beside a lazy
-// herd — give the reference's streams on the wired and the lazy engines.
+// herd — give the reference's streams on the wired engine.
 func TestWaitContinuationEquivalence(t *testing.T) {
 	for b := byte(0); b < 6; b++ {
 		for d := -1; d <= 1; d++ {
@@ -487,9 +464,30 @@ func TestWaitContinuationEquivalence(t *testing.T) {
 		}
 	}
 	for k := byte(0); k < 9; k++ {
-		if lz := checkLockProtocolEquivalence(t, 8, waitHerdProgram(k)); lz.counters.Settled == 0 {
-			t.Errorf("k=%d: the lazy engine settled no deferred acquirer", k)
+		if got := checkLockProtocolEquivalence(t, 8, waitHerdProgram(k)); got.counters.Settled == 0 {
+			t.Errorf("k=%d: the wired engine settled no deferred acquirer", k)
 		}
+	}
+}
+
+// acquireWord takes the lock word through AcquireWord or, on an engine
+// with no lock-word ops, through the loop spinlock.Acquire falls back to:
+// poll tick + load, CAS tick + load-and-store, park on busy.
+func acquireWord(c *Ctx, key, owner uint64, load func() uint64, store func(uint64)) {
+	if c.AcquireWord(key, owner) {
+		return
+	}
+	for {
+		c.Tick(taLoad)
+		if load() == 0 {
+			c.Tick(taCAS)
+			if load() != 0 {
+				continue
+			}
+			store(owner)
+			return
+		}
+		c.ParkOnWord(key, taPeriod, taLoad, 0)
 	}
 }
 

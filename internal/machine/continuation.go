@@ -84,9 +84,7 @@ func (e *Engine) step(t *Ctx, horizon uint64, fired bool) (nextCycle uint64, sta
 				return nc, stepQueued
 			}
 			t.clock = nc
-			if e.tickHook != nil {
-				e.tickHook(nc)
-			}
+			e.observe(nc)
 		}
 		switch t.cont {
 		case contAcquire:

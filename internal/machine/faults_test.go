@@ -35,8 +35,9 @@ func faultEngine(t *testing.T, spec int, word *uint64) *Engine {
 }
 
 // probe runs a program on e that passes through every state — contended
-// delegated acquires and their woken polls, bounded waits and quanta — and
-// returns its hook stream, makespan and the engine counters it added.
+// delegated acquires, their woken polls and deferred herds, bounded waits
+// and quanta — and returns its hook stream, makespan and the engine
+// counters it added.
 func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint64, delta Counters) {
 	t.Helper()
 	*word = 0
@@ -46,7 +47,7 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 		if len(hooks) > 1<<16 { // a broken engine can loop at one cycle forever
 			panic(fmt.Sprintf("probe: runaway schedule at cycle %d", now))
 		}
-	})
+	}, wordFree(word))
 	contender := func(c *Ctx) {
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 4; j++ {
@@ -54,7 +55,6 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 			}
 			c.AcquireWord(faultKey, uint64(c.ID())+1)
 			c.Tick(40)
-			c.WakeKey(faultKey) // spurious: the waiters' polls find the word held
 			c.Tick(taCAS)
 			*word = 0
 			c.WakeKey(faultKey)
@@ -77,8 +77,18 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 		Resumes: after.Resumes - before.Resumes,
 		Steps:   after.Steps - before.Steps,
 		Replays: after.Replays - before.Replays,
+		Settled: after.Settled - before.Settled,
 	}
 	return hooks, makespan, delta
+}
+
+// wordFree is checkStates' untouched for engines whose lock word is *word
+// and whose every release stores 0 and wakes before its next tick: a
+// deferred acquirer's word is then unstored since the release exactly
+// while it reads 0, since the next store is the winning CAS, which settles
+// the herd before any tick.
+func wordFree(word *uint64) func(uint64) bool {
+	return func(uint64) bool { return *word == 0 }
 }
 
 // TestFaultsLeaveEngineReusable covers the fault-table rows the engine's
@@ -92,14 +102,14 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 		name string
 		spec int
 		want error
-		// lazy runs the failing program with no tick hook, so releases
-		// defer acquirers; its verdict and makespan must equal a hooked
-		// run's (eager wakes).
-		lazy bool
+		// unwired reruns the failing program on an engine with no
+		// lock-word ops, where every wake is eager; its verdict and
+		// makespan must be the same.
+		unwired bool
 		// bodies builds the failing program; word is the lock word.
 		bodies func(word *uint64) []func(*Ctx)
-		// reached reports that the run is at the event the case is about:
-		// at a tick hook, or after a lazy run.
+		// reached reports, at a tick hook, that the run is at the event the
+		// case is about.
 		reached func(e *Engine, now uint64) bool
 	}{{
 		name: "MaxCycles on a delegated-acquire tick",
@@ -145,17 +155,18 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 		// 9998 (thread 3, deferred) and 10006 (thread 2: past the cap,
 		// so queued). Eager wakes fail at thread 2's poll, before thread
 		// 1's CAS at 10021.
-		name: "MaxCycles with acquirers deferred",
-		want: ErrMaxCycles,
-		lazy: true,
+		name:    "MaxCycles with acquirers deferred",
+		want:    ErrMaxCycles,
+		unwired: true,
 		bodies: func(word *uint64) []func(*Ctx) {
 			deferred = false
+			load, store := func() uint64 { return *word }, func(v uint64) { *word = v }
 			contender := func(d uint64) func(*Ctx) {
-				return func(c *Ctx) { c.Tick(30 + d); c.AcquireWord(faultKey, uint64(c.ID())+1) }
+				return func(c *Ctx) { c.Tick(30 + d); acquireWord(c, faultKey, uint64(c.ID())+1, load, store) }
 			}
 			return []func(*Ctx){
 				func(c *Ctx) {
-					c.AcquireWord(faultKey, 1)
+					acquireWord(c, faultKey, 1, load, store)
 					c.Tick(9930)
 					c.Tick(taCAS)
 					*word = 0
@@ -191,23 +202,20 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 			var word uint64
 			e := faultEngine(t, fc.spec, &word)
 			hit := false
-			verify := func() {}
-			if !fc.lazy {
-				verify = watchStates(t, e, func(now uint64) { hit = hit || fc.reached(e, now) })
-			}
+			verify := watchStates(t, e, func(now uint64) { hit = hit || fc.reached(e, now) }, wordFree(&word))
 			makespan, err := e.Run(fc.bodies(&word))
 			if !errors.Is(err, fc.want) {
 				t.Fatalf("err = %v, want %v", err, fc.want)
 			}
 			verify()
-			if fc.lazy {
-				hit = fc.reached(e, makespan)
-				if err := checkStates(e, nil); err != nil {
-					t.Fatalf("after the fault: %v", err)
-				}
+			if err := checkStates(e, nil); err != nil {
+				t.Fatalf("after the fault: %v", err)
+			}
+			if fc.unwired {
 				var eagerWord uint64
 				eager := faultEngine(t, fc.spec, &eagerWord)
-				verify := watchStates(t, eager, nil)
+				eager.SetLockWordOps(nil, nil)
+				verify := watchStates(t, eager, nil, nil)
 				wantMakespan, wantErr := eager.Run(fc.bodies(&eagerWord))
 				verify()
 				if !errors.Is(wantErr, fc.want) || makespan != wantMakespan {
@@ -224,7 +232,7 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 				t.Fatalf("probe after the fault: makespan %d, %d hooks, counters %+v; on a fresh engine: %d, %d, %+v",
 					makespan, len(hooks), delta, wantMakespan, len(wantHooks), wantDelta)
 			}
-			if delta.Steps == 0 || (fc.spec > 0 && delta.Replays == 0) {
+			if delta.Steps == 0 || delta.Settled == 0 || (fc.spec > 0 && delta.Replays == 0) {
 				t.Fatalf("probe counters %+v: the probe missed a state", delta)
 			}
 		})

@@ -294,22 +294,21 @@ func (c *Ctx) Cost() *CostModel { return &c.eng.cfg.Cost }
 // its precomputed batch horizon, the engine's loop would push this
 // thread's event and immediately pop it again — two coroutine switches
 // that cannot change any observable state, since no other thread gets to
-// run. In that case Tick performs the engine's per-step work itself (the
-// tick hook with exactly the cycle the popped event would have carried)
-// and returns without suspending, so a conflict-free context advances
-// through arbitrarily many poll quanta per heap interaction at the cost
-// of one comparison each. The horizon encodes both the queue minimum
-// with the (cycle, id) tie-break and the MaxCycles livelock bound (a
-// clock past MaxCycles always takes the yield so the engine loop can
-// deliver the verdict); see Engine.horizonFor and DESIGN.md §6b for the
-// observation-equivalence argument. This preserves the schedule
+// run. In that case Tick performs the engine's per-step work itself (one
+// comparison against the tick hook's deadline, and the hook if the cycle
+// the popped event would have carried reaches it) and returns without
+// suspending, so a conflict-free context advances through arbitrarily
+// many poll quanta per heap interaction at the cost of two comparisons
+// each. The horizon encodes both the queue minimum with the (cycle, id)
+// tie-break and the MaxCycles livelock bound (a clock past MaxCycles
+// always takes the yield so the engine loop can deliver the verdict); see
+// Engine.horizonFor and DESIGN.md §6b for the observation-equivalence
+// argument. This preserves the schedule
 // bit-for-bit while eliminating the dominant cost of fine-grained ticks.
 func (c *Ctx) Tick(cost uint64) {
 	c.clock += cost
 	if c.clock < c.batchLimit {
-		if hook := c.eng.tickHook; hook != nil {
-			hook(c.clock)
-		}
+		c.eng.observe(c.clock)
 		return
 	}
 	c.suspend()
@@ -397,20 +396,20 @@ func (t *Ctx) skipTo(b uint64) {
 // caller's exact cycle keep the (cycle, id) tie-break of the event queue.
 // With no parked threads the call is one set-emptiness test.
 //
-// Lazy herd: with lock-word operations installed and no tick hook, only
-// the delegated acquirer with the earliest (boundary, id) is queued. Every
-// other one can only lose the race for the word, so it stays parked with
-// its boundary in herdB (the herd), and the word's next store settles it
-// in closed form (settleHerd). The caller must have just freed key's
-// word, and a holder must not store it again until LockOp after taking it
-// (DESIGN.md §6b).
+// Lazy herd: of the delegated acquirers (AcquireWord, so lock-word
+// operations are installed) only the one with the earliest (boundary, id)
+// is queued. Every other one can only lose the race for the word, so it
+// stays parked with its boundary in herdB (the herd), and the word's next
+// store settles it in closed form (settleHerd); its losing ticks are never
+// delivered, so a tick hook does not see them. The caller must have just
+// freed key's word, and a holder must not store it again until LockOp
+// after taking it (DESIGN.md §6b).
 func (c *Ctx) WakeKey(key uint64) {
 	e := c.eng
 	if e.wakeable.Empty() {
 		return
 	}
 	now, wid := c.clock, int32(c.id)
-	lazy := e.tickHook == nil && e.lockLoad != nil
 	var first *Ctx
 	// The walk costs the parked population, not the machine width.
 	// ForEach iterates a copy in ascending id order — the order a full
@@ -421,7 +420,7 @@ func (c *Ctx) WakeKey(key uint64) {
 			return
 		}
 		b := t.boundary(now, wid)
-		if !lazy || t.cont != contAcquire || b >= e.maxCap {
+		if t.cont != contAcquire || b >= e.maxCap {
 			// A boundary past the MaxCycles cap stays queued, so the run
 			// fails at the event it fails at with eager wakes.
 			e.wake(t, b)
@@ -501,10 +500,13 @@ type Engine struct {
 	// context, in place: a fixed-size value cleared at the start of a Run.
 	queue eventQueue
 	// tickHook, when set, observes the global virtual time (the minimum
-	// clock over runnable threads, non-decreasing within a run) once per
-	// scheduling step, before the next thread is resumed. The telemetry
-	// recorder uses it to cut interval snapshots deterministically.
-	tickHook func(now uint64)
+	// clock over runnable threads, non-decreasing within a run) at the
+	// first delivered tick at or past hookAt, its deadline, and returns the
+	// next one (see SetTickHook). The telemetry recorder uses it to cut
+	// interval snapshots deterministically. hookAt is ^uint64(0) with no
+	// hook, so every tick pays one comparison and nothing else.
+	tickHook func(now uint64) (next uint64)
+	hookAt   uint64
 	// wakeable is the set of parked threads, kept by Ctx.setState: the
 	// threads WakeKey can reschedule, and — once the queue runs dry — the
 	// ones Run reports deadlocked. A woken thread already has its poll
@@ -589,9 +591,27 @@ func (e *Engine) horizonFor(id int32) uint64 {
 	return lim
 }
 
-// SetTickHook installs (or clears, with nil) the scheduling-step observer.
-// Unset, the loop pays a single nil check per step.
-func (e *Engine) SetTickHook(hook func(now uint64)) { e.tickHook = hook }
+// SetTickHook installs (or clears, with nil) the tick observer. The engine
+// calls hook(now) at the first delivered tick whose cycle reaches the
+// hook's deadline, and hook returns the next deadline: a hook returning 0
+// sees every tick, one returning now+P the first tick of every P-cycle
+// stretch that has one. The deadline starts at cycle 0 here and on every
+// Run. The hook only observes: the engine does the same work with or
+// without one.
+func (e *Engine) SetTickHook(hook func(now uint64) (next uint64)) {
+	e.tickHook, e.hookAt = hook, 0
+	if hook == nil {
+		e.hookAt = ^uint64(0)
+	}
+}
+
+// observe delivers the tick at now to the hook if it reached the hook's
+// deadline.
+func (e *Engine) observe(now uint64) {
+	if now >= e.hookAt {
+		e.hookAt = e.tickHook(now)
+	}
+}
 
 // SetParkPollEvaluator does nothing. The engine no longer evaluates
 // wake-time polls: a woken plain waiter resumes to run its own poll, and a
@@ -605,7 +625,7 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, maxCap: maxEventCycle, delegation: true}
+	e := &Engine{cfg: cfg, maxCap: maxEventCycle, hookAt: ^uint64(0), delegation: true}
 	if cfg.MaxCycles > 0 && cfg.MaxCycles < maxEventCycle {
 		e.maxCap = cfg.MaxCycles + 1
 	}
@@ -681,6 +701,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 			len(bodies), len(e.threads))
 	}
 	e.queue.clear()
+	e.SetTickHook(e.tickHook) // re-arm the deadline at cycle 0
 	for i, body := range bodies {
 		if body == nil {
 			continue
@@ -697,9 +718,7 @@ events:
 		ev := e.queue.pop()
 		for {
 			t := e.threads[ev.id]
-			if e.tickHook != nil {
-				e.tickHook(ev.cycle)
-			}
+			e.observe(ev.cycle)
 			if ev.cycle >= e.maxCap {
 				// Unwind every live context so no coroutine outlives the
 				// run, then report the livelock.
@@ -721,17 +740,15 @@ events:
 				fallthrough
 			case polling:
 				// A woken continuation's poll boundary. The coroutine would
-				// resume here and tick through its polling load (the hook
-				// fires once more at this cycle); the loop fires that hook
-				// and runs the protocol from the poll, real load included.
-				if e.tickHook != nil {
-					e.tickHook(ev.cycle)
-				}
+				// resume here and tick through its polling load (a second
+				// tick delivered at this cycle); the loop offers that tick
+				// to the hook and runs the protocol from the poll, real
+				// load included.
+				e.observe(ev.cycle)
 				t.setState(stepping)
 				fallthrough
 			case stepping:
-				// A continuation's tick; the pop hook above was the tick's
-				// hook.
+				// A continuation's tick, delivered by the pop above.
 				t.clock = ev.cycle
 				nc, status := e.step(t, e.horizonFor(ev.id), true)
 				if status != stepDone {

@@ -294,7 +294,7 @@ func TestWakeKeyIsSelective(t *testing.T) {
 // produce identical makespans (engine reuse resets all park state).
 func TestParkedRunsAreDeterministic(t *testing.T) {
 	eng := parkEngine(t, 4)
-	verify := watchStates(t, eng, nil)
+	verify := watchStates(t, eng, nil, nil)
 	run := func() uint64 {
 		flag := false
 		ms, err := eng.Run([]func(*Ctx){
@@ -322,21 +322,40 @@ func TestParkedRunsAreDeterministic(t *testing.T) {
 }
 
 // wakeKeyFullScan is the walk WakeKey's parked-id set replaced: every
-// context of the machine dereferenced and filtered, in ascending id order.
+// context of the machine dereferenced and filtered, in ascending id order,
+// with WakeKey's lazy rule — of the acquirers whose boundary is below the
+// MaxCycles cap only the earliest (boundary, id) is queued, the rest are
+// deferred.
 func wakeKeyFullScan(c *Ctx, key uint64) {
 	e := c.eng
+	now, wid := c.clock, int32(c.id)
+	var first *Ctx
 	for _, t := range e.threads {
-		if t.state == parked && t.parkKey == key {
-			e.wake(t, t.boundary(c.clock, int32(c.id)))
+		if t.state != parked || t.parkKey != key {
+			continue
+		}
+		b := t.boundary(now, wid)
+		if t.cont != contAcquire || b >= e.maxCap {
+			e.wake(t, b)
+			continue
+		}
+		t.herdB = b
+		e.herd.Add(t.id)
+		if first == nil || b < first.herdB {
+			first = t
 		}
 	}
-	c.batchLimit = e.horizonFor(int32(c.id))
+	if first != nil {
+		e.herd.Remove(first.id)
+		e.wake(first, first.herdB)
+	}
+	c.batchLimit = e.horizonFor(wid)
 }
 
 // wakeSnap is the engine state a release leaves behind.
 type wakeSnap struct {
-	queue    eventQueue
-	wakeable topology.Set
+	queue          eventQueue
+	wakeable, herd topology.Set
 }
 
 // runWakeScenario parks n-1 waiters on two held words — unbounded and
@@ -348,24 +367,28 @@ type wakeSnap struct {
 // woke), then a final round that frees both. With wired, every third
 // waiter takes its word through a delegated acquire instead, so its wakes
 // queue it polling and the loop runs its polls; once it holds the word it
-// releases it through wake too. It returns the engine state after every
+// releases it through wake too. Releases defer all but one of the
+// acquirers on a word, held or not. It returns the engine state after every
 // release, every waiter's clock at every return from a park or an
 // acquire, the hook stream and the number of threads the releases woke.
 func runWakeScenario(t *testing.T, n int, wired bool, wake func(*Ctx, uint64)) (snaps []wakeSnap, returns []event, hooks []uint64, wakes int) {
 	t.Helper()
 	eng := parkEngine(t, n)
 	words := [2]uint64{1, 1}
+	var stored [2]bool // the word was stored since its last release
 	if wired {
 		eng.SetLockWordOps(
 			func(_ int, key uint64) uint64 { return words[key] },
-			func(_ int, key uint64, v uint64) { words[key] = v })
+			func(_ int, key uint64, v uint64) { words[key], stored[key] = v, true })
 	}
-	verify := watchStates(t, eng, func(now uint64) { hooks = append(hooks, now) })
+	verify := watchStates(t, eng, func(now uint64) { hooks = append(hooks, now) },
+		func(key uint64) bool { return !stored[key] })
 	release := func(c *Ctx, key uint64) {
 		parked := eng.wakeable.Count()
 		wake(c, key)
+		stored[key] = false
 		wakes += parked - eng.wakeable.Count()
-		snaps = append(snaps, wakeSnap{eng.queue, eng.wakeable})
+		snaps = append(snaps, wakeSnap{eng.queue, eng.wakeable, eng.herd})
 	}
 	bodies := make([]func(*Ctx), n)
 	bodies[0] = func(c *Ctx) {
@@ -413,11 +436,13 @@ func runWakeScenario(t *testing.T, n int, wired bool, wake func(*Ctx, uint64)) (
 }
 
 // TestWakeKeyMatchesFullScan: walking the parked-id set must wake the
-// same threads in the same order as scanning every context — the queue
-// and the set equal after every release, and every waiter back from its
-// park at the same clock, in the same sequence — with plain waiters only
-// and with delegated acquirers among them.
+// same threads in the same order as scanning every context — the queue,
+// the parked set and the herd equal after every release, and every waiter
+// back from its park at the same clock, in the same sequence — with plain
+// waiters only and with delegated acquirers among them, whose releases
+// defer all but one.
 func TestWakeKeyMatchesFullScan(t *testing.T) {
+	deferred := map[bool]bool{} // by wired: some release deferred acquirers
 	for _, n := range []int{8, 128} {
 		for _, wired := range []bool{false, true} {
 			snaps, returns, hooks, wakes := runWakeScenario(t, n, wired, (*Ctx).WakeKey)
@@ -432,6 +457,7 @@ func TestWakeKeyMatchesFullScan(t *testing.T) {
 				if snaps[i] != refSnaps[i] {
 					t.Fatalf("n=%d wired=%v: engine state after release %d differs from the full scan's", n, wired, i)
 				}
+				deferred[wired] = deferred[wired] || !snaps[i].herd.Empty()
 			}
 			if !slices.Equal(returns, refReturns) {
 				t.Fatalf("n=%d wired=%v: waiters return from their parks in a different order or at different clocks", n, wired)
@@ -440,5 +466,8 @@ func TestWakeKeyMatchesFullScan(t *testing.T) {
 				t.Fatalf("n=%d wired=%v: hook streams differ (%d vs %d)", n, wired, len(hooks), len(refHooks))
 			}
 		}
+	}
+	if !deferred[true] || deferred[false] {
+		t.Fatalf("releases deferred acquirers: wired %v, plain waiters only %v", deferred[true], deferred[false])
 	}
 }

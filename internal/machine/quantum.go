@@ -57,9 +57,7 @@ type specJournal struct {
 func (c *Ctx) TickPure(cost uint64) {
 	c.clock += cost
 	if c.clock < c.batchLimit {
-		if hook := c.eng.tickHook; hook != nil {
-			hook(c.clock)
-		}
+		c.eng.observe(c.clock)
 		return
 	}
 	if c.specCap > 0 && c.clock < c.eng.maxCap && c.spec.n < c.specCap {

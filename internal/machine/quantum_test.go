@@ -22,7 +22,7 @@ func quantumRun(t *testing.T, spec int, mk func() []func(*Ctx)) ([]uint64, uint6
 		Cost: DefaultCostModel(), SpecQuantum: spec,
 	})
 	var stream []uint64
-	verify := watchStates(t, e, func(now uint64) { stream = append(stream, now) })
+	verify := watchStates(t, e, func(now uint64) { stream = append(stream, now) }, nil)
 	makespan, err := e.Run(bodies)
 	if err != nil {
 		t.Fatalf("SpecQuantum=%d: %v", spec, err)
@@ -188,7 +188,7 @@ func TestQuantumRollback(t *testing.T) {
 		Topo: topology.MustFromFlat(2, 2), Seed: 3,
 		Cost: DefaultCostModel(), SpecQuantum: 8,
 	})
-	verify := watchStates(t, e, nil)
+	verify := watchStates(t, e, nil, nil)
 	if _, err := e.Run(bodies); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestQuantumEngineReuse(t *testing.T) {
 		Cost: DefaultCostModel(), SpecQuantum: 16,
 	})
 	var stream []uint64
-	verify := watchStates(t, e, func(now uint64) { stream = append(stream, now) })
+	verify := watchStates(t, e, func(now uint64) { stream = append(stream, now) }, nil)
 	run := func() (string, uint64) {
 		stream = stream[:0]
 		draws := make([]uint64, 4)
@@ -402,7 +402,7 @@ func TestContinuationClosesQuantum(t *testing.T) {
 			func(int, uint64) uint64 { return word },
 			func(_ int, _ uint64, v uint64) { word = v })
 		var r result
-		verify := watchStates(t, e, func(now uint64) { r.hooks = append(r.hooks, now) })
+		verify := watchStates(t, e, func(now uint64) { r.hooks = append(r.hooks, now) }, nil)
 		waiter := func(maxSpins int) func(*Ctx) {
 			return func(c *Ctx) {
 				for round := 0; round < 3; round++ {

@@ -28,9 +28,7 @@ import (
 //  6. the herd set holds exactly the deferred threads (herdB set), each a
 //     parked acquire continuation with no queued event whose word has not
 //     been stored since the release that deferred it (untouched; nil
-//     where no herd may form, as on an engine with a tick hook).
-//
-// Hook-free runs call it from body code.
+//     where no herd may form, as on an engine without lock-word ops).
 func checkStates(e *Engine, untouched func(key uint64) bool) error {
 	var parkedSet topology.Set
 	delivered := e.running != nil
@@ -80,20 +78,21 @@ func checkStates(e *Engine, untouched func(key uint64) bool) error {
 }
 
 // watchStates installs a tick hook on e that calls inner (when non-nil)
-// and then checkStates at every scheduling step. Hooks run inside the
-// simulated threads' coroutines, where a test may not fail, so the first
-// violation is kept; the returned verify reports it.
-func watchStates(t testing.TB, e *Engine, inner func(now uint64)) (verify func()) {
+// and then checkStates, with untouched, at every delivered tick. Hooks run
+// inside the simulated threads' coroutines, where a test may not fail, so
+// the first violation is kept; the returned verify reports it.
+func watchStates(t testing.TB, e *Engine, inner func(now uint64), untouched func(key uint64) bool) (verify func()) {
 	var first error
-	e.SetTickHook(func(now uint64) {
+	e.SetTickHook(func(now uint64) uint64 {
 		if inner != nil {
 			inner(now)
 		}
 		if first == nil {
-			if err := checkStates(e, nil); err != nil {
+			if err := checkStates(e, untouched); err != nil {
 				first = fmt.Errorf("at cycle %d: %w", now, err)
 			}
 		}
+		return 0
 	})
 	return func() {
 		t.Helper()

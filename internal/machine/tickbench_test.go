@@ -24,8 +24,8 @@ func BenchmarkTick(b *testing.B) {
 }
 
 // BenchmarkSGLHerd is one lock handed round n threads, all of them
-// delegated acquirers, wired like the runtime's single global lock (lock-
-// word ops, no tick hook): each acquires, holds the lock for 50 cycles,
+// delegated acquirers, wired like the runtime's single global lock
+// (lock-word ops): each acquires, holds the lock for 50 cycles,
 // releases it and works 10 cycles before its next acquire, so every
 // release finds the other n-1 parked. One op is one handoff; the
 // steps/op metric is the queue traffic the herd still costs and

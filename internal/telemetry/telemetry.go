@@ -22,10 +22,11 @@
 // scorer, so a Snapshot and a QualitySnapshot always share their boundary.
 // The clock is the simulator's deterministic virtual time, so every export
 // is bit-for-bit reproducible for a fixed seed; recording never advances
-// that clock, so schedules are identical with any sink on or off. With no
-// sink on the system keeps a nil Recorder, every handle is nil, and each
-// site costs one nil check. The engine runs all simulated threads on one goroutine, so
-// nothing here is synchronized.
+// that clock, and the engine calls OnTick only at the boundary it returned,
+// so schedules and the engine's own work are identical with any sink on or
+// off. With no sink on the system keeps a nil Recorder, every handle is
+// nil, and each site costs one nil check. The engine runs all simulated
+// threads on one goroutine, so nothing here is synchronized.
 package telemetry
 
 import (
@@ -120,9 +121,9 @@ func (r *Recorder) Thread(hw int) *Thread {
 // --- The interval clock ---
 
 // TickHook returns the engine tick hook that drives the interval clock, or
-// nil when neither the timeline nor the scorer needs one.
-func (r *Recorder) TickHook() func(now uint64) {
-	if !r.clocked() {
+// nil when neither the timeline nor the scorer needs one (no period).
+func (r *Recorder) TickHook() func(now uint64) (next uint64) {
+	if r == nil || r.period == 0 {
 		return nil
 	}
 	return r.OnTick
@@ -137,33 +138,32 @@ func (r *Recorder) DoomHook() func(victim, aborter int, ln mem.Line) {
 	return r.OnDoom
 }
 
-// clocked reports whether any sink consumes the interval clock.
-func (r *Recorder) clocked() bool { return r != nil && r.period != 0 }
-
 // BeginRun rewinds the interval origin to cycle 0. The engine resets the
 // virtual clocks at the start of every Run; cumulative counters carry
 // over, so interval diffs stay correct across repeated runs.
 func (r *Recorder) BeginRun() {
-	if r == nil {
-		return
+	if r != nil {
+		r.start = 0
 	}
-	r.start = 0
 }
 
 // OnTick advances the clock to now, the global virtual time (the minimum
 // clock over runnable threads, non-decreasing within a run), cutting one
-// boundary per fully elapsed interval.
-func (r *Recorder) OnTick(now uint64) {
+// boundary per fully elapsed interval. It returns the next boundary: a
+// call before it would cut nothing, so the engine calls OnTick only at
+// the first tick that reaches it.
+func (r *Recorder) OnTick(now uint64) (next uint64) {
 	for now >= r.start+r.period {
 		r.cut(r.start + r.period)
 	}
+	return r.start + r.period
 }
 
 // Flush closes the run at end (its makespan): it cuts any fully elapsed
 // intervals and then a trailing partial one, so a run shorter than one
-// interval still yields one boundary.
+// interval still yields one boundary. Without a clock it does nothing.
 func (r *Recorder) Flush(end uint64) {
-	if !r.clocked() {
+	if r == nil || r.period == 0 {
 		return
 	}
 	r.OnTick(end)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -273,6 +274,39 @@ func TestBeginRunAcrossRuns(t *testing.T) {
 	}
 	if snaps[1].StartCycle != 0 {
 		t.Fatalf("BeginRun did not rewind: %+v", snaps[1])
+	}
+}
+
+// TestOnTickDeadlines: OnTick returns the next boundary, and an engine
+// calls it only at ticks that reach the last one returned (from cycle 0
+// on every run). A recorder driven that way cuts the same timeline as one
+// driven at every tick, across two runs.
+func TestOnTickDeadlines(t *testing.T) {
+	every, deadline := timelineOnly(100, 2), timelineOnly(100, 2)
+	calls := 0
+	for run := 0; run < 2; run++ {
+		every.BeginRun()
+		deadline.BeginRun()
+		next := uint64(0)
+		now := uint64(0)
+		for i := uint64(0); i < 400; i++ {
+			now += (i * 37) % 23 // some ticks repeat a cycle, some jump intervals
+			for _, r := range []*Recorder{every, deadline} {
+				r.Thread(int(i % 2)).Commit(modeHTM)
+				r.Thread(0).AttemptBegin(now)
+			}
+			every.OnTick(now)
+			if now >= next {
+				next = deadline.OnTick(now)
+				calls++
+			}
+		}
+		every.Flush(now + 5)
+		deadline.Flush(now + 5)
+	}
+	want, got := every.Timeline(), deadline.Timeline()
+	if len(want) < 40 || calls >= 400 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d deadline calls cut %d snapshots, every tick %d:\n%+v\n%+v", calls, len(got), len(want), got, want)
 	}
 }
 
