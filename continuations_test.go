@@ -102,6 +102,6 @@ func TestContinuationsInvisible(t *testing.T) {
 		t.Errorf("delegation resumed %d coroutines, %d without it", on.Resumes, off.Resumes)
 	}
 	if on.Settled == 0 || off.Settled != 0 {
-		t.Errorf("%d deferred acquirers settled, %d on the unwired reference", on.Settled, off.Settled)
+		t.Errorf("%d deferred acquirers settled, %d on the reference", on.Settled, off.Settled)
 	}
 }

@@ -106,9 +106,9 @@ func runHerdCell(t *testing.T, wl stamp.Workload, cfg seer.Config, newSystem fun
 // With each of them halved and doubled, herd cells — the single global
 // lock under RTM at 128 threads, Seer's transaction and core locks taken
 // by multi-CAS at 32 threads, and HLE's convoy at 8 — must report exactly
-// what they report on the unwired engine (seer.NewSystemUndelegated, whose
-// wakes are all eager), and the lazy run must still settle deferred
-// acquirers while the reference settles none.
+// what they report on the reference (seer.NewSystemUndelegated: the same
+// protocols run in the coroutines, every wake eager), and the lazy run
+// must still settle deferred acquirers while the reference settles none.
 func TestLazyHerdCostModels(t *testing.T) {
 	cells := []struct {
 		scale   float64
@@ -156,7 +156,7 @@ func TestLazyHerdCostModels(t *testing.T) {
 					t.Errorf("%s: report differs from eager wakes'\nlazy:\n%s\neager:\n%s", name, lazy.Summary(), eager.Summary())
 				}
 				if counters.Settled == 0 || ref.Settled != 0 {
-					t.Errorf("%s: %d deferred acquirers settled, %d on the unwired reference", name, counters.Settled, ref.Settled)
+					t.Errorf("%s: %d deferred acquirers settled, %d on the reference", name, counters.Settled, ref.Settled)
 				}
 				if s := lazy.Seer; s != nil && s.MultiCASOk+s.MultiCASFail == 0 {
 					t.Errorf("%s: no multi-CAS ran", name)

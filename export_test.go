@@ -5,17 +5,15 @@ package seer
 // engine the quantum tests compare against.
 func NewSystemQuantum(cfg Config, k int) (*System, error) { return newSystem(cfg, k) }
 
-// NewSystemUndelegated is NewSystem on an unwired engine: delegation off
-// (machine.Engine.SetDelegation) and no lock-word operations
-// (machine.Engine.SetLockWordOps), so every lock acquire, wait and attempt
-// prologue ticks in its thread's coroutine and every wake is eager. It is
-// the reference the engine-side continuations and the lazy herd must be
-// invisible against.
+// NewSystemUndelegated is NewSystem with delegation off
+// (machine.Engine.SetDelegation): every lock acquire, wait and attempt
+// prologue runs the engine's protocol in its thread's coroutine, tick by
+// tick, and every wake is eager. It is the reference the engine-side
+// continuations and the lazy herd must be invisible against.
 func NewSystemUndelegated(cfg Config) (*System, error) {
 	s, err := NewSystem(cfg)
 	if err == nil {
 		s.eng.SetDelegation(false)
-		s.eng.SetLockWordOps(nil, nil)
 	}
 	return s, err
 }

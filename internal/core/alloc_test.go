@@ -6,6 +6,7 @@ import (
 	"seer/internal/htm"
 	"seer/internal/machine"
 	"seer/internal/mem"
+	"seer/internal/spinlock"
 	"seer/internal/topology"
 )
 
@@ -135,6 +136,7 @@ func TestSeerPathsZeroAllocs128Threads(t *testing.T) {
 	}
 	m := mem.New(1 << 12)
 	u := htm.New(m, cfg, htm.Config{ReadSetLines: 64, WriteSetLines: 16})
+	spinlock.Wire(eng, m)
 	rng := machine.NewRand(5)
 	s := New(3, cfg, m, u, opts, &rng)
 

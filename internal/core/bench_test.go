@@ -6,6 +6,7 @@ import (
 	"seer/internal/htm"
 	"seer/internal/machine"
 	"seer/internal/mem"
+	"seer/internal/spinlock"
 )
 
 // benchSeer builds a Seer instance with numTx blocks on an 8-thread
@@ -19,6 +20,7 @@ func benchSeer(b *testing.B, numTx int) (*machine.Engine, *Seer) {
 	}
 	m := mem.New(1 << 14)
 	u := htm.New(m, cfg, htm.Config{ReadSetLines: 64, WriteSetLines: 16})
+	spinlock.Wire(eng, m)
 	rng := machine.NewRand(5)
 	opts := DefaultOptions()
 	opts.HillClimb = false

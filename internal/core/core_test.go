@@ -22,6 +22,7 @@ func env(t *testing.T, threads int, opts Options) (*machine.Engine, *mem.Memory,
 	}
 	m := mem.New(1 << 12)
 	u := htm.New(m, cfg, htm.Config{ReadSetLines: 64, WriteSetLines: 16})
+	spinlock.Wire(eng, m)
 	rng := machine.NewRand(5)
 	s := New(3, cfg, m, u, opts, &rng)
 	return eng, m, u, s
@@ -637,6 +638,7 @@ func TestNoDeadlockUnderLockChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = eng
+	spinlock.Wire(eng2, m)
 	if _, err := eng2.Run(bodies); err != nil {
 		t.Fatalf("lock churn did not terminate: %v", err)
 	}

@@ -595,16 +595,10 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, sub bool, body func(*Tx)) (s
 	if !sub {
 		ctx.Tick(p.begin)
 		u.begin(st, p)
-	} else if st.pro, st.status = proBegin, 0; ctx.Delegate(st) {
-		if st.status != 0 {
-			return st.status
-		}
 	} else {
-		// Delegation is off: the prologue as body code.
-		ctx.Tick(p.begin)
-		u.begin(st, p)
-		if tx.Load(st.lock) != 0 {
-			tx.Abort(st.held)
+		st.pro, st.status = proBegin, 0
+		if ctx.Delegate(st); st.status != 0 {
+			return st.status
 		}
 	}
 	body(tx)

@@ -58,7 +58,7 @@ type bodyOp struct {
 	n    uint64
 }
 
-func runAttemptProgram(t *testing.T, p attemptProgram, prologue bool) attemptTrace {
+func runAttemptProgram(t *testing.T, p attemptProgram, prologue, delegation bool) attemptTrace {
 	t.Helper()
 	cfg := machine.Config{
 		Topo:        topology.SMT2((p.threads + 1) / 2),
@@ -70,6 +70,7 @@ func runAttemptProgram(t *testing.T, p attemptProgram, prologue bool) attemptTra
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.SetDelegation(delegation)
 	m := mem.New(1 << 12)
 	u := New(m, cfg, Config{ReadSetLines: p.readLines, WriteSetLines: p.readLines, SpuriousProb: p.spurious})
 	const dataLines = 6
@@ -157,7 +158,8 @@ func runAttemptProgram(t *testing.T, p attemptProgram, prologue bool) attemptTra
 // budgets of 1 to 4 lines shared by hyperthread siblings, speculative
 // quanta on and off, the tick hook on and off — give equal statuses,
 // counters, clocks, tick-hook streams and doom-hook calls through the
-// engine-side prologue and through the subscription as body code.
+// engine-side prologue, through the same prologue executed by the
+// coroutine (delegation off) and through the subscription as body code.
 func TestSubscribedPrologueEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewPCG(35, 1))
 	trials := 400
@@ -179,22 +181,24 @@ func TestSubscribedPrologueEquivalence(t *testing.T) {
 			hook:      rng.IntN(2) == 0,
 			seed:      rng.Uint64(),
 		}
-		got := runAttemptProgram(t, p, true)
-		want := runAttemptProgram(t, p, false)
-		for id := range want.statuses {
-			if !slices.Equal(got.statuses[id], want.statuses[id]) {
-				t.Fatalf("%v: thread %d statuses %v (prologue) vs %v (body code)", p, id, got.statuses[id], want.statuses[id])
+		want := runAttemptProgram(t, p, false, true)
+		got := runAttemptProgram(t, p, true, true)
+		for _, got := range []attemptTrace{got, runAttemptProgram(t, p, true, false)} {
+			for id := range want.statuses {
+				if !slices.Equal(got.statuses[id], want.statuses[id]) {
+					t.Fatalf("%v: thread %d statuses %v (prologue) vs %v (body code)", p, id, got.statuses[id], want.statuses[id])
+				}
 			}
-		}
-		switch {
-		case got.hw != want.hw || got.sw != want.sw:
-			t.Fatalf("%v: counters %+v/%+v (prologue) vs %+v/%+v (body code)", p, got.hw, got.sw, want.hw, want.sw)
-		case got.makespan != want.makespan || !slices.Equal(got.clocks, want.clocks):
-			t.Fatalf("%v: clocks %v (prologue) vs %v (body code)", p, got.clocks, want.clocks)
-		case !slices.Equal(got.hooks, want.hooks):
-			t.Fatalf("%v: tick-hook streams differ (%d vs %d hooks)", p, len(got.hooks), len(want.hooks))
-		case !slices.Equal(got.dooms, want.dooms):
-			t.Fatalf("%v: doom-hook calls %v (prologue) vs %v (body code)", p, got.dooms, want.dooms)
+			switch {
+			case got.hw != want.hw || got.sw != want.sw:
+				t.Fatalf("%v: counters %+v/%+v (prologue) vs %+v/%+v (body code)", p, got.hw, got.sw, want.hw, want.sw)
+			case got.makespan != want.makespan || !slices.Equal(got.clocks, want.clocks):
+				t.Fatalf("%v: clocks %v (prologue) vs %v (body code)", p, got.clocks, want.clocks)
+			case !slices.Equal(got.hooks, want.hooks):
+				t.Fatalf("%v: tick-hook streams differ (%d vs %d hooks)", p, len(got.hooks), len(want.hooks))
+			case !slices.Equal(got.dooms, want.dooms):
+				t.Fatalf("%v: doom-hook calls %v (prologue) vs %v (body code)", p, got.dooms, want.dooms)
+			}
 		}
 		steps += got.steps
 		for _, sts := range got.statuses {

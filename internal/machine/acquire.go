@@ -7,8 +7,8 @@ package machine
 // load-and-store — is a fixed state machine over one simulated word, so
 // AcquireWord hands it to the engine. A poll that observes the word busy
 // parks the thread with the continuation set, so the wake queues it
-// polling and the loop runs that poll too; the continuation's step
-// (Engine.step) is the one place the engine loads or stores a lock word.
+// polling and the loop runs that poll too; the protocol's action
+// (Engine.act) is the one place the engine loads or stores a lock word.
 // The coroutine resumes exactly once, after the winning store, and
 // AcquireWord returns with the lock held. A release queues only the
 // acquirer that can win (Ctx.WakeKey), and the winning store settles the
@@ -16,40 +16,37 @@ package machine
 // "every step at its true position", and no other thread can observe
 // those steps.
 
-// SetLockWordOps installs the committed-memory operations the event loop
-// uses to execute the acquire and wait continuations (Ctx.AcquireWord,
-// Ctx.WaitWord): load(hw, key) performs a non-transactional load of the
-// word key names on behalf of hardware thread hw — including its
-// strong-isolation doom side effects — and store the matching
-// non-transactional store. The runtime installs
-// mem.Memory.DirectLoad/DirectStore on the lock word. Install both before
-// Run; without them AcquireWord and WaitWord report false and callers fall
-// back to their ticking loops.
+// SetLockWordOps installs the committed-memory operations the acquire and
+// wait protocols (Ctx.AcquireWord, Ctx.WaitWord) run on: load(hw, key)
+// performs a non-transactional load of the word key names on behalf of
+// hardware thread hw — including its strong-isolation doom side effects —
+// and store the matching non-transactional store. Install both before
+// Run; spinlock.Wire installs mem.Memory.DirectLoad/DirectStore. Without
+// them AcquireWord and WaitWord panic.
 func (e *Engine) SetLockWordOps(load func(hw int, key uint64) uint64, store func(hw int, key uint64, v uint64)) {
 	e.lockLoad, e.lockStore = load, store
 }
 
 // AcquireWord acquires the spin-lock word key names via test-and-test-
-// and-set, storing owner on success: the engine-side form of
+// and-set, storing owner on success: the protocol
 //
 //	for { Tick(pollCost); if load != 0 { park; continue }
 //	      Tick(lockOp); if load == 0 { store(owner); return } }
 //
-// with pollCost/lockOp from the engine's cost model. It reports false —
-// having done nothing — when the engine has no lock-word operations
-// installed; the caller then runs its own ticking loop. Schedules and all
-// observable streams are identical either way.
+// with pollCost/lockOp from the engine's cost model. It panics on an
+// engine without lock-word operations (SetLockWordOps). It always reports
+// true; benchmark/layers.go still reads the result.
 func (c *Ctx) AcquireWord(key, owner uint64) bool {
 	e := c.eng
 	if e.lockLoad == nil {
-		return false
+		panic("machine: AcquireWord on an engine without lock-word ops")
 	}
 	// A suspended delegation leaves the schedule like a park does: any
 	// open speculative quantum must replay first.
 	c.EndQuantum()
 	// The protocol parks on its word with the spin-lock poll period.
 	cost := &e.cfg.Cost
-	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkPolls = key, cost.SpinQuantum+cost.DirectLoad, cost.DirectLoad, 0
+	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkDeadline = key, cost.SpinQuantum+cost.DirectLoad, cost.DirectLoad, noDeadline
 	c.acqCAS, c.acqOwner = false, owner
 	c.enter(contAcquire)
 	return true

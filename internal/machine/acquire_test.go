@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"os"
 	"slices"
 	"strconv"
@@ -9,22 +10,23 @@ import (
 )
 
 // The lock-protocol equivalence tests run one lock program on two engines
-// — the unwired ticking reference (AcquireWord and WaitWord report false
-// and hand-rolled ticking loops mirroring spinlock's Acquire,
-// SpinWhileLocked and SpinWhileLockedBounded run instead, so every woken
-// thread resumes to run its own poll and every wake is eager) and the
-// wired engine (SetLockWordOps, so AcquireWord and WaitWord delegate their
-// protocols, wake-time polls included, to the event loop, a release queues
-// only the acquirer that can win, and the word's next store settles the
-// rest) — and require every acquire cycle, wait verdict, per-thread
-// ParkSkipped total, doom and the makespan to match exactly. Both engines
-// carry a tick hook that sees every tick; the wired engine's hook stream
-// must be the reference's minus the losing steps the herd settled in
-// closed form. The lock word lives in plain test state; each run's bodies
-// and ops close over their own copy. The word also models strong
-// isolation: a transaction may write it (opTxWrite), and the next other
-// access to it dooms that transaction, at a position both engines must
-// agree on.
+// — the unwired ticking reference (no lock-word ops: hand-written ticking
+// loops mirroring the acquire and wait protocols run instead of
+// AcquireWord and WaitWord, so every woken thread resumes to run its own
+// poll and every wake is eager) and the wired engine (SetLockWordOps, so
+// AcquireWord and WaitWord delegate their protocols, wake-time polls
+// included, to the event loop, a release queues only the acquirer that
+// can win, and the word's next store settles the rest) — and require
+// every acquire cycle, wait verdict, per-thread ParkSkipped total, doom
+// and the makespan to match exactly. Both engines carry a tick hook that
+// sees every tick; the wired engine's hook stream must be the reference's
+// minus the losing steps the herd settled in closed form. A third run,
+// the wired engine with delegation off, executes the engine's protocol
+// steps in the coroutines and must match the reference tick for tick. The
+// lock word lives in plain test state; each run's bodies and ops close
+// over their own copy. The word also models strong isolation: a
+// transaction may write it (opTxWrite), and the next other access to it
+// dooms that transaction, at a position every engine must agree on.
 
 const (
 	taLoad   = 2           // DirectLoad of the default cost model
@@ -58,12 +60,14 @@ type lockTrace struct {
 }
 
 // runLockProgram runs prog on nThreads threads contending for one lock, on
-// the wired engine or the ticking reference, checking the schedule-state
-// invariants at every tick. A thread still holding the lock when its steps
-// run out releases it, so every program terminates.
-func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTrace {
+// the wired engine, with delegation on or off, or the ticking reference,
+// checking the schedule-state invariants at every tick. A thread still
+// holding the lock when its steps run out releases it, so every program
+// terminates.
+func runLockProgram(t *testing.T, nThreads int, prog []byte, wired, delegation bool) lockTrace {
 	t.Helper()
 	eng := parkEngine(t, nThreads)
+	eng.SetDelegation(delegation)
 	const key = 99
 	var word uint64
 	inTx := make([]bool, nThreads) // threads whose transaction has read the word
@@ -91,8 +95,12 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 			func(hw int, _ uint64) uint64 { return load(hw) },
 			func(hw int, _ uint64, v uint64) { store(hw, v) })
 	}
-	verify := watchStates(t, eng, func(now uint64) { tr.hooks = append(tr.hooks, now) },
-		func(uint64) bool { return untouched })
+	verify := watchStates(t, eng, func(now uint64) {
+		tr.hooks = append(tr.hooks, now)
+		if len(tr.hooks) > 1<<22 { // a broken protocol can spin forever
+			panic(fmt.Sprintf("runLockProgram: runaway schedule at cycle %d", now))
+		}
+	}, func(uint64) bool { return untouched })
 	bodies := make([]func(*Ctx), nThreads)
 	for i := range bodies {
 		id := i
@@ -121,9 +129,11 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 					release()
 				case op == opWaitBounded:
 					budget := 1 + int(arg%6)
-					free, ok := c.WaitWord(key, budget)
-					at := c.Clock()
-					if !ok {
+					var free bool
+					var at uint64
+					if wired {
+						free, at = c.WaitWord(key, budget), c.Clock()
+					} else {
 						free, at = boundedWait(c, key, func() uint64 { return load(id) }, budget)
 					}
 					if !free {
@@ -131,7 +141,9 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 					}
 					tr.waits[id] = append(tr.waits[id], at)
 				case op == opWait && !held:
-					if _, ok := c.WaitWord(key, -1); !ok {
+					if wired {
+						c.WaitWord(key, -1)
+					} else {
 						spinWait(c, key, func() uint64 { return load(id) })
 					}
 					tr.waits[id] = append(tr.waits[id], c.Clock())
@@ -171,7 +183,7 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 	}
 	var err error
 	if tr.makespan, err = eng.Run(bodies); err != nil {
-		t.Fatalf("wired=%v: %v", wired, err)
+		t.Fatalf("wired=%v delegation=%v: %v", wired, delegation, err)
 	}
 	verify()
 	for i := range nThreads {
@@ -190,8 +202,12 @@ func runLockProgram(t *testing.T, nThreads int, prog []byte, wired bool) lockTra
 // the wired run.
 func checkLockProtocolEquivalence(t *testing.T, nThreads int, prog []byte) lockTrace {
 	t.Helper()
-	ref := runLockProgram(t, nThreads, prog, false)
-	got := runLockProgram(t, nThreads, prog, true)
+	ref := runLockProgram(t, nThreads, prog, false, true)
+	if own := runLockProgram(t, nThreads, prog, true, false); !sameLockStreams(own, ref) || own.counters.Steps != 0 {
+		t.Fatalf("n=%d prog=%v: the coroutine executor's streams (%d hooks, makespan %d, %d steps) are not the reference's (%d hooks, makespan %d)",
+			nThreads, prog, len(own.hooks), own.makespan, own.counters.Steps, len(ref.hooks), ref.makespan)
+	}
+	got := runLockProgram(t, nThreads, prog, true, true)
 	lo, hi := 2*got.counters.Settled, 4*got.deferred
 	if missing := uint64(len(ref.hooks) - len(got.hooks)); !isSubsequence(got.hooks, ref.hooks) || missing < lo || missing > hi {
 		t.Fatalf("n=%d prog=%v: hook stream of %d ticks is not the reference's %d less %d to %d",
@@ -217,6 +233,14 @@ func checkLockProtocolEquivalence(t *testing.T, nThreads int, prog []byte) lockT
 		t.Fatalf("n=%d prog=%v: dooms %v (ticking) vs %v (wired)", nThreads, prog, ref.dooms, got.dooms)
 	}
 	return got
+}
+
+// sameLockStreams reports whether two runs gave identical streams, the
+// tick hook's included.
+func sameLockStreams(a, b lockTrace) bool {
+	eq := slices.Equal[[]uint64]
+	return a.makespan == b.makespan && eq(a.hooks, b.hooks) && eq(a.skipped, b.skipped) &&
+		slices.EqualFunc(a.acqs, b.acqs, eq) && slices.EqualFunc(a.waits, b.waits, eq) && slices.Equal(a.dooms, b.dooms)
 }
 
 // isSubsequence reports whether sub is seq with some elements left out,
@@ -471,10 +495,11 @@ func TestWaitContinuationEquivalence(t *testing.T) {
 }
 
 // acquireWord takes the lock word through AcquireWord or, on an engine
-// with no lock-word ops, through the loop spinlock.Acquire falls back to:
+// with no lock-word ops, through a hand-written loop of its protocol:
 // poll tick + load, CAS tick + load-and-store, park on busy.
 func acquireWord(c *Ctx, key, owner uint64, load func() uint64, store func(uint64)) {
-	if c.AcquireWord(key, owner) {
+	if c.eng.lockLoad != nil {
+		c.AcquireWord(key, owner)
 		return
 	}
 	for {
@@ -491,8 +516,8 @@ func acquireWord(c *Ctx, key, owner uint64, load func() uint64, store func(uint6
 	}
 }
 
-// spinWait mirrors spinlock.SpinWhileLocked's loop: poll, park unbounded
-// on busy.
+// spinWait mirrors WaitWord's unbounded protocol: poll, park unbounded on
+// busy.
 func spinWait(c *Ctx, key uint64, load func() uint64) {
 	for {
 		c.Tick(taLoad)
@@ -503,9 +528,9 @@ func spinWait(c *Ctx, key uint64, load func() uint64) {
 	}
 }
 
-// boundedWait mirrors spinlock.SpinWhileLockedBounded's loop: poll, park
-// bounded on busy, give up when the budget runs out. Returns whether the
-// word was observed free and the clock of the deciding poll.
+// boundedWait mirrors WaitWord's bounded protocol: poll, park bounded on
+// busy, give up when the budget runs out. Returns whether the word was
+// observed free and the clock of the deciding poll.
 func boundedWait(c *Ctx, key uint64, load func() uint64, maxSpins int) (bool, uint64) {
 	for i := 0; ; {
 		c.Tick(taLoad)

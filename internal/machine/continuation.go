@@ -24,6 +24,9 @@ package machine
 // This is delegation, not speculation: every step executes at its true
 // (cycle, id) position with the real operations, so no undo log is needed
 // and the observable streams are byte-identical to the per-tick engine.
+// Each protocol has one definition, Engine.act: with delegation off
+// (SetDelegation) the coroutine runs it tick by tick instead, and that is
+// the reference.
 
 // contKind is the engine-side protocol a thread is suspended in.
 type contKind uint8
@@ -35,7 +38,7 @@ const (
 	contProto                   // Delegate: the caller's Protocol
 )
 
-// noDeadline is the final poll boundary of an unbounded wait.
+// noDeadline is the park deadline of an unbounded park or wait.
 const noDeadline = ^uint64(0)
 
 // Protocol is a fixed sequence of ticks whose actions the engine may run
@@ -86,38 +89,48 @@ func (e *Engine) step(t *Ctx, horizon uint64, fired bool) (nextCycle uint64, sta
 			t.clock = nc
 			e.observe(nc)
 		}
-		switch t.cont {
-		case contAcquire:
-			free := e.lockLoad(t.id, t.parkKey) == 0
-			if t.acqCAS && free {
-				e.lockStore(t.id, t.parkKey, t.acqOwner)
-				if !e.herd.Empty() {
-					e.settleHerd(t)
-				}
-				return 0, stepDone
-			}
-			if !t.acqCAS && !free {
-				return 0, stepBusy
-			}
-			// A poll that saw the word free moves on to the CAS tick; a CAS
-			// that lost the race to another acquirer goes back to polling.
-			t.acqCAS = !t.acqCAS
-		case contWait:
-			if t.waitFree = e.lockLoad(t.id, t.parkKey) == 0; t.waitFree || t.clock >= t.parkDeadline {
-				return 0, stepDone
-			}
-			// Park until a wake or, bounded, until the final poll boundary.
-			t.parkPolls = 0
-			if t.parkDeadline != noDeadline {
-				t.parkPolls = int((t.parkDeadline - t.clock) / t.parkPeriod)
-			}
-			return 0, stepBusy
-		default:
-			if t.proto.Step() {
-				return 0, stepDone
-			}
+		if s := e.act(t, t.cont); s != stepQueued {
+			return 0, s
 		}
 	}
+}
+
+// act performs the action of the tick of thread t's protocol of kind k
+// that was just delivered: the one definition of each protocol, which
+// step runs for a continuation and enter's reference executor for a
+// coroutine. It reports stepDone when the protocol completed, stepBusy
+// when a poll observed the word busy, so the thread must park on it, and
+// stepQueued when the protocol has a further tick pending.
+func (e *Engine) act(t *Ctx, k contKind) int {
+	switch k {
+	case contAcquire:
+		free := e.lockLoad(t.id, t.parkKey) == 0
+		if t.acqCAS && free {
+			e.lockStore(t.id, t.parkKey, t.acqOwner)
+			if !e.herd.Empty() {
+				e.settleHerd(t)
+			}
+			return stepDone
+		}
+		if !t.acqCAS && !free {
+			return stepBusy
+		}
+		// A poll that saw the word free moves on to the CAS tick; a CAS
+		// that lost the race to another acquirer goes back to polling.
+		t.acqCAS = !t.acqCAS
+	case contWait:
+		// Busy, the thread parks until a wake or, bounded, until the
+		// final poll boundary, its park deadline.
+		if t.waitFree = e.lockLoad(t.id, t.parkKey) == 0; t.waitFree || t.clock >= t.parkDeadline {
+			return stepDone
+		}
+		return stepBusy
+	default:
+		if t.proto.Step() {
+			return stepDone
+		}
+	}
+	return stepQueued
 }
 
 // enter runs the thread's continuation of kind k, just set up, from its
@@ -127,8 +140,25 @@ func (e *Engine) step(t *Ctx, horizon uint64, fired bool) (nextCycle uint64, sta
 // would, so the loop replays the journal first; the continuation is set
 // only once that tick returns, so a thread suspended in it is a plain one,
 // and a rollback unwinding from it leaves no continuation behind.
+//
+// With delegation off the coroutine executes the same protocol itself,
+// tick by tick, and parks as a plain waiter on a busy poll: cont stays
+// contNone, so every wake is eager and resumes the thread to poll.
 func (c *Ctx) enter(k contKind) {
 	e := c.eng
+	if !e.delegation {
+		for {
+			c.Tick(e.tickCost(c, k))
+			switch e.act(c, k) {
+			case stepDone:
+				return
+			case stepBusy:
+				c.EndQuantum()
+				c.sleep()
+				c.suspend()
+			}
+		}
+	}
 	fired := false
 	if c.spec.n > 0 {
 		c.Tick(e.tickCost(c, k))
@@ -152,22 +182,20 @@ func (c *Ctx) enter(k contKind) {
 	c.suspend()
 }
 
-// WaitWord waits until the lock word key names is observed free: the
-// engine-side form of
+// WaitWord waits until the lock word key names is observed free and
+// reports whether it was: the protocol
 //
 //	for i := 0; ; { Tick(pollCost); if load == 0 { return true }
 //	                if i >= maxSpins { return false }; park bounded }
 //
 // with the spin-lock poll period and pollCost = DirectLoad, polls parked
 // between boundaries like ParkOnWord. A negative maxSpins waits
-// unboundedly. ok reports false — having done nothing — when the engine
-// has no lock-word operations installed or delegation is off; the caller
-// then runs its own ticking loop. Schedules and all observable streams are
-// identical either way.
-func (c *Ctx) WaitWord(key uint64, maxSpins int) (free, ok bool) {
+// unboundedly. It panics on an engine without lock-word operations
+// (SetLockWordOps).
+func (c *Ctx) WaitWord(key uint64, maxSpins int) (free bool) {
 	e := c.eng
-	if e.lockLoad == nil || !e.delegation {
-		return false, false
+	if e.lockLoad == nil {
+		panic("machine: WaitWord on an engine without lock-word ops")
 	}
 	cost := &e.cfg.Cost
 	period := cost.SpinQuantum + cost.DirectLoad
@@ -180,23 +208,18 @@ func (c *Ctx) WaitWord(key uint64, maxSpins int) (free, ok bool) {
 		c.parkDeadline = c.clock + cost.DirectLoad + period*uint64(maxSpins)
 	}
 	c.enter(contWait)
-	return c.waitFree, true
+	return c.waitFree
 }
 
 // Delegate runs protocol p on the thread, engine-side as far as the
-// horizon allows, and returns once p has completed. It reports false —
-// having done nothing — when delegation is off; the caller then issues the
-// ticks itself.
-func (c *Ctx) Delegate(p Protocol) bool {
-	if !c.eng.delegation {
-		return false
-	}
+// horizon allows, and returns once p has completed.
+func (c *Ctx) Delegate(p Protocol) {
 	c.proto = p
 	c.enter(contProto)
-	return true
 }
 
-// SetDelegation turns the wait continuation and Delegate on (the default)
-// or off. Off, WaitWord and Delegate report false: the reference their
-// equivalence is checked against. AcquireWord is unaffected.
+// SetDelegation turns the continuations on (the default) or off. Off,
+// AcquireWord, WaitWord and Delegate run the same protocols in the
+// thread's coroutine, every tick a yield and every wake eager: the
+// reference their equivalence is checked against.
 func (e *Engine) SetDelegation(on bool) { e.delegation = on }

@@ -195,7 +195,7 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 		},
 		reached: func(e *Engine, now uint64) bool {
 			w := e.threads[1]
-			return w.state == parked && w.parkPolls > 0 && now == w.parkDeadline
+			return w.state == parked && w.parkDeadline != noDeadline && now == w.parkDeadline
 		},
 	}} {
 		t.Run(fc.name, func(t *testing.T) {

@@ -199,8 +199,7 @@ type Ctx struct {
 	parkKey      uint64
 	parkPeriod   uint64
 	parkPollCost uint64
-	parkPolls    int    // poll budget; 0 = unbounded
-	parkDeadline uint64 // final-poll cycle for bounded parks and waits (noDeadline for an unbounded wait)
+	parkDeadline uint64 // final-poll cycle of a bounded park or wait, noDeadline when unbounded
 	parkSkipped  uint64 // cumulative virtual cycles fast-forwarded while parked
 
 	// Continuation state (see continuation.go). cont is the engine-side
@@ -357,8 +356,8 @@ func (c *Ctx) suspend() {
 // maxPolls bounds the wait: after maxPolls further poll boundaries with
 // no wake, the thread resumes at the final boundary on its own (returning
 // with the word still busy, as a bounded spin loop would). maxPolls 0
-// parks unboundedly; if every remaining thread is parked unboundedly, the
-// run fails with ErrDeadlock.
+// (or less) parks unboundedly; if every remaining thread is parked
+// unboundedly, the run fails with ErrDeadlock.
 func (c *Ctx) ParkOnWord(key, period, pollCost uint64, maxPolls int) {
 	if period == 0 {
 		panic("machine: ParkOnWord with zero period")
@@ -366,8 +365,10 @@ func (c *Ctx) ParkOnWord(key, period, pollCost uint64, maxPolls int) {
 	// A parked thread leaves the schedule entirely, so a speculative
 	// journal must be replayed first: parking and replay never coexist.
 	c.EndQuantum()
-	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkPolls = key, period, pollCost, maxPolls
-	c.parkDeadline = c.clock + period*uint64(maxPolls)
+	c.parkKey, c.parkPeriod, c.parkPollCost, c.parkDeadline = key, period, pollCost, noDeadline
+	if maxPolls > 0 {
+		c.parkDeadline = c.clock + period*uint64(maxPolls)
+	}
 	c.sleep()
 	c.suspend() // the journal is flushed, so no rollback can be pending here
 }
@@ -377,7 +378,7 @@ func (c *Ctx) ParkOnWord(key, period, pollCost uint64, maxPolls int) {
 // outlive its poll budget.
 func (t *Ctx) sleep() {
 	t.setState(parked)
-	if t.parkPolls > 0 {
+	if t.parkDeadline != noDeadline {
 		t.eng.queue.push(event{cycle: t.parkDeadline, id: int32(t.id)})
 	}
 }
@@ -470,7 +471,7 @@ func (e *Engine) wake(t *Ctx, b uint64) {
 		s = polling
 	}
 	t.setState(s)
-	if t.parkPolls == 0 {
+	if t.parkDeadline == noDeadline {
 		e.queue.push(event{cycle: b, id: int32(t.id)})
 	} else if b < t.parkDeadline {
 		// The bounded waiter's deadline event is queued at ≥ b (the
@@ -541,8 +542,8 @@ type Engine struct {
 	// between resumes. It lets SpecBarrier reach the speculating thread
 	// from hooks (mem.Memory.Peek) that have no Ctx in hand.
 	running *Ctx
-	// delegation turns on the wait continuation and Delegate
-	// (SetDelegation).
+	// delegation runs the lock-word protocols and Delegate as
+	// continuations, off as the coroutine's own ticks (SetDelegation).
 	delegation bool
 }
 

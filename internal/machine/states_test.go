@@ -43,7 +43,7 @@ func checkStates(e *Engine, untouched func(key uint64) bool) error {
 			if stepping := t.state == polling || t.state == stepping; stepping != (t.cont != contNone && t.state != parked) {
 				return fmt.Errorf("thread %d: state %d in continuation %d", t.id, t.state, t.cont)
 			}
-			if t.state == parked && t.cont == contAcquire && t.parkPolls != 0 {
+			if t.state == parked && t.cont == contAcquire && t.parkDeadline != noDeadline {
 				return fmt.Errorf("thread %d: parked acquire with a deadline", t.id)
 			}
 		}
@@ -59,7 +59,7 @@ func checkStates(e *Engine, untouched func(key uint64) bool) error {
 			continue
 		}
 		queued := e.queue.leaf[t.id>>3][t.id&7] != 0
-		if want := t.state != parked || t.parkPolls > 0; queued != want {
+		if want := t.state != parked || t.parkDeadline != noDeadline; queued != want {
 			if !delivered && want {
 				delivered = true // the one thread whose event was just popped
 				continue

@@ -30,6 +30,7 @@ func newRig(t *testing.T, threads int) *rig {
 	}
 	m := mem.New(1 << 14)
 	u := htm.New(m, cfg, htm.Config{ReadSetLines: 64, WriteSetLines: 16})
+	spinlock.Wire(eng, m)
 	return &rig{eng: eng, m: m, u: u, sgl: spinlock.New(m), cfg: cfg}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // Contended-lock tests: many threads hammering one lock through the
-// park/wake path. These run in CI under -race as well; the engine is
-// single-goroutine, so a race report here would mean engine state leaked
-// across coroutine switches.
+// park/wake path, on engines wired like the runtime's. These run in CI
+// under -race as well; the engine is single-goroutine, so a race report
+// here would mean engine state leaked across coroutine switches.
 
 func contendedEnv(t *testing.T, threads int) (*machine.Engine, *mem.Memory, Lock) {
 	t.Helper()
@@ -21,7 +21,17 @@ func contendedEnv(t *testing.T, threads int) (*machine.Engine, *mem.Memory, Lock
 		t.Fatal(err)
 	}
 	m := mem.New(1 << 10)
+	Wire(eng, m)
 	return eng, m, New(m)
+}
+
+// requireDelegated fails unless the run took the production lock path:
+// the engine ran acquire steps itself and settled deferred acquirers.
+func requireDelegated(t *testing.T, eng *machine.Engine) {
+	t.Helper()
+	if c := eng.Counters(); c.Steps == 0 || c.Settled == 0 {
+		t.Fatalf("engine counters %+v: the storm did not run the delegated lock path", c)
+	}
 }
 
 // TestContendedAcquireStorm: every thread loops acquire → critical section
@@ -57,6 +67,7 @@ func TestContendedAcquireStorm(t *testing.T) {
 		if counter != threads*iters {
 			t.Fatalf("counter = %d, want %d", counter, threads*iters)
 		}
+		requireDelegated(t, eng)
 		return ms
 	}
 	first := run()
@@ -142,6 +153,7 @@ func TestContendedStormPast64Threads(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := mem.New(1 << 10)
+		Wire(eng, m)
 		lk := New(m)
 		threads := topo.Threads()
 		inCrit := 0
@@ -170,6 +182,7 @@ func TestContendedStormPast64Threads(t *testing.T) {
 		if counter != threads*iters {
 			t.Fatalf("counter = %d, want %d", counter, threads*iters)
 		}
+		requireDelegated(t, eng)
 		return ms
 	}
 	first := run()

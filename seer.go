@@ -424,14 +424,9 @@ func newSystem(cfg Config, quantum int) (*System, error) {
 		memBuf, htmBuf, obsBuf = &r.mem, &r.htm, &r.obs
 	}
 	s.mem = mem.NewRecycled(cfg.MemWords, 1, memBuf)
-	// Spin-lock acquires and waits are delegated to the engine's event loop
-	// (machine.Ctx.AcquireWord, WaitWord), which runs the protocols —
-	// wake-time polls included — with the real load/store on the lock word,
-	// dooms included, so they are byte-identical to the coroutine's.
-	m := s.mem
-	eng.SetLockWordOps(
-		func(hw int, key uint64) uint64 { return m.DirectLoad(hw, mem.Addr(key)) },
-		func(hw int, key uint64, v uint64) { m.DirectStore(hw, mem.Addr(key), v) })
+	// Spin-lock acquires and waits run on the lock words in s.mem, dooms
+	// included (machine.Ctx.AcquireWord, WaitWord).
+	spinlock.Wire(eng, s.mem)
 	// Peek (the one tickless shared read — spinlock.LockedFast funnels
 	// through it) must close an open speculative quantum before reading,
 	// or a speculated poll would see lock words from before earlier
