@@ -107,19 +107,35 @@ func detReport(t *testing.T, cfg seer.Config, newSystem func(seer.Config) (*seer
 // TestDeterminismRecyclerInvariant: a recycled simulator replica is reset
 // to power-on state, so it may not move a single byte of the report. One
 // buffer set is reused across every policy and repetition, exactly like
-// a RunGrid worker.
+// a RunGrid worker. The cells alternate a large touched prefix of memory
+// with a small one, so each large cell after the first regrows its memory
+// over words and registry lines an earlier cell dirtied, and the first
+// one grows past the recycled capacity.
 func TestDeterminismRecyclerInvariant(t *testing.T) {
 	rec := &seer.Recycler{}
 	for _, pol := range []seer.PolicyKind{seer.PolicyRTM, seer.PolicySeer} {
-		base := detRun(t, pol)
-		for rep := 0; rep < 3; rep++ {
+		for use, pad := range []int{1 << 15, 0, 1 << 15} {
+			base := detRunWith(t, detConfig(pol), padded(pad))
 			cfg := detConfig(pol)
 			cfg.Recycler = rec
-			if got := detRunWith(t, cfg, seer.NewSystem); got != base {
-				t.Fatalf("%s: recycled replica (use %d) differs from fresh system:\n--- fresh ---\n%s--- recycled ---\n%s",
-					pol, rep, base, got)
+			if got := detRunWith(t, cfg, padded(pad)); got != base {
+				t.Fatalf("%s: recycled replica (use %d, pad %d) differs from fresh system:\n--- fresh ---\n%s--- recycled ---\n%s",
+					pol, use, pad, base, got)
 			}
 		}
+	}
+}
+
+// padded is NewSystem followed by a pad words long allocation, so the
+// workload's data, and with it the touched prefix of memory, sits that
+// much higher.
+func padded(pad int) func(seer.Config) (*seer.System, error) {
+	return func(cfg seer.Config) (*seer.System, error) {
+		sys, err := seer.NewSystem(cfg)
+		if err == nil && pad > 0 {
+			sys.AllocAligned(pad)
+		}
+		return sys, err
 	}
 }
 

@@ -58,9 +58,9 @@ func TestRunGridParallelMatchesSequential(t *testing.T) {
 
 // TestRunGridRecycledReplicasMatchFresh: RunGrid builds each cell on its
 // worker's recycled simulator replica; RunOne builds a fresh system every
-// time. On a wide multi-socket shape — where the auto heuristic shards
-// the conflict registry and the recycled buffers span multi-word reader
-// sets — both paths must produce identical Results. Run under -race this
+// time. On a wide multi-socket shape — where the recycled registry lines
+// carry multi-word reader sets — both paths must produce identical
+// Results. Run under -race this
 // also proves no engine state crosses worker goroutines.
 func TestRunGridRecycledReplicasMatchFresh(t *testing.T) {
 	wide := seer.Topology{Sockets: 2, CoresPerSocket: 8, ThreadsPerCore: 2}

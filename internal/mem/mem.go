@@ -83,9 +83,16 @@ type lineState struct {
 
 // Memory is the simulated shared memory. Its conflict registry is one
 // flat table with an entry per cache line, indexed by line number.
+//
+// Host memory backs only the prefix of lines the program has touched:
+// words and lines grow together (cover) when an access first reaches
+// past them, so a memory configured far larger than its program uses
+// costs host memory only for what is used. Addresses, the allocator and
+// the out-of-range fault all keep the configured size.
 type Memory struct {
-	words  []uint64
-	lines  []lineState // conflict registry, one entry per cache line
+	words  []uint64    // backing store of the touched prefix, len(lines) lines
+	lines  []lineState // conflict registry, one entry per touched cache line
+	size   int         // configured size in words, a whole number of lines
 	brk    Addr        // bump-allocation watermark
 	doomer Doomer
 	access AccessCostFunc // nil = uniform memory
@@ -155,8 +162,8 @@ func (m *Memory) Alloc(n int) Addr {
 		panic("mem: Alloc with non-positive size")
 	}
 	a := m.brk
-	if int(a)+n > len(m.words) {
-		panic(fmt.Errorf("%w (%d words requested, %d free)", ErrOutOfMemory, n, len(m.words)-int(a)))
+	if int(a)+n > m.size {
+		panic(fmt.Errorf("%w (%d words requested, %d free)", ErrOutOfMemory, n, m.size-int(a)))
 	}
 	m.brk += Addr(n)
 	return a
@@ -182,15 +189,49 @@ func (m *Memory) AllocAligned(n int) Addr {
 	return m.AllocLines(lines)
 }
 
-// Free returns the number of unallocated words remaining.
-func (m *Memory) Free() int { return len(m.words) - int(m.brk) }
+// Free returns the number of unallocated words remaining in the
+// configured size, however little of it host memory backs yet.
+func (m *Memory) Free() int { return m.size - int(m.brk) }
 
-// checkAddr panics with an error wrapping ErrBadAddress on out-of-range
-// addresses: simulated programs have no MMU, so this is the closest
-// analogue of a segmentation fault.
+// checkAddr makes address a backed before an access: a word past the
+// touched prefix goes through the out-of-line cover, so the in-range
+// path stays one compare.
 func (m *Memory) checkAddr(a Addr) {
 	if int(a) >= len(m.words) {
-		panic(fmt.Errorf("%w: %d (%d words)", ErrBadAddress, a, len(m.words)))
+		m.cover(a)
+	}
+}
+
+// minCoverLines is the smallest backing allocation, in lines. Growth
+// doubles from it, so a cell reallocates O(log) times; a smaller first
+// chunk made the registry's own benchmark slower on its tiny arrays.
+const minCoverLines = 512
+
+// cover extends the touched prefix through the line of a. Words it adds
+// read zero and lines it adds are unregistered, whether the arrays are
+// re-sliced within their capacity (a recycled buffer still holds an
+// earlier memory's bytes there) or reallocated. An address at or past the
+// configured size panics with an error wrapping ErrBadAddress: simulated
+// programs have no MMU, so this is the closest analogue of a
+// segmentation fault. A Doomer must not reach it: the registry accessors
+// hold a *lineState across their doom calls, which a reallocation would
+// leave pointing into the old table.
+func (m *Memory) cover(a Addr) {
+	if int(a) >= m.size {
+		panic(fmt.Errorf("%w: %d (%d words)", ErrBadAddress, a, m.size))
+	}
+	n := int(LineOf(a)) + 1
+	if n > cap(m.lines) || n*LineWords > cap(m.words) {
+		c := min(max(n, 2*cap(m.lines), minCoverLines), m.size/LineWords)
+		m.words = append(make([]uint64, 0, c*LineWords), m.words...)
+		m.lines = append(make([]lineState, 0, c), m.lines...)
+	}
+	old := len(m.lines)
+	m.words = m.words[:n*LineWords]
+	clear(m.words[old*LineWords:])
+	m.lines = m.lines[:n]
+	for i := old; i < n; i++ {
+		m.lines[i] = lineState{writer: -1}
 	}
 }
 
@@ -315,13 +356,23 @@ func (m *Memory) Unregister(hw int, lines []Line) {
 	}
 }
 
-// LineReaders returns the reader set of a line (for tests and invariant
-// checks).
-func (m *Memory) LineReaders(ln Line) topology.Set { return m.line(ln).readers }
+// LineReaders returns the reader set of a line, empty for a line never
+// touched (for tests and invariant checks).
+func (m *Memory) LineReaders(ln Line) topology.Set {
+	if int(ln) >= len(m.lines) {
+		return topology.Set{}
+	}
+	return m.line(ln).readers
+}
 
-// LineWriter returns the writer of a line, or -1 (for tests and invariant
-// checks).
-func (m *Memory) LineWriter(ln Line) int { return int(m.line(ln).writer) }
+// LineWriter returns the writer of a line, or -1, as for a line never
+// touched (for tests and invariant checks).
+func (m *Memory) LineWriter(ln Line) int {
+	if int(ln) >= len(m.lines) {
+		return -1
+	}
+	return int(m.line(ln).writer)
+}
 
 // Direct is a non-transactional accessor bound to one hardware thread,
 // implementing the same Access interface as a hardware transaction so that

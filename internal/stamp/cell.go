@@ -35,7 +35,8 @@ func Config(wl Workload, threads int, topo seer.Topology) seer.Config {
 		cfg.Topology = topo
 		// Wide machines grow per-thread state in simulated memory (arena
 		// shard lines and slack chunks, thread-stat lines); extra words
-		// only extend the address space, they never shift the layout.
+		// only extend the address space, they never shift the layout,
+		// and host memory backs only the words a run touches.
 		cfg.MemWords += topo.Threads() * 2048
 	}
 	cfg.MaxCycles = 1 << 36 // livelock guard

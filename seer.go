@@ -192,7 +192,10 @@ type Config struct {
 	RemoteAccessCost uint64
 	// Seed drives every pseudo-random choice in the run.
 	Seed int64
-	// MemWords sizes the simulated memory.
+	// MemWords bounds the simulated memory: addresses at or past it
+	// fault, and Alloc fails past it. It does not size host memory,
+	// which backs only the prefix of the memory a run touches, so
+	// generous headroom costs nothing until used.
 	MemWords int
 	// NumAtomicBlocks is the number of distinct atomic blocks (static
 	// transactions) the program contains; Seer allocates one lock and
@@ -244,13 +247,16 @@ type Config struct {
 	// storage) from a previous System built with the same Recycler, and
 	// receives them back from System.Release. The harness keeps one per
 	// grid worker so replicas are rebuilt without reallocating
-	// multi-megabyte state per cell. A Recycler must only ever be used
-	// from one goroutine at a time.
+	// multi-megabyte state per cell; a replica clears only the memory
+	// its own cell touches. A Recycler must only ever be used from one
+	// goroutine at a time.
 	Recycler *Recycler
 }
 
 // Recycler carries reusable simulator buffers between System lifetimes
-// (see Config.Recycler). The zero value is ready to use.
+// (see Config.Recycler). Its memory arrays are as large as the largest
+// touched prefix of any System built on it, not its largest MemWords.
+// The zero value is ready to use.
 type Recycler struct {
 	mem mem.Buffers
 	htm htm.Buffers
