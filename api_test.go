@@ -406,6 +406,11 @@ var knobCallers = map[reflect.Type]map[string]string{
 		"MetricsInterval": "timeline exhibit", "Inference": "inference exhibit",
 	},
 	reflect.TypeFor[harness.Options](): {"Scale Runs Seed Parallel Topology": "seerbench flags of those names"},
+	reflect.TypeFor[seer.SeerOptions](): {
+		"TxLocks CoreLocks HTMLockAcq HillClimb": "fig5 (harness.SeerVariants)",
+		"ObjLocks SampleShift PreciseOracle":     "ext (harness extVariants)",
+		"UpdateEvery EpochExecs":                 "examples/tuning",
+	},
 }
 
 // TestKnobTable: every knob earns its keep; the structs and knobCallers name the same fields.

@@ -108,9 +108,6 @@ func TestAcquireReleaseTxLocksZeroAllocs(t *testing.T) {
 		if s.LockAcqEvents == 0 {
 			t.Fatal("no lock acquisitions; the guard would measure nothing")
 		}
-		// LockAcqSamples is unbounded by design (it feeds the §5.2 median);
-		// presize it so the append inside the loop does not count.
-		s.LockAcqSamples = make([]int, 0, 4096)
 		allocs := testing.AllocsPerRun(100, func() { cycle() })
 		if allocs != 0 {
 			t.Errorf("steady-state lock acquire/release allocates %.1f per run, want 0", allocs)
@@ -167,7 +164,6 @@ func TestSeerPathsZeroAllocs128Threads(t *testing.T) {
 			s.UpdateScheme(c)
 		}
 		cycle() // warm-up
-		s.LockAcqSamples = make([]int, 0, 4096)
 		allocs := testing.AllocsPerRun(100, func() { cycle() })
 		if allocs != 0 {
 			t.Errorf("128-thread steady-state Seer path allocates %.1f per run, want 0", allocs)

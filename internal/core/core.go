@@ -48,8 +48,6 @@ type Options struct {
 	// AtomicObj. Transactions of conflict-prone blocks that manipulate
 	// different objects then proceed in parallel.
 	ObjLocks bool
-	// ObjStripes is the number of per-block lock stripes (default 8).
-	ObjStripes int
 
 	// PreciseOracle feeds the inference with the TRUE conflictor of
 	// every conflict abort (via the simulator-only htm.LastConflictor)
@@ -75,11 +73,11 @@ type Options struct {
 	UpdateEvery uint64
 	// EpochExecs is the number of executions per hill-climbing epoch.
 	EpochExecs uint64
-	// Tuner configures the hill climber.
-	Tuner tune.Config
-	// Init sets the starting thresholds.
-	Init tune.Params
 }
+
+// ObjStripes is the number of lock stripes per atomic block under
+// Options.ObjLocks.
+const ObjStripes = 8
 
 // DefaultOptions enables the full Seer scheduler with the paper's
 // parameters.
@@ -91,9 +89,6 @@ func DefaultOptions() Options {
 		HillClimb:   true,
 		UpdateEvery: 768,
 		EpochExecs:  3000,
-		ObjStripes:  8,
-		Tuner:       tune.DefaultConfig(),
-		Init:        tune.DefaultInit(),
 	}
 }
 
@@ -183,11 +178,11 @@ type Seer struct {
 	epochStartCycles uint64
 
 	// Accounting for the evaluation (§5.2: fraction of tx locks taken).
-	LockAcqEvents  uint64 // times a non-empty tx-lock row was acquired
-	LockAcqSamples []int  // row sizes at acquisition time
-	SchemeUpdates  uint64
-	MultiCASOk     uint64
-	MultiCASFail   uint64
+	LockAcqEvents uint64   // times a non-empty tx-lock row was acquired
+	LockAcqSizes  []uint64 // LockAcqSizes[n]: acquisitions of an n-lock row (numTx+1 entries)
+	SchemeUpdates uint64
+	MultiCASOk    uint64
+	MultiCASFail  uint64
 	// SchemeReuseHits counts scheme updates that completed without growing
 	// any row's capacity — the steady-state, allocation-free case.
 	SchemeReuseHits uint64
@@ -207,12 +202,13 @@ func New(numTx int, mach machine.Config, m *mem.Memory, u *htm.Unit, opts Option
 		scheme:    make([][]int, numTx),
 		txLocks:   make([]spinlock.Lock, numTx),
 		coreLocks: make([]spinlock.Lock, mach.PhysCores()),
-		th:        opts.Init,
+		th:        tune.DefaultInit(),
 
 		schemeWords:   (numTx + 63) / 64,
 		updRow:        make([]float64, numTx),
 		updCandidates: make([]int, 0, numTx),
 		updCondVals:   make([]float64, 0, numTx),
+		LockAcqSizes:  make([]uint64, numTx+1),
 	}
 	s.schemeBits = make([]uint64, numTx*s.schemeWords)
 	for i := range s.activeTxs {
@@ -222,13 +218,9 @@ func New(numTx int, mach machine.Config, m *mem.Memory, u *htm.Unit, opts Option
 		s.txLocks[i] = spinlock.New(m)
 	}
 	if opts.ObjLocks {
-		if opts.ObjStripes <= 0 {
-			opts.ObjStripes = 8
-			s.opts.ObjStripes = 8
-		}
 		s.objLocks = make([][]spinlock.Lock, numTx)
 		for i := range s.objLocks {
-			s.objLocks[i] = make([]spinlock.Lock, opts.ObjStripes)
+			s.objLocks[i] = make([]spinlock.Lock, ObjStripes)
 			for j := range s.objLocks[i] {
 				s.objLocks[i][j] = spinlock.New(m)
 			}
@@ -238,7 +230,7 @@ func New(numTx int, mach machine.Config, m *mem.Memory, u *htm.Unit, opts Option
 		s.coreLocks[i] = spinlock.New(m)
 	}
 	if opts.HillClimb {
-		s.tuner = tune.New(opts.Init, opts.Tuner, rng)
+		s.tuner = tune.New(s.th, tune.DefaultConfig(), rng)
 		s.th = s.tuner.Params()
 	}
 	return s
@@ -316,7 +308,7 @@ func (s *Seer) Start(t *ThreadState, txID int, obj uint64) {
 // lock otherwise.
 func (s *Seer) lockFor(t *ThreadState, id int) spinlock.Lock {
 	if s.opts.ObjLocks {
-		stripe := int(mix64(t.obj) % uint64(s.opts.ObjStripes))
+		stripe := int(mix64(t.obj) % ObjStripes)
 		return s.objLocks[id][stripe]
 	}
 	return s.txLocks[id]
@@ -466,7 +458,7 @@ func (s *Seer) acquireTxLocks(t *ThreadState, txID int) {
 	t.rowScratch = append(t.rowScratch[:0], s.scheme[txID]...)
 	row := t.rowScratch
 	s.LockAcqEvents++
-	s.LockAcqSamples = append(s.LockAcqSamples, len(row))
+	s.LockAcqSizes[len(row)]++
 	if s.opts.HTMLockAcq && len(row) >= 2 {
 		status := s.htm.Run(t.Ctx, func(tx *htm.Tx) {
 			for _, id := range row {

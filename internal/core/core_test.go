@@ -425,7 +425,6 @@ func TestSchemeRowsSorted(t *testing.T) {
 func TestObjLockStripes(t *testing.T) {
 	opts := staticOptions()
 	opts.ObjLocks = true
-	opts.ObjStripes = 4
 	eng, m, _, s := env(t, 1, opts)
 	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
 		ts := s.NewThreadState(c)
@@ -443,7 +442,7 @@ func TestObjLockStripes(t *testing.T) {
 			t.Fatalf("no stripe lock acquired")
 		}
 		heldStripes := 0
-		for st := 0; st < 4; st++ {
+		for st := 0; st < ObjStripes; st++ {
 			if s.ObjLock(0, st).LockedFast(m) {
 				heldStripes++
 			}
@@ -452,7 +451,7 @@ func TestObjLockStripes(t *testing.T) {
 			t.Fatalf("%d stripes held, want exactly 1", heldStripes)
 		}
 		s.ReleaseLocks(ts)
-		for st := 0; st < 4; st++ {
+		for st := 0; st < ObjStripes; st++ {
 			if s.ObjLock(0, st).LockedFast(m) {
 				t.Fatalf("stripe %d not released", st)
 			}

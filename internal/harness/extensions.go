@@ -9,7 +9,6 @@ func extVariants() []Variant {
 
 	obj := stock
 	obj.ObjLocks = true
-	obj.ObjStripes = 8
 
 	sampled := stock
 	sampled.SampleShift = 2 // profile 1 event in 4

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"seer/internal/mem"
 	"seer/internal/spinlock"
 )
@@ -30,8 +32,6 @@ type Backoff struct {
 
 	win    []uint64 // per hardware thread: current window (cycles)
 	maxWin []uint64 // per hardware thread: high-water window
-	waits  []uint64 // per hardware thread: completed backoff waits
-	cycles []uint64 // per hardware thread: total cycles waited
 }
 
 // Default window bounds: one cache-miss-ish minimum up to roughly the
@@ -51,8 +51,6 @@ func NewBackoff(sgl spinlock.Lock, maxAttempts, hwThreads int) *Backoff {
 		MaxWindow:   DefaultMaxWindow,
 		win:         make([]uint64, hwThreads),
 		maxWin:      make([]uint64, hwThreads),
-		waits:       make([]uint64, hwThreads),
-		cycles:      make([]uint64, hwThreads),
 	}
 	for i := range p.win {
 		p.win[i] = p.MinWindow
@@ -68,18 +66,10 @@ func (p *Backoff) Name() string { return "Backoff" }
 // and reports).
 func (p *Backoff) Window(hw int) uint64 { return p.win[hw] }
 
-// Stats aggregates the per-thread counters: completed backoff waits,
-// total cycles waited, and the largest window any thread reached.
-func (p *Backoff) Stats() (waits, cycles, maxWindow uint64) {
-	for i := range p.win {
-		waits += p.waits[i]
-		cycles += p.cycles[i]
-		if p.maxWin[i] > maxWindow {
-			maxWindow = p.maxWin[i]
-		}
-	}
-	return waits, cycles, maxWindow
-}
+// PeakWindow returns the largest window any thread has reached over the
+// policy's lifetime. The sleeps themselves are counted in each thread's
+// ledger (Thread.BackoffWaits, BackoffCycles).
+func (p *Backoff) PeakWindow() uint64 { return slices.Max(p.maxWin) }
 
 // grow doubles a thread's window after an abort, saturating at MaxWindow.
 func (p *Backoff) grow(hw int) {
@@ -109,9 +99,8 @@ func (p *Backoff) shrink(hw int) {
 func (p *Backoff) wait(t *Thread, hw int) {
 	d := 1 + t.Ctx.Rand().Uint64()%p.win[hw]
 	t.Ctx.Tick(d)
-	p.waits[hw]++
-	p.cycles[hw] += d
-	t.Obs.Backoff(d)
+	t.BackoffWaits++
+	t.BackoffCycles += d
 }
 
 // Run implements Policy: the RTM retry loop with a randomized

@@ -19,7 +19,7 @@ func TestBackoffAtomicity(t *testing.T) {
 	if modes[ModeHTMAux] != 0 || modes[ModeHTMTx] != 0 || modes[ModeHTMCore] != 0 {
 		t.Fatalf("Backoff used lock modes: %v", modes)
 	}
-	waits, cycles, maxWin := pol.Stats()
+	waits, cycles, maxWin := r.ledger.BackoffWaits, r.ledger.BackoffCycles, pol.PeakWindow()
 	if waits == 0 || cycles == 0 {
 		t.Fatalf("no backoff waits under 4-thread contention: waits=%d cycles=%d", waits, cycles)
 	}
@@ -111,7 +111,7 @@ func TestBackoffDeterminism(t *testing.T) {
 		r := newRig(t, 4)
 		pol := NewBackoff(r.sgl, 5, 4)
 		r.runCounter(t, pol, 4, 100)
-		return pol.Stats()
+		return r.ledger.BackoffWaits, r.ledger.BackoffCycles, pol.PeakWindow()
 	}
 	w1, c1, m1 := run()
 	w2, c2, m2 := run()
@@ -162,8 +162,7 @@ func TestBackoffAbortPathZeroAllocs(t *testing.T) {
 			}
 		}
 		pol.Run(th, 0, 0, body) // warm-up sizes the event queue
-		waits0, _, _ := pol.Stats()
-		if waits0 == 0 {
+		if th.BackoffWaits == 0 {
 			t.Fatal("warm-up issued no backoff waits; the guard would measure nothing")
 		}
 		allocs := testing.AllocsPerRun(100, func() {

@@ -89,18 +89,20 @@ func (mc *ModeCounts) Fraction(m Mode) float64 {
 	return float64(mc[m]) / float64(t)
 }
 
-// Thread is the per-worker runtime state shared by all policies.
+// Thread is the per-worker runtime state shared by all policies. Its
+// embedded ledger is the one place the runtime counts commits by mode,
+// attempts, aborts, fall-backs, lock waits and backoff sleeps: the Report
+// sums it after the Run and the telemetry timeline reads it while the Run
+// goes on.
 type Thread struct {
 	Ctx    *machine.Ctx
 	Mem    *mem.Memory
 	HTM    *htm.Unit
 	Direct *mem.Direct
-	Modes  ModeCounts
 	Obs    *telemetry.Thread // observability handle; nil records nothing
+	Seer   *core.ThreadState // non-nil only under the Seer policy
 
-	Seer      *core.ThreadState // non-nil only under the Seer policy
-	Attempts  uint64            // hardware attempts issued
-	Fallbacks uint64            // SGL acquisitions
+	telemetry.Counters
 }
 
 // lockWaitBegin samples the clock and the engine's park counter before a
@@ -112,14 +114,12 @@ func (t *Thread) lockWaitBegin() (startClock, startSkipped uint64) {
 }
 
 func (t *Thread) lockWaitEnd(startClock, startSkipped uint64) {
-	t.Obs.LockWait(t.Ctx.Clock()-startClock, t.Ctx.ParkSkipped()-startSkipped)
+	t.LockWait += t.Ctx.Clock() - startClock
+	t.ParkSkipped += t.Ctx.ParkSkipped() - startSkipped
 }
 
-// commit records a committed transaction in mode m.
-func (t *Thread) commit(m Mode) {
-	t.Modes[m]++
-	t.Obs.Commit(int(m))
-}
+// commit counts a committed transaction in mode m.
+func (t *Thread) commit(m Mode) { t.Modes[m]++ }
 
 // NewThread builds the runtime state for ctx's hardware thread.
 func NewThread(ctx *machine.Ctx, m *mem.Memory, u *htm.Unit) *Thread {
@@ -159,13 +159,16 @@ type Policy interface {
 // HTM's engine-side prologue (htm.Unit.RunSubscribed).
 func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
 	t.Obs.AttemptBegin(t.Ctx.Clock())
-	if phase != PhaseSW {
-		t.Attempts++
+	if phase == PhaseSW {
+		t.SWAttempts++
+	} else {
+		t.HWAttempts++
 	}
 	status := t.HTM.RunSubscribed(t.Ctx, phase == PhaseSW, sgl.Addr(), spinlock.CodeSGLHeld, body)
 	if status == 0 {
 		t.Obs.AttemptCommit(t.Ctx.Clock())
 	} else {
+		t.Aborts[status.Cause()]++
 		t.Obs.AttemptAbort(t.Ctx.Clock(), status)
 	}
 	return status
@@ -180,8 +183,8 @@ func runSGL(t *Thread, sgl spinlock.Lock, body func(mem.Access)) {
 	body(t.Direct)
 	sgl.Release(t.Ctx, t.Mem)
 	t.Fallbacks++
-	t.Modes[ModeSGL]++
-	t.Obs.FallbackEnd(t.Ctx.Clock(), int(ModeSGL))
+	t.commit(ModeSGL)
+	t.Obs.FallbackEnd(t.Ctx.Clock())
 }
 
 // spinSGL waits out a held single-global lock (lemming avoidance),

@@ -19,7 +19,12 @@ type rig struct {
 	u   *htm.Unit
 	sgl spinlock.Lock
 	cfg machine.Config
+
+	ledger telemetry.Counters // runCounter's threads' ledgers, summed
 }
+
+// modesOf returns the commit-mode histogram of a ledger.
+func modesOf(c *telemetry.Counters) ModeCounts { return ModeCounts(c.Modes[:NumModes]) }
 
 func newRig(t *testing.T, threads int) *rig {
 	t.Helper()
@@ -35,11 +40,11 @@ func newRig(t *testing.T, threads int) *rig {
 }
 
 // runCounter has each thread increment a shared counter ops times under
-// the given policy, returning the merged mode counts.
+// the given policy, returning the merged mode counts; r.ledger holds the
+// merged ledgers.
 func (r *rig) runCounter(t *testing.T, pol Policy, threads, ops int) ModeCounts {
 	t.Helper()
 	counter := r.m.AllocLines(1)
-	var total ModeCounts
 	threadsSlice := make([]*Thread, threads)
 	bodies := make([]func(*machine.Ctx), threads)
 	for i := range bodies {
@@ -65,9 +70,11 @@ func (r *rig) runCounter(t *testing.T, pol Policy, threads, ops int) ModeCounts 
 	if got := r.m.Peek(counter); got != uint64(threads*ops) {
 		t.Fatalf("%s: counter = %d, want %d (atomicity broken)", pol.Name(), got, threads*ops)
 	}
+	r.ledger = telemetry.Counters{}
 	for _, th := range threadsSlice {
-		total.Add(th.Modes)
+		r.ledger.Add(&th.Counters)
 	}
+	total := modesOf(&r.ledger)
 	if got := total.Total(); got != uint64(threads*ops) {
 		t.Fatalf("%s: mode total = %d, want %d", pol.Name(), got, threads*ops)
 	}
@@ -262,7 +269,7 @@ func TestSeerCoreLockOnCapacityWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, th := range threads {
-		modes.Add(th.Modes)
+		modes.Add(modesOf(&th.Counters))
 	}
 	coreLocked := modes[ModeHTMCore] + modes[ModeHTMTxCore]
 	if coreLocked == 0 {
@@ -317,7 +324,7 @@ func TestATSStaysConcurrentWhenCalm(t *testing.T) {
 	}
 	var modes ModeCounts
 	for _, th := range threads {
-		modes.Add(th.Modes)
+		modes.Add(modesOf(&th.Counters))
 	}
 	if modes[ModeHTMAux] != 0 || modes[ModeSGL] != 0 {
 		t.Fatalf("calm workload triggered serialization: %v", modes)
@@ -384,8 +391,8 @@ func TestTelemetryModeNames(t *testing.T) {
 	}
 }
 
-// TestShardCountsCommitsAndAborts: a policy wired to an observability
-// handle must mirror its Modes histogram and attempt/abort accounting into
+// TestShardCountsCommitsAndAborts: a policy whose ledgers are bound to an
+// observability recorder shows its commit, attempt and abort accounting in
 // the timeline.
 func TestShardCountsCommitsAndAborts(t *testing.T) {
 	r := newRig(t, 4)
@@ -398,7 +405,7 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 		idx := i
 		bodies[i] = func(c *machine.Ctx) {
 			th := NewThread(c, r.m, r.u)
-			th.Obs = rec.Thread(c.ID())
+			th.Obs = rec.Bind(c.ID(), &th.Counters)
 			threadsSlice[idx] = th
 			for n := 0; n < 40; n++ {
 				pol.Run(th, 0, 0, func(a mem.Access) {
@@ -415,8 +422,8 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 	var modes ModeCounts
 	var attempts, fallbacks uint64
 	for _, th := range threadsSlice {
-		modes.Add(th.Modes)
-		attempts += th.Attempts
+		modes.Add(modesOf(&th.Counters))
+		attempts += th.HWAttempts
 		fallbacks += th.Fallbacks
 	}
 	rec.Flush(makespan)

@@ -2,11 +2,13 @@
 // runtime reports what happens — block enter/exit, attempt begin, commit
 // and abort, fall-backs, waits, lock operations, scheme updates — through
 // one nil-safe per-thread handle (Thread), one call per site; the Recorder
-// fans each event out to the sinks the configuration switched on:
+// fans each event out to the sinks the configuration switched on. What the
+// runtime counts it counts once, in its per-thread ledger (Counters), which
+// the Report sums and the timeline reads; the handle keeps no counters.
 //
 //   - the event log: a bounded ring of the most recent events
 //     (Options.RingCapacity; events.go);
-//   - the timeline: per-thread counters diffed into one Snapshot per
+//   - the timeline: the per-thread ledgers diffed into one Snapshot per
 //     virtual-time interval (Options.Interval; timeline.go);
 //   - attempt spans: one Span per attempt or fall-back, with ground-truth
 //     abort attribution (Options.Spans; attribution.go);
@@ -138,13 +140,31 @@ func (r *Recorder) DoomHook() func(victim, aborter int, ln mem.Line) {
 	return r.OnDoom
 }
 
-// BeginRun rewinds the interval origin to cycle 0. The engine resets the
-// virtual clocks at the start of every Run; cumulative counters carry
-// over, so interval diffs stay correct across repeated runs.
+// BeginRun rewinds the interval origin to cycle 0 and drops every
+// handle's ledger. The engine resets the virtual clocks at the start of
+// every Run and the runtime's ledgers restart with it, so the timeline's
+// last-cut ledger values restart at zero too.
 func (r *Recorder) BeginRun() {
-	if r != nil {
-		r.start = 0
+	if r == nil {
+		return
 	}
+	r.start = 0
+	for i := range r.threads {
+		r.threads[i].ledger = nil
+	}
+	r.timeline.prev = Counters{}
+	clear(r.timeline.prevSock)
+}
+
+// Bind hands hardware thread hw's ledger for this Run to its handle, which
+// it returns (nil on a nil recorder). The timeline reads the ledger at
+// every interval boundary; only the runtime writes it.
+func (r *Recorder) Bind(hw int, c *Counters) *Thread {
+	t := r.Thread(hw)
+	if t != nil {
+		t.ledger = c
+	}
+	return t
 }
 
 // OnTick advances the clock to now, the global virtual time (the minimum
@@ -223,9 +243,9 @@ func (r *Recorder) Quality() []QualitySnapshot {
 // every method is a no-op costing one predictable branch. Methods taking
 // now stamp the event with that virtual time (the caller's clock).
 type Thread struct {
-	rec *Recorder
-	hw  int16
-	c   counters
+	rec    *Recorder
+	hw     int16
+	ledger *Counters // this Run's ledger (Bind); nil until bound
 
 	// Episode state, written by the owning thread and read by OnDoom
 	// (which the engine serializes like any access).
@@ -281,7 +301,6 @@ func (t *Thread) AttemptBegin(now uint64) {
 	if t == nil {
 		return
 	}
-	t.c.attempts++
 	t.log(now, EvBegin, true, 0, 0)
 	t.begin = now
 	t.inAttempt = true
@@ -303,18 +322,9 @@ func (t *Thread) AttemptAbort(now uint64, status htm.Status) {
 	if t == nil {
 		return
 	}
-	t.c.aborts[status.Cause()]++
 	t.log(now, EvAbort, true, uint32(status), 0)
 	t.aborted = true
 	t.closeAttempt(now, OutcomeAbort, status)
-}
-
-// Commit counts the block's completion in commit mode m (a policy.Mode).
-func (t *Thread) Commit(m int) {
-	if t == nil {
-		return
-	}
-	t.c.modes[m]++
 }
 
 // Fallback records entry into the single-global-lock path.
@@ -326,38 +336,15 @@ func (t *Thread) Fallback(now uint64) {
 	t.begin = now
 }
 
-// FallbackEnd records the end of the fall-back (lock released), counting
-// the block's completion in mode m: the span covers acquisition wait, body
-// and release.
-func (t *Thread) FallbackEnd(now uint64, m int) {
+// FallbackEnd records the end of the fall-back (lock released): the span
+// covers acquisition wait, body and release.
+func (t *Thread) FallbackEnd(now uint64) {
 	if t == nil {
 		return
 	}
-	t.c.fallbacks++
-	t.c.modes[m]++
 	if a := t.rec.attr; a != nil && a.spans {
 		t.spans = append(t.spans, t.span(now, OutcomeFallback))
 	}
-}
-
-// LockWait charges cycles spent waiting on a lock, parkSkipped of which
-// the engine fast-forwarded by parking the thread instead of simulating
-// its spin iterations (they still elapse on the virtual clock).
-func (t *Thread) LockWait(cycles, parkSkipped uint64) {
-	if t == nil {
-		return
-	}
-	t.c.lockWait += cycles
-	t.c.parkSkipped += parkSkipped
-}
-
-// Backoff counts one randomized backoff sleep of the given length.
-func (t *Thread) Backoff(cycles uint64) {
-	if t == nil {
-		return
-	}
-	t.c.backoffWaits++
-	t.c.backoffCycles += cycles
 }
 
 // Wait logs the start of a cooperative wait on a lock of the given kind.

@@ -25,6 +25,16 @@ func timelineOnly(interval uint64, threads int) *Recorder {
 	return New(Options{Threads: threads, Interval: interval})
 }
 
+// bind gives every handle of r a fresh ledger, as the start of a Run does,
+// and returns the ledgers for the test to bump in the runtime's place.
+func bind(r *Recorder) []Counters {
+	c := make([]Counters, len(r.threads))
+	for hw := range c {
+		r.Bind(hw, &c[hw])
+	}
+	return c
+}
+
 // everyEvent calls the whole event vocabulary once.
 func everyEvent(t *Thread) {
 	t.BlockEnter(1)
@@ -32,14 +42,11 @@ func everyEvent(t *Thread) {
 	t.AttemptAbort(20, conflict)
 	t.AttemptBegin(30)
 	t.AttemptCommit(40)
-	t.Commit(modeHTM)
 	t.Fallback(50)
-	t.LockWait(7, 3)
-	t.FallbackEnd(60, modeSGL)
+	t.FallbackEnd(60)
 	t.Wait(70, LockCore)
 	t.LockAcquired(80, 2, LockTx)
 	t.LocksReleased(90, 1, LockTx)
-	t.Backoff(5)
 	t.Phase(100, 1, 0)
 	t.Scheme(110, 3)
 	t.Tune(120, 0.3, 0.8)
@@ -50,7 +57,7 @@ func everyEvent(t *Thread) {
 // handle (the recorder's shard for one hardware thread) accept every call.
 func TestNilRecorderAndShardAreNoOps(t *testing.T) {
 	var r *Recorder
-	if r.Thread(3) != nil || r.Timeline() != nil || r.Quality() != nil || r.Events() != nil ||
+	if r.Thread(3) != nil || r.Bind(3, &Counters{}) != nil || r.Timeline() != nil || r.Quality() != nil || r.Events() != nil ||
 		r.EventTotal() != 0 || r.Spans(0) != nil || r.TruthMatrix() != nil ||
 		r.TopPairs(5) != nil || r.TopLines(5) != nil {
 		t.Fatalf("nil recorder leaked state")
@@ -95,6 +102,7 @@ func TestSinksAreIndependent(t *testing.T) {
 		o.Threads, o.Blocks = 2, 3
 		r := New(o)
 		r.BeginRun()
+		bind(r)
 		everyEvent(r.Thread(1))
 		r.Flush(150)
 		if got := len(r.Events()) > 0; got != (o.RingCapacity > 0) {
@@ -132,7 +140,7 @@ func TestZeroIntervalDisablesTimeline(t *testing.T) {
 		t.Fatalf("clockless recorder offers a tick hook")
 	}
 	r.BeginRun()
-	r.Thread(0).Commit(modeHTM)
+	bind(r)[0].Modes[modeHTM]++
 	r.Flush(1 << 20)
 	if r.Timeline() != nil || r.Quality() != nil {
 		t.Fatalf("clockless recorder cut something: %v %v", r.Timeline(), r.Quality())
@@ -142,12 +150,13 @@ func TestZeroIntervalDisablesTimeline(t *testing.T) {
 func TestIntervalBoundaries(t *testing.T) {
 	r := timelineOnly(100, 2)
 	r.BeginRun()
-	r.Thread(0).Commit(modeHTM)
+	c := bind(r)
+	c[0].Modes[modeHTM]++
 	r.OnTick(50) // inside first interval: no snapshot yet
 	if got := len(r.Timeline()); got != 0 {
 		t.Fatalf("early snapshot: %d", got)
 	}
-	r.Thread(1).Commit(modeHTM)
+	c[1].Modes[modeHTM]++
 	r.OnTick(100) // boundary reached
 	snaps := r.Timeline()
 	if len(snaps) != 1 {
@@ -164,7 +173,7 @@ func TestIntervalBoundaries(t *testing.T) {
 func TestMultiIntervalSkip(t *testing.T) {
 	r := timelineOnly(10, 1)
 	r.BeginRun()
-	r.Thread(0).AttemptBegin(1)
+	bind(r)[0].HWAttempts++
 	r.OnTick(35)
 	snaps := r.Timeline()
 	if len(snaps) != 3 {
@@ -184,7 +193,9 @@ func TestMultiIntervalSkip(t *testing.T) {
 func TestFlushShortRun(t *testing.T) {
 	r := timelineOnly(1000, 1)
 	r.BeginRun()
-	r.Thread(0).FallbackEnd(40, modeSGL)
+	c := bind(r)
+	c[0].Fallbacks++
+	c[0].Modes[modeSGL]++
 	r.Flush(42) // run far shorter than one interval
 	snaps := r.Timeline()
 	if len(snaps) != 1 {
@@ -241,9 +252,10 @@ func TestProbeSampledPerSnapshot(t *testing.T) {
 func TestParkSkippedDiffedPerInterval(t *testing.T) {
 	r := timelineOnly(10, 2)
 	r.BeginRun()
-	r.Thread(0).LockWait(120, 100)
+	c := bind(r)
+	c[0].LockWait, c[0].ParkSkipped = 120, 100
 	r.OnTick(10)
-	r.Thread(1).LockWait(40, 40)
+	c[1].LockWait, c[1].ParkSkipped = 40, 40
 	r.OnTick(20)
 	snaps := r.Timeline()
 	if len(snaps) != 2 {
@@ -254,22 +266,22 @@ func TestParkSkippedDiffedPerInterval(t *testing.T) {
 	}
 }
 
-// TestBeginRunAcrossRuns: the engine clock resets per run while counters
-// accumulate; interval diffs must stay correct across the rewind.
+// TestBeginRunAcrossRuns: the engine clock and the ledgers restart with
+// every run; interval diffs, per-socket ones included, must stay correct
+// across the rewind.
 func TestBeginRunAcrossRuns(t *testing.T) {
-	r := timelineOnly(100, 1)
+	r := New(Options{Threads: 2, Interval: 100, Topology: topology.Multi(2, 1, 1)})
 	r.BeginRun()
-	r.Thread(0).Commit(modeHTM)
+	bind(r)[1].Modes[modeHTM]++
 	r.Flush(100)
-	r.BeginRun() // clock rewinds to 0 for run 2
-	r.Thread(0).Commit(modeHTM)
-	r.Thread(0).Commit(modeHTM)
+	r.BeginRun() // clock rewinds to 0 for run 2, with fresh ledgers
+	bind(r)[1].Modes[modeHTM] += 2
 	r.Flush(100)
 	snaps := r.Timeline()
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d, want 2", len(snaps))
 	}
-	if snaps[0].Commits != 1 || snaps[1].Commits != 2 {
+	if snaps[0].Commits != 1 || snaps[1].Commits != 2 || snaps[1].Sockets[1].Commits != 2 {
 		t.Fatalf("cross-run diffs wrong: %+v", snaps)
 	}
 	if snaps[1].StartCycle != 0 {
@@ -287,13 +299,14 @@ func TestOnTickDeadlines(t *testing.T) {
 	for run := 0; run < 2; run++ {
 		every.BeginRun()
 		deadline.BeginRun()
+		ledgers := [][]Counters{bind(every), bind(deadline)}
 		next := uint64(0)
 		now := uint64(0)
 		for i := uint64(0); i < 400; i++ {
 			now += (i * 37) % 23 // some ticks repeat a cycle, some jump intervals
-			for _, r := range []*Recorder{every, deadline} {
-				r.Thread(int(i % 2)).Commit(modeHTM)
-				r.Thread(0).AttemptBegin(now)
+			for _, c := range ledgers {
+				c[i%2].Modes[modeHTM]++
+				c[0].HWAttempts++
 			}
 			every.OnTick(now)
 			if now >= next {
@@ -376,14 +389,15 @@ func TestPerSocketBreakdown(t *testing.T) {
 	topo := topology.Multi(2, 2, 2) // 8 threads: 0-1,4-5 socket 0; 2-3,6-7 socket 1
 	r := New(Options{Threads: topo.Threads(), Interval: 100, Topology: topo})
 	r.BeginRun()
-	r.Thread(0).Commit(modeHTM) // socket 0
-	r.Thread(0).AttemptBegin(1)
-	r.Thread(6).Commit(modeSGL) // socket 1
-	r.Thread(6).AttemptBegin(1)
-	r.Thread(6).AttemptAbort(2, conflict)
-	r.Thread(6).LockWait(40, 0)
+	c := bind(r)
+	c[0].Modes[modeHTM]++ // socket 0
+	c[0].HWAttempts++
+	c[6].Modes[modeSGL]++ // socket 1
+	c[6].HWAttempts++
+	c[6].Aborts[htm.CauseConflict]++
+	c[6].LockWait += 40
 	r.OnTick(100)
-	r.Thread(4).Commit(modeHTM) // socket 0, interval 2
+	c[4].Modes[modeHTM]++ // socket 0, interval 2
 	r.Flush(150)
 
 	snaps := r.Timeline()
@@ -418,7 +432,7 @@ func TestPerSocketBreakdown(t *testing.T) {
 	// Single-socket machines must not grow a Sockets slice.
 	r2 := New(Options{Threads: 8, Interval: 100, Topology: topology.SMT2(4)})
 	r2.BeginRun()
-	r2.Thread(0).Commit(modeHTM)
+	bind(r2)[0].Modes[modeHTM]++
 	r2.Flush(50)
 	if s := r2.Timeline()[0]; s.Sockets != nil {
 		t.Fatalf("single-socket snapshot carries Sockets = %+v, want nil", s.Sockets)
@@ -438,15 +452,16 @@ func TestPerSocketAsymmetricTopology(t *testing.T) {
 	}
 	r := New(Options{Threads: topo.Threads(), Interval: 100, Topology: topo})
 	r.BeginRun()
+	c := bind(r)
 	// One commit per hardware thread; aborts only on socket-1 threads,
 	// including the sibling range 9-11 that a naive split would place in
 	// the "upper half = socket 1, lower half = socket 0" pattern wrongly
 	// for threads 6-8.
 	for hw := 0; hw < topo.Threads(); hw++ {
-		r.Thread(hw).Commit(modeHTM)
-		r.Thread(hw).AttemptBegin(1)
+		c[hw].Modes[modeHTM]++
+		c[hw].HWAttempts++
 		if topo.SocketOf(hw) == 1 {
-			r.Thread(hw).AttemptAbort(2, conflict)
+			c[hw].Aborts[htm.CauseConflict]++
 		}
 	}
 	r.Flush(100)

@@ -21,36 +21,43 @@ const NumCauses = int(htm.CauseOther) + 1
 // CauseNames are the CSV column and rendering labels per htm.Cause.
 var CauseNames = [NumCauses]string{"conflict", "capacity", "explicit", "spurious", "other"}
 
-// counters is one hardware thread's cumulative counter block, the input of
-// the timeline sink. Only the owning thread writes it (the engine
-// serializes execution) and the recorder reads all of them only at
-// interval boundaries, so no synchronization is needed.
-type counters struct {
-	modes         [MaxModes]uint64
-	attempts      uint64
-	aborts        [NumCauses]uint64
-	fallbacks     uint64
-	lockWait      uint64 // cycles spent waiting on locks (SGL, tx, core)
-	parkSkipped   uint64 // lock-wait cycles the engine fast-forwarded by parking (subset of lockWait)
-	backoffWaits  uint64 // randomized sleeps of the Backoff policy
-	backoffCycles uint64
+// Counters is one hardware thread's counter ledger for one Run: every
+// event the Report and the timeline count is bumped here exactly once, by
+// the runtime (policy.Thread embeds one). The Report sums the ledgers after
+// the Run; the timeline diffs them at every interval boundary through the
+// pointer each handle gets from Bind. Only the owning thread writes its
+// ledger (the engine serializes execution), so nothing is synchronized.
+type Counters struct {
+	Modes         [MaxModes]uint64  // commits by policy.Mode
+	HWAttempts    uint64            // hardware attempts
+	SWAttempts    uint64            // software commit-path attempts (phased runtime)
+	Aborts        [NumCauses]uint64 // aborted attempts by htm.Cause
+	Fallbacks     uint64            // single-global-lock fall-backs
+	LockWait      uint64            // cycles spent waiting on locks (SGL, aux, tx, core)
+	ParkSkipped   uint64            // lock-wait cycles the engine fast-forwarded by parking (subset of LockWait)
+	BackoffWaits  uint64            // randomized sleeps of the Backoff policy
+	BackoffCycles uint64            // cycles those sleeps lasted
 }
 
-// add accumulates o into c.
-func (c *counters) add(o *counters) {
-	for m := range c.modes {
-		c.modes[m] += o.modes[m]
+// Add accumulates o into c.
+func (c *Counters) Add(o *Counters) {
+	for m := range c.Modes {
+		c.Modes[m] += o.Modes[m]
 	}
-	for i := range c.aborts {
-		c.aborts[i] += o.aborts[i]
+	for i := range c.Aborts {
+		c.Aborts[i] += o.Aborts[i]
 	}
-	c.attempts += o.attempts
-	c.fallbacks += o.fallbacks
-	c.lockWait += o.lockWait
-	c.parkSkipped += o.parkSkipped
-	c.backoffWaits += o.backoffWaits
-	c.backoffCycles += o.backoffCycles
+	c.HWAttempts += o.HWAttempts
+	c.SWAttempts += o.SWAttempts
+	c.Fallbacks += o.Fallbacks
+	c.LockWait += o.LockWait
+	c.ParkSkipped += o.ParkSkipped
+	c.BackoffWaits += o.BackoffWaits
+	c.BackoffCycles += o.BackoffCycles
 }
+
+// attempts returns the attempts on either commit path.
+func (c *Counters) attempts() uint64 { return c.HWAttempts + c.SWAttempts }
 
 // SocketCounters is one socket's share of a Snapshot, populated only on
 // multi-socket topologies.
@@ -157,14 +164,15 @@ const topConflictPairs = 4
 
 // timeline is the interval-metrics sink: the cut snapshots plus every
 // cumulative value as of the last cut, against which the next interval is
-// diffed. Cumulative counters carry across repeated runs.
+// diffed. The ledgers restart with every Run (BeginRun zeroes prev and
+// prevSock); the sources and the attribution sink carry across Runs.
 type timeline struct {
 	snaps []Snapshot
 	arena arena
 
-	prev        counters
-	prevSock    []counters // per socket; nil on single-socket machines
-	curSock     []counters // prevSock's double buffer, swapped at every cut
+	prev        Counters
+	prevSock    []Counters // per socket; nil on single-socket machines
+	curSock     []Counters // prevSock's double buffer, swapped at every cut
 	prevReuse   uint64
 	prevQuantum [4]uint64
 	prevPhase   [3]uint64
@@ -197,30 +205,33 @@ func carve[T any](arena *[]T, vs []T) []T {
 // cutSnapshot appends the snapshot of the interval [r.start, end).
 func (r *Recorder) cutSnapshot(end uint64) {
 	tl := &r.timeline
-	var cur counters
+	var cur Counters
 	curSock := tl.curSock
 	clear(curSock)
 	for i := range r.threads {
-		c := &r.threads[i].c
-		cur.add(c)
+		c := r.threads[i].ledger
+		if c == nil {
+			continue // no worker bound this Run (yet): nothing counted
+		}
+		cur.Add(c)
 		if curSock != nil {
-			curSock[r.opt.Topology.SocketOf(i)].add(c)
+			curSock[r.opt.Topology.SocketOf(i)].Add(c)
 		}
 	}
 	snap := Snapshot{Index: len(tl.snaps), StartCycle: r.start, EndCycle: end}
-	for i := range cur.modes {
-		snap.Modes[i] = cur.modes[i] - tl.prev.modes[i]
+	for i := range cur.Modes {
+		snap.Modes[i] = cur.Modes[i] - tl.prev.Modes[i]
 		snap.Commits += snap.Modes[i]
 	}
-	for i := range cur.aborts {
-		snap.Aborts[i] = cur.aborts[i] - tl.prev.aborts[i]
+	for i := range cur.Aborts {
+		snap.Aborts[i] = cur.Aborts[i] - tl.prev.Aborts[i]
 	}
-	snap.Attempts = cur.attempts - tl.prev.attempts
-	snap.Fallbacks = cur.fallbacks - tl.prev.fallbacks
-	snap.LockWait = cur.lockWait - tl.prev.lockWait
-	snap.ParkSkipped = cur.parkSkipped - tl.prev.parkSkipped
-	snap.BackoffWaits = cur.backoffWaits - tl.prev.backoffWaits
-	snap.BackoffCycles = cur.backoffCycles - tl.prev.backoffCycles
+	snap.Attempts = cur.attempts() - tl.prev.attempts()
+	snap.Fallbacks = cur.Fallbacks - tl.prev.Fallbacks
+	snap.LockWait = cur.LockWait - tl.prev.LockWait
+	snap.ParkSkipped = cur.ParkSkipped - tl.prev.ParkSkipped
+	snap.BackoffWaits = cur.BackoffWaits - tl.prev.BackoffWaits
+	snap.BackoffCycles = cur.BackoffCycles - tl.prev.BackoffCycles
 	tl.prev = cur
 	if src := r.opt.Scheduler; src != nil {
 		var reuse uint64
@@ -253,12 +264,12 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		first := len(tl.arena.socks)
 		for s := range curSock {
 			c, p := &curSock[s], &tl.prevSock[s]
-			sc := SocketCounters{Socket: s, Attempts: c.attempts - p.attempts, LockWait: c.lockWait - p.lockWait}
-			for m := range c.modes {
-				sc.Commits += c.modes[m] - p.modes[m]
+			sc := SocketCounters{Socket: s, Attempts: c.attempts() - p.attempts(), LockWait: c.LockWait - p.LockWait}
+			for m := range c.Modes {
+				sc.Commits += c.Modes[m] - p.Modes[m]
 			}
-			for i := range c.aborts {
-				sc.Aborts += c.aborts[i] - p.aborts[i]
+			for i := range c.Aborts {
+				sc.Aborts += c.Aborts[i] - p.Aborts[i]
 			}
 			tl.arena.socks = append(tl.arena.socks, sc)
 		}

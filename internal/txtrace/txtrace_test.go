@@ -51,7 +51,7 @@ func TestNilCollectorNoOps(t *testing.T) {
 	h.AttemptBegin(20)
 	h.AttemptAbort(30, conflict)
 	h.Fallback(30)
-	h.FallbackEnd(40, 5)
+	h.FallbackEnd(40)
 	h.BlockExit()
 	c.BeginRun()
 	c.Flush(1000)
@@ -105,7 +105,7 @@ func TestSpanLifecycle(t *testing.T) {
 	h.AttemptBegin(300)
 	h.AttemptAbort(310, explicit)
 	h.Fallback(320)
-	h.FallbackEnd(400, 5)
+	h.FallbackEnd(400)
 	h.BlockExit()
 
 	spans := c.Spans(0)
@@ -419,7 +419,7 @@ func TestExporters(t *testing.T) {
 		h.BlockExit()
 		h.BlockEnter(1)
 		h.Fallback(160)
-		h.FallbackEnd(170, 5)
+		h.FallbackEnd(170)
 		h.BlockExit()
 		return c
 	}

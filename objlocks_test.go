@@ -19,7 +19,6 @@ func runClusters(t *testing.T, objLocks bool, seed int64) seer.Report {
 	cfg.MemWords = 1 << 13
 	cfg.Seed = seed
 	cfg.Seer.ObjLocks = objLocks
-	cfg.Seer.ObjStripes = 8
 	cfg.Seer.UpdateEvery = 200
 	cfg.MaxCycles = 1 << 33
 	sys, err := seer.NewSystem(cfg)

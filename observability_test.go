@@ -189,3 +189,52 @@ func TestObsCellSteadyStateAllocs(t *testing.T) {
 		t.Errorf("obs-on cell on a warm Recycler allocates %d objects, the same cell with no sink %d: want within 64", second, none)
 	}
 }
+
+// TestCellMemoryLengthInvariant pins that a cell's host memory does not
+// grow with its length: the same Seer cell run for 4× the iterations may
+// allocate only a little more, with every sink off and with each sink
+// whose storage is bounded on (the event ring; attribution without spans,
+// which under Seer also arms the learned scorer). The timeline and the
+// spans keep one entry per interval or attempt, so they are left out.
+// Each cell runs on a Recycler warmed by the long cell, so what remains is
+// what the runtime itself grows per transaction.
+func TestCellMemoryLengthInvariant(t *testing.T) {
+	// slack covers the Report's owned copy of the scorer's trajectory, one
+	// small entry per default scorer interval.
+	const n, slack = 1000, 16 << 10
+	for _, sink := range []struct {
+		name string
+		set  func(*seer.Config)
+	}{
+		{"off", func(*seer.Config) {}},
+		{"ring", func(c *seer.Config) { c.TraceEvents = 4096 }},
+		{"attribution+scorer", func(c *seer.Config) { c.AttributionCounters = true }},
+	} {
+		rec := new(seer.Recycler)
+		cell := func(ops int) (alloc uint64, lockAcqs uint64) {
+			wl := adversary.New(adversary.Clique(16), ops)
+			cfg := stamp.Config(wl, 8, seer.Topology{})
+			sink.set(&cfg)
+			cfg.Recycler = rec
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sys, rep, err := stamp.Run(wl, cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Release()
+			return after.TotalAlloc - before.TotalAlloc, rep.Seer.LockAcqEvents
+		}
+		cell(4 * n) // warm the Recycler to the long cell's sizes
+		short, shortAcqs := cell(n)
+		long, longAcqs := cell(4 * n)
+		t.Logf("%s: %d ops %d B (%d lock acquisitions), %d ops %d B (%d)", sink.name, n, short, shortAcqs, 4*n, long, longAcqs)
+		if longAcqs < 4*shortAcqs/2 || shortAcqs == 0 {
+			t.Fatalf("%s: %d and %d tx-lock acquisitions: the cell does not exercise Seer's locks", sink.name, shortAcqs, longAcqs)
+		}
+		if long > short+slack {
+			t.Errorf("%s: the %d-op cell allocates %d B, the %d-op cell %d B: more than %d B apart", sink.name, 4*n, long, n, short, slack)
+		}
+	}
+}

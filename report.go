@@ -3,7 +3,6 @@ package seer
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -78,10 +77,11 @@ type SeerReport struct {
 	SchemeRows [][]int
 }
 
-// BackoffReport captures the Backoff policy's counters at the end of a
-// run: how many randomized sleeps were issued, their total virtual-cycle
-// cost, and the largest window any thread reached (bounded by the
-// configured cap).
+// BackoffReport captures the Backoff policy's counters for one Run: how
+// many randomized sleeps were issued and their total virtual-cycle cost
+// (summed from the threads' ledgers, like Report.Modes), and the largest
+// window any thread has reached on this System (bounded by the configured
+// cap; the windows themselves carry across Runs).
 type BackoffReport struct {
 	Waits     uint64
 	Cycles    uint64
@@ -303,14 +303,14 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 		MakespanCycles: makespan,
 		HTM:            s.htm.Counters(),
 	}
+	var c telemetry.Counters
 	for _, t := range threads {
-		if t == nil {
-			continue
+		if t != nil {
+			c.Add(&t.Counters)
 		}
-		r.Modes.Add(t.Modes)
-		r.HWAttempts += t.Attempts
-		r.Fallbacks += t.Fallbacks
 	}
+	r.Modes = ModeCounts(c.Modes[:NumModes])
+	r.HWAttempts, r.Fallbacks = c.HWAttempts, c.Fallbacks
 	if s.sched != nil {
 		sr := &SeerReport{
 			Thresholds:    s.sched.Thresholds(),
@@ -320,19 +320,19 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 			LockAcqEvents: s.sched.LockAcqEvents,
 			SchemeRows:    s.sched.Scheme(),
 		}
-		if n := len(s.sched.LockAcqSamples); n > 0 {
-			sizes := make([]int, n)
-			copy(sizes, s.sched.LockAcqSamples)
-			sort.Ints(sizes)
-			median := sizes[n/2]
-			sr.LockFracMedian = float64(median) / float64(s.sched.NumTx())
+		// The median row size is the upper one, sizes[n/2] of the sorted
+		// n sizes: the first size whose cumulative count passes n/2.
+		var below uint64
+		for size, k := range s.sched.LockAcqSizes {
+			if below += k; below > s.sched.LockAcqEvents/2 {
+				sr.LockFracMedian = float64(size) / float64(s.sched.NumTx())
+				break
+			}
 		}
 		r.Seer = sr
 	}
 	if bp, ok := s.pol.(*policy.Backoff); ok {
-		br := &BackoffReport{}
-		br.Waits, br.Cycles, br.MaxWindow = bp.Stats()
-		r.Backoff = br
+		r.Backoff = &BackoffReport{Waits: c.BackoffWaits, Cycles: c.BackoffCycles, MaxWindow: bp.PeakWindow()}
 	}
 	if pp, ok := s.pol.(*policy.Phased); ok {
 		st := pp.Stats(makespan)

@@ -392,9 +392,10 @@ type System struct {
 	obs   *telemetry.Recorder // nil unless an observability Config field is set
 }
 
-// NewSystem builds a system from cfg. The returned system is single-use
-// per Run for meaningful statistics, though repeated Runs are allowed and
-// accumulate counters.
+// NewSystem builds a system from cfg. Repeated Runs are allowed: each
+// Report's per-thread counts (Modes, HWAttempts, Fallbacks, the Backoff
+// sleeps) cover its own Run, while the HTM, STM, scheduler, phased-mode
+// and engine counters accumulate across Runs.
 func NewSystem(cfg Config) (*System, error) {
 	return newSystem(cfg, DefaultSpeculativeQuantum)
 }
@@ -601,7 +602,7 @@ func (s *System) Run(workers []Worker) (Report, error) {
 		idx := i
 		bodies[i] = func(ctx *machine.Ctx) {
 			pt := policy.NewThread(ctx, s.mem, s.htm)
-			pt.Obs = s.obs.Thread(ctx.ID())
+			pt.Obs = s.obs.Bind(ctx.ID(), &pt.Counters)
 			if s.sched != nil {
 				pt.Seer = s.sched.NewThreadState(ctx)
 				pt.Seer.Obs = pt.Obs

@@ -54,5 +54,6 @@ func (t *Thread) AtomicObj(txID int, objID uint64, body func(Access)) {
 // abort conflicting transactions).
 func (t *Thread) Direct() Access { return t.pt.Direct }
 
-// Modes returns the commit-mode histogram accumulated by this thread.
-func (t *Thread) Modes() ModeCounts { return t.pt.Modes }
+// Modes returns the commit-mode histogram this thread has accumulated in
+// the current Run.
+func (t *Thread) Modes() ModeCounts { return ModeCounts(t.pt.Modes[:NumModes]) }

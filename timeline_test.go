@@ -2,6 +2,7 @@ package seer_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -287,6 +288,103 @@ func TestInferenceSharesTimelineClockAcrossRuns(t *testing.T) {
 	for i, s := range second.Timeline {
 		if q := second.Inference[i]; q.Index != s.Index || q.EndCycle != s.EndCycle {
 			t.Fatalf("boundary %d: inference ends at %d, timeline interval at %d", i, q.EndCycle, s.EndCycle)
+		}
+	}
+}
+
+// TestOneLedgerAcrossRuns: the Report and the timeline read one per-thread
+// ledger, so on each of two Runs on one System the Run's snapshots sum to
+// that Run's Report: commits per mode, fall-backs, backoff sleeps, and
+// attempts (hardware ones, plus the software path's under PhTM, whose
+// Report reads them off the STM counters, which like the HTM's accumulate
+// across Runs). Every
+// eighth execution writes more lines than the HTM holds, so each policy
+// also falls back and PhTM also runs its software path.
+func TestOneLedgerAcrossRuns(t *testing.T) {
+	for _, pol := range []seer.PolicyKind{seer.PolicyRTM, seer.PolicySCM, seer.PolicySeer, seer.PolicyBackoff, seer.PolicyPhased} {
+		cfg := seer.DefaultConfig()
+		cfg.Policy = pol
+		cfg.Threads = 4
+		cfg.PhysCores = 2
+		cfg.NumAtomicBlocks = 2
+		cfg.MemWords = 1 << 14
+		cfg.MaxCycles = 1 << 32
+		cfg.MetricsInterval = 2048
+		sys, err := seer.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter := sys.AllocAligned(1)
+		wide := cfg.HTM.WriteSetLines + 16
+		workers := make([]seer.Worker, cfg.Threads)
+		for i := range workers {
+			own := sys.AllocLines(wide)
+			workers[i] = func(th *seer.Thread) {
+				for n := 0; n < 200; n++ {
+					if n%8 == 7 {
+						th.Atomic(1, func(a seer.Access) {
+							for l := 0; l < wide; l++ {
+								a.Store(own+seer.Addr(l*8), uint64(n))
+							}
+						})
+					}
+					th.Atomic(0, func(a seer.Access) {
+						a.Store(counter, a.Load(counter)+1)
+						a.Work(10)
+					})
+					th.Work(5)
+				}
+			}
+		}
+		cut, swBefore := 0, uint64(0)
+		for run := 1; run <= 2; run++ {
+			rep, err := sys.Run(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sum seer.Snapshot
+			for _, s := range rep.Timeline[cut:] {
+				for m := range sum.Modes {
+					sum.Modes[m] += s.Modes[m]
+				}
+				sum.Attempts += s.Attempts
+				sum.Fallbacks += s.Fallbacks
+				sum.BackoffWaits += s.BackoffWaits
+				sum.BackoffCycles += s.BackoffCycles
+			}
+			cut = len(rep.Timeline)
+			where := fmt.Sprintf("%s run %d", pol, run)
+			if rep.Fallbacks == 0 {
+				t.Fatalf("%s: no fall-backs; the workload does not exercise them", where)
+			}
+			for m := seer.Mode(0); m < seer.NumModes; m++ {
+				if sum.Modes[m] != rep.Modes[m] {
+					t.Errorf("%s: timeline %s commits %d, report %d", where, m, sum.Modes[m], rep.Modes[m])
+				}
+			}
+			if sum.Fallbacks != rep.Fallbacks {
+				t.Errorf("%s: timeline fall-backs %d, report %d", where, sum.Fallbacks, rep.Fallbacks)
+			}
+			attempts := rep.HWAttempts
+			if p := rep.Phased; p != nil {
+				if p.SWAttempts == 0 {
+					t.Fatalf("%s: no software attempts; the workload does not exercise that path", where)
+				}
+				attempts += p.SWAttempts - swBefore
+				swBefore = p.SWAttempts
+			}
+			if sum.Attempts != attempts {
+				t.Errorf("%s: timeline attempts %d, report %d", where, sum.Attempts, attempts)
+			}
+			if b := rep.Backoff; b != nil {
+				if b.Waits == 0 {
+					t.Fatalf("%s: no backoff sleeps; the workload does not exercise them", where)
+				}
+				if sum.BackoffWaits != b.Waits || sum.BackoffCycles != b.Cycles {
+					t.Errorf("%s: timeline backoff %d waits / %d cycles, report %d / %d",
+						where, sum.BackoffWaits, sum.BackoffCycles, b.Waits, b.Cycles)
+				}
+			}
 		}
 	}
 }
