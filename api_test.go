@@ -81,9 +81,12 @@ func TestHWThreadsRounding(t *testing.T) {
 	}
 }
 
-// TestRepeatedRunsAccumulate: a second Run on the same system works and
-// the HTM counters accumulate (documented behaviour).
-func TestRepeatedRunsAccumulate(t *testing.T) {
+// TestRepeatedRunsReportPerRun: a second Run on the same system works, and
+// each Report's transaction counts cover its own Run: two identical 10-op
+// Runs report 10 HTM commits each while the cell reads 20, and the second
+// Run of an RTM intruder cell, whose queue the first Run drained, reports
+// at most one abort per attempt.
+func TestRepeatedRunsReportPerRun(t *testing.T) {
 	cfg := seer.DefaultConfig()
 	cfg.Policy = seer.PolicyRTM
 	cfg.Threads = 1
@@ -99,19 +102,38 @@ func TestRepeatedRunsAccumulate(t *testing.T) {
 			th.Atomic(0, func(a seer.Access) { a.Store(cell, a.Load(cell)+1) })
 		}
 	}}
-	r1, err := sys.Run(worker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := sys.Run(worker)
-	if err != nil {
-		t.Fatal(err)
+	for run := 1; run <= 2; run++ {
+		rep, err := sys.Run(worker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.HTM.Commits != 10 || rep.HWAttempts != 10 {
+			t.Fatalf("run %d: %d HTM commits in %d attempts, want 10 in 10", run, rep.HTM.Commits, rep.HWAttempts)
+		}
 	}
 	if sys.Peek(cell) != 20 {
 		t.Fatalf("cell = %d, want 20", sys.Peek(cell))
 	}
-	if r2.HTM.Commits <= r1.HTM.Commits {
-		t.Fatalf("counters did not accumulate: %d then %d", r1.HTM.Commits, r2.HTM.Commits)
+
+	wl, err := stamp.New("intruder", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = stamp.Config(wl, 8, seer.Topology{})
+	cfg.Policy = seer.PolicyRTM
+	sys, first, err := stamp.Run(wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := sys.Run(wl.Workers(cfg.Threads))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.HTM.Aborts == 0 || second.HWAttempts == 0 {
+		t.Fatalf("first run %d aborts, second run %d attempts: the cell does not exercise the test", first.HTM.Aborts, second.HWAttempts)
+	}
+	if second.HTM.Aborts > second.HWAttempts || second.AbortRate() > 1 {
+		t.Fatalf("second run: %d aborts in %d attempts (abort rate %.1f)", second.HTM.Aborts, second.HWAttempts, second.AbortRate())
 	}
 }
 

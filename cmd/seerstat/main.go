@@ -326,7 +326,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if sched := sys.Scheduler(); sched != nil {
-		renderScheduler(stdout, sched)
+		renderScheduler(stdout, sched, rep.Seer)
 	}
 
 	if *traceN > 0 {
@@ -339,8 +339,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // renderScheduler dumps the Seer scheduler's internals: merged conflict
-// statistics, abort probabilities, the locking scheme and its accounting.
-func renderScheduler(w io.Writer, sched *core.Seer) {
+// statistics, abort probabilities, the locking scheme and its accounting,
+// with the multi-CAS outcomes from the Run's report sr.
+func renderScheduler(w io.Writer, sched *core.Seer, sr *seer.SeerReport) {
 	n := sched.NumTx()
 	merged := sched.Merged()
 	fmt.Fprintf(w, "\nConflict statistics (merged; rows = aborting tx, cols = concurrently active tx):\n")
@@ -375,5 +376,5 @@ func renderScheduler(w io.Writer, sched *core.Seer) {
 	th := sched.Thresholds()
 	fmt.Fprintf(w, "\nThresholds: Th1=%.3f Th2=%.3f  scheme updates=%d\n", th.Th1, th.Th2, sched.SchemeUpdates)
 	fmt.Fprintf(w, "Lock acquisitions: %d (multiCAS ok=%d fail=%d)\n",
-		sched.LockAcqEvents, sched.MultiCASOk, sched.MultiCASFail)
+		sched.LockAcqEvents, sr.MultiCASOk, sr.MultiCASFail)
 }

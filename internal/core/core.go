@@ -106,7 +106,8 @@ func ProfileOnly() Options {
 // The TM runtime owns one per worker and passes it to every Seer call.
 type ThreadState struct {
 	Ctx              *machine.Ctx
-	Obs              *telemetry.Thread // set by the runtime after NewThreadState; nil records nothing
+	Obs              *telemetry.Thread   // set by the runtime after NewThreadState; nil records nothing
+	Ledger           *telemetry.Counters // set by the runtime beside Obs; HTMLockAcq's multi-CAS acquisitions count their outcomes there
 	AcquiredTxLocks  bool
 	AcquiredCoreLock bool
 
@@ -181,8 +182,6 @@ type Seer struct {
 	LockAcqEvents uint64   // times a non-empty tx-lock row was acquired
 	LockAcqSizes  []uint64 // LockAcqSizes[n]: acquisitions of an n-lock row (numTx+1 entries)
 	SchemeUpdates uint64
-	MultiCASOk    uint64
-	MultiCASFail  uint64
 	// SchemeReuseHits counts scheme updates that completed without growing
 	// any row's capacity — the steady-state, allocation-free case.
 	SchemeReuseHits uint64
@@ -460,20 +459,21 @@ func (s *Seer) acquireTxLocks(t *ThreadState, txID int) {
 	s.LockAcqEvents++
 	s.LockAcqSizes[len(row)]++
 	if s.opts.HTMLockAcq && len(row) >= 2 {
+		cas := &t.Ledger.Paths[telemetry.PathMultiCAS]
+		cas.Attempts++
 		status := s.htm.Run(t.Ctx, func(tx *htm.Tx) {
 			for _, id := range row {
 				s.lockFor(t, id).AcquireTx(tx, t.Ctx)
 			}
 		})
 		if status == 0 {
-			s.MultiCASOk++
 			for _, id := range row {
 				t.heldTxLocks = append(t.heldTxLocks, s.lockFor(t, id))
 				t.Obs.LockAcquired(t.Ctx.Clock(), id, telemetry.LockTx)
 			}
 			return
 		}
-		s.MultiCASFail++
+		cas.Aborts[status.Cause()]++
 	}
 	for _, id := range row {
 		lk := s.lockFor(t, id)

@@ -7,6 +7,7 @@ import (
 	"seer/internal/machine"
 	"seer/internal/mem"
 	"seer/internal/spinlock"
+	"seer/internal/telemetry"
 	"seer/internal/topology"
 	"seer/internal/tune"
 )
@@ -196,11 +197,13 @@ func TestUpdateSchemeBelowTh1Empty(t *testing.T) {
 }
 
 // TestAcquireReleaseTxLocks: the last-attempt acquisition takes the
-// scheme's locks in order and releases them all.
+// scheme's locks in order, by one multi-CAS that the thread's ledger
+// counts, and releases them all.
 func TestAcquireReleaseTxLocks(t *testing.T) {
 	eng, m, _, s := env(t, 1, staticOptions())
 	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
 		ts := s.NewThreadState(c)
+		ts.Ledger = new(telemetry.Counters)
 		// Force a scheme where block 0 takes locks 1 and 2.
 		for i := 0; i < 100; i++ {
 			ts.Mats().IncExec(0)
@@ -217,6 +220,9 @@ func TestAcquireReleaseTxLocks(t *testing.T) {
 		if !s.TxLock(1).LockedFast(m) || !s.TxLock(2).LockedFast(m) {
 			t.Errorf("tx locks not held")
 		}
+		if cas := ts.Ledger.Paths[telemetry.PathMultiCAS]; cas != (telemetry.Outcomes{Attempts: 1}) {
+			t.Errorf("ledger multi-CAS outcomes %+v, want one committed attempt", cas)
+		}
 		s.ReleaseLocks(ts)
 		if s.TxLock(1).LockedFast(m) || s.TxLock(2).LockedFast(m) {
 			t.Errorf("tx locks not released")
@@ -224,6 +230,47 @@ func TestAcquireReleaseTxLocks(t *testing.T) {
 		s.Finish(ts)
 	}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMultiCASAbortInLedger: a multi-CAS that finds one of its locks held
+// aborts explicitly, and the thread's ledger books that outcome before the
+// sequential acquisition waits the holder out.
+func TestMultiCASAbortInLedger(t *testing.T) {
+	eng, m, _, s := env(t, 2, staticOptions())
+	var ledger telemetry.Counters
+	if _, err := eng.Run([]func(*machine.Ctx){
+		func(c *machine.Ctx) {
+			ts := s.NewThreadState(c)
+			ts.Ledger = &ledger
+			for i := 0; i < 100; i++ {
+				ts.Mats().IncExec(0)
+				ts.Mats().AddAbort(0, 1)
+				ts.Mats().AddAbort(0, 2)
+			}
+			s.UpdateScheme(c)
+			c.Tick(100) // thread 1 holds lock 2 by now
+			s.Start(ts, 0, 0)
+			s.AcquireLocks(ts, 0, htm.BitConflict, 1)
+			if !s.TxLock(1).LockedFast(m) || !s.TxLock(2).LockedFast(m) {
+				t.Errorf("tx locks not held after the sequential acquisition")
+			}
+			s.ReleaseLocks(ts)
+			s.Finish(ts)
+		},
+		func(c *machine.Ctx) {
+			s.TxLock(2).Acquire(c, m)
+			c.Tick(1000)
+			s.TxLock(2).Release(c, m)
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var want telemetry.Outcomes
+	want.Attempts = 1
+	want.Aborts[htm.CauseExplicit] = 1
+	if cas := ledger.Paths[telemetry.PathMultiCAS]; cas != want {
+		t.Errorf("ledger multi-CAS outcomes %+v, want %+v", cas, want)
 	}
 }
 
@@ -598,6 +645,7 @@ func TestNoDeadlockUnderLockChurn(t *testing.T) {
 		id := i
 		bodies[i] = func(c *machine.Ctx) {
 			ts := s.NewThreadState(c)
+			ts.Ledger = new(telemetry.Counters)
 			// Seed statistics so every block serializes with every
 			// other (worst-case dense scheme).
 			if id == 0 {

@@ -153,13 +153,16 @@ func TestExplicitAbortZeroAllocs(t *testing.T) {
 		tx.Work(4)
 		tx.Abort(0x42)
 	}
+	explicit := 0
 	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
-		if st := u.Run(c, body); !st.Explicit() {
+		if st := u.Run(c, body); st.Cause() != CauseExplicit {
 			t.Errorf("warm-up status = %v, want explicit abort", st)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if st := u.Run(c, body); !st.Explicit() {
+			if st := u.Run(c, body); st.Cause() != CauseExplicit {
 				t.Errorf("measured status = %v, want explicit abort", st)
+			} else {
+				explicit++
 			}
 		})
 		if allocs != 0 {
@@ -168,8 +171,8 @@ func TestExplicitAbortZeroAllocs(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if c := u.Counters(); c.ExplicitAborts < 100 {
-		t.Errorf("explicit aborts = %d, want >= 100", c.ExplicitAborts)
+	if explicit < 100 {
+		t.Errorf("explicit aborts = %d, want >= 100", explicit)
 	}
 }
 
@@ -196,15 +199,18 @@ func TestConflictAbortZeroAllocs(t *testing.T) {
 		u.DoomWriter(0, 1, ln)
 		tx.Work(8)
 	}
+	conflicts := 0
 	bodies := make([]func(*machine.Ctx), 2)
 	bodies[1] = func(c *machine.Ctx) {} // thread 1 exists only as the doom requester id
 	bodies[0] = func(c *machine.Ctx) {
-		if st := u.Run(c, body); !st.Conflict() {
+		if st := u.Run(c, body); st.Cause() != CauseConflict {
 			t.Errorf("warm-up status = %v, want conflict", st)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if st := u.Run(c, body); !st.Conflict() {
+			if st := u.Run(c, body); st.Cause() != CauseConflict {
 				t.Errorf("measured status = %v, want conflict", st)
+			} else {
+				conflicts++
 			}
 		})
 		if allocs != 0 {
@@ -214,7 +220,7 @@ func TestConflictAbortZeroAllocs(t *testing.T) {
 	if _, err := eng.Run(bodies); err != nil {
 		t.Fatal(err)
 	}
-	if c := u.Counters(); c.ConflictAborts < 100 {
-		t.Errorf("conflict aborts = %d, want >= 100", c.ConflictAborts)
+	if conflicts < 100 {
+		t.Errorf("conflict aborts = %d, want >= 100", conflicts)
 	}
 }

@@ -113,26 +113,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Counters aggregates HTM events for reports and tests.
-type Counters struct {
-	Commits        uint64
-	Aborts         uint64
-	ConflictAborts uint64
-	CapacityAborts uint64
-	ExplicitAborts uint64
-	SpuriousAborts uint64
-}
-
-// Add accumulates other into c.
-func (c *Counters) Add(other Counters) {
-	c.Commits += other.Commits
-	c.Aborts += other.Aborts
-	c.ConflictAborts += other.ConflictAborts
-	c.CapacityAborts += other.CapacityAborts
-	c.ExplicitAborts += other.ExplicitAborts
-	c.SpuriousAborts += other.SpuriousAborts
-}
-
 // txnState is the per-hardware-thread transaction context. All of its
 // buffers — the registered-line list, the epoch-stamped write buffer and
 // the reusable Tx handle — live for the thread's lifetime and are reused
@@ -170,9 +150,6 @@ type txnState struct {
 	// &sig, so unwinding a transaction never allocates (panicking with an
 	// abortSignal value would box it into the interface on every abort).
 	sig abortSignal
-	// cnt holds the thread's event counters, one bank per execution mode so
-	// reports can distinguish the two commit protocols.
-	cnt [numBanks]Counters
 	// Prologue state (RunSubscribed): pro is the pending prologue tick,
 	// lock and held the subscribed word and its explicit-abort code, and
 	// status the prologue's verdict, 0 when the body is to run.
@@ -217,15 +194,7 @@ type modeParams struct {
 	// siblings' line budget, and aborts when its own footprint outgrows its
 	// share. A software attempt's footprint is bounded only by memory.
 	capacity bool
-	bank     int // counter bank the attempt books into
 }
-
-// Counter banks, one per execution mode.
-const (
-	bankHW = iota
-	bankSW
-	numBanks
-)
 
 // Unit is the machine's transactional-memory facility: one per simulated
 // machine, tracking the in-flight transaction of every hardware thread.
@@ -253,22 +222,6 @@ type Unit struct {
 // keeps the precomputed core-id table in range.
 func New(m *mem.Memory, mach machine.Config, cfg Config) *Unit {
 	return NewRecycled(m, mach, cfg, nil)
-}
-
-// Counters returns the summed hardware-mode event counters across hardware
-// threads.
-func (u *Unit) Counters() Counters { return u.bankTotal(bankHW) }
-
-// SWCounters returns the summed software-mode (STM) event counters
-// across hardware threads. All zero unless RunSW executed.
-func (u *Unit) SWCounters() Counters { return u.bankTotal(bankSW) }
-
-func (u *Unit) bankTotal(bank int) Counters {
-	var total Counters
-	for i := range u.txns {
-		total.Add(u.txns[i].cnt[bank])
-	}
-	return total
 }
 
 // Active reports whether hardware thread hw is inside a transaction
@@ -497,8 +450,7 @@ func (u *Unit) Run(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, 
 // RunSW executes body as one software (STM) transaction attempt on ctx's
 // thread — the SW execution mode of the phased-TM runtime. It is Run under
 // the software modeParams: no L1 capacity model, no spurious aborts,
-// instrumented per-access costs and a multi-line commit publish cost, with
-// events booked into the software counter bank (SWCounters).
+// instrumented per-access costs and a multi-line commit publish cost.
 func (u *Unit) RunSW(ctx *machine.Ctx, body func(*Tx)) Status { return u.run(ctx, &u.sw, false, body) }
 
 // RunSubscribed is Run, or RunSW when sw is set, with the attempt
@@ -588,7 +540,6 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, sub bool, body func(*Tx)) (s
 			// Defensive: an abort must carry a cause.
 			status = BitRetry
 		}
-		st.cnt[p.bank].recordAbort(status)
 		ctx.Tick(tx.cost.AbortHandle)
 	}()
 
@@ -611,7 +562,6 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, sub bool, body func(*Tx)) (s
 	tx.step(p.commit)
 	st.wb.apply(u.mem)
 	u.end(st, hw, p)
-	st.cnt[p.bank].Commits++
 	return 0
 }
 
@@ -658,7 +608,6 @@ func (st *txnState) Step() (done bool) {
 			return true
 		}
 		tx.u.end(st, tx.hw, tx.p)
-		st.cnt[tx.p.bank].recordAbort(st.status)
 		st.pro = proAbort
 		return false
 	}
@@ -707,8 +656,8 @@ func endQuantumRecover(ctx *machine.Ctx) (r any) {
 }
 
 // Cause is the priority classification of an abort status: the one cause an
-// abort is booked under by the HTM's own counters and by every consumer of
-// them (telemetry and attribution index their breakdowns by it).
+// abort is booked under by the runtime's ledger and by every consumer of it
+// (telemetry and attribution index their breakdowns by it).
 type Cause uint8
 
 // Abort causes, in classification priority order.
@@ -733,20 +682,6 @@ func (s Status) Cause() Cause {
 		return CauseSpurious
 	default:
 		return CauseOther
-	}
-}
-
-func (c *Counters) recordAbort(s Status) {
-	c.Aborts++
-	switch s.Cause() {
-	case CauseConflict:
-		c.ConflictAborts++
-	case CauseCapacity:
-		c.CapacityAborts++
-	case CauseExplicit:
-		c.ExplicitAborts++
-	case CauseSpurious:
-		c.SpuriousAborts++
 	}
 }
 

@@ -25,18 +25,16 @@ func env(t *testing.T, hwThreads, physCores int) (*machine.Engine, *mem.Memory, 
 	return eng, m, u
 }
 
-// mode is one exported entry point of the attempt runner with the counter
-// bank it books into; the mode-independent tests run once per mode.
+// mode is one exported entry point of the attempt runner; the
+// mode-independent tests run once per mode.
 type mode struct {
-	name     string
-	run      func(*Unit, *machine.Ctx, func(*Tx)) Status
-	counters func(*Unit) Counters
-	other    func(*Unit) Counters // the bank this mode must leave untouched
+	name string
+	run  func(*Unit, *machine.Ctx, func(*Tx)) Status
 }
 
 var modes = []mode{
-	{"HW", (*Unit).Run, (*Unit).Counters, (*Unit).SWCounters},
-	{"SW", (*Unit).RunSW, (*Unit).SWCounters, (*Unit).Counters},
+	{"HW", (*Unit).Run},
+	{"SW", (*Unit).RunSW},
 }
 
 func forEachMode(t *testing.T, f func(t *testing.T, md mode)) {
@@ -65,12 +63,6 @@ func TestCommitAppliesWrites(t *testing.T) {
 		if m.Peek(a) != 7 {
 			t.Fatalf("committed value not applied: %d", m.Peek(a))
 		}
-		if c := md.counters(u); c.Commits != 1 || c.Aborts != 0 {
-			t.Fatalf("counters = %+v", c)
-		}
-		if c := md.other(u); c != (Counters{}) {
-			t.Fatalf("other mode's bank touched: %+v", c)
-		}
 	})
 }
 
@@ -84,7 +76,7 @@ func TestExplicitAbortDiscardsWrites(t *testing.T) {
 				tx.Store(a, 99)
 				tx.Abort(0x42)
 			})
-			if !status.Explicit() || status.ExplicitCode() != 0x42 {
+			if status.Cause() != CauseExplicit || status.ExplicitCode() != 0x42 {
 				t.Errorf("status = %v, want explicit(0x42)", status)
 			}
 		}}); err != nil {
@@ -92,12 +84,6 @@ func TestExplicitAbortDiscardsWrites(t *testing.T) {
 		}
 		if m.Peek(a) != 1 {
 			t.Fatalf("aborted write leaked: %d", m.Peek(a))
-		}
-		if c := md.counters(u); c.ExplicitAborts != 1 || c.Aborts != 1 {
-			t.Fatalf("counters = %+v", c)
-		}
-		if c := md.other(u); c != (Counters{}) {
-			t.Fatalf("other mode's bank touched: %+v", c)
 		}
 	})
 }
@@ -111,14 +97,11 @@ func TestWriteCapacityAbort(t *testing.T) {
 				tx.Store(base+mem.Addr(i*mem.LineWords), 1)
 			}
 		})
-		if !status.Capacity() {
+		if status.Cause() != CauseCapacity {
 			t.Errorf("status = %v, want capacity", status)
 		}
 	}}); err != nil {
 		t.Fatal(err)
-	}
-	if c := u.Counters(); c.CapacityAborts != 1 {
-		t.Fatalf("counters = %+v", c)
 	}
 	// All registrations must be cleaned up after the abort.
 	for i := 0; i < 32; i++ {

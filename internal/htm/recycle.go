@@ -8,9 +8,9 @@ import (
 // Buffers holds a Unit's per-thread state between replica lifetimes: the
 // transaction contexts (whose registered-line lists and epoch-stamped
 // write buffers are the unit's only growing allocations, and which carry
-// the event counters and topology placement) and the per-core occupancy
-// table. Paired with mem.Buffers it lets the harness build one simulator
-// replica per grid worker instead of one per cell (see seer.Recycler).
+// the topology placement) and the per-core occupancy table. Paired with
+// mem.Buffers it lets the harness build one simulator replica per grid
+// worker instead of one per cell (see seer.Recycler).
 // The zero value is ready: the first NewRecycled allocates.
 type Buffers struct {
 	txns       []txnState
@@ -33,11 +33,10 @@ func NewRecycled(m *mem.Memory, mach machine.Config, cfg Config, buf *Buffers) *
 		cfg: cfg,
 		hw: modeParams{
 			begin: cost.XBegin, commit: cost.XEnd, load: cost.TxLoad, store: cost.TxStore,
-			spurious: cfg.SpuriousProb, capacity: true, bank: bankHW,
+			spurious: cfg.SpuriousProb, capacity: true,
 		},
 		sw: modeParams{
 			begin: cost.STMBegin, commit: cost.STMCommit, load: cost.STMLoad, store: cost.STMStore,
-			bank: bankSW,
 		},
 	}
 	if buf != nil && cap(buf.txns) >= hw && cap(buf.coreActive) >= cores {
@@ -64,9 +63,8 @@ func NewRecycled(m *mem.Memory, mach machine.Config, cfg Config, buf *Buffers) *
 // its reusable backing arrays: the registered-line list is truncated in
 // place and the write buffer's table survives with its epoch counter
 // (begin() invalidates all previous entries in O(1)). Everything else —
-// flags, event counters, the per-attempt Tx handle and the pre-boxed abort
-// signal — is cleared, including the stale simulator pointers of the
-// previous replica.
+// flags, the per-attempt Tx handle and the pre-boxed abort signal — is
+// cleared, including the stale simulator pointers of the previous replica.
 func (t *txnState) recycle() {
 	lines := t.lines[:0]
 	wb := t.wb

@@ -158,8 +158,8 @@ func (e *Engine) SpecBarrier() {
 
 // QuantumCounters returns the engine-lifetime speculation totals:
 // quanta granted, ticks journaled, rollbacks, and ticks discarded by
-// rollbacks. Like the HTM counters they accumulate across Runs; callers
-// that want per-run numbers diff them.
+// rollbacks. They accumulate across Runs; callers that want per-run
+// numbers diff them.
 func (e *Engine) QuantumCounters() (grants, ticks, rollbacks, rollbackTicks uint64) {
 	return e.specGrants, e.specTicks, e.specRollbacks, e.specRollbackTicks
 }

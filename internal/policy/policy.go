@@ -91,9 +91,10 @@ func (mc *ModeCounts) Fraction(m Mode) float64 {
 
 // Thread is the per-worker runtime state shared by all policies. Its
 // embedded ledger is the one place the runtime counts commits by mode,
-// attempts, aborts, fall-backs, lock waits and backoff sleeps: the Report
-// sums it after the Run and the telemetry timeline reads it while the Run
-// goes on.
+// attempts and aborts on every path (Seer's multi-CAS through
+// core.ThreadState.Ledger), fall-backs, lock waits and backoff sleeps: the
+// Report sums it after the Run and the telemetry timeline reads it while
+// the Run goes on.
 type Thread struct {
 	Ctx    *machine.Ctx
 	Mem    *mem.Memory
@@ -159,16 +160,13 @@ type Policy interface {
 // HTM's engine-side prologue (htm.Unit.RunSubscribed).
 func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
 	t.Obs.AttemptBegin(t.Ctx.Clock())
-	if phase == PhaseSW {
-		t.SWAttempts++
-	} else {
-		t.HWAttempts++
-	}
+	path := &t.Paths[phase] // telemetry.PathHW or PathSW
+	path.Attempts++
 	status := t.HTM.RunSubscribed(t.Ctx, phase == PhaseSW, sgl.Addr(), spinlock.CodeSGLHeld, body)
 	if status == 0 {
 		t.Obs.AttemptCommit(t.Ctx.Clock())
 	} else {
-		t.Aborts[status.Cause()]++
+		path.Aborts[status.Cause()]++
 		t.Obs.AttemptAbort(t.Ctx.Clock(), status)
 	}
 	return status

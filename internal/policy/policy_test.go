@@ -229,8 +229,83 @@ func TestModeCountsHelpers(t *testing.T) {
 func TestSequentialPolicy(t *testing.T) {
 	r := newRig(t, 1)
 	r.runCounter(t, &Sequential{}, 1, 50)
-	if c := r.u.Counters(); c.Commits != 0 && c.Aborts != 0 {
-		t.Fatalf("sequential policy used the HTM: %+v", c)
+	if r.ledger.Paths != [telemetry.NumPaths]telemetry.Outcomes{} {
+		t.Fatalf("sequential policy used the HTM: %+v", r.ledger.Paths)
+	}
+}
+
+// commitsOf returns the attempts of o that did not abort.
+func commitsOf(o telemetry.Outcomes) uint64 {
+	n := o.Attempts
+	for _, a := range o.Aborts {
+		n -= a
+	}
+	return n
+}
+
+// TestLedgerKeepsPathsApart: every attempt is counted once, on the path it
+// ran. Under PhTM, whose capacity aborts defer threads to the software
+// commit path, each path's commits are exactly its commit mode's count and
+// the software path has no capacity aborts (it has no capacity model);
+// under RTM the software path stays empty. Neither policy takes Seer's
+// multi-CAS path.
+func TestLedgerKeepsPathsApart(t *testing.T) {
+	r := newRig(t, 2)
+	pol := NewPhased(r.sgl, 5, 2)
+	threads := make([]*Thread, 2)
+	bodies := make([]func(*machine.Ctx), 2)
+	for i := range bodies {
+		idx := i
+		region := r.m.AllocLines(20) // disjoint: no data conflicts
+		bodies[i] = func(c *machine.Ctx) {
+			th := NewThread(c, r.m, r.u)
+			threads[idx] = th
+			for n := 0; n < 80; n++ {
+				lines := 1
+				if n%4 == 3 {
+					lines = 20 // over the write budget (16): a capacity abort in hardware
+				}
+				pol.Run(th, 0, 0, func(a mem.Access) {
+					for l := 0; l < lines; l++ {
+						addr := region + mem.Addr(l*mem.LineWords)
+						a.Store(addr, a.Load(addr)+1)
+					}
+				})
+				c.Work(10)
+			}
+		}
+	}
+	if _, err := r.eng.Run(bodies); err != nil {
+		t.Fatal(err)
+	}
+	var c telemetry.Counters
+	for _, th := range threads {
+		c.Add(&th.Counters)
+	}
+	hw, sw := c.Paths[telemetry.PathHW], c.Paths[telemetry.PathSW]
+	if hw.Aborts[htm.CauseCapacity] == 0 || sw.Attempts == 0 {
+		t.Fatalf("workload never deferred to the software path: hw %+v, sw %+v", hw, sw)
+	}
+	if got := commitsOf(hw); got != c.Modes[ModeHTM] {
+		t.Errorf("hardware path commits %d, HTM-mode commits %d", got, c.Modes[ModeHTM])
+	}
+	if got := commitsOf(sw); got != c.Modes[ModeSTM] {
+		t.Errorf("software path commits %d, STM-mode commits %d", got, c.Modes[ModeSTM])
+	}
+	if sw.Aborts[htm.CauseCapacity] != 0 {
+		t.Errorf("software path booked %d capacity aborts", sw.Aborts[htm.CauseCapacity])
+	}
+	if cas := c.Paths[telemetry.PathMultiCAS]; cas != (telemetry.Outcomes{}) {
+		t.Errorf("PhTM booked multi-CAS outcomes: %+v", cas)
+	}
+
+	r = newRig(t, 4)
+	modes := r.runCounter(t, &RTM{SGL: r.sgl, MaxAttempts: 5}, 4, 100)
+	if got := commitsOf(r.ledger.Paths[telemetry.PathHW]); got != modes[ModeHTM] {
+		t.Errorf("RTM: hardware path commits %d, HTM-mode commits %d", got, modes[ModeHTM])
+	}
+	if p := r.ledger.Paths; p[telemetry.PathSW] != (telemetry.Outcomes{}) || p[telemetry.PathMultiCAS] != (telemetry.Outcomes{}) {
+		t.Errorf("RTM booked software or multi-CAS outcomes: %+v", p)
 	}
 }
 
@@ -389,6 +464,10 @@ func TestTelemetryModeNames(t *testing.T) {
 	if int(NumModes) > telemetry.MaxModes {
 		t.Fatalf("NumModes %d exceeds telemetry.MaxModes %d", NumModes, telemetry.MaxModes)
 	}
+	// attempt indexes the ledger's paths by phase.
+	if PhaseHW != telemetry.PathHW || PhaseSW != telemetry.PathSW {
+		t.Fatalf("phases HW=%d SW=%d, ledger paths HW=%d SW=%d", PhaseHW, PhaseSW, telemetry.PathHW, telemetry.PathSW)
+	}
 }
 
 // TestShardCountsCommitsAndAborts: a policy whose ledgers are bound to an
@@ -423,7 +502,7 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 	var attempts, fallbacks uint64
 	for _, th := range threadsSlice {
 		modes.Add(modesOf(&th.Counters))
-		attempts += th.HWAttempts
+		attempts += th.Paths[telemetry.PathHW].Attempts
 		fallbacks += th.Fallbacks
 	}
 	rec.Flush(makespan)

@@ -173,7 +173,7 @@ func TestIntervalBoundaries(t *testing.T) {
 func TestMultiIntervalSkip(t *testing.T) {
 	r := timelineOnly(10, 1)
 	r.BeginRun()
-	bind(r)[0].HWAttempts++
+	bind(r)[0].Paths[PathHW].Attempts++
 	r.OnTick(35)
 	snaps := r.Timeline()
 	if len(snaps) != 3 {
@@ -306,7 +306,7 @@ func TestOnTickDeadlines(t *testing.T) {
 			now += (i * 37) % 23 // some ticks repeat a cycle, some jump intervals
 			for _, c := range ledgers {
 				c[i%2].Modes[modeHTM]++
-				c[0].HWAttempts++
+				c[0].Paths[PathHW].Attempts++
 			}
 			every.OnTick(now)
 			if now >= next {
@@ -385,16 +385,21 @@ func TestCSVHeaderMatchesRecord(t *testing.T) {
 // shard interval counters by socket, diff them per interval, and have
 // the shards sum to the machine-wide aggregates; single-socket
 // topologies must keep Sockets nil so their timelines do not change.
+// Attempts on either commit path count, Seer's multi-CAS lock
+// acquisitions do not.
 func TestPerSocketBreakdown(t *testing.T) {
 	topo := topology.Multi(2, 2, 2) // 8 threads: 0-1,4-5 socket 0; 2-3,6-7 socket 1
 	r := New(Options{Threads: topo.Threads(), Interval: 100, Topology: topo})
 	r.BeginRun()
 	c := bind(r)
 	c[0].Modes[modeHTM]++ // socket 0
-	c[0].HWAttempts++
+	c[0].Paths[PathHW].Attempts++
 	c[6].Modes[modeSGL]++ // socket 1
-	c[6].HWAttempts++
-	c[6].Aborts[htm.CauseConflict]++
+	c[6].Paths[PathHW].Attempts++
+	c[6].Paths[PathHW].Aborts[htm.CauseConflict]++
+	c[6].Paths[PathSW].Attempts++
+	c[6].Paths[PathMultiCAS].Attempts += 2
+	c[6].Paths[PathMultiCAS].Aborts[htm.CauseConflict]++
 	c[6].LockWait += 40
 	r.OnTick(100)
 	c[4].Modes[modeHTM]++ // socket 0, interval 2
@@ -407,10 +412,13 @@ func TestPerSocketBreakdown(t *testing.T) {
 	first, second := snaps[0], snaps[1]
 	want := []SocketCounters{
 		{Socket: 0, Commits: 1, Attempts: 1},
-		{Socket: 1, Commits: 1, Attempts: 1, Aborts: 1, LockWait: 40},
+		{Socket: 1, Commits: 1, Attempts: 2, Aborts: 1, LockWait: 40},
 	}
 	if len(first.Sockets) != 2 || first.Sockets[0] != want[0] || first.Sockets[1] != want[1] {
 		t.Fatalf("interval 1 sockets = %+v, want %+v", first.Sockets, want)
+	}
+	if first.Attempts != 3 || first.Aborts[htm.CauseConflict] != 1 {
+		t.Fatalf("interval 1: %d attempts, %d conflict aborts; want 3 and 1", first.Attempts, first.Aborts[htm.CauseConflict])
 	}
 	// Second interval must hold only the diff, not cumulative totals.
 	want = []SocketCounters{{Socket: 0, Commits: 1}, {Socket: 1}}
@@ -459,9 +467,9 @@ func TestPerSocketAsymmetricTopology(t *testing.T) {
 	// for threads 6-8.
 	for hw := 0; hw < topo.Threads(); hw++ {
 		c[hw].Modes[modeHTM]++
-		c[hw].HWAttempts++
+		c[hw].Paths[PathHW].Attempts++
 		if topo.SocketOf(hw) == 1 {
-			c[hw].Aborts[htm.CauseConflict]++
+			c[hw].Paths[PathHW].Aborts[htm.CauseConflict]++
 		}
 	}
 	r.Flush(100)

@@ -28,15 +28,30 @@ var CauseNames = [NumCauses]string{"conflict", "capacity", "explicit", "spurious
 // pointer each handle gets from Bind. Only the owning thread writes its
 // ledger (the engine serializes execution), so nothing is synchronized.
 type Counters struct {
-	Modes         [MaxModes]uint64  // commits by policy.Mode
-	HWAttempts    uint64            // hardware attempts
-	SWAttempts    uint64            // software commit-path attempts (phased runtime)
-	Aborts        [NumCauses]uint64 // aborted attempts by htm.Cause
-	Fallbacks     uint64            // single-global-lock fall-backs
-	LockWait      uint64            // cycles spent waiting on locks (SGL, aux, tx, core)
-	ParkSkipped   uint64            // lock-wait cycles the engine fast-forwarded by parking (subset of LockWait)
-	BackoffWaits  uint64            // randomized sleeps of the Backoff policy
-	BackoffCycles uint64            // cycles those sleeps lasted
+	Modes         [MaxModes]uint64   // commits by policy.Mode
+	Paths         [NumPaths]Outcomes // transaction attempts and their aborts, per path
+	Fallbacks     uint64             // single-global-lock fall-backs
+	LockWait      uint64             // cycles spent waiting on locks (SGL, aux, tx, core)
+	ParkSkipped   uint64             // lock-wait cycles the engine fast-forwarded by parking (subset of LockWait)
+	BackoffWaits  uint64             // randomized sleeps of the Backoff policy
+	BackoffCycles uint64             // cycles those sleeps lasted
+}
+
+// Paths index the ledger's attempt outcomes by where the attempt ran.
+// PathHW and PathSW are the values of policy.PhaseHW and PhaseSW, which
+// index Paths directly (policy's tests check they agree).
+const (
+	PathHW       = iota // the policies' hardware attempts
+	PathSW              // the phased runtime's software (STM) attempts
+	PathMultiCAS        // Seer's hardware multi-CAS tx-lock acquisitions
+	NumPaths
+)
+
+// Outcomes counts one path's attempts and, by htm.Cause, the ones that
+// aborted; every other attempt committed.
+type Outcomes struct {
+	Attempts uint64
+	Aborts   [NumCauses]uint64
 }
 
 // Add accumulates o into c.
@@ -44,11 +59,12 @@ func (c *Counters) Add(o *Counters) {
 	for m := range c.Modes {
 		c.Modes[m] += o.Modes[m]
 	}
-	for i := range c.Aborts {
-		c.Aborts[i] += o.Aborts[i]
+	for p := range c.Paths {
+		c.Paths[p].Attempts += o.Paths[p].Attempts
+		for i := range c.Paths[p].Aborts {
+			c.Paths[p].Aborts[i] += o.Paths[p].Aborts[i]
+		}
 	}
-	c.HWAttempts += o.HWAttempts
-	c.SWAttempts += o.SWAttempts
 	c.Fallbacks += o.Fallbacks
 	c.LockWait += o.LockWait
 	c.ParkSkipped += o.ParkSkipped
@@ -56,8 +72,13 @@ func (c *Counters) Add(o *Counters) {
 	c.BackoffCycles += o.BackoffCycles
 }
 
-// attempts returns the attempts on either commit path.
-func (c *Counters) attempts() uint64 { return c.HWAttempts + c.SWAttempts }
+// attempts and aborts return what the timeline shows: the policies'
+// attempts on either commit path, and their aborts with cause i. Seer's
+// multi-CAS lock acquisitions are not attempts of the program's
+// transactions and stay out.
+func (c *Counters) attempts() uint64 { return c.Paths[PathHW].Attempts + c.Paths[PathSW].Attempts }
+
+func (c *Counters) aborts(i int) uint64 { return c.Paths[PathHW].Aborts[i] + c.Paths[PathSW].Aborts[i] }
 
 // SocketCounters is one socket's share of a Snapshot, populated only on
 // multi-socket topologies.
@@ -223,8 +244,8 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		snap.Modes[i] = cur.Modes[i] - tl.prev.Modes[i]
 		snap.Commits += snap.Modes[i]
 	}
-	for i := range cur.Aborts {
-		snap.Aborts[i] = cur.Aborts[i] - tl.prev.Aborts[i]
+	for i := range snap.Aborts {
+		snap.Aborts[i] = cur.aborts(i) - tl.prev.aborts(i)
 	}
 	snap.Attempts = cur.attempts() - tl.prev.attempts()
 	snap.Fallbacks = cur.Fallbacks - tl.prev.Fallbacks
@@ -268,8 +289,8 @@ func (r *Recorder) cutSnapshot(end uint64) {
 			for m := range c.Modes {
 				sc.Commits += c.Modes[m] - p.Modes[m]
 			}
-			for i := range c.Aborts {
-				sc.Aborts += c.Aborts[i] - p.Aborts[i]
+			for i := range NumCauses {
+				sc.Aborts += c.aborts(i) - p.aborts(i)
 			}
 			tl.arena.socks = append(tl.arena.socks, sc)
 		}

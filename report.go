@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"seer/internal/htm"
 	"seer/internal/policy"
 	"seer/internal/telemetry"
 	"seer/internal/tune"
@@ -21,9 +22,11 @@ type Report struct {
 	MakespanCycles uint64
 	// Modes is the commit-mode histogram summed over threads (Table 3).
 	Modes ModeCounts
-	// HTM aggregates hardware commit/abort events by cause.
+	// HTM counts this Run's hardware transactions by outcome: the
+	// policies' attempts plus Seer's multi-CAS lock acquisitions.
 	HTM HTMCounters
-	// HWAttempts is the number of hardware transactions issued;
+	// HWAttempts is the number of hardware transactions the policy
+	// issued (Seer's multi-CAS lock acquisitions not included);
 	// Fallbacks counts single-global-lock acquisitions.
 	HWAttempts uint64
 	Fallbacks  uint64
@@ -40,12 +43,12 @@ type Report struct {
 	Phased *PhasedReport
 
 	// Quantum holds the engine's speculative-quantum counters (never nil;
-	// every System speculates at DefaultSpeculativeQuantum). Like the HTM
-	// counters they accumulate across Runs on one System. The counters
-	// are engine diagnostics, not simulated-machine state: they are
-	// deliberately excluded from Summary, whose digest must not depend on
-	// the speculation depth (the tests' per-tick reference engine and the
-	// differential fuzz target rely on that).
+	// every System speculates at DefaultSpeculativeQuantum). Like the
+	// scheduler's counters, and unlike HTM, they accumulate across Runs on
+	// one System. The counters are engine diagnostics, not simulated-machine
+	// state: they are deliberately excluded from Summary, whose digest must
+	// not depend on the speculation depth (the tests' per-tick reference
+	// engine and the differential fuzz target rely on that).
 	Quantum *QuantumReport
 
 	// Timeline is the interval-metrics series cut by the telemetry
@@ -60,7 +63,38 @@ type Report struct {
 	Inference []InferenceSnapshot
 }
 
+// HTMCounters counts transaction attempts by outcome, aborts split by
+// cause; every attempt that did not abort committed.
+type HTMCounters struct {
+	Commits        uint64
+	Aborts         uint64
+	ConflictAborts uint64
+	CapacityAborts uint64
+	ExplicitAborts uint64
+	SpuriousAborts uint64
+}
+
+// countsOf folds the outcomes of one or more ledger paths into
+// HTMCounters.
+func countsOf(paths ...telemetry.Outcomes) HTMCounters {
+	var c HTMCounters
+	for _, o := range paths {
+		c.Commits += o.Attempts
+		for _, n := range o.Aborts {
+			c.Aborts += n
+		}
+		c.ConflictAborts += o.Aborts[htm.CauseConflict]
+		c.CapacityAborts += o.Aborts[htm.CauseCapacity]
+		c.ExplicitAborts += o.Aborts[htm.CauseExplicit]
+		c.SpuriousAborts += o.Aborts[htm.CauseSpurious]
+	}
+	c.Commits -= c.Aborts
+	return c
+}
+
 // SeerReport captures the scheduler state at the end of a run.
+// MultiCASOk and MultiCASFail count this Run's hardware multi-CAS tx-lock
+// acquisitions by outcome; the other counts span the System's Runs.
 type SeerReport struct {
 	Thresholds    tune.Params
 	SchemeUpdates uint64
@@ -92,21 +126,22 @@ type BackoffReport struct {
 // run: how often capacity aborts deferred work to the software commit
 // path, the software attempt/commit/abort volume, the global mode word's
 // transition count and how the makespan split across the HW/SW/GLOCK
-// phases.
+// phases. The software counts (SWAttempts, SWCommits, SWAborts, STM) cover
+// this Run, like Report.HTM; the mode-word counts span the System's Runs.
 type PhasedReport struct {
 	Deferrals   uint64
 	Undeferrals uint64
 	Transitions uint64
 	// SWAttempts, SWCommits and SWAborts are the attempt volume of the
-	// software commit path, read off STM (every software attempt ends as
-	// exactly one commit or one abort there).
+	// software commit path (every software attempt ends as exactly one
+	// commit or one abort).
 	SWAttempts uint64
 	SWCommits  uint64
 	SWAborts   uint64
 	// ModeCycles is the virtual-cycle occupancy per phase, indexed
 	// HW=0, SW=1, GLOCK=2 (policy.PhaseHW/PhaseSW/PhaseGLOCK).
 	ModeCycles [3]uint64
-	// STM aggregates the software commit path's event counters by cause
+	// STM counts the software commit path's attempts by outcome and cause
 	// (the SW-mode analogue of Report.HTM).
 	STM HTMCounters
 }
@@ -301,7 +336,6 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 		Policy:         s.pol.Name(),
 		Threads:        s.cfg.Threads,
 		MakespanCycles: makespan,
-		HTM:            s.htm.Counters(),
 	}
 	var c telemetry.Counters
 	for _, t := range threads {
@@ -309,14 +343,17 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 			c.Add(&t.Counters)
 		}
 	}
+	hw, sw, cas := c.Paths[telemetry.PathHW], c.Paths[telemetry.PathSW], c.Paths[telemetry.PathMultiCAS]
 	r.Modes = ModeCounts(c.Modes[:NumModes])
-	r.HWAttempts, r.Fallbacks = c.HWAttempts, c.Fallbacks
+	r.HTM = countsOf(hw, cas)
+	r.HWAttempts, r.Fallbacks = hw.Attempts, c.Fallbacks
 	if s.sched != nil {
+		mc := countsOf(cas)
 		sr := &SeerReport{
 			Thresholds:    s.sched.Thresholds(),
 			SchemeUpdates: s.sched.SchemeUpdates,
-			MultiCASOk:    s.sched.MultiCASOk,
-			MultiCASFail:  s.sched.MultiCASFail,
+			MultiCASOk:    mc.Commits,
+			MultiCASFail:  mc.Aborts,
 			LockAcqEvents: s.sched.LockAcqEvents,
 			SchemeRows:    s.sched.Scheme(),
 		}
@@ -336,12 +373,12 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 	}
 	if pp, ok := s.pol.(*policy.Phased); ok {
 		st := pp.Stats(makespan)
-		stm := s.htm.SWCounters()
+		stm := countsOf(sw)
 		r.Phased = &PhasedReport{
 			Deferrals:   st.Deferrals,
 			Undeferrals: st.Undeferrals,
 			Transitions: st.Transitions,
-			SWAttempts:  stm.Commits + stm.Aborts,
+			SWAttempts:  sw.Attempts,
 			SWCommits:   stm.Commits,
 			SWAborts:    stm.Aborts,
 			ModeCycles:  st.Occupancy,

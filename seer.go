@@ -62,8 +62,6 @@ type (
 	CostModel = machine.CostModel
 	// HTMConfig sets capacity and noise parameters of the simulated HTM.
 	HTMConfig = htm.Config
-	// HTMCounters aggregates commit/abort events by cause.
-	HTMCounters = htm.Counters
 	// EngineCounters is the simulator's account of its own event loop:
 	// events scheduled, split into coroutine resumes and the steps the
 	// engine executed on a thread's behalf (System.EngineCounters).
@@ -393,9 +391,10 @@ type System struct {
 }
 
 // NewSystem builds a system from cfg. Repeated Runs are allowed: each
-// Report's per-thread counts (Modes, HWAttempts, Fallbacks, the Backoff
-// sleeps) cover its own Run, while the HTM, STM, scheduler, phased-mode
-// and engine counters accumulate across Runs.
+// Report's per-thread counts (Modes, HTM, HWAttempts, Fallbacks, the
+// Backoff sleeps, the phased runtime's software attempts and STM, Seer's
+// multi-CAS outcomes) cover its own Run, while the scheduler, phased
+// mode-word and engine counters accumulate across Runs.
 func NewSystem(cfg Config) (*System, error) {
 	return newSystem(cfg, DefaultSpeculativeQuantum)
 }
@@ -605,7 +604,7 @@ func (s *System) Run(workers []Worker) (Report, error) {
 			pt.Obs = s.obs.Bind(ctx.ID(), &pt.Counters)
 			if s.sched != nil {
 				pt.Seer = s.sched.NewThreadState(ctx)
-				pt.Seer.Obs = pt.Obs
+				pt.Seer.Obs, pt.Seer.Ledger = pt.Obs, &pt.Counters
 			}
 			threads[idx] = pt
 			worker(&Thread{sys: s, pt: pt})

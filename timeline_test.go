@@ -294,12 +294,12 @@ func TestInferenceSharesTimelineClockAcrossRuns(t *testing.T) {
 
 // TestOneLedgerAcrossRuns: the Report and the timeline read one per-thread
 // ledger, so on each of two Runs on one System the Run's snapshots sum to
-// that Run's Report: commits per mode, fall-backs, backoff sleeps, and
-// attempts (hardware ones, plus the software path's under PhTM, whose
-// Report reads them off the STM counters, which like the HTM's accumulate
-// across Runs). Every
-// eighth execution writes more lines than the HTM holds, so each policy
-// also falls back and PhTM also runs its software path.
+// that Run's Report: commits per mode, fall-backs, backoff sleeps,
+// attempts (hardware ones, plus the software path's under PhTM) and
+// outcomes (Report.HTM and PhasedReport.STM, less Seer's multi-CAS lock
+// acquisitions, which the timeline leaves out). Every eighth execution
+// writes more lines than the HTM holds, so each policy also falls back and
+// PhTM also runs its software path.
 func TestOneLedgerAcrossRuns(t *testing.T) {
 	for _, pol := range []seer.PolicyKind{seer.PolicyRTM, seer.PolicySCM, seer.PolicySeer, seer.PolicyBackoff, seer.PolicyPhased} {
 		cfg := seer.DefaultConfig()
@@ -336,7 +336,7 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 				}
 			}
 		}
-		cut, swBefore := 0, uint64(0)
+		cut := 0
 		for run := 1; run <= 2; run++ {
 			rep, err := sys.Run(workers)
 			if err != nil {
@@ -348,6 +348,9 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 					sum.Modes[m] += s.Modes[m]
 				}
 				sum.Attempts += s.Attempts
+				for c := range sum.Aborts {
+					sum.Aborts[c] += s.Aborts[c]
+				}
 				sum.Fallbacks += s.Fallbacks
 				sum.BackoffWaits += s.BackoffWaits
 				sum.BackoffCycles += s.BackoffCycles
@@ -366,15 +369,50 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 				t.Errorf("%s: timeline fall-backs %d, report %d", where, sum.Fallbacks, rep.Fallbacks)
 			}
 			attempts := rep.HWAttempts
+			var stm seer.HTMCounters
 			if p := rep.Phased; p != nil {
 				if p.SWAttempts == 0 {
 					t.Fatalf("%s: no software attempts; the workload does not exercise that path", where)
 				}
-				attempts += p.SWAttempts - swBefore
-				swBefore = p.SWAttempts
+				attempts += p.SWAttempts
+				stm = p.STM
 			}
 			if sum.Attempts != attempts {
 				t.Errorf("%s: timeline attempts %d, report %d", where, sum.Attempts, attempts)
+			}
+			// Report.HTM is the policy's hardware attempts plus the
+			// multi-CAS ones: less those, its commits are the
+			// hardware-mode commits and its aborts the timeline's.
+			htmCommits, htmAborts := rep.HTM.Commits, rep.HTM.Aborts
+			if sr := rep.Seer; sr != nil {
+				htmCommits -= sr.MultiCASOk
+				htmAborts -= sr.MultiCASFail
+			}
+			var hwModes, aborts uint64
+			for m := seer.Mode(0); m < seer.NumModes; m++ {
+				if m != seer.ModeSGL && m != seer.ModeSTM {
+					hwModes += sum.Modes[m]
+				}
+			}
+			for _, n := range sum.Aborts {
+				aborts += n
+			}
+			if htmCommits != hwModes || stm.Commits != sum.Modes[seer.ModeSTM] {
+				t.Errorf("%s: report commits %d HTM / %d STM, timeline %d hardware-mode / %d STM-mode",
+					where, htmCommits, stm.Commits, hwModes, sum.Modes[seer.ModeSTM])
+			}
+			if htmAborts+stm.Aborts != aborts || htmAborts == 0 {
+				t.Errorf("%s: report aborts %d HTM + %d STM, timeline %d", where, htmAborts, stm.Aborts, aborts)
+			}
+			if rep.Seer == nil {
+				byCause := [...]uint64{
+					rep.HTM.ConflictAborts + stm.ConflictAborts, rep.HTM.CapacityAborts + stm.CapacityAborts,
+					rep.HTM.ExplicitAborts + stm.ExplicitAborts, rep.HTM.SpuriousAborts + stm.SpuriousAborts,
+				}
+				// Snapshot.Aborts is indexed conflict, capacity, explicit, spurious, other.
+				if got := [...]uint64{sum.Aborts[0], sum.Aborts[1], sum.Aborts[2], sum.Aborts[3]}; got != byCause {
+					t.Errorf("%s: timeline aborts by cause %v, report %v", where, got, byCause)
+				}
 			}
 			if b := rep.Backoff; b != nil {
 				if b.Waits == 0 {
