@@ -137,6 +137,36 @@ func TestRepeatedRunsReportPerRun(t *testing.T) {
 	}
 }
 
+// TestTunerSamplesPerRun: Seer's hill climber times its epochs on the
+// virtual clock, which every Run restarts at cycle 0, so the epoch restarts
+// with it. Every sample the tuner receives over two Runs of a synth cell is
+// a commits-per-cycle throughput, never the near-zero value an epoch begun
+// in the previous Run's clock yields.
+func TestTunerSamplesPerRun(t *testing.T) {
+	wl, err := stamp.New("synth", 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stamp.Config(wl, 8, seer.Topology{})
+	sys, _, err := stamp.Run(wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := len(sys.Scheduler().Tuner().History())
+	if _, err := sys.Run(wl.Workers(cfg.Threads)); err != nil {
+		t.Fatal(err)
+	}
+	hist := sys.Scheduler().Tuner().History()
+	if first == 0 || len(hist) == first {
+		t.Fatalf("%d tuner samples in the first Run, %d in the second: the cell does not exercise the test", first, len(hist)-first)
+	}
+	for i, s := range hist {
+		if !(s.Value > 1e-6) {
+			t.Errorf("sample %d of %d (first Run: %d) reads %g commits/cycle", i, len(hist), first, s.Value)
+		}
+	}
+}
+
 // TestPolicyNames: every public policy constructs and self-identifies.
 func TestPolicyNames(t *testing.T) {
 	for _, pol := range []seer.PolicyKind{

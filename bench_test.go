@@ -36,10 +36,7 @@ func baseline(b *testing.B, workload string) float64 {
 	if v, ok := baselines[workload]; ok {
 		return v
 	}
-	v, err := harness.SequentialBaseline(workload, benchScale, 1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	v := runCell(b, harness.Spec{Workload: workload, Scale: benchScale, Policy: seer.PolicySeq, Threads: 1, Runs: 1, Seed: 1}).MeanMakespan
 	baselines[workload] = v
 	return v
 }

@@ -169,7 +169,7 @@ func emitJSON(w io.Writer, sys *seer.System, rep seer.Report) error {
 		n := sched.NumTx()
 		sj := &seerJSON{
 			Th1: th.Th1, Th2: th.Th2,
-			SchemeUpdates: sched.SchemeUpdates,
+			SchemeUpdates: rep.Seer.SchemeUpdates,
 			Scheme:        sched.Scheme(),
 		}
 		for x := 0; x < n; x++ {
@@ -339,8 +339,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // renderScheduler dumps the Seer scheduler's internals: merged conflict
-// statistics, abort probabilities, the locking scheme and its accounting,
-// with the multi-CAS outcomes from the Run's report sr.
+// statistics, abort probabilities and the locking scheme, with the Run's
+// accounting (scheme updates, lock acquisitions, multi-CAS outcomes) from
+// its report sr.
 func renderScheduler(w io.Writer, sched *core.Seer, sr *seer.SeerReport) {
 	n := sched.NumTx()
 	merged := sched.Merged()
@@ -374,7 +375,7 @@ func renderScheduler(w io.Writer, sched *core.Seer, sr *seer.SeerReport) {
 		fmt.Fprintf(w, "T%-3d -> %v\n", x, row)
 	}
 	th := sched.Thresholds()
-	fmt.Fprintf(w, "\nThresholds: Th1=%.3f Th2=%.3f  scheme updates=%d\n", th.Th1, th.Th2, sched.SchemeUpdates)
+	fmt.Fprintf(w, "\nThresholds: Th1=%.3f Th2=%.3f  scheme updates=%d\n", th.Th1, th.Th2, sr.SchemeUpdates)
 	fmt.Fprintf(w, "Lock acquisitions: %d (multiCAS ok=%d fail=%d)\n",
-		sched.LockAcqEvents, sr.MultiCASOk, sr.MultiCASFail)
+		sr.LockAcqEvents, sr.MultiCASOk, sr.MultiCASFail)
 }

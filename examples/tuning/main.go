@@ -83,9 +83,9 @@ func main() {
 
 func show(sys *seer.System, rep seer.Report) {
 	s := rep.Seer
-	fmt.Printf("  thresholds now Θ₁=%.3f Θ₂=%.3f after %d scheme updates\n",
+	fmt.Printf("  thresholds now Θ₁=%.3f Θ₂=%.3f, %d scheme updates in this phase\n",
 		s.Thresholds.Th1, s.Thresholds.Th2, s.SchemeUpdates)
-	fmt.Printf("  scheme: hot->%v cold->%v  lock acquisitions so far: %d\n",
+	fmt.Printf("  scheme: hot->%v cold->%v  lock acquisitions in this phase: %d\n",
 		s.SchemeRows[0], s.SchemeRows[1], s.LockAcqEvents)
 	fmt.Printf("  modes: HTM %.1f%%  +locks %.1f%%  SGL %.1f%%\n",
 		rep.ModeFractions()[seer.ModeHTM],

@@ -6,23 +6,6 @@ import (
 	"testing"
 )
 
-func TestCross(t *testing.T) {
-	got := Cross(2, 3)
-	if len(got) != 6 {
-		t.Fatalf("Cross(2,3) has %d cells", len(got))
-	}
-	if got[0][0] != 0 || got[0][1] != 0 || got[5][0] != 1 || got[5][1] != 2 {
-		t.Fatalf("Cross order wrong: %v", got)
-	}
-	// Row-major: the last dimension varies fastest.
-	if got[1][1] != 1 {
-		t.Fatalf("Cross not row-major: %v", got)
-	}
-	if Cross(3, 0) != nil || Cross() == nil {
-		t.Fatal("degenerate dims mishandled")
-	}
-}
-
 func TestStats(t *testing.T) {
 	if m := Mean([]float64{1, 2, 3}); m != 2 {
 		t.Fatalf("Mean = %v", m)
@@ -46,12 +29,6 @@ func TestStats(t *testing.T) {
 	}
 	if m := TrimmedMean(nil, 0.2); m != 0 {
 		t.Fatalf("TrimmedMean(nil) = %v", m)
-	}
-	if got := DropWarmup([]float64{1, 2, 3}, 1); len(got) != 2 || got[0] != 2 {
-		t.Fatalf("DropWarmup = %v", got)
-	}
-	if got := DropWarmup([]float64{1}, 5); len(got) != 0 {
-		t.Fatalf("DropWarmup past end = %v", got)
 	}
 }
 

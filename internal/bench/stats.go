@@ -1,3 +1,7 @@
+// Package bench holds the summary statistics and table rendering shared
+// by the harness exhibits and the performance ledger (benchmark/): trimmed
+// and geometric means, and ratio-table rendering. It sits below the
+// harness in the import graph (no simulator dependencies).
 package bench
 
 import (
@@ -59,17 +63,4 @@ func TrimmedMean(vals []float64, frac float64) float64 {
 		k = (len(sorted) - 1) / 2
 	}
 	return Mean(sorted[k : len(sorted)-k])
-}
-
-// DropWarmup returns vals without its first skip entries (the warm-up
-// runs measurements conventionally discard). skip larger than the slice
-// yields an empty slice, never a panic.
-func DropWarmup(vals []float64, skip int) []float64 {
-	if skip <= 0 {
-		return vals
-	}
-	if skip >= len(vals) {
-		return vals[len(vals):]
-	}
-	return vals[skip:]
 }

@@ -107,7 +107,7 @@ func ProfileOnly() Options {
 type ThreadState struct {
 	Ctx              *machine.Ctx
 	Obs              *telemetry.Thread   // set by the runtime after NewThreadState; nil records nothing
-	Ledger           *telemetry.Counters // set by the runtime beside Obs; HTMLockAcq's multi-CAS acquisitions count their outcomes there
+	Ledger           *telemetry.Counters // set by the runtime beside Obs; multi-CAS outcomes and thread 0's scheme updates count there
 	AcquiredTxLocks  bool
 	AcquiredCoreLock bool
 
@@ -178,13 +178,10 @@ type Seer struct {
 	epochCommits     uint64
 	epochStartCycles uint64
 
-	// Accounting for the evaluation (§5.2: fraction of tx locks taken).
-	LockAcqEvents uint64   // times a non-empty tx-lock row was acquired
-	LockAcqSizes  []uint64 // LockAcqSizes[n]: acquisitions of an n-lock row (numTx+1 entries)
-	SchemeUpdates uint64
-	// SchemeReuseHits counts scheme updates that completed without growing
-	// any row's capacity — the steady-state, allocation-free case.
-	SchemeReuseHits uint64
+	// LockAcqSizes[n] counts this Run's acquisitions of an n-lock tx-lock
+	// row (numTx+1 entries), for the evaluation's fraction of tx locks
+	// taken (§5.2).
+	LockAcqSizes []uint64
 }
 
 // New creates a Seer instance for numTx atomic blocks on the given
@@ -278,6 +275,20 @@ func (s *Seer) SnapshotLearned(dst *stats.Matrices) {
 
 // Tuner returns the hill climber, or nil when self-tuning is disabled.
 func (s *Seer) Tuner() *tune.HillClimber { return s.tuner }
+
+// BeginRun starts a Run. The previous Run's thread states hand their
+// undrained statistics to the merged matrices and are dropped; the tuning
+// epoch restarts at cycle 0, where the engine restarts the clocks, and the
+// lock-acquisition histogram restarts empty. Learned state — statistics,
+// scheme, thresholds and tuner — carries over.
+func (s *Seer) BeginRun() {
+	for _, t := range s.threads {
+		s.merged.MergeFrom(t.mats)
+	}
+	s.threads = s.threads[:0]
+	s.epochExecs, s.epochCommits, s.epochStartCycles = 0, 0, 0
+	clear(s.LockAcqSizes)
+}
 
 // NewThreadState registers a worker thread with the scheduler.
 func (s *Seer) NewThreadState(ctx *machine.Ctx) *ThreadState {
@@ -456,7 +467,6 @@ func (s *Seer) acquireTxLocks(t *ThreadState, txID int) {
 	// rows in place. The snapshot reuses the thread's scratch capacity.
 	t.rowScratch = append(t.rowScratch[:0], s.scheme[txID]...)
 	row := t.rowScratch
-	s.LockAcqEvents++
 	s.LockAcqSizes[len(row)]++
 	if s.opts.HTMLockAcq && len(row) >= 2 {
 		cas := &t.Ledger.Paths[telemetry.PathMultiCAS]
@@ -546,18 +556,18 @@ func (s *Seer) WaitLocks(t *ThreadState, txID int, sgl spinlock.Lock) {
 // UpdateScheme drains the per-thread statistics deltas into the global
 // matrices and recomputes the locksToAcquire table using the current
 // thresholds. The whole update is one scheduling point whose cost scales
-// with the number of pairs.
+// with the number of pairs. It reports whether every row kept its
+// capacity (the steady-state, allocation-free case).
 //
 // The recomputation is allocation-free in steady state: the merged
 // matrices, the pair bitset and the threshold scratch are reused across
 // updates, and the scheme rows are rebuilt in place (growing a row only
 // when it serializes more pairs than it ever has). Threads that read a
 // row across a scheduling point snapshot it first (see acquireTxLocks).
-func (s *Seer) UpdateScheme(ctx *machine.Ctx) {
+func (s *Seer) UpdateScheme(ctx *machine.Ctx) (reused bool) {
 	cost := ctx.Cost()
 	ctx.Tick(cost.UpdateBase + cost.UpdatePair*uint64(s.numTx*s.numTx))
 	s.execsSinceUpdate = 0
-	s.SchemeUpdates++
 
 	// Per-thread matrices hold only the delta since the previous update:
 	// draining them into the persistent global matrices yields the same
@@ -620,7 +630,7 @@ func (s *Seer) UpdateScheme(ctx *machine.Ctx) {
 	// acquisition order). Rows reuse their capacity; each row's swap is
 	// atomic under the engine's serialization, and the update as a whole
 	// is one scheduling point anyway.
-	reused := true
+	reused = true
 	for x := 0; x < s.numTx; x++ {
 		r := s.scheme[x][:0]
 		oldCap := cap(r)
@@ -635,15 +645,17 @@ func (s *Seer) UpdateScheme(ctx *machine.Ctx) {
 		}
 		s.scheme[x] = r
 	}
-	if reused {
-		s.SchemeReuseHits++
-	}
+	return reused
 }
 
-// refresh is thread 0's periodic duty: recompute the locking scheme, then
-// close a tuning epoch if one is due.
+// refresh is thread 0's periodic duty: recompute the locking scheme,
+// counting the update in the thread's ledger, then close a tuning epoch if
+// one is due.
 func (s *Seer) refresh(t *ThreadState) {
-	s.UpdateScheme(t.Ctx)
+	t.Ledger.SchemeUpdates++
+	if s.UpdateScheme(t.Ctx) {
+		t.Ledger.SchemeReuse++
+	}
 	t.Obs.Scheme(t.Ctx.Clock(), s.SchemePairs())
 	s.maybeTune(t)
 }

@@ -417,8 +417,10 @@ func TestHillClimbAdjustsThresholds(t *testing.T) {
 	opts := DefaultOptions()
 	opts.EpochExecs = 10
 	eng, _, _, s := env(t, 1, opts)
+	var ledger telemetry.Counters
 	if _, err := eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
 		ts := s.NewThreadState(c)
+		ts.Ledger = &ledger
 		for round := 0; round < 30; round++ {
 			for i := 0; i < 12; i++ {
 				s.Start(ts, 0, 0)
@@ -430,6 +432,9 @@ func TestHillClimbAdjustsThresholds(t *testing.T) {
 		}
 	}}); err != nil {
 		t.Fatal(err)
+	}
+	if ledger.SchemeUpdates != 30 {
+		t.Fatalf("ledger counts %d scheme updates for 30 refreshes", ledger.SchemeUpdates)
 	}
 	if s.Tuner() == nil {
 		t.Fatalf("tuner missing with HillClimb enabled")

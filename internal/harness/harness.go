@@ -133,19 +133,6 @@ func runOnce(spec Spec, seed int64, rec *seer.Recycler) (seer.Report, error) {
 	return rep, nil
 }
 
-// SequentialBaseline measures the uninstrumented single-thread makespan
-// of a workload (the denominator of every speedup in Figure 3).
-func SequentialBaseline(workload string, scale float64, runs int, seed int64) (float64, error) {
-	res, err := RunOne(Spec{
-		Workload: workload, Scale: scale,
-		Policy: seer.PolicySeq, Threads: 1, Runs: runs, Seed: seed,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return res.MeanMakespan, nil
-}
-
 // Speedup converts a Result to a speedup given the sequential baseline
 // makespan.
 func Speedup(baseline float64, r Result) float64 {

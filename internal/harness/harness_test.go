@@ -49,12 +49,12 @@ func TestRunOneUnknownWorkload(t *testing.T) {
 }
 
 func TestSequentialBaselinePositive(t *testing.T) {
-	base, err := SequentialBaseline("kmeans-low", 0.1, 1, 1)
+	res, err := RunOne(Spec{Workload: "kmeans-low", Scale: 0.1, Policy: seer.PolicySeq, Threads: 1, Runs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base <= 0 {
-		t.Fatalf("baseline = %v", base)
+	if res.MeanMakespan <= 0 {
+		t.Fatalf("baseline = %v", res.MeanMakespan)
 	}
 }
 

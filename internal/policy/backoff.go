@@ -31,7 +31,7 @@ type Backoff struct {
 	MinWindow, MaxWindow uint64
 
 	win    []uint64 // per hardware thread: current window (cycles)
-	maxWin []uint64 // per hardware thread: high-water window
+	maxWin []uint64 // per hardware thread: high-water window in this Run
 }
 
 // Default window bounds: one cache-miss-ish minimum up to roughly the
@@ -66,9 +66,13 @@ func (p *Backoff) Name() string { return "Backoff" }
 // and reports).
 func (p *Backoff) Window(hw int) uint64 { return p.win[hw] }
 
-// PeakWindow returns the largest window any thread has reached over the
-// policy's lifetime. The sleeps themselves are counted in each thread's
-// ledger (Thread.BackoffWaits, BackoffCycles).
+// BeginRun restarts each thread's peak at its current window, so
+// PeakWindow covers the Run about to start; the windows carry over.
+func (p *Backoff) BeginRun() { copy(p.maxWin, p.win) }
+
+// PeakWindow returns the largest window any thread has reached in the
+// current Run. The sleeps themselves are counted in each thread's ledger
+// (Thread.BackoffWaits, BackoffCycles).
 func (p *Backoff) PeakWindow() uint64 { return slices.Max(p.maxWin) }
 
 // grow doubles a thread's window after an abort, saturating at MaxWindow.

@@ -65,7 +65,8 @@ func TestBackoffWindowBounds(t *testing.T) {
 
 // TestBackoffWindowSaturatesAndFloors: the window saturates exactly at
 // the cap under repeated aborts and floors exactly at the minimum under
-// repeated commits.
+// repeated commits. The peak keeps the cap until BeginRun restarts it at
+// the current window for the next Run.
 func TestBackoffWindowSaturatesAndFloors(t *testing.T) {
 	p := NewBackoff(spinlock.Lock{}, 5, 1)
 	for i := 0; i < 64; i++ {
@@ -79,6 +80,13 @@ func TestBackoffWindowSaturatesAndFloors(t *testing.T) {
 	}
 	if p.Window(0) != p.MinWindow {
 		t.Fatalf("window %d after 64 shrinks, want floor %d", p.Window(0), p.MinWindow)
+	}
+	if p.PeakWindow() != p.MaxWindow {
+		t.Fatalf("peak %d after saturating, want cap %d", p.PeakWindow(), p.MaxWindow)
+	}
+	p.BeginRun()
+	if p.PeakWindow() != p.MinWindow {
+		t.Fatalf("peak %d after BeginRun, want the current window %d", p.PeakWindow(), p.MinWindow)
 	}
 }
 

@@ -80,12 +80,9 @@ type Phased struct {
 	deferBudget []int // per-hw remaining SW completions of its deferral
 	glockDepth  int   // threads inside the GLOCK bracket
 
-	// Cumulative statistics for reports and the telemetry phase probe.
-	deferrals   uint64
-	undeferrals uint64
-	transitions uint64
-	occupancy   [PhaseCount]uint64
-	lastSwitch  uint64
+	// This Run's virtual-cycle split across phases, up to the last switch.
+	occupancy  [PhaseCount]uint64
+	lastSwitch uint64
 }
 
 // NewPhased builds the phased policy for a machine with hwThreads
@@ -105,54 +102,34 @@ func (p *Phased) Name() string { return "PhTM" }
 // Mode returns the current global execution mode.
 func (p *Phased) Mode() PhaseMode { return p.mode }
 
-// PhasedStats is the end-of-run snapshot of the phased runtime's counters.
-type PhasedStats struct {
-	Deferrals   uint64 // capacity aborts routed to SW mode
-	Undeferrals uint64 // deferrals drained (budget exhausted)
-	Transitions uint64 // global mode-word changes
-	// Occupancy is the virtual-cycle split across phases, with the
-	// still-open phase segment credited up to the given makespan.
-	Occupancy [PhaseCount]uint64
-}
+// BeginRun starts a Run at cycle 0, where the engine restarts the clocks:
+// the occupancy restarts there, in the mode the previous Run left. The
+// mode word and the deferrals carry over.
+func (p *Phased) BeginRun() { p.occupancy, p.lastSwitch = [PhaseCount]uint64{}, 0 }
 
-// Stats reports the cumulative counters as of virtual time makespan.
-func (p *Phased) Stats(makespan uint64) PhasedStats {
-	_, occ := p.PhaseCounters(makespan)
-	return PhasedStats{
-		Deferrals:   p.deferrals,
-		Undeferrals: p.undeferrals,
-		Transitions: p.transitions,
-		Occupancy:   occ,
-	}
-}
-
-// PhaseCounters is the timeline's phase source (telemetry.Options.Phase):
-// the cumulative transition count and per-phase occupancy as of virtual time
-// now, with the open segment credited to the current phase.
-func (p *Phased) PhaseCounters(now uint64) (transitions uint64, occupancy [PhaseCount]uint64) {
-	occupancy = p.occupancy
-	if now > p.lastSwitch {
-		occupancy[p.mode] += now - p.lastSwitch
-	}
-	return p.transitions, occupancy
+// Occupancy is the Run's virtual-cycle split across phases as of virtual
+// time now, with the open segment credited to the current phase; it is the
+// timeline's phase source (telemetry.Options.Phase).
+func (p *Phased) Occupancy(now uint64) [PhaseCount]uint64 {
+	occ := p.occupancy
+	occ[p.mode] += now - p.lastSwitch
+	return occ
 }
 
 // setMode advances the global mode word at the current virtual time,
-// crediting the elapsed segment to the outgoing phase and recording the
-// transition in the event log. The clamp (now > lastSwitch) keeps the
-// accounting monotone across repeated Runs, whose clocks restart at zero.
+// crediting the elapsed segment to the outgoing phase, and counts the
+// transition in t's ledger and the event log. Within a Run the mode word
+// changes in virtual-time order, so the segment is never negative.
 func (p *Phased) setMode(t *Thread, m PhaseMode) {
 	if m == p.mode {
 		return
 	}
 	now := t.Ctx.Clock()
-	if now > p.lastSwitch {
-		p.occupancy[p.mode] += now - p.lastSwitch
-	}
+	p.occupancy[p.mode] += now - p.lastSwitch
 	p.lastSwitch = now
 	old := p.mode
 	p.mode = m
-	p.transitions++
+	t.PhaseTransitions++
 	t.Obs.Phase(now, int(m), int(old))
 }
 
@@ -227,7 +204,7 @@ func (p *Phased) deferToSW(t *Thread) {
 	if p.deferBudget[hw] == 0 {
 		p.deferred++
 	}
-	p.deferrals++
+	t.Deferrals++
 	p.deferBudget[hw] = p.SWRuns
 	if p.mode == PhaseHW {
 		p.setMode(t, PhaseSW)
@@ -246,7 +223,7 @@ func (p *Phased) swDone(t *Thread, hw int) {
 		return
 	}
 	p.deferred--
-	p.undeferrals++
+	t.Undeferrals++
 	if p.deferred == 0 && p.mode == PhaseSW {
 		p.setMode(t, PhaseHW)
 	}

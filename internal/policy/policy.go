@@ -91,10 +91,11 @@ func (mc *ModeCounts) Fraction(m Mode) float64 {
 
 // Thread is the per-worker runtime state shared by all policies. Its
 // embedded ledger is the one place the runtime counts commits by mode,
-// attempts and aborts on every path (Seer's multi-CAS through
-// core.ThreadState.Ledger), fall-backs, lock waits and backoff sleeps: the
-// Report sums it after the Run and the telemetry timeline reads it while
-// the Run goes on.
+// attempts and aborts on every path, fall-backs, lock waits, backoff
+// sleeps, Seer's scheme updates (with its multi-CAS outcomes, through
+// core.ThreadState.Ledger) and the phased runtime's deferrals and mode
+// transitions: the Report sums it after the Run and the telemetry timeline
+// reads it while the Run goes on.
 type Thread struct {
 	Ctx    *machine.Ctx
 	Mem    *mem.Memory
@@ -317,6 +318,9 @@ type Seer struct {
 
 // Name implements Policy.
 func (p *Seer) Name() string { return "Seer" }
+
+// BeginRun starts a Run of the scheduler (core.Seer.BeginRun).
+func (p *Seer) BeginRun() { p.Sched.BeginRun() }
 
 // Run implements Policy.
 func (p *Seer) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {

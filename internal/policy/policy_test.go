@@ -54,6 +54,7 @@ func (r *rig) runCounter(t *testing.T, pol Policy, threads, ops int) ModeCounts 
 			threadsSlice[idx] = th
 			if sp, ok := pol.(*Seer); ok {
 				th.Seer = sp.Sched.NewThreadState(c)
+				th.Seer.Ledger = &th.Counters
 			}
 			for n := 0; n < ops; n++ {
 				pol.Run(th, 0, 0, func(a mem.Access) {
@@ -325,6 +326,7 @@ func TestSeerCoreLockOnCapacityWorkload(t *testing.T) {
 		bodies[i] = func(c *machine.Ctx) {
 			th := NewThread(c, r.m, r.u)
 			th.Seer = pol.Sched.NewThreadState(c)
+			th.Seer.Ledger = &th.Counters
 			threads[idx] = th
 			region := regions[idx] // disjoint: no data conflicts
 			for n := 0; n < 60; n++ {

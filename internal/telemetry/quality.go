@@ -42,10 +42,10 @@ type pw struct {
 }
 
 // scorer is the inference-quality sink: the learner's statistics sampled
-// at every cut, the trajectory scored so far, and dense scratch — pred is
-// n×n, pairs holds at most n(n+1)/2 values — so a cut allocates nothing
-// once the trajectory has its capacity. There are no maps and no pointers:
-// every pass visits the pairs in ascending key order.
+// at every cut, the Run's trajectory scored so far, and dense scratch —
+// pred is n×n, pairs holds at most n(n+1)/2 values — so a cut allocates
+// nothing once the trajectory has its capacity. There are no maps and no
+// pointers: every pass visits the pairs in ascending key order.
 type scorer struct {
 	learned *stats.Matrices
 	quality []QualitySnapshot

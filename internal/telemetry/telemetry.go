@@ -74,14 +74,14 @@ type Options struct {
 	// not the workload's data.
 	IgnoredLines []mem.Line
 
-	// Scheduler returns Seer's current thresholds, the locking scheme's
-	// pair count and the cumulative count of allocation-free scheme updates.
-	Scheduler func() (th1, th2 float64, schemePairs int, schemeReuse uint64)
+	// Scheduler returns Seer's current thresholds and the locking scheme's
+	// pair count.
+	Scheduler func() (th1, th2 float64, schemePairs int)
 	// Quantum returns the engine's cumulative speculative-quantum counters.
 	Quantum func() (grants, ticks, rollbacks, rollbackTicks uint64)
-	// Phase returns the phased-TM runtime's cumulative mode transitions and
-	// per-phase occupancy (HW, SW, GLOCK) as of virtual time now.
-	Phase func(now uint64) (transitions uint64, occupancy [3]uint64)
+	// Phase returns the phased-TM runtime's per-phase occupancy (HW, SW,
+	// GLOCK) in this Run as of virtual time now.
+	Phase func(now uint64) (occupancy [3]uint64)
 	// Learned fills dst with Seer's learned commit/abort statistics and
 	// returns the live locking scheme (row x lists the lock ids block x
 	// acquires); it arms the inference-quality scorer.
@@ -99,7 +99,7 @@ type Recorder struct {
 	timeline timeline     // cut only when opt.Interval > 0
 
 	// The interval clock: [start, start+period) is the interval being
-	// accumulated; cuts counts the boundaries cut so far.
+	// accumulated; cuts counts the boundaries cut in this Run.
 	period uint64
 	start  uint64
 	cuts   int
@@ -140,20 +140,25 @@ func (r *Recorder) DoomHook() func(victim, aborter int, ln mem.Line) {
 	return r.OnDoom
 }
 
-// BeginRun rewinds the interval origin to cycle 0 and drops every
-// handle's ledger. The engine resets the virtual clocks at the start of
-// every Run and the runtime's ledgers restart with it, so the timeline's
-// last-cut ledger values restart at zero too.
+// BeginRun starts a Run: it rewinds the interval clock to cycle 0, drops
+// every handle's ledger and the previous Run's snapshots and quality
+// trajectory. The engine resets the virtual clocks at the start of every
+// Run and the runtime's ledgers and the phase occupancy restart with it,
+// so the timeline's last-cut values restart at zero too. The event ring,
+// the spans and the attribution accumulators carry across Runs.
 func (r *Recorder) BeginRun() {
 	if r == nil {
 		return
 	}
-	r.start = 0
+	r.start, r.cuts = 0, 0
 	for i := range r.threads {
 		r.threads[i].ledger = nil
 	}
-	r.timeline.prev = Counters{}
-	clear(r.timeline.prevSock)
+	tl := &r.timeline
+	tl.snaps, tl.prev, tl.prevPhase = tl.snaps[:0], Counters{}, [3]uint64{}
+	tl.arena = arena{tl.arena.pairs[:0], tl.arena.hist[:0], tl.arena.socks[:0]}
+	clear(tl.prevSock)
+	r.scorer.quality = r.scorer.quality[:0]
 }
 
 // Bind hands hardware thread hw's ledger for this Run to its handle, which
@@ -204,9 +209,9 @@ func (r *Recorder) cut(end uint64) {
 	r.start = end
 }
 
-// Timeline returns a deep copy of the snapshots cut so far (nil when the
-// timeline is off): the caller owns it, per-snapshot slices included, so it
-// outlives Release. Snapshots of repeated runs accumulate.
+// Timeline returns a deep copy of the snapshots cut in the current Run
+// (nil when the timeline is off): the caller owns it, per-snapshot slices
+// included, so it outlives Release.
 func (r *Recorder) Timeline() []Snapshot {
 	if r == nil {
 		return nil
@@ -227,8 +232,8 @@ func (r *Recorder) Timeline() []Snapshot {
 	return out
 }
 
-// Quality returns a copy of the inference-quality trajectory recorded so
-// far (nil when the scorer is off); like Timeline it outlives Release.
+// Quality returns a copy of the current Run's inference-quality trajectory
+// (nil when the scorer is off); like Timeline it outlives Release.
 func (r *Recorder) Quality() []QualitySnapshot {
 	if r == nil {
 		return nil

@@ -227,11 +227,9 @@ func TestFlushPartialTail(t *testing.T) {
 
 func TestProbeSampledPerSnapshot(t *testing.T) {
 	calls := 0
-	r := New(Options{Threads: 1, Interval: 10, Scheduler: func() (float64, float64, int, uint64) {
+	r := New(Options{Threads: 1, Interval: 10, Scheduler: func() (float64, float64, int) {
 		calls++
-		// The reuse counter is cumulative at the source (3, 6, 9, ...); the
-		// recorder diffs it per interval.
-		return float64(calls), 2 * float64(calls), calls, uint64(3 * calls)
+		return float64(calls), 2 * float64(calls), calls
 	}})
 	r.BeginRun()
 	r.OnTick(20)
@@ -242,8 +240,29 @@ func TestProbeSampledPerSnapshot(t *testing.T) {
 	if snaps[0].Th1 != 1 || snaps[1].Th1 != 2 || snaps[1].Th2 != 4 || snaps[1].SchemePairs != 2 {
 		t.Fatalf("source values wrong: %+v", snaps)
 	}
-	if snaps[0].SchemeReuse != 3 || snaps[1].SchemeReuse != 3 {
-		t.Fatalf("scheme-reuse diffs wrong: %d, %d", snaps[0].SchemeReuse, snaps[1].SchemeReuse)
+}
+
+// TestSchedulerCountsDiffedPerInterval: Seer's scheme reuse and the
+// phased runtime's mode transitions are ledger counts like any other, so
+// each snapshot carries the interval's delta; the phase source's
+// occupancy is diffed the same way.
+func TestSchedulerCountsDiffedPerInterval(t *testing.T) {
+	r := New(Options{Threads: 2, Interval: 10, Phase: func(now uint64) [3]uint64 { return [3]uint64{now - now/4, now / 4, 0} }})
+	r.BeginRun()
+	c := bind(r)
+	c[0].SchemeReuse, c[1].PhaseTransitions = 3, 1
+	r.OnTick(10)
+	c[0].SchemeReuse, c[1].PhaseTransitions = 6, 3
+	r.OnTick(20)
+	snaps := r.Timeline()
+	if len(snaps) != 2 {
+		t.Fatalf("snapshots = %d, want 2", len(snaps))
+	}
+	for i, want := range [][4]uint64{{3, 1, 8, 2}, {3, 2, 7, 3}} {
+		s := snaps[i]
+		if got := [4]uint64{s.SchemeReuse, s.PhaseTransitions, s.PhaseHWCycles, s.PhaseSWCycles}; got != want {
+			t.Fatalf("interval %d: reuse, transitions, HW, SW = %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -266,26 +285,28 @@ func TestParkSkippedDiffedPerInterval(t *testing.T) {
 	}
 }
 
-// TestBeginRunAcrossRuns: the engine clock and the ledgers restart with
-// every run; interval diffs, per-socket ones included, must stay correct
-// across the rewind.
+// TestBeginRunAcrossRuns: the engine clock, the ledgers and the phase
+// occupancy restart with every run, and the timeline holds the current
+// run's intervals only; interval diffs, per-socket ones included, must
+// stay correct across the rewind.
 func TestBeginRunAcrossRuns(t *testing.T) {
-	r := New(Options{Threads: 2, Interval: 100, Topology: topology.Multi(2, 1, 1)})
-	r.BeginRun()
-	bind(r)[1].Modes[modeHTM]++
-	r.Flush(100)
-	r.BeginRun() // clock rewinds to 0 for run 2, with fresh ledgers
-	bind(r)[1].Modes[modeHTM] += 2
-	r.Flush(100)
-	snaps := r.Timeline()
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots = %d, want 2", len(snaps))
-	}
-	if snaps[0].Commits != 1 || snaps[1].Commits != 2 || snaps[1].Sockets[1].Commits != 2 {
-		t.Fatalf("cross-run diffs wrong: %+v", snaps)
-	}
-	if snaps[1].StartCycle != 0 {
-		t.Fatalf("BeginRun did not rewind: %+v", snaps[1])
+	phase := func(now uint64) [3]uint64 { return [3]uint64{now, 0, 0} }
+	r := New(Options{Threads: 2, Interval: 100, Topology: topology.Multi(2, 1, 1), Phase: phase})
+	for run, commits := range []uint64{1, 2} {
+		r.BeginRun() // clock rewinds to 0, with fresh ledgers
+		bind(r)[1].Modes[modeHTM] += commits
+		r.Flush(150)
+		snaps := r.Timeline()
+		if len(snaps) != 2 {
+			t.Fatalf("run %d: snapshots = %d, want 2", run, len(snaps))
+		}
+		s := snaps[0]
+		if s.Index != 0 || s.StartCycle != 0 || s.Commits != commits || s.Sockets[1].Commits != commits || s.PhaseHWCycles != 100 {
+			t.Fatalf("run %d: first interval wrong: %+v", run, s)
+		}
+		if s := snaps[1]; s.Index != 1 || s.StartCycle != 100 || s.Commits != 0 || s.PhaseHWCycles != 50 {
+			t.Fatalf("run %d: second interval wrong: %+v", run, s)
+		}
 	}
 }
 
@@ -295,7 +316,7 @@ func TestBeginRunAcrossRuns(t *testing.T) {
 // driven at every tick, across two runs.
 func TestOnTickDeadlines(t *testing.T) {
 	every, deadline := timelineOnly(100, 2), timelineOnly(100, 2)
-	calls := 0
+	calls, cut := 0, 0
 	for run := 0; run < 2; run++ {
 		every.BeginRun()
 		deadline.BeginRun()
@@ -316,17 +337,22 @@ func TestOnTickDeadlines(t *testing.T) {
 		}
 		every.Flush(now + 5)
 		deadline.Flush(now + 5)
+		want, got := every.Timeline(), deadline.Timeline()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: deadline calls cut %d snapshots, every tick %d:\n%+v\n%+v", run, len(got), len(want), got, want)
+		}
+		cut += len(want)
 	}
-	want, got := every.Timeline(), deadline.Timeline()
-	if len(want) < 40 || calls >= 400 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("%d deadline calls cut %d snapshots, every tick %d:\n%+v\n%+v", calls, len(got), len(want), got, want)
+	if cut < 40 || calls >= 400 {
+		t.Fatalf("%d deadline calls cut %d snapshots over two runs", calls, cut)
 	}
 }
 
 // TestOneClockCutsBothSnapshotKinds: the timeline and the inference-quality
-// scorer share one interval clock, so across repeated runs every Snapshot
-// has a QualitySnapshot with the same index and end cycle; with the
-// timeline off the scorer still gets boundaries, at the default period.
+// scorer share one interval clock, so on every run each Snapshot has a
+// QualitySnapshot with the same index and end cycle, both restarting at
+// index 0; with the timeline off the scorer still gets boundaries, at the
+// default period.
 func TestOneClockCutsBothSnapshotKinds(t *testing.T) {
 	learned := func(dst *stats.Matrices) [][]int { return make([][]int, 2) }
 	r := New(Options{Threads: 1, Blocks: 2, Interval: 100, Attribution: true, Learned: learned})
@@ -334,14 +360,14 @@ func TestOneClockCutsBothSnapshotKinds(t *testing.T) {
 		r.BeginRun()
 		r.OnTick(230)
 		r.Flush(250)
-	}
-	snaps, quality := r.Timeline(), r.Quality()
-	if len(snaps) != 6 || len(quality) != 6 {
-		t.Fatalf("two runs cut %d snapshots and %d quality snapshots, want 6 and 6", len(snaps), len(quality))
-	}
-	for i := range snaps {
-		if quality[i].Index != snaps[i].Index || quality[i].EndCycle != snaps[i].EndCycle {
-			t.Fatalf("boundary %d: quality %+v vs snapshot %d..%d", i, quality[i], snaps[i].StartCycle, snaps[i].EndCycle)
+		snaps, quality := r.Timeline(), r.Quality()
+		if len(snaps) != 3 || len(quality) != 3 {
+			t.Fatalf("run %d cut %d snapshots and %d quality snapshots, want 3 and 3", run, len(snaps), len(quality))
+		}
+		for i := range snaps {
+			if q := quality[i]; q.Index != i || snaps[i].Index != i || q.EndCycle != snaps[i].EndCycle {
+				t.Fatalf("run %d boundary %d: quality %+v vs snapshot %d %d..%d", run, i, q, snaps[i].Index, snaps[i].StartCycle, snaps[i].EndCycle)
+			}
 		}
 	}
 

@@ -35,6 +35,12 @@ type Counters struct {
 	ParkSkipped   uint64             // lock-wait cycles the engine fast-forwarded by parking (subset of LockWait)
 	BackoffWaits  uint64             // randomized sleeps of the Backoff policy
 	BackoffCycles uint64             // cycles those sleeps lasted
+
+	SchemeUpdates    uint64 // Seer's lock-scheme recomputations
+	SchemeReuse      uint64 // those that grew no scheme row (the allocation-free steady state)
+	Deferrals        uint64 // PhTM: capacity aborts routed to the software phase
+	Undeferrals      uint64 // PhTM: deferrals drained
+	PhaseTransitions uint64 // PhTM: global mode-word changes
 }
 
 // Paths index the ledger's attempt outcomes by where the attempt ran.
@@ -70,6 +76,11 @@ func (c *Counters) Add(o *Counters) {
 	c.ParkSkipped += o.ParkSkipped
 	c.BackoffWaits += o.BackoffWaits
 	c.BackoffCycles += o.BackoffCycles
+	c.SchemeUpdates += o.SchemeUpdates
+	c.SchemeReuse += o.SchemeReuse
+	c.Deferrals += o.Deferrals
+	c.Undeferrals += o.Undeferrals
+	c.PhaseTransitions += o.PhaseTransitions
 }
 
 // attempts and aborts return what the timeline shows: the policies'
@@ -128,9 +139,9 @@ type Snapshot struct {
 	QuantumRollbackTicks uint64 `json:"quantum_rollback_ticks,omitempty"`
 
 	// Phase* are the phased-TM runtime's global execution mode over the
-	// interval (Options.Phase, diffed): mode transitions, and how the
-	// interval's cycles split across the HW/SW/GLOCK phases. Zero (and
-	// omitted from JSON) without that source.
+	// interval: mode transitions (from the ledgers), and how the interval's
+	// cycles split across the HW/SW/GLOCK phases (Options.Phase, diffed).
+	// Zero (and omitted from JSON) under every other policy.
 	PhaseTransitions uint64 `json:"phase_transitions,omitempty"`
 	PhaseHWCycles    uint64 `json:"phase_hw_cycles,omitempty"`
 	PhaseSWCycles    uint64 `json:"phase_sw_cycles,omitempty"`
@@ -152,8 +163,8 @@ type Snapshot struct {
 	Th1         float64 `json:"th1"`
 	Th2         float64 `json:"th2"`
 	SchemePairs int     `json:"scheme_pairs"`
-	// SchemeReuse counts scheme updates in the interval that completed
-	// without growing any row (the allocation-free steady state).
+	// SchemeReuse counts Seer's scheme updates in the interval that
+	// completed without growing any row (from the ledgers).
 	SchemeReuse uint64 `json:"scheme_reuse_hits"`
 }
 
@@ -183,10 +194,11 @@ func (s Snapshot) AbortRate() float64 {
 // topConflictPairs is the number of conflict edges retained per snapshot.
 const topConflictPairs = 4
 
-// timeline is the interval-metrics sink: the cut snapshots plus every
-// cumulative value as of the last cut, against which the next interval is
-// diffed. The ledgers restart with every Run (BeginRun zeroes prev and
-// prevSock); the sources and the attribution sink carry across Runs.
+// timeline is the interval-metrics sink: this Run's cut snapshots plus
+// every cumulative value as of the last cut, against which the next
+// interval is diffed. The ledgers and the phase occupancy restart with
+// every Run (BeginRun zeroes prev, prevSock and prevPhase); the quantum
+// counters and the attribution sink carry across Runs.
 type timeline struct {
 	snaps []Snapshot
 	arena arena
@@ -194,10 +206,8 @@ type timeline struct {
 	prev        Counters
 	prevSock    []Counters // per socket; nil on single-socket machines
 	curSock     []Counters // prevSock's double buffer, swapped at every cut
-	prevReuse   uint64
 	prevQuantum [4]uint64
 	prevPhase   [3]uint64
-	prevTran    uint64
 	prevTruth   []uint64 // sized with the attribution sink
 	prevCascade [MaxCascadeDepth + 1]uint64
 }
@@ -253,12 +263,11 @@ func (r *Recorder) cutSnapshot(end uint64) {
 	snap.ParkSkipped = cur.ParkSkipped - tl.prev.ParkSkipped
 	snap.BackoffWaits = cur.BackoffWaits - tl.prev.BackoffWaits
 	snap.BackoffCycles = cur.BackoffCycles - tl.prev.BackoffCycles
+	snap.SchemeReuse = cur.SchemeReuse - tl.prev.SchemeReuse
+	snap.PhaseTransitions = cur.PhaseTransitions - tl.prev.PhaseTransitions
 	tl.prev = cur
 	if src := r.opt.Scheduler; src != nil {
-		var reuse uint64
-		snap.Th1, snap.Th2, snap.SchemePairs, reuse = src()
-		snap.SchemeReuse = reuse - tl.prevReuse
-		tl.prevReuse = reuse
+		snap.Th1, snap.Th2, snap.SchemePairs = src()
 	}
 	if src := r.opt.Quantum; src != nil {
 		g, t, rb, rt := src()
@@ -270,12 +279,11 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		tl.prevQuantum = cum
 	}
 	if src := r.opt.Phase; src != nil {
-		tran, occ := src(end)
-		snap.PhaseTransitions = tran - tl.prevTran
+		occ := src(end)
 		snap.PhaseHWCycles = occ[0] - tl.prevPhase[0]
 		snap.PhaseSWCycles = occ[1] - tl.prevPhase[1]
 		snap.PhaseGLOCKCycles = occ[2] - tl.prevPhase[2]
-		tl.prevTran, tl.prevPhase = tran, occ
+		tl.prevPhase = occ
 	}
 	if a := r.attr; a != nil {
 		snap.ConflictPairs = tl.topPairs(a)

@@ -1,7 +1,6 @@
 package tmds_test
 
 import (
-	"fmt"
 	"sort"
 	"testing"
 
@@ -223,32 +222,6 @@ func FuzzRBTree(f *testing.F) {
 				contains: tree.Contains,
 				keys:     func(a seer.Access) []uint64 { return tree.Keys(a, nil) },
 				check:    tree.CheckInvariants,
-			}
-		})
-	})
-}
-
-func FuzzSortedList(f *testing.F) {
-	fuzzCorpus(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		runStructFuzz(t, data, func(sys *seer.System) structOps {
-			arena := tmds.NewArena(sys.Memory(), 1<<14, sys.HWThreads())
-			list := tmds.NewSortedList(sys.Memory(), arena)
-			return structOps{
-				put:      func(a seer.Access, k, v uint64) { list.Insert(a, k, v) },
-				del:      func(a seer.Access, k uint64) { list.Delete(a, k) },
-				get:      list.Get,
-				contains: list.Contains,
-				keys:     func(a seer.Access) []uint64 { return list.Keys(a, nil) },
-				check: func(a seer.Access) string {
-					ks := list.Keys(a, nil)
-					for i := 1; i < len(ks); i++ {
-						if ks[i-1] >= ks[i] {
-							return fmt.Sprintf("list out of order at %d: %v", i, ks)
-						}
-					}
-					return ""
-				},
 			}
 		})
 	})

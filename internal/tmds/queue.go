@@ -78,25 +78,13 @@ func (q *Queue) Empty(acc mem.Access) bool {
 // line), the layout kmeans uses for its per-cluster statistics so that
 // unrelated clusters do not false-share.
 type Counters struct {
-	base   mem.Addr
-	n      int
-	stride mem.Addr
+	base mem.Addr
+	n    int
 }
 
 // NewCounters allocates n padded counters initialized to zero.
 func NewCounters(m *mem.Memory, n int) *Counters {
-	c := &Counters{n: n, stride: mem.LineWords}
-	c.base = m.AllocLines(n)
-	return c
-}
-
-// NewDenseCounters allocates n unpadded (densely packed) counters — the
-// false-sharing-prone layout, available to workloads that want conflict
-// pressure on purpose.
-func NewDenseCounters(m *mem.Memory, n int) *Counters {
-	c := &Counters{n: n, stride: 1}
-	c.base = m.AllocAligned(n)
-	return c
+	return &Counters{base: m.AllocLines(n), n: n}
 }
 
 // Addr returns the address of counter i, so workloads can combine counter
@@ -105,7 +93,7 @@ func (c *Counters) Addr(i int) mem.Addr {
 	if i < 0 || i >= c.n {
 		panic("tmds: counter index out of range")
 	}
-	return c.base + mem.Addr(i)*c.stride
+	return c.base + mem.Addr(i)*mem.LineWords
 }
 
 // Get returns counter i.

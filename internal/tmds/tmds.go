@@ -1,8 +1,8 @@
 // Package tmds provides transactional data structures laid out in the
-// simulated memory: a hash set/map, a sorted linked list, a red-black
-// tree, a FIFO queue and padded accumulator arrays. All operations are
-// expressed against mem.Access, so the same code runs inside hardware
-// transactions and on the single-global-lock fall-back path.
+// simulated memory: a hash set/map, a red-black tree, a FIFO queue and
+// padded accumulator arrays. All operations are expressed against
+// mem.Access, so the same code runs inside hardware transactions and on
+// the single-global-lock fall-back path.
 //
 // The STAMP-style workloads (internal/stamp) are built from these, the
 // same way the original C benchmarks are built from libtm's collections.

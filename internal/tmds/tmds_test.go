@@ -157,77 +157,6 @@ func TestHashMapQuickVsModel(t *testing.T) {
 	}
 }
 
-func TestSortedListBasic(t *testing.T) {
-	m, acc, arena := testEnv(1 << 14)
-	l := NewSortedList(m, arena)
-	for _, k := range []uint64{5, 1, 9, 3, 7} {
-		if !l.Insert(acc, k, k+100) {
-			t.Fatalf("Insert(%d) failed", k)
-		}
-	}
-	if l.Insert(acc, 5, 500) {
-		t.Fatalf("re-Insert(5) reported new")
-	}
-	keys := l.Keys(acc, nil)
-	want := []uint64{1, 3, 5, 7, 9}
-	if len(keys) != len(want) {
-		t.Fatalf("keys = %v", keys)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", keys, want)
-		}
-	}
-	if v, ok := l.Get(acc, 5); !ok || v != 500 {
-		t.Fatalf("Get(5) = %d,%v", v, ok)
-	}
-	if !l.Delete(acc, 1) || !l.Delete(acc, 9) || l.Delete(acc, 2) {
-		t.Fatalf("Delete semantics broken")
-	}
-	if l.Len(acc) != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len(acc))
-	}
-}
-
-// TestSortedListQuickSortedInvariant checks that keys remain sorted and
-// duplicate-free under random insert/delete mixes.
-func TestSortedListQuickSortedInvariant(t *testing.T) {
-	f := func(ops []uint16) bool {
-		m, acc, arena := testEnv(1 << 18)
-		l := NewSortedList(m, arena)
-		model := map[uint64]bool{}
-		for _, op := range ops {
-			k := uint64(op%128) + 1
-			if op%2 == 0 {
-				l.Insert(acc, k, k)
-				model[k] = true
-			} else {
-				got := l.Delete(acc, k)
-				if got != model[k] {
-					return false
-				}
-				delete(model, k)
-			}
-		}
-		keys := l.Keys(acc, nil)
-		if len(keys) != len(model) {
-			return false
-		}
-		if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-			return false
-		}
-		for _, k := range keys {
-			if !model[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRBTreeBasic(t *testing.T) {
 	m, acc, arena := testEnv(1 << 16)
 	tr := NewRBTree(m, arena)
@@ -384,26 +313,18 @@ func TestCountersPaddedAndDense(t *testing.T) {
 	m, _, _ := testEnv(1 << 12)
 	acc := rawAccess{m}
 	p := NewCounters(m, 4)
-	d := NewDenseCounters(m, 4)
 	if mem.LineOf(p.Addr(0)) == mem.LineOf(p.Addr(1)) {
 		t.Fatalf("padded counters share a cache line")
 	}
-	if mem.LineOf(d.Addr(0)) != mem.LineOf(d.Addr(1)) {
-		t.Fatalf("dense counters do not share a cache line")
-	}
 	for i := 0; i < 4; i++ {
 		p.Add(acc, i, uint64(i)+1)
-		d.Add(acc, i, uint64(i)+10)
 	}
 	for i := 0; i < 4; i++ {
 		if p.Get(acc, i) != uint64(i)+1 {
 			t.Fatalf("padded counter %d = %d", i, p.Get(acc, i))
 		}
-		if d.Get(acc, i) != uint64(i)+10 {
-			t.Fatalf("dense counter %d = %d", i, d.Get(acc, i))
-		}
 	}
-	if p.N() != 4 || d.N() != 4 {
+	if p.N() != 4 {
 		t.Fatalf("N() wrong")
 	}
 }

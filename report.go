@@ -43,23 +43,26 @@ type Report struct {
 	Phased *PhasedReport
 
 	// Quantum holds the engine's speculative-quantum counters (never nil;
-	// every System speculates at DefaultSpeculativeQuantum). Like the
-	// scheduler's counters, and unlike HTM, they accumulate across Runs on
-	// one System. The counters are engine diagnostics, not simulated-machine
-	// state: they are deliberately excluded from Summary, whose digest must
-	// not depend on the speculation depth (the tests' per-tick reference
-	// engine and the differential fuzz target rely on that).
+	// every System speculates at DefaultSpeculativeQuantum). Unlike every
+	// other count in the Report they accumulate across Runs on one System,
+	// like EngineCounters. The counters are engine diagnostics, not
+	// simulated-machine state: they are deliberately excluded from Summary,
+	// whose digest must not depend on the speculation depth (the tests'
+	// per-tick reference engine and the differential fuzz target rely on
+	// that).
 	Quantum *QuantumReport
 
-	// Timeline is the interval-metrics series cut by the telemetry
-	// recorder (nil unless Config.MetricsInterval > 0). Snapshots from
-	// repeated Runs on one System accumulate.
+	// Timeline is this Run's interval-metrics series cut by the telemetry
+	// recorder, from index 0 at cycle 0 (nil unless Config.MetricsInterval
+	// > 0).
 	Timeline []Snapshot
 
-	// Inference is the Seer inference-quality trajectory: the learned
-	// locking scheme scored against the ground-truth conflict matrix at
-	// each metrics interval (nil unless attribution is on and the Seer
-	// policy ran; see Config.TraceAttempts/AttributionCounters).
+	// Inference is this Run's Seer inference-quality trajectory: the
+	// learned locking scheme scored against the ground-truth conflict
+	// matrix (accumulated over the System's Runs) at each of the Run's
+	// metrics intervals, sharing Timeline's boundaries (nil unless
+	// attribution is on and the Seer policy ran; see
+	// Config.TraceAttempts/AttributionCounters).
 	Inference []InferenceSnapshot
 }
 
@@ -92,9 +95,10 @@ func countsOf(paths ...telemetry.Outcomes) HTMCounters {
 	return c
 }
 
-// SeerReport captures the scheduler state at the end of a run.
-// MultiCASOk and MultiCASFail count this Run's hardware multi-CAS tx-lock
-// acquisitions by outcome; the other counts span the System's Runs.
+// SeerReport captures the scheduler at the end of a Run: its learned state
+// (thresholds, scheme), which carries across Runs, and this Run's counts —
+// scheme updates, tx-lock acquisitions, and the hardware multi-CAS
+// acquisitions by outcome.
 type SeerReport struct {
 	Thresholds    tune.Params
 	SchemeUpdates uint64
@@ -114,20 +118,19 @@ type SeerReport struct {
 // BackoffReport captures the Backoff policy's counters for one Run: how
 // many randomized sleeps were issued and their total virtual-cycle cost
 // (summed from the threads' ledgers, like Report.Modes), and the largest
-// window any thread has reached on this System (bounded by the configured
-// cap; the windows themselves carry across Runs).
+// window any thread reached in the Run (bounded by the configured cap; the
+// windows themselves carry across Runs).
 type BackoffReport struct {
 	Waits     uint64
 	Cycles    uint64
 	MaxWindow uint64
 }
 
-// PhasedReport captures the phased-TM runtime's counters at the end of a
-// run: how often capacity aborts deferred work to the software commit
-// path, the software attempt/commit/abort volume, the global mode word's
-// transition count and how the makespan split across the HW/SW/GLOCK
-// phases. The software counts (SWAttempts, SWCommits, SWAborts, STM) cover
-// this Run, like Report.HTM; the mode-word counts span the System's Runs.
+// PhasedReport captures the phased-TM runtime's counters for one Run: how
+// often capacity aborts deferred work to the software commit path, the
+// software attempt/commit/abort volume, the global mode word's transition
+// count and how the makespan split across the HW/SW/GLOCK phases. The mode
+// word itself, and the deferrals still held, carry across Runs.
 type PhasedReport struct {
 	Deferrals   uint64
 	Undeferrals uint64
@@ -351,17 +354,19 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 		mc := countsOf(cas)
 		sr := &SeerReport{
 			Thresholds:    s.sched.Thresholds(),
-			SchemeUpdates: s.sched.SchemeUpdates,
+			SchemeUpdates: c.SchemeUpdates,
 			MultiCASOk:    mc.Commits,
 			MultiCASFail:  mc.Aborts,
-			LockAcqEvents: s.sched.LockAcqEvents,
 			SchemeRows:    s.sched.Scheme(),
+		}
+		for _, k := range s.sched.LockAcqSizes {
+			sr.LockAcqEvents += k
 		}
 		// The median row size is the upper one, sizes[n/2] of the sorted
 		// n sizes: the first size whose cumulative count passes n/2.
 		var below uint64
 		for size, k := range s.sched.LockAcqSizes {
-			if below += k; below > s.sched.LockAcqEvents/2 {
+			if below += k; below > sr.LockAcqEvents/2 {
 				sr.LockFracMedian = float64(size) / float64(s.sched.NumTx())
 				break
 			}
@@ -372,16 +377,15 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 		r.Backoff = &BackoffReport{Waits: c.BackoffWaits, Cycles: c.BackoffCycles, MaxWindow: bp.PeakWindow()}
 	}
 	if pp, ok := s.pol.(*policy.Phased); ok {
-		st := pp.Stats(makespan)
 		stm := countsOf(sw)
 		r.Phased = &PhasedReport{
-			Deferrals:   st.Deferrals,
-			Undeferrals: st.Undeferrals,
-			Transitions: st.Transitions,
+			Deferrals:   c.Deferrals,
+			Undeferrals: c.Undeferrals,
+			Transitions: c.PhaseTransitions,
 			SWAttempts:  sw.Attempts,
 			SWCommits:   stm.Commits,
 			SWAborts:    stm.Aborts,
-			ModeCycles:  st.Occupancy,
+			ModeCycles:  pp.Occupancy(makespan),
 			STM:         stm,
 		}
 	}

@@ -390,11 +390,13 @@ type System struct {
 	obs   *telemetry.Recorder // nil unless an observability Config field is set
 }
 
-// NewSystem builds a system from cfg. Repeated Runs are allowed: each
-// Report's per-thread counts (Modes, HTM, HWAttempts, Fallbacks, the
-// Backoff sleeps, the phased runtime's software attempts and STM, Seer's
-// multi-CAS outcomes) cover its own Run, while the scheduler, phased
-// mode-word and engine counters accumulate across Runs.
+// NewSystem builds a system from cfg. Repeated Runs are allowed, and a
+// Report covers its Run: every count, cycle split and timeline interval in
+// it starts at that Run's cycle 0. What the system has learned carries over
+// (Seer's statistics, scheme, thresholds and tuner, the Backoff windows,
+// the phased mode word and its deferrals), as do simulated memory, the
+// Recorder's exports (event log, spans, attribution), EngineCounters and
+// Report.Quantum.
 func NewSystem(cfg Config) (*System, error) {
 	return newSystem(cfg, DefaultSpeculativeQuantum)
 }
@@ -501,9 +503,9 @@ func (s *System) newRecorder(topo topology.Topology, buf *telemetry.Buffers) *te
 		Quantum:      s.eng.QuantumCounters,
 	}
 	if sched := s.sched; sched != nil {
-		o.Scheduler = func() (float64, float64, int, uint64) {
+		o.Scheduler = func() (float64, float64, int) {
 			th := sched.Thresholds()
-			return th.Th1, th.Th2, sched.SchemePairs(), sched.SchemeReuseHits
+			return th.Th1, th.Th2, sched.SchemePairs()
 		}
 		o.Learned = func(dst *stats.Matrices) [][]int {
 			sched.SnapshotLearned(dst)
@@ -511,7 +513,7 @@ func (s *System) newRecorder(topo topology.Topology, buf *telemetry.Buffers) *te
 		}
 	}
 	if pp, ok := s.pol.(*policy.Phased); ok {
-		o.Phase = pp.PhaseCounters
+		o.Phase = pp.Occupancy
 	}
 	return telemetry.NewRecycled(o, buf)
 }
@@ -541,11 +543,12 @@ func (s *System) Scheduler() *core.Seer { return s.sched }
 // Recorder returns the system's observability recorder: the event log,
 // timeline, attempt spans, attribution and their exporters. It is nil —
 // a valid recorder with every sink off — unless Config.TraceEvents,
-// MetricsInterval, TraceAttempts or AttributionCounters is set, and
-// accumulates across repeated Runs. The recorder and every slice borrowed
-// from it (Recorder.Spans, Recorder.TruthMatrix) are valid until Release;
-// only what a Report owns (Timeline, Inference) and the copies
-// Recorder.Events returns may be read afterwards.
+// MetricsInterval, TraceAttempts or AttributionCounters is set. Its event
+// log, spans and attribution accumulate across repeated Runs; its timeline
+// and inference trajectory hold the current Run's intervals. The recorder
+// and every slice borrowed from it (Recorder.Spans, Recorder.TruthMatrix)
+// are valid until Release; only what a Report owns (Timeline, Inference)
+// and the copies Recorder.Events returns may be read afterwards.
 func (s *System) Recorder() *telemetry.Recorder { return s.obs }
 
 // Alloc reserves n words of simulated memory. Past capacity it panics
@@ -609,6 +612,9 @@ func (s *System) Run(workers []Worker) (Report, error) {
 			threads[idx] = pt
 			worker(&Thread{sys: s, pt: pt})
 		}
+	}
+	if p, ok := s.pol.(interface{ BeginRun() }); ok {
+		p.BeginRun()
 	}
 	s.obs.BeginRun()
 	makespan, err := s.eng.Run(bodies)

@@ -240,9 +240,10 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 }
 
 // TestInferenceSharesTimelineClockAcrossRuns: the inference-quality
-// trajectory is cut by the same interval clock as the timeline, so a second
-// Run on one System extends both by the same boundaries (the quality clock
-// used to be a separate one that was never rewound between runs).
+// trajectory is cut by the same interval clock as the timeline, and both
+// cover one Run, so each of two Runs on one System reports both from index
+// 0 with the same boundaries (the quality clock used to be a separate one
+// that was never rewound between runs).
 func TestInferenceSharesTimelineClockAcrossRuns(t *testing.T) {
 	cfg := seer.DefaultConfig()
 	cfg.Policy = seer.PolicySeer
@@ -270,36 +271,35 @@ func TestInferenceSharesTimelineClockAcrossRuns(t *testing.T) {
 			}
 		}
 	}
-	first, err := sys.Run(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := sys.Run(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	added := len(second.Timeline) - len(first.Timeline)
-	if added < 2 {
-		t.Fatalf("second run added %d timeline intervals; the test needs several", added)
-	}
-	if got := len(second.Inference) - len(first.Inference); got != added {
-		t.Fatalf("second run added %d inference snapshots but %d timeline intervals", got, added)
-	}
-	for i, s := range second.Timeline {
-		if q := second.Inference[i]; q.Index != s.Index || q.EndCycle != s.EndCycle {
-			t.Fatalf("boundary %d: inference ends at %d, timeline interval at %d", i, q.EndCycle, s.EndCycle)
+	for run := 1; run <= 2; run++ {
+		rep, err := sys.Run(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Timeline) < 2 {
+			t.Fatalf("run %d: %d timeline intervals; the test needs several", run, len(rep.Timeline))
+		}
+		if len(rep.Inference) != len(rep.Timeline) {
+			t.Fatalf("run %d: %d inference snapshots but %d timeline intervals", run, len(rep.Inference), len(rep.Timeline))
+		}
+		for i, s := range rep.Timeline {
+			if q := rep.Inference[i]; s.Index != i || q.Index != i || q.EndCycle != s.EndCycle {
+				t.Fatalf("run %d boundary %d: inference %d ends at %d, timeline interval %d at %d", run, i, q.Index, q.EndCycle, s.Index, s.EndCycle)
+			}
 		}
 	}
 }
 
 // TestOneLedgerAcrossRuns: the Report and the timeline read one per-thread
-// ledger, so on each of two Runs on one System the Run's snapshots sum to
-// that Run's Report: commits per mode, fall-backs, backoff sleeps,
-// attempts (hardware ones, plus the software path's under PhTM) and
-// outcomes (Report.HTM and PhasedReport.STM, less Seer's multi-CAS lock
-// acquisitions, which the timeline leaves out). Every eighth execution
-// writes more lines than the HTM holds, so each policy also falls back and
-// PhTM also runs its software path.
+// ledger and both cover one Run, so on each of two Runs on one System the
+// Run's snapshots, from index 0 to the makespan, sum to that Run's Report:
+// commits per mode, fall-backs, backoff sleeps, attempts (hardware ones,
+// plus the software path's under PhTM), outcomes (Report.HTM and
+// PhasedReport.STM, less Seer's multi-CAS lock acquisitions, which the
+// timeline leaves out) and PhTM's mode transitions and phase cycles, which
+// also sum to the makespan. Every eighth execution writes more lines than
+// the HTM holds, so each policy also falls back and PhTM also runs its
+// software path.
 func TestOneLedgerAcrossRuns(t *testing.T) {
 	for _, pol := range []seer.PolicyKind{seer.PolicyRTM, seer.PolicySCM, seer.PolicySeer, seer.PolicyBackoff, seer.PolicyPhased} {
 		cfg := seer.DefaultConfig()
@@ -336,14 +336,19 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 				}
 			}
 		}
-		cut := 0
 		for run := 1; run <= 2; run++ {
 			rep, err := sys.Run(workers)
 			if err != nil {
 				t.Fatal(err)
 			}
+			where := fmt.Sprintf("%s run %d", pol, run)
+			if tl := rep.Timeline; tl[0].Index != 0 || tl[0].StartCycle != 0 || tl[len(tl)-1].EndCycle != rep.MakespanCycles {
+				t.Fatalf("%s: timeline spans intervals %d..%d, cycles %d..%d, for a %d-cycle Run",
+					where, tl[0].Index, tl[len(tl)-1].Index, tl[0].StartCycle, tl[len(tl)-1].EndCycle, rep.MakespanCycles)
+			}
 			var sum seer.Snapshot
-			for _, s := range rep.Timeline[cut:] {
+			var phaseCycles uint64
+			for _, s := range rep.Timeline {
 				for m := range sum.Modes {
 					sum.Modes[m] += s.Modes[m]
 				}
@@ -354,9 +359,10 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 				sum.Fallbacks += s.Fallbacks
 				sum.BackoffWaits += s.BackoffWaits
 				sum.BackoffCycles += s.BackoffCycles
+				sum.SchemeReuse += s.SchemeReuse
+				sum.PhaseTransitions += s.PhaseTransitions
+				phaseCycles += s.PhaseHWCycles + s.PhaseSWCycles + s.PhaseGLOCKCycles
 			}
-			cut = len(rep.Timeline)
-			where := fmt.Sprintf("%s run %d", pol, run)
 			if rep.Fallbacks == 0 {
 				t.Fatalf("%s: no fall-backs; the workload does not exercise them", where)
 			}
@@ -422,6 +428,20 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 					t.Errorf("%s: timeline backoff %d waits / %d cycles, report %d / %d",
 						where, sum.BackoffWaits, sum.BackoffCycles, b.Waits, b.Cycles)
 				}
+			}
+			if p := rep.Phased; p != nil {
+				if p.Transitions == 0 {
+					t.Fatalf("%s: no mode transitions; the workload does not exercise them", where)
+				}
+				if sum.PhaseTransitions != p.Transitions {
+					t.Errorf("%s: timeline %d mode transitions, report %d", where, sum.PhaseTransitions, p.Transitions)
+				}
+				if mc := p.ModeCycles; phaseCycles != rep.MakespanCycles || mc[0]+mc[1]+mc[2] != rep.MakespanCycles {
+					t.Errorf("%s: timeline %d phase cycles, report %v, makespan %d", where, phaseCycles, mc, rep.MakespanCycles)
+				}
+			}
+			if sr := rep.Seer; sr != nil && (sr.SchemeUpdates == 0 || sum.SchemeReuse > sr.SchemeUpdates) {
+				t.Errorf("%s: %d scheme updates, %d of them reusing every row in the timeline", where, sr.SchemeUpdates, sum.SchemeReuse)
 			}
 		}
 	}
