@@ -85,7 +85,9 @@ func TestHWThreadsRounding(t *testing.T) {
 // each Report's transaction counts cover its own Run: two identical 10-op
 // Runs report 10 HTM commits each while the cell reads 20, and the second
 // Run of an RTM intruder cell, whose queue the first Run drained, reports
-// at most one abort per attempt.
+// at most one abort per attempt. Under Seer, whose multi-CAS lock
+// acquisitions are hardware transactions too, each Run's AbortRate is its
+// HTM aborts over the policy's attempts plus those acquisitions.
 func TestRepeatedRunsReportPerRun(t *testing.T) {
 	cfg := seer.DefaultConfig()
 	cfg.Policy = seer.PolicyRTM
@@ -134,6 +136,30 @@ func TestRepeatedRunsReportPerRun(t *testing.T) {
 	}
 	if second.HTM.Aborts > second.HWAttempts || second.AbortRate() > 1 {
 		t.Fatalf("second run: %d aborts in %d attempts (abort rate %.1f)", second.HTM.Aborts, second.HWAttempts, second.AbortRate())
+	}
+
+	if wl, err = stamp.New("intruder", 0.05); err != nil {
+		t.Fatal(err)
+	}
+	cfg = stamp.Config(wl, 4, seer.Topology{})
+	cfg.Policy = seer.PolicySeer
+	if sys, first, err = stamp.Run(wl, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if second, err = sys.Run(wl.Workers(cfg.Threads)); err != nil {
+		t.Fatal(err)
+	}
+	if first.Seer.MultiCASFail == 0 {
+		t.Fatal("Seer cell has no multi-CAS aborts: the cell does not exercise the test")
+	}
+	for run, rep := range []seer.Report{first, second} {
+		issued := rep.HWAttempts + rep.Seer.MultiCASOk + rep.Seer.MultiCASFail
+		if rep.HTM.Commits+rep.HTM.Aborts != issued {
+			t.Fatalf("Seer run %d: HTM counts %d commits + %d aborts, want %d issued", run+1, rep.HTM.Commits, rep.HTM.Aborts, issued)
+		}
+		if want := float64(rep.HTM.Aborts) / float64(issued); rep.AbortRate() != want {
+			t.Fatalf("Seer run %d: abort rate %v, want %d aborts / %d issued = %v", run+1, rep.AbortRate(), rep.HTM.Aborts, issued, want)
+		}
 	}
 }
 

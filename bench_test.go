@@ -23,6 +23,7 @@ import (
 
 	"seer"
 	"seer/internal/adversary"
+	"seer/internal/bench"
 	"seer/internal/harness"
 )
 
@@ -158,7 +159,7 @@ func BenchmarkFig5(b *testing.B) {
 					})
 					speedups = append(speedups, base.MeanMakespan/res.MeanMakespan)
 				}
-				gm = harness.GeoMean(speedups)
+				gm = bench.GeoMean(speedups)
 			}
 			b.ReportMetric(gm, "vs_profile")
 		})

@@ -311,17 +311,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("explain: %w", err))
 		}
 		if snaps := rep.Inference; len(snaps) > 0 {
-			const width = 48
-			prec := make([]float64, len(snaps))
-			rec := make([]float64, len(snaps))
-			for i, q := range snaps {
-				prec[i] = q.Precision
-				rec[i] = q.Recall
-			}
-			fin := snaps[len(snaps)-1]
 			fmt.Fprintf(stdout, "\nInference-quality trajectory (%d snapshots):\n", len(snaps))
-			fmt.Fprintf(stdout, "  precision   %s  [final %.3f]\n", plot.Sparkline(prec, width), fin.Precision)
-			fmt.Fprintf(stdout, "  recall      %s  [final %.3f]\n", plot.Sparkline(rec, width), fin.Recall)
+			harness.RenderQuality(stdout, snaps)
 		}
 	}
 

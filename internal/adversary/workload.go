@@ -23,11 +23,11 @@ type Workload struct {
 	// TxWork is in-transaction computation per op; GapWork between ops.
 	TxWork, GapWork uint64
 
-	blockLines []seer.Addr   // one shared line per block (self conflicts)
-	edgeLines  [][]seer.Addr // [phase][edge]: one shared line per edge
-	incident   [][][]int     // [phase][block]: incident edge indices
-	done       stats         // committed ops
-	edgeMass   stats         // committed edge-line increments
+	blockLines []seer.Addr       // one shared line per block (self conflicts)
+	edgeLines  [][]seer.Addr     // [phase][edge]: one shared line per edge
+	incident   [][][]int         // [phase][block]: incident edge indices
+	done       stamp.ThreadStats // committed ops
+	edgeMass   stamp.ThreadStats // committed edge-line increments
 }
 
 // New builds a workload for graph g. The graph is normalized first, so
@@ -86,19 +86,16 @@ func (w *Workload) Setup(sys *seer.System) error {
 			w.incident[p][e.B] = append(w.incident[p][e.B], i)
 		}
 	}
-	w.done = newStats(sys)
-	w.edgeMass = newStats(sys)
+	w.done = stamp.NewThreadStats(sys)
+	w.edgeMass = stamp.NewThreadStats(sys)
 	return nil
 }
 
 // Workers implements stamp.Workload.
 func (w *Workload) Workers(nThreads int) []seer.Worker {
-	parts := split(w.TotalOps, nThreads)
 	phases := len(w.G.Phases)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return stamp.PerThread(w.TotalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// The body is built once per worker and reads the op's
 			// operands from these variables: a closure literal inside the
@@ -116,8 +113,8 @@ func (w *Workload) Workers(nThreads int) []seer.Worker {
 					a.Store(el, a.Load(el)+1)
 				}
 				a.Work(work)
-				w.done.add(a, 1)
-				w.edgeMass.add(a, uint64(len(edges)))
+				w.done.Add(a, 1)
+				w.edgeMass.Add(a, uint64(len(edges)))
 			}
 			for n := 0; n < ops; n++ {
 				// Phase by position in this worker's sequence: all
@@ -133,8 +130,7 @@ func (w *Workload) Workers(nThreads int) []seer.Worker {
 				}
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements stamp.Workload: every committed op incremented
@@ -154,53 +150,11 @@ func (w *Workload) Validate(sys *seer.System) error {
 			edgeSum += sys.Peek(el)
 		}
 	}
-	if mass := w.edgeMass.sum(sys); edgeSum != mass {
+	if mass := w.edgeMass.Sum(sys); edgeSum != mass {
 		return fmt.Errorf("%s: edge-line increments %d, want %d", w.Name(), edgeSum, mass)
 	}
-	if done := w.done.sum(sys); done != uint64(w.TotalOps) {
+	if done := w.done.Sum(sys); done != uint64(w.TotalOps) {
 		return fmt.Errorf("%s: %d operations committed, want %d", w.Name(), done, w.TotalOps)
 	}
 	return nil
-}
-
-// stats is a per-hardware-thread padded counter in simulated memory
-// (the local analogue of stamp's unexported threadStats): bookkeeping
-// that must not become a cross-thread conflict hotspot.
-type stats struct {
-	base seer.Addr
-	n    int
-}
-
-func newStats(sys *seer.System) stats {
-	n := 64
-	if hw := sys.HWThreads(); hw > n {
-		n = hw
-	}
-	return stats{base: sys.AllocLines(n), n: n}
-}
-
-func (s stats) add(a seer.Access, d uint64) {
-	p := s.base + seer.Addr(a.ThreadID()*8)
-	a.Store(p, a.Load(p)+d)
-}
-
-func (s stats) sum(sys *seer.System) uint64 {
-	var total uint64
-	for i := 0; i < s.n; i++ {
-		total += sys.Peek(s.base + seer.Addr(i*8))
-	}
-	return total
-}
-
-// split partitions total operations across n workers, giving earlier
-// workers the remainder (deterministic; mirrors stamp's split).
-func split(total, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = total / n
-	}
-	for i := 0; i < total%n; i++ {
-		out[i]++
-	}
-	return out
 }

@@ -25,6 +25,7 @@ import (
 	"seer/internal/spinlock"
 	"seer/internal/stats"
 	"seer/internal/telemetry"
+	"seer/internal/tmds"
 	"seer/internal/topology"
 	"seer/internal/tune"
 )
@@ -318,20 +319,10 @@ func (s *Seer) Start(t *ThreadState, txID int, obj uint64) {
 // lock otherwise.
 func (s *Seer) lockFor(t *ThreadState, id int) spinlock.Lock {
 	if s.opts.ObjLocks {
-		stripe := int(mix64(t.obj) % ObjStripes)
+		stripe := int(tmds.Hash(t.obj) % ObjStripes)
 		return s.objLocks[id][stripe]
 	}
 	return s.txLocks[id]
-}
-
-// mix64 spreads object identifiers across stripes (SplitMix64 finalizer).
-func mix64(k uint64) uint64 {
-	k ^= k >> 30
-	k *= 0xBF58476D1CE4E5B9
-	k ^= k >> 27
-	k *= 0x94D049BB133111EB
-	k ^= k >> 31
-	return k
 }
 
 // Finish clears the thread's slot in the active-transactions list.

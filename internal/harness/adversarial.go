@@ -81,9 +81,9 @@ func adversarial(opt Options, a Args) (Output, error) {
 	}, nil
 }
 
-// renderQuality writes the precision and recall sparklines of an
-// inference-quality trajectory.
-func renderQuality(w io.Writer, snaps []seer.InferenceSnapshot) {
+// RenderQuality writes the precision and recall sparklines of an
+// inference-quality trajectory (snaps must not be empty).
+func RenderQuality(w io.Writer, snaps []seer.InferenceSnapshot) {
 	const width = 48
 	prec := make([]float64, len(snaps))
 	rec := make([]float64, len(snaps))
@@ -114,7 +114,7 @@ func (d *AdversarialData) Render(w io.Writer) {
 	fmt.Fprintf(w, "\nPhase shift (adv-phase): conflict graph flips at the midpoint (interval = %d cycles)\n", d.Interval)
 	if snaps := d.SeerPhase.Inference; len(snaps) > 0 {
 		fmt.Fprintf(w, "Seer scheme quality across the flip (%d snapshots)\n", len(snaps))
-		renderQuality(w, snaps)
+		RenderQuality(w, snaps)
 	}
 	if tl := d.BackoffPhase.Timeline; len(tl) > 0 {
 		vals := make([]float64, len(tl))

@@ -42,7 +42,7 @@ func attempts(opt Options, a Args) (Output, error) {
 			for ri, row := range rows {
 				perRow[ri] = bench.Mean(throughputs(g.at(row, pol, budget)))
 			}
-			d.Throughput[pol] = append(d.Throughput[pol], GeoMean(perRow))
+			d.Throughput[pol] = append(d.Throughput[pol], bench.GeoMean(perRow))
 		}
 	}
 	return d, nil

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"seer"
-	"seer/internal/bench"
 	"seer/internal/core"
 	"seer/internal/stamp"
 )
@@ -141,11 +140,6 @@ func Speedup(baseline float64, r Result) float64 {
 	}
 	return baseline / r.MeanMakespan
 }
-
-// GeoMean returns the geometric mean of vals (ignoring non-positive
-// entries, which would otherwise poison the product). It delegates to
-// the shared implementation in internal/bench.
-func GeoMean(vals []float64) float64 { return bench.GeoMean(vals) }
 
 // Variant is a named Seer option set, one column of the ablation
 // exhibits (Figure 5, ext).

@@ -40,7 +40,7 @@ func (d *InferenceData) Render(w io.Writer) {
 		}
 		fin := snaps[len(snaps)-1]
 		fmt.Fprintf(w, "%s: %d snapshots, %d attributed aborts\n", e.Workload, len(snaps), fin.Attributed)
-		renderQuality(w, snaps)
+		RenderQuality(w, snaps)
 		fmt.Fprintf(w, "  final: true=%d predicted=%d tp=%d rank-divergence=%.3f\n",
 			fin.TruePairs, fin.PredictedPairs, fin.TP, fin.RankDivergence)
 	}

@@ -15,7 +15,7 @@ import (
 // accelerates every experiment while keeping output bit-identical to a
 // sequential sweep.
 
-// Workers resolves the executor width: 0 and 1 mean sequential, negative
+// Workers resolves the executor width: 0 and 1 mean one worker, negative
 // means one worker per available CPU, and anything larger is clamped to
 // the number of cells by RunGrid.
 func (o Options) workers() int {
@@ -39,7 +39,10 @@ func (o Options) workers() int {
 // output is also byte-identical with and without parallelism.
 //
 // On error, the first failing index (not the first to fail in wall-clock
-// order) determines the returned error, again for determinism.
+// order) determines the returned error, again for determinism. Once a
+// cell fails no worker claims another, and progress stops before the
+// first failing index, as in a sequential sweep: cells are claimed in
+// index order, so every cell below a failure still completes.
 func RunGrid(opt Options, specs []Spec, progress func(i int, res Result)) ([]Result, error) {
 	if !opt.Topology.IsZero() {
 		specs = append([]Spec(nil), specs...)
@@ -56,23 +59,9 @@ func RunGrid(opt Options, specs []Spec, progress func(i int, res Result)) ([]Res
 		workers = len(specs)
 	}
 
-	if workers <= 1 {
-		rec := new(seer.Recycler)
-		for i, sp := range specs {
-			res, err := runOneWith(sp, rec)
-			if err != nil {
-				return results, err
-			}
-			results[i] = res
-			if progress != nil {
-				progress(i, res)
-			}
-		}
-		return results, nil
-	}
-
 	var (
 		next    atomic.Int64
+		failed  atomic.Bool // a cell failed: claim no more
 		wg      sync.WaitGroup
 		mu      sync.Mutex // guards done/emitted and orders progress calls
 		done    = make([]bool, len(specs))
@@ -88,17 +77,20 @@ func RunGrid(opt Options, specs []Spec, progress func(i int, res Result)) ([]Res
 			// worker goroutines, and the multi-megabyte per-cell state
 			// is allocated once per worker rather than once per cell.
 			rec := new(seer.Recycler)
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(specs) {
 					return
 				}
 				res, err := runOneWith(specs[i], rec)
 				results[i], errs[i] = res, err
+				if err != nil {
+					failed.Store(true)
+				}
 				mu.Lock()
 				done[i] = true
-				for emitted < len(specs) && done[emitted] {
-					if errs[emitted] == nil && progress != nil {
+				for emitted < len(specs) && done[emitted] && errs[emitted] == nil {
+					if progress != nil {
 						progress(emitted, results[emitted])
 					}
 					emitted++

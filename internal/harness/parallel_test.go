@@ -107,3 +107,23 @@ func TestRunGridFirstErrorByIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestRunGridStopsAtFirstError: at every width, progress reports only the
+// cells before the first failing index, as a sequential sweep would, and
+// at width 1 no cell after the failure runs.
+func TestRunGridStopsAtFirstError(t *testing.T) {
+	ok := Spec{Workload: "hashmap", Scale: 0.05, Policy: seer.PolicyRTM, Threads: 1, Runs: 1, Seed: 1}
+	bad := ok
+	bad.Workload = "no-such-workload"
+	specs := []Spec{ok, bad, ok, ok, ok}
+	for _, workers := range []int{1, 3} {
+		var reported []int
+		res, err := RunGrid(Options{Parallel: workers}, specs, func(i int, _ Result) { reported = append(reported, i) })
+		if err == nil || !reflect.DeepEqual(reported, []int{0}) {
+			t.Fatalf("parallel=%d: err = %v, progress for cells %v, want an error and cell 0 only", workers, err, reported)
+		}
+		if workers == 1 && res[2].MeanMakespan != 0 {
+			t.Fatal("parallel=1: a cell after the failing one ran")
+		}
+	}
+}

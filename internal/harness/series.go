@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"seer/internal/bench"
 	"seer/internal/plot"
 )
 
@@ -100,7 +101,7 @@ func (s seriesSpec) reduce(g *grid) *Series {
 			for ri, row := range d.Rows {
 				vals[ri] = d.Value[row][col][xi]
 			}
-			d.Geomean[col][xi] = GeoMean(vals)
+			d.Geomean[col][xi] = bench.GeoMean(vals)
 		}
 	}
 	return d

@@ -73,7 +73,6 @@ const DefaultSWRuns = 4
 type Phased struct {
 	SGL         spinlock.Lock
 	MaxAttempts int
-	SWRuns      int // deferral persistence (hysteresis), ≥ 1
 
 	mode        PhaseMode
 	deferred    int   // threads currently holding a deferral
@@ -91,7 +90,6 @@ func NewPhased(sgl spinlock.Lock, maxAttempts, hwThreads int) *Phased {
 	return &Phased{
 		SGL:         sgl,
 		MaxAttempts: maxAttempts,
-		SWRuns:      DefaultSWRuns,
 		deferBudget: make([]int, hwThreads),
 	}
 }
@@ -205,7 +203,7 @@ func (p *Phased) deferToSW(t *Thread) {
 		p.deferred++
 	}
 	t.Deferrals++
-	p.deferBudget[hw] = p.SWRuns
+	p.deferBudget[hw] = DefaultSWRuns
 	if p.mode == PhaseHW {
 		p.setMode(t, PhaseSW)
 	}

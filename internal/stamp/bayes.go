@@ -29,7 +29,7 @@ type Bayes struct {
 	vars  seer.Addr
 	edges *tmds.HashMap // (u<<16|v) → 1, the inserted edge set
 	score seer.Addr     // global network score (hot)
-	ins   threadStats   // committed insertions
+	ins   ThreadStats   // committed insertions
 }
 
 func init() {
@@ -65,17 +65,14 @@ func (w *Bayes) Setup(sys *seer.System) error {
 	arena := tmds.NewArena(m, w.totalOps*3+arenaSlack(sys), sys.HWThreads())
 	w.edges = tmds.NewHashMap(m, 128, arena)
 	w.score = sys.AllocLines(1)
-	w.ins = newThreadStats(sys)
+	w.ins = NewThreadStats(sys)
 	return nil
 }
 
 // Workers implements Workload.
 func (w *Bayes) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// Bodies are built once per worker and read the op's operands
 			// from these variables (see DESIGN §6c: a closure literal
@@ -97,7 +94,7 @@ func (w *Bayes) Workers(nThreads int) []seer.Worker {
 					a.Store(w.varAddr(v)+1+seer.Addr(pv), uint64(u))
 					a.Store(w.varAddr(v), pv+1)
 					a.Store(w.score, a.Load(w.score)+pu+1)
-					w.ins.add(a, 1)
+					w.ins.Add(a, 1)
 				}
 			}
 			// Query sufficient statistics (read-mostly).
@@ -125,14 +122,13 @@ func (w *Bayes) Workers(nThreads int) []seer.Worker {
 				t.Work(uint64(8 + rng.Intn(9)))
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
 func (w *Bayes) Validate(sys *seer.System) error {
 	acc := rawSys{sys}
-	inserted := w.ins.sum(sys)
+	inserted := w.ins.Sum(sys)
 	if got := w.edges.Size(acc); got != inserted {
 		return fmt.Errorf("bayes: edge set has %d, committed inserts %d", got, inserted)
 	}

@@ -61,11 +61,9 @@ func (w *CapBound) Setup(sys *seer.System) error {
 
 // Workers implements Workload.
 func (w *CapBound) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops, base := parts[i], w.regions[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(i, ops int) seer.Worker {
+		base := w.regions[i]
+		return func(t *seer.Thread) {
 			body := func(a seer.Access) {
 				for j := 0; j < capBoundLines; j++ {
 					p := base + seer.Addr(j*8)
@@ -77,8 +75,7 @@ func (w *CapBound) Workers(nThreads int) []seer.Worker {
 				t.Work(40)
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.

@@ -29,7 +29,7 @@ type Genome struct {
 	set      *tmds.HashMap
 	siteTab  *tmds.Counters // per-site chain length (padded)
 	chainLen seer.Addr      // global chain metadata line (hotspot)
-	inserted threadStats
+	inserted ThreadStats
 }
 
 func init() {
@@ -64,17 +64,14 @@ func (g *Genome) Setup(sys *seer.System) error {
 	g.set = tmds.NewHashMap(sys.Memory(), g.buckets, arena)
 	g.siteTab = tmds.NewCounters(sys.Memory(), g.sites)
 	g.chainLen = sys.AllocLines(1)
-	g.inserted = newThreadStats(sys)
+	g.inserted = NewThreadStats(sys)
 	return nil
 }
 
 // Workers implements Workload.
 func (g *Genome) Workers(nThreads int) []seer.Worker {
-	parts := split(g.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(g.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// Bodies are built once per worker and read the op's operands
 			// from these variables (DESIGN §6c).
@@ -87,7 +84,7 @@ func (g *Genome) Workers(nThreads int) []seer.Worker {
 				a.Work(130) // segment comparison
 				if !present {
 					g.set.PutIfAbsent(a, seg, seg)
-					g.inserted.add(a, 1)
+					g.inserted.Add(a, 1)
 				}
 			}
 			extend := func(a seer.Access) {
@@ -130,15 +127,14 @@ func (g *Genome) Workers(nThreads int) []seer.Worker {
 				}
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
 func (g *Genome) Validate(sys *seer.System) error {
 	acc := rawSys{sys}
 	size := g.set.Size(acc)
-	ins := g.inserted.sum(sys)
+	ins := g.inserted.Sum(sys)
 	if size != ins {
 		return fmt.Errorf("genome: set size %d != committed inserts %d", size, ins)
 	}

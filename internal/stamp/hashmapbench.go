@@ -17,7 +17,7 @@ type HashMapBench struct {
 	buckets  int
 
 	table   *tmds.HashMap
-	balance threadStats // net inserts − deletes (wrapping)
+	balance ThreadStats // net inserts − deletes (wrapping)
 }
 
 func init() {
@@ -49,7 +49,7 @@ func (w *HashMapBench) Setup(sys *seer.System) error {
 	m := sys.Memory()
 	arena := tmds.NewArena(m, (w.elements+w.totalOps/4)*3+arenaSlack(sys), sys.HWThreads())
 	w.table = tmds.NewHashMap(m, w.buckets, arena)
-	w.balance = newThreadStats(sys)
+	w.balance = NewThreadStats(sys)
 	acc := rawSys{sys}
 	for i := 0; i < w.elements; i++ {
 		w.table.Put(acc, uint64(i), uint64(i))
@@ -59,12 +59,9 @@ func (w *HashMapBench) Setup(sys *seer.System) error {
 
 // Workers implements Workload.
 func (w *HashMapBench) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
 	keySpace := uint64(w.elements * 2)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// Bodies are built once per worker and read the op's key from
 			// k (DESIGN §6c).
@@ -76,13 +73,13 @@ func (w *HashMapBench) Workers(nThreads int) []seer.Worker {
 			put := func(a seer.Access) {
 				a.Work(120)
 				if w.table.PutIfAbsent(a, k, k) {
-					w.balance.add(a, 1)
+					w.balance.Add(a, 1)
 				}
 			}
 			del := func(a seer.Access) {
 				a.Work(120)
 				if w.table.Delete(a, k) {
-					w.balance.add(a, ^uint64(0)) // -1, wrapping
+					w.balance.Add(a, ^uint64(0)) // -1, wrapping
 				}
 			}
 			for n := 0; n < ops; n++ {
@@ -98,17 +95,16 @@ func (w *HashMapBench) Workers(nThreads int) []seer.Worker {
 				t.Work(uint64(100 + rng.Intn(41)))
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
 func (w *HashMapBench) Validate(sys *seer.System) error {
 	acc := rawSys{sys}
-	want := uint64(w.elements) + w.balance.sum(sys) // two's-complement add
+	want := uint64(w.elements) + w.balance.Sum(sys) // two's-complement add
 	if got := w.table.Size(acc); got != want {
 		return fmt.Errorf("hashmap: size %d, want %d (initial %d %+d)",
-			got, want, w.elements, int64(w.balance.sum(sys)))
+			got, want, w.elements, int64(w.balance.Sum(sys)))
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"seer"
+	"seer/internal/machine"
 	"seer/internal/tmds"
 )
 
@@ -26,8 +27,8 @@ type Intruder struct {
 	packets    *tmds.Queue
 	flagged    *tmds.Queue
 	sessionTab *tmds.HashMap
-	popped     threadStats // successful pops
-	pushed     threadStats // successful flag pushes
+	popped     ThreadStats // successful pops
+	pushed     ThreadStats // successful flag pushes
 }
 
 func init() {
@@ -65,11 +66,11 @@ func (w *Intruder) Setup(sys *seer.System) error {
 	w.flagged = tmds.NewQueue(m, w.totalOps+2)
 	arena := tmds.NewArena(m, w.totalOps*4+arenaSlack(sys), sys.HWThreads())
 	w.sessionTab = tmds.NewHashMap(m, w.buckets, arena)
-	w.popped = newThreadStats(sys)
-	w.pushed = newThreadStats(sys)
+	w.popped = NewThreadStats(sys)
+	w.pushed = NewThreadStats(sys)
 	// Pre-capture the packet trace: every op pops exactly one packet.
 	acc := rawSys{sys}
-	rng := seededRand(42)
+	rng := machine.NewRand(42)
 	for i := 0; i < w.totalOps; i++ {
 		sess := rng.Uint64() % uint64(w.nSessions)
 		frag := rng.Uint64() % 16
@@ -82,11 +83,8 @@ func (w *Intruder) Setup(sys *seer.System) error {
 
 // Workers implements Workload.
 func (w *Intruder) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// Bodies are built once per worker; operands and results
 			// travel through these variables (DESIGN §6c).
@@ -98,7 +96,7 @@ func (w *Intruder) Workers(nThreads int) []seer.Worker {
 				pkt, ok = w.packets.Pop(a)
 				a.Work(8) // header checks
 				if ok {
-					w.popped.add(a, 1)
+					w.popped.Add(a, 1)
 				}
 			}
 			reassemble := func(a seer.Access) {
@@ -119,7 +117,7 @@ func (w *Intruder) Workers(nThreads int) []seer.Worker {
 			detect := func(a seer.Access) {
 				a.Work(30) // signature check
 				if w.flagged.Push(a, sess<<8|8) {
-					w.pushed.add(a, 1)
+					w.pushed.Add(a, 1)
 				}
 			}
 			for n := 0; n < ops; n++ {
@@ -144,14 +142,13 @@ func (w *Intruder) Workers(nThreads int) []seer.Worker {
 				}
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
 func (w *Intruder) Validate(sys *seer.System) error {
 	acc := rawSys{sys}
-	popped := w.popped.sum(sys)
+	popped := w.popped.Sum(sys)
 	if popped != uint64(w.totalOps) {
 		return fmt.Errorf("intruder: popped %d packets, want %d", popped, w.totalOps)
 	}
@@ -172,23 +169,9 @@ func (w *Intruder) Validate(sys *seer.System) error {
 	if sum != uint64(w.totalOps) {
 		return fmt.Errorf("intruder: session fragments sum to %d, want %d", sum, w.totalOps)
 	}
-	if got := uint64(w.flagged.Len(acc)); got != w.pushed.sum(sys) {
+	if got := uint64(w.flagged.Len(acc)); got != w.pushed.Sum(sys) {
 		return fmt.Errorf("intruder: flagged queue has %d, pushed counter says %d",
-			got, w.pushed.sum(sys))
+			got, w.pushed.Sum(sys))
 	}
 	return nil
-}
-
-// seededRand builds a deterministic PRNG for setup-time trace generation.
-func seededRand(seed uint64) *setupRand { return &setupRand{state: seed} }
-
-type setupRand struct{ state uint64 }
-
-func (r *setupRand) Uint64() uint64 {
-	x := r.state
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	r.state = x
-	return x * 0x2545F4914F6CDD1D
 }

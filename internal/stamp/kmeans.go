@@ -56,11 +56,8 @@ func (w *Kmeans) Setup(sys *seer.System) error {
 
 // Workers implements Workload.
 func (w *Kmeans) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// The body is built once per worker and reads the op's
 			// operands from these variables (DESIGN §6c).
@@ -90,8 +87,7 @@ func (w *Kmeans) Workers(nThreads int) []seer.Worker {
 				t.AtomicObj(0, uint64(c), body)
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
@@ -152,11 +148,8 @@ func (w *SSCA2) nodeAddr(n int) seer.Addr { return w.adj + seer.Addr(n*8) }
 
 // Workers implements Workload.
 func (w *SSCA2) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// The body is built once per worker and reads the op's
 			// operands from these variables (DESIGN §6c).
@@ -179,8 +172,7 @@ func (w *SSCA2) Workers(nThreads int) []seer.Worker {
 				t.Work(160)
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"seer"
+	"seer/internal/machine"
 	"seer/internal/tmds"
 )
 
@@ -26,8 +27,8 @@ type Labyrinth struct {
 
 	grid   seer.Addr // gridDim × gridDim cells, one line each
 	queue  *tmds.Heap
-	routed threadStats // cells marked by committed routes
-	claims threadStats // requests claimed
+	routed ThreadStats // cells marked by committed routes
+	claims ThreadStats // requests claimed
 }
 
 func init() {
@@ -66,12 +67,12 @@ func (w *Labyrinth) Setup(sys *seer.System) error {
 		slots = w.totalOps + 1
 	}
 	w.queue = tmds.NewHeap(m, slots)
-	w.routed = newThreadStats(sys)
-	w.claims = newThreadStats(sys)
+	w.routed = NewThreadStats(sys)
+	w.claims = NewThreadStats(sys)
 	// Pre-plan the routing requests: value encodes the endpoints,
 	// priority is the Manhattan-distance estimate (shortest first).
 	acc := rawSys{sys}
-	rng := seededRand(1234)
+	rng := machine.NewRand(1234)
 	for i := 0; i < w.totalOps; i++ {
 		x1 := int(rng.Uint64() % uint64(w.gridDim))
 		y1 := int(rng.Uint64() % uint64(w.gridDim))
@@ -103,11 +104,8 @@ func pathLen(val uint64) int {
 
 // Workers implements Workload.
 func (w *Labyrinth) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			// Bodies are built once per worker; operands and results
 			// travel through these variables (DESIGN §6c).
 			var (
@@ -118,7 +116,7 @@ func (w *Labyrinth) Workers(nThreads int) []seer.Worker {
 			claim := func(a seer.Access) {
 				_, req, ok = w.queue.Pop(a)
 				if ok {
-					w.claims.add(a, 1)
+					w.claims.Add(a, 1)
 				}
 			}
 			route := func(a seer.Access) {
@@ -137,7 +135,7 @@ func (w *Labyrinth) Workers(nThreads int) []seer.Worker {
 				}
 				step(x2, y2)
 				a.Work(uint64(30 + 2*marked)) // expansion cost
-				w.routed.add(a, marked)
+				w.routed.Add(a, marked)
 			}
 			for n := 0; n < ops; n++ {
 				// Claim the next request (hot, small).
@@ -155,8 +153,7 @@ func (w *Labyrinth) Workers(nThreads int) []seer.Worker {
 				t.Work(20)
 			}
 		}
-	}
-	return workers
+	})
 }
 
 func sign(v int) int {
@@ -168,7 +165,7 @@ func sign(v int) int {
 
 // Validate implements Workload.
 func (w *Labyrinth) Validate(sys *seer.System) error {
-	if claims := w.claims.sum(sys); claims != uint64(w.totalOps) {
+	if claims := w.claims.Sum(sys); claims != uint64(w.totalOps) {
 		return fmt.Errorf("labyrinth: %d requests claimed, want %d", claims, w.totalOps)
 	}
 	var marks uint64
@@ -177,7 +174,7 @@ func (w *Labyrinth) Validate(sys *seer.System) error {
 			marks += sys.Peek(w.cell(x, y))
 		}
 	}
-	if routed := w.routed.sum(sys); marks != routed {
+	if routed := w.routed.Sum(sys); marks != routed {
 		return fmt.Errorf("labyrinth: grid marks %d != routed cells %d", marks, routed)
 	}
 	return nil

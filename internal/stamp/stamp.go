@@ -15,6 +15,13 @@
 // effort HTM: atomic-block bodies touch only simulated memory via the
 // Access parameter (they may run several times), and all Go-side
 // bookkeeping happens outside Atomic or is assign-only.
+//
+// Every workload, the adversarial conflict graphs of package adversary
+// included, builds on one toolkit: PerThread splits the operations and
+// makes one worker per thread, ThreadStats keeps conflict-free
+// per-thread counters in simulated memory for Validate, and Setup draws
+// any pre-planned input from machine.Rand (the engine's xorshift64*
+// generator) under a fixed seed.
 package stamp
 
 import (
@@ -113,6 +120,18 @@ func arenaSlack(sys *seer.System) int {
 	return base
 }
 
+// PerThread builds one worker per thread: worker(i, ops) makes thread
+// i's body, where ops is its share of total operations. The shares are
+// split as evenly as possible, the remainder going to the lowest indices.
+func PerThread(total, nThreads int, worker func(i, ops int) seer.Worker) []seer.Worker {
+	parts := split(total, nThreads)
+	workers := make([]seer.Worker, nThreads)
+	for i, ops := range parts {
+		workers[i] = worker(i, ops)
+	}
+	return workers
+}
+
 // split partitions total operations across n workers, giving earlier
 // workers the remainder (deterministic).
 func split(total, n int) []int {
@@ -141,37 +160,35 @@ func scaled(base int, scale float64, lo int) int {
 // are unchanged; larger machines grow the array to one line per thread.
 const minStatLines = 64
 
-// threadStats is a per-hardware-thread padded counter in simulated
+// ThreadStats is a per-hardware-thread padded counter in simulated
 // memory: workload bookkeeping that must not become a cross-thread
 // conflict hotspot (the analogue of STAMP's thread-local statistics).
-type threadStats struct {
+type ThreadStats struct {
 	base seer.Addr
 	n    int // allocated slots
 }
 
-func newThreadStats(sys *seer.System) threadStats {
+// NewThreadStats allocates one line per hardware thread on sys (at
+// least minStatLines).
+func NewThreadStats(sys *seer.System) ThreadStats {
 	n := minStatLines
 	if hw := sys.HWThreads(); hw > n {
 		n = hw
 	}
-	return threadStats{base: sys.AllocLines(n), n: n}
+	return ThreadStats{base: sys.AllocLines(n), n: n}
 }
 
-func (s threadStats) slot(a seer.Access) seer.Addr {
-	return s.base + seer.Addr(a.ThreadID()*8)
-}
-
-// add bumps the calling thread's slot by d (inside a transaction this is
+// Add bumps the calling thread's slot by d (inside a transaction this is
 // conflict-free: the line is private to the thread).
-func (s threadStats) add(a seer.Access, d uint64) {
-	p := s.slot(a)
+func (s ThreadStats) Add(a seer.Access, d uint64) {
+	p := s.base + seer.Addr(a.ThreadID()*8)
 	a.Store(p, a.Load(p)+d)
 }
 
-// sum folds all slots (post-run, outside transactions). Wrapping
+// Sum folds all slots (post-run, outside transactions). Wrapping
 // arithmetic makes mixed add/subtract bookkeeping sum to the correct net
 // value.
-func (s threadStats) sum(sys *seer.System) uint64 {
+func (s ThreadStats) Sum(sys *seer.System) uint64 {
 	var total uint64
 	for i := 0; i < s.n; i++ {
 		total += sys.Peek(s.base + seer.Addr(i*8))

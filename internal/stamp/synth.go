@@ -36,7 +36,7 @@ type Synth struct {
 	TotalOps int
 
 	sets []seer.Addr
-	done threadStats
+	done ThreadStats
 }
 
 func init() {
@@ -100,7 +100,7 @@ func (w *Synth) Setup(sys *seer.System) error {
 		}
 		w.sets[b] = sys.AllocLines(w.HotLines[b])
 	}
-	w.done = newThreadStats(sys)
+	w.done = NewThreadStats(sys)
 	return nil
 }
 
@@ -118,11 +118,8 @@ func (w *Synth) pick(r float64) int {
 
 // Workers implements Workload.
 func (w *Synth) Workers(nThreads int) []seer.Worker {
-	parts := split(w.TotalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.TotalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// The body is built once per worker and reads the op's
 			// operands from these variables; the line lists are reused
@@ -140,7 +137,7 @@ func (w *Synth) Workers(nThreads int) []seer.Worker {
 				for _, wr := range writes {
 					a.Store(wr, a.Load(wr)+1)
 				}
-				w.done.add(a, 1)
+				w.done.Add(a, 1)
 				_ = sum
 			}
 			for n := 0; n < ops; n++ {
@@ -166,13 +163,12 @@ func (w *Synth) Workers(nThreads int) []seer.Worker {
 				}
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
 func (w *Synth) Validate(sys *seer.System) error {
-	if done := w.done.sum(sys); done != uint64(w.TotalOps) {
+	if done := w.done.Sum(sys); done != uint64(w.TotalOps) {
 		return fmt.Errorf("synth: %d operations committed, want %d", done, w.TotalOps)
 	}
 	// The per-block write counts are not retained post-run per op (the

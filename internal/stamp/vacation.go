@@ -26,8 +26,8 @@ type Vacation struct {
 	reservePct, deletePct int
 
 	cars, flights, rooms, customers *tmds.RBTree
-	booked                          threadStats // successful reservations
-	stock                           threadStats // stock adjustments
+	booked                          ThreadStats // successful reservations
+	stock                           ThreadStats // stock adjustments
 }
 
 func init() {
@@ -67,8 +67,8 @@ func (w *Vacation) Setup(sys *seer.System) error {
 	w.flights = tmds.NewRBTree(m, arena)
 	w.rooms = tmds.NewRBTree(m, arena)
 	w.customers = tmds.NewRBTree(m, arena)
-	w.booked = newThreadStats(sys)
-	w.stock = newThreadStats(sys)
+	w.booked = NewThreadStats(sys)
+	w.stock = NewThreadStats(sys)
 	acc := rawSys{sys}
 	for i := 0; i < w.nItems; i++ {
 		k := uint64(i)
@@ -98,12 +98,9 @@ func (w *Vacation) hotKey(rng *seer.Rand) uint64 {
 
 // Workers implements Workload.
 func (w *Vacation) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
 	tables := w.tables()
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// Bodies are built once per worker and read the op's operands
 			// from these variables; the key list is reused across ops
@@ -124,13 +121,13 @@ func (w *Vacation) Workers(nThreads int) []seer.Worker {
 				a.Work(110) // pricing and itinerary checks
 				if found {
 					tab.Update(a, bestKey, bestVal-1)
-					w.booked.add(a, 1)
+					w.booked.Add(a, 1)
 				}
 			}
 			deleteCustomer := func(a seer.Access) {
 				a.Work(70) // customer record bookkeeping
 				if w.customers.Delete(a, k) {
-					w.stock.add(a, 1)
+					w.stock.Add(a, 1)
 				} else {
 					w.customers.Insert(a, k, 0)
 				}
@@ -140,7 +137,7 @@ func (w *Vacation) Workers(nThreads int) []seer.Worker {
 				a.Work(60) // table maintenance
 				if ok {
 					tab.Update(a, k, v+1)
-					w.stock.add(a, 1)
+					w.stock.Add(a, 1)
 				}
 			}
 			for n := 0; n < ops; n++ {
@@ -169,8 +166,7 @@ func (w *Vacation) Workers(nThreads int) []seer.Worker {
 				}
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
@@ -180,7 +176,7 @@ func (w *Vacation) Validate(sys *seer.System) error {
 	// must equal the sum of remaining availability.
 	var remaining uint64
 	var restocks uint64
-	booked := w.booked.sum(sys)
+	booked := w.booked.Sum(sys)
 	for _, tab := range w.tables() {
 		if msg := tab.CheckInvariants(acc); msg != "" {
 			return fmt.Errorf("%s: red-black invariants violated: %s", w.name, msg)
@@ -203,9 +199,9 @@ func (w *Vacation) Validate(sys *seer.System) error {
 			w.name, remaining, booked, initial)
 	}
 	restocks = remaining + booked - initial
-	if restocks > w.stock.sum(sys) {
+	if restocks > w.stock.Sum(sys) {
 		return fmt.Errorf("%s: restocks (%d) exceed stock-counter bound (%d)",
-			w.name, restocks, w.stock.sum(sys))
+			w.name, restocks, w.stock.Sum(sys))
 	}
 	return nil
 }

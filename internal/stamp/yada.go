@@ -25,7 +25,7 @@ type Yada struct {
 
 	mesh     seer.Addr   // one line per cell
 	workHead seer.Addr   // bad-triangle work counter (hot by design)
-	refined  threadStats // total cells rewritten (conservation check)
+	refined  ThreadStats // total cells rewritten (conservation check)
 }
 
 func init() {
@@ -59,17 +59,14 @@ func (w *Yada) MemWords() int { return w.nCells*8 + 1<<12 }
 func (w *Yada) Setup(sys *seer.System) error {
 	w.mesh = sys.AllocLines(w.nCells)
 	w.workHead = sys.AllocLines(1)
-	w.refined = newThreadStats(sys)
+	w.refined = NewThreadStats(sys)
 	return nil
 }
 
 // Workers implements Workload.
 func (w *Yada) Workers(nThreads int) []seer.Worker {
-	parts := split(w.totalOps, nThreads)
-	workers := make([]seer.Worker, nThreads)
-	for i := range workers {
-		ops := parts[i]
-		workers[i] = func(t *seer.Thread) {
+	return PerThread(w.totalOps, nThreads, func(_, ops int) seer.Worker {
+		return func(t *seer.Thread) {
 			rng := t.Rand()
 			// Bodies are built once per worker and read the cavity from
 			// these variables; the cavity buffer is reused across
@@ -91,7 +88,7 @@ func (w *Yada) Workers(nThreads int) []seer.Worker {
 				for c := 0; c < size; c++ {
 					a.Store(w.mesh+seer.Addr((start+c)*8), vals[c]+1)
 				}
-				w.refined.add(a, uint64(size))
+				w.refined.Add(a, uint64(size))
 			}
 			for n := 0; n < ops; n++ {
 				// Claim work.
@@ -118,8 +115,7 @@ func (w *Yada) Workers(nThreads int) []seer.Worker {
 				t.Work(uint64(12 + rng.Intn(17)))
 			}
 		}
-	}
-	return workers
+	})
 }
 
 // Validate implements Workload.
@@ -128,7 +124,7 @@ func (w *Yada) Validate(sys *seer.System) error {
 	for c := 0; c < w.nCells; c++ {
 		sum += sys.Peek(w.mesh + seer.Addr(c*8))
 	}
-	if refined := w.refined.sum(sys); sum != refined {
+	if refined := w.refined.Sum(sys); sum != refined {
 		return fmt.Errorf("yada: mesh increments %d != refined counter %d", sum, refined)
 	}
 	if head := sys.Peek(w.workHead); head != uint64(w.totalOps) {

@@ -170,12 +170,15 @@ func (r Report) Throughput() float64 {
 	return 1000 * float64(r.Commits()) / float64(r.MakespanCycles)
 }
 
-// AbortRate returns hardware aborts per issued hardware transaction.
+// AbortRate returns hardware aborts per issued hardware transaction,
+// Seer's multi-CAS lock acquisitions included (the transactions HTM
+// counts).
 func (r Report) AbortRate() float64 {
-	if r.HWAttempts == 0 {
+	issued := r.HTM.Commits + r.HTM.Aborts
+	if issued == 0 {
 		return 0
 	}
-	return float64(r.HTM.Aborts) / float64(r.HWAttempts)
+	return float64(r.HTM.Aborts) / float64(issued)
 }
 
 // ModeFractions returns the Table 3 style percentage per mode.
