@@ -2,9 +2,13 @@ package seer_test
 
 import (
 	"errors"
+	"go/parser"
+	"go/token"
 	"maps"
+	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -502,6 +506,27 @@ func TestKnobTable(t *testing.T) {
 		slices.Sort(have)
 		if slices.Sort(want); !slices.Equal(have, want) {
 			t.Errorf("%v fields %v, knobCallers %v: every field needs one caller", typ, have, want)
+		}
+	}
+}
+
+// TestExamplesImportOnlyPublicAPI pins DESIGN §3: examples import package
+// seer, never seer/internal/..., which no program outside this module can.
+func TestExamplesImportOnlyPublicAPI(t *testing.T) {
+	files, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no examples found (%v)", err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(path, "seer/internal/") {
+				t.Errorf("%s imports %s; examples import only package seer", file, path)
+			}
 		}
 	}
 }

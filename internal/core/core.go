@@ -493,14 +493,14 @@ func (s *Seer) ReleaseLocks(t *ThreadState) {
 			t.Obs.LocksReleased(t.Ctx.Clock(), n, telemetry.LockTx)
 		}
 		for _, lk := range t.heldTxLocks {
-			lk.ReleaseOwned(t.Ctx, s.mem)
+			lk.Release(t.Ctx, s.mem)
 		}
 		t.heldTxLocks = t.heldTxLocks[:0]
 		t.AcquiredTxLocks = false
 	}
 	if t.AcquiredCoreLock {
 		core := s.mach.PhysCore(t.Ctx.ID())
-		s.coreLocks[core].ReleaseOwned(t.Ctx, s.mem)
+		s.coreLocks[core].Release(t.Ctx, s.mem)
 		t.AcquiredCoreLock = false
 		t.Obs.LocksReleased(t.Ctx.Clock(), core, telemetry.LockCore)
 	}

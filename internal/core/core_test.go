@@ -363,7 +363,7 @@ func TestWaitLocksCooperates(t *testing.T) {
 			// Hold block 0's lock for a while.
 			s.TxLock(0).Acquire(c, m)
 			c.Tick(500)
-			s.TxLock(0).ReleaseOwned(c, m)
+			s.TxLock(0).Release(c, m)
 		},
 		func(c *machine.Ctx) {
 			ts := s.NewThreadState(c)

@@ -49,14 +49,6 @@ func phased(opt Options, a Args) (Output, error) {
 		"workload", rows, PhasedPolicies)}, nil
 }
 
-// modeShare is the percentage of a run's commits made in mode.
-func modeShare(rep seer.Report, mode seer.Mode) float64 {
-	if rep.Commits() == 0 {
-		return 0
-	}
-	return 100 * float64(rep.Modes[mode]) / float64(rep.Commits())
-}
-
 // Render writes the throughput, speedup, and serialization tables plus
 // the PhTM mode-word digest per workload.
 func (d *PhasedData) Render(w io.Writer) {
@@ -65,7 +57,7 @@ func (d *PhasedData) Render(w io.Writer) {
 	sgl := make([][]float64, len(d.Rows))
 	for r, reports := range d.Last {
 		for _, rep := range reports {
-			sgl[r] = append(sgl[r], modeShare(rep, seer.ModeSGL))
+			sgl[r] = append(sgl[r], rep.ModeFractions()[seer.ModeSGL])
 		}
 	}
 	d.table(w, "\nGlobal-lock serialization: % of commits through the SGL", sgl, false)
@@ -82,7 +74,7 @@ func (d *PhasedData) Render(w io.Writer) {
 			}
 		}
 		fmt.Fprintf(w, "%-14s sw-commits=%5.1f%% deferrals=%d undeferrals=%d transitions=%d occupancy hw=%.1f%% sw=%.1f%% glock=%.1f%%\n",
-			name, modeShare(rep, seer.ModeSTM), pr.Deferrals, pr.Undeferrals, pr.Transitions,
+			name, rep.ModeFractions()[seer.ModeSTM], pr.Deferrals, pr.Undeferrals, pr.Transitions,
 			occ[0], occ[1], occ[2])
 	}
 }

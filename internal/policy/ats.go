@@ -65,7 +65,7 @@ func (p *ATS) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	}
 	defer func() {
 		if serialized {
-			p.Sched.ReleaseOwned(t.Ctx, t.Mem)
+			p.Sched.Release(t.Ctx, t.Mem)
 		}
 	}()
 
@@ -93,7 +93,7 @@ func (p *ATS) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		}
 	}
 	if serialized {
-		p.Sched.ReleaseOwned(t.Ctx, t.Mem)
+		p.Sched.Release(t.Ctx, t.Mem)
 		serialized = false
 	}
 	runSGL(t, p.SGL, body)

@@ -275,7 +275,7 @@ func (p *SCM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	holdingAux := false
 	defer func() {
 		if holdingAux {
-			p.Aux.ReleaseOwned(t.Ctx, t.Mem)
+			p.Aux.Release(t.Ctx, t.Mem)
 		}
 	}()
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
@@ -284,7 +284,7 @@ func (p *SCM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		}
 		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			if holdingAux {
-				p.Aux.ReleaseOwned(t.Ctx, t.Mem)
+				p.Aux.Release(t.Ctx, t.Mem)
 				holdingAux = false
 				t.commit(ModeHTMAux)
 			} else {
@@ -300,7 +300,7 @@ func (p *SCM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		}
 	}
 	if holdingAux {
-		p.Aux.ReleaseOwned(t.Ctx, t.Mem)
+		p.Aux.Release(t.Ctx, t.Mem)
 		holdingAux = false
 	}
 	runSGL(t, p.SGL, body)

@@ -83,8 +83,9 @@ func (l Lock) SpinWhileLockedBounded(ctx *machine.Ctx, _ *mem.Memory, maxSpins i
 	return ctx.WaitWord(uint64(l.addr), max(maxSpins, 0))
 }
 
-// Release frees the lock and wakes any threads parked on it. It panics if
-// the caller does not hold it, which would be a bug in the TM runtime.
+// Release frees the lock, whether Acquire or AcquireTx took it, and wakes
+// any threads parked on it. It panics if the caller does not hold it,
+// which would be a bug in the TM runtime.
 func (l Lock) Release(ctx *machine.Ctx, m *mem.Memory) {
 	ctx.Tick(ctx.Cost().LockOp)
 	if owner := m.DirectLoad(ctx.ID(), l.addr); owner != uint64(ctx.ID())+1 {
@@ -107,15 +108,6 @@ func (l Lock) AcquireTx(t *htm.Tx, ctx *machine.Ctx) {
 	}
 	t.Store(l.addr, uint64(ctx.ID())+1)
 	ctx.MaterializeHerd(uint64(l.addr))
-}
-
-// ReleaseOwned frees a lock known to be held by ctx's thread without the
-// owner check (used when releasing batches acquired via AcquireTx), waking
-// any threads parked on it.
-func (l Lock) ReleaseOwned(ctx *machine.Ctx, m *mem.Memory) {
-	ctx.Tick(ctx.Cost().LockOp)
-	m.DirectStore(ctx.ID(), l.addr, 0)
-	ctx.WakeKey(uint64(l.addr))
 }
 
 // CodeLockBusy is the explicit-abort code meaning "a lock in the batch was

@@ -126,8 +126,8 @@ func TestAcquireTxMultiCAS(t *testing.T) {
 		if !l1.LockedFast(m) || !l2.LockedFast(m) {
 			t.Errorf("locks not held after multi-CAS")
 		}
-		l1.ReleaseOwned(c, m)
-		l2.ReleaseOwned(c, m)
+		l1.Release(c, m)
+		l2.Release(c, m)
 
 		// Now hold l2 and verify the batch takes neither.
 		l2.Acquire(c, m)

@@ -9,9 +9,7 @@ import (
 // Synth is a fully parameterized synthetic workload for exploring the
 // scheduler outside the STAMP configurations: every contention knob the
 // other ports hard-code is explicit here. It registers as "synth" with a
-// default parameterization (not part of stamp.Suite); library users build
-// custom instances by filling the struct directly (see
-// examples/contention).
+// default parameterization (not part of stamp.Suite).
 //
 // Each atomic block b owns a hot set of HotLines[b] cache lines; an
 // operation of block b reads ReadLines[b] random lines of that set,

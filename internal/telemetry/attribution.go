@@ -220,28 +220,48 @@ func (r *Recorder) TopPairs(k int) []PairCount {
 	if a == nil {
 		return nil
 	}
+	slots := a.nBlocks * a.nBlocks
+	if k > 0 {
+		slots = min(slots, k)
+	}
+	if out := a.rankPairs(nil, make([]PairCount, slots)); len(out) > 0 {
+		return out
+	}
+	return nil
+}
+
+// rankPairs fills top with the heaviest conflict edges by count, taken
+// against prev (the cumulative matrix itself when prev is nil), and
+// returns the filled prefix: insertion into len(top) slots, count
+// descending, ties keeping (victim, aborter) scan order.
+func (a *attribution) rankPairs(prev []uint64, top []PairCount) []PairCount {
+	used := 0
 	n := a.nBlocks
-	var out []PairCount
 	for v := 0; v < n; v++ {
 		for ab := 0; ab < n; ab++ {
-			if w := a.truth[v*n+ab]; w > 0 {
-				out = append(out, PairCount{Victim: v, Aborter: ab, Count: w})
+			d := a.truth[v*n+ab]
+			if prev != nil {
+				d -= prev[v*n+ab]
 			}
+			if d == 0 {
+				continue
+			}
+			i := used
+			if i < len(top) {
+				used++
+			} else if top[i-1].Count >= d {
+				continue
+			} else {
+				i--
+			}
+			for i > 0 && top[i-1].Count < d {
+				top[i] = top[i-1]
+				i--
+			}
+			top[i] = PairCount{Victim: v, Aborter: ab, Count: d}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Victim != out[j].Victim {
-			return out[i].Victim < out[j].Victim
-		}
-		return out[i].Aborter < out[j].Aborter
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return top[:used]
 }
 
 // LineCount is one cache line with its conflict (doom) count.

@@ -286,7 +286,9 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		tl.prevPhase = occ
 	}
 	if a := r.attr; a != nil {
-		snap.ConflictPairs = tl.topPairs(a)
+		var top [topConflictPairs]PairCount
+		snap.ConflictPairs = carve(&tl.arena.pairs, a.rankPairs(tl.prevTruth, top[:]))
+		copy(tl.prevTruth, a.truth)
 		snap.CascadeHist = tl.cascadeDelta(a)
 	}
 	if curSock != nil {
@@ -306,38 +308,6 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		tl.prevSock, tl.curSock = curSock, tl.prevSock
 	}
 	tl.snaps = append(tl.snaps, snap)
-}
-
-// topPairs returns the interval's heaviest conflict edges by delta against
-// the attribution sink's cumulative truth matrix: insertion sort into a
-// fixed K-slot buffer, ties keeping (victim, aborter) scan order.
-func (tl *timeline) topPairs(a *attribution) []PairCount {
-	var top [topConflictPairs]PairCount
-	used := 0
-	n := a.nBlocks
-	for v := 0; v < n; v++ {
-		for ab := 0; ab < n; ab++ {
-			d := a.truth[v*n+ab] - tl.prevTruth[v*n+ab]
-			if d == 0 {
-				continue
-			}
-			i := used
-			if i < topConflictPairs {
-				used++
-			} else if top[i-1].Count >= d {
-				continue
-			} else {
-				i--
-			}
-			for i > 0 && top[i-1].Count < d {
-				top[i] = top[i-1]
-				i--
-			}
-			top[i] = PairCount{Victim: v, Aborter: ab, Count: d}
-		}
-	}
-	copy(tl.prevTruth, a.truth)
-	return carve(&tl.arena.pairs, top[:used])
 }
 
 // cascadeDelta returns the interval's cascade-depth histogram with
