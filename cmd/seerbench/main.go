@@ -72,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose    = fs.Bool("v", false, "stream per-cell progress to stderr")
 		csvPath    = fs.String("csv", "", "also write machine-readable results to this CSV file")
 		allPol     = fs.Bool("allpolicies", false, "fig3: include the ATS and Oracle extension baselines")
-		plotOut    = fs.Bool("plot", false, "fig3: render terminal line charts instead of tables")
 		interval   = fs.Uint64("metrics-interval", 0, "timeline, inference, adversarial: snapshot period in cycles (0 = default)")
 		parallel   = fs.Int("parallel", 0, "concurrent grid cells (0/1 = sequential, -1 = one per CPU)")
 		topoSpec   = fs.String("topology", "", "machine shape for every cell, e.g. 2s8c2t (default: the paper's 1s4c2t testbed)")
@@ -110,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	a := harness.Args{Interval: *interval, AllPolicies: *allPol, Plot: *plotOut}
+	a := harness.Args{Interval: *interval, AllPolicies: *allPol}
 	if *workloads != "" {
 		a.Workloads = strings.Split(*workloads, ",")
 	}

@@ -109,7 +109,7 @@ func TestCSVNeedsACapableExhibit(t *testing.T) {
 // flagCallers names, for every seerbench flag, the user who needs it.
 var flagCallers = map[string]string{
 	"-experiment -scale -runs -seed": "results/README.md", "-workloads -parallel": "CI exhibit-regress",
-	"-v": "progress of long sweeps", "-csv -allpolicies -plot": "README fig3 outputs",
+	"-v": "progress of long sweeps", "-csv -allpolicies": "README fig3 outputs",
 	"-metrics-interval": "timeline, inference, adversarial", "-topology": "README wide shapes",
 	"-cpuprofile -memprofile": "README hot-path work",
 }

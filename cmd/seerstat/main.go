@@ -45,7 +45,6 @@ import (
 	"seer"
 	"seer/internal/core"
 	"seer/internal/harness"
-	"seer/internal/plot"
 	"seer/internal/stamp"
 	"seer/internal/telemetry"
 )
@@ -78,7 +77,7 @@ func renderEngineCounters(w io.Writer, snaps []seer.Snapshot) {
 		frac = 100 * float64(totalParked) / float64(totalWait)
 	}
 	fmt.Fprintf(w, "  park skip   %s  [%d cycles, %.1f%% of lock wait]\n",
-		plot.Sparkline(parked, width), totalParked, frac)
+		harness.Sparkline(parked, width), totalParked, frac)
 	if totalReuse > 0 {
 		fmt.Fprintf(w, "  scheme reuse: %d updates reused all row capacity\n", totalReuse)
 	}
@@ -116,9 +115,9 @@ func renderModeTimeline(w io.Writer, snaps []seer.Snapshot) {
 		return
 	}
 	fmt.Fprintf(w, "\nPhased mode timeline (%% of interval cycles per phase):\n")
-	fmt.Fprintf(w, "  HW          %s\n", plot.Sparkline(hw, width))
-	fmt.Fprintf(w, "  SW          %s\n", plot.Sparkline(sw, width))
-	fmt.Fprintf(w, "  GLOCK       %s\n", plot.Sparkline(gl, width))
+	fmt.Fprintf(w, "  HW          %s\n", harness.Sparkline(hw, width))
+	fmt.Fprintf(w, "  SW          %s\n", harness.Sparkline(sw, width))
+	fmt.Fprintf(w, "  GLOCK       %s\n", harness.Sparkline(gl, width))
 	fmt.Fprintf(w, "  transitions %d\n", transitions)
 }
 

@@ -241,3 +241,15 @@ func TestDeterminismGolden(t *testing.T) {
 			golden, got, want)
 	}
 }
+
+// TestFallbacksAreSGLCommits: every fall-back commits once on the single
+// global lock and nothing else commits there, so under every policy the
+// Report's fall-back count is its SGL commit slot.
+func TestFallbacksAreSGLCommits(t *testing.T) {
+	for _, pol := range detPolicies {
+		rep := detReport(t, detConfig(pol), seer.NewSystem)
+		if rep.Fallbacks != rep.Modes[seer.ModeSGL] {
+			t.Errorf("%s: %d fall-backs, %d SGL commits", pol, rep.Fallbacks, rep.Modes[seer.ModeSGL])
+		}
+	}
+}

@@ -16,17 +16,11 @@ import (
 // scale and compares the rendered text byte-for-byte against checked-in
 // goldens. It is the regression net for "perf changes must not move the
 // science": any scheduling, inference or rendering change that alters an
-// exhibit fails here with a diffable artifact.
-//
-// The sweep simulates a few hundred million cycles, so it only runs when
-// SEER_EXHIBITS=1 is set (CI has a dedicated job). Regenerate after an
+// exhibit fails here with a diffable artifact. Regenerate after an
 // intentional change with:
 //
-//	SEER_EXHIBITS=1 go test -run TestExhibitGoldens -update
+//	go test -run TestExhibitGoldens -update .
 func TestExhibitGoldens(t *testing.T) {
-	if os.Getenv("SEER_EXHIBITS") == "" {
-		t.Skip("set SEER_EXHIBITS=1 to run the exhibit regression sweep")
-	}
 	// Parallel fan-out is byte-identical to sequential (see RunGrid), so
 	// using every CPU here does not weaken the byte-for-byte guarantee.
 	opt := harness.Options{Scale: 0.05, Runs: 1, Seed: 1, Parallel: -1}

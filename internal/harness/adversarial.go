@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"seer"
-	"seer/internal/plot"
 
 	// Register the adv-* conflict-graph workloads.
 	_ "seer/internal/adversary"
@@ -91,8 +90,8 @@ func RenderQuality(w io.Writer, snaps []seer.InferenceSnapshot) {
 		prec[i], rec[i] = q.Precision, q.Recall
 	}
 	fin := snaps[len(snaps)-1]
-	fmt.Fprintf(w, "  precision   %s  [final %.3f]\n", plot.Sparkline(prec, width), fin.Precision)
-	fmt.Fprintf(w, "  recall      %s  [final %.3f]\n", plot.Sparkline(rec, width), fin.Recall)
+	fmt.Fprintf(w, "  precision   %s  [final %.3f]\n", Sparkline(prec, width), fin.Precision)
+	fmt.Fprintf(w, "  recall      %s  [final %.3f]\n", Sparkline(rec, width), fin.Recall)
 }
 
 // renderBackoff writes the backoff counters of a run under the Backoff
@@ -122,7 +121,7 @@ func (d *AdversarialData) Render(w io.Writer) {
 			vals[i] = s.Throughput()
 		}
 		fmt.Fprintf(w, "Backoff interval throughput across the flip (%d intervals)\n", len(tl))
-		fmt.Fprintf(w, "  commits/kc  %s\n", plot.Sparkline(vals, 48))
+		fmt.Fprintf(w, "  commits/kc  %s\n", Sparkline(vals, 48))
 		renderBackoff(w, "  backoff", d.BackoffPhase.Backoff)
 	}
 }

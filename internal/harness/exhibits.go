@@ -16,8 +16,6 @@ type Args struct {
 	Interval uint64
 	// AllPolicies adds the ATS and Oracle baselines to fig3.
 	AllPolicies bool
-	// Plot makes fig3 render terminal line charts instead of tables.
-	Plot bool
 	// Progress, when non-nil, receives one line per finished grid cell.
 	Progress io.Writer
 }

@@ -45,7 +45,6 @@ func speedupFigure(name string, opt Options, a Args, rows []string, pols []seer.
 			label: "%-6[2]s", x: " %5st", val: " %6.2f",
 			csvTag: "fig3", csvCol: "policy", csvVal: "speedup",
 		},
-		charts: a.Plot,
 	}.run(name, opt, a.Progress)
 }
 
@@ -61,7 +60,6 @@ func fig3(opt Options, a Args) (Output, error) {
 // fullSuite is Figure 3 restricted to the opt-in workloads, over the
 // full policy set — the bayes/labyrinth companion to fig3.
 func fullSuite(opt Options, a Args) (Output, error) {
-	a.Plot = false // the charts are fig3's alone
 	return speedupFigure("fullsuite", opt, a, []string{"bayes", "labyrinth"}, AllPolicies)
 }
 

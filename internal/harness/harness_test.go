@@ -2,6 +2,7 @@ package harness
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,6 +81,32 @@ func TestGeoMean(t *testing.T) {
 	}
 	if got := bench.GeoMean(nil); got != 0 {
 		t.Fatalf("GeoMean(nil) = %v", got)
+	}
+}
+
+// TestSparkline pins the glyph row every timeline, quality and seerstat
+// renderer prints: empty input gives "", a flat series the lowest glyph,
+// and a series longer than width is averaged down to width buckets.
+func TestSparkline(t *testing.T) {
+	if got := Sparkline(nil, 8); got != "" {
+		t.Fatalf("Sparkline(nil) = %q, want empty", got)
+	}
+	if got := Sparkline([]float64{1, 2}, 0); got != "" {
+		t.Fatalf("Sparkline at width 0 = %q, want empty", got)
+	}
+	if got := Sparkline([]float64{3, 3, 3}, 8); got != "▁▁▁" {
+		t.Fatalf("flat Sparkline = %q, want ▁▁▁", got)
+	}
+	if got := Sparkline([]float64{0, 7}, 8); got != "▁█" {
+		t.Fatalf("Sparkline(0, 7) = %q, want ▁█", got)
+	}
+	// Eight values into four buckets: pairs average to 0.5, 2.5, 4.5, 6.5.
+	vals := []float64{0, 1, 2, 3, 4, 5, 6, 7}
+	if got, want := bucket(vals, 4), []float64{0.5, 2.5, 4.5, 6.5}; !slices.Equal(got, want) {
+		t.Fatalf("bucket = %v, want %v", got, want)
+	}
+	if got := Sparkline(vals, 4); got != "▁▃▅█" {
+		t.Fatalf("bucketed Sparkline = %q, want ▁▃▅█", got)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"seer/internal/bench"
-	"seer/internal/plot"
 )
 
 // seriesSpec declares a ratio sweep, the shape of Figures 3, 4 and 5 and
@@ -22,7 +21,6 @@ type seriesSpec struct {
 	ref       point
 	refPerRow bool
 	style     seriesStyle
-	charts    bool // render the Figure 3 line charts instead of tables
 }
 
 // seriesStyle is the text and CSV layout of one series exhibit.
@@ -48,8 +46,7 @@ type Series struct {
 	// Geomean[col][xi] aggregates Value across rows.
 	Geomean map[string][]float64
 
-	style  seriesStyle
-	charts bool
+	style seriesStyle
 }
 
 func (s seriesSpec) refX(x point) point {
@@ -82,7 +79,7 @@ func (s seriesSpec) reduce(g *grid) *Series {
 		Rows: s.rows, Cols: labels(s.cols), Xs: labels(s.xs),
 		Value:   map[string]map[string][]float64{},
 		Geomean: map[string][]float64{},
-		style:   s.style, charts: s.charts,
+		style:   s.style,
 	}
 	for _, row := range s.rows {
 		d.Value[row] = map[string][]float64{}
@@ -127,10 +124,6 @@ func (d *Series) blocks(fn func(row string, vals map[string][]float64)) {
 
 // Render writes the sweep as text tables in the exhibit's layout.
 func (d *Series) Render(w io.Writer) {
-	if d.charts {
-		d.plot(w)
-		return
-	}
 	st := d.style
 	header := func(lead string) {
 		io.WriteString(w, lead)
@@ -158,23 +151,6 @@ func (d *Series) Render(w io.Writer) {
 			}
 			fmt.Fprintln(w)
 		}
-	})
-}
-
-// plot renders the Figure 3 panels as terminal line charts.
-func (d *Series) plot(w io.Writer) {
-	ticks := d.Xs
-	d.blocks(func(row string, vals map[string][]float64) {
-		title := "Figure 3: " + row + " — speedup vs sequential"
-		if row == "geomean" {
-			title = "Figure 3i: geometric mean"
-		}
-		c := plot.Chart{Title: title, XLabel: "threads", XTicks: ticks}
-		for _, col := range d.Cols {
-			c.Series = append(c.Series, plot.Series{Name: col, Values: vals[col]})
-		}
-		fmt.Fprintln(w)
-		c.Render(w)
 	})
 }
 

@@ -4,9 +4,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 
 	"seer"
-	"seer/internal/plot"
 	"seer/internal/telemetry"
 )
 
@@ -114,13 +114,67 @@ func RenderTimeline(w io.Writer, title string, snaps []seer.Snapshot) {
 		}
 	}
 	fmt.Fprintf(w, "%s: %d intervals\n", title, len(snaps))
-	fmt.Fprintf(w, "  throughput  %s  [%.3f..%.3f commits/kcycle]\n", plot.Sparkline(thr, width), thrMin, thrMax)
-	fmt.Fprintf(w, "  abort rate  %s  [last %.2f]\n", plot.Sparkline(abr, width), abr[len(abr)-1])
+	fmt.Fprintf(w, "  throughput  %s  [%.3f..%.3f commits/kcycle]\n", Sparkline(thr, width), thrMin, thrMax)
+	fmt.Fprintf(w, "  abort rate  %s  [last %.2f]\n", Sparkline(abr, width), abr[len(abr)-1])
 	if seerRun {
-		fmt.Fprintf(w, "  Θ1 walk     %s  [%.3f → %.3f]\n", plot.Sparkline(th1, width), th1[0], th1[len(th1)-1])
-		fmt.Fprintf(w, "  Θ2 walk     %s  [%.3f → %.3f]\n", plot.Sparkline(th2, width), th2[0], th2[len(th2)-1])
-		fmt.Fprintf(w, "  scheme prs  %s  [last %.0f]\n", plot.Sparkline(pairs, width), pairs[len(pairs)-1])
+		fmt.Fprintf(w, "  Θ1 walk     %s  [%.3f → %.3f]\n", Sparkline(th1, width), th1[0], th1[len(th1)-1])
+		fmt.Fprintf(w, "  Θ2 walk     %s  [%.3f → %.3f]\n", Sparkline(th2, width), th2[0], th2[len(th2)-1])
+		fmt.Fprintf(w, "  scheme prs  %s  [last %.0f]\n", Sparkline(pairs, width), pairs[len(pairs)-1])
 	}
+}
+
+// sparks are the eight-level bar glyphs used by Sparkline.
+var sparks = []rune{'▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'}
+
+// Sparkline renders vals as a one-line bar chart of at most width glyphs,
+// scaled to the series' own min..max. Series longer than width are
+// bucketed by averaging consecutive values, so long timelines compress to
+// a fixed-width overview. An empty series yields an empty string.
+func Sparkline(vals []float64, width int) string {
+	if len(vals) == 0 || width <= 0 {
+		return ""
+	}
+	if len(vals) > width {
+		vals = bucket(vals, width)
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	out := make([]rune, len(vals))
+	for i, v := range vals {
+		level := 0
+		if hi > lo {
+			level = int((v - lo) / (hi - lo) * float64(len(sparks)-1))
+		}
+		if level < 0 {
+			level = 0
+		}
+		if level > len(sparks)-1 {
+			level = len(sparks) - 1
+		}
+		out[i] = sparks[level]
+	}
+	return string(out)
+}
+
+// bucket averages vals down to n entries.
+func bucket(vals []float64, n int) []float64 {
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		start := i * len(vals) / n
+		end := (i + 1) * len(vals) / n
+		if end <= start {
+			end = start + 1
+		}
+		sum := 0.0
+		for _, v := range vals[start:end] {
+			sum += v
+		}
+		out[i] = sum / float64(end-start)
+	}
+	return out
 }
 
 // WriteCSV writes the exhibit as CSV, one row per (workload, policy,

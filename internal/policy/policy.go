@@ -181,7 +181,6 @@ func runSGL(t *Thread, sgl spinlock.Lock, body func(mem.Access)) {
 	t.lockWaitEnd(start, skipped)
 	body(t.Direct)
 	sgl.Release(t.Ctx, t.Mem)
-	t.Fallbacks++
 	t.commit(ModeSGL)
 	t.Obs.FallbackEnd(t.Ctx.Clock())
 }

@@ -466,6 +466,10 @@ func TestTelemetryModeNames(t *testing.T) {
 	if int(NumModes) > telemetry.MaxModes {
 		t.Fatalf("NumModes %d exceeds telemetry.MaxModes %d", NumModes, telemetry.MaxModes)
 	}
+	// Report and timeline read fall-backs off the SGL commit slot.
+	if ModeSGL != telemetry.ModeSGL || telemetry.ModeNames[telemetry.ModeSGL] != "sgl" {
+		t.Fatalf("ModeSGL = %d, telemetry.ModeSGL = %d (%q)", ModeSGL, telemetry.ModeSGL, telemetry.ModeNames[telemetry.ModeSGL])
+	}
 	// attempt indexes the ledger's paths by phase.
 	if PhaseHW != telemetry.PathHW || PhaseSW != telemetry.PathSW {
 		t.Fatalf("phases HW=%d SW=%d, ledger paths HW=%d SW=%d", PhaseHW, PhaseSW, telemetry.PathHW, telemetry.PathSW)
@@ -505,7 +509,7 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 	for _, th := range threadsSlice {
 		modes.Add(modesOf(&th.Counters))
 		attempts += th.Paths[telemetry.PathHW].Attempts
-		fallbacks += th.Fallbacks
+		fallbacks += th.Modes[ModeSGL]
 	}
 	rec.Flush(makespan)
 	snap := rec.Timeline()[0] // the interval outlasts the run: one snapshot

@@ -41,12 +41,8 @@ func NewRecycled(o Options, buf *Buffers) *Recorder {
 	}
 	r.ring.events = sized(b.events, o.RingCapacity)
 	r.timeline.snaps = b.snaps[:0]
-	r.timeline.arena = arena{b.arena.pairs[:0], b.arena.hist[:0], b.arena.socks[:0]}
+	r.timeline.arena = arena{b.arena.pairs[:0], b.arena.hist[:0]}
 	r.scorer = scorer{quality: b.quality[:0], pred: b.pred[:0], pairs: b.pairs[:0]}
-	if o.Interval > 0 && o.Topology.Sockets > 1 {
-		r.timeline.prevSock = make([]Counters, o.Topology.Sockets)
-		r.timeline.curSock = make([]Counters, o.Topology.Sockets)
-	}
 	if o.Attribution {
 		r.attr = newAttribution(o)
 		if o.Interval > 0 {

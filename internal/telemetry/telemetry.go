@@ -37,7 +37,6 @@ import (
 	"seer/internal/htm"
 	"seer/internal/mem"
 	"seer/internal/stats"
-	"seer/internal/topology"
 )
 
 // LockKind tags EvLockAcq/EvLockRel/EvWait events with the kind of
@@ -59,9 +58,8 @@ const defaultPeriod = 1 << 16
 // every interval boundary and left nil when the system has nothing to
 // sample.
 type Options struct {
-	Threads  int               // hardware threads (one handle each)
-	Blocks   int               // atomic blocks
-	Topology topology.Topology // per-socket timeline breakdown when Sockets > 1
+	Threads int // hardware threads (one handle each)
+	Blocks  int // atomic blocks
 
 	RingCapacity int    // event log: retain the most recent N events (0 = off)
 	Interval     uint64 // timeline: snapshot period in cycles (0 = off)
@@ -156,8 +154,7 @@ func (r *Recorder) BeginRun() {
 	}
 	tl := &r.timeline
 	tl.snaps, tl.prev, tl.prevPhase = tl.snaps[:0], Counters{}, [3]uint64{}
-	tl.arena = arena{tl.arena.pairs[:0], tl.arena.hist[:0], tl.arena.socks[:0]}
-	clear(tl.prevSock)
+	tl.arena = arena{tl.arena.pairs[:0], tl.arena.hist[:0]}
 	r.scorer.quality = r.scorer.quality[:0]
 }
 
@@ -221,13 +218,11 @@ func (r *Recorder) Timeline() []Snapshot {
 	own := arena{
 		pairs: make([]PairCount, 0, len(tl.arena.pairs)),
 		hist:  make([]uint64, 0, len(tl.arena.hist)),
-		socks: make([]SocketCounters, 0, len(tl.arena.socks)),
 	}
 	for i := range out {
 		s := &out[i]
 		s.ConflictPairs = carve(&own.pairs, s.ConflictPairs)
 		s.CascadeHist = carve(&own.hist, s.CascadeHist)
-		s.Sockets = carve(&own.socks, s.Sockets)
 	}
 	return out
 }

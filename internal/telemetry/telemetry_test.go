@@ -8,15 +8,10 @@ import (
 
 	"seer/internal/htm"
 	"seer/internal/stats"
-	"seer/internal/topology"
 )
 
-// Commit-mode slots used by these tests (policy.ModeHTM and policy.ModeSGL;
-// policy sits above this package).
-const (
-	modeHTM = 0
-	modeSGL = 5
-)
+// modeHTM is policy.ModeHTM's commit slot (policy sits above this package).
+const modeHTM = 0
 
 const conflict = htm.BitConflict | htm.BitRetry
 
@@ -190,13 +185,30 @@ func TestMultiIntervalSkip(t *testing.T) {
 	}
 }
 
+// TestTimelineAttemptPaths: a snapshot's attempts and aborts are the
+// hardware and software paths'; Seer's multi-CAS lock acquisitions are
+// not attempts of the program's transactions and stay out.
+func TestTimelineAttemptPaths(t *testing.T) {
+	r := timelineOnly(100, 1)
+	r.BeginRun()
+	c := bind(r)
+	c[0].Paths[PathHW].Attempts++
+	c[0].Paths[PathHW].Aborts[htm.CauseConflict]++
+	c[0].Paths[PathSW].Attempts++
+	c[0].Paths[PathMultiCAS].Attempts += 2
+	c[0].Paths[PathMultiCAS].Aborts[htm.CauseConflict]++
+	r.Flush(100)
+	if s := r.Timeline()[0]; s.Attempts != 2 || s.Aborts[htm.CauseConflict] != 1 {
+		t.Fatalf("%d attempts, %d conflict aborts; want 2 and 1", s.Attempts, s.Aborts[htm.CauseConflict])
+	}
+}
+
 func TestFlushShortRun(t *testing.T) {
 	r := timelineOnly(1000, 1)
 	r.BeginRun()
 	c := bind(r)
-	c[0].Fallbacks++
-	c[0].Modes[modeSGL]++
-	r.Flush(42) // run far shorter than one interval
+	c[0].Modes[ModeSGL]++ // one fall-back
+	r.Flush(42)           // run far shorter than one interval
 	snaps := r.Timeline()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %d, want 1", len(snaps))
@@ -287,11 +299,11 @@ func TestParkSkippedDiffedPerInterval(t *testing.T) {
 
 // TestBeginRunAcrossRuns: the engine clock, the ledgers and the phase
 // occupancy restart with every run, and the timeline holds the current
-// run's intervals only; interval diffs, per-socket ones included, must
-// stay correct across the rewind.
+// run's intervals only; interval diffs must stay correct across the
+// rewind.
 func TestBeginRunAcrossRuns(t *testing.T) {
 	phase := func(now uint64) [3]uint64 { return [3]uint64{now, 0, 0} }
-	r := New(Options{Threads: 2, Interval: 100, Topology: topology.Multi(2, 1, 1), Phase: phase})
+	r := New(Options{Threads: 2, Interval: 100, Phase: phase})
 	for run, commits := range []uint64{1, 2} {
 		r.BeginRun() // clock rewinds to 0, with fresh ledgers
 		bind(r)[1].Modes[modeHTM] += commits
@@ -301,7 +313,7 @@ func TestBeginRunAcrossRuns(t *testing.T) {
 			t.Fatalf("run %d: snapshots = %d, want 2", run, len(snaps))
 		}
 		s := snaps[0]
-		if s.Index != 0 || s.StartCycle != 0 || s.Commits != commits || s.Sockets[1].Commits != commits || s.PhaseHWCycles != 100 {
+		if s.Index != 0 || s.StartCycle != 0 || s.Commits != commits || s.PhaseHWCycles != 100 {
 			t.Fatalf("run %d: first interval wrong: %+v", run, s)
 		}
 		if s := snaps[1]; s.Index != 1 || s.StartCycle != 100 || s.Commits != 0 || s.PhaseHWCycles != 50 {
@@ -404,127 +416,5 @@ func TestCSVHeaderMatchesRecord(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("CSV lines = %d, want 2", len(lines))
-	}
-}
-
-// TestPerSocketBreakdown: on a multi-socket topology the timeline must
-// shard interval counters by socket, diff them per interval, and have
-// the shards sum to the machine-wide aggregates; single-socket
-// topologies must keep Sockets nil so their timelines do not change.
-// Attempts on either commit path count, Seer's multi-CAS lock
-// acquisitions do not.
-func TestPerSocketBreakdown(t *testing.T) {
-	topo := topology.Multi(2, 2, 2) // 8 threads: 0-1,4-5 socket 0; 2-3,6-7 socket 1
-	r := New(Options{Threads: topo.Threads(), Interval: 100, Topology: topo})
-	r.BeginRun()
-	c := bind(r)
-	c[0].Modes[modeHTM]++ // socket 0
-	c[0].Paths[PathHW].Attempts++
-	c[6].Modes[modeSGL]++ // socket 1
-	c[6].Paths[PathHW].Attempts++
-	c[6].Paths[PathHW].Aborts[htm.CauseConflict]++
-	c[6].Paths[PathSW].Attempts++
-	c[6].Paths[PathMultiCAS].Attempts += 2
-	c[6].Paths[PathMultiCAS].Aborts[htm.CauseConflict]++
-	c[6].LockWait += 40
-	r.OnTick(100)
-	c[4].Modes[modeHTM]++ // socket 0, interval 2
-	r.Flush(150)
-
-	snaps := r.Timeline()
-	if len(snaps) != 2 {
-		t.Fatalf("%d snapshots, want 2", len(snaps))
-	}
-	first, second := snaps[0], snaps[1]
-	want := []SocketCounters{
-		{Socket: 0, Commits: 1, Attempts: 1},
-		{Socket: 1, Commits: 1, Attempts: 2, Aborts: 1, LockWait: 40},
-	}
-	if len(first.Sockets) != 2 || first.Sockets[0] != want[0] || first.Sockets[1] != want[1] {
-		t.Fatalf("interval 1 sockets = %+v, want %+v", first.Sockets, want)
-	}
-	if first.Attempts != 3 || first.Aborts[htm.CauseConflict] != 1 {
-		t.Fatalf("interval 1: %d attempts, %d conflict aborts; want 3 and 1", first.Attempts, first.Aborts[htm.CauseConflict])
-	}
-	// Second interval must hold only the diff, not cumulative totals.
-	want = []SocketCounters{{Socket: 0, Commits: 1}, {Socket: 1}}
-	if len(second.Sockets) != 2 || second.Sockets[0] != want[0] || second.Sockets[1] != want[1] {
-		t.Fatalf("interval 2 sockets = %+v, want %+v", second.Sockets, want)
-	}
-	for _, s := range snaps {
-		var commits, attempts uint64
-		for _, sc := range s.Sockets {
-			commits += sc.Commits
-			attempts += sc.Attempts
-		}
-		if commits != s.Commits || attempts != s.Attempts {
-			t.Fatalf("interval %d: socket shards (%d commits, %d attempts) != totals (%d, %d)",
-				s.Index, commits, attempts, s.Commits, s.Attempts)
-		}
-	}
-
-	// Single-socket machines must not grow a Sockets slice.
-	r2 := New(Options{Threads: 8, Interval: 100, Topology: topology.SMT2(4)})
-	r2.BeginRun()
-	bind(r2)[0].Modes[modeHTM]++
-	r2.Flush(50)
-	if s := r2.Timeline()[0]; s.Sockets != nil {
-		t.Fatalf("single-socket snapshot carries Sockets = %+v, want nil", s.Sockets)
-	}
-}
-
-// TestPerSocketAsymmetricTopology: with an odd core count per socket
-// (2s3c2t), hyperthread siblings are Cores()=6 apart, so the
-// socket-of-thread mapping is no longer a contiguous halving of the id
-// space: threads 0-2 and 6-8 share socket 0 while 3-5 and 9-11 share
-// socket 1. The timeline must group counters by topology.SocketOf, not by
-// any id-range shortcut.
-func TestPerSocketAsymmetricTopology(t *testing.T) {
-	topo := topology.Multi(2, 3, 2)
-	if topo.Threads() != 12 {
-		t.Fatalf("2s3c2t has %d threads, want 12", topo.Threads())
-	}
-	r := New(Options{Threads: topo.Threads(), Interval: 100, Topology: topo})
-	r.BeginRun()
-	c := bind(r)
-	// One commit per hardware thread; aborts only on socket-1 threads,
-	// including the sibling range 9-11 that a naive split would place in
-	// the "upper half = socket 1, lower half = socket 0" pattern wrongly
-	// for threads 6-8.
-	for hw := 0; hw < topo.Threads(); hw++ {
-		c[hw].Modes[modeHTM]++
-		c[hw].Paths[PathHW].Attempts++
-		if topo.SocketOf(hw) == 1 {
-			c[hw].Paths[PathHW].Aborts[htm.CauseConflict]++
-		}
-	}
-	r.Flush(100)
-
-	snaps := r.Timeline()
-	if len(snaps) != 1 {
-		t.Fatalf("%d snapshots, want 1", len(snaps))
-	}
-	socks := snaps[0].Sockets
-	if len(socks) != 2 {
-		t.Fatalf("sockets = %+v, want 2 entries", socks)
-	}
-	for i, sc := range socks {
-		if sc.Socket != i || sc.Commits != 6 || sc.Attempts != 6 {
-			t.Fatalf("socket %d counters = %+v, want 6 commits/attempts", i, sc)
-		}
-	}
-	if socks[0].Aborts != 0 || socks[1].Aborts != 6 {
-		t.Fatalf("aborts misattributed across sockets: %+v", socks)
-	}
-	// Spot-check the sibling ranges directly against the topology.
-	for _, hw := range []int{6, 7, 8} {
-		if topo.SocketOf(hw) != 0 {
-			t.Fatalf("thread %d on socket %d, want 0", hw, topo.SocketOf(hw))
-		}
-	}
-	for _, hw := range []int{9, 10, 11} {
-		if topo.SocketOf(hw) != 1 {
-			t.Fatalf("thread %d on socket %d, want 1", hw, topo.SocketOf(hw))
-		}
 	}
 }

@@ -15,6 +15,10 @@ const MaxModes = 8
 // policy.Mode order (policy's tests check the lengths agree).
 var ModeNames = [...]string{"htm", "htm_aux", "htm_tx", "htm_core", "htm_tx_core", "sgl", "stm"}
 
+// ModeSGL is policy.ModeSGL's slot: every single-global-lock fall-back
+// commits there once, so the slot is the fall-back count.
+const ModeSGL = 5
+
 // NumCauses is the number of abort causes (htm.Cause slots).
 const NumCauses = int(htm.CauseOther) + 1
 
@@ -30,7 +34,6 @@ var CauseNames = [NumCauses]string{"conflict", "capacity", "explicit", "spurious
 type Counters struct {
 	Modes         [MaxModes]uint64   // commits by policy.Mode
 	Paths         [NumPaths]Outcomes // transaction attempts and their aborts, per path
-	Fallbacks     uint64             // single-global-lock fall-backs
 	LockWait      uint64             // cycles spent waiting on locks (SGL, aux, tx, core)
 	ParkSkipped   uint64             // lock-wait cycles the engine fast-forwarded by parking (subset of LockWait)
 	BackoffWaits  uint64             // randomized sleeps of the Backoff policy
@@ -71,7 +74,6 @@ func (c *Counters) Add(o *Counters) {
 			c.Paths[p].Aborts[i] += o.Paths[p].Aborts[i]
 		}
 	}
-	c.Fallbacks += o.Fallbacks
 	c.LockWait += o.LockWait
 	c.ParkSkipped += o.ParkSkipped
 	c.BackoffWaits += o.BackoffWaits
@@ -90,16 +92,6 @@ func (c *Counters) Add(o *Counters) {
 func (c *Counters) attempts() uint64 { return c.Paths[PathHW].Attempts + c.Paths[PathSW].Attempts }
 
 func (c *Counters) aborts(i int) uint64 { return c.Paths[PathHW].Aborts[i] + c.Paths[PathSW].Aborts[i] }
-
-// SocketCounters is one socket's share of a Snapshot, populated only on
-// multi-socket topologies.
-type SocketCounters struct {
-	Socket   int    `json:"socket"`
-	Commits  uint64 `json:"commits"`
-	Attempts uint64 `json:"attempts"`
-	Aborts   uint64 `json:"aborts"`
-	LockWait uint64 `json:"lock_wait_cycles"`
-}
 
 // PairCount is one victim←aborter conflict edge with its doom count.
 type PairCount struct {
@@ -147,10 +139,6 @@ type Snapshot struct {
 	PhaseSWCycles    uint64 `json:"phase_sw_cycles,omitempty"`
 	PhaseGLOCKCycles uint64 `json:"phase_glock_cycles,omitempty"`
 
-	// Sockets breaks the interval down per socket on multi-socket
-	// machines; nil (and omitted from JSON) on single-socket machines.
-	Sockets []SocketCounters `json:"sockets,omitempty"`
-
 	// ConflictPairs are the interval's heaviest ground-truth conflict
 	// edges (victim block ← aborter block, by doom count) and CascadeHist
 	// its abort cascade-depth histogram (trailing zeroes trimmed). Both are
@@ -197,15 +185,13 @@ const topConflictPairs = 4
 // timeline is the interval-metrics sink: this Run's cut snapshots plus
 // every cumulative value as of the last cut, against which the next
 // interval is diffed. The ledgers and the phase occupancy restart with
-// every Run (BeginRun zeroes prev, prevSock and prevPhase); the quantum
+// every Run (BeginRun zeroes prev and prevPhase); the quantum
 // counters and the attribution sink carry across Runs.
 type timeline struct {
 	snaps []Snapshot
 	arena arena
 
 	prev        Counters
-	prevSock    []Counters // per socket; nil on single-socket machines
-	curSock     []Counters // prevSock's double buffer, swapped at every cut
 	prevQuantum [4]uint64
 	prevPhase   [3]uint64
 	prevTruth   []uint64 // sized with the attribution sink
@@ -213,13 +199,12 @@ type timeline struct {
 }
 
 // arena backs the variable-length fields of the cut snapshots
-// (ConflictPairs, CascadeHist, Sockets): each is carved off the end of one
-// growing slice per element type instead of allocated per cut. Growth
+// (ConflictPairs, CascadeHist): each is carved off the end of one growing
+// slice per element type instead of allocated per cut. Growth
 // leaves earlier carvings on the old backing array, which stays valid.
 type arena struct {
 	pairs []PairCount
 	hist  []uint64
-	socks []SocketCounters
 }
 
 // carve appends vs to the arena and returns the appended region with its
@@ -237,16 +222,9 @@ func carve[T any](arena *[]T, vs []T) []T {
 func (r *Recorder) cutSnapshot(end uint64) {
 	tl := &r.timeline
 	var cur Counters
-	curSock := tl.curSock
-	clear(curSock)
 	for i := range r.threads {
-		c := r.threads[i].ledger
-		if c == nil {
-			continue // no worker bound this Run (yet): nothing counted
-		}
-		cur.Add(c)
-		if curSock != nil {
-			curSock[r.opt.Topology.SocketOf(i)].Add(c)
+		if c := r.threads[i].ledger; c != nil { // nil: no worker bound this Run (yet)
+			cur.Add(c)
 		}
 	}
 	snap := Snapshot{Index: len(tl.snaps), StartCycle: r.start, EndCycle: end}
@@ -258,7 +236,7 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		snap.Aborts[i] = cur.aborts(i) - tl.prev.aborts(i)
 	}
 	snap.Attempts = cur.attempts() - tl.prev.attempts()
-	snap.Fallbacks = cur.Fallbacks - tl.prev.Fallbacks
+	snap.Fallbacks = snap.Modes[ModeSGL]
 	snap.LockWait = cur.LockWait - tl.prev.LockWait
 	snap.ParkSkipped = cur.ParkSkipped - tl.prev.ParkSkipped
 	snap.BackoffWaits = cur.BackoffWaits - tl.prev.BackoffWaits
@@ -290,22 +268,6 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		snap.ConflictPairs = carve(&tl.arena.pairs, a.rankPairs(tl.prevTruth, top[:]))
 		copy(tl.prevTruth, a.truth)
 		snap.CascadeHist = tl.cascadeDelta(a)
-	}
-	if curSock != nil {
-		first := len(tl.arena.socks)
-		for s := range curSock {
-			c, p := &curSock[s], &tl.prevSock[s]
-			sc := SocketCounters{Socket: s, Attempts: c.attempts() - p.attempts(), LockWait: c.LockWait - p.LockWait}
-			for m := range c.Modes {
-				sc.Commits += c.Modes[m] - p.Modes[m]
-			}
-			for i := range NumCauses {
-				sc.Aborts += c.aborts(i) - p.aborts(i)
-			}
-			tl.arena.socks = append(tl.arena.socks, sc)
-		}
-		snap.Sockets = slices.Clip(tl.arena.socks[first:])
-		tl.prevSock, tl.curSock = curSock, tl.prevSock
 	}
 	tl.snaps = append(tl.snaps, snap)
 }

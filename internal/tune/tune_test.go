@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +150,43 @@ func TestHistoryRecordsTrajectory(t *testing.T) {
 	}
 	if got := len(h.History()); got != 256 {
 		t.Fatalf("history not capped: %d", got)
+	}
+}
+
+// TestBestGoesStaleAfterShift records a known divergence from a climber
+// that tracks a moving optimum (ROADMAP item 24): Feedback never
+// re-measures or ages bestValue. The objective peaks at (0.1, 0.2) for
+// the first half of the run; then the workload's phase changes, every
+// point's throughput halves and the peak moves to (0.8, 0.7). No
+// post-shift epoch can beat the pre-shift incumbent's value, so Best()
+// keeps the old point and a value nothing now yields, and the climber
+// only perturbs that stale point. When the incumbent is re-measured,
+// this test fails: flip it to require that Best() follows the peak.
+func TestBestGoesStaleAfterShift(t *testing.T) {
+	cfg := Config{Step: 0.08, JumpProb: 0}
+	h := newClimber(3, cfg)
+	peak := func(p, at Params, height float64) float64 {
+		d1, d2 := p.Th1-at.Th1, p.Th2-at.Th2
+		return height * (1 - (d1*d1 + d2*d2))
+	}
+	before := func(p Params) float64 { return peak(p, Params{Th1: 0.1, Th2: 0.2}, 1) }
+	after := func(p Params) float64 { return peak(p, Params{Th1: 0.8, Th2: 0.7}, 0.5) }
+	for i := 0; i < 200; i++ {
+		h.Feedback(before(h.Params()))
+	}
+	oldBest, oldValue := h.Best()
+	for i := 0; i < 200; i++ {
+		h.Feedback(after(h.Params()))
+	}
+	best, value := h.Best()
+	if best != oldBest || value != oldValue {
+		t.Fatalf("Best() moved after the shift: %+v (%v) → %+v (%v)", oldBest, oldValue, best, value)
+	}
+	if now := after(best); value <= now {
+		t.Fatalf("incumbent value %v is not stale: its point now yields %v", value, now)
+	}
+	// Every proposal stays within one step of the stale incumbent per axis.
+	if p := h.Params(); math.Abs(p.Th1-best.Th1) > cfg.Step || math.Abs(p.Th2-best.Th2) > cfg.Step {
+		t.Fatalf("proposal %+v is more than a step from the incumbent %+v", p, best)
 	}
 }

@@ -352,7 +352,7 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 	hw, sw, cas := c.Paths[telemetry.PathHW], c.Paths[telemetry.PathSW], c.Paths[telemetry.PathMultiCAS]
 	r.Modes = ModeCounts(c.Modes[:NumModes])
 	r.HTM = countsOf(hw, cas)
-	r.HWAttempts, r.Fallbacks = hw.Attempts, c.Fallbacks
+	r.HWAttempts, r.Fallbacks = hw.Attempts, c.Modes[telemetry.ModeSGL]
 	if s.sched != nil {
 		mc := countsOf(cas)
 		sr := &SeerReport{

@@ -493,7 +493,7 @@ func newSystem(cfg Config, quantum int) (*System, error) {
 func (s *System) newRecorder(topo topology.Topology, buf *telemetry.Buffers) *telemetry.Recorder {
 	cfg := s.cfg
 	o := telemetry.Options{
-		Threads: topo.Threads(), Blocks: cfg.NumAtomicBlocks, Topology: topo,
+		Threads: topo.Threads(), Blocks: cfg.NumAtomicBlocks,
 		RingCapacity: cfg.TraceEvents, Interval: cfg.MetricsInterval,
 		Spans: cfg.TraceAttempts, Attribution: cfg.AttributionCounters,
 		// Conflicts on the single-global-lock word are fall-back protocol
