@@ -169,11 +169,11 @@ func TestRepeatedRunsReportPerRun(t *testing.T) {
 
 // TestTunerSamplesPerRun: Seer's hill climber times its epochs on the
 // virtual clock, which every Run restarts at cycle 0, so the epoch restarts
-// with it. Every sample the tuner receives over two Runs of a synth cell is
-// a commits-per-cycle throughput, never the near-zero value an epoch begun
-// in the previous Run's clock yields.
+// with it. Every sample the tuner receives over two Runs of an adv-clique
+// cell is a commits-per-cycle throughput, never the near-zero value an
+// epoch begun in the previous Run's clock yields.
 func TestTunerSamplesPerRun(t *testing.T) {
-	wl, err := stamp.New("synth", 0.5)
+	wl, err := stamp.New("adv-clique", 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +194,46 @@ func TestTunerSamplesPerRun(t *testing.T) {
 		if !(s.Value > 1e-6) {
 			t.Errorf("sample %d of %d (first Run: %d) reads %g commits/cycle", i, len(hist), first, s.Value)
 		}
+	}
+}
+
+// TestTunerIncumbentGoesUnmeasured records a known divergence from a
+// climber that re-measures its best point (ROADMAP item 24), on the cell
+// where Fig 5's hill-climbing row costs most: Seer on intruder at scale 1
+// on 8 threads, seed 1. The trajectory has 9 epochs; the incumbent Best()
+// reports is the point of sample 3, and the 5 epochs after it only
+// perturb that point and never measure it again, so its value is the one
+// lucky epoch's. When the incumbent is re-measured, this test fails: flip
+// it to require a re-measurement within the trajectory.
+func TestTunerIncumbentGoesUnmeasured(t *testing.T) {
+	wl, err := stamp.New("intruder", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stamp.Config(wl, 8, seer.Topology{})
+	cfg.Seed = 1
+	sys, _, err := stamp.Run(wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner := sys.Scheduler().Tuner()
+	hist := tuner.History()
+	best, value := tuner.Best()
+	last := -1
+	for i, s := range hist {
+		if s.Point == best {
+			last = i
+		}
+	}
+	t.Logf("%d epochs, best %+v at %g commits/cycle, last measured at sample %d", len(hist), best, value, last)
+	if len(hist) != 9 || tuner.Moves() != 9 {
+		t.Fatalf("%d samples over %d moves, want 9", len(hist), tuner.Moves())
+	}
+	if last != 3 || hist[3].Value != value {
+		t.Fatalf("incumbent last measured at sample %d, want sample 3 with Best's value %g", last, value)
+	}
+	if unmeasured := len(hist) - 1 - last; unmeasured != 5 {
+		t.Fatalf("incumbent went %d epochs unmeasured, want 5", unmeasured)
 	}
 }
 

@@ -132,12 +132,17 @@ func TestRealizedConflictsMatchDeclared(t *testing.T) {
 }
 
 // FuzzAdversaryGraph: arbitrary shape parameters must normalize to a
-// well-formed graph whose workload runs, validates, and — via the
-// attribution ground truth — realizes only declared conflict pairs.
+// well-formed graph whose workload runs and validates under every
+// multi-thread policy, and — via the attribution ground truth — realizes
+// only declared conflict pairs under each.
 func FuzzAdversaryGraph(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint8(1), []byte{0, 1, 1, 2, 2, 3})
 	f.Add(int64(2), uint8(3), uint8(2), []byte{0xFF, 0x01, 0x80, 0x7F})
 	f.Add(int64(3), uint8(0), uint8(0), []byte{})
+	policies := []seer.PolicyKind{
+		seer.PolicyHLE, seer.PolicyRTM, seer.PolicySCM, seer.PolicyBackoff,
+		seer.PolicyATS, seer.PolicyOracle, seer.PolicySeer, seer.PolicyPhased,
+	}
 	f.Fuzz(func(t *testing.T, seed int64, blocks, phases uint8, edgeData []byte) {
 		nPhases := 1 + int(phases%2)
 		raw := Graph{Name: "fuzz", Blocks: int(int8(blocks)), Phases: make([][]Edge, nPhases)}
@@ -153,15 +158,16 @@ func FuzzAdversaryGraph(f *testing.F) {
 		if err := g.wellFormed(); err != nil {
 			t.Fatalf("normalized graph not well-formed: %v", err)
 		}
-		w := New(g, 200)
-		sys := runGraph(t, w, seer.PolicyRTM, 4, seed, true)
-		truth := sys.Recorder().TruthMatrix()
 		declared := g.Pairs()
 		n := g.Blocks
-		for v := 0; v < n; v++ {
-			for a := 0; a < n; a++ {
-				if truth[v*n+a] > 0 && !declared[v*n+a] {
-					t.Fatalf("undeclared conflict pair (%d<-%d) realized", v, a)
+		for _, pol := range policies {
+			sys := runGraph(t, New(g, 200), pol, 4, seed, true)
+			truth := sys.Recorder().TruthMatrix()
+			for v := 0; v < n; v++ {
+				for a := 0; a < n; a++ {
+					if truth[v*n+a] > 0 && !declared[v*n+a] {
+						t.Fatalf("%s: undeclared conflict pair (%d<-%d) realized", pol, v, a)
+					}
 				}
 			}
 		}

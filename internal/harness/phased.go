@@ -66,13 +66,7 @@ func (d *PhasedData) Render(w io.Writer) {
 	for r, name := range d.Rows {
 		rep := d.Last[r][d.col(seer.PolicyPhased)]
 		pr := rep.Phased
-		total := pr.ModeCycles[0] + pr.ModeCycles[1] + pr.ModeCycles[2]
-		occ := [3]float64{}
-		if total > 0 {
-			for i := range occ {
-				occ[i] = 100 * float64(pr.ModeCycles[i]) / float64(total)
-			}
-		}
+		occ := pr.ModeFractions()
 		fmt.Fprintf(w, "%-14s sw-commits=%5.1f%% deferrals=%d undeferrals=%d transitions=%d occupancy hw=%.1f%% sw=%.1f%% glock=%.1f%%\n",
 			name, rep.ModeFractions()[seer.ModeSTM], pr.Deferrals, pr.Undeferrals, pr.Transitions,
 			occ[0], occ[1], occ[2])

@@ -102,7 +102,8 @@ type Config struct {
 	// past its batch horizon before yielding, with rollback on
 	// interference (see quantum.go and DESIGN.md §6i). 0 disables
 	// speculation; by design schedules and all observable streams are
-	// identical either way (DESIGN.md §6i lists the known exception).
+	// identical either way, except for the cells DESIGN.md §6i's "Known
+	// exception" paragraph lists.
 	SpecQuantum int
 }
 

@@ -2,7 +2,6 @@ package stamp_test
 
 import (
 	"testing"
-	"testing/quick"
 
 	"seer"
 	"seer/internal/harness"
@@ -106,7 +105,7 @@ func TestRegistry(t *testing.T) {
 	// adversarial conflict-graph generators (registered by the harness's
 	// adversary import) + the capacity-bound phased-TM stressor.
 	for _, n := range append(append([]string{}, stamp.Suite...),
-		"hashmap", "bayes", "labyrinth", "synth", "capbound",
+		"hashmap", "bayes", "labyrinth", "capbound",
 		"adv-ring", "adv-star", "adv-bipartite", "adv-clique", "adv-phase") {
 		want[n] = true
 	}
@@ -127,99 +126,5 @@ func TestRegistry(t *testing.T) {
 		if wl.NumAtomicBlocks() <= 0 || wl.MemWords() <= 0 {
 			t.Fatalf("workload %q has degenerate sizing", n)
 		}
-	}
-}
-
-// TestSynthCustomParameterization exercises a hand-built Synth instance
-// (overlapping hot sets, three blocks) under Seer.
-func TestSynthCustomParameterization(t *testing.T) {
-	wl := &stamp.Synth{
-		Blocks:     3,
-		Share:      []float64{0.3, 0.3, 0.4},
-		HotLines:   []int{16, 16, 16},
-		ReadLines:  []int{3, 1, 2},
-		WriteLines: []int{2, 2, 1},
-		TxWork:     []uint64{80, 40, 60},
-		GapWork:    8,
-		Overlap:    true,
-		TotalOps:   1200,
-	}
-	if _, _, err := stamp.Run(wl, stamp.Config(wl, 8, seer.Topology{})); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSynthRejectsBadParameters: inconsistent parameterizations panic at
-// Setup rather than corrupting a run.
-func TestSynthRejectsBadParameters(t *testing.T) {
-	wl := &stamp.Synth{
-		Blocks:     2,
-		Share:      []float64{1.0}, // wrong length
-		HotLines:   []int{4, 4},
-		ReadLines:  []int{1, 1},
-		WriteLines: []int{1, 1},
-		TxWork:     []uint64{10, 10},
-		TotalOps:   10,
-	}
-	cfg := seer.DefaultConfig()
-	cfg.Threads = 1
-	cfg.NumAtomicBlocks = 2
-	cfg.MemWords = 1 << 12
-	sys, err := seer.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("bad parameterization not rejected")
-		}
-	}()
-	wl.Setup(sys)
-}
-
-// TestSynthQuickRandomConfigs fuzzes the synthetic workload: random valid
-// parameterizations must run and validate under every policy.
-func TestSynthQuickRandomConfigs(t *testing.T) {
-	f := func(seed int64, b8, hot8, share8 uint8) bool {
-		blocks := int(b8%3) + 1
-		wl := &stamp.Synth{
-			Blocks:   blocks,
-			TotalOps: 240,
-			GapWork:  5,
-			Overlap:  seed%2 == 0,
-		}
-		rest := 1.0
-		for b := 0; b < blocks; b++ {
-			share := rest / float64(blocks-b)
-			if b == blocks-1 {
-				share = rest
-			}
-			rest -= share
-			wl.Share = append(wl.Share, share)
-			hot := int(hot8%12) + 2
-			wl.HotLines = append(wl.HotLines, hot)
-			wl.ReadLines = append(wl.ReadLines, 1+int(share8)%hot)
-			wl.WriteLines = append(wl.WriteLines, 1+int(hot8)%hot)
-			wl.TxWork = append(wl.TxWork, uint64(20+10*b))
-		}
-		for _, pol := range []seer.PolicyKind{seer.PolicyRTM, seer.PolicySeer, seer.PolicyATS} {
-			fresh := *wl // fresh addresses per system
-			fresh.Share = append([]float64{}, wl.Share...)
-			fresh.HotLines = append([]int{}, wl.HotLines...)
-			fresh.ReadLines = append([]int{}, wl.ReadLines...)
-			fresh.WriteLines = append([]int{}, wl.WriteLines...)
-			fresh.TxWork = append([]uint64{}, wl.TxWork...)
-			cfg := stamp.Config(&fresh, 4, seer.Topology{})
-			cfg.Seed = seed
-			cfg.Policy = pol
-			if _, _, err := stamp.Run(&fresh, cfg); err != nil {
-				t.Log(err)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -41,7 +41,7 @@ func TestPerThread(t *testing.T) {
 var workersAllocs = map[string]float64{
 	"adv-bipartite": 10, "adv-clique": 10, "adv-phase": 10, "adv-ring": 10, "adv-star": 10,
 	"bayes": 10, "capbound": 10, "genome": 10, "hashmap": 10, "intruder": 10,
-	"kmeans-high": 10, "kmeans-low": 10, "labyrinth": 10, "ssca2": 10, "synth": 10,
+	"kmeans-high": 10, "kmeans-low": 10, "labyrinth": 10, "ssca2": 10,
 	"vacation-high": 11, "vacation-low": 11, "yada": 10,
 }
 

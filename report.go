@@ -149,6 +149,17 @@ type PhasedReport struct {
 	STM HTMCounters
 }
 
+// ModeFractions returns the percentage of ModeCycles per phase (all zero
+// when no cycle was recorded).
+func (p *PhasedReport) ModeFractions() (out [3]float64) {
+	if total := p.ModeCycles[0] + p.ModeCycles[1] + p.ModeCycles[2]; total > 0 {
+		for i, c := range p.ModeCycles {
+			out[i] = 100 * float64(c) / float64(total)
+		}
+	}
+	return out
+}
+
 // QuantumReport captures the engine's speculative-quantum activity:
 // quanta granted, pure ticks journaled, rollbacks, and journaled ticks
 // discarded by rollbacks (see machine.Engine.QuantumCounters).
@@ -219,12 +230,8 @@ func (r Report) String() string {
 	if p := r.Phased; p != nil {
 		fmt.Fprintf(&b, "  phased: deferrals=%d undeferrals=%d transitions=%d sw %d/%d committed\n",
 			p.Deferrals, p.Undeferrals, p.Transitions, p.SWCommits, p.SWAttempts)
-		total := p.ModeCycles[0] + p.ModeCycles[1] + p.ModeCycles[2]
-		if total > 0 {
-			fmt.Fprintf(&b, "  phase occupancy: HW %.1f%% SW %.1f%% GLOCK %.1f%%\n",
-				100*float64(p.ModeCycles[0])/float64(total),
-				100*float64(p.ModeCycles[1])/float64(total),
-				100*float64(p.ModeCycles[2])/float64(total))
+		if occ := p.ModeFractions(); occ != [3]float64{} {
+			fmt.Fprintf(&b, "  phase occupancy: HW %.1f%% SW %.1f%% GLOCK %.1f%%\n", occ[0], occ[1], occ[2])
 		}
 	}
 	if q := r.Quantum; q != nil && q.Grants > 0 {
