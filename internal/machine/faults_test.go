@@ -3,8 +3,10 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"seer/internal/topology"
 )
@@ -74,10 +76,11 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 	verify()
 	after := e.Counters()
 	delta = Counters{
-		Resumes: after.Resumes - before.Resumes,
-		Steps:   after.Steps - before.Steps,
-		Replays: after.Replays - before.Replays,
-		Settled: after.Settled - before.Settled,
+		Resumes:     after.Resumes - before.Resumes,
+		HostResumes: after.HostResumes - before.HostResumes,
+		Steps:       after.Steps - before.Steps,
+		Replays:     after.Replays - before.Replays,
+		Settled:     after.Settled - before.Settled,
 	}
 	return hooks, makespan, delta
 }
@@ -91,21 +94,46 @@ func wordFree(word *uint64) func(uint64) bool {
 	return func(uint64) bool { return *word == 0 }
 }
 
+// errFault is the panic value of the fault-table rows that panic.
+var errFault = errors.New("fault-table panic")
+
+// settledGoroutines waits briefly for goroutines that are exiting and
+// returns the count once it is at most want, or the count at the deadline.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
 // TestFaultsLeaveEngineReusable covers the fault-table rows the engine's
 // states add: ErrMaxCycles delivered on a delegated-acquire tick, on a
 // woken acquirer's poll, while a thread is replaying its journal and while
 // a release has acquirers deferred, and ErrDeadlock reached after a
-// bounded waiter's deadline fired.
+// bounded waiter's deadline fired. Thread 0 is the host, whose body runs
+// on the event loop's goroutine; in the delegated-acquire and replay rows
+// it is the thread in trouble, and the rows after them add the host
+// parked forever, panicking itself, and suspended while another body or
+// the event loop itself panics. Every row must return its error text — the
+// all-coroutine engine's, except for the loop's panics, which it did not
+// recover — leave no goroutine behind, and fail the same way, at the same
+// makespan, on a second Run.
 func TestFaultsLeaveEngineReusable(t *testing.T) {
 	deferred := false // the lazy row's release left acquirers deferred
 	for _, fc := range []struct {
 		name string
 		spec int
 		want error
+		// text is the error's text when it is not want's own.
+		text string
 		// unwired reruns the failing program on an engine with no
 		// lock-word ops, where every wake is eager; its verdict and
 		// makespan must be the same.
 		unwired bool
+		// hookPanics makes the tick hook panic with errFault at the first
+		// tick reached reports.
+		hookPanics bool
 		// bodies builds the failing program; word is the lock word.
 		bodies func(word *uint64) []func(*Ctx)
 		// reached reports, at a tick hook, that the run is at the event the
@@ -120,7 +148,9 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 				func(c *Ctx) { c.AcquireWord(faultKey, 2); c.Tick(2 * faultBudget) },
 			}
 		},
-		reached: func(e *Engine, now uint64) bool { return now > faultBudget && e.threads[0].state == stepping },
+		reached: func(e *Engine, now uint64) bool {
+			return now > faultBudget && e.host == e.threads[0] && e.threads[0].state == stepping
+		},
 	}, {
 		name: "MaxCycles on the poll of a woken acquirer",
 		want: ErrMaxCycles,
@@ -148,7 +178,9 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 				func(c *Ctx) { c.Tick(50); c.Tick(faultBudget + 50) },
 			}
 		},
-		reached: func(e *Engine, now uint64) bool { return now > faultBudget && e.threads[0].state == replaying },
+		reached: func(e *Engine, now uint64) bool {
+			return now > faultBudget && e.host == e.threads[0] && e.threads[0].state == replaying
+		},
 	}, {
 		// Three acquirers park on a word held until cycle 9982. Their
 		// boundaries after the release are 9996 (thread 1, queued),
@@ -197,19 +229,133 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 			w := e.threads[1]
 			return w.state == parked && w.parkDeadline != noDeadline && now == w.parkDeadline
 		},
+	}, {
+		// The host's acquire parks on a word nobody releases; the other
+		// bodies return, and the queue runs dry under the host.
+		name: "deadlock with the host parked forever",
+		want: ErrDeadlock,
+		bodies: func(word *uint64) []func(*Ctx) {
+			*word = 9
+			tick := func(c *Ctx) { c.Tick(uint64(40 * c.ID())); c.TickPure(7) }
+			return []func(*Ctx){
+				func(c *Ctx) { c.Tick(3); c.AcquireWord(faultKey, 1) },
+				tick, tick, tick,
+			}
+		},
+		reached: func(e *Engine, now uint64) bool {
+			return now >= 120 && e.host == e.threads[0] && e.threads[0].state == parked
+		},
+	}, {
+		name: "the host panics",
+		spec: 8,
+		want: errFault,
+		text: "machine: thread 0 panicked: fault-table panic",
+		bodies: func(word *uint64) []func(*Ctx) {
+			*word = 9
+			return []func(*Ctx){
+				func(c *Ctx) { c.Tick(100); panic(errFault) },
+				func(c *Ctx) { c.Tick(1); c.AcquireWord(faultKey, 2) },
+				func(c *Ctx) { c.Tick(1); c.WaitWord(faultKey, 20) },
+				func(c *Ctx) {
+					for {
+						c.TickPure(9)
+					}
+				},
+			}
+		},
+		reached: func(e *Engine, now uint64) bool {
+			return now >= 100 && e.host == e.threads[0] && e.threads[1].state == parked
+		},
+	}, {
+		name: "a body panics under the suspended host",
+		want: errFault,
+		text: "machine: thread 2 panicked: fault-table panic",
+		bodies: func(word *uint64) []func(*Ctx) {
+			*word = 9
+			return []func(*Ctx){
+				func(c *Ctx) { c.Tick(1); c.AcquireWord(faultKey, 1) },
+				func(c *Ctx) { c.Tick(2); c.WaitWord(faultKey, -1) },
+				func(c *Ctx) { c.Tick(60); panic(errFault) },
+				func(c *Ctx) { c.Tick(2 * faultBudget) },
+			}
+		},
+		reached: func(e *Engine, now uint64) bool {
+			return now >= 60 && e.host == e.threads[0] && e.threads[0].state == parked
+		},
+	}, {
+		name:       "the event loop panics under the suspended host",
+		want:       errFault,
+		text:       "machine: event loop panicked: fault-table panic",
+		hookPanics: true,
+		bodies: func(word *uint64) []func(*Ctx) {
+			*word = 0
+			return []func(*Ctx){
+				func(c *Ctx) {
+					for i := 0; i < 40; i++ {
+						c.Tick(5)
+					}
+				},
+				func(c *Ctx) { c.Tick(3); c.AcquireWord(faultKey, 2); c.Tick(80) },
+				func(c *Ctx) { c.Tick(4); c.AcquireWord(faultKey, 3); c.Tick(80) },
+				func(c *Ctx) { c.Tick(2 * faultBudget) },
+			}
+		},
+		reached: func(e *Engine, now uint64) bool {
+			return now >= 50 && e.running == nil && e.host == e.threads[0]
+		},
+	}, {
+		name:       "the event loop panics after the host returned",
+		want:       errFault,
+		text:       "machine: event loop panicked: fault-table panic",
+		hookPanics: true,
+		bodies: func(word *uint64) []func(*Ctx) {
+			*word = 0
+			return []func(*Ctx){
+				func(c *Ctx) { c.Tick(20) },
+				func(c *Ctx) { c.Tick(3); c.AcquireWord(faultKey, 2); c.Tick(80) },
+				func(c *Ctx) { c.Tick(4); c.AcquireWord(faultKey, 3); c.Tick(80) },
+				func(c *Ctx) { c.Tick(2 * faultBudget) },
+			}
+		},
+		reached: func(e *Engine, now uint64) bool {
+			return now >= 50 && e.running == nil && e.host == nil
+		},
 	}} {
 		t.Run(fc.name, func(t *testing.T) {
+			text := fc.text
+			if text == "" {
+				text = fc.want.Error()
+			}
 			var word uint64
 			e := faultEngine(t, fc.spec, &word)
 			hit := false
-			verify := watchStates(t, e, func(now uint64) { hit = hit || fc.reached(e, now) }, wordFree(&word))
+			verify := watchStates(t, e, func(now uint64) {
+				if !hit && fc.reached(e, now) {
+					hit = true
+					if fc.hookPanics {
+						panic(errFault)
+					}
+				}
+			}, wordFree(&word))
+			goroutines := runtime.NumGoroutine()
 			makespan, err := e.Run(fc.bodies(&word))
-			if !errors.Is(err, fc.want) {
-				t.Fatalf("err = %v, want %v", err, fc.want)
+			if !errors.Is(err, fc.want) || err.Error() != text {
+				t.Fatalf("err = %v, want %q", err, text)
+			}
+			if n := settledGoroutines(goroutines); n > goroutines {
+				t.Fatalf("%d goroutines before the run, %d after it", goroutines, n)
 			}
 			verify()
 			if err := checkStates(e, nil); err != nil {
 				t.Fatalf("after the fault: %v", err)
+			}
+			if !hit {
+				t.Fatal("the run never reached the event the case is about")
+			}
+			hit = false
+			again, err := e.Run(fc.bodies(&word))
+			if err == nil || err.Error() != text || again != makespan || !hit {
+				t.Fatalf("second run: makespan %d, %v; first: %d (reached again = %v)", again, err, makespan, hit)
 			}
 			if fc.unwired {
 				var eagerWord uint64
@@ -221,9 +367,6 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 				if !errors.Is(wantErr, fc.want) || makespan != wantMakespan {
 					t.Fatalf("makespan %d; with eager wakes %d, %v", makespan, wantMakespan, wantErr)
 				}
-			}
-			if !hit {
-				t.Fatal("the run never reached the event the case is about")
 			}
 			hooks, makespan, delta := probe(t, e, &word)
 			var freshWord uint64

@@ -19,7 +19,11 @@
 // direct coroutine switch (iter.Pull), not a channel handoff through the
 // Go runtime's scheduler, which makes a scheduling step several times
 // cheaper and keeps large experiment sweeps CPU-bound on the model rather
-// than on synchronization.
+// than on synchronization. One thread needs no coroutine at all: the
+// host, the lowest-id thread with a body, which wins every same-cycle tie
+// and so is resumed most often. Its body runs on Run's own goroutine, and
+// its yield runs the event loop on its stack until its event pops again,
+// so resuming the host costs no switch; every other resume costs two.
 //
 // Virtual time is measured in cycles. Every simulated action has a cost
 // from CostModel; a thread's clock advances by that cost at each Tick. The
@@ -177,7 +181,9 @@ type Ctx struct {
 	// yield suspends this context and hands (clock) back to the event
 	// loop; it reports false when the engine has abandoned the run, in
 	// which case the context must unwind. next/stop are the engine-side
-	// resume and cancel handles. All three are live only during a Run.
+	// resume and cancel handles of its coroutine. All three are live only
+	// during a Run; the host has no coroutine, and its yield is
+	// Engine.loop.
 	yield func(uint64) bool
 	next  func() (uint64, bool)
 	stop  func()
@@ -264,8 +270,9 @@ func (t *Ctx) setState(s schedState) {
 
 // errAbandonRun is the sentinel panic a context uses to unwind a body
 // abandoned on an error path (yield returned false). It is recovered by
-// the context's own trampoline, never seen by user code handlers that
-// rethrow foreign panics (e.g. htm.Tx).
+// the coroutine's trampoline (Ctx.start), or the host's (Engine.runHost),
+// never seen by user code handlers that rethrow foreign panics (e.g.
+// htm.Tx).
 var errAbandonRun = errors.New("machine: run abandoned")
 
 // ID returns the hardware thread id (0-based).
@@ -323,6 +330,11 @@ func (c *Ctx) Tick(cost uint64) {
 // still journaled closes the quantum: the loop replays them before the
 // resume. Kept small enough to inline: every frame between a body and its
 // yield costs a mispredicted return after the coroutine switch.
+//
+// On the host the yield is no switch: it runs the event loop right here,
+// on the host's stack, and returns when the host's event pops for a
+// resume. An abandoned run unwinds the host the same way, through its own
+// defers, and any yield of its after that reports false at once.
 func (c *Ctx) suspend() {
 	if !c.yield(c.clock) {
 		panic(errAbandonRun)
@@ -539,22 +551,39 @@ type Engine struct {
 	specRollbackTicks uint64
 	// count is the event loop's account of its own work (see Counters).
 	count Counters
-	// running is the context currently resumed inside t.next(), nil
-	// between resumes. It lets SpecBarrier reach the speculating thread
-	// from hooks (mem.Memory.Peek) that have no Ctx in hand.
+	// running is the context currently resumed — inside t.next(), or the
+	// host between its resume and its next yield — nil while the loop
+	// runs. It lets SpecBarrier reach the speculating thread from hooks
+	// (mem.Memory.Peek) that have no Ctx in hand.
 	running *Ctx
+	// host is the thread whose body Run runs on its own goroutine, nil
+	// before Run binds it and once its body has returned (see Run);
+	// hostYield is its yield, bound once so a Run allocates nothing for it.
+	host      *Ctx
+	hostYield func(uint64) bool
+	// bodies, end and err are the Run in progress: its bodies, and its
+	// verdict once the loop reached one — the makespan, or the error and
+	// the cycle it struck at.
+	bodies []func(*Ctx)
+	end    uint64
+	err    error
 	// delegation runs the lock-word protocols and Delegate as
 	// continuations, off as the coroutine's own ticks (SetDelegation).
 	delegation bool
 }
 
 // Counters is the event loop's account of its own work: every event it
-// delivered, by how. Only a Resume pays the two coroutine switches; the
-// other two kinds are steps the loop executed on the thread's behalf.
+// delivered, by how. Only a Resume hands control back to the thread's
+// body; the other two kinds are steps the loop executed on the thread's
+// behalf. A resume of the host (see Run) costs no coroutine switch, any
+// other two, so the run switched 2 × (Resumes − HostResumes) times.
 type Counters struct {
-	Resumes uint64 // delivered by resuming the thread's coroutine
-	Steps   uint64 // continuation ticks (acquire, wait, Delegate) that parked or queued their next tick
-	Replays uint64 // journaled pure ticks re-delivered after a quantum (TickPure)
+	Resumes uint64 // delivered by resuming the thread's body
+	// HostResumes counts the Resumes that continued the host, on the
+	// loop's own stack.
+	HostResumes uint64
+	Steps       uint64 // continuation ticks (acquire, wait, Delegate) that parked or queued their next tick
+	Replays     uint64 // journaled pure ticks re-delivered after a quantum (TickPure)
 	// Settled counts deferred acquirers a winning store re-parked in
 	// closed form (settleHerd): steps no event delivers, so Events leaves
 	// them out.
@@ -628,6 +657,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{cfg: cfg, maxCap: maxEventCycle, hookAt: ^uint64(0), delegation: true}
+	e.hostYield = e.loop
 	if cfg.MaxCycles > 0 && cfg.MaxCycles < maxEventCycle {
 		e.maxCap = cfg.MaxCycles + 1
 	}
@@ -692,11 +722,16 @@ func (t *Ctx) finish() {
 // without a body stay idle at clock 0. It returns the makespan (maximum
 // final clock). A panic inside a body is recovered and returned as an
 // error carrying the panic value (wrapping it when it is an error, so
-// errors.Is sees through it); ErrMaxCycles is returned on livelock.
+// errors.Is sees through it), as is one raised by the event loop itself;
+// ErrMaxCycles is returned on livelock.
 //
-// Each popped event is dispatched on its thread's state (DESIGN.md §6b):
-// the loop either executes the event itself — a continuation tick or a
-// journal replay — or resumes the coroutine.
+// The lowest-id thread with a body is the host. It wins every same-cycle
+// tie, so it is the thread the loop resumes most often, and Run runs its
+// body itself (runHost) instead of in a coroutine: the host's yield
+// (loop) runs the event loop on the host's stack and simply returns
+// when the host's event pops again, so a host resume costs no coroutine
+// switch, and neither do the loop's steps between two host events. Every
+// other body runs in a coroutine, and each of its resumes costs two.
 func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	if len(bodies) > len(e.threads) {
 		return 0, fmt.Errorf("machine: %d bodies for %d hardware threads",
@@ -704,28 +739,122 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	}
 	e.queue.clear()
 	e.SetTickHook(e.tickHook) // re-arm the deadline at cycle 0
+	e.bodies, e.end, e.err, e.host = bodies, 0, nil, nil
 	for i, body := range bodies {
-		if body == nil {
-			continue
+		if t := e.threads[i]; body != nil {
+			t.reset()
+			t.clock, t.panicked, t.parkSkipped = 0, nil, 0
+			if e.host == nil {
+				e.host, t.yield = t, e.hostYield
+			} else {
+				t.start(body)
+			}
+			e.queue.push(event{cycle: 0, id: int32(i)})
 		}
-		t := e.threads[i]
-		t.reset()
-		t.clock, t.panicked, t.parkSkipped = 0, nil, 0
-		t.start(body)
-		e.queue.push(event{cycle: 0, id: int32(i)})
 	}
+	// The loop runs here until the host's first event pops, then on the
+	// host's stack, and here again once the host's body has returned,
+	// when it can only report false.
+	for e.err == nil && e.loop(0) {
+		e.runHost()
+	}
+	if e.err != nil {
+		e.drain()
+	}
+	e.bodies, e.host = nil, nil
+	return e.end, e.err
+}
 
+// runHost runs the host's body from its first resume and is its
+// trampoline, as Ctx.start's is a coroutine's: a panic of the body is the
+// run's error, and the errAbandonRun sentinel it unwinds with when the
+// loop ends the run under it is dropped.
+func (e *Engine) runHost() {
+	t := e.host
+	defer func() {
+		t.yield, e.host, e.running = nil, nil, nil
+		if r := recover(); r != nil && r != errAbandonRun && e.err == nil {
+			e.end, e.err = t.clock, panicError(fmt.Sprintf("thread %d", t.id), r)
+		}
+	}()
+	e.bodies[t.id](t)
+	t.EndQuantum() // as in Ctx.start
+}
+
+// loop runs the event loop, deliver, and is its panic boundary. Run calls
+// it with no thread running, and it is the host's yield (hostYield), when
+// it files the host's yield at clock first. When the loop ends the run
+// under a suspended host, the host is reset, as drain resets a coroutine
+// before abandoning it, and unwinds; every yield it makes while
+// unwinding reports false at once. A panic raised by the loop itself (a
+// tick hook at a popped event, a delegated Protocol, the lock-word
+// operations) ends the run as its error, with makespan 0, and never
+// unwinds the host's body. The deferred recover lives here rather than in
+// deliver, whose per-event path it would slow.
+func (e *Engine) loop(clock uint64) (resumed bool) {
+	t := e.running
+	e.running = nil
+	defer func() {
+		if r := recover(); r != nil {
+			e.err, resumed = panicError("event loop", r), false
+		}
+		if t != nil && !resumed {
+			t.reset()
+		}
+	}()
+	return e.err == nil && e.deliver(t, clock)
+}
+
+// deliver is the event loop. It files thread t's yield at clock (none
+// with t nil), then pops and delivers events until the host's event pops
+// for a resume — it reports true, with the host running — or the run
+// ends: it reports false with Run's verdict in e.end and e.err.
+//
+// Each popped event is dispatched on its thread's state (DESIGN.md §6b):
+// the loop either executes the event itself — a continuation tick or a
+// journal replay — or resumes the thread.
+func (e *Engine) deliver(t *Ctx, clock uint64) bool {
+	var ev event
 events:
-	for !e.queue.empty() {
-		ev := e.queue.pop()
+	for {
+		// File t's yield. Nothing is filed when its body returned, or when
+		// it parked itself (ParkOnWord, or a continuation's poll found the
+		// word busy) and a wake re-queues it.
+		if t != nil && t.state != parked {
+			if t.spec.n > 0 {
+				// The yield closed a speculative quantum: re-deliver the
+				// journaled ticks as events, in (cycle, id) order, before
+				// the world sees this thread again. Parks and the
+				// trampolines flush their journals before suspending, so
+				// only a runnable yield gets here with one.
+				t.setState(replaying)
+				t.spec.next = 0
+				clock = t.spec.cycles[0]
+			}
+			ev = e.queue.replaceMin(event{cycle: clock, id: int32(t.id)})
+		} else if !e.queue.empty() {
+			ev = e.queue.pop()
+		} else {
+			// The run is over: every body returned, or the threads left
+			// are parked with no poll budget and none is left to wake
+			// them.
+			for i, body := range e.bodies {
+				if body != nil {
+					e.threads[i].batchLimit = e.maxCap // empty queue: post-run Ticks never yield
+					e.end = max(e.end, e.threads[i].clock)
+				}
+			}
+			if e.deadlocked() {
+				e.err = ErrDeadlock
+			}
+			return false
+		}
 		for {
-			t := e.threads[ev.id]
+			t = e.threads[ev.id]
 			e.observe(ev.cycle)
 			if ev.cycle >= e.maxCap {
-				// Unwind every live context so no coroutine outlives the
-				// run, then report the livelock.
-				e.drain(bodies)
-				return ev.cycle, ErrMaxCycles
+				e.end, e.err = ev.cycle, ErrMaxCycles
+				return false
 			}
 			switch t.state {
 			case parked:
@@ -789,62 +918,44 @@ events:
 			t.batchLimit = e.horizonFor(ev.id)
 			e.count.Resumes++
 			e.running = t
-			clock, ok := t.next()
+			if t == e.host {
+				e.count.HostResumes++
+				return true
+			}
+			var ok bool
+			clock, ok = t.next()
 			e.running = nil
 			if !ok {
 				// The body returned (or panicked); the context is done
 				// and is not re-queued.
 				t.finish()
 				if t.panicked != nil {
-					e.drain(bodies)
-					if err, ok := t.panicked.(error); ok {
-						return t.clock, fmt.Errorf("machine: thread %d panicked: %w", t.id, err)
-					}
-					return t.clock, fmt.Errorf("machine: thread %d panicked: %v", t.id, t.panicked)
+					e.end, e.err = t.clock, panicError(fmt.Sprintf("thread %d", t.id), t.panicked)
+					return false
 				}
-				continue events
+				t = nil
 			}
-			if t.state == parked {
-				// The thread parked itself (ParkOnWord, or a
-				// continuation's poll found the word busy); a wake
-				// re-queues it.
-				continue events
-			}
-			if t.spec.n > 0 {
-				// The yield closed a speculative quantum: re-deliver the
-				// journaled ticks as events, in (cycle, id) order, before
-				// the world sees this thread again. Parks and the
-				// trampoline flush their journals before suspending, so
-				// only a runnable yield gets here with one.
-				t.setState(replaying)
-				t.spec.next = 0
-				clock = t.spec.cycles[0]
-			}
-			ev = e.queue.replaceMin(event{cycle: clock, id: ev.id})
+			continue events
 		}
 	}
-
-	for i, body := range bodies {
-		if body != nil {
-			t := e.threads[i]
-			t.batchLimit = e.maxCap // empty queue: post-run Ticks never yield
-			makespan = max(makespan, t.clock)
-		}
-	}
-	if e.deadlocked() {
-		e.drain(bodies)
-		return makespan, ErrDeadlock
-	}
-	return makespan, nil
 }
 
 // deadlocked is Run's verdict once its queue runs dry: a thread is still
 // parked with no poll budget, and no thread is left to wake it.
 func (e *Engine) deadlocked() bool { return e.queue.empty() && !e.wakeable.Empty() }
 
+// panicError is Run's error for the panic value r raised by who, wrapping
+// r when it is an error so errors.Is sees through it.
+func panicError(who string, r any) error {
+	if err, ok := r.(error); ok {
+		return fmt.Errorf("machine: %s panicked: %w", who, err)
+	}
+	return fmt.Errorf("machine: %s panicked: %v", who, r)
+}
+
 // reset re-arms t as a runnable thread with nothing in flight — no park
 // continuation, no speculation, the batch horizon at its cap. Run applies
-// it before binding a body and drain before abandoning one.
+// it before binding a body, and drain and loop before abandoning one.
 func (t *Ctx) reset() {
 	t.setState(runnable)
 	t.cont, t.proto, t.specUnwind, t.herdB = contNone, nil, false, 0
@@ -852,20 +963,19 @@ func (t *Ctx) reset() {
 	t.batchLimit = t.eng.maxCap
 }
 
-// drain unwinds all remaining live contexts. Called only on the error
-// paths: contexts suspended inside Tick resume with yield reporting false
-// and unwind via the errAbandonRun sentinel; contexts never resumed are
+// drain unwinds every coroutine still live once the run has failed:
+// contexts suspended inside Tick resume with yield reporting false and
+// unwind via the errAbandonRun sentinel; contexts never resumed are
 // cancelled before their body starts. Either way the coroutine ends here,
-// synchronously, and the engine is immediately reusable.
-func (e *Engine) drain(bodies []func(*Ctx)) {
-	for i, body := range bodies {
-		if body == nil {
-			continue
-		}
-		t := e.threads[i]
-		t.reset()
-		if t.next != nil {
-			t.finish()
+// synchronously, and the engine is immediately reusable. The host, if it
+// started, has unwound already, on its own stack.
+func (e *Engine) drain() {
+	for i, body := range e.bodies {
+		if t := e.threads[i]; body != nil {
+			t.reset()
+			if t.next != nil {
+				t.finish()
+			}
 		}
 	}
 	e.queue.clear()

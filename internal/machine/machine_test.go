@@ -229,6 +229,46 @@ func TestNilBodiesStayIdle(t *testing.T) {
 	}
 }
 
+// TestRunHostsLowestBody: Run runs the lowest-id body itself and the rest
+// in coroutines, so a Run of n bodies has n-1 coroutines alive at its
+// first tick, and with body 0 nil body 1 is the host.
+func TestRunHostsLowestBody(t *testing.T) {
+	e := mustEngine(t, Config{Topo: topology.MustFromFlat(8, 8), Seed: 1, Cost: DefaultCostModel()})
+	for _, n := range []int{1, 2, 5, 8} {
+		coroutines := -1
+		e.SetTickHook(func(uint64) uint64 {
+			if coroutines < 0 {
+				coroutines = 0
+				for _, c := range e.threads[:n] {
+					if c.next != nil {
+						coroutines++
+					}
+				}
+			}
+			return ^uint64(0)
+		})
+		bodies := make([]func(*Ctx), n)
+		for i := range bodies {
+			bodies[i] = func(c *Ctx) { c.Tick(uint64(10 - i)) }
+		}
+		if _, err := e.Run(bodies); err != nil {
+			t.Fatal(err)
+		}
+		if coroutines != n-1 {
+			t.Errorf("%d bodies: %d coroutines at the first tick, want %d", n, coroutines, n-1)
+		}
+	}
+	e.SetTickHook(nil)
+	var host *Ctx
+	bodies := []func(*Ctx){nil, func(c *Ctx) { host = c.eng.host; c.Tick(4) }, func(c *Ctx) { c.Tick(3) }}
+	if _, err := e.Run(bodies); err != nil {
+		t.Fatal(err)
+	}
+	if host != e.threads[1] || e.threads[1].next != nil {
+		t.Fatal("body 0 nil: thread 1 is not the host")
+	}
+}
+
 // TestDeterministicSchedule runs the same randomized interleaving twice
 // and checks identical traces.
 func TestDeterministicSchedule(t *testing.T) {

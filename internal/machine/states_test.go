@@ -11,8 +11,9 @@ import (
 // force, at a tick hook:
 //
 //  1. every thread is in exactly one known state with one known
-//     continuation kind, and a thread with no live body (idle or done) is
-//     runnable, as is the running thread;
+//     continuation kind, and a thread with no live body (idle or done: no
+//     coroutine, and not the host, whose body has none) is runnable, as
+//     is the running thread;
 //  2. a live thread has a queued event exactly when it is runnable,
 //     polling, stepping, replaying or a bounded parked thread — except
 //     the thread being delivered, whose event the loop has just popped
@@ -52,7 +53,7 @@ func checkStates(e *Engine, untouched func(key uint64) bool) error {
 		} else if deferred && (t.state != parked || t.cont != contAcquire || untouched == nil || !untouched(t.parkKey)) {
 			return fmt.Errorf("thread %d: deferred in state %d (continuation %d) or on a stored word", t.id, t.state, t.cont)
 		}
-		if t.next == nil || t == e.running {
+		if (t.next == nil && t != e.host) || t == e.running {
 			if t.state != runnable {
 				return fmt.Errorf("thread %d: state %d while idle, done or running", t.id, t.state)
 			}

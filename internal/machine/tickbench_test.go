@@ -7,20 +7,35 @@ import (
 	"seer/internal/topology"
 )
 
+// BenchmarkTick is n threads ticking one cycle at a time in lockstep, so
+// every tick reaches its thread's batch horizon and one op is one resume.
+// switches/op is the coroutine switches per op, 2 × (Resumes −
+// HostResumes) / ops: every resume but the host's costs two, so lockstep
+// reads 2(n−1)/n — 1.0 at 2 threads, 1.75 at 8 and about 2.0 at 128.
 func BenchmarkTick(b *testing.B) {
-	cfg := DefaultConfig()
-	eng, _ := New(cfg)
-	bodies := make([]func(*Ctx), 8)
-	per := b.N/8 + 1
-	for i := range bodies {
-		bodies[i] = func(c *Ctx) {
-			for n := 0; n < per; n++ {
-				c.Tick(1)
+	for _, n := range []int{2, 8, 128} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			eng, err := New(Config{Topo: topology.Flat(n), Seed: 1, Cost: DefaultCostModel()})
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
+			per := b.N/n + 1
+			bodies := make([]func(*Ctx), n)
+			for i := range bodies {
+				bodies[i] = func(c *Ctx) {
+					for range per {
+						c.Tick(1)
+					}
+				}
+			}
+			b.ResetTimer()
+			if _, err := eng.Run(bodies); err != nil {
+				b.Fatal(err)
+			}
+			c := eng.Counters()
+			b.ReportMetric(2*float64(c.Resumes-c.HostResumes)/float64(per*n), "switches/op")
+		})
 	}
-	b.ResetTimer()
-	eng.Run(bodies)
 }
 
 // BenchmarkSGLHerd is one lock handed round n threads, all of them
