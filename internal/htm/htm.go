@@ -327,18 +327,10 @@ func (u *Unit) activeOnCore(st *txnState) int {
 func (u *Unit) readCap(st *txnState) int  { return max(1, u.cfg.ReadSetLines/u.activeOnCore(st)) }
 func (u *Unit) writeCap(st *txnState) int { return max(1, u.cfg.WriteSetLines/u.activeOnCore(st)) }
 
-// step advances virtual time by cost and delivers any pending asynchronous
-// abort.
-func (t *Tx) step(cost uint64) {
-	t.ctx.Tick(cost)
-	if s := t.boundary(); s != 0 {
-		t.st.sig.status = s
-		panic(&t.st.sig)
-	}
-}
-
 // boundary is the instruction-boundary check after a tick: the status of
-// a pending doom, or of a spurious abort drawn now; 0 for neither.
+// a pending doom, or of a spurious abort drawn now; 0 for neither. The
+// impure steps (Load, Store, the commit) tick through Advance and Yield in
+// their own frame, so the yield is one call deep, and then check it.
 func (t *Tx) boundary() Status {
 	st := t.st
 	if st.doomed {
@@ -351,39 +343,50 @@ func (t *Tx) boundary() Status {
 	return 0
 }
 
-// stepPure is step for ticks with no shared-state side effects (Tx.Work):
-// the tick is eligible for a speculative quantum. The two step outcomes
-// that make a speculated tick irreversible — observing a pending doom and
-// drawing a spurious abort — first close the quantum with EndQuantum, so
-// the journal replays (and can still roll back, rewinding the PRNG draw
-// along with the clock) before the abort is delivered. With speculation
-// disabled this is bit-for-bit identical to step.
+// abort unwinds the attempt with status s through the pre-boxed signal.
+func (t *Tx) abort(s Status) {
+	t.st.sig.status = s
+	panic(&t.st.sig)
+}
+
+// stepPure ticks for computation with no shared-state side effects
+// (Tx.Work): the tick is eligible for a speculative quantum. The two
+// boundary outcomes that make a speculated tick irreversible — observing a
+// pending doom and drawing a spurious abort — first close the quantum with
+// EndQuantum, so the journal replays (and can still roll back, rewinding
+// the PRNG draw along with the clock) before the abort is delivered. With
+// speculation disabled this is bit-for-bit an impure step.
 func (t *Tx) stepPure(cost uint64) {
 	t.ctx.TickPure(cost)
 	if s := t.boundary(); s != 0 {
 		t.ctx.EndQuantum()
-		t.st.sig.status = s
-		panic(&t.st.sig)
+		t.abort(s)
 	}
 }
 
 // Load performs a transactional load. The conflict registry doubles as
 // the read-set representation: RegisterRead reports whether the set grew,
-// so the only per-access bookkeeping is a counter bump and a slice append.
-// Cross-socket lines may carry an extra cost (see mem.SetAccessCost).
+// so the only per-access bookkeeping is a counter bump and a slice append,
+// and it returns the word, read without Peek's speculation barrier: once
+// the impure tick has returned no quantum is open. Cross-socket lines may
+// carry an extra cost (see mem.SetAccessCost).
 func (t *Tx) Load(a mem.Addr) uint64 {
-	t.step(t.p.load + t.u.mem.AccessCost(t.hw, a))
-	st := t.st
-	if v, ok := st.wb.get(a); ok {
+	if t.ctx.Advance(t.p.load + t.u.mem.AccessCost(t.hw, a)) {
+		t.ctx.Yield()
+	}
+	if s := t.boundary(); s != 0 {
+		t.abort(s)
+	}
+	if v, ok := t.st.wb.get(a); ok {
 		return v
 	}
-	if grew, ownWrite := t.u.mem.RegisterRead(t.hw, a); grew && !ownWrite {
+	v, grew, ownWrite := t.u.mem.RegisterRead(t.hw, a)
+	if grew && !ownWrite {
 		if s := t.addRead(a); s != 0 {
-			st.sig.status = s
-			panic(&st.sig)
+			t.abort(s)
 		}
 	}
-	return t.u.mem.Peek(a)
+	return v
 }
 
 // addRead books a's line, just registered, into the read set and returns
@@ -400,7 +403,12 @@ func (t *Tx) addRead(a mem.Addr) Status {
 
 // Store performs a transactional (buffered) store.
 func (t *Tx) Store(a mem.Addr, v uint64) {
-	t.step(t.p.store + t.u.mem.AccessCost(t.hw, a))
+	if t.ctx.Advance(t.p.store + t.u.mem.AccessCost(t.hw, a)) {
+		t.ctx.Yield()
+	}
+	if s := t.boundary(); s != 0 {
+		t.abort(s)
+	}
 	st := t.st
 	if grew, wasReader := t.u.mem.RegisterWrite(t.hw, a); grew {
 		st.nWriteLines++
@@ -408,8 +416,7 @@ func (t *Tx) Store(a mem.Addr, v uint64) {
 			st.lines = append(st.lines, mem.LineOf(a))
 		}
 		if t.p.capacity && st.nWriteLines > t.u.writeCap(st) {
-			st.sig.status = BitCapacity
-			panic(&st.sig)
+			t.abort(BitCapacity)
 		}
 	}
 	st.wb.put(a, v)
@@ -433,8 +440,7 @@ func (t *Tx) ThreadID() int { return t.hw }
 // Abort explicitly aborts the transaction with an 8-bit code (the xabort
 // analogue). It never returns.
 func (t *Tx) Abort(code uint8) {
-	t.st.sig.status = BitExplicit | BitRetry | Status(code)<<24
-	panic(&t.st.sig)
+	t.abort(BitExplicit | BitRetry | Status(code)<<24)
 }
 
 // ReadSetLines and WriteSetLines report the current footprint, for tests.
@@ -518,8 +524,9 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, sub bool, body func(*Tx)) (s
 		// the explicit abort, the rollback signal supersedes it — the
 		// per-tick engine would have delivered that doom at the
 		// journaled tick's boundary check, before control ever reached
-		// Abort. All other abort sources — step, stepPure, a speculative
-		// rollback — arrive here with the quantum closed (no-op).
+		// Abort. All other abort sources — an impure step's boundary
+		// check, stepPure, a speculative rollback — arrive here with the
+		// quantum closed (no-op).
 		if rb := endQuantumRecover(ctx); rb != nil {
 			r = rb
 		}
@@ -559,7 +566,12 @@ func (u *Unit) run(ctx *machine.Ctx, p *modeParams, sub bool, body func(*Tx)) (s
 	// every written line in the registry at this point (a conflicting access
 	// would have doomed it), which is what makes the single-step publish
 	// atomic with respect to all other execution modes.
-	tx.step(p.commit)
+	if ctx.Advance(p.commit) {
+		ctx.Yield()
+	}
+	if s := tx.boundary(); s != 0 {
+		tx.abort(s)
+	}
 	st.wb.apply(u.mem)
 	u.end(st, hw, p)
 	return 0
@@ -614,7 +626,7 @@ func (st *txnState) Step() (done bool) {
 	return true
 }
 
-// subscribe is the prologue's subscription load after its tick: step's
+// subscribe is the prologue's subscription load after its tick: the
 // instruction-boundary check, then Load's registration of the (first, so
 // unbuffered) line and the held test. It returns the status the body code
 // would have aborted with, 0 when the word is free.
@@ -622,12 +634,13 @@ func (t *Tx) subscribe() Status {
 	if s := t.boundary(); s != 0 {
 		return s
 	}
-	if grew, ownWrite := t.u.mem.RegisterRead(t.hw, t.st.lock); grew && !ownWrite {
+	v, grew, ownWrite := t.u.mem.RegisterRead(t.hw, t.st.lock)
+	if grew && !ownWrite {
 		if s := t.addRead(t.st.lock); s != 0 {
 			return s
 		}
 	}
-	if t.u.mem.Peek(t.st.lock) != 0 {
+	if v != 0 {
 		return BitExplicit | BitRetry | Status(t.st.held)<<24
 	}
 	return 0

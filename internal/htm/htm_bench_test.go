@@ -1,6 +1,7 @@
 package htm
 
 import (
+	"fmt"
 	"testing"
 
 	"seer/internal/machine"
@@ -127,4 +128,48 @@ func BenchmarkSubscribedAttempt(b *testing.B) {
 	attempts := float64(per * n)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/attempts, "ns/attempt")
 	b.ReportMetric(float64(eng.Counters().Resumes-before.Resumes)/attempts, "resumes/attempt")
+}
+
+// BenchmarkLockstepLoad is the transactional load's layer number: n
+// threads in lockstep, each re-loading a private line inside long
+// hardware transactions, so every load reaches its thread's batch horizon
+// and yields from Tx.Load. One op is one load; switches/op is the
+// coroutine switches per load, 2 × (Resumes − HostResumes) / ops, as in
+// machine.BenchmarkTick.
+func BenchmarkLockstepLoad(b *testing.B) {
+	const txLen = 1000
+	for _, n := range []int{2, 8, 128} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			cfg := machine.Config{Topo: topology.Flat(n), Seed: 1, Cost: machine.DefaultCostModel()}
+			eng, err := machine.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			m := mem.New(1 << 12)
+			u := New(m, cfg, Config{ReadSetLines: 512, WriteSetLines: 64})
+			base := m.AllocLines(n)
+			per := b.N/n + 1
+			bodies := make([]func(*machine.Ctx), n)
+			for i := range bodies {
+				a := base + mem.Addr(i*mem.LineWords)
+				bodies[i] = func(c *machine.Ctx) {
+					for left := per; left > 0; left -= txLen {
+						if s := u.Run(c, func(tx *Tx) {
+							for range min(left, txLen) {
+								tx.Load(a)
+							}
+						}); s != 0 {
+							panic("benchmark: a private-line transaction aborted: " + s.String())
+						}
+					}
+				}
+			}
+			b.ResetTimer()
+			if _, err := eng.Run(bodies); err != nil {
+				b.Fatal(err)
+			}
+			c := eng.Counters()
+			b.ReportMetric(2*float64(c.Resumes-c.HostResumes)/float64(per*n), "switches/op")
+		})
+	}
 }

@@ -41,7 +41,7 @@ func (k key) event() event { return event{cycle: uint64(^k >> 8), id: int32(uint
 // thread id: leaf holds the 256 slots in groups of eight, l1[w][g] is the
 // greatest key of leaf group 8w+g, l2[w] the greatest of l1[w], and min
 // the greatest of l2 — the earliest event, or 0 when the queue is empty.
-// Every operation stores one leaf and repairs its root path with
+// Every operation stores its leaves and repairs their root paths with
 // straight-line max reductions, whatever the number of live threads:
 // nothing records which slots are occupied, because an empty slot already
 // loses, so no step depends on the data or on the machine's width.
@@ -74,15 +74,6 @@ func (q *eventQueue) raise(id uint8, k key) {
 	q.min = max(q.min, k)
 }
 
-// vacate empties thread id's slot and recomputes its ancestors from their
-// children.
-func (q *eventQueue) vacate(id uint8) {
-	q.leaf[id>>3][id&7] = 0
-	q.l1[id>>6][id>>3&7] = max8(&q.leaf[id>>3])
-	q.l2[id>>6] = max8(&q.l1[id>>6])
-	q.min = max(q.l2[0], q.l2[1], q.l2[2], q.l2[3])
-}
-
 // push inserts thread ev.id's wakeup. The thread must not already have an
 // event queued (the engine pops a thread's event before the thread can
 // push a new one).
@@ -91,11 +82,16 @@ func (q *eventQueue) push(ev event) {
 	q.n++
 }
 
-// pop removes and returns the minimum event. It must not be called on an
-// empty queue.
+// pop removes and returns the minimum event: it empties the minimum's
+// slot and recomputes its ancestors from their children. It must not be
+// called on an empty queue.
 func (q *eventQueue) pop() event {
 	top := q.min.event()
-	q.vacate(uint8(top.id))
+	t := uint8(top.id)
+	q.leaf[t>>3][t&7] = 0
+	q.l1[t>>6][t>>3&7] = max8(&q.leaf[t>>3])
+	q.l2[t>>6] = max8(&q.l1[t>>6])
+	q.min = max(q.l2[0], q.l2[1], q.l2[2], q.l2[3])
 	q.n--
 	return top
 }
@@ -104,15 +100,24 @@ func (q *eventQueue) pop() event {
 // scheduler loop just processed — and returns the event to process next:
 // ev itself, with no queue traffic at all, when it precedes every queued
 // event; otherwise the queue minimum, with ev swapped in for it in one
-// pass instead of a push plus a pop.
+// pass instead of a pop plus a push. Both leaves are stored first and the
+// tree repaired once: ev's key folds into its ancestors, then the
+// minimum's ancestors are recomputed, which corrects any fold they
+// share.
 func (q *eventQueue) replaceMin(ev event) event {
 	k := ev.key()
 	if k > q.min {
 		return ev
 	}
 	top := q.min.event()
-	q.vacate(uint8(top.id))
-	q.raise(uint8(ev.id), k)
+	t, i := uint8(top.id), uint8(ev.id)
+	q.leaf[t>>3][t&7] = 0
+	q.leaf[i>>3][i&7] = k
+	q.l1[i>>6][i>>3&7] = max(q.l1[i>>6][i>>3&7], k)
+	q.l1[t>>6][t>>3&7] = max8(&q.leaf[t>>3])
+	q.l2[i>>6] = max(q.l2[i>>6], k)
+	q.l2[t>>6] = max8(&q.l1[t>>6])
+	q.min = max(q.l2[0], q.l2[1], q.l2[2], q.l2[3])
 	return top
 }
 

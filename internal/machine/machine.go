@@ -294,8 +294,9 @@ func (c *Ctx) Cost() *CostModel { return &c.eng.cfg.Cost }
 
 // Tick advances the thread's virtual clock by cost cycles and yields to
 // the engine, which may schedule another thread. Every observable action
-// of a simulated thread must pass through Tick: it is both the time
-// accounting and the interleaving point.
+// of a simulated thread must pass through Tick, or through its two halves
+// Advance and Yield: it is both the time accounting and the interleaving
+// point.
 //
 // Fast path (tick batching): when the thread's new clock is still below
 // its precomputed batch horizon, the engine's loop would push this
@@ -313,11 +314,41 @@ func (c *Ctx) Cost() *CostModel { return &c.eng.cfg.Cost }
 // argument. This preserves the schedule
 // bit-for-bit while eliminating the dominant cost of fine-grained ticks.
 func (c *Ctx) Tick(cost uint64) {
+	if c.Advance(cost) {
+		c.Yield()
+	}
+}
+
+// Advance is Tick's first half: it advances the clock by cost and, below
+// the batch horizon, delivers the tick to the hook and reports false; at
+// or past the horizon it reports true, and the caller must Yield before
+// its next action. Tick's callers on the hottest paths (htm's accesses and
+// commit) call the two halves themselves, since both inline, so the yield
+// runs from their own frame: Tick, over the inline budget, would add one.
+func (c *Ctx) Advance(cost uint64) bool {
 	c.clock += cost
 	if c.clock < c.batchLimit {
-		c.eng.observe(c.clock)
-		return
+		if c.clock >= c.eng.hookAt {
+			c.cross()
+		}
+		return false
 	}
+	return true
+}
+
+// cross delivers the tick at the thread's clock, which reached the hook's
+// deadline, to the hook. It stays out of line so that Advance, which
+// calls it only then, fits the inline budget.
+//
+//go:noinline
+func (c *Ctx) cross() {
+	c.eng.observe(c.clock)
+}
+
+// Yield is Tick's second half, called when Advance reported the horizon:
+// it hands the tick to the event loop and returns when the thread is next
+// resumed (see suspend). A speculative quantum is closed once it returns.
+func (c *Ctx) Yield() {
 	c.suspend()
 }
 
@@ -740,17 +771,18 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	e.queue.clear()
 	e.SetTickHook(e.tickHook) // re-arm the deadline at cycle 0
 	e.bodies, e.end, e.err, e.host = bodies, 0, nil, nil
-	for i, body := range bodies {
-		if t := e.threads[i]; body != nil {
-			t.reset()
-			t.clock, t.panicked, t.parkSkipped = 0, nil, 0
-			if e.host == nil {
-				e.host, t.yield = t, e.hostYield
-			} else {
-				t.start(body)
-			}
-			e.queue.push(event{cycle: 0, id: int32(i)})
+	for i, t := range e.threads {
+		t.reset()
+		t.clock, t.panicked, t.parkSkipped = 0, nil, 0
+		if i >= len(bodies) || bodies[i] == nil {
+			continue
 		}
+		if e.host == nil {
+			e.host, t.yield = t, e.hostYield
+		} else {
+			t.start(bodies[i])
+		}
+		e.queue.push(event{cycle: 0, id: int32(i)})
 	}
 	// The loop runs here until the host's first event pops, then on the
 	// host's stack, and here again once the host's body has returned,

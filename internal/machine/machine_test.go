@@ -399,6 +399,25 @@ func TestEngineReuse(t *testing.T) {
 	}
 }
 
+// TestRunResetsIdleThreads: a thread without a body in a Run stays idle
+// at clock 0, whatever clock an earlier Run left it at.
+func TestRunResetsIdleThreads(t *testing.T) {
+	e := mustEngine(t, Config{Topo: topology.MustFromFlat(2, 1), Seed: 1, Cost: DefaultCostModel()})
+	if _, err := e.Run([]func(*Ctx){
+		func(c *Ctx) { c.Tick(5) },
+		func(c *Ctx) { c.Tick(900) },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	makespan, err := e.Run([]func(*Ctx){func(c *Ctx) { c.Tick(7) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if makespan != 7 || e.Thread(1).Clock() != 0 {
+		t.Fatalf("makespan = %d, thread 1 at clock %d; want 7 and 0", makespan, e.Thread(1).Clock())
+	}
+}
+
 // TestDrainTerminatesGoroutines: error paths must unwind abandoned
 // thread goroutines rather than leak them, and the engine must remain
 // usable for a fresh run afterwards.

@@ -28,7 +28,7 @@ func TestAccessPastWatermark(t *testing.T) {
 	}
 
 	higher := far + 100*LineWords // regrows again
-	if grew, _ := m.RegisterRead(1, higher); !grew {
+	if _, grew, _ := m.RegisterRead(1, higher); !grew {
 		t.Fatalf("RegisterRead past the watermark did not grow the read set")
 	}
 	if grew, _ := m.RegisterWrite(2, higher); !grew {

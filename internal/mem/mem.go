@@ -244,7 +244,10 @@ func (m *Memory) SetSpecBarrier(fn func()) { m.specBarrier = fn }
 // Peek reads a word without any conflict-registry side effects. It is for
 // simulator components and tests, not for simulated programs — and for
 // tickless polling reads like spinlock.LockedFast, which is why it carries
-// the speculation barrier.
+// the speculation barrier. The reads that follow an impure tick skip it:
+// htm's transactional load and subscription read their word through
+// RegisterRead, since once an impure tick has returned no quantum is open
+// (and the subscription runs in the event loop, where none is running).
 func (m *Memory) Peek(a Addr) uint64 {
 	if m.specBarrier != nil {
 		m.specBarrier()
@@ -293,16 +296,17 @@ func (m *Memory) DirectStore(self int, a Addr, v uint64) {
 // --- Transactional line registry (called by internal/htm) ---
 
 // RegisterRead adds hardware thread hw as a reader of the line holding a,
-// dooming a conflicting transactional writer (requester wins). It returns
-// grew = true if the line was not yet in hw's read set (i.e. the read set
-// got bigger), and ownWrite = true if hw itself holds the line in its
-// write set — such lines are already accounted for by the write-set budget
-// and must not count against the read budget a second time.
+// dooming a conflicting transactional writer (requester wins), and returns
+// the committed word at a. It also returns grew = true if the line was not
+// yet in hw's read set (i.e. the read set got bigger), and ownWrite = true
+// if hw itself holds the line in its write set — such lines are already
+// accounted for by the write-set budget and must not count against the
+// read budget a second time.
 //
 // The two booleans exist so the HTM can maintain exact read/write line
 // counters without any per-transaction membership map: the registry entry
 // itself is the authoritative set representation.
-func (m *Memory) RegisterRead(hw int, a Addr) (grew, ownWrite bool) {
+func (m *Memory) RegisterRead(hw int, a Addr) (v uint64, grew, ownWrite bool) {
 	m.checkAddr(a)
 	ln := LineOf(a)
 	ls := m.line(ln)
@@ -311,10 +315,10 @@ func (m *Memory) RegisterRead(hw int, a Addr) (grew, ownWrite bool) {
 	}
 	ownWrite = int(ls.writer) == hw
 	if ls.readers.Has(hw) {
-		return false, ownWrite
+		return m.words[a], false, ownWrite
 	}
 	ls.readers.Add(hw)
-	return true, ownWrite
+	return m.words[a], true, ownWrite
 }
 
 // RegisterWrite makes hardware thread hw the transactional writer of the

@@ -118,13 +118,14 @@ func TestLineOf(t *testing.T) {
 func TestRegisterReadTracksReaders(t *testing.T) {
 	m, d := newTestMem(256)
 	a := m.AllocLines(1)
-	if grew, _ := m.RegisterRead(3, a); !grew {
-		t.Fatalf("first RegisterRead should grow the read set")
+	m.Poke(a, 42)
+	if v, grew, _ := m.RegisterRead(3, a); !grew || v != 42 {
+		t.Fatalf("first RegisterRead: grew=%v word=%d, want a grown read set and 42", grew, v)
 	}
-	if grew, _ := m.RegisterRead(3, a); grew {
+	if _, grew, _ := m.RegisterRead(3, a); grew {
 		t.Fatalf("repeated RegisterRead of same line should not grow")
 	}
-	if grew, _ := m.RegisterRead(5, a+1); !grew { // same line, different word, other thread
+	if _, grew, _ := m.RegisterRead(5, a+1); !grew { // same line, different word, other thread
 		t.Fatalf("second thread should register")
 	}
 	ln := LineOf(a)
@@ -192,13 +193,13 @@ func TestRegisterReturnFlags(t *testing.T) {
 	if grew, wasReader := m.RegisterWrite(3, a); !grew || wasReader {
 		t.Fatalf("fresh write: grew=%v wasReader=%v, want true,false", grew, wasReader)
 	}
-	if grew, ownWrite := m.RegisterRead(3, a); !grew || !ownWrite {
+	if _, grew, ownWrite := m.RegisterRead(3, a); !grew || !ownWrite {
 		t.Fatalf("read of own written line: grew=%v ownWrite=%v, want true,true", grew, ownWrite)
 	}
 	// Read first, then write on a fresh line: the write reports
 	// wasReader, so the line must not be recorded twice.
 	b := m.AllocLines(1)
-	if grew, ownWrite := m.RegisterRead(4, b); !grew || ownWrite {
+	if _, grew, ownWrite := m.RegisterRead(4, b); !grew || ownWrite {
 		t.Fatalf("fresh read: grew=%v ownWrite=%v, want true,false", grew, ownWrite)
 	}
 	if grew, wasReader := m.RegisterWrite(4, b); !grew || !wasReader {
