@@ -12,15 +12,16 @@
 //	seerstat -workload intruder -threads 32 -topology 2s8c2t [-remote-cost n]
 //	seerstat -workload intruder -explain
 //	seerstat -workload intruder -trace 20 -chrome-trace trace.json
-//	seerstat -workload hashmap -spans-jsonl spans.jsonl -conflict-dot graph.dot
+//	seerstat -workload hashmap -json -metrics-interval 8192 -conflict-dot graph.dot
 //
 // -explain enables the ground-truth abort-attribution subsystem and
 // prints the conflict digest real hardware cannot produce: the top
 // aborting block pairs (victim ← aborter), the hottest conflicting cache
 // lines, abort cascade depths and — under the Seer policy — the
 // inference-quality trajectory of the learned locks against the true
-// conflict graph. The spans/DOT flags export per-attempt spans (JSON
-// Lines) and the weighted conflict graph (Graphviz).
+// conflict graph. -conflict-dot exports the weighted conflict graph
+// (Graphviz). -timeline-csv writes the metrics timeline as CSV; -json
+// carries the same intervals in its "timeline" array.
 //
 // -chrome-trace writes one Chrome trace-event document (chrome://tracing,
 // Perfetto): the attempt spans as slices on one track per hardware
@@ -209,13 +210,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		asJSON     = fs.Bool("json", false, "emit the report and inference state as JSON")
 		summary    = fs.Bool("summary", false, "print the canonical deterministic report digest and exit")
 		timeline   = fs.Bool("timeline", false, "render the per-interval metrics timeline (sparklines)")
-		interval   = fs.Uint64("metrics-interval", 0, "telemetry snapshot period in cycles (0 = harness default when -timeline/-timeline-* set, else disabled)")
+		interval   = fs.Uint64("metrics-interval", 0, "telemetry snapshot period in cycles (0 = harness default when -timeline/-timeline-csv set, else disabled)")
 		csvPath    = fs.String("timeline-csv", "", "write the timeline as CSV to FILE")
-		jsonlPath  = fs.String("timeline-jsonl", "", "write the timeline as JSON Lines to FILE")
 		chromePath = fs.String("chrome-trace", "", "write attempt spans and runtime events as one Chrome trace-event document to FILE (enables span tracing and the event log)")
 		explain    = fs.Bool("explain", false, "print the abort-attribution digest: top conflicting block pairs, hot lines, cascade depths, inference quality")
 		explainK   = fs.Int("explain-top", 10, "explain: number of pairs/lines to list")
-		spansJSONL = fs.String("spans-jsonl", "", "write per-attempt spans as JSON Lines to FILE (enables span tracing)")
 		dotPath    = fs.String("conflict-dot", "", "write the ground-truth conflict graph as Graphviz DOT to FILE (enables attribution)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -244,7 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 	}
-	if spec.MetricsInterval == 0 && (*timeline || *csvPath != "" || *jsonlPath != "") {
+	if spec.MetricsInterval == 0 && (*timeline || *csvPath != "") {
 		spec.MetricsInterval = harness.DefaultMetricsInterval
 	}
 	cfg := spec.Config(wl, *seed)
@@ -252,7 +251,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *chromePath != "" {
 		cfg.TraceEvents = max(*traceN, 1<<16)
 	}
-	cfg.TraceAttempts = *spansJSONL != "" || *chromePath != ""
+	cfg.TraceAttempts = *chromePath != ""
 	sys, rep, err := stamp.Run(wl, cfg)
 	if err != nil {
 		return fail(err)
@@ -264,9 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		render func(io.Writer) error
 	}{
 		{*csvPath, rep.WriteTimelineCSV},
-		{*jsonlPath, rep.WriteTimelineJSONL},
 		{*chromePath, obs.WriteChromeTrace},
-		{*spansJSONL, obs.WriteSpansJSONL},
 		{*dotPath, obs.WriteDOT},
 	} {
 		if out.path == "" {

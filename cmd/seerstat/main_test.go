@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -136,6 +138,28 @@ func TestSummaryMatchesHarness(t *testing.T) {
 	}
 }
 
+// TestJSONCarriesTimeline: -json's "timeline" array is the JSON reader of
+// the metrics timeline, so it must decode to exactly the Report.Timeline
+// of the same cell run through the harness.
+func TestJSONCarriesTimeline(t *testing.T) {
+	spec := harness.Spec{Workload: "intruder", Scale: 0.05, Policy: seer.PolicySeer, Threads: 4, Seed: 1, MetricsInterval: 8192}
+	res, err := harness.RunOne(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Timeline []seer.Snapshot `json:"timeline"`
+	}
+	if err := json.Unmarshal([]byte(seerstat(t, "-json", "-metrics-interval", "8192")), &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := res.Reports[0].Timeline
+	if len(want) < 2 || !reflect.DeepEqual(doc.Timeline, want) {
+		t.Errorf("-json timeline (%d intervals) differs from the harness's Report.Timeline (%d):\n got: %+v\nwant: %+v",
+			len(doc.Timeline), len(want), doc.Timeline, want)
+	}
+}
+
 // TestRenderedOutputsGolden pins seerstat's own renderers byte for byte:
 // the -timeline view (engine-counter and phased-mode lines included) under
 // Seer and PhTM, and the -json document, at scale 0.05. The outputs are
@@ -185,7 +209,7 @@ var flagCallers = map[string]string{
 	"-workload -threads -scale -seed -policy": "every inspection", "-topology -remote-cost": "CI wide smokes",
 	"-summary": "CI digest smokes", "-json": "rendered-outputs golden", "-trace -trace-kinds": "TUTORIAL event dumps",
 	"-timeline -metrics-interval": "TUTORIAL timelines", "-explain -explain-top": "TUTORIAL attribution",
-	"-timeline-csv -timeline-jsonl -chrome-trace -spans-jsonl -conflict-dot": "observability exports",
+	"-timeline-csv -chrome-trace -conflict-dot": "observability exports",
 }
 
 // TestFlagTable: the flag set and flagCallers name the same flags.

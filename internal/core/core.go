@@ -515,7 +515,7 @@ func (s *Seer) WaitLocks(t *ThreadState, txID int, sgl spinlock.Lock) {
 		if t.Ctx.ID() == 0 {
 			s.refresh(t)
 		}
-		sgl.SpinWhileLocked(t.Ctx, s.mem)
+		sgl.SpinWhileLocked(t.Ctx)
 	}
 	// Periodic refresh independent of fall-back activity: with Seer the
 	// fall-back becomes rare (≈1% of commits), so waiting for it would
@@ -531,13 +531,13 @@ func (s *Seer) WaitLocks(t *ThreadState, txID int, sgl spinlock.Lock) {
 	if s.opts.TxLocks && !t.AcquiredTxLocks {
 		if lk := s.lockFor(t, txID); lk.LockedFast(s.mem) {
 			t.Obs.Wait(t.Ctx.Clock(), telemetry.LockTx)
-			lk.SpinWhileLockedBounded(t.Ctx, s.mem, coopSpinBudget)
+			lk.SpinWhileLockedBounded(t.Ctx, coopSpinBudget)
 		}
 	}
 	if s.opts.CoreLocks && !t.AcquiredCoreLock {
 		if lk := s.coreLocks[s.mach.PhysCore(t.Ctx.ID())]; lk.LockedFast(s.mem) {
 			t.Obs.Wait(t.Ctx.Clock(), telemetry.LockCore)
-			lk.SpinWhileLockedBounded(t.Ctx, s.mem, coopSpinBudget)
+			lk.SpinWhileLockedBounded(t.Ctx, coopSpinBudget)
 		}
 	}
 }

@@ -190,7 +190,7 @@ func runSGL(t *Thread, sgl spinlock.Lock, body func(mem.Access)) {
 func spinSGL(t *Thread, sgl spinlock.Lock) {
 	t.Obs.Wait(t.Ctx.Clock(), 0) // the SGL has no telemetry.LockKind: waits on it carry 0
 	start, skipped := t.lockWaitBegin()
-	sgl.SpinWhileLocked(t.Ctx, t.Mem)
+	sgl.SpinWhileLocked(t.Ctx)
 	t.lockWaitEnd(start, skipped)
 }
 

@@ -126,7 +126,7 @@ func TestBoundedWaitFreedEarly(t *testing.T) {
 		},
 		func(c *machine.Ctx) {
 			c.Work(1) // let thread 0 take the lock first
-			freed = lk.SpinWhileLockedBounded(c, m, 1<<20)
+			freed = lk.SpinWhileLockedBounded(c, 1<<20)
 			if c.Clock() > 2000 {
 				t.Errorf("waiter resumed at %d, long after the release", c.Clock())
 			}

@@ -68,7 +68,7 @@ func (l Lock) Acquire(ctx *machine.Ctx, _ *mem.Memory) {
 // SpinWhileLocked blocks until the lock is observed free, parking between
 // poll boundaries like Acquire (machine.Ctx.WaitWord). It does not acquire
 // the lock; Seer uses it to cooperate with lock holders.
-func (l Lock) SpinWhileLocked(ctx *machine.Ctx, _ *mem.Memory) {
+func (l Lock) SpinWhileLocked(ctx *machine.Ctx) {
 	ctx.WaitWord(uint64(l.addr), -1)
 }
 
@@ -79,7 +79,7 @@ func (l Lock) SpinWhileLocked(ctx *machine.Ctx, _ *mem.Memory) {
 // cannot violate safety — and it breaks the wait cycle that two threads
 // holding a transaction lock and a core lock while waiting on each other
 // would otherwise form.
-func (l Lock) SpinWhileLockedBounded(ctx *machine.Ctx, _ *mem.Memory, maxSpins int) bool {
+func (l Lock) SpinWhileLockedBounded(ctx *machine.Ctx, maxSpins int) bool {
 	return ctx.WaitWord(uint64(l.addr), max(maxSpins, 0))
 }
 

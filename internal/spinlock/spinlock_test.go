@@ -158,7 +158,7 @@ func TestSpinWhileLockedBounded(t *testing.T) {
 		},
 		func(c *machine.Ctx) {
 			c.Tick(100)
-			gaveUp = !l.SpinWhileLockedBounded(c, m, 16)
+			gaveUp = !l.SpinWhileLockedBounded(c, 16)
 		},
 	}
 	if _, err := eng.Run(bodies); err != nil {

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +16,6 @@ import (
 // of the errors below.
 var (
 	errNoTrace       = errors.New("telemetry: event log and span tracing disabled (set Config.TraceEvents or Config.TraceAttempts)")
-	errNoSpans       = errors.New("telemetry: span tracing disabled (set Config.TraceAttempts)")
 	errNoAttribution = errors.New("telemetry: attribution disabled (set Config.TraceAttempts or Config.AttributionCounters)")
 )
 
@@ -91,51 +89,6 @@ func WriteCSV(w io.Writer, snaps []Snapshot) error {
 	return cw.Error()
 }
 
-// WriteJSONL renders a timeline as JSON Lines, one snapshot per line.
-func WriteJSONL(w io.Writer, snaps []Snapshot) error {
-	enc := json.NewEncoder(w)
-	for _, s := range snaps {
-		if err := enc.Encode(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// --- Attempt spans ---
-
-// writeAbortArgs renders the abort-only JSON members shared by the span
-// JSONL lines and the Chrome trace's attempt slices; hand-rolled so field
-// order and number formatting are stable across Go versions.
-func writeAbortArgs(w io.Writer, sp Span) {
-	if sp.Outcome != OutcomeAbort {
-		return
-	}
-	fmt.Fprintf(w, `,"status":"%#x","depth":%d`, sp.Status, sp.Depth)
-	if sp.Line != NoLine {
-		fmt.Fprintf(w, `,"aborter_hw":%d,"aborter_block":%d,"line":%d`, sp.AborterHW, sp.AborterBlock, sp.Line)
-	}
-}
-
-// WriteSpansJSONL writes every retained attempt span as one JSON object
-// per line, ordered by (hardware thread, begin cycle) — the per-thread
-// buffers are already chronological.
-func (r *Recorder) WriteSpansJSONL(w io.Writer) error {
-	if r == nil || !r.opt.Spans {
-		return errNoSpans
-	}
-	bw := bufio.NewWriter(w)
-	for i := range r.threads {
-		for _, sp := range r.threads[i].spans {
-			fmt.Fprintf(bw, `{"begin":%d,"end":%d,"hw":%d,"block":%d,"retry":%d,"outcome":%q`,
-				sp.Begin, sp.End, sp.HW, sp.Block, sp.Retry, sp.Outcome.String())
-			writeAbortArgs(bw, sp)
-			fmt.Fprintln(bw, "}")
-		}
-	}
-	return bw.Flush()
-}
-
 // --- Chrome trace ---
 
 // WriteChromeTrace renders one Chrome trace-event JSON document, loadable
@@ -165,7 +118,12 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			for _, sp := range r.threads[i].spans {
 				entry(`{"name":"tx%d/%s","cat":"attempt","ph":"X","ts":%d,"dur":%d,"pid":0,"tid":%d,"args":{"retry":%d`,
 					sp.Block, sp.Outcome.String(), sp.Begin, max(sp.End-sp.Begin, 1), sp.HW, sp.Retry)
-				writeAbortArgs(bw, sp)
+				if sp.Outcome == OutcomeAbort {
+					fmt.Fprintf(bw, `,"status":"%#x","depth":%d`, sp.Status, sp.Depth)
+					if sp.Line != NoLine {
+						fmt.Fprintf(bw, `,"aborter_hw":%d,"aborter_block":%d,"line":%d`, sp.AborterHW, sp.AborterBlock, sp.Line)
+					}
+				}
 				fmt.Fprint(bw, `}}`)
 			}
 		}

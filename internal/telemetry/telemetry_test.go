@@ -64,7 +64,6 @@ func TestNilRecorderAndShardAreNoOps(t *testing.T) {
 	r.Flush(1 << 20)
 	for name, err := range map[string]error{
 		"WriteChromeTrace": r.WriteChromeTrace(&bytes.Buffer{}),
-		"WriteSpansJSONL":  r.WriteSpansJSONL(&bytes.Buffer{}),
 		"WriteDOT":         r.WriteDOT(&bytes.Buffer{}),
 		"WriteExplain":     r.WriteExplain(&bytes.Buffer{}, 5),
 	} {
@@ -117,9 +116,6 @@ func TestSinksAreIndependent(t *testing.T) {
 		}
 		if err := r.WriteChromeTrace(&bytes.Buffer{}); (err == nil) != (o.RingCapacity > 0 || o.Spans) {
 			t.Errorf("%+v: WriteChromeTrace err = %v", o, err)
-		}
-		if err := r.WriteSpansJSONL(&bytes.Buffer{}); (err == nil) != o.Spans {
-			t.Errorf("%+v: WriteSpansJSONL err = %v", o, err)
 		}
 		if err := r.WriteDOT(&bytes.Buffer{}); (err == nil) != (o.Spans || o.Attribution) {
 			t.Errorf("%+v: WriteDOT err = %v", o, err)

@@ -6,7 +6,6 @@
 package txtrace_test
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"strings"
@@ -64,9 +63,6 @@ func TestNilCollectorNoOps(t *testing.T) {
 	}
 	if err := c.WriteExplain(&bytes.Buffer{}, 5); err == nil {
 		t.Error("WriteExplain on nil recorder must error")
-	}
-	if err := c.WriteSpansJSONL(&bytes.Buffer{}); err == nil {
-		t.Error("WriteSpansJSONL on nil recorder must error")
 	}
 	if err := c.WriteChromeTrace(&bytes.Buffer{}); err == nil {
 		t.Error("WriteChromeTrace on nil recorder must error")
@@ -398,9 +394,9 @@ func TestRankDivergenceReversed(t *testing.T) {
 }
 
 // TestExporters smoke-tests the export formats on a tiny attributed
-// history: JSONL lines must parse, the Chrome document must be valid JSON
-// with each sink drawing its own entries, and the DOT graph must name the
-// participating blocks.
+// history: the Chrome document must be valid JSON with each sink drawing
+// its own entries and the abort slice carrying its attribution, and the
+// DOT graph must name the participating blocks.
 func TestExporters(t *testing.T) {
 	// history records thread 1's conflict abort (doomed by thread 0 on
 	// line 8), its committed retry and a fall-back episode, with the
@@ -425,28 +421,6 @@ func TestExporters(t *testing.T) {
 	}
 	c := history(Options{Spans: true})
 
-	var jsonl bytes.Buffer
-	if err := c.WriteSpansJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(jsonl.Bytes()))
-	lines := 0
-	for sc.Scan() {
-		lines++
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("JSONL line %d invalid: %v\n%s", lines, err, sc.Text())
-		}
-		if lines == 1 {
-			if m["outcome"] != "abort" || m["line"] != float64(8) || m["aborter_hw"] != float64(0) {
-				t.Errorf("abort JSONL = %v", m)
-			}
-		}
-	}
-	if lines != 3 {
-		t.Errorf("got %d JSONL lines, want 3", lines)
-	}
-
 	// Spans draw the attempt slices and the event log the instants; with
 	// both on, the log leaves begin/commit/abort/fallback to the slices.
 	for _, o := range []Options{{Spans: true}, {RingCapacity: 64}, {Spans: true, RingCapacity: 64}} {
@@ -466,6 +440,10 @@ func TestExporters(t *testing.T) {
 			switch {
 			case e["ph"] == "X":
 				slices++
+				if args, _ := e["args"].(map[string]any); slices == 1 &&
+					(name != "tx2/abort" || args["line"] != float64(8) || args["aborter_hw"] != float64(0)) {
+					t.Errorf("%+v: abort slice = %v", o, e)
+				}
 			case name == "begin" || name == "sgl-fallback" || strings.HasPrefix(name, "tx"):
 				attemptEvents++
 			default:

@@ -2,11 +2,14 @@ package seer_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 
 	"seer"
@@ -17,9 +20,9 @@ import (
 
 // TestObservabilityExportsGolden pins every observability export byte for
 // byte: one small fixed cell (Seer, 8 threads, a 6-block clique, all four
-// observability Config fields on) whose timeline CSV and JSONL, Chrome
-// trace, spans JSONL, conflict DOT, explain digest and filtered event dump
-// are concatenated and compared with
+// observability Config fields on) whose timeline CSV, Chrome trace,
+// conflict DOT, explain digest and filtered event dump are concatenated
+// and compared with
 // testdata/observability.golden (regenerate with `go test -run
 // ObservabilityExportsGolden -update .`).
 func TestObservabilityExportsGolden(t *testing.T) {
@@ -51,10 +54,8 @@ func TestObservabilityExportsGolden(t *testing.T) {
 		}
 	}
 	section("timeline.csv", rep.WriteTimelineCSV)
-	section("timeline.jsonl", rep.WriteTimelineJSONL)
 	rec := sys.Recorder()
 	section("chrome-trace", rec.WriteChromeTrace)
-	section("spans.jsonl", rec.WriteSpansJSONL)
 	section("conflict.dot", rec.WriteDOT)
 	section("explain", func(w io.Writer) error { return rec.WriteExplain(w, 5) })
 	section("events", func(w io.Writer) error {
@@ -95,6 +96,86 @@ func TestObservabilityExportsGolden(t *testing.T) {
 	}
 }
 
+// TestChromeTraceCarriesEverySpan: the Chrome trace is the one file export
+// of the attempt spans, so its "attempt" slices must rebuild every Span
+// field for field (End = ts+dur), in Recorder.Spans order, on the cell the
+// observability golden pins.
+func TestChromeTraceCarriesEverySpan(t *testing.T) {
+	wl := adversary.New(adversary.Clique(6), 40)
+	cfg := stamp.Config(wl, 8, seer.Topology{})
+	cfg.Seed = 7
+	cfg.Seer.UpdateEvery = 24
+	cfg.Seer.EpochExecs = 64
+	cfg.TraceEvents = 512
+	cfg.MetricsInterval = 1 << 11
+	cfg.TraceAttempts = true
+	cfg.AttributionCounters = true
+	sys, _, err := stamp.Run(wl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sys.Recorder()
+	var b bytes.Buffer
+	if err := rec.WriteChromeTrace(&b); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name, Cat string
+			Ts, Dur   uint64
+			Tid       int16
+			Args      json.RawMessage
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]telemetry.Span, cfg.Threads)
+	for _, e := range doc.TraceEvents {
+		if e.Cat != "attempt" {
+			continue
+		}
+		sp := telemetry.Span{Begin: e.Ts, End: e.Ts + e.Dur, HW: e.Tid, AborterHW: -1, AborterBlock: -1, Line: telemetry.NoLine}
+		var outcome string
+		if _, err := fmt.Sscanf(e.Name, "tx%d/%s", &sp.Block, &outcome); err != nil {
+			t.Fatalf("slice name %q: %v", e.Name, err)
+		}
+		for sp.Outcome <= telemetry.OutcomeFallback && sp.Outcome.String() != outcome {
+			sp.Outcome++
+		}
+		// Absent args keep the unattributed, non-abort defaults above.
+		args := struct {
+			Retry        *uint8
+			Status       string
+			Depth        *uint16
+			AborterHW    *int16 `json:"aborter_hw"`
+			AborterBlock *int16 `json:"aborter_block"`
+			Line         *uint32
+		}{&sp.Retry, "0", &sp.Depth, &sp.AborterHW, &sp.AborterBlock, &sp.Line}
+		if err := json.Unmarshal(e.Args, &args); err != nil {
+			t.Fatal(err)
+		}
+		status, err := strconv.ParseUint(args.Status, 0, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.Status = uint32(status)
+		got[sp.HW] = append(got[sp.HW], sp)
+	}
+	total := 0
+	for hw := range got {
+		want := rec.Spans(hw)
+		total += len(want)
+		if !slices.Equal(got[hw], want) {
+			t.Errorf("hw %d: the Chrome trace rebuilds %d spans, Recorder.Spans holds %d:\n got: %+v\nwant: %+v",
+				hw, len(got[hw]), len(want), got[hw], want)
+		}
+	}
+	if total == 0 {
+		t.Fatal("the cell retained no spans")
+	}
+}
+
 // obsCell runs one Seer cell at 8 threads on the given Recycler, with every
 // observability sink on — the shape of the ledger's infer-obs cells — or
 // with none.
@@ -125,7 +206,7 @@ func TestReportOutlivesReleaseAndReuse(t *testing.T) {
 	render := func(rep seer.Report) string {
 		var b bytes.Buffer
 		b.WriteString(rep.Summary())
-		if err := rep.WriteTimelineJSONL(&b); err != nil { // conflict pairs, cascade histograms
+		if err := json.NewEncoder(&b).Encode(rep.Timeline); err != nil { // conflict pairs, cascade histograms
 			t.Fatal(err)
 		}
 		return b.String()

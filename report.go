@@ -338,11 +338,6 @@ func (r Report) WriteTimelineCSV(w io.Writer) error {
 	return telemetry.WriteCSV(w, r.Timeline)
 }
 
-// WriteTimelineJSONL renders Report.Timeline as JSON Lines.
-func (r Report) WriteTimelineJSONL(w io.Writer) error {
-	return telemetry.WriteJSONL(w, r.Timeline)
-}
-
 // buildReport assembles the Report after a run.
 func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 	r := Report{

@@ -120,33 +120,27 @@ func TestTimelineDisabled(t *testing.T) {
 }
 
 // TestTimelineExportsDeterministic: two same-seed runs must export
-// byte-identical CSV, JSONL and Chrome trace documents.
+// byte-identical CSV and Chrome trace documents.
 func TestTimelineExportsDeterministic(t *testing.T) {
-	exports := func() (csv, jsonl, chrome string) {
+	exports := func() (csv, chrome string) {
 		sys, workers := buildTimelineSystem(t, seer.PolicySeer, 2048, 4096)
 		rep, err := sys.Run(workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b1, b2, b3 bytes.Buffer
+		var b1, b2 bytes.Buffer
 		if err := rep.WriteTimelineCSV(&b1); err != nil {
 			t.Fatal(err)
 		}
-		if err := rep.WriteTimelineJSONL(&b2); err != nil {
+		if err := sys.Recorder().WriteChromeTrace(&b2); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Recorder().WriteChromeTrace(&b3); err != nil {
-			t.Fatal(err)
-		}
-		return b1.String(), b2.String(), b3.String()
+		return b1.String(), b2.String()
 	}
-	csv1, jsonl1, chrome1 := exports()
-	csv2, jsonl2, chrome2 := exports()
+	csv1, chrome1 := exports()
+	csv2, chrome2 := exports()
 	if csv1 != csv2 {
 		t.Fatalf("CSV export not deterministic")
-	}
-	if jsonl1 != jsonl2 {
-		t.Fatalf("JSONL export not deterministic")
 	}
 	if chrome1 != chrome2 {
 		t.Fatalf("Chrome trace export not deterministic")
