@@ -42,25 +42,22 @@ const MaxCascadeDepth = 15
 // AborterHW is -1 for aborts with no attributable requester (capacity,
 // spurious, explicit, or a doom issued outside any atomic block).
 type Span struct {
-	Begin uint64 `json:"begin"`
-	End   uint64 `json:"end"`
-	HW    int16  `json:"hw"`
-	Block int16  `json:"block"`
+	Begin, End uint64
+	HW, Block  int16
 	// Retry is the attempt index within the atomic-block episode
 	// (0 = first attempt).
-	Retry   uint8   `json:"retry"`
-	Outcome Outcome `json:"-"`
+	Retry   uint8
+	Outcome Outcome
 	// Status is the raw HTM status word of an abort span (0 otherwise).
-	Status uint32 `json:"status,omitempty"`
+	Status uint32
 	// AborterHW/AborterBlock identify the access that doomed this
 	// attempt (-1 when unattributed).
-	AborterHW    int16 `json:"aborter_hw"`
-	AborterBlock int16 `json:"aborter_block"`
+	AborterHW, AborterBlock int16
 	// Line is the conflicting cache line (NoLine when unattributed).
-	Line uint32 `json:"line,omitempty"`
+	Line uint32
 	// Depth is the abort's cascade depth: 0 for a root abort, d+1 when
 	// the aborter was itself retrying after an abort of depth d.
-	Depth uint16 `json:"depth"`
+	Depth uint16
 }
 
 // pending is the doom-time attribution parked until the victim observes

@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -203,9 +206,71 @@ func (s *scorerUnderTest) cut(c scorerCase, end, attributed uint64) QualitySnaps
 	return s.rec.scorer.quality[len(s.rec.scorer.quality)-1]
 }
 
+// hotEntries lists the entries v*n+ab of an n×n matrix with v+ab of the
+// given parity, so the two parities touch disjoint sets of pairs. Entry 0
+// (the pair {0,0}) is left out: runCuts gives it its own weight.
+func hotEntries(n, parity int) (hot []int) {
+	for e := 1; e < n*n; e++ {
+		if (e/n+e%n)%2 == parity {
+			hot = append(hot, e)
+		}
+	}
+	return hot
+}
+
+// runCuts draws count cuts that grow like a Run's: every cut adds a few
+// small increments to truth and learned entries drawn from hot, so
+// consecutive cuts rank the pairs almost alike. The learned weight of the
+// pair {0,0} rises over the first half and is 0 from the middle cut on,
+// so that pair leaves the ranked union.
+func runCuts(rng *rand.Rand, n, count int, hot []int) []scorerCase {
+	truth, aborts := make([]uint64, n*n), make([]uint64, n*n)
+	cuts := make([]scorerCase, count)
+	for i := range cuts {
+		for j := rng.Intn(6); j > 0; j-- {
+			truth[hot[rng.Intn(len(hot))]] += uint64(1 + rng.Intn(3))
+			aborts[hot[rng.Intn(len(hot))]] += uint64(1 + rng.Intn(3))
+		}
+		aborts[0]++
+		if i >= count/2 {
+			aborts[0] = 0
+		}
+		scheme := make([][]int, n)
+		for x := range scheme {
+			scheme[x] = []int{rng.Intn(n)}
+		}
+		cuts[i] = scorerCase{slices.Clone(truth), learnedFrom(n, aborts), scheme}
+	}
+	return cuts
+}
+
+// checkRun cuts s through cuts, calling BeginRun before the cut at a
+// third of the way, and compares every cut with the map oracle.
+func checkRun(t *testing.T, s *scorerUnderTest, n int, cuts []scorerCase, label string) {
+	t.Helper()
+	index := 0
+	for i, c := range cuts {
+		if i == len(cuts)/3 {
+			s.rec.BeginRun()
+			index = 0
+		}
+		want := oracleCutQuality(c.truth, c.learned, c.scheme, n, index, uint64(i), 0)
+		if got := s.cut(c, uint64(i), 0); got != want {
+			t.Fatalf("%s n=%d cut %d:\n dense  %+v\n oracle %+v", label, n, i, got, want)
+		}
+		index++
+	}
+}
+
 // TestCutQualityMatchesMapOracle checks the dense scorer against the
 // map-based one it replaced on hand-picked edge cases and 1200 random
 // triples, at every block count the workloads use from 1 to the maximum.
+// Each random triple reshuffles the rankings the scorer keeps between
+// cuts. Then Run-like cumulative sequences check what the kept rankings
+// must follow: a BeginRun midway, a pair falling back to weight 0, and
+// recycled scorers after a cell of the same n on disjoint pairs, after
+// one on the same pairs, and after a wider cell, whose keys lie outside
+// the narrower key space.
 func TestCutQualityMatchesMapOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{1, 2, 6, 32} {
@@ -234,6 +299,96 @@ func TestCutQualityMatchesMapOracle(t *testing.T) {
 				t.Fatalf("n=%d case %d:\n dense  %+v\n oracle %+v\n truth %v\n scheme %v", n, i, got, want, c.truth, c.scheme)
 			}
 		}
+	}
+
+	var buf Buffers
+	for _, n := range []int{32, 6, 2} {
+		for cell, parity := range []int{0, 1, 1} {
+			s := newScorerUnderTest(n, &buf)
+			checkRun(t, s, n, runCuts(rng, n, 200, hotEntries(n, parity)), fmt.Sprintf("cell %d (parity %d)", cell, parity))
+			s.rec.Release(&buf)
+		}
+	}
+}
+
+// insertionMoves is the work that re-sorting rankings kept between cuts
+// by insertion does on cuts, whatever the scorer: per cut and ranking, the
+// keys arrive in the previous order (then the new keys in key order), and
+// each moves past the placed keys that rank after it. It returns the moves
+// per cut, both rankings together.
+func insertionMoves(n int, cuts []scorerCase) float64 {
+	var ord [2][]int
+	moves := 0
+	for _, c := range cuts {
+		var w [2][]uint64
+		w[0], w[1] = make([]uint64, n*n), make([]uint64, n*n)
+		for v := 0; v < n; v++ {
+			for ab := 0; ab < n; ab++ {
+				k := oraclePairKey(v, ab, n)
+				w[0][k] += c.truth[v*n+ab]
+				w[1][k] += c.learned.Aborts(v, ab)
+			}
+		}
+		for side, prev := range ord {
+			kept := make([]bool, n*n)
+			var next []int
+			for _, k := range prev {
+				if kept[k] = w[0][k]+w[1][k] > 0; kept[k] {
+					next = append(next, k)
+				}
+			}
+			for k := range kept {
+				if !kept[k] && w[0][k]+w[1][k] > 0 {
+					next = append(next, k)
+				}
+			}
+			rank := func(a, b int) int {
+				return cmp.Or(cmp.Compare(w[side][b], w[side][a]), cmp.Compare(a, b))
+			}
+			var placed []int
+			for _, k := range next {
+				at, _ := slices.BinarySearchFunc(placed, k, rank)
+				moves += len(placed) - at
+				placed = slices.Insert(placed, at, k)
+			}
+			ord[side] = placed
+		}
+	}
+	return float64(moves) / float64(len(cuts))
+}
+
+// BenchmarkCutQuality times one cut at 32 blocks, the workloads' maximum,
+// over a 200-cut sequence (a BeginRun at each wrap) in two shapes:
+// cumulative weights that grow by small increments, as infer-obs's do, so
+// consecutive cuts rank the pairs almost alike; and reshuffled, every pair
+// weighted afresh at every cut, the worst case for rankings kept between
+// cuts. moves/cut is insertionMoves of the sequence.
+func BenchmarkCutQuality(b *testing.B) {
+	const n, count = 32, 200
+	rng := rand.New(rand.NewSource(1))
+	reshuffled := make([]scorerCase, count)
+	for i := range reshuffled {
+		reshuffled[i] = scorerCase{randomWeights(rng, n, 1, 50), learnedFrom(n, randomWeights(rng, n, 1, 50)), make([][]int, n)}
+	}
+	for _, shape := range []struct {
+		name string
+		cuts []scorerCase
+	}{
+		{"cumulative", runCuts(rng, n, count, hotEntries(n, 0))},
+		{"reshuffled", reshuffled},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			moves := insertionMoves(n, shape.cuts)
+			s := newScorerUnderTest(n, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%count == 0 {
+					s.rec.BeginRun()
+				}
+				s.cut(shape.cuts[i%count], uint64(i), 0)
+			}
+			b.ReportMetric(moves, "moves/cut")
+		})
 	}
 }
 

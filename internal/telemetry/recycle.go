@@ -4,19 +4,17 @@ import "seer/internal/stats"
 
 // Buffers holds a Recorder's growing storage between replica lifetimes:
 // the per-thread handles with their span slices, the event ring, the
-// snapshot slice with its arena, and the scorer's trajectory and dense
-// scratch. Paired with mem.Buffers and htm.Buffers it lets a grid worker
-// record every cell on one set of arrays (see seer.Recycler), so a cell
-// with every sink on allocates like a cell with none. The zero value is
+// snapshot slice with its arena, and the scorer's trajectory, pair state
+// and rankings. Paired with mem.Buffers and htm.Buffers it lets a grid
+// worker record every cell on one set of arrays (see seer.Recycler), so a
+// cell with every sink on allocates like a cell with none. The zero value is
 // ready: the first NewRecycled allocates.
 type Buffers struct {
 	threads []Thread
 	events  []Event
 	snaps   []Snapshot
 	arena   arena
-	quality []QualitySnapshot
-	pred    []bool
-	pairs   []pw
+	scorer  scorer // learned is nil
 }
 
 // NewRecycled builds the recorder for o like New, drawing its storage from
@@ -42,20 +40,24 @@ func NewRecycled(o Options, buf *Buffers) *Recorder {
 	r.ring.events = sized(b.events, o.RingCapacity)
 	r.timeline.snaps = b.snaps[:0]
 	r.timeline.arena = arena{b.arena.pairs[:0], b.arena.hist[:0]}
-	r.scorer = scorer{quality: b.quality[:0], pred: b.pred[:0], pairs: b.pairs[:0]}
+	r.scorer = b.scorer
 	if o.Attribution {
 		r.attr = newAttribution(o)
 		if o.Interval > 0 {
 			r.timeline.prevTruth = make([]uint64, len(r.attr.truth))
 		}
 		if o.Learned != nil {
-			r.scorer.learned = stats.NewMatrices(o.Blocks)
-			r.scorer.pred = sized(b.pred, o.Blocks*o.Blocks)
+			// The rankings hold at most n(n+1)/2 ≤ n² keys: sized up front,
+			// they never grow during the cell.
+			sc, nn := &r.scorer, o.Blocks*o.Blocks
+			sc.learned = stats.NewMatrices(o.Blocks)
+			sc.keys, sc.ordT, sc.ordL = sized(sc.keys, nn), sized(sc.ordT, nn), sized(sc.ordL, nn)
 			if r.period == 0 {
 				r.period = defaultPeriod
 			}
 		}
 	}
+	r.scorer.reset()
 	return r
 }
 
@@ -75,7 +77,8 @@ func (r *Recorder) Release(buf *Buffers) {
 	if r == nil {
 		return
 	}
-	tl, sc := &r.timeline, &r.scorer
-	*buf = Buffers{r.threads, r.ring.events, tl.snaps, tl.arena, sc.quality, sc.pred, sc.pairs}
+	tl := &r.timeline
+	r.scorer.learned = nil
+	*buf = Buffers{r.threads, r.ring.events, tl.snaps, tl.arena, r.scorer}
 	r.threads, r.ring, r.timeline, r.scorer = nil, ring{}, timeline{}, scorer{}
 }

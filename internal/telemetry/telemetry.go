@@ -155,7 +155,7 @@ func (r *Recorder) BeginRun() {
 	tl := &r.timeline
 	tl.snaps, tl.prev, tl.prevPhase = tl.snaps[:0], Counters{}, [3]uint64{}
 	tl.arena = arena{tl.arena.pairs[:0], tl.arena.hist[:0]}
-	r.scorer.quality = r.scorer.quality[:0]
+	r.scorer.reset()
 }
 
 // Bind hands hardware thread hw's ledger for this Run to its handle, which
