@@ -520,7 +520,7 @@ var knobCallers = map[reflect.Type]map[string]string{
 		"PhysCores HWThreads": "benchmark/cell.go, legacy, retire with ROADMAP item 1", "Seer": "fig4, fig5, ext",
 		"Topology RemoteAccessCost": "scaling exhibit", "MaxAttempts": "attempts exhibit",
 		"MetricsInterval": "timeline exhibit", "AttributionCounters": "inference exhibit", "HTM Cost": "DefaultConfig",
-		"TraceEvents TraceAttempts": "seerstat -trace, -spans-*; ledger infer-obs", "Recycler": "RunGrid, ledger",
+		"TraceEvents TraceAttempts": "seerstat -trace, -chrome-trace; ledger infer-obs", "Recycler": "RunGrid, ledger",
 	},
 	reflect.TypeFor[harness.Spec](): {
 		"Workload Scale Policy Threads Runs Seed": "every cell", "SeerOpts": "fig4, fig5, ext",

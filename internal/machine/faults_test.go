@@ -13,8 +13,8 @@ import (
 
 // The fault-table cases drive a wired engine into an error verdict at a
 // chosen kind of event, then run a probe program on the same engine. Its
-// hook stream, makespan and Counters() delta must equal a fresh engine's:
-// the error path left no state behind.
+// hook stream, makespan and Counters() must equal a fresh engine's: the
+// error path left no state behind.
 
 const (
 	faultKey    = 7
@@ -39,11 +39,10 @@ func faultEngine(t *testing.T, spec int, word *uint64) *Engine {
 // probe runs a program on e that passes through every state — contended
 // delegated acquires, their woken polls and deferred herds, bounded waits
 // and quanta — and returns its hook stream, makespan and the engine
-// counters it added.
-func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint64, delta Counters) {
+// counters of its Run.
+func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint64, counts Counters) {
 	t.Helper()
 	*word = 0
-	before := e.Counters()
 	verify := watchStates(t, e, func(now uint64) {
 		hooks = append(hooks, now)
 		if len(hooks) > 1<<16 { // a broken engine can loop at one cycle forever
@@ -74,15 +73,7 @@ func probe(t *testing.T, e *Engine, word *uint64) (hooks []uint64, makespan uint
 		t.Fatalf("probe: %v", err)
 	}
 	verify()
-	after := e.Counters()
-	delta = Counters{
-		Resumes:     after.Resumes - before.Resumes,
-		HostResumes: after.HostResumes - before.HostResumes,
-		Steps:       after.Steps - before.Steps,
-		Replays:     after.Replays - before.Replays,
-		Settled:     after.Settled - before.Settled,
-	}
-	return hooks, makespan, delta
+	return hooks, makespan, e.Counters()
 }
 
 // wordFree is checkStates' untouched for engines whose lock word is *word
@@ -368,15 +359,15 @@ func TestFaultsLeaveEngineReusable(t *testing.T) {
 					t.Fatalf("makespan %d; with eager wakes %d, %v", makespan, wantMakespan, wantErr)
 				}
 			}
-			hooks, makespan, delta := probe(t, e, &word)
+			hooks, makespan, counts := probe(t, e, &word)
 			var freshWord uint64
-			wantHooks, wantMakespan, wantDelta := probe(t, faultEngine(t, fc.spec, &freshWord), &freshWord)
-			if !slices.Equal(hooks, wantHooks) || makespan != wantMakespan || delta != wantDelta {
+			wantHooks, wantMakespan, wantCounts := probe(t, faultEngine(t, fc.spec, &freshWord), &freshWord)
+			if !slices.Equal(hooks, wantHooks) || makespan != wantMakespan || counts != wantCounts {
 				t.Fatalf("probe after the fault: makespan %d, %d hooks, counters %+v; on a fresh engine: %d, %d, %+v",
-					makespan, len(hooks), delta, wantMakespan, len(wantHooks), wantDelta)
+					makespan, len(hooks), counts, wantMakespan, len(wantHooks), wantCounts)
 			}
-			if delta.Steps == 0 || delta.Settled == 0 || (fc.spec > 0 && delta.Replays == 0) {
-				t.Fatalf("probe counters %+v: the probe missed a state", delta)
+			if counts.Steps == 0 || counts.Settled == 0 || (fc.spec > 0 && counts.Replays == 0) {
+				t.Fatalf("probe counters %+v: the probe missed a state", counts)
 			}
 		})
 	}

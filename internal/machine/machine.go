@@ -574,13 +574,14 @@ type Engine struct {
 	// so the Tick fast path is a single comparison, and an event at or
 	// past it ends the run with ErrMaxCycles.
 	maxCap uint64
-	// Speculative-quantum totals, accumulated over the engine's lifetime
-	// (see Engine.QuantumCounters).
+	// Speculative-quantum totals of the last Run (see
+	// Engine.QuantumCounters).
 	specGrants        uint64
 	specTicks         uint64
 	specRollbacks     uint64
 	specRollbackTicks uint64
-	// count is the event loop's account of its own work (see Counters).
+	// count is the event loop's account of its own work in the last Run
+	// (see Counters).
 	count Counters
 	// running is the context currently resumed — inside t.next(), or the
 	// host between its resume and its next yield — nil while the loop
@@ -621,10 +622,10 @@ type Counters struct {
 	Settled uint64
 }
 
-// Counters returns the engine-lifetime event-loop totals. Like the
-// quantum counters they accumulate across Runs; callers that want per-run
-// numbers diff them. They are maintained by Run alone — nothing on the
-// Tick fast path — and are as deterministic as the schedule itself.
+// Counters returns the event-loop totals of the last Run: like the
+// quantum counters they restart with every Run. They are maintained by
+// Run alone — nothing on the Tick fast path — and are as deterministic as
+// the schedule itself.
 func (e *Engine) Counters() Counters { return e.count }
 
 // Events returns the number of events the loop took off the schedule and
@@ -771,6 +772,8 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	e.queue.clear()
 	e.SetTickHook(e.tickHook) // re-arm the deadline at cycle 0
 	e.bodies, e.end, e.err, e.host = bodies, 0, nil, nil
+	e.count, e.specGrants, e.specTicks = Counters{}, 0, 0
+	e.specRollbacks, e.specRollbackTicks = 0, 0
 	for i, t := range e.threads {
 		t.reset()
 		t.clock, t.panicked, t.parkSkipped = 0, nil, 0

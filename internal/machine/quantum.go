@@ -156,10 +156,8 @@ func (e *Engine) SpecBarrier() {
 	}
 }
 
-// QuantumCounters returns the engine-lifetime speculation totals:
-// quanta granted, ticks journaled, rollbacks, and ticks discarded by
-// rollbacks. They accumulate across Runs; callers that want per-run
-// numbers diff them.
+// QuantumCounters returns the last Run's speculation totals: quanta
+// granted, ticks journaled, rollbacks, and ticks discarded by rollbacks.
 func (e *Engine) QuantumCounters() (grants, ticks, rollbacks, rollbackTicks uint64) {
 	return e.specGrants, e.specTicks, e.specRollbacks, e.specRollbackTicks
 }

@@ -76,7 +76,6 @@ type pending struct {
 // per-thread episode state it works from lives in the Thread handles.
 type attribution struct {
 	nBlocks int
-	spans   bool // retain full spans as well
 
 	// truth is the ground-truth conflict matrix: truth[victim*n+aborter]
 	// counts dooms of an attempt of block victim by an access of block
@@ -97,7 +96,6 @@ type attribution struct {
 func newAttribution(o Options) *attribution {
 	a := &attribution{
 		nBlocks:       o.Blocks,
-		spans:         o.Spans,
 		truth:         make([]uint64, o.Blocks*o.Blocks),
 		causeBlock:    make([]uint64, NumCauses*o.Blocks),
 		lineConflicts: make(map[uint32]uint64),
@@ -142,7 +140,7 @@ func (t *Thread) closeAttempt(now uint64, o Outcome, status htm.Status) {
 			a.causeBlock[int(status.Cause())*a.nBlocks+int(sp.Block)]++
 		}
 	}
-	if a.spans {
+	if t.rec.opt.Spans {
 		t.spans = append(t.spans, sp)
 	}
 }
@@ -192,8 +190,8 @@ func (r *Recorder) attribution() *attribution {
 
 // Spans returns hardware thread hw's retained spans in chronological
 // order (nil when span retention is off). The slice is borrowed, not
-// copied: it is valid until Release, after which the next recorder built
-// on the same Buffers overwrites it.
+// copied: it is valid until the next BeginRun or Release, after which the
+// next Run, or the next recorder built on the same Buffers, overwrites it.
 func (r *Recorder) Spans(hw int) []Span {
 	if r == nil || !r.opt.Spans {
 		return nil

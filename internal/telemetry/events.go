@@ -107,8 +107,8 @@ func (r *Recorder) Events() []Event {
 	return append(out, l.events[:l.next]...)
 }
 
-// EventTotal returns the number of events ever logged, evicted ones
-// included.
+// EventTotal returns the number of events logged in this Run, evicted
+// ones included.
 func (r *Recorder) EventTotal() uint64 {
 	if r == nil {
 		return 0

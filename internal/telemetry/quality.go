@@ -9,9 +9,9 @@ import (
 
 // QualitySnapshot is one point of the inference-quality trajectory:
 // Seer's learned locking scheme scored against the ground-truth conflict
-// matrix accumulated so far (cumulative, not per-interval — the learner
-// itself is cumulative). It is cut at the same boundary as the timeline's
-// Snapshot of the same index.
+// matrix accumulated so far in the Run (cumulative, not per-interval — the
+// learner itself is cumulative). It is cut at the same boundary as the
+// timeline's Snapshot of the same index.
 type QualitySnapshot struct {
 	Index    int    `json:"index"`
 	EndCycle uint64 `json:"end_cycle"`
@@ -28,7 +28,7 @@ type QualitySnapshot struct {
 	// the truth ranking and the learned-abort-weight ranking of conflict
 	// pairs (0 = identical order, 1 = reversed).
 	RankDivergence float64 `json:"rank_divergence"`
-	// Attributed is the cumulative count of aborts carrying ground-truth
+	// Attributed is the Run's count of aborts carrying ground-truth
 	// attribution at snapshot time.
 	Attributed uint64 `json:"attributed"`
 }
@@ -57,15 +57,8 @@ type scorer struct {
 	ordT, ordL []int32
 }
 
-// reset empties the trajectory and the kept rankings, so the next cut
-// ranks from key order as a fresh scorer's first cut does.
-func (sc *scorer) reset() {
-	sc.quality, sc.ordT, sc.ordL = sc.quality[:0], sc.ordT[:0], sc.ordL[:0]
-	clear(sc.keys)
-}
-
 // cutQuality scores the current learned scheme against the truth
-// accumulated so far and appends a snapshot ending at end.
+// accumulated so far in the Run and appends a snapshot ending at end.
 func (r *Recorder) cutQuality(end uint64) {
 	sc, a := &r.scorer, r.attr
 	scheme := r.opt.Learned(sc.learned)

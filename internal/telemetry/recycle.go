@@ -21,9 +21,9 @@ type Buffers struct {
 // buf where the capacity suffices and allocating otherwise. All of buf is
 // owned by the returned Recorder — sinks that are off carry their storage
 // along untouched — until Release hands it back; a nil buf is exactly New.
-// A recycled recorder is indistinguishable from a fresh one: every slice
-// is truncated or zeroed in place, and stale ring entries are unobservable
-// behind the reset cursor.
+// NewRecycled only draws or sizes the storage and then resets it with
+// BeginRun, so a recycled recorder is indistinguishable from a fresh one:
+// stale ring entries are unobservable behind the reset cursor.
 func NewRecycled(o Options, buf *Buffers) *Recorder {
 	var b Buffers
 	if buf != nil {
@@ -31,15 +31,8 @@ func NewRecycled(o Options, buf *Buffers) *Recorder {
 	}
 	o.Attribution = o.Attribution || o.Spans
 	r := &Recorder{opt: o, threads: sized(b.threads, o.Threads), period: o.Interval}
-	// Spare handles beyond o.Threads are reset too: they keep their span
-	// storage for a wider cell, not a pointer to an earlier recorder.
-	all := r.threads[:cap(r.threads)]
-	for hw := range all {
-		all[hw] = Thread{rec: r, hw: int16(hw), block: -1, spans: all[hw].spans[:0]}
-	}
 	r.ring.events = sized(b.events, o.RingCapacity)
-	r.timeline.snaps = b.snaps[:0]
-	r.timeline.arena = arena{b.arena.pairs[:0], b.arena.hist[:0]}
+	r.timeline.snaps, r.timeline.arena = b.snaps, b.arena
 	r.scorer = b.scorer
 	if o.Attribution {
 		r.attr = newAttribution(o)
@@ -57,7 +50,7 @@ func NewRecycled(o Options, buf *Buffers) *Recorder {
 			}
 		}
 	}
-	r.scorer.reset()
+	r.BeginRun()
 	return r
 }
 

@@ -75,7 +75,7 @@ type Options struct {
 	// Scheduler returns Seer's current thresholds and the locking scheme's
 	// pair count.
 	Scheduler func() (th1, th2 float64, schemePairs int)
-	// Quantum returns the engine's cumulative speculative-quantum counters.
+	// Quantum returns the engine's speculative-quantum counters in this Run.
 	Quantum func() (grants, ticks, rollbacks, rollbackTicks uint64)
 	// Phase returns the phased-TM runtime's per-phase occupancy (HW, SW,
 	// GLOCK) in this Run as of virtual time now.
@@ -138,24 +138,37 @@ func (r *Recorder) DoomHook() func(victim, aborter int, ln mem.Line) {
 	return r.OnDoom
 }
 
-// BeginRun starts a Run: it rewinds the interval clock to cycle 0, drops
-// every handle's ledger and the previous Run's snapshots and quality
-// trajectory. The engine resets the virtual clocks at the start of every
-// Run and the runtime's ledgers and the phase occupancy restart with it,
-// so the timeline's last-cut values restart at zero too. The event ring,
-// the spans and the attribution accumulators carry across Runs.
+// BeginRun starts a Run, and is the recorder's one reset: every record
+// covers the Run it starts. It rewinds the interval clock to cycle 0,
+// resets every handle (spare ones included: they keep only their span
+// storage), empties the event ring, the attribution accumulators, the
+// snapshots and the quality trajectory, and zeroes the timeline's
+// last-cut values. The engine restarts the virtual clocks, its own
+// counters, the runtime's ledgers and the phase occupancy with every Run,
+// so everything the recorder diffs against restarts at zero with them.
 func (r *Recorder) BeginRun() {
 	if r == nil {
 		return
 	}
 	r.start, r.cuts = 0, 0
-	for i := range r.threads {
-		r.threads[i].ledger = nil
+	all := r.threads[:cap(r.threads)]
+	for hw := range all {
+		all[hw] = Thread{rec: r, hw: int16(hw), block: -1, spans: all[hw].spans[:0]}
+	}
+	r.ring = ring{events: r.ring.events}
+	if a := r.attr; a != nil {
+		clear(a.truth)
+		clear(a.causeBlock)
+		clear(a.lineConflicts)
+		a.cascadeHist, a.attributed = [MaxCascadeDepth + 1]uint64{}, 0
 	}
 	tl := &r.timeline
-	tl.snaps, tl.prev, tl.prevPhase = tl.snaps[:0], Counters{}, [3]uint64{}
-	tl.arena = arena{tl.arena.pairs[:0], tl.arena.hist[:0]}
-	r.scorer.reset()
+	*tl = timeline{snaps: tl.snaps[:0], arena: arena{tl.arena.pairs[:0], tl.arena.hist[:0]}, prevTruth: tl.prevTruth}
+	clear(tl.prevTruth)
+	// With no kept rankings, the first cut ranks from key order.
+	sc := &r.scorer
+	sc.quality, sc.ordT, sc.ordL = sc.quality[:0], sc.ordT[:0], sc.ordL[:0]
+	clear(sc.keys)
 }
 
 // Bind hands hardware thread hw's ledger for this Run to its handle, which
@@ -342,7 +355,7 @@ func (t *Thread) FallbackEnd(now uint64) {
 	if t == nil {
 		return
 	}
-	if a := t.rec.attr; a != nil && a.spans {
+	if t.rec.opt.Spans {
 		t.spans = append(t.spans, t.span(now, OutcomeFallback))
 	}
 }

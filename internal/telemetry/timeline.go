@@ -184,9 +184,8 @@ const topConflictPairs = 4
 
 // timeline is the interval-metrics sink: this Run's cut snapshots plus
 // every cumulative value as of the last cut, against which the next
-// interval is diffed. The ledgers and the phase occupancy restart with
-// every Run (BeginRun zeroes prev and prevPhase); the quantum
-// counters and the attribution sink carry across Runs.
+// interval is diffed. Every source restarts with the Run, and BeginRun
+// zeroes the last-cut values with it.
 type timeline struct {
 	snaps []Snapshot
 	arena arena

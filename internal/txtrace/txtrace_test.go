@@ -306,6 +306,7 @@ func TestQualitySnapshots(t *testing.T) {
 		return [][]int{{1}, {}, {2}}
 	}
 	c := New(Options{Threads: 2, Blocks: 3, Attribution: true, Interval: 100, Learned: learned})
+	c.BeginRun()
 	c.Thread(0).BlockEnter(0)
 	c.Thread(1).BlockEnter(1)
 
@@ -317,7 +318,6 @@ func TestQualitySnapshots(t *testing.T) {
 	}
 
 	// One periodic cut at 100 and 200, then the final flush at 250.
-	c.BeginRun()
 	c.OnTick(205)
 	c.Flush(250)
 
@@ -362,6 +362,7 @@ func TestRankDivergenceReversed(t *testing.T) {
 			learned(dst)
 			return make([][]int, 2)
 		}})
+		c.BeginRun()
 		c.Thread(0).BlockEnter(0)
 		dooms := func(aborterBlock, n int) {
 			c.Thread(1).BlockEnter(aborterBlock)
@@ -373,7 +374,6 @@ func TestRankDivergenceReversed(t *testing.T) {
 		}
 		dooms(0, truth00)
 		dooms(1, truth01)
-		c.BeginRun()
 		c.Flush(10)
 		q := c.Quality()
 		return q[len(q)-1]

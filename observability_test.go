@@ -99,7 +99,10 @@ func TestObservabilityExportsGolden(t *testing.T) {
 // TestChromeTraceCarriesEverySpan: the Chrome trace is the one file export
 // of the attempt spans, so its "attempt" slices must rebuild every Span
 // field for field (End = ts+dur), in Recorder.Spans order, on the cell the
-// observability golden pins.
+// observability golden pins. Every record covers its Run, so on a System
+// that runs the cell twice, under RTM, Seer and PhTM, each Run's trace
+// holds exactly that Run's spans: one per attempt and fall-back its Report
+// counts, and on every track each span begins after its predecessor ends.
 func TestChromeTraceCarriesEverySpan(t *testing.T) {
 	wl := adversary.New(adversary.Clique(6), 40)
 	cfg := stamp.Config(wl, 8, seer.Topology{})
@@ -114,7 +117,51 @@ func TestChromeTraceCarriesEverySpan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := sys.Recorder()
+	if len(slices.Concat(chromeTraceSpans(t, sys.Recorder(), cfg.Threads)...)) == 0 {
+		t.Fatal("the cell retained no spans")
+	}
+
+	for _, pol := range []seer.PolicyKind{seer.PolicyRTM, seer.PolicySeer, seer.PolicyPhased} {
+		cfg.Policy = pol
+		sys, err := seer.NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wl.Setup(sys); err != nil {
+			t.Fatal(err)
+		}
+		for run := 1; run <= 2; run++ {
+			rep, err := sys.Run(wl.Workers(cfg.Threads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rep.HWAttempts + rep.Fallbacks
+			if p := rep.Phased; p != nil {
+				want += p.SWAttempts
+			}
+			var n uint64
+			for hw, track := range chromeTraceSpans(t, sys.Recorder(), cfg.Threads) {
+				n += uint64(len(track))
+				for i := 1; i < len(track); i++ {
+					if track[i].Begin < track[i-1].End {
+						t.Errorf("%s run %d hw %d: span %d begins at cycle %d, before span %d ends at %d",
+							pol, run, hw, i, track[i].Begin, i-1, track[i-1].End)
+						break
+					}
+				}
+			}
+			if n != want {
+				t.Errorf("%s run %d: the Chrome trace holds %d spans for the Run's %d attempts and fall-backs", pol, run, n, want)
+			}
+		}
+	}
+}
+
+// chromeTraceSpans rebuilds each hardware thread's spans from the
+// "attempt" slices of rec's Chrome trace and checks them against
+// Recorder.Spans.
+func chromeTraceSpans(t *testing.T, rec *telemetry.Recorder, threads int) [][]telemetry.Span {
+	t.Helper()
 	var b bytes.Buffer
 	if err := rec.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
@@ -130,7 +177,7 @@ func TestChromeTraceCarriesEverySpan(t *testing.T) {
 	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	got := make([][]telemetry.Span, cfg.Threads)
+	got := make([][]telemetry.Span, threads)
 	for _, e := range doc.TraceEvents {
 		if e.Cat != "attempt" {
 			continue
@@ -162,18 +209,13 @@ func TestChromeTraceCarriesEverySpan(t *testing.T) {
 		sp.Status = uint32(status)
 		got[sp.HW] = append(got[sp.HW], sp)
 	}
-	total := 0
 	for hw := range got {
-		want := rec.Spans(hw)
-		total += len(want)
-		if !slices.Equal(got[hw], want) {
+		if want := rec.Spans(hw); !slices.Equal(got[hw], want) {
 			t.Errorf("hw %d: the Chrome trace rebuilds %d spans, Recorder.Spans holds %d:\n got: %+v\nwant: %+v",
 				hw, len(got[hw]), len(want), got[hw], want)
 		}
 	}
-	if total == 0 {
-		t.Fatal("the cell retained no spans")
-	}
+	return got
 }
 
 // obsCell runs one Seer cell at 8 threads on the given Recycler, with every

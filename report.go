@@ -42,14 +42,12 @@ type Report struct {
 	// Phased policy ran (nil otherwise).
 	Phased *PhasedReport
 
-	// Quantum holds the engine's speculative-quantum counters (never nil;
-	// every System speculates at DefaultSpeculativeQuantum). Unlike every
-	// other count in the Report they accumulate across Runs on one System,
-	// like EngineCounters. The counters are engine diagnostics, not
-	// simulated-machine state: they are deliberately excluded from Summary,
-	// whose digest must not depend on the speculation depth (the tests'
-	// per-tick reference engine and the differential fuzz target rely on
-	// that).
+	// Quantum holds the engine's speculative-quantum counters in this Run
+	// (never nil; every System speculates at DefaultSpeculativeQuantum).
+	// The counters are engine diagnostics, not simulated-machine state:
+	// they are deliberately excluded from Summary, whose digest must not
+	// depend on the speculation depth (the tests' per-tick reference
+	// engine and the differential fuzz target rely on that).
 	Quantum *QuantumReport
 
 	// Timeline is this Run's interval-metrics series cut by the telemetry
@@ -58,8 +56,8 @@ type Report struct {
 	Timeline []Snapshot
 
 	// Inference is this Run's Seer inference-quality trajectory: the
-	// learned locking scheme scored against the ground-truth conflict
-	// matrix (accumulated over the System's Runs) at each of the Run's
+	// learned locking scheme, learned over every Run so far, scored
+	// against this Run's ground-truth conflict matrix at each of the Run's
 	// metrics intervals, sharing Timeline's boundaries (nil unless
 	// attribution is on and the Seer policy ran; see
 	// Config.TraceAttempts/AttributionCounters).

@@ -150,10 +150,12 @@ const (
 	// of the paper's Table 1, provided as an extra baseline.
 	PolicyATS PolicyKind = "ATS"
 	// PolicyOracle serializes an aborted transaction behind its exact
-	// conflictor using the simulator's omniscient feedback — an upper
-	// bound no real HTM can implement (see policy.Oracle). Comparing it
-	// with PolicySeer measures how much of the value of precise
-	// feedback Seer's inference recovers.
+	// conflictor using precise feedback only the simulator has: real HTM
+	// does not report the conflictor (see policy.Oracle). It is not an
+	// upper bound: EXPERIMENTS.md's six-policy table reads Oracle 2.47
+	// against RTM 2.53 at 8 threads. Comparing it with PolicySeer shows
+	// that knowing the conflictor is worth little without Seer's
+	// proactive locking scheme.
 	PolicyOracle PolicyKind = "Oracle"
 	// PolicySeq executes bodies directly with no synchronization; used
 	// single-threaded as the speedup baseline.
@@ -390,13 +392,12 @@ type System struct {
 	obs   *telemetry.Recorder // nil unless an observability Config field is set
 }
 
-// NewSystem builds a system from cfg. Repeated Runs are allowed, and a
-// Report covers its Run: every count, cycle split and timeline interval in
-// it starts at that Run's cycle 0. What the system has learned carries over
-// (Seer's statistics, scheme, thresholds and tuner, the Backoff windows,
-// the phased mode word and its deferrals), as do simulated memory, the
-// Recorder's exports (event log, spans, attribution), EngineCounters and
-// Report.Quantum.
+// NewSystem builds a system from cfg. Repeated Runs are allowed, and every
+// record covers its Run: the Report, the Recorder's exports and
+// EngineCounters all start at that Run's cycle 0. What carries over is
+// what the system has learned (Seer's statistics, scheme, thresholds and
+// tuner, the Backoff windows, the phased mode word and its deferrals) and
+// simulated memory.
 func NewSystem(cfg Config) (*System, error) {
 	return newSystem(cfg, DefaultSpeculativeQuantum)
 }
@@ -531,9 +532,9 @@ func (s *System) Topology() Topology { return s.eng.Config().Topo }
 // PolicyName returns the active policy's name.
 func (s *System) PolicyName() string { return s.pol.Name() }
 
-// EngineCounters returns the event loop's work totals over the system's
-// lifetime — what the simulator, not the simulated machine, did. They are
-// deterministic for a fixed seed; diff them for per-run numbers.
+// EngineCounters returns the event loop's work totals in the last Run —
+// what the simulator, not the simulated machine, did. They are
+// deterministic for a fixed seed.
 func (s *System) EngineCounters() EngineCounters { return s.eng.Counters() }
 
 // Scheduler exposes the Seer scheduler for inspection (nil for other
@@ -543,12 +544,12 @@ func (s *System) Scheduler() *core.Seer { return s.sched }
 // Recorder returns the system's observability recorder: the event log,
 // timeline, attempt spans, attribution and their exporters. It is nil —
 // a valid recorder with every sink off — unless Config.TraceEvents,
-// MetricsInterval, TraceAttempts or AttributionCounters is set. Its event
-// log, spans and attribution accumulate across repeated Runs; its timeline
-// and inference trajectory hold the current Run's intervals. The recorder
-// and every slice borrowed from it (Recorder.Spans, Recorder.TruthMatrix)
-// are valid until Release; only what a Report owns (Timeline, Inference)
-// and the copies Recorder.Events returns may be read afterwards.
+// MetricsInterval, TraceAttempts or AttributionCounters is set. Every
+// record it holds covers the current (or last) Run. The recorder is valid
+// until Release, and every slice borrowed from it (Recorder.Spans,
+// Recorder.TruthMatrix) until the next Run or Release; only what a Report
+// owns (Timeline, Inference) and the copies Recorder.Events returns may
+// be read afterwards.
 func (s *System) Recorder() *telemetry.Recorder { return s.obs }
 
 // Alloc reserves n words of simulated memory. Past capacity it panics

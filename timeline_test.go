@@ -290,8 +290,9 @@ func TestInferenceSharesTimelineClockAcrossRuns(t *testing.T) {
 // commits per mode, fall-backs, backoff sleeps, attempts (hardware ones,
 // plus the software path's under PhTM), outcomes (Report.HTM and
 // PhasedReport.STM, less Seer's multi-CAS lock acquisitions, which the
-// timeline leaves out) and PhTM's mode transitions and phase cycles, which
-// also sum to the makespan. Every eighth execution writes more lines than
+// timeline leaves out), PhTM's mode transitions and phase cycles, which
+// also sum to the makespan, and the engine's speculative quanta
+// (Report.Quantum). Every eighth execution writes more lines than
 // the HTM holds, so each policy also falls back and PhTM also runs its
 // software path.
 func TestOneLedgerAcrossRuns(t *testing.T) {
@@ -342,7 +343,12 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 			}
 			var sum seer.Snapshot
 			var phaseCycles uint64
+			var quantum seer.QuantumReport
 			for _, s := range rep.Timeline {
+				quantum.Grants += s.QuantumGrants
+				quantum.Ticks += s.QuantumTicks
+				quantum.Rollbacks += s.QuantumRollbacks
+				quantum.RollbackTicks += s.QuantumRollbackTicks
 				for m := range sum.Modes {
 					sum.Modes[m] += s.Modes[m]
 				}
@@ -359,6 +365,9 @@ func TestOneLedgerAcrossRuns(t *testing.T) {
 			}
 			if rep.Fallbacks == 0 {
 				t.Fatalf("%s: no fall-backs; the workload does not exercise them", where)
+			}
+			if quantum != *rep.Quantum || quantum.Grants == 0 {
+				t.Errorf("%s: timeline quanta %+v, report %+v", where, quantum, *rep.Quantum)
 			}
 			for m := seer.Mode(0); m < seer.NumModes; m++ {
 				if sum.Modes[m] != rep.Modes[m] {
