@@ -34,7 +34,6 @@ func run(policy seer.PolicyKind) seer.Report {
 	cfg := seer.DefaultConfig()
 	cfg.Policy = policy
 	cfg.Threads = nThreads
-	cfg.PhysCores = 4
 	cfg.NumAtomicBlocks = 2
 	cfg.MemWords = 1 << 16
 	sys, err := seer.NewSystem(cfg)

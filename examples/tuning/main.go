@@ -23,7 +23,6 @@ func main() {
 	cfg := seer.DefaultConfig()
 	cfg.Policy = seer.PolicySeer
 	cfg.Threads = nThreads
-	cfg.PhysCores = 4
 	cfg.NumAtomicBlocks = 2
 	cfg.MemWords = 1 << 14
 	cfg.Seer.EpochExecs = 600 // faster epochs: this demo is short

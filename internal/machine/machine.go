@@ -574,12 +574,6 @@ type Engine struct {
 	// so the Tick fast path is a single comparison, and an event at or
 	// past it ends the run with ErrMaxCycles.
 	maxCap uint64
-	// Speculative-quantum totals of the last Run (see
-	// Engine.QuantumCounters).
-	specGrants        uint64
-	specTicks         uint64
-	specRollbacks     uint64
-	specRollbackTicks uint64
 	// count is the event loop's account of its own work in the last Run
 	// (see Counters).
 	count Counters
@@ -604,11 +598,12 @@ type Engine struct {
 	delegation bool
 }
 
-// Counters is the event loop's account of its own work: every event it
-// delivered, by how. Only a Resume hands control back to the thread's
-// body; the other two kinds are steps the loop executed on the thread's
-// behalf. A resume of the host (see Run) costs no coroutine switch, any
-// other two, so the run switched 2 × (Resumes − HostResumes) times.
+// Counters is the engine's account of its own work: every event the loop
+// delivered, by how, and the speculative quanta. Only a Resume hands
+// control back to the thread's body; the other two kinds are steps the
+// loop executed on the thread's behalf. A resume of the host (see Run)
+// costs no coroutine switch, any other two, so the run switched
+// 2 × (Resumes − HostResumes) times.
 type Counters struct {
 	Resumes uint64 // delivered by resuming the thread's body
 	// HostResumes counts the Resumes that continued the host, on the
@@ -620,12 +615,20 @@ type Counters struct {
 	// closed form (settleHerd): steps no event delivers, so Events leaves
 	// them out.
 	Settled uint64
+	// The speculative-quantum totals: quanta granted, pure ticks
+	// journaled, rollbacks, and journaled ticks a rollback discarded.
+	// Every journaled tick is either replayed or discarded, so Replays ==
+	// QuantumTicks - RollbackTicks.
+	QuantumGrants uint64
+	QuantumTicks  uint64
+	Rollbacks     uint64
+	RollbackTicks uint64
 }
 
-// Counters returns the event-loop totals of the last Run: like the
-// quantum counters they restart with every Run. They are maintained by
-// Run alone — nothing on the Tick fast path — and are as deterministic as
-// the schedule itself.
+// Counters returns the engine's totals of the last Run: they restart with
+// every Run. Nothing on the Tick fast path maintains them (the loop counts
+// events, the journal counts quanta), and they are as deterministic as the
+// schedule itself.
 func (e *Engine) Counters() Counters { return e.count }
 
 // Events returns the number of events the loop took off the schedule and
@@ -772,8 +775,7 @@ func (e *Engine) Run(bodies []func(*Ctx)) (makespan uint64, err error) {
 	e.queue.clear()
 	e.SetTickHook(e.tickHook) // re-arm the deadline at cycle 0
 	e.bodies, e.end, e.err, e.host = bodies, 0, nil, nil
-	e.count, e.specGrants, e.specTicks = Counters{}, 0, 0
-	e.specRollbacks, e.specRollbackTicks = 0, 0
+	e.count = Counters{}
 	for i, t := range e.threads {
 		t.reset()
 		t.clock, t.panicked, t.parkSkipped = 0, nil, 0

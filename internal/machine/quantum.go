@@ -67,12 +67,12 @@ func (c *Ctx) TickPure(cost uint64) {
 		// deliver ErrMaxCycles at the same event it always did.
 		j := &c.spec
 		if j.n == 0 {
-			c.eng.specGrants++ // the first deferred tick opens a quantum
+			c.eng.count.QuantumGrants++ // the first deferred tick opens a quantum
 		}
 		j.cycles[j.n] = c.clock
 		j.rngs[j.n] = c.rng
 		j.n++
-		c.eng.specTicks++
+		c.eng.count.QuantumTicks++
 		return
 	}
 	c.suspend()
@@ -99,7 +99,7 @@ func (c *Ctx) EndQuantum() {
 	}
 	if j.cycles[j.n-1] == c.clock {
 		j.n--
-		c.eng.specTicks--
+		c.eng.count.QuantumTicks--
 	}
 	c.suspend()
 }
@@ -119,8 +119,8 @@ func (c *Ctx) Interfere() {
 		return
 	}
 	j := c.spec.next
-	c.eng.specRollbacks++
-	c.eng.specRollbackTicks += uint64(c.spec.n - j)
+	c.eng.count.Rollbacks++
+	c.eng.count.RollbackTicks += uint64(c.spec.n - j)
 	c.rng = c.spec.rngs[j]
 	c.clock = c.spec.cycles[j]
 	c.spec.n = j // truncate: the undelivered ticks never happened
@@ -154,10 +154,4 @@ func (e *Engine) SpecBarrier() {
 	if t := e.running; t != nil && t.spec.n > 0 {
 		t.EndQuantum()
 	}
-}
-
-// QuantumCounters returns the last Run's speculation totals: quanta
-// granted, ticks journaled, rollbacks, and ticks discarded by rollbacks.
-func (e *Engine) QuantumCounters() (grants, ticks, rollbacks, rollbackTicks uint64) {
-	return e.specGrants, e.specTicks, e.specRollbacks, e.specRollbackTicks
 }

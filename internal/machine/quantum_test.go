@@ -109,8 +109,8 @@ func TestQuantumDifferentialStream(t *testing.T) {
 
 // TestQuantumGrantsAndJournalFull checks the accounting: a long pure
 // stretch under a small budget opens several quanta (the journal-full path
-// yields and re-opens), and QuantumCounters reflect exactly the deferred
-// ticks.
+// yields and re-opens), and the quantum counters reflect exactly the
+// deferred ticks.
 func TestQuantumGrantsAndJournalFull(t *testing.T) {
 	mk := func() []func(*Ctx) {
 		return []func(*Ctx){
@@ -132,7 +132,8 @@ func TestQuantumGrantsAndJournalFull(t *testing.T) {
 	if _, err := e.Run(bodies); err != nil {
 		t.Fatal(err)
 	}
-	grants, ticks, rollbacks, rbTicks := e.QuantumCounters()
+	c := e.Counters()
+	grants, ticks, rollbacks, rbTicks := c.QuantumGrants, c.QuantumTicks, c.Rollbacks, c.RollbackTicks
 	if grants == 0 || ticks == 0 {
 		t.Fatalf("expected speculation to engage: grants=%d ticks=%d", grants, ticks)
 	}
@@ -199,7 +200,7 @@ func TestQuantumRollback(t *testing.T) {
 	if gotClock != 20 {
 		t.Fatalf("rolled-back clock = %d, want 20 (the first undelivered journaled tick)", gotClock)
 	}
-	_, _, rollbacks, rbTicks := e.QuantumCounters()
+	rollbacks, rbTicks := e.Counters().Rollbacks, e.Counters().RollbackTicks
 	if rollbacks != 1 || rbTicks != 2 {
 		t.Fatalf("rollbacks=%d rbTicks=%d, want 1 and 2", rollbacks, rbTicks)
 	}
@@ -310,23 +311,14 @@ func TestQuantumEngineReuse(t *testing.T) {
 		verify()
 		return fmt.Sprint(stream), makespan
 	}
-	type totals struct {
-		quantum [4]uint64
-		engine  Counters
-	}
-	counts := func() (c totals) {
-		c.quantum[0], c.quantum[1], c.quantum[2], c.quantum[3] = e.QuantumCounters()
-		c.engine = e.Counters()
-		return c
-	}
 	s1, m1 := run()
-	c1 := counts()
+	c1 := e.Counters()
 	s2, m2 := run()
-	c2 := counts()
+	c2 := e.Counters()
 	if s1 != s2 || m1 != m2 {
 		t.Fatalf("second Run diverged: makespan %d vs %d", m2, m1)
 	}
-	if c1.quantum[1] == 0 || c1 != c2 {
+	if c1.QuantumTicks == 0 || c1 != c2 {
 		t.Fatalf("per-Run totals %+v, then %+v: want them equal, with ticks journaled", c1, c2)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"math"
 
 	"seer/internal/htm"
+	"seer/internal/machine"
 	"seer/internal/mem"
 	"seer/internal/stats"
 )
@@ -75,8 +76,9 @@ type Options struct {
 	// Scheduler returns Seer's current thresholds and the locking scheme's
 	// pair count.
 	Scheduler func() (th1, th2 float64, schemePairs int)
-	// Quantum returns the engine's speculative-quantum counters in this Run.
-	Quantum func() (grants, ticks, rollbacks, rollbackTicks uint64)
+	// Quantum returns the engine's counters in this Run; the timeline
+	// diffs their speculative-quantum totals.
+	Quantum func() machine.Counters
 	// Phase returns the phased-TM runtime's per-phase occupancy (HW, SW,
 	// GLOCK) in this Run as of virtual time now.
 	Phase func(now uint64) (occupancy [3]uint64)

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"seer/internal/htm"
+	"seer/internal/machine"
 )
 
 // MaxModes fixes the size of the per-mode commit arrays (policy.Mode
@@ -191,7 +192,7 @@ type timeline struct {
 	arena arena
 
 	prev        Counters
-	prevQuantum [4]uint64
+	prevEngine  machine.Counters
 	prevPhase   [3]uint64
 	prevTruth   []uint64 // sized with the attribution sink
 	prevCascade [MaxCascadeDepth + 1]uint64
@@ -247,13 +248,12 @@ func (r *Recorder) cutSnapshot(end uint64) {
 		snap.Th1, snap.Th2, snap.SchemePairs = src()
 	}
 	if src := r.opt.Quantum; src != nil {
-		g, t, rb, rt := src()
-		cum := [4]uint64{g, t, rb, rt}
-		snap.QuantumGrants = cum[0] - tl.prevQuantum[0]
-		snap.QuantumTicks = cum[1] - tl.prevQuantum[1]
-		snap.QuantumRollbacks = cum[2] - tl.prevQuantum[2]
-		snap.QuantumRollbackTicks = cum[3] - tl.prevQuantum[3]
-		tl.prevQuantum = cum
+		eng := src()
+		snap.QuantumGrants = eng.QuantumGrants - tl.prevEngine.QuantumGrants
+		snap.QuantumTicks = eng.QuantumTicks - tl.prevEngine.QuantumTicks
+		snap.QuantumRollbacks = eng.Rollbacks - tl.prevEngine.Rollbacks
+		snap.QuantumRollbackTicks = eng.RollbackTicks - tl.prevEngine.RollbackTicks
+		tl.prevEngine = eng
 	}
 	if src := r.opt.Phase; src != nil {
 		occ := src(end)

@@ -49,14 +49,23 @@ func (h *HashMap) bucketAddr(key uint64) mem.Addr {
 	return h.buckets + mem.Addr(Hash(key)%h.nBuckets)
 }
 
+// find walks key's chain. It returns the bucket address, the chain head
+// and key's node (mem.Nil when absent).
+func (h *HashMap) find(acc mem.Access, key uint64) (ba, head, n mem.Addr) {
+	ba = h.bucketAddr(key)
+	head = mem.Addr(acc.Load(ba))
+	for n = head; n != mem.Nil; n = mem.Addr(acc.Load(n + nodeNext)) {
+		if acc.Load(n+nodeKey) == key {
+			break
+		}
+	}
+	return ba, head, n
+}
+
 // Get returns the value stored for key.
 func (h *HashMap) Get(acc mem.Access, key uint64) (uint64, bool) {
-	node := mem.Addr(acc.Load(h.bucketAddr(key)))
-	for node != mem.Nil {
-		if acc.Load(node+nodeKey) == key {
-			return acc.Load(node + nodeVal), true
-		}
-		node = mem.Addr(acc.Load(node + nodeNext))
+	if _, _, n := h.find(acc, key); n != mem.Nil {
+		return acc.Load(n + nodeVal), true
 	}
 	return 0, false
 }
@@ -70,31 +79,24 @@ func (h *HashMap) Contains(acc mem.Access, key uint64) bool {
 // Put inserts or updates key → value; it reports whether the key was
 // newly inserted.
 func (h *HashMap) Put(acc mem.Access, key, value uint64) bool {
-	ba := h.bucketAddr(key)
-	node := mem.Addr(acc.Load(ba))
-	for n := node; n != mem.Nil; n = mem.Addr(acc.Load(n + nodeNext)) {
-		if acc.Load(n+nodeKey) == key {
-			acc.Store(n+nodeVal, value)
-			return false
-		}
-	}
-	fresh := h.arena.Alloc(acc, nodeSize)
-	acc.Store(fresh+nodeKey, key)
-	acc.Store(fresh+nodeVal, value)
-	acc.Store(fresh+nodeNext, uint64(node))
-	acc.Store(ba, uint64(fresh))
-	return true
+	return h.put(acc, key, value, true)
 }
 
 // PutIfAbsent inserts key → value only when key is absent; it reports
 // whether the insert happened.
 func (h *HashMap) PutIfAbsent(acc mem.Access, key, value uint64) bool {
-	ba := h.bucketAddr(key)
-	head := mem.Addr(acc.Load(ba))
-	for n := head; n != mem.Nil; n = mem.Addr(acc.Load(n + nodeNext)) {
-		if acc.Load(n+nodeKey) == key {
-			return false
+	return h.put(acc, key, value, false)
+}
+
+// put links a fresh node at the head of key's chain, or, when key is
+// present, overwrites its value if overwrite is set.
+func (h *HashMap) put(acc mem.Access, key, value uint64, overwrite bool) bool {
+	ba, head, n := h.find(acc, key)
+	if n != mem.Nil {
+		if overwrite {
+			acc.Store(n+nodeVal, value)
 		}
+		return false
 	}
 	fresh := h.arena.Alloc(acc, nodeSize)
 	acc.Store(fresh+nodeKey, key)

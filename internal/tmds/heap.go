@@ -87,17 +87,10 @@ func (h *Heap) Pop(acc mem.Access) (prio, val uint64, ok bool) {
 	lv := acc.Load(h.valAddr(n))
 	i := uint64(0)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		sp := lp
-		if l < n {
-			if p := acc.Load(h.prioAddr(l)); p < sp {
-				smallest, sp = l, p
-			}
-		}
-		if r < n {
-			if p := acc.Load(h.prioAddr(r)); p < sp {
-				smallest, sp = r, p
+		smallest, sp := i, lp
+		for c := 2*i + 1; c <= 2*i+2 && c < n; c++ { // left child, then right
+			if p := acc.Load(h.prioAddr(c)); p < sp {
+				smallest, sp = c, p
 			}
 		}
 		if smallest == i {

@@ -23,7 +23,7 @@ type RBTree struct {
 const (
 	rbKey    = 0
 	rbVal    = 1
-	rbLeft   = 2
+	rbLeft   = 2 // the child on side d is at rbLeft+d
 	rbRight  = 3
 	rbParent = 4
 	rbColor  = 5
@@ -31,6 +31,15 @@ const (
 
 	red   = 0
 	black = 1
+)
+
+// A side picks one child of a node; 1-d is the mirror side. Each
+// rebalancing case is written once for side d and serves both mirrors.
+type side int
+
+const (
+	leftSide  side = 0
+	rightSide side = 1
 )
 
 // NewRBTree builds an empty tree; nodes come from arena.
@@ -45,12 +54,16 @@ func (t *RBTree) getRoot(acc mem.Access) mem.Addr    { return mem.Addr(acc.Load(
 func (t *RBTree) setRoot(acc mem.Access, n mem.Addr) { acc.Store(t.root, uint64(n)) }
 
 func key(acc mem.Access, n mem.Addr) uint64      { return acc.Load(n + rbKey) }
-func left(acc mem.Access, n mem.Addr) mem.Addr   { return mem.Addr(acc.Load(n + rbLeft)) }
-func right(acc mem.Access, n mem.Addr) mem.Addr  { return mem.Addr(acc.Load(n + rbRight)) }
 func parent(acc mem.Access, n mem.Addr) mem.Addr { return mem.Addr(acc.Load(n + rbParent)) }
-func setLeft(acc mem.Access, n, v mem.Addr)      { acc.Store(n+rbLeft, uint64(v)) }
-func setRight(acc mem.Access, n, v mem.Addr)     { acc.Store(n+rbRight, uint64(v)) }
 func setParent(acc mem.Access, n, v mem.Addr)    { acc.Store(n+rbParent, uint64(v)) }
+
+func child(acc mem.Access, n mem.Addr, d side) mem.Addr {
+	return mem.Addr(acc.Load(n + rbLeft + mem.Addr(d)))
+}
+
+func setChild(acc mem.Access, n mem.Addr, d side, v mem.Addr) {
+	acc.Store(n+rbLeft+mem.Addr(d), uint64(v))
+}
 
 // color of mem.Nil is black.
 func color(acc mem.Access, n mem.Addr) uint64 {
@@ -66,19 +79,30 @@ func setColor(acc mem.Access, n mem.Addr, c uint64) {
 	}
 }
 
-// Get returns the value stored under k.
-func (t *RBTree) Get(acc mem.Access, k uint64) (uint64, bool) {
-	n := t.getRoot(acc)
+// find walks from the root toward k. It returns k's node (mem.Nil when
+// absent) and the last node visited before it, the parent a fresh k
+// would be linked under.
+func (t *RBTree) find(acc mem.Access, k uint64) (n, p mem.Addr) {
+	n = t.getRoot(acc)
 	for n != mem.Nil {
 		nk := key(acc, n)
-		switch {
-		case k < nk:
-			n = left(acc, n)
-		case k > nk:
-			n = right(acc, n)
-		default:
-			return acc.Load(n + rbVal), true
+		if k == nk {
+			return n, p
 		}
+		p = n
+		if k < nk {
+			n = child(acc, n, leftSide)
+		} else {
+			n = child(acc, n, rightSide)
+		}
+	}
+	return mem.Nil, p
+}
+
+// Get returns the value stored under k.
+func (t *RBTree) Get(acc mem.Access, k uint64) (uint64, bool) {
+	if n, _ := t.find(acc, k); n != mem.Nil {
+		return acc.Load(n + rbVal), true
 	}
 	return 0, false
 }
@@ -92,39 +116,20 @@ func (t *RBTree) Contains(acc mem.Access, k uint64) bool {
 // Update overwrites the value of an existing key, reporting whether the
 // key was found.
 func (t *RBTree) Update(acc mem.Access, k, v uint64) bool {
-	n := t.getRoot(acc)
-	for n != mem.Nil {
-		nk := key(acc, n)
-		switch {
-		case k < nk:
-			n = left(acc, n)
-		case k > nk:
-			n = right(acc, n)
-		default:
-			acc.Store(n+rbVal, v)
-			return true
-		}
+	n, _ := t.find(acc, k)
+	if n != mem.Nil {
+		acc.Store(n+rbVal, v)
 	}
-	return false
+	return n != mem.Nil
 }
 
 // Insert adds k → v, reporting whether k was newly inserted (false means
 // the value was updated in place).
 func (t *RBTree) Insert(acc mem.Access, k, v uint64) bool {
-	var p mem.Addr = mem.Nil
-	n := t.getRoot(acc)
-	for n != mem.Nil {
-		p = n
-		nk := key(acc, n)
-		switch {
-		case k < nk:
-			n = left(acc, n)
-		case k > nk:
-			n = right(acc, n)
-		default:
-			acc.Store(n+rbVal, v)
-			return false
-		}
+	n, p := t.find(acc, k)
+	if n != mem.Nil {
+		acc.Store(n+rbVal, v)
+		return false
 	}
 	fresh := t.arena.AllocAligned(acc, rbSize)
 	acc.Store(fresh+rbKey, k)
@@ -133,55 +138,48 @@ func (t *RBTree) Insert(acc mem.Access, k, v uint64) bool {
 	acc.Store(fresh+rbRight, uint64(mem.Nil))
 	acc.Store(fresh+rbParent, uint64(p))
 	acc.Store(fresh+rbColor, red)
+	// find read p's key already, but the re-read below is a simulated
+	// access the schedule depends on, so it stays.
 	if p == mem.Nil {
 		t.setRoot(acc, fresh)
 	} else if k < key(acc, p) {
-		setLeft(acc, p, fresh)
+		setChild(acc, p, leftSide, fresh)
 	} else {
-		setRight(acc, p, fresh)
+		setChild(acc, p, rightSide, fresh)
 	}
 	t.insertFixup(acc, fresh)
 	return true
 }
 
-func (t *RBTree) rotateLeft(acc mem.Access, x mem.Addr) {
-	y := right(acc, x)
-	yl := left(acc, y)
-	setRight(acc, x, yl)
-	if yl != mem.Nil {
-		setParent(acc, yl, x)
+// rotate turns x down to side d: its child on the mirror side takes its
+// place. d = leftSide is a left rotation.
+func (t *RBTree) rotate(acc mem.Access, x mem.Addr, d side) {
+	y := child(acc, x, 1-d)
+	inner := child(acc, y, d)
+	setChild(acc, x, 1-d, inner)
+	if inner != mem.Nil {
+		setParent(acc, inner, x)
 	}
 	xp := parent(acc, x)
 	setParent(acc, y, xp)
 	if xp == mem.Nil {
 		t.setRoot(acc, y)
-	} else if x == left(acc, xp) {
-		setLeft(acc, xp, y)
+	} else if x == child(acc, xp, d) { // not sideOf: this test reads xp's side-d word
+		setChild(acc, xp, d, y)
 	} else {
-		setRight(acc, xp, y)
+		setChild(acc, xp, 1-d, y)
 	}
-	setLeft(acc, y, x)
+	setChild(acc, y, d, x)
 	setParent(acc, x, y)
 }
 
-func (t *RBTree) rotateRight(acc mem.Access, x mem.Addr) {
-	y := left(acc, x)
-	yr := right(acc, y)
-	setLeft(acc, x, yr)
-	if yr != mem.Nil {
-		setParent(acc, yr, x)
+// sideOf returns the side of p that n hangs on, reading only p's left
+// child word.
+func sideOf(acc mem.Access, p, n mem.Addr) side {
+	if n == child(acc, p, leftSide) {
+		return leftSide
 	}
-	xp := parent(acc, x)
-	setParent(acc, y, xp)
-	if xp == mem.Nil {
-		t.setRoot(acc, y)
-	} else if x == right(acc, xp) {
-		setRight(acc, xp, y)
-	} else {
-		setLeft(acc, xp, y)
-	}
-	setRight(acc, y, x)
-	setParent(acc, x, y)
+	return rightSide
 }
 
 func (t *RBTree) insertFixup(acc mem.Access, z mem.Addr) {
@@ -191,43 +189,24 @@ func (t *RBTree) insertFixup(acc mem.Access, z mem.Addr) {
 			break
 		}
 		g := parent(acc, p)
-		if p == left(acc, g) {
-			u := right(acc, g)
-			if color(acc, u) == red {
-				setColor(acc, p, black)
-				setColor(acc, u, black)
-				setColor(acc, g, red)
-				z = g
-				continue
-			}
-			if z == right(acc, p) {
-				z = p
-				t.rotateLeft(acc, z)
-				p = parent(acc, z)
-				g = parent(acc, p)
-			}
+		d := sideOf(acc, g, p) // p hangs on side d of g, the uncle u on 1-d
+		u := child(acc, g, 1-d)
+		if color(acc, u) == red {
 			setColor(acc, p, black)
+			setColor(acc, u, black)
 			setColor(acc, g, red)
-			t.rotateRight(acc, g)
-		} else {
-			u := left(acc, g)
-			if color(acc, u) == red {
-				setColor(acc, p, black)
-				setColor(acc, u, black)
-				setColor(acc, g, red)
-				z = g
-				continue
-			}
-			if z == left(acc, p) {
-				z = p
-				t.rotateRight(acc, z)
-				p = parent(acc, z)
-				g = parent(acc, p)
-			}
-			setColor(acc, p, black)
-			setColor(acc, g, red)
-			t.rotateLeft(acc, g)
+			z = g
+			continue
 		}
+		if z == child(acc, p, 1-d) {
+			z = p
+			t.rotate(acc, z, d)
+			p = parent(acc, z)
+			g = parent(acc, p)
+		}
+		setColor(acc, p, black)
+		setColor(acc, g, red)
+		t.rotate(acc, g, 1-d)
 	}
 	setColor(acc, t.getRoot(acc), black)
 }
@@ -235,7 +214,7 @@ func (t *RBTree) insertFixup(acc mem.Access, z mem.Addr) {
 // minimum returns the leftmost node of the subtree rooted at n.
 func minimum(acc mem.Access, n mem.Addr) mem.Addr {
 	for {
-		l := left(acc, n)
+		l := child(acc, n, leftSide)
 		if l == mem.Nil {
 			return n
 		}
@@ -249,10 +228,8 @@ func (t *RBTree) transplant(acc mem.Access, u, v mem.Addr) {
 	up := parent(acc, u)
 	if up == mem.Nil {
 		t.setRoot(acc, v)
-	} else if u == left(acc, up) {
-		setLeft(acc, up, v)
 	} else {
-		setRight(acc, up, v)
+		setChild(acc, up, sideOf(acc, up, u), v)
 	}
 	if v != mem.Nil {
 		setParent(acc, v, up)
@@ -262,17 +239,7 @@ func (t *RBTree) transplant(acc mem.Access, u, v mem.Addr) {
 // Delete removes k, reporting whether it was present. Nodes are unlinked,
 // not reclaimed.
 func (t *RBTree) Delete(acc mem.Access, k uint64) bool {
-	z := t.getRoot(acc)
-	for z != mem.Nil {
-		zk := key(acc, z)
-		if k < zk {
-			z = left(acc, z)
-		} else if k > zk {
-			z = right(acc, z)
-		} else {
-			break
-		}
-	}
+	z, _ := t.find(acc, k)
 	if z == mem.Nil {
 		return false
 	}
@@ -280,30 +247,30 @@ func (t *RBTree) Delete(acc mem.Access, k uint64) bool {
 	y := z
 	yOrigColor := color(acc, y)
 	var x, xParent mem.Addr
-	if left(acc, z) == mem.Nil {
-		x = right(acc, z)
+	if child(acc, z, leftSide) == mem.Nil {
+		x = child(acc, z, rightSide)
 		xParent = parent(acc, z)
 		t.transplant(acc, z, x)
-	} else if right(acc, z) == mem.Nil {
-		x = left(acc, z)
+	} else if child(acc, z, rightSide) == mem.Nil {
+		x = child(acc, z, leftSide)
 		xParent = parent(acc, z)
 		t.transplant(acc, z, x)
 	} else {
-		y = minimum(acc, right(acc, z))
+		y = minimum(acc, child(acc, z, rightSide))
 		yOrigColor = color(acc, y)
-		x = right(acc, y)
+		x = child(acc, y, rightSide)
 		if parent(acc, y) == z {
 			xParent = y
 		} else {
 			xParent = parent(acc, y)
 			t.transplant(acc, y, x)
-			zr := right(acc, z)
-			setRight(acc, y, zr)
+			zr := child(acc, z, rightSide)
+			setChild(acc, y, rightSide, zr)
 			setParent(acc, zr, y)
 		}
 		t.transplant(acc, z, y)
-		zl := left(acc, z)
-		setLeft(acc, y, zl)
+		zl := child(acc, z, leftSide)
+		setChild(acc, y, leftSide, zl)
 		setParent(acc, zl, y)
 		setColor(acc, y, color(acc, z))
 	}
@@ -314,65 +281,39 @@ func (t *RBTree) Delete(acc mem.Access, k uint64) bool {
 }
 
 // deleteFixup restores red-black properties after deletion; x may be Nil,
-// so its parent is tracked explicitly.
+// so its parent is tracked explicitly. w is x's sibling; its near child
+// is on side d (x's side), its far child on 1-d.
 func (t *RBTree) deleteFixup(acc mem.Access, x, xParent mem.Addr) {
 	for x != t.getRoot(acc) && color(acc, x) == black {
 		if xParent == mem.Nil {
 			break
 		}
-		if x == left(acc, xParent) {
-			w := right(acc, xParent)
-			if color(acc, w) == red {
-				setColor(acc, w, black)
-				setColor(acc, xParent, red)
-				t.rotateLeft(acc, xParent)
-				w = right(acc, xParent)
-			}
-			if color(acc, left(acc, w)) == black && color(acc, right(acc, w)) == black {
-				setColor(acc, w, red)
-				x = xParent
-				xParent = parent(acc, x)
-			} else {
-				if color(acc, right(acc, w)) == black {
-					setColor(acc, left(acc, w), black)
-					setColor(acc, w, red)
-					t.rotateRight(acc, w)
-					w = right(acc, xParent)
-				}
-				setColor(acc, w, color(acc, xParent))
-				setColor(acc, xParent, black)
-				setColor(acc, right(acc, w), black)
-				t.rotateLeft(acc, xParent)
-				x = t.getRoot(acc)
-				xParent = mem.Nil
-			}
-		} else {
-			w := left(acc, xParent)
-			if color(acc, w) == red {
-				setColor(acc, w, black)
-				setColor(acc, xParent, red)
-				t.rotateRight(acc, xParent)
-				w = left(acc, xParent)
-			}
-			if color(acc, right(acc, w)) == black && color(acc, left(acc, w)) == black {
-				setColor(acc, w, red)
-				x = xParent
-				xParent = parent(acc, x)
-			} else {
-				if color(acc, left(acc, w)) == black {
-					setColor(acc, right(acc, w), black)
-					setColor(acc, w, red)
-					t.rotateLeft(acc, w)
-					w = left(acc, xParent)
-				}
-				setColor(acc, w, color(acc, xParent))
-				setColor(acc, xParent, black)
-				setColor(acc, left(acc, w), black)
-				t.rotateRight(acc, xParent)
-				x = t.getRoot(acc)
-				xParent = mem.Nil
-			}
+		d := sideOf(acc, xParent, x)
+		w := child(acc, xParent, 1-d)
+		if color(acc, w) == red {
+			setColor(acc, w, black)
+			setColor(acc, xParent, red)
+			t.rotate(acc, xParent, d)
+			w = child(acc, xParent, 1-d)
 		}
+		if color(acc, child(acc, w, d)) == black && color(acc, child(acc, w, 1-d)) == black {
+			setColor(acc, w, red)
+			x = xParent
+			xParent = parent(acc, x)
+			continue
+		}
+		if color(acc, child(acc, w, 1-d)) == black {
+			setColor(acc, child(acc, w, d), black)
+			setColor(acc, w, red)
+			t.rotate(acc, w, 1-d)
+			w = child(acc, xParent, 1-d)
+		}
+		setColor(acc, w, color(acc, xParent))
+		setColor(acc, xParent, black)
+		setColor(acc, child(acc, w, 1-d), black)
+		t.rotate(acc, xParent, d)
+		x = t.getRoot(acc)
+		xParent = mem.Nil
 	}
 	setColor(acc, x, black)
 }
@@ -386,7 +327,7 @@ func (t *RBTree) countFrom(acc mem.Access, n mem.Addr) int {
 	if n == mem.Nil {
 		return 0
 	}
-	return 1 + t.countFrom(acc, left(acc, n)) + t.countFrom(acc, right(acc, n))
+	return 1 + t.countFrom(acc, child(acc, n, leftSide)) + t.countFrom(acc, child(acc, n, rightSide))
 }
 
 // Keys appends all keys in ascending order (validation helper).
@@ -398,9 +339,9 @@ func (t *RBTree) keysFrom(acc mem.Access, n mem.Addr, dst []uint64) []uint64 {
 	if n == mem.Nil {
 		return dst
 	}
-	dst = t.keysFrom(acc, left(acc, n), dst)
+	dst = t.keysFrom(acc, child(acc, n, leftSide), dst)
 	dst = append(dst, key(acc, n))
-	return t.keysFrom(acc, right(acc, n), dst)
+	return t.keysFrom(acc, child(acc, n, rightSide), dst)
 }
 
 // CheckInvariants verifies the red-black properties (root black, no red
@@ -432,7 +373,7 @@ func (t *RBTree) check(acc mem.Access, n mem.Addr, lo, hi uint64, loOpen bool) (
 		return 0, "BST order violated (right bound)"
 	}
 	c := color(acc, n)
-	l, r := left(acc, n), right(acc, n)
+	l, r := child(acc, n, leftSide), child(acc, n, rightSide)
 	if c == red {
 		if color(acc, l) == red || color(acc, r) == red {
 			return 0, "red node with red child"

@@ -95,7 +95,7 @@ func (a *Arena) alloc(acc mem.Access, n int, aligned bool) mem.Addr {
 		}
 	}
 	if cur == 0 || cur+mem.Addr(n) > end {
-		cur, end = a.refill(acc, n, aligned)
+		cur, end = a.refill(acc, n)
 	}
 	acc.Store(shard, uint64(cur)+uint64(n))
 	acc.Store(shard+1, uint64(end))
@@ -104,7 +104,7 @@ func (a *Arena) alloc(acc mem.Access, n int, aligned bool) mem.Addr {
 
 // refill grabs a fresh chunk (at least n words, line-aligned) from the
 // master cursor.
-func (a *Arena) refill(acc mem.Access, n int, aligned bool) (cur, end mem.Addr) {
+func (a *Arena) refill(acc mem.Access, n int) (cur, end mem.Addr) {
 	want := arenaChunk
 	if n > want {
 		want = n
@@ -121,7 +121,6 @@ func (a *Arena) refill(acc mem.Access, n int, aligned bool) (cur, end mem.Addr) 
 		want = int(a.limit - m)
 	}
 	acc.Store(a.master, uint64(m)+uint64(want))
-	_ = aligned // m is line-aligned already
 	return m, m + mem.Addr(want)
 }
 

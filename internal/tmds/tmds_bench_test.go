@@ -1,6 +1,7 @@
 package tmds
 
 import (
+	"math/rand"
 	"testing"
 
 	"seer/internal/mem"
@@ -50,6 +51,36 @@ func BenchmarkRBTreeGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.Get(acc, uint64(i%10000))
+	}
+}
+
+// BenchmarkRBTreeChurn deletes and re-inserts random keys of a 4 096-key
+// tree, so both rotation directions and every insert and delete fixup
+// case run. Unlinked nodes are not reclaimed, so the tree is rebuilt off
+// the clock before its arena runs out.
+func BenchmarkRBTreeChurn(b *testing.B) {
+	const keys, rebuildEvery = 4096, 200000
+	var acc rawAccess
+	var tr *RBTree
+	build := func() {
+		m, a, arena := benchEnv(1 << 22)
+		acc, tr = a, NewRBTree(m, arena)
+		for _, k := range rand.New(rand.NewSource(1)).Perm(keys) {
+			tr.Insert(acc, uint64(k), 0)
+		}
+	}
+	build()
+	rng := rand.New(rand.NewSource(2))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%rebuildEvery == 0 {
+			b.StopTimer()
+			build()
+			b.StartTimer()
+		}
+		k := uint64(rng.Intn(keys))
+		tr.Delete(acc, k)
+		tr.Insert(acc, k, uint64(i))
 	}
 }
 

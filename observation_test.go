@@ -11,12 +11,11 @@ import (
 )
 
 // observed is what a run lets an observer compare across sink settings:
-// the report digest without its timeline and inference lines, the engine's
-// own work counters and its speculative-quantum totals.
+// the report digest without its timeline and inference lines and the
+// engine's own counters (speculative-quantum totals included).
 type observed struct {
 	summary  string
 	counters seer.EngineCounters
-	quantum  seer.QuantumReport
 }
 
 // observe reduces a finished run to what must not depend on its sinks.
@@ -27,7 +26,7 @@ func observe(rep seer.Report, sys *seer.System) observed {
 			kept = append(kept, line)
 		}
 	}
-	return observed{strings.Join(kept, ""), sys.EngineCounters(), *rep.Quantum}
+	return observed{strings.Join(kept, ""), sys.EngineCounters()}
 }
 
 // withSinks turns all four observability sinks on or off.
@@ -43,15 +42,15 @@ func withSinks(cfg seer.Config, on bool) seer.Config {
 // engine does. Every cell of the determinism grid, and of the scaling
 // exhibit's grid up to 128 threads, runs with the event log, the
 // timeline, attempt spans and attribution all on and with all four off;
-// the report (less the lines only a sink produces), the engine counters
-// and the quantum totals must be equal.
+// the report (less the lines only a sink produces) and the engine counters
+// must be equal.
 func TestObservationInvariance(t *testing.T) {
 	compare := func(name string, run func(cfg seer.Config) observed, cfg seer.Config) {
 		t.Helper()
 		on, off := run(withSinks(cfg, true)), run(withSinks(cfg, false))
 		if on != off {
-			t.Fatalf("%s: observed run differs from the unobserved one:\n--- sinks on ---\n%s%+v %+v\n--- sinks off ---\n%s%+v %+v",
-				name, on.summary, on.counters, on.quantum, off.summary, off.counters, off.quantum)
+			t.Fatalf("%s: observed run differs from the unobserved one:\n--- sinks on ---\n%s%+v\n--- sinks off ---\n%s%+v",
+				name, on.summary, on.counters, off.summary, off.counters)
 		}
 	}
 

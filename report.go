@@ -160,7 +160,7 @@ func (p *PhasedReport) ModeFractions() (out [3]float64) {
 
 // QuantumReport captures the engine's speculative-quantum activity:
 // quanta granted, pure ticks journaled, rollbacks, and journaled ticks
-// discarded by rollbacks (see machine.Engine.QuantumCounters).
+// discarded by rollbacks (the quantum totals of System.EngineCounters).
 type QuantumReport struct {
 	Grants        uint64
 	Ticks         uint64
@@ -392,9 +392,8 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 			STM:         stm,
 		}
 	}
-	qr := &QuantumReport{}
-	qr.Grants, qr.Ticks, qr.Rollbacks, qr.RollbackTicks = s.eng.QuantumCounters()
-	r.Quantum = qr
+	ec := s.eng.Counters()
+	r.Quantum = &QuantumReport{ec.QuantumGrants, ec.QuantumTicks, ec.Rollbacks, ec.RollbackTicks}
 	s.obs.Flush(makespan)
 	r.Timeline = s.obs.Timeline()
 	r.Inference = s.obs.Quality()

@@ -62,9 +62,10 @@ type (
 	CostModel = machine.CostModel
 	// HTMConfig sets capacity and noise parameters of the simulated HTM.
 	HTMConfig = htm.Config
-	// EngineCounters is the simulator's account of its own event loop:
-	// events scheduled, split into coroutine resumes and the steps the
-	// engine executed on a thread's behalf (System.EngineCounters).
+	// EngineCounters is the simulator's account of its own work: events
+	// scheduled, split into coroutine resumes and the steps the engine
+	// executed on a thread's behalf, and the speculative-quantum totals
+	// (System.EngineCounters).
 	EngineCounters = machine.Counters
 	// SeerOptions selects which Seer mechanisms are active.
 	SeerOptions = core.Options
@@ -501,7 +502,7 @@ func (s *System) newRecorder(topo topology.Topology, buf *telemetry.Buffers) *te
 		// mechanics, not workload data conflicts: keep them out of the
 		// ground-truth matrix (spans still carry their attribution).
 		IgnoredLines: []mem.Line{mem.LineOf(s.sgl.Addr())},
-		Quantum:      s.eng.QuantumCounters,
+		Quantum:      s.eng.Counters,
 	}
 	if sched := s.sched; sched != nil {
 		o.Scheduler = func() (float64, float64, int) {
@@ -532,9 +533,9 @@ func (s *System) Topology() Topology { return s.eng.Config().Topo }
 // PolicyName returns the active policy's name.
 func (s *System) PolicyName() string { return s.pol.Name() }
 
-// EngineCounters returns the event loop's work totals in the last Run —
-// what the simulator, not the simulated machine, did. They are
-// deterministic for a fixed seed.
+// EngineCounters returns the engine's work totals in the last Run — what
+// the simulator, not the simulated machine, did; Report.Quantum copies
+// its quantum totals. They are deterministic for a fixed seed.
 func (s *System) EngineCounters() EngineCounters { return s.eng.Counters() }
 
 // Scheduler exposes the Seer scheduler for inspection (nil for other
