@@ -15,6 +15,7 @@ import (
 	"seer"
 	"seer/internal/harness"
 	"seer/internal/mem"
+	"seer/internal/policy"
 	"seer/internal/stamp"
 )
 
@@ -533,14 +534,24 @@ var knobCallers = map[reflect.Type]map[string]string{
 		"ObjLocks SampleShift PreciseOracle":     "ext (harness extVariants)",
 		"UpdateEvery EpochExecs":                 "examples/tuning",
 	},
+	// The policies' exported fields, all set by newSystem's policy table.
+	reflect.TypeFor[policy.RTM]():     {"SGL MaxAttempts": "newSystem policy table"},
+	reflect.TypeFor[policy.SCM]():     {"SGL Aux MaxAttempts": "newSystem policy table"},
+	reflect.TypeFor[policy.Seer]():    {"SGL MaxAttempts Sched": "newSystem policy table"},
+	reflect.TypeFor[policy.ATS]():     {"SGL Sched MaxAttempts": "newSystem policy table"},
+	reflect.TypeFor[policy.Backoff](): {"SGL MaxAttempts": "newSystem policy table"},
+	reflect.TypeFor[policy.Oracle]():  {"SGL MaxAttempts": "newSystem policy table"},
+	reflect.TypeFor[policy.Phased]():  {"SGL MaxAttempts": "newSystem policy table"},
 }
 
-// TestKnobTable: every knob earns its keep; the structs and knobCallers name the same fields.
+// TestKnobTable: every knob earns its keep; the structs and knobCallers name the same exported fields.
 func TestKnobTable(t *testing.T) {
 	for typ, callers := range knobCallers {
 		var have []string
 		for _, f := range reflect.VisibleFields(typ) {
-			have = append(have, f.Name)
+			if f.IsExported() {
+				have = append(have, f.Name)
+			}
 		}
 		want := strings.Fields(strings.Join(slices.Collect(maps.Keys(callers)), " "))
 		slices.Sort(have)

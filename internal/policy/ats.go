@@ -18,24 +18,21 @@ type ATS struct {
 	SGL         spinlock.Lock
 	Sched       spinlock.Lock // central dispatch lock
 	MaxAttempts int
-	// Alpha is the CI smoothing factor (0.75 in the original paper);
-	// Threshold is the serialization trigger (0.5).
-	Alpha     float64
-	Threshold float64
 
 	ci []float64 // per hardware thread contention intensity
 }
 
-// NewATS builds an ATS policy with the original paper's parameters.
+// The original paper's parameters: the CI smoothing factor and the
+// serialization trigger.
+const (
+	atsAlpha     = 0.75
+	atsThreshold = 0.5
+)
+
+// NewATS builds an ATS policy for a machine with hwThreads hardware
+// threads.
 func NewATS(sgl, sched spinlock.Lock, maxAttempts, hwThreads int) *ATS {
-	return &ATS{
-		SGL:         sgl,
-		Sched:       sched,
-		MaxAttempts: maxAttempts,
-		Alpha:       0.75,
-		Threshold:   0.5,
-		ci:          make([]float64, hwThreads),
-	}
+	return &ATS{SGL: sgl, Sched: sched, MaxAttempts: maxAttempts, ci: make([]float64, hwThreads)}
 }
 
 // Name implements Policy.
@@ -46,55 +43,40 @@ func (p *ATS) CI(hw int) float64 { return p.ci[hw] }
 
 func (p *ATS) observe(hw int, aborted bool) {
 	if aborted {
-		p.ci[hw] = p.Alpha*p.ci[hw] + (1 - p.Alpha)
+		p.ci[hw] = atsAlpha*p.ci[hw] + (1 - atsAlpha)
 	} else {
-		p.ci[hw] = p.Alpha * p.ci[hw]
+		p.ci[hw] = atsAlpha * p.ci[hw]
 	}
 }
 
 // Run implements Policy.
 func (p *ATS) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	hw := t.Ctx.ID()
-	serialized := false
-	if p.ci[hw] > p.Threshold {
+	mode := ModeHTM // ModeHTMAux while dispatched serially through Sched
+	if p.ci[hw] > atsThreshold {
 		// High contention: dispatch serially through the central lock.
-		start, skipped := t.lockWaitBegin()
-		p.Sched.Acquire(t.Ctx, t.Mem)
-		t.lockWaitEnd(start, skipped)
-		serialized = true
+		t.acquire(p.Sched)
+		mode = ModeHTMAux
 	}
-	defer func() {
-		if serialized {
-			p.Sched.Release(t.Ctx, t.Mem)
-		}
-	}()
-
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
-		if p.SGL.LockedFast(t.Mem) {
-			spinSGL(t, p.SGL)
-		}
 		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			p.observe(hw, false)
-			if serialized {
-				t.commit(ModeHTMAux)
-			} else {
-				t.commit(ModeHTM)
+			t.commit(mode)
+			if mode == ModeHTMAux {
+				p.Sched.Release(t.Ctx, t.Mem)
 			}
 			return
 		}
 		p.observe(hw, true)
 		// A thread that crosses the threshold mid-transaction joins the
 		// serial queue before retrying, as in the original design.
-		if !serialized && p.ci[hw] > p.Threshold {
-			start, skipped := t.lockWaitBegin()
-			p.Sched.Acquire(t.Ctx, t.Mem)
-			t.lockWaitEnd(start, skipped)
-			serialized = true
+		if mode == ModeHTM && p.ci[hw] > atsThreshold {
+			t.acquire(p.Sched)
+			mode = ModeHTMAux
 		}
 	}
-	if serialized {
+	if mode == ModeHTMAux {
 		p.Sched.Release(t.Ctx, t.Mem)
-		serialized = false
 	}
 	runSGL(t, p.SGL, body)
 }

@@ -25,36 +25,32 @@ import (
 type Backoff struct {
 	SGL         spinlock.Lock
 	MaxAttempts int
-	// MinWindow and MaxWindow bound the per-thread backoff window in
-	// cycles. The window never exceeds MaxWindow (the property tests pin
-	// this) and never shrinks below MinWindow.
-	MinWindow, MaxWindow uint64
 
 	win    []uint64 // per hardware thread: current window (cycles)
 	maxWin []uint64 // per hardware thread: high-water window in this Run
 }
 
-// Default window bounds: one cache-miss-ish minimum up to roughly the
-// cost of a few contended transactions.
+// The per-thread window's bounds in cycles: one cache-miss-ish minimum up
+// to roughly the cost of a few contended transactions. The window never
+// exceeds maxWindow (the property tests pin this) and never shrinks below
+// minWindow.
 const (
-	DefaultMinWindow = 64
-	DefaultMaxWindow = 16384
+	minWindow uint64 = 64
+	maxWindow uint64 = 16384
 )
 
-// NewBackoff builds a Backoff policy with the default window bounds for
-// a machine with hwThreads hardware threads.
+// NewBackoff builds a Backoff policy for a machine with hwThreads
+// hardware threads.
 func NewBackoff(sgl spinlock.Lock, maxAttempts, hwThreads int) *Backoff {
 	p := &Backoff{
 		SGL:         sgl,
 		MaxAttempts: maxAttempts,
-		MinWindow:   DefaultMinWindow,
-		MaxWindow:   DefaultMaxWindow,
 		win:         make([]uint64, hwThreads),
 		maxWin:      make([]uint64, hwThreads),
 	}
 	for i := range p.win {
-		p.win[i] = p.MinWindow
-		p.maxWin[i] = p.MinWindow
+		p.win[i] = minWindow
+		p.maxWin[i] = minWindow
 	}
 	return p
 }
@@ -75,26 +71,17 @@ func (p *Backoff) BeginRun() { copy(p.maxWin, p.win) }
 // (Thread.BackoffWaits, BackoffCycles).
 func (p *Backoff) PeakWindow() uint64 { return slices.Max(p.maxWin) }
 
-// grow doubles a thread's window after an abort, saturating at MaxWindow.
+// grow doubles a thread's window after an abort, saturating at maxWindow.
 func (p *Backoff) grow(hw int) {
-	w := p.win[hw] * 2
-	if w > p.MaxWindow {
-		w = p.MaxWindow
-	}
+	w := min(p.win[hw]*2, maxWindow)
 	p.win[hw] = w
 	if w > p.maxWin[hw] {
 		p.maxWin[hw] = w
 	}
 }
 
-// shrink halves a thread's window after a commit, flooring at MinWindow.
-func (p *Backoff) shrink(hw int) {
-	w := p.win[hw] / 2
-	if w < p.MinWindow {
-		w = p.MinWindow
-	}
-	p.win[hw] = w
-}
+// shrink halves a thread's window after a commit, flooring at minWindow.
+func (p *Backoff) shrink(hw int) { p.win[hw] = max(p.win[hw]/2, minWindow) }
 
 // wait sleeps the thread for a uniform random draw from [1, window]
 // cycles: one Tick(d), a timed sleep that ends at exactly clock+d with no
@@ -112,9 +99,6 @@ func (p *Backoff) wait(t *Thread, hw int) {
 func (p *Backoff) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	hw := t.Ctx.ID()
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
-		if p.SGL.LockedFast(t.Mem) {
-			spinSGL(t, p.SGL)
-		}
 		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			p.shrink(hw)
 			t.commit(ModeHTM)

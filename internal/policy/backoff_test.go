@@ -26,14 +26,14 @@ func TestBackoffAtomicity(t *testing.T) {
 	if cycles < waits { // every wait is at least one cycle
 		t.Fatalf("cycles %d < waits %d", cycles, waits)
 	}
-	if maxWin > pol.MaxWindow {
-		t.Fatalf("high-water window %d exceeds cap %d", maxWin, pol.MaxWindow)
+	if maxWin > maxWindow {
+		t.Fatalf("high-water window %d exceeds cap %d", maxWin, maxWindow)
 	}
 }
 
 // TestBackoffWindowBounds is the property test for the window dynamics:
 // under any sequence of grows (aborts) and shrinks (commits) the window
-// stays within [MinWindow, MaxWindow], the high-water mark never exceeds
+// stays within [minWindow, maxWindow], the high-water mark never exceeds
 // the cap, and a shrink never increases the window.
 func TestBackoffWindowBounds(t *testing.T) {
 	prop := func(ops []bool) bool {
@@ -49,10 +49,10 @@ func TestBackoffWindowBounds(t *testing.T) {
 				}
 			}
 			w := p.Window(0)
-			if w < p.MinWindow || w > p.MaxWindow {
+			if w < minWindow || w > maxWindow {
 				return false
 			}
-			if p.maxWin[0] > p.MaxWindow {
+			if p.maxWin[0] > maxWindow {
 				return false
 			}
 		}
@@ -72,21 +72,21 @@ func TestBackoffWindowSaturatesAndFloors(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		p.grow(0)
 	}
-	if p.Window(0) != p.MaxWindow {
-		t.Fatalf("window %d after 64 grows, want cap %d", p.Window(0), p.MaxWindow)
+	if p.Window(0) != maxWindow {
+		t.Fatalf("window %d after 64 grows, want cap %d", p.Window(0), maxWindow)
 	}
 	for i := 0; i < 64; i++ {
 		p.shrink(0)
 	}
-	if p.Window(0) != p.MinWindow {
-		t.Fatalf("window %d after 64 shrinks, want floor %d", p.Window(0), p.MinWindow)
+	if p.Window(0) != minWindow {
+		t.Fatalf("window %d after 64 shrinks, want floor %d", p.Window(0), minWindow)
 	}
-	if p.PeakWindow() != p.MaxWindow {
-		t.Fatalf("peak %d after saturating, want cap %d", p.PeakWindow(), p.MaxWindow)
+	if p.PeakWindow() != maxWindow {
+		t.Fatalf("peak %d after saturating, want cap %d", p.PeakWindow(), maxWindow)
 	}
 	p.BeginRun()
-	if p.PeakWindow() != p.MinWindow {
-		t.Fatalf("peak %d after BeginRun, want the current window %d", p.PeakWindow(), p.MinWindow)
+	if p.PeakWindow() != minWindow {
+		t.Fatalf("peak %d after BeginRun, want the current window %d", p.PeakWindow(), minWindow)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestBackoffShrinksAfterCommit(t *testing.T) {
 	r := newRig(t, 1)
 	pol := NewBackoff(r.sgl, 5, 1)
 	counter := r.m.AllocLines(1)
-	pol.win[0] = pol.MaxWindow // as if deeply backed off
+	pol.win[0] = maxWindow // as if deeply backed off
 	if _, err := r.eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
 		th := NewThread(c, r.m, r.u)
 		pol.Run(th, 0, 0, func(a mem.Access) {
@@ -106,7 +106,7 @@ func TestBackoffShrinksAfterCommit(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := pol.Window(0), pol.MaxWindow/2; got != want {
+	if got, want := pol.Window(0), maxWindow/2; got != want {
 		t.Fatalf("window after commit = %d, want %d", got, want)
 	}
 }

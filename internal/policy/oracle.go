@@ -19,13 +19,15 @@ import (
 type Oracle struct {
 	SGL         spinlock.Lock
 	MaxAttempts int
-	// WaitBudget bounds the spin on the conflictor (advisory wait).
-	WaitBudget int
 }
+
+// oracleWaitBudget bounds the spin on the conflictor, in SpinQuantum
+// polls (the wait is advisory).
+const oracleWaitBudget = 256
 
 // NewOracle builds the oracle policy with the standard retry budget.
 func NewOracle(sgl spinlock.Lock, maxAttempts int) *Oracle {
-	return &Oracle{SGL: sgl, MaxAttempts: maxAttempts, WaitBudget: 256}
+	return &Oracle{SGL: sgl, MaxAttempts: maxAttempts}
 }
 
 // Name implements Policy.
@@ -34,9 +36,6 @@ func (p *Oracle) Name() string { return "Oracle" }
 // Run implements Policy.
 func (p *Oracle) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
-		if p.SGL.LockedFast(t.Mem) {
-			spinSGL(t, p.SGL)
-		}
 		status := attempt(t, p.SGL, PhaseHW, body)
 		if status == 0 {
 			t.commit(ModeHTM)
@@ -49,7 +48,7 @@ func (p *Oracle) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 			// own work).
 			if c := t.HTM.LastConflictor(t.Ctx.ID()); c >= 0 {
 				cost := t.Ctx.Cost().SpinQuantum
-				for i := 0; i < p.WaitBudget && t.HTM.Active(c); i++ {
+				for i := 0; i < oracleWaitBudget && t.HTM.Active(c); i++ {
 					t.Ctx.Tick(cost)
 				}
 			}

@@ -153,9 +153,6 @@ func (p *Phased) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 // to SW).
 func (p *Phased) runHW(t *Thread, body func(mem.Access)) bool {
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
-		if p.SGL.LockedFast(t.Mem) {
-			spinSGL(t, p.SGL)
-		}
 		status := attempt(t, p.SGL, PhaseHW, body)
 		if status == 0 {
 			t.commit(ModeHTM)
@@ -176,9 +173,6 @@ func (p *Phased) runHW(t *Thread, body func(mem.Access)) bool {
 func (p *Phased) runSW(t *Thread, body func(mem.Access)) bool {
 	hw := t.Ctx.ID()
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
-		if p.SGL.LockedFast(t.Mem) {
-			spinSGL(t, p.SGL)
-		}
 		status := attempt(t, p.SGL, PhaseSW, body)
 		if status == 0 {
 			t.commit(ModeSTM)

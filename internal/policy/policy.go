@@ -1,15 +1,21 @@
 // Package policy implements the software side of the TM runtime: the
 // retry loop around hardware transactions and the fall-back management.
-// It provides the four approaches compared in the paper's evaluation —
-// HLE, RTM, SCM and Seer — plus the Seer ablation variants used by
-// Figures 4 and 5, all over a uniform interface so the benchmark harness
-// and the public API can swap them freely.
+// It provides the approaches compared in the paper's evaluation — HLE,
+// RTM, SCM and Seer (with the ablation variants of Figures 4 and 5) — and
+// the extra baselines Backoff, ATS, Oracle, PhTM and the sequential one,
+// all over a uniform interface so the benchmark harness and the public API
+// can swap them freely. Every hardware attempt goes through one runner,
+// attempt, which first waits out a held single-global lock (lemming
+// avoidance); the policies differ only in how they react to an abort.
 //
 // A transaction body is written against mem.Access and is executed either
 // inside a hardware transaction (htm.Tx) or, on the fall-back path, with
 // direct accesses while holding the single-global lock (mem.Direct); the
 // body must therefore be idempotent up to its memory writes, like any
 // HTM+SGL critical section.
+//
+// No policy unwinds the locks it holds when a Run fails: the System frees
+// every runtime lock word before each Run starts.
 package policy
 
 import (
@@ -120,6 +126,13 @@ func (t *Thread) lockWaitEnd(startClock, startSkipped uint64) {
 	t.ParkSkipped += t.Ctx.ParkSkipped() - startSkipped
 }
 
+// acquire takes lk, charging the wait to the thread's lock wait.
+func (t *Thread) acquire(lk spinlock.Lock) {
+	start, skipped := t.lockWaitBegin()
+	lk.Acquire(t.Ctx, t.Mem)
+	t.lockWaitEnd(start, skipped)
+}
+
 // commit counts a committed transaction in mode m.
 func (t *Thread) commit(m Mode) { t.Modes[m]++ }
 
@@ -151,7 +164,20 @@ type Policy interface {
 	Run(t *Thread, txID int, obj uint64, body func(mem.Access))
 }
 
-// attempt runs body once as a transaction in the given execution phase —
+// attempt runs body once as a transaction in the given execution phase
+// (speculate) after waiting out a held single-global lock: lemming
+// avoidance, charged to the thread's lock wait.
+func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
+	if sgl.LockedFast(t.Mem) {
+		t.Obs.Wait(t.Ctx.Clock(), 0) // the SGL has no telemetry.LockKind: waits on it carry 0
+		start, skipped := t.lockWaitBegin()
+		sgl.SpinWhileLocked(t.Ctx)
+		t.lockWaitEnd(start, skipped)
+	}
+	return speculate(t, sgl, phase, body)
+}
+
+// speculate runs body once as a transaction in the given execution phase —
 // PhaseHW on the hardware path, PhaseSW on the software commit path — that
 // first subscribes to the single-global lock, aborting explicitly if it is
 // held, to stay correct with respect to the fall-back path: a transaction
@@ -159,7 +185,7 @@ type Policy interface {
 // the lock word registers it, so the holder's acquire store dooms the
 // subscriber (strong isolation) in either mode. The subscription is the
 // HTM's engine-side prologue (htm.Unit.RunSubscribed).
-func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
+func speculate(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access)) htm.Status {
 	t.Obs.AttemptBegin(t.Ctx.Clock())
 	path := &t.Paths[phase] // telemetry.PathHW or PathSW
 	path.Attempts++
@@ -176,53 +202,28 @@ func attempt(t *Thread, sgl spinlock.Lock, phase PhaseMode, body func(mem.Access
 // runSGL executes body under the single-global lock on the software path.
 func runSGL(t *Thread, sgl spinlock.Lock, body func(mem.Access)) {
 	t.Obs.Fallback(t.Ctx.Clock())
-	start, skipped := t.lockWaitBegin()
-	sgl.Acquire(t.Ctx, t.Mem)
-	t.lockWaitEnd(start, skipped)
+	t.acquire(sgl)
 	body(t.Direct)
 	sgl.Release(t.Ctx, t.Mem)
 	t.commit(ModeSGL)
 	t.Obs.FallbackEnd(t.Ctx.Clock())
 }
 
-// spinSGL waits out a held single-global lock (lemming avoidance),
-// charging the spin to the thread's lock wait.
-func spinSGL(t *Thread, sgl spinlock.Lock) {
-	t.Obs.Wait(t.Ctx.Clock(), 0) // the SGL has no telemetry.LockKind: waits on it carry 0
-	start, skipped := t.lockWaitBegin()
-	sgl.SpinWhileLocked(t.Ctx)
-	t.lockWaitEnd(start, skipped)
-}
-
 // --- HLE ---
 
-// HLE models hardware lock elision: a single hardware attempt per
-// acquisition and no software contention management, so it suffers the
-// lemming effect — once the elided lock is taken, waiting threads abort
-// and acquire it in turn, convoying the system onto the lock.
-type HLE struct {
-	SGL spinlock.Lock
-}
+// HLE models hardware lock elision: RTM's loop with a budget of one
+// attempt. An elided spinlock acquisition spins until the lock is observed
+// free, then elides once (the hardware's retry budget is minimal and not
+// software-controlled); any abort falls back to acquiring the lock for
+// real, which aborts every concurrent elision — the lemming effect that
+// convoys the system onto the lock.
+type HLE struct{ RTM }
+
+// NewHLE builds HLE on the single-global lock sgl.
+func NewHLE(sgl spinlock.Lock) *HLE { return &HLE{RTM{SGL: sgl, MaxAttempts: 1}} }
 
 // Name implements Policy.
 func (p *HLE) Name() string { return "HLE" }
-
-// Run implements Policy.
-func (p *HLE) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	// An elided spinlock acquisition spins until the lock is observed
-	// free, then elides — one speculative attempt (the hardware's retry
-	// budget is minimal and not software-controlled). Any abort falls
-	// back to acquiring the lock for real, which in turn aborts every
-	// concurrent elision: the lemming cascade.
-	if p.SGL.LockedFast(t.Mem) {
-		spinSGL(t, p.SGL)
-	}
-	if attempt(t, p.SGL, PhaseHW, body) == 0 {
-		t.commit(ModeHTM)
-		return
-	}
-	runSGL(t, p.SGL, body)
-}
 
 // --- RTM ---
 
@@ -242,9 +243,6 @@ func (p *RTM) Name() string { return "RTM" }
 // Run implements Policy.
 func (p *RTM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
-		if p.SGL.LockedFast(t.Mem) {
-			spinSGL(t, p.SGL)
-		}
 		if attempt(t, p.SGL, PhaseHW, body) == 0 {
 			t.commit(ModeHTM)
 			return
@@ -271,36 +269,22 @@ func (p *SCM) Name() string { return "SCM" }
 
 // Run implements Policy.
 func (p *SCM) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
-	holdingAux := false
-	defer func() {
-		if holdingAux {
-			p.Aux.Release(t.Ctx, t.Mem)
-		}
-	}()
+	mode := ModeHTM // ModeHTMAux once this transaction holds the auxiliary lock
 	for attempts := p.MaxAttempts; attempts > 0; attempts-- {
-		if p.SGL.LockedFast(t.Mem) {
-			spinSGL(t, p.SGL)
-		}
 		if attempt(t, p.SGL, PhaseHW, body) == 0 {
-			if holdingAux {
+			if mode == ModeHTMAux {
 				p.Aux.Release(t.Ctx, t.Mem)
-				holdingAux = false
-				t.commit(ModeHTMAux)
-			} else {
-				t.commit(ModeHTM)
 			}
+			t.commit(mode)
 			return
 		}
-		if !holdingAux && attempts > 1 {
-			start, skipped := t.lockWaitBegin()
-			p.Aux.Acquire(t.Ctx, t.Mem)
-			t.lockWaitEnd(start, skipped)
-			holdingAux = true
+		if mode == ModeHTM && attempts > 1 {
+			t.acquire(p.Aux)
+			mode = ModeHTMAux
 		}
 	}
-	if holdingAux {
+	if mode == ModeHTMAux {
 		p.Aux.Release(t.Ctx, t.Mem)
-		holdingAux = false
 	}
 	runSGL(t, p.SGL, body)
 }
@@ -330,7 +314,7 @@ func (p *Seer) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 		waitStart, waitSkipped := t.lockWaitBegin()
 		p.Sched.WaitLocks(ts, txID, p.SGL)
 		t.lockWaitEnd(waitStart, waitSkipped)
-		status := attempt(t, p.SGL, PhaseHW, body)
+		status := speculate(t, p.SGL, PhaseHW, body) // WaitLocks waited out the SGL
 		if status == 0 {
 			p.Sched.RegisterCommit(ts, txID)
 			t.commit(seerMode(ts))

@@ -84,7 +84,7 @@ func (r *rig) runCounter(t *testing.T, pol Policy, threads, ops int) ModeCounts 
 
 func TestHLEAtomicity(t *testing.T) {
 	r := newRig(t, 4)
-	modes := r.runCounter(t, &HLE{SGL: r.sgl}, 4, 100)
+	modes := r.runCounter(t, NewHLE(r.sgl), 4, 100)
 	if modes[ModeHTM]+modes[ModeSGL] != modes.Total() {
 		t.Fatalf("HLE used unexpected modes: %v", modes)
 	}
@@ -141,7 +141,7 @@ func TestSeerProfileOnlyNeverLocks(t *testing.T) {
 // must show a much larger SGL share than RTM on the same workload.
 func TestHLELemming(t *testing.T) {
 	r1 := newRig(t, 8)
-	hle := r1.runCounter(t, &HLE{SGL: r1.sgl}, 8, 80)
+	hle := r1.runCounter(t, NewHLE(r1.sgl), 8, 80)
 	r2 := newRig(t, 8)
 	rtm := r2.runCounter(t, &RTM{SGL: r2.sgl, MaxAttempts: 5}, 8, 80)
 	if hle.Fraction(ModeSGL) <= rtm.Fraction(ModeSGL) {
@@ -530,5 +530,55 @@ func TestShardCountsCommitsAndAborts(t *testing.T) {
 	hwCommits := snap.Commits - snap.Fallbacks
 	if snap.Attempts != hwCommits+telAborts {
 		t.Fatalf("attempts %d != hw commits %d + aborts %d", snap.Attempts, hwCommits, telAborts)
+	}
+}
+
+// TestPolicyPathsZeroAllocs: under every retry policy, the steady-state
+// commit path and the capacity-abort path must not touch the heap. A
+// 32-line body against the 16-line write budget aborts every hardware
+// attempt: SCM takes its auxiliary lock and ATS, once its contention
+// intensity crosses the threshold, its dispatch lock (Thread.acquire)
+// before the SGL fall-back; PhTM defers the body to its software path.
+func TestPolicyPathsZeroAllocs(t *testing.T) {
+	policies := []struct {
+		name string
+		make func(r *rig) Policy
+	}{
+		{"HLE", func(r *rig) Policy { return NewHLE(r.sgl) }},
+		{"RTM", func(r *rig) Policy { return &RTM{SGL: r.sgl, MaxAttempts: 3} }},
+		{"SCM", func(r *rig) Policy { return &SCM{SGL: r.sgl, Aux: spinlock.New(r.m), MaxAttempts: 3} }},
+		{"ATS", func(r *rig) Policy { return NewATS(r.sgl, spinlock.New(r.m), 3, 1) }},
+		{"Oracle", func(r *rig) Policy { return NewOracle(r.sgl, 3) }},
+		{"Backoff", func(r *rig) Policy { return NewBackoff(r.sgl, 3, 1) }},
+		{"PhTM", func(r *rig) Policy { return NewPhased(r.sgl, 3, 1) }},
+	}
+	for _, p := range policies {
+		for _, lines := range []int{1, 32} {
+			r := newRig(t, 1)
+			pol := p.make(r)
+			region := r.m.AllocLines(lines)
+			if _, err := r.eng.Run([]func(*machine.Ctx){func(c *machine.Ctx) {
+				th := NewThread(c, r.m, r.u)
+				body := func(a mem.Access) {
+					for i := range lines {
+						a.Store(region+mem.Addr(i*mem.LineWords), 1)
+					}
+				}
+				for range 8 { // warm-up: sizes the event queue, lifts ATS over its threshold
+					pol.Run(th, 0, 0, body)
+				}
+				if lines > 1 && th.Modes[ModeSGL]+th.Modes[ModeSTM] == 0 {
+					t.Fatalf("%s: the capacity-bound body never left the hardware path: %v", p.name, modesOf(&th.Counters))
+				}
+				allocs := testing.AllocsPerRun(100, func() {
+					pol.Run(th, 0, 0, body)
+				})
+				if allocs != 0 {
+					t.Errorf("%s, %d-line body: steady state allocates %.1f per run, want 0", p.name, lines, allocs)
+				}
+			}}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -12,12 +12,37 @@ func benchEnv(words int) (*mem.Memory, rawAccess, *Arena) {
 	return m, rawAccess{m}, NewArena(m, words/2, 1)
 }
 
+// insertsPerBuild is how many fresh keys the insert benchmarks add to one
+// structure before rebuilding it off the clock, on memory backed in full
+// there too: the arena never reclaims, so it would otherwise run out.
+const insertsPerBuild = 100000
+
+// backedEnv is benchEnv with every word backed, so the timed loop never
+// grows the memory.
+func backedEnv(words int) (*mem.Memory, rawAccess, *Arena) {
+	m, acc, arena := benchEnv(words)
+	m.Peek(mem.Addr(words - 1))
+	return m, acc, arena
+}
+
+// freshKey is the i-th key of an insert benchmark: distinct for every i
+// (an odd multiplier is a bijection on uint64) and in no sorted order.
+func freshKey(i int) uint64 { return uint64(i) * 0x9E3779B97F4A7C15 }
+
+// BenchmarkHashMapPut inserts a fresh key on every call.
 func BenchmarkHashMapPut(b *testing.B) {
-	m, acc, arena := benchEnv(1 << 22)
-	h := NewHashMap(m, 4096, arena)
-	b.ResetTimer()
+	var acc rawAccess
+	var h *HashMap
 	for i := 0; i < b.N; i++ {
-		h.Put(acc, uint64(i%100000), uint64(i))
+		if i%insertsPerBuild == 0 {
+			b.StopTimer()
+			m, a, arena := backedEnv(1 << 20)
+			acc, h = a, NewHashMap(m, 4096, arena)
+			b.StartTimer()
+		}
+		if !h.Put(acc, freshKey(i), uint64(i)) {
+			b.Fatal("Put found its key")
+		}
 	}
 }
 
@@ -33,12 +58,21 @@ func BenchmarkHashMapGet(b *testing.B) {
 	}
 }
 
+// BenchmarkRBTreeInsert inserts a fresh key on every call, so every call
+// links a node and runs the insert fixup.
 func BenchmarkRBTreeInsert(b *testing.B) {
-	m, acc, arena := benchEnv(1 << 24)
-	tr := NewRBTree(m, arena)
-	b.ResetTimer()
+	var acc rawAccess
+	var tr *RBTree
 	for i := 0; i < b.N; i++ {
-		tr.Insert(acc, uint64(i%100000), uint64(i))
+		if i%insertsPerBuild == 0 {
+			b.StopTimer()
+			m, a, arena := backedEnv(1 << 21)
+			acc, tr = a, NewRBTree(m, arena)
+			b.StartTimer()
+		}
+		if !tr.Insert(acc, freshKey(i), uint64(i)) {
+			b.Fatal("Insert found its key")
+		}
 	}
 }
 

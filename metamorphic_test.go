@@ -1,6 +1,8 @@
 package seer_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"seer"
@@ -39,6 +41,83 @@ func TestLayoutShiftInvariance(t *testing.T) {
 						name, pol, lines, got, want)
 				}
 			}
+		}
+	}
+}
+
+// TestCostScalingInvariance (R1): virtual time has no unit. Multiplying
+// every CostModel constant and MaxCycles by k must multiply the makespan
+// by k and leave every count of the report unchanged; only the fields
+// that are themselves cycles (the makespan, Backoff's cycles and peak
+// window, PhTM's phase cycles) are masked before the summaries are
+// compared. Two families of cells are expected to break the relation,
+// each for a named cause, and each must still break it somewhere, so that
+// removing the cause fails this test until its exception goes.
+func TestCostScalingInvariance(t *testing.T) {
+	workloads := []string{"intruder", "kmeans-low", "kmeans-high", "genome", "vacation-low",
+		"vacation-high", "ssca2", "yada", "capbound", "hashmap", "labyrinth", "adv-clique", "adv-ring"}
+	policies := []seer.PolicyKind{seer.PolicyHLE, seer.PolicyRTM, seer.PolicySCM, seer.PolicyBackoff,
+		seer.PolicyATS, seer.PolicyOracle, seer.PolicySeer, seer.PolicyPhased}
+	exception := func(name string, pol seer.PolicyKind) string {
+		switch {
+		case pol == seer.PolicyBackoff:
+			return "Backoff's windows are constants in cycles"
+		case name == "yada" && pol != seer.PolicyHLE:
+			return "yada's refinement front is read off the clock (t.Clock()/700*97)"
+		}
+		return ""
+	}
+	masked := func(r seer.Report) string {
+		r.MakespanCycles = 0
+		if b := r.Backoff; b != nil {
+			c := *b
+			c.Cycles, c.MaxWindow = 0, 0
+			r.Backoff = &c
+		}
+		if p := r.Phased; p != nil {
+			c := *p
+			c.ModeCycles = [3]uint64{}
+			r.Phased = &c
+		}
+		return r.Summary()
+	}
+	broken := map[string]int{} // exception → cells where the relation fails
+	for _, name := range workloads {
+		wl, err := stamp.New(name, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pol := range policies {
+			cfg := stamp.Config(wl, 8, seer.Topology{})
+			cfg.Policy = pol
+			base, _ := runHerdCell(t, wl, cfg, seer.NewSystem)
+			for _, k := range []uint64{2, 3} {
+				scaled := cfg
+				cost := reflect.ValueOf(&scaled.Cost).Elem()
+				for i := range cost.NumField() {
+					cost.Field(i).SetUint(cost.Field(i).Uint() * k)
+				}
+				scaled.MaxCycles *= k
+				rep, _ := runHerdCell(t, wl, scaled, seer.NewSystem)
+				var diff string
+				if rep.MakespanCycles != k*base.MakespanCycles {
+					diff = fmt.Sprintf("makespan %d, want %d × %d", rep.MakespanCycles, k, base.MakespanCycles)
+				} else if got, want := masked(rep), masked(base); got != want {
+					diff = fmt.Sprintf("report\n%s--- unscaled ---\n%s", got, want)
+				}
+				if why := exception(name, pol); why != "" {
+					if diff != "" {
+						broken[why]++
+					}
+				} else if diff != "" {
+					t.Errorf("%s/%s, costs × %d: %s", name, pol, k, diff)
+				}
+			}
+		}
+	}
+	for _, why := range []string{exception("", seer.PolicyBackoff), exception("yada", seer.PolicyRTM)} {
+		if broken[why] == 0 {
+			t.Errorf("the relation holds on every cell excepted because %s: drop the exception", why)
 		}
 	}
 }

@@ -313,13 +313,28 @@ var (
 	ErrPolicy          = errors.New("seer: unknown policy")
 )
 
-// valid reports whether p names a registered policy.
-func (p PolicyKind) valid() bool {
-	switch p {
-	case PolicyHLE, PolicyRTM, PolicySCM, PolicyBackoff, PolicyATS, PolicyOracle, PolicySeer, PolicyPhased, PolicySeq:
-		return true
-	}
-	return false
+// policies is the one table of policy kinds: Validate accepts exactly its
+// keys, and newSystem builds the policy with the kind's constructor once
+// the system's memory, HTM and single-global lock exist. A constructor
+// allocates nothing in simulated memory but lock lines.
+var policies = map[PolicyKind]func(s *System) policy.Policy{
+	PolicyHLE: func(s *System) policy.Policy { return policy.NewHLE(s.sgl) },
+	PolicyRTM: func(s *System) policy.Policy { return &policy.RTM{SGL: s.sgl, MaxAttempts: s.cfg.MaxAttempts} },
+	PolicySCM: func(s *System) policy.Policy {
+		return &policy.SCM{SGL: s.sgl, Aux: spinlock.New(s.mem), MaxAttempts: s.cfg.MaxAttempts}
+	},
+	PolicyBackoff: func(s *System) policy.Policy { return policy.NewBackoff(s.sgl, s.cfg.MaxAttempts, s.HWThreads()) },
+	PolicyATS: func(s *System) policy.Policy {
+		return policy.NewATS(s.sgl, spinlock.New(s.mem), s.cfg.MaxAttempts, s.HWThreads())
+	},
+	PolicyOracle: func(s *System) policy.Policy { return policy.NewOracle(s.sgl, s.cfg.MaxAttempts) },
+	PolicySeer: func(s *System) policy.Policy {
+		rng := machine.NewRand(uint64(s.cfg.Seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
+		s.sched = core.New(s.cfg.NumAtomicBlocks, s.eng.Config(), s.mem, s.htm, s.cfg.Seer, &rng)
+		return &policy.Seer{SGL: s.sgl, MaxAttempts: s.cfg.MaxAttempts, Sched: s.sched}
+	},
+	PolicyPhased: func(s *System) policy.Policy { return policy.NewPhased(s.sgl, s.cfg.MaxAttempts, s.HWThreads()) },
+	PolicySeq:    func(*System) policy.Policy { return &policy.Sequential{} },
 }
 
 // machineTopology resolves the machine shape. An explicit Topology wins;
@@ -363,7 +378,7 @@ func (c Config) Validate() error {
 	if c.Topology.IsZero() && c.HWThreads != 0 && c.HWThreads < c.Threads {
 		return fmt.Errorf("%w: %d < %d", ErrHWThreads, c.HWThreads, c.Threads)
 	}
-	if !c.Policy.valid() {
+	if policies[c.Policy] == nil {
 		return fmt.Errorf("%w %q", ErrPolicy, c.Policy)
 	}
 	topo, err := c.machineTopology()
@@ -383,14 +398,17 @@ type Worker func(*Thread)
 // System is one simulated machine plus TM runtime, ready to run a
 // transactional program.
 type System struct {
-	cfg   Config
-	eng   *machine.Engine
-	mem   *mem.Memory
-	htm   *htm.Unit
-	sgl   spinlock.Lock
-	sched *core.Seer // nil unless the policy is Seer
-	pol   policy.Policy
-	obs   *telemetry.Recorder // nil unless an observability Config field is set
+	cfg Config
+	eng *machine.Engine
+	mem *mem.Memory
+	htm *htm.Unit
+	sgl spinlock.Lock
+	// lockWords is the length of the run of lock lines that starts at the
+	// SGL: the policy's own locks follow it (see policies).
+	lockWords int
+	sched     *core.Seer // nil unless the policy is Seer
+	pol       policy.Policy
+	obs       *telemetry.Recorder // nil unless an observability Config field is set
 }
 
 // NewSystem builds a system from cfg. Repeated Runs are allowed, and every
@@ -414,7 +432,6 @@ func newSystem(cfg Config, quantum int) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	hw := topo.Threads()
 	mach := machine.Config{
 		Topo:        topo,
 		Seed:        cfg.Seed,
@@ -456,31 +473,9 @@ func newSystem(cfg Config, quantum int) (*System, error) {
 	}
 	s.htm = htm.NewRecycled(s.mem, mach, cfg.HTM, htmBuf)
 	s.sgl = spinlock.New(s.mem)
-
-	switch cfg.Policy {
-	case PolicyHLE:
-		s.pol = &policy.HLE{SGL: s.sgl}
-	case PolicyRTM:
-		s.pol = &policy.RTM{SGL: s.sgl, MaxAttempts: cfg.MaxAttempts}
-	case PolicySCM:
-		s.pol = &policy.SCM{SGL: s.sgl, Aux: spinlock.New(s.mem), MaxAttempts: cfg.MaxAttempts}
-	case PolicyBackoff:
-		s.pol = policy.NewBackoff(s.sgl, cfg.MaxAttempts, hw)
-	case PolicyATS:
-		s.pol = policy.NewATS(s.sgl, spinlock.New(s.mem), cfg.MaxAttempts, hw)
-	case PolicyOracle:
-		s.pol = policy.NewOracle(s.sgl, cfg.MaxAttempts)
-	case PolicySeer:
-		rng := machine.NewRand(uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03)
-		s.sched = core.New(cfg.NumAtomicBlocks, mach, s.mem, s.htm, cfg.Seer, &rng)
-		s.pol = &policy.Seer{SGL: s.sgl, MaxAttempts: cfg.MaxAttempts, Sched: s.sched}
-	case PolicyPhased:
-		s.pol = policy.NewPhased(s.sgl, cfg.MaxAttempts, hw)
-	case PolicySeq:
-		s.pol = &policy.Sequential{}
-	default:
-		return nil, fmt.Errorf("seer: unknown policy %q", cfg.Policy)
-	}
+	free := s.mem.Free()
+	s.pol = policies[cfg.Policy](s)
+	s.lockWords = mem.LineWords + free - s.mem.Free()
 	if cfg.TraceEvents > 0 || cfg.MetricsInterval > 0 || cfg.TraceAttempts || cfg.AttributionCounters {
 		s.obs = s.newRecorder(topo, obsBuf)
 	}
@@ -614,6 +609,11 @@ func (s *System) Run(workers []Worker) (Report, error) {
 			threads[idx] = pt
 			worker(&Thread{sys: s, pt: pt})
 		}
+	}
+	// Every Run starts with the runtime's locks free: a Run that failed (a
+	// worker's panic, MaxCycles) may have ended with one held.
+	for a := s.sgl.Addr(); a < s.sgl.Addr()+Addr(s.lockWords); a++ {
+		s.mem.Poke(a, 0)
 	}
 	if p, ok := s.pol.(interface{ BeginRun() }); ok {
 		p.BeginRun()
