@@ -108,7 +108,7 @@ func TestAcquireReleaseTxLocksZeroAllocs(t *testing.T) {
 			s.Finish(ts)
 		}
 		cycle() // warm-up
-		if slices.Max(s.LockAcqSizes) == 0 {
+		if slices.Max(s.LockAcqSizes()) == 0 {
 			t.Fatal("no lock acquisitions; the guard would measure nothing")
 		}
 		allocs := testing.AllocsPerRun(100, func() { cycle() })

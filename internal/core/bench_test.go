@@ -36,8 +36,8 @@ func BenchmarkScanActive(b *testing.B) {
 		ts := s.NewThreadState(c)
 		// Populate every other thread's slot so each scan dedups a full list.
 		for hw := 1; hw < 8; hw++ {
-			s.activeTxs[hw] = int32(hw % s.numTx)
-			s.live.Add(hw)
+			s.run.activeTxs[hw] = int32(hw % s.numTx)
+			s.run.live.Add(hw)
 		}
 		s.Start(ts, 0, 0)
 		b.ResetTimer()

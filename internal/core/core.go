@@ -18,6 +18,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"seer/internal/htm"
 	"seer/internal/machine"
@@ -144,7 +145,11 @@ func (t *ThreadState) Mats() *stats.Matrices { return t.mats }
 // avoid re-running the acquisition on later attempts).
 func (t *ThreadState) HoldsTxLocks() bool { return len(t.heldTxLocks) > 0 }
 
-// Seer is the scheduler instance shared by all workers of a system.
+// Seer is the scheduler instance shared by all workers of a system. Its
+// run-scoped state is run, which BeginRun replaces whole; every other
+// field is configuration, a lock, reusable scratch or learned state that
+// carries across Runs: the merged statistics, the scheme, Θ, the tuner
+// and the update countdown (DESIGN §6f).
 type Seer struct {
 	numTx int
 	mach  machine.Config
@@ -152,9 +157,7 @@ type Seer struct {
 	htm   *htm.Unit
 	opts  Options
 
-	activeTxs []int32           // one single-writer slot per hardware thread
-	live      topology.Set      // the threads whose activeTxs slot holds a transaction
-	threads   []*ThreadState    // all registered thread states
+	run       seerRun
 	merged    *stats.Matrices   // global matrices, fed per-thread deltas on update
 	scheme    [][]int           // locksToAcquire: row per tx, sorted lock ids
 	txLocks   []spinlock.Lock   // one per atomic block
@@ -173,17 +176,25 @@ type Seer struct {
 	updCandidates []int
 	updCondVals   []float64
 
-	// Bookkeeping for periodic updates and tuning epochs.
-	execsSinceUpdate uint64
-	epochExecs       uint64
-	epochCommits     uint64
-	epochStartCycles uint64
-
-	// LockAcqSizes[n] counts this Run's acquisitions of an n-lock tx-lock
-	// row (numTx+1 entries), for the evaluation's fraction of tx locks
-	// taken (§5.2).
-	LockAcqSizes []uint64
+	execsSinceUpdate uint64 // executions since the last scheme update
 }
+
+// seerRun is what one Run of the scheduler stamps: the announcements, the
+// Run's thread states, the tuning epoch and the lock-acquisition
+// histogram.
+type seerRun struct {
+	activeTxs []int32        // one single-writer slot per hardware thread
+	live      topology.Set   // the threads whose activeTxs slot holds a transaction
+	threads   []*ThreadState // the thread states registered in this Run
+	epoch     tuneEpoch
+	// lockAcqSizes[n] counts acquisitions of an n-lock tx-lock row (numTx+1
+	// entries), for the evaluation's fraction of tx locks taken (§5.2).
+	lockAcqSizes []uint64
+}
+
+// tuneEpoch is the hill-climbing epoch in progress: executions and commits
+// since it began at startCycles.
+type tuneEpoch struct{ execs, commits, startCycles uint64 }
 
 // New creates a Seer instance for numTx atomic blocks on the given
 // machine. Locks are allocated from the simulated memory.
@@ -194,7 +205,7 @@ func New(numTx int, mach machine.Config, m *mem.Memory, u *htm.Unit, opts Option
 		mem:       m,
 		htm:       u,
 		opts:      opts,
-		activeTxs: make([]int32, mach.HWThreads()),
+		run:       seerRun{activeTxs: make([]int32, mach.HWThreads()), lockAcqSizes: make([]uint64, numTx+1)},
 		merged:    stats.NewMatrices(numTx),
 		scheme:    make([][]int, numTx),
 		txLocks:   make([]spinlock.Lock, numTx),
@@ -205,12 +216,8 @@ func New(numTx int, mach machine.Config, m *mem.Memory, u *htm.Unit, opts Option
 		updRow:        make([]float64, numTx),
 		updCandidates: make([]int, 0, numTx),
 		updCondVals:   make([]float64, 0, numTx),
-		LockAcqSizes:  make([]uint64, numTx+1),
 	}
 	s.schemeBits = make([]uint64, numTx*s.schemeWords)
-	for i := range s.activeTxs {
-		s.activeTxs[i] = NoTx
-	}
 	for i := range s.txLocks {
 		s.txLocks[i] = spinlock.New(m)
 	}
@@ -230,6 +237,7 @@ func New(numTx int, mach machine.Config, m *mem.Memory, u *htm.Unit, opts Option
 		s.tuner = tune.New(s.th, tune.DefaultConfig(), rng)
 		s.th = s.tuner.Params()
 	}
+	s.BeginRun()
 	return s
 }
 
@@ -269,7 +277,7 @@ func (s *Seer) Merged() *stats.Matrices { return s.merged }
 func (s *Seer) SnapshotLearned(dst *stats.Matrices) {
 	dst.Reset()
 	dst.MergeFrom(s.merged)
-	for _, t := range s.threads {
+	for _, t := range s.run.threads {
 		dst.MergeFrom(t.mats)
 	}
 }
@@ -277,24 +285,31 @@ func (s *Seer) SnapshotLearned(dst *stats.Matrices) {
 // Tuner returns the hill climber, or nil when self-tuning is disabled.
 func (s *Seer) Tuner() *tune.HillClimber { return s.tuner }
 
-// BeginRun starts a Run. The previous Run's thread states hand their
-// undrained statistics to the merged matrices and are dropped; the tuning
-// epoch restarts at cycle 0, where the engine restarts the clocks, and the
-// lock-acquisition histogram restarts empty. Learned state — statistics,
-// scheme, thresholds and tuner — carries over.
+// BeginRun starts a Run: the previous Run's thread states hand their
+// undrained statistics to the merged matrices, and the run state restarts
+// whole on its own storage, every slot empty and the epoch at cycle 0,
+// where the engine restarts the clocks. Only the learned state named on
+// Seer carries over (DESIGN §6f), so a Run that failed leaves no
+// transaction announced.
 func (s *Seer) BeginRun() {
-	for _, t := range s.threads {
+	for _, t := range s.run.threads {
 		s.merged.MergeFrom(t.mats)
 	}
-	s.threads = s.threads[:0]
-	s.epochExecs, s.epochCommits, s.epochStartCycles = 0, 0, 0
-	clear(s.LockAcqSizes)
+	for i := range s.run.activeTxs {
+		s.run.activeTxs[i] = NoTx
+	}
+	clear(s.run.lockAcqSizes)
+	s.run = seerRun{activeTxs: s.run.activeTxs, threads: s.run.threads[:0], lockAcqSizes: s.run.lockAcqSizes}
 }
+
+// LockAcqSizes returns this Run's lock-acquisition histogram: entry n
+// counts the acquisitions of an n-lock tx-lock row.
+func (s *Seer) LockAcqSizes() []uint64 { return s.run.lockAcqSizes }
 
 // NewThreadState registers a worker thread with the scheduler.
 func (s *Seer) NewThreadState(ctx *machine.Ctx) *ThreadState {
 	t := &ThreadState{Ctx: ctx, mats: stats.NewMatrices(s.numTx), seen: make([]uint32, s.numTx)}
-	s.threads = append(s.threads, t)
+	s.run.threads = append(s.run.threads, t)
 	return t
 }
 
@@ -310,8 +325,8 @@ func (s *Seer) Start(t *ThreadState, txID int, obj uint64) {
 	t.heldTxLocks = t.heldTxLocks[:0]
 	t.obj = obj
 	t.Ctx.Tick(t.Ctx.Cost().DirectStore)
-	s.activeTxs[t.Ctx.ID()] = int32(txID)
-	s.live.Add(t.Ctx.ID())
+	s.run.activeTxs[t.Ctx.ID()] = int32(txID)
+	s.run.live.Add(t.Ctx.ID())
 }
 
 // lockFor returns the lock a transaction of block id with t's object
@@ -328,8 +343,8 @@ func (s *Seer) lockFor(t *ThreadState, id int) spinlock.Lock {
 // Finish clears the thread's slot in the active-transactions list.
 func (s *Seer) Finish(t *ThreadState) {
 	t.Ctx.Tick(t.Ctx.Cost().DirectStore)
-	s.activeTxs[t.Ctx.ID()] = NoTx
-	s.live.Remove(t.Ctx.ID())
+	s.run.activeTxs[t.Ctx.ID()] = NoTx
+	s.run.live.Remove(t.Ctx.ID())
 }
 
 // --- Algorithm 3: statistics registration ---
@@ -361,7 +376,7 @@ func (s *Seer) scanActive(t *ThreadState, txID int, abort bool) {
 	// in practice the preceding commit/abort path always ends in an impure
 	// tick, making this a no-op barrier.
 	t.Ctx.EndQuantum()
-	s.epochExecs++
+	s.run.epoch.execs++
 	s.execsSinceUpdate++
 	if s.opts.SampleShift > 0 {
 		mask := (uint64(1) << s.opts.SampleShift) - 1
@@ -370,7 +385,7 @@ func (s *Seer) scanActive(t *ThreadState, txID int, abort bool) {
 			return
 		}
 	}
-	t.Ctx.Tick(t.Ctx.Cost().StatsSlot * uint64(len(s.activeTxs)))
+	t.Ctx.Tick(t.Ctx.Cost().StatsSlot * uint64(len(s.run.activeTxs)))
 	self := t.Ctx.ID()
 	t.mats.IncExec(txID)
 	t.seenEpoch++
@@ -383,7 +398,7 @@ func (s *Seer) scanActive(t *ThreadState, txID int, abort bool) {
 	epoch := t.seenEpoch
 	// Locals, so the stores to seen do not make the compiler reload the
 	// slices on every member.
-	active, seen, live := s.activeTxs, t.seen, s.live
+	active, seen, live := s.run.activeTxs, t.seen, s.run.live
 	live.Remove(self)
 	for wi, w := range live.W {
 		for ; w != 0; w &= w - 1 {
@@ -405,12 +420,12 @@ func (s *Seer) scanActive(t *ThreadState, txID int, abort bool) {
 func (s *Seer) RegisterAbort(t *ThreadState, txID int) {
 	if s.opts.PreciseOracle {
 		t.Ctx.EndQuantum() // same barrier as scanActive
-		s.epochExecs++
+		s.run.epoch.execs++
 		s.execsSinceUpdate++
 		t.Ctx.Tick(t.Ctx.Cost().StatsSlot)
 		t.mats.IncExec(txID)
 		if c := s.htm.LastConflictor(t.Ctx.ID()); c >= 0 {
-			if a := s.activeTxs[c]; a != NoTx {
+			if a := s.run.activeTxs[c]; a != NoTx {
 				t.mats.AddAbort(txID, int(a))
 			}
 		}
@@ -423,7 +438,7 @@ func (s *Seer) RegisterAbort(t *ThreadState, txID int) {
 // transactions.
 func (s *Seer) RegisterCommit(t *ThreadState, txID int) {
 	s.scanActive(t, txID, false)
-	s.epochCommits++
+	s.run.epoch.commits++
 }
 
 // --- Algorithm 4: lock management ---
@@ -458,7 +473,7 @@ func (s *Seer) acquireTxLocks(t *ThreadState, txID int) {
 	// rows in place. The snapshot reuses the thread's scratch capacity.
 	t.rowScratch = append(t.rowScratch[:0], s.scheme[txID]...)
 	row := t.rowScratch
-	s.LockAcqSizes[len(row)]++
+	s.run.lockAcqSizes[len(row)]++
 	if s.opts.HTMLockAcq && len(row) >= 2 {
 		cas := &t.Ledger.Paths[telemetry.PathMultiCAS]
 		cas.Attempts++
@@ -564,7 +579,7 @@ func (s *Seer) UpdateScheme(ctx *machine.Ctx) (reused bool) {
 	// draining them into the persistent global matrices yields the same
 	// totals as re-merging full histories, in O(new events) instead of
 	// O(all events).
-	for _, t := range s.threads {
+	for _, t := range s.run.threads {
 		s.merged.MergeFrom(t.mats)
 		t.mats.Reset()
 	}
@@ -658,28 +673,23 @@ func (s *Seer) maybeTune(t *ThreadState) {
 	if !s.opts.HillClimb || s.tuner == nil {
 		return
 	}
-	if s.epochExecs < s.opts.EpochExecs {
+	if s.run.epoch.execs < s.opts.EpochExecs {
 		return
 	}
 	now := t.Ctx.Clock()
-	elapsed := now - s.epochStartCycles
+	elapsed := now - s.run.epoch.startCycles
 	if elapsed == 0 {
 		return
 	}
-	throughput := float64(s.epochCommits) / float64(elapsed)
-	s.tuner.Feedback(throughput)
+	s.tuner.Feedback(float64(s.run.epoch.commits) / float64(elapsed))
 	s.th = s.tuner.Params()
 	t.Obs.Tune(now, s.th.Th1, s.th.Th2)
-	s.epochExecs = 0
-	s.epochCommits = 0
-	s.epochStartCycles = now
+	s.run.epoch = tuneEpoch{startCycles: now}
 }
 
 // ActiveTxs returns a snapshot of the active-transactions list (tests).
 func (s *Seer) ActiveTxs() []int32 {
-	out := make([]int32, len(s.activeTxs))
-	copy(out, s.activeTxs)
-	return out
+	return slices.Clone(s.run.activeTxs)
 }
 
 // TxLock returns the lock of atomic block id (tests and invariants).

@@ -19,7 +19,7 @@ type ATS struct {
 	Sched       spinlock.Lock // central dispatch lock
 	MaxAttempts int
 
-	ci []float64 // per hardware thread contention intensity
+	ci []float64 // per hardware thread contention intensity; learned, carries across Runs
 }
 
 // The original paper's parameters: the CI smoothing factor and the

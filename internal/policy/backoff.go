@@ -26,8 +26,8 @@ type Backoff struct {
 	SGL         spinlock.Lock
 	MaxAttempts int
 
-	win    []uint64 // per hardware thread: current window (cycles)
-	maxWin []uint64 // per hardware thread: high-water window in this Run
+	win  []uint64 // per hardware thread: current window (cycles); learned, carries across Runs
+	peak uint64   // the largest window any thread has reached in this Run
 }
 
 // The per-thread window's bounds in cycles: one cache-miss-ish minimum up
@@ -42,15 +42,9 @@ const (
 // NewBackoff builds a Backoff policy for a machine with hwThreads
 // hardware threads.
 func NewBackoff(sgl spinlock.Lock, maxAttempts, hwThreads int) *Backoff {
-	p := &Backoff{
-		SGL:         sgl,
-		MaxAttempts: maxAttempts,
-		win:         make([]uint64, hwThreads),
-		maxWin:      make([]uint64, hwThreads),
-	}
+	p := &Backoff{SGL: sgl, MaxAttempts: maxAttempts, win: make([]uint64, hwThreads), peak: minWindow}
 	for i := range p.win {
 		p.win[i] = minWindow
-		p.maxWin[i] = minWindow
 	}
 	return p
 }
@@ -62,22 +56,19 @@ func (p *Backoff) Name() string { return "Backoff" }
 // and reports).
 func (p *Backoff) Window(hw int) uint64 { return p.win[hw] }
 
-// BeginRun restarts each thread's peak at its current window, so
-// PeakWindow covers the Run about to start; the windows carry over.
-func (p *Backoff) BeginRun() { copy(p.maxWin, p.win) }
+// BeginRun restarts the peak at the largest current window, so PeakWindow
+// covers the Run about to start; the windows carry over (DESIGN §6f).
+func (p *Backoff) BeginRun() { p.peak = slices.Max(p.win) }
 
 // PeakWindow returns the largest window any thread has reached in the
 // current Run. The sleeps themselves are counted in each thread's ledger
 // (Thread.BackoffWaits, BackoffCycles).
-func (p *Backoff) PeakWindow() uint64 { return slices.Max(p.maxWin) }
+func (p *Backoff) PeakWindow() uint64 { return p.peak }
 
 // grow doubles a thread's window after an abort, saturating at maxWindow.
 func (p *Backoff) grow(hw int) {
-	w := min(p.win[hw]*2, maxWindow)
-	p.win[hw] = w
-	if w > p.maxWin[hw] {
-		p.maxWin[hw] = w
-	}
+	p.win[hw] = min(p.win[hw]*2, maxWindow)
+	p.peak = max(p.peak, p.win[hw])
 }
 
 // shrink halves a thread's window after a commit, flooring at minWindow.

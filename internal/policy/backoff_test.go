@@ -52,7 +52,7 @@ func TestBackoffWindowBounds(t *testing.T) {
 			if w < minWindow || w > maxWindow {
 				return false
 			}
-			if p.maxWin[0] > maxWindow {
+			if p.peak > maxWindow {
 				return false
 			}
 		}

@@ -63,23 +63,30 @@ const DefaultSWRuns = 4
 //     data conflicts (HW or SW); it brackets the single-global-lock
 //     acquisition so mode occupancy accounts for serialized stretches.
 //
-// All mode decisions read and write plain fields between scheduling
-// points of the single-goroutine engine, at deterministic virtual-time
-// points — schedules and reports are byte-identical for a fixed seed.
-// Unlike real PhTM, the mode word is pure scheduling policy, not a
-// correctness mechanism: hardware and software transactions share the
-// conflict registry, so cross-mode conflicts are detected physically and
-// any interleaving of modes is serializable (see DESIGN.md §6k).
+// The mode word is not stored: Mode derives it from the GLOCK depth and
+// the deferral count. All decisions read and write plain fields between
+// scheduling points of the single-goroutine engine, at deterministic
+// virtual-time points — schedules and reports are byte-identical for a
+// fixed seed. Unlike real PhTM, the mode word is pure scheduling policy,
+// not a correctness mechanism: hardware and software transactions share
+// the conflict registry, so cross-mode conflicts are detected physically
+// and any interleaving of modes is serializable (see DESIGN.md §6k).
 type Phased struct {
 	SGL         spinlock.Lock
 	MaxAttempts int
 
-	mode        PhaseMode
+	// The deferrals are learned and carry across Runs (DESIGN §6f).
 	deferred    int   // threads currently holding a deferral
 	deferBudget []int // per-hw remaining SW completions of its deferral
-	glockDepth  int   // threads inside the GLOCK bracket
 
-	// This Run's virtual-cycle split across phases, up to the last switch.
+	run phasedRun
+}
+
+// phasedRun is what one Run of the phased policy stamps; BeginRun
+// replaces it whole.
+type phasedRun struct {
+	glockDepth int // threads inside the GLOCK bracket
+	// The virtual-cycle split across phases, up to the last switch.
 	occupancy  [PhaseCount]uint64
 	lastSwitch uint64
 }
@@ -97,36 +104,45 @@ func NewPhased(sgl spinlock.Lock, maxAttempts, hwThreads int) *Phased {
 // Name implements Policy.
 func (p *Phased) Name() string { return "PhTM" }
 
-// Mode returns the current global execution mode.
-func (p *Phased) Mode() PhaseMode { return p.mode }
+// Mode returns the current global execution mode: GLOCK while a thread
+// is inside the GLOCK bracket, else SW while a deferral is held, else HW.
+func (p *Phased) Mode() PhaseMode {
+	switch {
+	case p.run.glockDepth > 0:
+		return PhaseGLOCK
+	case p.deferred > 0:
+		return PhaseSW
+	}
+	return PhaseHW
+}
 
 // BeginRun starts a Run at cycle 0, where the engine restarts the clocks:
-// the occupancy restarts there, in the mode the previous Run left. The
-// mode word and the deferrals carry over.
-func (p *Phased) BeginRun() { p.occupancy, p.lastSwitch = [PhaseCount]uint64{}, 0 }
+// the run state restarts whole, so a Run that failed inside the GLOCK
+// bracket leaves the mode to the deferrals, which carry over (DESIGN
+// §6f).
+func (p *Phased) BeginRun() { p.run = phasedRun{} }
 
 // Occupancy is the Run's virtual-cycle split across phases as of virtual
 // time now, with the open segment credited to the current phase; it is the
 // timeline's phase source (telemetry.Options.Phase).
 func (p *Phased) Occupancy(now uint64) [PhaseCount]uint64 {
-	occ := p.occupancy
-	occ[p.mode] += now - p.lastSwitch
+	occ := p.run.occupancy
+	occ[p.Mode()] += now - p.run.lastSwitch
 	return occ
 }
 
-// setMode advances the global mode word at the current virtual time,
-// crediting the elapsed segment to the outgoing phase, and counts the
-// transition in t's ledger and the event log. Within a Run the mode word
-// changes in virtual-time order, so the segment is never negative.
-func (p *Phased) setMode(t *Thread, m PhaseMode) {
-	if m == p.mode {
+// switched follows a change of the deferral count or the GLOCK depth: if
+// the mode moved from old, it credits the elapsed segment to old and
+// counts the transition in t's ledger and the event log. Within a Run the
+// mode changes in virtual-time order, so the segment is never negative.
+func (p *Phased) switched(t *Thread, old PhaseMode) {
+	m := p.Mode()
+	if m == old {
 		return
 	}
 	now := t.Ctx.Clock()
-	p.occupancy[p.mode] += now - p.lastSwitch
-	p.lastSwitch = now
-	old := p.mode
-	p.mode = m
+	p.run.occupancy[old] += now - p.run.lastSwitch
+	p.run.lastSwitch = now
 	t.PhaseTransitions++
 	t.Obs.Phase(now, int(m), int(old))
 }
@@ -134,9 +150,9 @@ func (p *Phased) setMode(t *Thread, m PhaseMode) {
 // Run implements Policy.
 func (p *Phased) Run(t *Thread, txID int, obj uint64, body func(mem.Access)) {
 	for {
-		// Dispatch on the mode word. While GLOCK is held the run keeps
-		// its deferral-driven routing: deferred work stays software.
-		if p.mode == PhaseSW || (p.mode == PhaseGLOCK && p.deferred > 0) {
+		// Deferred work runs in software, in SW mode and also while GLOCK
+		// is held.
+		if p.deferred > 0 {
 			if p.runSW(t, body) {
 				return
 			}
@@ -179,7 +195,7 @@ func (p *Phased) runSW(t *Thread, body func(mem.Access)) bool {
 			p.swDone(t, hw)
 			return true
 		}
-		if p.mode == PhaseHW {
+		if p.Mode() == PhaseHW {
 			// Undeferred while we were aborting: rejoin the HW phase.
 			return false
 		}
@@ -192,15 +208,13 @@ func (p *Phased) runSW(t *Thread, body func(mem.Access)) bool {
 // deferToSW routes a capacity-aborting thread to the software phase:
 // its deferral budget is (re)armed and the global mode word moves to SW.
 func (p *Phased) deferToSW(t *Thread) {
-	hw := t.Ctx.ID()
+	hw, old := t.Ctx.ID(), p.Mode()
 	if p.deferBudget[hw] == 0 {
 		p.deferred++
 	}
 	t.Deferrals++
 	p.deferBudget[hw] = DefaultSWRuns
-	if p.mode == PhaseHW {
-		p.setMode(t, PhaseSW)
-	}
+	p.switched(t, old)
 }
 
 // swDone accounts one software-phase completion (STM or GLOCK commit) by
@@ -214,29 +228,22 @@ func (p *Phased) swDone(t *Thread, hw int) {
 	if p.deferBudget[hw] > 0 {
 		return
 	}
+	old := p.Mode()
 	p.deferred--
 	t.Undeferrals++
-	if p.deferred == 0 && p.mode == PhaseSW {
-		p.setMode(t, PhaseHW)
-	}
+	p.switched(t, old)
 }
 
 // runGlock serializes body on the single global lock, bracketed by GLOCK
 // transitions so mode occupancy accounts for the serialized stretch. The
-// depth counter keeps the mode word in GLOCK while any thread is queued
-// on or holding the lock through this path.
+// depth counter keeps the mode in GLOCK while any thread is queued on or
+// holding the lock through this path; leaving it, the mode returns to SW
+// or HW by the deferral count.
 func (p *Phased) runGlock(t *Thread, body func(mem.Access)) {
-	if p.glockDepth == 0 {
-		p.setMode(t, PhaseGLOCK)
-	}
-	p.glockDepth++
+	old := p.Mode()
+	p.run.glockDepth++
+	p.switched(t, old)
 	runSGL(t, p.SGL, body)
-	p.glockDepth--
-	if p.glockDepth == 0 && p.mode == PhaseGLOCK {
-		if p.deferred > 0 {
-			p.setMode(t, PhaseSW)
-		} else {
-			p.setMode(t, PhaseHW)
-		}
-	}
+	p.run.glockDepth--
+	p.switched(t, PhaseGLOCK)
 }

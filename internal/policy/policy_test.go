@@ -582,3 +582,18 @@ func TestPolicyPathsZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestBeginRunZeroAllocs: after a Run, restarting the run state of Seer
+// (core.Seer.BeginRun), PhTM and Backoff reuses its storage.
+func TestBeginRunZeroAllocs(t *testing.T) {
+	r := newRig(t, 4)
+	for _, pol := range []interface {
+		Policy
+		BeginRun()
+	}{newSeerPolicy(r, core.DefaultOptions()), NewPhased(r.sgl, 5, 4), NewBackoff(r.sgl, 5, 4)} {
+		r.runCounter(t, pol, 4, 50)
+		if allocs := testing.AllocsPerRun(100, pol.BeginRun); allocs != 0 {
+			t.Errorf("%s: BeginRun allocates %.1f per call, want 0", pol.Name(), allocs)
+		}
+	}
+}

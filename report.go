@@ -3,6 +3,7 @@ package seer
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -109,7 +110,7 @@ type SeerReport struct {
 	LockAcqEvents  uint64
 	LockFracMedian float64
 	// SchemeRows is the final locksToAcquire table (row per atomic
-	// block, sorted lock ids).
+	// block, sorted lock ids), copied: later Runs do not change it.
 	SchemeRows [][]int
 }
 
@@ -127,8 +128,9 @@ type BackoffReport struct {
 // PhasedReport captures the phased-TM runtime's counters for one Run: how
 // often capacity aborts deferred work to the software commit path, the
 // software attempt/commit/abort volume, the global mode word's transition
-// count and how the makespan split across the HW/SW/GLOCK phases. The mode
-// word itself, and the deferrals still held, carry across Runs.
+// count and how the makespan split across the HW/SW/GLOCK phases. The
+// deferrals still held carry across Runs, and with them the mode a Run
+// starts in (DESIGN §6f).
 type PhasedReport struct {
 	Deferrals   uint64
 	Undeferrals uint64
@@ -360,15 +362,23 @@ func (s *System) buildReport(makespan uint64, threads []*policy.Thread) Report {
 			SchemeUpdates: c.SchemeUpdates,
 			MultiCASOk:    mc.Commits,
 			MultiCASFail:  mc.Aborts,
-			SchemeRows:    s.sched.Scheme(),
 		}
-		for _, k := range s.sched.LockAcqSizes {
+		// The scheduler rebuilds its rows in place at its next update, so
+		// the Report copies them, every row on one backing array.
+		rows := s.sched.Scheme()
+		flat := slices.Concat(rows...)
+		sr.SchemeRows = make([][]int, len(rows))
+		for i, row := range rows {
+			sr.SchemeRows[i], flat = flat[:len(row):len(row)], flat[len(row):]
+		}
+		sizes := s.sched.LockAcqSizes()
+		for _, k := range sizes {
 			sr.LockAcqEvents += k
 		}
 		// The median row size is the upper one, sizes[n/2] of the sorted
 		// n sizes: the first size whose cumulative count passes n/2.
 		var below uint64
-		for size, k := range s.sched.LockAcqSizes {
+		for size, k := range sizes {
 			if below += k; below > sr.LockAcqEvents/2 {
 				sr.LockFracMedian = float64(size) / float64(s.sched.NumTx())
 				break

@@ -413,10 +413,9 @@ type System struct {
 
 // NewSystem builds a system from cfg. Repeated Runs are allowed, and every
 // record covers its Run: the Report, the Recorder's exports and
-// EngineCounters all start at that Run's cycle 0. What carries over is
-// what the system has learned (Seer's statistics, scheme, thresholds and
-// tuner, the Backoff windows, the phased mode word and its deferrals) and
-// simulated memory.
+// EngineCounters all start at that Run's cycle 0. What carries over, after
+// a Run that failed too, is what the system has learned, the hardware
+// threads' PRNG streams and simulated memory: DESIGN §6f lists it.
 func NewSystem(cfg Config) (*System, error) {
 	return newSystem(cfg, DefaultSpeculativeQuantum)
 }
